@@ -9,7 +9,9 @@ use stp_core::algorithms::StpAlgorithm;
 use stp_core::checkpoint::CheckpointFile;
 use stp_core::distribution::SourceDist;
 use stp_core::msgset::payload_for;
-use stp_core::runner::{record_sources, try_record_sources, AlgoKind, RunControl, SweepRunner};
+use stp_core::runner::{
+    record_sources, try_record_sources, AlgoKind, RecordedRun, RunControl, SweepRunner,
+};
 use stp_core::supervise::{chaos_algorithms, PointStatus, SuperviseOpts};
 
 use crate::checks::{analyze, AnalyzeOpts, Finding, Severity};
@@ -127,8 +129,7 @@ fn source_counts(p: usize) -> Vec<usize> {
 
 /// Record and analyze one named algorithm instance on one grid point.
 /// The shared engine behind [`lint_point`], [`lint_matrix`] and
-/// [`lint_matrix_supervised`] — and, through the serve daemon's lint
-/// hook, the unit of work a cached plan report corresponds to.
+/// [`lint_matrix_supervised`].
 #[allow(clippy::too_many_arguments)]
 fn lint_alg_point(
     machine: &Machine,
@@ -145,7 +146,6 @@ fn lint_alg_point(
     let sources = dist.place(machine.shape, s);
     let payload_of = move |src: usize| payload_for(src, msg_len);
     let run = try_record_sources(machine, lib, &sources, &payload_of, alg, control)?;
-    let sched = Schedule::from_recorded(&run, machine.p());
     let opts = AnalyzeOpts {
         max_link_load,
         lib,
@@ -153,13 +153,34 @@ fn lint_alg_point(
         perf,
         ..AnalyzeOpts::default()
     };
-    let analysis = analyze(&sched, machine, &sources, &payload_of, &opts);
-    Ok(LintEntry {
+    Ok(lint_recorded(
+        machine, dist, &sources, msg_len, algo_name, &opts, &run,
+    ))
+}
+
+/// Analyze a run that was already recorded — the second half of a lint
+/// point. The caller vouches that `run` is the recording of `algo_name`
+/// with `payload_for` messages at `sources`, which `dist` placed; the
+/// serve daemon's lint hook passes the plan's own simulation, so a
+/// `"lint":true` plan simulates once.
+pub fn lint_recorded(
+    machine: &Machine,
+    dist: &SourceDist,
+    sources: &[usize],
+    msg_len: usize,
+    algo_name: &str,
+    opts: &AnalyzeOpts,
+    run: &RecordedRun,
+) -> LintEntry {
+    let payload_of = move |src: usize| payload_for(src, msg_len);
+    let sched = Schedule::from_recorded(run, machine.p());
+    let analysis = analyze(&sched, machine, sources, &payload_of, opts);
+    LintEntry {
         algo: algo_name.to_string(),
         dist: dist.name().to_string(),
         rows: machine.shape.rows,
         cols: machine.shape.cols,
-        s,
+        s: sources.len(),
         sends: analysis.sends,
         recvs: analysis.recvs,
         max_link_load: analysis.max_link_load,
@@ -167,7 +188,7 @@ fn lint_alg_point(
         opaque_payloads: analysis.opaque_payloads,
         dropped_attempts: sched.drops.len(),
         findings: analysis.findings,
-    })
+    }
 }
 
 /// Record and analyze a single grid point — the cacheable unit of lint

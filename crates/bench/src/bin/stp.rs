@@ -617,32 +617,32 @@ fn run_sweep(args: &[String]) -> ! {
     std::process::exit(if bad { 1 } else { 0 });
 }
 
-/// The serve daemon's lint hook: run the analyzer's single-point lint
-/// over the plan's exact grid point and hand the report JSON back to
-/// `stp-core` (which cannot depend on `stp-analyzer` itself). Shares
-/// the simulated schedule's determinism, so equal plan-cache keys give
-/// byte-identical reports.
+/// The serve daemon's lint hook: analyze the recording of the plan's
+/// own simulation and hand the report JSON back to `stp-core` (which
+/// cannot depend on `stp-analyzer` itself). The recording is
+/// deterministic, so equal plan-cache keys give byte-identical reports.
 fn serve_lint_hook() -> Box<stp_core::serve::LintFn> {
-    Box::new(|spec| {
+    Box::new(|spec, run| {
         let stp_core::serve::PlanAlgo::Kind(kind) = &spec.algo else {
             return Err("lint is not available for chaos fixtures".to_string());
         };
-        let control = stp_core::runner::RunControl {
-            faults: spec.faults.clone(),
-            exec: Some(spec.exec),
+        let Some(outcome) = &run.outcome else {
+            return Err("lint needs a run that finished".to_string());
+        };
+        let opts = stp_analyzer::AnalyzeOpts {
+            lib: kind.default_lib(),
+            faulted: spec.faults.is_some(),
             ..Default::default()
         };
-        let entry = stp_analyzer::lint_point(
+        let entry = stp_analyzer::lint_recorded(
             &spec.machine,
             &spec.dist,
-            spec.s,
+            &outcome.sources,
             spec.msg_len,
-            *kind,
-            None,
-            false,
-            &control,
-        )
-        .map_err(|e| e.to_string())?;
+            kind.name(),
+            &opts,
+            run,
+        );
         Ok(stp_analyzer::entry_to_json(&entry))
     })
 }

@@ -78,24 +78,20 @@ impl StpAlgorithm for DissemAllGather {
                 None => MessageSet::new(),
             };
 
-            // Track which sources each rank holds per round (pure function of
-            // the source set, so both partners agree on whether a message
-            // flows without extra synchronization).
-            let mut holdings: Vec<Vec<bool>> = (0..p)
-                .map(|r| (0..p).map(|src| r == src && ctx.is_source(src)).collect())
-                .collect();
+            // Whether each rank holds anything yet — a pure function of the
+            // source set, so both partners agree on whether a message flows
+            // without extra synchronization.
+            let mut has_any: Vec<bool> = (0..p).map(|r| ctx.is_source(r)).collect();
 
             let mut step = 1usize;
             let mut round: u32 = 0;
             while step < p {
                 let to = (me + step) % p;
                 let from = (me + p - step) % p;
-                let i_send = holdings[me].iter().any(|&h| h);
-                let sender_has = holdings[from].iter().any(|&h| h);
-                if i_send {
+                if has_any[me] {
                     comm.send_payload(to, TAG + round, set.to_payload());
                 }
-                if sender_has {
+                if has_any[from] {
                     let msg = comm.recv(Some(from), Some(TAG + round)).await;
                     if self.charge_combining {
                         comm.charge_memcpy(msg.data.len());
@@ -104,16 +100,10 @@ impl StpAlgorithm for DissemAllGather {
                         MessageSet::from_payload(&msg.data).expect("malformed dissemination");
                     set.merge(other);
                 }
-                // Advance the holdings model for every rank simultaneously.
-                let snapshot = holdings.clone();
-                for (r, row) in holdings.iter_mut().enumerate() {
-                    let r_from = (r + p - step) % p;
-                    for (src, held) in row.iter_mut().enumerate() {
-                        if snapshot[r_from][src] {
-                            *held = true;
-                        }
-                    }
-                }
+                // Every rank receives from `step` below it, simultaneously.
+                has_any = (0..p)
+                    .map(|r| has_any[r] || has_any[(r + p - step) % p])
+                    .collect();
                 comm.next_iteration();
                 step <<= 1;
                 round += 1;

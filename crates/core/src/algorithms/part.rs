@@ -153,6 +153,37 @@ pub fn split_mesh(shape: MeshShape) -> Option<Partition> {
     }
 }
 
+/// The partial permutation both partitioners start with: the i-th
+/// source (ascending) ships its message to `targets_all[i]`. Returns
+/// what this rank holds afterwards, keyed by its own rank — the moved
+/// message stays the rope it arrived as, nothing is copied out of it.
+async fn permute_to_targets(
+    comm: &mut dyn Communicator,
+    ctx: &StpCtx<'_>,
+    targets_all: &[usize],
+) -> MessageSet {
+    let me = comm.rank();
+    if let Some(payload) = ctx.payload {
+        let i = ctx.sources.binary_search(&me).unwrap();
+        let to = targets_all[i];
+        if to != me {
+            comm.send(to, tags::PART_REPOS, payload);
+        }
+    }
+    let mut set = MessageSet::new();
+    if let Some(k) = targets_all.iter().position(|&t| t == me) {
+        let from = ctx.sources[k];
+        if from != me {
+            let moved = comm.recv(Some(from), Some(tags::PART_REPOS)).await.data;
+            set = MessageSet::single_payload(me, moved);
+        } else if let Some(payload) = ctx.payload {
+            set = MessageSet::single(me, payload);
+        }
+    }
+    comm.next_iteration();
+    set
+}
+
 /// `Part_<base>`: repositioning + machine partitioning.
 #[derive(Debug, Clone, Copy)]
 pub struct Part<A> {
@@ -220,28 +251,7 @@ impl<A: PlanRunnable> StpAlgorithm for Part<A> {
                 t1_global.iter().chain(t2_global.iter()).copied().collect();
 
             // Phase 0: partial permutation.
-            if let Some(payload) = ctx.payload {
-                let i = ctx.sources.binary_search(&me).unwrap();
-                let to = targets_all[i];
-                if to != me {
-                    comm.send(to, tags::PART_REPOS, payload);
-                }
-            }
-            let mut new_payload: Option<Vec<u8>> = None;
-            if let Some(k) = targets_all.iter().position(|&t| t == me) {
-                let from = ctx.sources[k];
-                if from == me {
-                    new_payload = ctx.payload.map(<[u8]>::to_vec);
-                } else {
-                    new_payload = Some(
-                        comm.recv(Some(from), Some(tags::PART_REPOS))
-                            .await
-                            .data
-                            .to_vec(),
-                    );
-                }
-            }
-            comm.next_iteration();
+            let mut set = permute_to_targets(comm, ctx, &targets_all).await;
 
             // Phase 1: base algorithm inside my group, simultaneously with
             // the other group.
@@ -259,10 +269,6 @@ impl<A: PlanRunnable> StpAlgorithm for Part<A> {
                 .collect();
             sources_pos.sort_unstable();
 
-            let mut set = match &new_payload {
-                Some(data) => MessageSet::single(me, data),
-                None => MessageSet::new(),
-            };
             self.base
                 .run_on_plan(comm, my_plan, &sources_pos, &mut set)
                 .await;
@@ -400,28 +406,7 @@ impl<A: PlanRunnable> StpAlgorithm for PartRecursive<A> {
 
             // Phase 0: the repositioning permutation (sorted sources fill the
             // groups in order).
-            if let Some(payload) = ctx.payload {
-                let i = ctx.sources.binary_search(&me).unwrap();
-                let to = targets_all[i];
-                if to != me {
-                    comm.send(to, tags::PART_REPOS, payload);
-                }
-            }
-            let mut new_payload: Option<Vec<u8>> = None;
-            if let Some(k) = targets_all.iter().position(|&t| t == me) {
-                let from = ctx.sources[k];
-                if from == me {
-                    new_payload = ctx.payload.map(<[u8]>::to_vec);
-                } else {
-                    new_payload = Some(
-                        comm.recv(Some(from), Some(tags::PART_REPOS))
-                            .await
-                            .data
-                            .to_vec(),
-                    );
-                }
-            }
-            comm.next_iteration();
+            let mut set = permute_to_targets(comm, ctx, &targets_all).await;
 
             // Phase 1: base algorithm inside my leaf group.
             let my_group = groups
@@ -434,10 +419,6 @@ impl<A: PlanRunnable> StpAlgorithm for PartRecursive<A> {
                 .map(|&t| groups[my_group].pos_of(t).unwrap())
                 .collect();
             sources_pos.sort_unstable();
-            let mut set = match &new_payload {
-                Some(data) => MessageSet::single(me, data),
-                None => MessageSet::new(),
-            };
             self.base
                 .run_on_plan(comm, &groups[my_group], &sources_pos, &mut set)
                 .await;

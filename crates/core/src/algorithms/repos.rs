@@ -9,6 +9,8 @@
 //! — the cost of an unnecessary permutation is exactly what Figures 9
 //! and 10 quantify.
 
+use std::borrow::Cow;
+
 use mpp_model::MeshShape;
 use mpp_runtime::{CommFuture, Communicator};
 
@@ -81,14 +83,18 @@ impl<A: StpAlgorithm> StpAlgorithm for Repos<A> {
                     comm.send(*to, tags::REPOS, payload);
                 }
             }
-            let mut new_payload: Option<Vec<u8>> = None;
-            if let Some(&(from, _)) = moves.iter().find(|&&(_, t)| t == me) {
-                new_payload = Some(comm.recv(Some(from), Some(tags::REPOS)).await.data.to_vec());
-            } else if targets.binary_search(&me).is_ok() {
-                // I am a target that did not move: I must have been the
-                // matching source already.
-                new_payload = ctx.payload.map(<[u8]>::to_vec);
-            }
+            // What this rank holds afterwards is borrowed, not copied: from
+            // the rope that arrived, or — a target that did not move was
+            // the matching source already — from the context.
+            let arrived = match moves.iter().find(|&&(_, t)| t == me) {
+                Some(&(from, _)) => Some(comm.recv(Some(from), Some(tags::REPOS)).await.data),
+                None => None,
+            };
+            let new_payload: Option<Cow<'_, [u8]>> = match &arrived {
+                Some(data) => Some(data.contiguous()),
+                None if targets.binary_search(&me).is_ok() => ctx.payload.map(Cow::Borrowed),
+                None => None,
+            };
             comm.next_iteration();
 
             // Phase 1: the base algorithm on the ideal distribution.

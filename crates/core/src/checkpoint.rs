@@ -115,6 +115,7 @@ pub fn json_escape(s: &str) -> String {
 /// Parse one JSON document. Errors carry the byte offset.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -128,6 +129,9 @@ pub fn parse_json(text: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes. `pos` only ever stops on a character boundary:
+    /// it advances over ASCII or over whole runs of `text`.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -291,12 +295,20 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // encoding is already valid).
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape.
+                    // Both are ASCII, so the run ends on a character
+                    // boundary of the (already valid) input.
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let end = self.pos + run;
+                    out.push_str(
+                        self.text
+                            .get(self.pos..end)
+                            .ok_or_else(|| format!("split character at byte {}", self.pos))?,
+                    );
+                    self.pos = end;
                 }
             }
         }
@@ -540,6 +552,33 @@ mod tests {
         let back = Checkpoint::from_json(&cp.to_json()).expect("round trip");
         assert_eq!(back, cp);
         assert_eq!(back.get("point/\"a\""), Some(gnarly));
+    }
+
+    /// A plan cache of 1024 bodies is ~0.7 MB of string content. The
+    /// parser used to re-validate the whole rest of the document for
+    /// every character of it (seconds here, and growing with the
+    /// square of the store); one pass takes milliseconds, so a second
+    /// is a bound no machine misses and no quadratic parser meets.
+    #[test]
+    fn a_1024_entry_store_loads_in_one_pass() {
+        let body = format!(
+            "{{\"algo\":\"Br_Lin\",\"note\":\"é 🎉 \\\\ \\n\",\"pad\":\"{}\"}}",
+            "x".repeat(640)
+        );
+        let mut cp = Checkpoint::new("serve-cache:v1");
+        for i in 0..1024 {
+            cp.insert(&format!("{i:016x}"), &body);
+        }
+        let text = cp.to_json();
+        let t0 = std::time::Instant::now();
+        let back = Checkpoint::from_json(&text).expect("own output parses");
+        let took = t0.elapsed();
+        assert_eq!(back, cp);
+        assert!(
+            took < std::time::Duration::from_secs(1),
+            "parsing {} bytes took {took:?}",
+            text.len()
+        );
     }
 
     #[test]

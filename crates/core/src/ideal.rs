@@ -19,7 +19,7 @@
 
 use mpp_model::MeshShape;
 
-use crate::pattern::br_lin_schedule;
+use crate::pattern::{br_lin_schedule, Memo};
 
 /// Growth score of an active-set on a line of `n` positions: the sum of
 /// active-holder counts after every `Br_Lin` level (higher = faster
@@ -38,8 +38,20 @@ fn growth_score(n: usize, active: &[bool]) -> u64 {
 /// Choose `k` positions on a line of `n` so that `Br_Lin` activates new
 /// positions as fast as possible. Greedy by marginal growth score, ties
 /// broken towards the smallest index; result is sorted.
+///
+/// The search costs O(k·n) `Br_Lin` schedules and depends on `(n, k)`
+/// alone, while the repositioning algorithms ask for it on every rank
+/// of every run — so it sits behind the same process-wide memo as
+/// the `Br_Lin` schedules themselves.
 pub fn ideal_line_positions(n: usize, k: usize) -> Vec<usize> {
+    static POSITIONS: Memo<(usize, usize), Vec<usize>> = Memo::new();
     assert!(k <= n, "cannot place {k} actives on {n} positions");
+    POSITIONS
+        .get_or_compute((n, k), || greedy_line_positions(n, k))
+        .to_vec()
+}
+
+fn greedy_line_positions(n: usize, k: usize) -> Vec<usize> {
     let mut active = vec![false; n];
     for _ in 0..k {
         let mut best: Option<(u64, usize)> = None;
@@ -179,7 +191,25 @@ mod tests {
     }
 
     #[test]
-    fn greedy_is_deterministic() {
-        assert_eq!(ideal_line_positions(12, 5), ideal_line_positions(12, 5));
+    fn memoised_positions_equal_the_search_from_two_threads_at_once() {
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    // Both threads ask for the same key at the same time,
+                    // hit or miss alike.
+                    barrier.wait();
+                    for n in 0..=16usize {
+                        for k in 0..=n {
+                            assert_eq!(
+                                ideal_line_positions(n, k),
+                                greedy_line_positions(n, k),
+                                "n={n} k={k}"
+                            );
+                        }
+                    }
+                });
+            }
+        });
     }
 }

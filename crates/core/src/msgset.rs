@@ -205,6 +205,12 @@ impl MessageSet {
     pub fn from_payload(wire: &Payload) -> Option<Self> {
         let mut r = wire.reader();
         let count = r.read_u32_le()? as usize;
+        // `count` is the sender's claim: hold it against the bytes that
+        // are really there (8 header bytes per entry) before sizing
+        // anything by it.
+        if count > r.remaining() / 8 {
+            return None;
+        }
         let mut lens = Vec::with_capacity(count);
         let mut last_src: Option<u32> = None;
         for _ in 0..count {
@@ -339,6 +345,25 @@ mod tests {
             bad.extend_from_slice(&0u32.to_le_bytes());
         }
         assert!(MessageSet::from_bytes(&bad).is_none());
+    }
+
+    /// The input `proptest_invariants::msgset_parser_total` generates
+    /// for its seed: a 16-byte wire whose count field claims 0xEAB8E342
+    /// entries. Sizing the parse tables by that claim asked the
+    /// allocator for 63 007 765 536 bytes and aborted the process on a
+    /// host without overcommit.
+    #[test]
+    fn claimed_count_is_held_against_the_bytes_present() {
+        let wire = [
+            66, 227, 184, 234, 181, 90, 196, 125, 29, 227, 121, 69, 154, 131, 71, 227,
+        ];
+        assert!(MessageSet::from_bytes(&wire).is_none());
+        // The bound is exact: the 12 bytes behind this count back one
+        // entry, and a claim of two is refused.
+        let mut one = MessageSet::single(7, b"data").to_bytes();
+        assert!(MessageSet::from_bytes(&one).is_some());
+        one[0] = 2;
+        assert!(MessageSet::from_bytes(&one).is_none());
     }
 
     #[test]

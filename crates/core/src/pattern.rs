@@ -26,6 +26,9 @@
 //! paper's observation that odd dimensions *change* which distributions
 //! are good.
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
+
 /// One communication a position performs in one iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeerOp {
@@ -165,7 +168,49 @@ pub fn br_lin_schedule(has: &[bool]) -> BrLinSchedule {
     BrLinSchedule { ops, holds }
 }
 
-/// [`br_lin_schedule`] behind a process-wide memo table, shared by all
+/// A bounded process-wide memo of a pure function: what every rank of
+/// a run (and every run of a sweep) would otherwise recompute from the
+/// source map it shares with all the others.
+///
+/// Entries are immutable once inserted and identical regardless of who
+/// computes them, so the table is safe to share across sweep workers
+/// and rank threads and cannot perturb simulated time or determinism.
+pub(crate) struct Memo<K, V> {
+    table: OnceLock<Mutex<HashMap<K, Arc<V>>>>,
+}
+
+impl<K: std::hash::Hash + Eq, V> Memo<K, V> {
+    /// Bound on cached distinct keys (a sweep touches a few dozen;
+    /// clearing on overflow keeps pathological grids bounded).
+    const MAX: usize = 256;
+
+    pub(crate) const fn new() -> Self {
+        Memo {
+            table: OnceLock::new(),
+        }
+    }
+
+    pub(crate) fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
+        let mut table = self
+            .table
+            .get_or_init(Default::default)
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        if let Some(value) = table.get(&key) {
+            return Arc::clone(value);
+        }
+        // Compute under the lock: in threaded runs every rank arrives at
+        // once, and one computation plus p-1 waits beats p computations.
+        let value = Arc::new(compute());
+        if table.len() >= Self::MAX {
+            table.clear();
+        }
+        table.insert(key, Arc::clone(&value));
+        value
+    }
+}
+
+/// [`br_lin_schedule`] behind the process-wide memo, shared by all
 /// ranks of a run.
 ///
 /// The schedule is a pure function of `has`, and the paper's model says
@@ -176,20 +221,9 @@ pub fn br_lin_schedule(has: &[bool]) -> BrLinSchedule {
 /// Hot-path profile: on a 256-rank run this was the single largest
 /// host-side cost of `Br_Lin`.
 ///
-/// The table is keyed by the packed has-bits (plus length), bounded, and
-/// safe to share across sweep workers and rank threads: entries are
-/// immutable once inserted and identical regardless of who computes them,
-/// so caching cannot perturb simulated time or determinism.
-pub fn br_lin_schedule_shared(has: &[bool]) -> std::sync::Arc<BrLinSchedule> {
-    use std::collections::HashMap;
-    use std::sync::{Arc, Mutex, OnceLock};
-
-    type Cache = Mutex<HashMap<Box<[u8]>, Arc<BrLinSchedule>>>;
-
-    /// Bound on cached distinct distributions (a sweep touches a few
-    /// dozen; clearing on overflow keeps pathological grids bounded).
-    const CACHE_MAX: usize = 256;
-    static CACHE: OnceLock<Cache> = OnceLock::new();
+/// The table is keyed by the packed has-bits (plus length).
+pub fn br_lin_schedule_shared(has: &[bool]) -> Arc<BrLinSchedule> {
+    static SCHEDULES: Memo<Box<[u8]>, BrLinSchedule> = Memo::new();
 
     let mut key = vec![0u8; 8 + has.len().div_ceil(8)];
     key[..8].copy_from_slice(&(has.len() as u64).to_le_bytes());
@@ -198,19 +232,7 @@ pub fn br_lin_schedule_shared(has: &[bool]) -> std::sync::Arc<BrLinSchedule> {
             key[8 + i / 8] |= 1 << (i % 8);
         }
     }
-    let cache = CACHE.get_or_init(Default::default);
-    let mut table = cache.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(sched) = table.get(key.as_slice()) {
-        return Arc::clone(sched);
-    }
-    // Compute under the lock: in threaded runs every rank arrives at
-    // once, and one computation plus p-1 waits beats p computations.
-    let sched = Arc::new(br_lin_schedule(has));
-    if table.len() >= CACHE_MAX {
-        table.clear();
-    }
-    table.insert(key.into_boxed_slice(), Arc::clone(&sched));
-    sched
+    SCHEDULES.get_or_compute(key.into_boxed_slice(), || br_lin_schedule(has))
 }
 
 /// Render the holder evolution of a schedule as text: one row per

@@ -418,20 +418,26 @@ fn try_run_alg_with(
     alg: &dyn StpAlgorithm,
 ) -> Result<Outcome, SimError> {
     let shape = machine.shape;
+    // The delivery oracle: the s expected messages, generated once per
+    // run. Sources send from it and every rank checks against it.
+    let expected: Vec<Vec<u8>> = sources.iter().map(|&s| payload_of(s)).collect();
     let out = try_run_simulated_with(machine, config, async |comm| {
         let me = comm.rank();
-        let payload = sources.binary_search(&me).is_ok().then(|| payload_of(me));
         let ctx = StpCtx {
             shape,
             sources,
-            payload: payload.as_deref(),
+            payload: sources
+                .binary_search(&me)
+                .ok()
+                .map(|i| expected[i].as_slice()),
         };
         let set = alg.run(comm, &ctx).await;
-        // Verify on-rank: all sources present with the right payloads.
-        set.sources().collect::<Vec<_>>() == sources
+        // Verify on-rank: exactly the sources, each byte for byte.
+        set.sources().eq(sources.iter().copied())
             && sources
                 .iter()
-                .all(|&s| set.get(s).is_some_and(|d| *d == payload_of(s)))
+                .zip(&expected)
+                .all(|(&s, want)| set.get(s).is_some_and(|got| got == want))
     })?;
     Ok(Outcome {
         makespan_ns: out.makespan_ns,
@@ -925,6 +931,7 @@ impl SweepRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msgset::MessageSet;
 
     #[test]
     fn every_algorithm_verifies_on_a_paragon() {
@@ -989,6 +996,101 @@ mod tests {
             .run_with_lengths(&|src| 64 + src * 32)
             .expect("run failed");
         assert!(out.verified);
+    }
+
+    /// `Br_Lin`, except that rank `rank` ends up with one byte of
+    /// source `src`'s message flipped.
+    struct FlipsOneByte {
+        rank: usize,
+        src: usize,
+        byte: usize,
+    }
+
+    impl StpAlgorithm for FlipsOneByte {
+        fn name(&self) -> &'static str {
+            "fixture:flips_one_byte"
+        }
+
+        fn run<'a>(
+            &'a self,
+            comm: &'a mut dyn Communicator,
+            ctx: &'a StpCtx<'a>,
+        ) -> mpp_runtime::CommFuture<'a, MessageSet> {
+            Box::pin(async move {
+                let set = BrLin::new().run(comm, ctx).await;
+                if comm.rank() != self.rank {
+                    return set;
+                }
+                let mut tampered = MessageSet::new();
+                for (src, data) in set.into_entries() {
+                    let mut bytes = data.to_vec();
+                    if src as usize == self.src {
+                        bytes[self.byte] ^= 1;
+                    }
+                    tampered.insert(src as usize, &bytes);
+                }
+                tampered
+            })
+        }
+    }
+
+    #[test]
+    fn one_flipped_byte_on_one_rank_fails_verification_on_both_executors() {
+        let machine = Machine::paragon(4, 4);
+        let sources = SourceDist::Equal.place(machine.shape, 5);
+        let len = 300;
+        for exec in [ExecMode::Cooperative, ExecMode::Threaded] {
+            let control = RunControl {
+                exec: Some(exec),
+                ..RunControl::default()
+            };
+            let verified = |alg: &dyn StpAlgorithm| {
+                try_run_alg_controlled(
+                    &machine,
+                    LibraryKind::Nx,
+                    &sources,
+                    &|src| payload_for(src, len),
+                    alg,
+                    &control,
+                )
+                .expect("run failed")
+                .verified
+            };
+            assert!(verified(&BrLin::new()), "{exec:?}: the honest run");
+            // First source, last source; first byte, last byte; first
+            // rank, last rank — none may slip past the check.
+            for (rank, src, byte) in [
+                (0, sources[0], 0),
+                (15, sources[4], len - 1),
+                (9, sources[2], 150),
+            ] {
+                assert!(
+                    !verified(&FlipsOneByte { rank, src, byte }),
+                    "{exec:?}: rank {rank} source {src} byte {byte}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn expected_payloads_are_generated_once_per_source_per_run() {
+        let machine = Machine::paragon(4, 4);
+        let sources = SourceDist::Equal.place(machine.shape, 5);
+        let calls = AtomicUsize::new(0);
+        let out = run_sources(
+            &machine,
+            LibraryKind::Nx,
+            &sources,
+            &|src| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                payload_for(src, 64)
+            },
+            AlgoKind::BrXySource,
+        )
+        .expect("run failed");
+        assert!(out.verified);
+        // s calls for the whole run — not s per rank (p·s).
+        assert_eq!(calls.load(Ordering::Relaxed), sources.len());
     }
 
     #[test]

@@ -51,7 +51,9 @@ use crate::checkpoint::{json_escape, parse_json, Checkpoint, JsonValue};
 use crate::distribution::SourceDist;
 use crate::msgset::payload_for;
 use crate::predict;
-use crate::runner::{env_usize, try_record_sources, AlgoKind, RunControl, SweepRunner};
+use crate::runner::{
+    env_usize, try_record_sources, AlgoKind, RecordedRun, RunControl, SweepRunner,
+};
 use crate::select::{cost_regime, recommend, CostRegime};
 use crate::supervise::{chaos_algorithms, PointStatus, SuperviseOpts};
 
@@ -479,9 +481,10 @@ impl PlanCache {
 // ---------------------------------------------------------------------------
 
 /// Hook attaching an analyzer lint report to a plan body: given the
-/// resolved spec, return the report JSON (or an error string). Injected
-/// by the `stp` CLI — `stp-core` cannot depend on `stp-analyzer`.
-pub type LintFn = dyn Fn(&PlanSpec) -> Result<String, String> + Send + Sync;
+/// resolved spec and the recording of the plan's one simulation, return
+/// the report JSON (or an error string). Injected by the `stp` CLI —
+/// `stp-core` cannot depend on `stp-analyzer`.
+pub type LintFn = dyn Fn(&PlanSpec, &RecordedRun) -> Result<String, String> + Send + Sync;
 
 #[derive(Default)]
 struct PlanStats {
@@ -702,7 +705,7 @@ impl Planner {
         if run.deadlocked {
             return Ok(Err("simulation deadlocked: every rank blocked".into()));
         }
-        let Some(outcome) = run.outcome else {
+        let Some(outcome) = &run.outcome else {
             return Ok(Err("simulation produced no outcome".into()));
         };
 
@@ -773,7 +776,7 @@ impl Planner {
         body.push_str(&format!("],\"lib\":\"{}\"}}", lib.name()));
         if spec.lint {
             match &self.lint {
-                Some(lint) => match lint(spec) {
+                Some(lint) => match lint(spec, &run) {
                     Ok(report) => body.push_str(&format!(",\"lint\":{report}")),
                     Err(e) => return Ok(Err(format!("lint failed: {e}"))),
                 },
@@ -1304,6 +1307,37 @@ mod tests {
         assert!(cold.contains("\"virtual_makespan_ms\""));
         assert!(cold.contains("\"verified\":true"));
         assert_eq!(planner.cache().len(), 1);
+    }
+
+    #[test]
+    fn lint_hook_is_handed_the_recording_the_plan_is_rendered_from() {
+        let config = ServeConfig {
+            cache_path: None,
+            ..ServeConfig::default()
+        };
+        let hook: Box<LintFn> = Box::new(|spec, run| {
+            let outcome = run.outcome.as_ref().ok_or("no outcome")?;
+            assert_eq!(outcome.sources.len(), spec.s);
+            Ok(format!("{{\"seen_events\":{}}}", run.events.len()))
+        });
+        let planner = Planner::new(&config, Some(hook));
+        let spec = parse_plan(
+            r#"{"machine":"paragon","rows":4,"cols":4,"dist":"equal","s":4,"L":256,"algo":"Br_Lin","lint":true}"#,
+        );
+        let reply = planner.plan(&spec);
+        let events_after = |marker: &str| -> String {
+            let (_, rest) = reply.split_once(marker).expect(marker);
+            rest.chars().take_while(char::is_ascii_digit).collect()
+        };
+        assert!(
+            !events_after("\"schedule\":{\"events\":").is_empty(),
+            "{reply}"
+        );
+        assert_eq!(
+            events_after("\"lint\":{\"seen_events\":"),
+            events_after("\"schedule\":{\"events\":"),
+            "{reply}"
+        );
     }
 
     #[test]

@@ -534,9 +534,36 @@ impl std::fmt::Debug for Payload {
     }
 }
 
+/// Byte equality of two chunk sequences, whatever their segmentation:
+/// the overlapping run of the two current chunks is compared as one
+/// slice (a `memcmp`), then both sides advance by that run. Empty
+/// chunks are skipped; a side that runs out first is shorter.
+fn chunks_eq<'a>(
+    mut a: impl Iterator<Item = &'a [u8]>,
+    mut b: impl Iterator<Item = &'a [u8]>,
+) -> bool {
+    let (mut x, mut y): (&[u8], &[u8]) = (&[], &[]);
+    loop {
+        if x.is_empty() {
+            x = a.find(|c| !c.is_empty()).unwrap_or_default();
+        }
+        if y.is_empty() {
+            y = b.find(|c| !c.is_empty()).unwrap_or_default();
+        }
+        let n = x.len().min(y.len());
+        if n == 0 {
+            return x.is_empty() && y.is_empty();
+        }
+        if x[..n] != y[..n] {
+            return false;
+        }
+        (x, y) = (&x[n..], &y[n..]);
+    }
+}
+
 impl PartialEq for Payload {
     fn eq(&self, other: &Payload) -> bool {
-        self.len == other.len && self.iter_bytes().eq(other.iter_bytes())
+        self.len == other.len && chunks_eq(self.chunks(), other.chunks())
     }
 }
 
@@ -544,7 +571,7 @@ impl Eq for Payload {}
 
 impl PartialEq<[u8]> for Payload {
     fn eq(&self, other: &[u8]) -> bool {
-        self.len == other.len() && self.iter_bytes().eq(other.iter().copied())
+        self.len == other.len() && chunks_eq(self.chunks(), std::iter::once(other))
     }
 }
 
@@ -762,6 +789,9 @@ mod tests {
         assert_eq!(body, b"payload");
         assert_eq!(r.remaining(), 0);
         assert_eq!(r.read_u32_le(), None);
+        // A length off the wire is checked against what remains before
+        // anything is built from it.
+        assert!(p.reader().take_payload(usize::MAX).is_none());
     }
 
     #[test]

@@ -210,6 +210,51 @@ proptest! {
         prop_assert_eq!(doubled.len(), 2 * flat.len());
         prop_assert_eq!(doubled.slice(flat.len(), 2 * flat.len()).to_vec(), flat);
     }
+
+    /// Segment-wise equality is byte equality: however the two sides
+    /// are cut up (empty segments and empty payloads included), `==`
+    /// says what comparing the two byte streams one byte at a time
+    /// says — for equal contents, a difference in the very last byte,
+    /// and a length mismatch in either direction.
+    #[test]
+    fn payload_equality_ignores_segmentation(
+        data in proptest::collection::vec(any::<u8>(), 0..96),
+        cuts_a in proptest::collection::vec(0.0f64..1.0, 0..6),
+        cuts_b in proptest::collection::vec(0.0f64..1.0, 0..6),
+        relation in 0usize..4,
+    ) {
+        // Re-cut `bytes` at the given fractions; a repeated or interior
+        // cut point leaves an empty segment behind.
+        let resegment = |bytes: &[u8], cuts: &[f64]| {
+            let whole = mpp_sim::Payload::from_slice(bytes);
+            let mut at: Vec<usize> = cuts.iter().map(|f| (bytes.len() as f64 * f) as usize).collect();
+            at.extend([0, bytes.len()]);
+            at.sort_unstable();
+            let mut rope = mpp_sim::Payload::new();
+            for w in at.windows(2) {
+                rope.push_payload(&whole.slice(w[0], w[0]));
+                rope.push_payload(&whole.slice(w[0], w[1]));
+            }
+            rope
+        };
+        let mut other = data.clone();
+        match relation {
+            1 => if let Some(last) = other.last_mut() { *last ^= 0x80 },
+            2 => { other.pop(); }
+            3 => other.push(0),
+            _ => {}
+        }
+        let a = resegment(&data, &cuts_a);
+        let b = resegment(&other, &cuts_b);
+        prop_assert_eq!(a.to_vec(), data.clone());
+        let want = data == other;
+        prop_assert_eq!(want, a.len() == b.len() && a.iter_bytes().eq(b.iter_bytes()));
+        prop_assert_eq!(a == b, want);
+        prop_assert_eq!(b == a, want);
+        prop_assert_eq!(a == other.as_slice(), want);
+        prop_assert_eq!(b == data.as_slice(), want);
+        prop_assert!(a == a.clone() && a == data.as_slice());
+    }
 }
 
 proptest! {
