@@ -22,7 +22,7 @@ use std::collections::BTreeSet;
 
 use crate::checks::{Finding, Severity};
 use crate::lint::LintEntry;
-use crate::report::escape;
+use stp_core::checkpoint::json_escape;
 
 /// A set of accepted finding keys.
 #[derive(Debug, Clone, Default)]
@@ -91,7 +91,7 @@ impl Baseline {
         let keys: Vec<String> = self
             .suppress
             .iter()
-            .map(|k| format!("  \"{}\"", escape(k)))
+            .map(|k| format!("  \"{}\"", json_escape(k)))
             .collect();
         format!("{{ \"suppress\": [\n{}\n] }}\n", keys.join(",\n"))
     }

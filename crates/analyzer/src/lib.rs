@@ -52,8 +52,7 @@ pub use lint::{
     SupervisedLint,
 };
 pub use report::{
-    entries_to_json, entry_from_json, entry_to_json, fixtures_to_json, lint_report_json,
-    supervised_report_json,
+    entries_to_json, entry_from_json, entry_to_json, fixtures_to_json, supervised_report_json,
 };
 pub use sarif::sarif_report;
 pub use schedule::{Attributed, Attribution, Schedule};

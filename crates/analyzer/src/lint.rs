@@ -4,7 +4,6 @@
 use std::sync::Once;
 
 use mpp_model::{FaultPlan, Machine};
-use mpp_runtime::ExecMode;
 use stp_core::algorithms::StpAlgorithm;
 use stp_core::checkpoint::CheckpointFile;
 use stp_core::distribution::SourceDist;
@@ -36,8 +35,8 @@ pub struct LintConfig {
     pub faults: Option<FaultPlan>,
     /// Chaos injection: append the deliberately broken
     /// [`chaos_algorithms`] (a panicking and a deadlocking fixture) to
-    /// the grid. Only meaningful under [`lint_matrix_supervised`], which
-    /// must finish every healthy point and quarantine these.
+    /// the grid; [`lint_matrix_supervised`] must finish every healthy
+    /// point and quarantine these.
     pub chaos: bool,
     /// Run the performance lints on every grid point (see
     /// [`AnalyzeOpts::perf`]). Off by default: perf smells on the
@@ -128,7 +127,7 @@ fn source_counts(p: usize) -> Vec<usize> {
 }
 
 /// Record and analyze one named algorithm instance on one grid point.
-/// The shared engine behind [`lint_point`], [`lint_matrix`] and
+/// The shared engine behind [`lint_point`] and
 /// [`lint_matrix_supervised`].
 #[allow(clippy::too_many_arguments)]
 fn lint_alg_point(
@@ -254,65 +253,12 @@ pub fn lint_point_key(
     )
 }
 
-/// Record and analyze every algorithm × distribution × shape × s grid
-/// point. Grid points are independent simulations and run concurrently
-/// on a [`SweepRunner`]; results come back in deterministic input order.
-pub fn lint_matrix(config: &LintConfig) -> Vec<LintEntry> {
-    struct Point {
-        machine: Machine,
-        dist: SourceDist,
-        s: usize,
-        kind: AlgoKind,
-    }
-    let mut points = Vec::new();
-    for &(rows, cols) in &config.shapes {
-        let machine = Machine::paragon(rows, cols);
-        for dist in paper_dists() {
-            for s in source_counts(machine.p()) {
-                for &kind in AlgoKind::all() {
-                    points.push(Point {
-                        machine: machine.clone(),
-                        dist: dist.clone(),
-                        s,
-                        kind,
-                    });
-                }
-            }
-        }
-    }
-    let msg_len = config.msg_len;
-    let max_link_load = config.max_link_load;
-    let faults = config.faults.clone();
-    let perf = config.perf;
-    SweepRunner::new().map(
-        points,
-        |pt| pt.machine.p(),
-        move |pt| {
-            let control = RunControl {
-                faults: faults.clone(),
-                ..RunControl::default()
-            };
-            lint_point(
-                &pt.machine,
-                &pt.dist,
-                pt.s,
-                msg_len,
-                pt.kind,
-                max_link_load,
-                perf,
-                &control,
-            )
-            .unwrap_or_else(|e| panic!("{e}"))
-        },
-    )
-}
-
 // ---------------------------------------------------------------------------
-// Supervised lint sweep (checkpoint/resume, chaos containment)
+// The lint sweep (supervised: checkpoint/resume, chaos containment)
 // ---------------------------------------------------------------------------
 
-/// One grid point of the supervised sweep: a real algorithm variant or
-/// an injected chaos fixture.
+/// One grid point of the sweep: a real algorithm variant or an
+/// injected chaos fixture.
 enum PointAlg {
     Kind(AlgoKind),
     Chaos(&'static str, fn() -> Box<dyn StpAlgorithm>),
@@ -395,13 +341,12 @@ fn grid_points(config: &LintConfig) -> Vec<GridPoint> {
 }
 
 /// Configuration signature guarding checkpoint reuse: progress recorded
-/// under one grid/executor/fault-plan must never resume a different one.
-/// Open the [`CheckpointFile`] handed to [`lint_matrix_supervised`] with
-/// this signature.
-pub fn lint_sig(config: &LintConfig, exec: ExecMode) -> String {
+/// under one grid/fault-plan must never resume a different one. Open
+/// the [`CheckpointFile`] handed to [`lint_matrix_supervised`] with this
+/// signature.
+pub fn lint_sig(config: &LintConfig) -> String {
     format!(
-        "lint:v2:exec={}:shapes={:?}:len={}:mll={:?}:faults={:?}:chaos={}:perf={}",
-        exec.name(),
+        "lint:v3:shapes={:?}:len={}:mll={:?}:faults={:?}:chaos={}:perf={}",
         config.shapes,
         config.msg_len,
         config.max_link_load,
@@ -446,15 +391,18 @@ impl SupervisedLint {
     }
 }
 
-/// [`lint_matrix`] under full supervision: each grid point runs
-/// isolated (a panicking or deadlocking algorithm is quarantined into
-/// [`SupervisedLint::failures`] / a `deadlock` finding, never a process
-/// abort), a shared token or wall-clock deadline skips the remainder
-/// cleanly, and — when `checkpoint` is given — completed points are
-/// persisted after each grid point and replayed verbatim on resume, so
-/// an interrupted sweep re-runs only unfinished work.
+/// Record and analyze every algorithm × distribution × shape × s grid
+/// point, concurrently on `runner`, under full supervision: each grid
+/// point runs isolated (a panicking or deadlocking algorithm is
+/// quarantined into [`SupervisedLint::failures`] / a `deadlock` finding,
+/// never a process abort), a shared token or wall-clock deadline skips
+/// the remainder cleanly, and — when `checkpoint` is given — completed
+/// points are persisted after each grid point and replayed verbatim on
+/// resume, so an interrupted sweep re-runs only unfinished work. Entries
+/// come back in deterministic grid order.
 pub fn lint_matrix_supervised(
     config: &LintConfig,
+    runner: &SweepRunner,
     opts: &SuperviseOpts,
     checkpoint: Option<&CheckpointFile>,
 ) -> SupervisedLint {
@@ -497,22 +445,16 @@ pub fn lint_matrix_supervised(
     let max_link_load = config.max_link_load;
     let faults = config.faults.clone();
     let perf = config.perf;
-    let runner = SweepRunner::new();
-    let exec = runner.exec();
     let run_ids = &run_ids;
     let statuses = runner.map_supervised(
         to_run,
-        |pt| match exec {
-            ExecMode::Cooperative => 1,
-            ExecMode::Threaded => pt.machine.p(),
-        },
         |pt| {
             let alg = pt.alg.build();
             let control = RunControl {
                 faults: faults.clone(),
                 budget: opts.budget.clone(),
                 cancel: Some(opts.cancel.clone()),
-                exec: None,
+                ..RunControl::default()
             };
             lint_alg_point(
                 &pt.machine,
@@ -562,6 +504,21 @@ pub fn lint_matrix_supervised(
         }
     }
     out
+}
+
+/// The "all points must finish" view of [`lint_matrix_supervised`] the
+/// tests use: default supervision, no checkpoint, and a panic naming
+/// the first point that failed or was skipped.
+pub fn lint_matrix(config: &LintConfig, runner: &SweepRunner) -> Vec<LintEntry> {
+    let sweep = lint_matrix_supervised(config, runner, &SuperviseOpts::default(), None);
+    if let Some(f) = sweep.failures.first() {
+        panic!(
+            "{} failed after {} attempt(s): {}",
+            f.id, f.attempts, f.error
+        );
+    }
+    assert_eq!(sweep.skipped, Vec::<String>::new(), "points skipped");
+    sweep.entries
 }
 
 /// Verdict for one seeded-bug fixture.
@@ -656,7 +613,7 @@ mod tests {
 
     #[test]
     fn quick_matrix_is_clean_on_real_algorithms() {
-        let entries = lint_matrix(&LintConfig::quick());
+        let entries = lint_matrix(&LintConfig::quick(), &SweepRunner::new());
         // 2 shapes × 8 dists × 2 source counts × all algorithms.
         assert_eq!(entries.len(), 2 * 8 * 2 * AlgoKind::all().len());
         for e in &entries {
@@ -690,7 +647,7 @@ mod tests {
             faults: Some(FaultPlan::transient_drops(5, 1, 8, 6)),
             ..LintConfig::default()
         };
-        let entries = lint_matrix(&config);
+        let entries = lint_matrix(&config, &SweepRunner::new());
         assert_eq!(entries.len(), 8 * 2 * AlgoKind::all().len());
         let mut total_drops = 0usize;
         for e in &entries {
@@ -720,7 +677,12 @@ mod tests {
             chaos: true,
             ..LintConfig::default()
         };
-        let sweep = lint_matrix_supervised(&config, &SuperviseOpts::default(), None);
+        let sweep = lint_matrix_supervised(
+            &config,
+            &SweepRunner::new(),
+            &SuperviseOpts::default(),
+            None,
+        );
         let healthy = 8 * 2 * AlgoKind::all().len();
         assert_eq!(sweep.total, healthy + 2);
         assert_eq!(sweep.skipped, Vec::<String>::new());
@@ -768,11 +730,11 @@ mod tests {
         let config = LintConfig::quick();
         let path = std::env::temp_dir().join(format!("stp-lint-ckpt-{}.json", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let sig = lint_sig(&config, SweepRunner::new().exec());
-        let opts = SuperviseOpts::default();
+        let sig = lint_sig(&config);
+        let (runner, opts) = (SweepRunner::new(), SuperviseOpts::default());
 
         let cp = CheckpointFile::open(&path, &sig).expect("open checkpoint");
-        let first = lint_matrix_supervised(&config, &opts, Some(&cp));
+        let first = lint_matrix_supervised(&config, &runner, &opts, Some(&cp));
         assert_eq!(first.resumed, 0);
         assert_eq!(first.entries.len(), first.total);
         assert_eq!(cp.completed(), first.total);
@@ -781,11 +743,11 @@ mod tests {
         // Re-open: every point replays from the checkpoint, zero re-run,
         // and the report is byte-identical.
         let cp = CheckpointFile::open(&path, &sig).expect("re-open checkpoint");
-        let second = lint_matrix_supervised(&config, &opts, Some(&cp));
+        let second = lint_matrix_supervised(&config, &runner, &opts, Some(&cp));
         assert_eq!(second.resumed, second.total);
         assert_eq!(
-            crate::report::supervised_report_json(&first, "x"),
-            crate::report::supervised_report_json(&second, "x"),
+            crate::report::supervised_report_json(&first),
+            crate::report::supervised_report_json(&second),
             "resumed report must be byte-identical"
         );
 

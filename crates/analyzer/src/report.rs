@@ -1,24 +1,9 @@
 //! Machine-readable lint reports (hand-rolled JSON — the build is
 //! offline, so no serde).
 
-use crate::lint::{FixtureVerdict, LintEntry};
+use stp_core::checkpoint::json_escape;
 
-/// Minimal JSON string escaping.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::lint::{FixtureVerdict, LintEntry};
 
 fn finding_json(f: &crate::Finding) -> String {
     let rank = f.rank.map_or("null".to_string(), |r| r.to_string());
@@ -29,7 +14,7 @@ fn finding_json(f: &crate::Finding) -> String {
          \"seq\":{seq},\"detail\":\"{}\"}}",
         f.kind.name(),
         f.kind.severity().name(),
-        escape(&f.detail)
+        json_escape(&f.detail)
     )
 }
 
@@ -41,8 +26,8 @@ pub fn entry_to_json(e: &LintEntry) -> String {
         "{{\"algo\":\"{}\",\"dist\":\"{}\",\"rows\":{},\"cols\":{},\"s\":{},\
          \"sends\":{},\"recvs\":{},\"max_link_load\":{},\"deadlocked\":{},\
          \"opaque_payloads\":{},\"dropped_attempts\":{},\"findings\":[{}]}}",
-        escape(&e.algo),
-        escape(&e.dist),
+        json_escape(&e.algo),
+        json_escape(&e.dist),
         e.rows,
         e.cols,
         e.s,
@@ -147,46 +132,33 @@ pub fn entries_to_json(entries: &[LintEntry]) -> String {
 /// quarantined failures and skipped points. Deliberately carries **no
 /// wall-clock** — an interrupted-and-resumed sweep must produce a
 /// byte-identical report to an uninterrupted one.
-pub fn supervised_report_json(sweep: &crate::lint::SupervisedLint, executor: &str) -> String {
+pub fn supervised_report_json(sweep: &crate::lint::SupervisedLint) -> String {
     let failures: Vec<String> = sweep
         .failures
         .iter()
         .map(|f| {
             format!(
                 "{{\"id\":\"{}\",\"attempts\":{},\"error\":\"{}\"}}",
-                escape(&f.id),
+                json_escape(&f.id),
                 f.attempts,
-                escape(&f.error)
+                json_escape(&f.error)
             )
         })
         .collect();
     let skipped: Vec<String> = sweep
         .skipped
         .iter()
-        .map(|id| format!("\"{}\"", escape(id)))
+        .map(|id| format!("\"{}\"", json_escape(id)))
         .collect();
     // `resumed` is intentionally NOT in the report: it differs between
     // an interrupted-and-resumed sweep and an uninterrupted one, and
     // the two reports must be byte-identical.
     format!(
-        "{{\"executor\":\"{}\",\"points\":{},\"failures\":[{}],\
-         \"skipped\":[{}],\"entries\":{}}}",
-        escape(executor),
+        "{{\"points\":{},\"failures\":[{}],\"skipped\":[{}],\"entries\":{}}}",
         sweep.total,
         failures.join(","),
         skipped.join(","),
         entries_to_json(&sweep.entries)
-    )
-}
-
-/// Encode the lint matrix as a report object: a header recording which
-/// executor drove the sweep and its wall-clock, then the entries.
-pub fn lint_report_json(entries: &[LintEntry], executor: &str, wall_s: f64) -> String {
-    format!(
-        "{{\"executor\":\"{}\",\"wall_s\":{wall_s:.3},\"schedules\":{},\"entries\":{}}}",
-        escape(executor),
-        entries.len(),
-        entries_to_json(entries)
     )
 }
 
@@ -201,7 +173,7 @@ pub fn fixtures_to_json(verdicts: &[FixtureVerdict]) -> String {
             .collect();
         out.push_str(&format!(
             "  {{\"fixture\":\"{}\",\"expected\":\"{}\",\"detected\":[{}],\"pass\":{}}}",
-            escape(v.name),
+            json_escape(v.name),
             v.expected.name(),
             detected.join(","),
             v.pass
@@ -216,12 +188,6 @@ pub fn fixtures_to_json(verdicts: &[FixtureVerdict]) -> String {
 mod tests {
     use super::*;
     use crate::{Finding, FindingKind};
-
-    #[test]
-    fn escapes_special_characters() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn entries_encode_round() {

@@ -13,7 +13,7 @@
 use crate::baseline::{finding_key, Baseline};
 use crate::checks::FindingKind;
 use crate::lint::LintEntry;
-use crate::report::escape;
+use stp_core::checkpoint::json_escape;
 
 /// Every kind, in rule-index order (the `FindingKind` declaration
 /// order, which is also the canonical report order).
@@ -48,7 +48,7 @@ pub fn sarif_report(entries: &[LintEntry], baseline: Option<&Baseline>) -> Strin
                 "        {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}, \
                  \"defaultConfiguration\": {{\"level\": \"{}\"}}}}",
                 k.name(),
-                escape(k.describe()),
+                json_escape(k.describe()),
                 k.severity().name()
             )
         })
@@ -76,10 +76,10 @@ pub fn sarif_report(entries: &[LintEntry], baseline: Option<&Baseline>) -> Strin
                 f.kind.name(),
                 rule_index(f.kind),
                 f.kind.severity().name(),
-                escape(&f.detail),
-                escape(&fqn),
-                escape(&point),
-                escape(&finding_key(e, f)),
+                json_escape(&f.detail),
+                json_escape(&fqn),
+                json_escape(&point),
+                json_escape(&finding_key(e, f)),
             ));
         }
     }

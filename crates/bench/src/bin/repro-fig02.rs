@@ -62,7 +62,7 @@ fn main() {
             })
         })
         .collect();
-    let runner = SweepRunner::new();
+    let runner = stp_bench::sweep_runner();
     let t0 = Instant::now();
     let outcomes = runner.run_experiments(&grid);
     let wall = t0.elapsed();

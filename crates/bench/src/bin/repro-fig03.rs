@@ -4,7 +4,7 @@
 //! (`MPI_AllGather`, `MPI_Alltoall`).
 
 use mpp_model::Machine;
-use stp_bench::{print_figure, run_ms, sweep_algorithms_parallel};
+use stp_bench::{print_figure, run_ms, sweep_algorithms_parallel, sweep_runner};
 use stp_core::prelude::*;
 
 fn main() {
@@ -21,10 +21,9 @@ fn main() {
     let ss: Vec<f64> = (0..=20)
         .map(|i| if i == 0 { 1.0 } else { (i * 5) as f64 })
         .collect();
-    let series =
-        sweep_algorithms_parallel(&SweepRunner::new(), &kinds, &ss, machine.p(), |k, s| {
-            run_ms(&machine, k, SourceDist::Equal, s as usize, 4096)
-        });
+    let series = sweep_algorithms_parallel(&sweep_runner(), &kinds, &ss, |k, s| {
+        run_ms(&machine, k, SourceDist::Equal, s as usize, 4096)
+    });
     print_figure(
         "Figure 3: 10x10 Paragon, L=4K, equal distribution, time (ms) vs s",
         "s",

@@ -2,7 +2,7 @@
 //! 16 KiB, s = 30, right diagonal distribution.
 
 use mpp_model::Machine;
-use stp_bench::{length_sweep, print_figure, run_ms, sweep_algorithms_parallel};
+use stp_bench::{length_sweep, print_figure, run_ms, sweep_algorithms_parallel, sweep_runner};
 use stp_core::prelude::*;
 
 fn main() {
@@ -15,10 +15,9 @@ fn main() {
         AlgoKind::BrXyDim,
     ];
     let lens: Vec<f64> = length_sweep().iter().map(|&l| l as f64).collect();
-    let series =
-        sweep_algorithms_parallel(&SweepRunner::new(), &kinds, &lens, machine.p(), |k, len| {
-            run_ms(&machine, k, SourceDist::DiagRight, 30, len as usize)
-        });
+    let series = sweep_algorithms_parallel(&sweep_runner(), &kinds, &lens, |k, len| {
+        run_ms(&machine, k, SourceDist::DiagRight, 30, len as usize)
+    });
     print_figure(
         "Figure 4: 10x10 Paragon, s=30, right diagonal, time (ms) vs L (bytes)",
         "L",

@@ -2,7 +2,7 @@
 //! L = 1 KiB, approximately √p sources, right diagonal distribution.
 
 use mpp_model::Machine;
-use stp_bench::{print_figure, run_ms, sweep_algorithms_parallel};
+use stp_bench::{print_figure, run_ms, sweep_algorithms_parallel, sweep_runner};
 use stp_core::prelude::*;
 
 fn main() {
@@ -15,10 +15,7 @@ fn main() {
         AlgoKind::BrXyDim,
     ];
     let xs: Vec<f64> = sizes.iter().map(|&n| (n * n) as f64).collect();
-    // Weight by the largest machine in the sweep: every grid point may
-    // spawn up to 256 rank threads.
-    let max_p = 16 * 16;
-    let series = sweep_algorithms_parallel(&SweepRunner::new(), &kinds, &xs, max_p, |k, p| {
+    let series = sweep_algorithms_parallel(&sweep_runner(), &kinds, &xs, |k, p| {
         let side = (p as usize).isqrt();
         let machine = Machine::paragon(side, side);
         run_ms(&machine, k, SourceDist::DiagRight, side, 1024)

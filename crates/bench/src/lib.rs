@@ -30,9 +30,9 @@ pub fn run_ms(
     out.makespan_ms()
 }
 
-/// [`run_ms`] with an explicit executor, regardless of `STP_EXEC` —
-/// the `sweep_engine` benches race the cooperative kernel against the
-/// threaded trap/grant backend on the same grid point.
+/// [`run_ms`] with an explicit executor — the `sweep_engine` benches
+/// race the cooperative kernel against the threaded trap/grant
+/// reference on the same grid point.
 pub fn run_ms_exec(
     machine: &Machine,
     kind: AlgoKind,
@@ -121,17 +121,22 @@ where
         .collect()
 }
 
+/// The sweep pool of a `repro-*` binary or bench, honouring
+/// `STP_SWEEP_WORKERS`. Reads (and warns about) the process environment,
+/// so call it once per process.
+pub fn sweep_runner() -> SweepRunner {
+    stp_core::env::Env::from_process().sweep_runner()
+}
+
 /// Parallel counterpart of [`sweep_algorithms`]: the whole
 /// (algorithm × x) grid is executed concurrently on a [`SweepRunner`].
-/// `weight` is the rank-thread cost of one grid point (the machine's
-/// `p`). Virtual-time results are identical to the sequential sweep —
-/// each point is an independent deterministic simulation — so series
-/// come back in the same order with the same values, just sooner.
+/// Virtual-time results are identical to the sequential sweep — each
+/// point is an independent deterministic simulation — so series come
+/// back in the same order with the same values, just sooner.
 pub fn sweep_algorithms_parallel<F>(
     runner: &SweepRunner,
     kinds: &[AlgoKind],
     xs: &[f64],
-    weight: usize,
     point: F,
 ) -> Vec<Series>
 where
@@ -141,7 +146,7 @@ where
         .iter()
         .flat_map(|&k| xs.iter().map(move |&x| (k, x)))
         .collect();
-    let ms = runner.map(grid, |_| weight, |(k, x)| point(k, x));
+    let ms = runner.map(grid, |(k, x)| point(k, x));
     kinds
         .iter()
         .enumerate()
@@ -222,7 +227,6 @@ mod tests {
             &SweepRunner::sequential().with_workers(4),
             &kinds,
             &xs,
-            machine.p(),
             point,
         );
         assert_eq!(seq.len(), par.len());

@@ -95,7 +95,8 @@ impl JsonValue {
     }
 }
 
-/// Minimal JSON string escaping (mirrors the report writers').
+/// Minimal JSON string escaping — the one escaper every report writer
+/// in the workspace uses.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
@@ -541,6 +542,12 @@ mod tests {
         ));
         let _ = std::fs::remove_file(&p);
         p
+    }
+
+    #[test]
+    fn json_escape_spells_specials_the_way_the_goldens_expect() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub mod analysis;
 pub mod announce;
 pub mod checkpoint;
 pub mod distribution;
+pub mod env;
 pub mod ideal;
 pub mod metrics;
 pub mod msgset;

@@ -228,10 +228,11 @@ impl Outcome {
 }
 
 /// Supervision knobs a sweep driver threads down into one run: fault
-/// plan, watchdog budget, cooperative cancellation, and an optional
-/// executor override. [`RunControl::default`] is an unsupervised run
-/// honouring the `STP_WATCHDOG_EVENTS` / `STP_EXEC` environment.
-#[derive(Debug, Clone)]
+/// plan, watchdog budget, cooperative cancellation, and the executor.
+/// [`RunControl::default`] is an unsupervised, unbounded cooperative
+/// run — every field is a value the caller passes, none is read from
+/// the process environment.
+#[derive(Debug, Clone, Default)]
 pub struct RunControl {
     /// Deterministic network fault plan (`None` = perfect network).
     pub faults: Option<FaultPlan>,
@@ -241,19 +242,9 @@ pub struct RunControl {
     /// Cooperative cancellation: the run exits with
     /// [`SimError::Cancelled`] at its next scheduling step.
     pub cancel: Option<CancelToken>,
-    /// Executor override; `None` follows `STP_EXEC`.
+    /// Executor; `None` is cooperative. The differential tests pass
+    /// the threaded reference driver here.
     pub exec: Option<ExecMode>,
-}
-
-impl Default for RunControl {
-    fn default() -> Self {
-        RunControl {
-            faults: None,
-            budget: SimBudget::from_env(),
-            cancel: None,
-            exec: None,
-        }
-    }
 }
 
 impl RunControl {
@@ -404,7 +395,7 @@ pub fn try_run_alg_controlled(
         faults: control.faults.clone(),
         budget: control.budget.clone(),
         cancel: control.cancel.clone(),
-        exec: control.exec.unwrap_or_else(ExecMode::from_env_lenient),
+        exec: control.exec.unwrap_or_default(),
         ..SimConfig::default()
     };
     try_run_alg_with(machine, &config, sources, payload_of, alg)
@@ -486,19 +477,12 @@ pub fn record_sources(
     payload_of: &(dyn Fn(usize) -> Vec<u8> + Sync),
     alg: &dyn StpAlgorithm,
 ) -> RecordedRun {
-    record_sources_exec(
-        machine,
-        lib,
-        sources,
-        payload_of,
-        alg,
-        ExecMode::from_env_lenient(),
-    )
+    record_sources_exec(machine, lib, sources, payload_of, alg, ExecMode::default())
 }
 
-/// [`record_sources`] with an explicit executor choice, regardless of
-/// `STP_EXEC` — the differential tests run the same schedule on both
-/// executors and require the recordings to be identical.
+/// [`record_sources`] with an explicit executor — the differential
+/// tests run the same schedule on both executors and require the
+/// recordings to be identical.
 pub fn record_sources_exec(
     machine: &Machine,
     lib: LibraryKind,
@@ -550,7 +534,7 @@ pub fn try_record_sources(
     let config = SimConfig {
         lib,
         recorder: Some(log.clone()),
-        exec: control.exec.unwrap_or_else(ExecMode::from_env_lenient),
+        exec: control.exec.unwrap_or_default(),
         faults: control.faults.clone(),
         budget: control.budget.clone(),
         cancel: control.cancel.clone(),
@@ -600,89 +584,7 @@ impl Experiment<'_> {
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
-
-/// Weighted counting semaphore bounding the number of concurrently live
-/// rank threads across all sweep jobs. A p-rank simulation spawns p OS
-/// threads, so running many grid points at once can oversubscribe the
-/// host; each job acquires `min(p, capacity)` permits before it starts.
-struct RankBudget {
-    permits: Mutex<usize>,
-    cv: Condvar,
-    capacity: usize,
-}
-
-impl RankBudget {
-    fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        RankBudget {
-            permits: Mutex::new(capacity),
-            cv: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// Block until `want` permits (clamped to capacity, so a job bigger
-    /// than the whole budget still runs — alone) are available; returns
-    /// the number actually taken.
-    ///
-    /// Poisoning is ignored throughout: the permit counter is a plain
-    /// integer that is never left mid-update, so a panic on another
-    /// worker cannot corrupt it — propagating the poison would instead
-    /// turn one bad grid point into a whole-sweep abort.
-    fn acquire(&self, want: usize) -> usize {
-        let need = want.clamp(1, self.capacity);
-        let mut p = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
-        while *p < need {
-            p = self.cv.wait(p).unwrap_or_else(PoisonError::into_inner);
-        }
-        *p -= need;
-        need
-    }
-
-    fn release(&self, n: usize) {
-        *self.permits.lock().unwrap_or_else(PoisonError::into_inner) += n;
-        self.cv.notify_all();
-    }
-}
-
-/// First sighting of a malformed environment variable? The registry
-/// makes each `STP_*` warning fire once per process: `SweepRunner::new`
-/// runs once per sweep *point group* and a long-lived driver would
-/// otherwise repeat the same warning hundreds of times.
-pub(crate) fn first_env_warning(name: &str) -> bool {
-    static WARNED: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
-    let mut seen = WARNED
-        .get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    if seen.iter().any(|n| n == name) {
-        false
-    } else {
-        seen.push(name.to_string());
-        true
-    }
-}
-
-/// Parse one `STP_SWEEP_*` override. A set-but-malformed value is a user
-/// error worth hearing about: warn once per process (naming the variable
-/// and the value) and fall back to the default, instead of silently
-/// ignoring it.
-fn parse_env_usize(name: &str, raw: &str) -> Option<usize> {
-    match raw.trim().parse() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            if first_env_warning(name) {
-                eprintln!("warning: ignoring {name}={raw:?}: expected a non-negative integer");
-            }
-            None
-        }
-    }
-}
-
-pub(crate) fn env_usize(name: &str) -> Option<usize> {
-    parse_env_usize(name, &std::env::var(name).ok()?)
-}
+use std::sync::{Mutex, PoisonError};
 
 /// Silence the panic hook for deliberate unit-test panics — they are
 /// caught and handled by design, and would otherwise spam the test
@@ -707,32 +609,20 @@ pub(crate) fn tests_hush_deliberate_panics() {
 }
 
 /// Executes independent sweep grid points concurrently on a small worker
-/// pool, bounded by a global rank-thread budget.
+/// pool.
 ///
-/// Every grid point is a self-contained deterministic simulation, so the
-/// *virtual-time* results are bit-identical no matter how many workers
-/// run or in which order points complete — only wall-clock changes.
-/// Results always come back in input order.
+/// Every grid point is a self-contained deterministic simulation on one
+/// compute-bound thread, so the *virtual-time* results are bit-identical
+/// no matter how many workers run or in which order points complete —
+/// only wall-clock changes. Results always come back in input order.
 ///
-/// Environment overrides (useful for CI and for the speedup
-/// measurements in `repro-fig02`):
-///
-/// * `STP_SWEEP_WORKERS` — number of concurrent grid points (default:
-///   one per available core on the cooperative executor, where each
-///   grid point is a single compute-bound thread; at least 2 on the
-///   threaded executor; `1` forces sequential).
-/// * `STP_SWEEP_RANK_BUDGET` — total concurrent rank threads allowed
-///   across all in-flight simulations (default 512). Only the threaded
-///   executor spawns rank threads; cooperative grid points are charged
-///   a flat weight of 1, so the budget never throttles them.
-/// * `STP_EXEC` — executor selection (`coop` default, `threaded`),
-///   consumed by [`SimConfig::default`] and mirrored here for the
-///   worker/budget defaults.
+/// The worker count is a value: [`SweepRunner::new`] sizes the pool to
+/// the host, [`with_workers`](SweepRunner::with_workers) overrides it.
+/// Binaries that honour `STP_SWEEP_WORKERS` build their runner through
+/// [`Env::sweep_runner`](crate::env::Env::sweep_runner).
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
     workers: usize,
-    rank_budget: usize,
-    exec: mpp_runtime::ExecMode,
 }
 
 impl Default for SweepRunner {
@@ -741,62 +631,25 @@ impl Default for SweepRunner {
     }
 }
 
-/// Default cap on concurrently live rank threads across all jobs.
-const DEFAULT_RANK_BUDGET: usize = 512;
-
 impl SweepRunner {
-    /// A runner configured from the host (and the `STP_SWEEP_*` /
-    /// `STP_EXEC` environment overrides).
+    /// One worker per available core — a grid point is a single
+    /// compute-bound thread, so that saturates the host exactly.
     pub fn new() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let exec = mpp_runtime::ExecMode::from_env_lenient();
-        let default_workers = match exec {
-            // A cooperative grid point is one compute-bound thread, so
-            // one worker per core saturates the host exactly.
-            mpp_runtime::ExecMode::Cooperative => cores,
-            // A threaded grid point spends most of its life blocked in
-            // channel waits; slight oversubscription keeps cores busy.
-            mpp_runtime::ExecMode::Threaded => cores.max(2),
-        };
         SweepRunner {
-            workers: env_usize("STP_SWEEP_WORKERS")
-                .unwrap_or(default_workers)
-                .max(1),
-            rank_budget: env_usize("STP_SWEEP_RANK_BUDGET")
-                .unwrap_or(DEFAULT_RANK_BUDGET)
-                .max(1),
-            exec,
+            workers: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
         }
     }
 
-    /// A runner that executes grid points strictly one at a time
-    /// (ignores the environment overrides).
-    ///
-    /// True to that contract, construction reads **no** environment at
-    /// all — in particular it cannot die on a malformed `STP_EXEC` the
-    /// way [`ExecMode::from_env`] deliberately does. The `exec` field
-    /// only weighs jobs against the rank budget, which a one-at-a-time
-    /// runner never contends on, so the env-free cooperative default is
-    /// also behaviourally inert here.
+    /// A runner that executes grid points strictly one at a time.
     pub fn sequential() -> Self {
-        SweepRunner {
-            workers: 1,
-            rank_budget: DEFAULT_RANK_BUDGET,
-            exec: mpp_runtime::ExecMode::default(),
-        }
+        SweepRunner { workers: 1 }
     }
 
     /// Override the worker count.
     pub fn with_workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
-        self
-    }
-
-    /// Override the rank-thread budget.
-    pub fn with_rank_budget(mut self, n: usize) -> Self {
-        self.rank_budget = n.max(1);
         self
     }
 
@@ -806,9 +659,7 @@ impl SweepRunner {
     }
 
     /// Run `job` over every item, in parallel, returning results in
-    /// input order. `weight(&item)` is the number of rank threads the
-    /// job will spawn (use the machine's `p`); it is charged against the
-    /// global rank budget for the duration of the job.
+    /// input order.
     ///
     /// A panicking job cannot take the sweep down mid-flight: the panic
     /// is caught at the grid-point boundary, every other point still
@@ -816,11 +667,10 @@ impl SweepRunner {
     /// then resumed. Callers that need per-point failure *reporting*
     /// instead of a deferred panic use
     /// [`map_supervised`](SweepRunner::map_supervised).
-    pub fn map<I, T, W, F>(&self, items: Vec<I>, weight: W, job: F) -> Vec<T>
+    pub fn map<I, T, F>(&self, items: Vec<I>, job: F) -> Vec<T>
     where
         I: Send,
         T: Send,
-        W: Fn(&I) -> usize + Sync,
         F: Fn(I) -> T + Sync,
     {
         let n = items.len();
@@ -841,17 +691,16 @@ impl SweepRunner {
             }
             return out;
         }
-        let budget = RankBudget::new(self.rank_budget);
         let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
         let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         // Earliest panicking point (input order) and its payload; the
-        // slots and budget mutexes are never poisoned because the only
-        // user code — `job` — runs outside their critical sections.
+        // slot mutexes are never poisoned because the only user code —
+        // `job` — runs outside their critical sections.
         let panic_slot: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
         let next = AtomicUsize::new(0);
         {
-            let (budget, slots, results, next, weight, job, panic_slot) =
-                (&budget, &slots, &results, &next, &weight, &job, &panic_slot);
+            let (slots, results, next, job, panic_slot) =
+                (&slots, &results, &next, &job, &panic_slot);
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(move || loop {
@@ -864,10 +713,7 @@ impl SweepRunner {
                             .unwrap_or_else(PoisonError::into_inner)
                             .take()
                             .expect("sweep item taken twice");
-                        let got = budget.acquire(weight(&item));
-                        let out = catch_unwind(AssertUnwindSafe(|| job(item)));
-                        budget.release(got);
-                        match out {
+                        match catch_unwind(AssertUnwindSafe(|| job(item))) {
                             Ok(v) => {
                                 *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(v)
                             }
@@ -899,11 +745,7 @@ impl SweepRunner {
             .collect()
     }
 
-    /// Run a list of fully-specified experiments. On the threaded
-    /// executor each experiment is weighted by its machine size (it
-    /// spawns that many rank threads); on the cooperative executor a
-    /// grid point is a single thread regardless of `p`, so every job
-    /// weighs 1 and the rank budget never throttles the sweep.
+    /// Run a list of fully-specified experiments.
     ///
     /// This is the convenience entry point for benches and repro bins:
     /// any abnormal termination panics (after the other grid points
@@ -911,20 +753,9 @@ impl SweepRunner {
     /// deadlines, checkpointing — go through
     /// [`map_supervised`](SweepRunner::map_supervised).
     pub fn run_experiments(&self, exps: &[Experiment]) -> Vec<Outcome> {
-        let exec = self.exec;
-        self.map(
-            exps.to_vec(),
-            move |e| match exec {
-                mpp_runtime::ExecMode::Cooperative => 1,
-                mpp_runtime::ExecMode::Threaded => e.machine.p(),
-            },
-            |e| e.run().unwrap_or_else(|err| panic!("{err}")),
-        )
-    }
-
-    /// The executor this runner weighs jobs for.
-    pub fn exec(&self) -> mpp_runtime::ExecMode {
-        self.exec
+        self.map(exps.to_vec(), |e| {
+            e.run().unwrap_or_else(|err| panic!("{err}"))
+        })
     }
 }
 
@@ -1123,24 +954,13 @@ mod tests {
     #[test]
     fn sweep_map_preserves_input_order() {
         let runner = SweepRunner::sequential().with_workers(8);
-        let out = runner.map((0..100usize).collect(), |_| 1, |i| i * 2);
+        let out = runner.map((0..100usize).collect(), |i| i * 2);
         assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
-    fn sweep_budget_admits_oversized_jobs() {
-        // A job heavier than the whole budget must still run (clamped),
-        // not deadlock.
-        let runner = SweepRunner::sequential()
-            .with_workers(3)
-            .with_rank_budget(2);
-        let out = runner.map(vec![64usize, 64, 64, 64], |&w| w, |w| w + 1);
-        assert_eq!(out, vec![65, 65, 65, 65]);
-    }
-
-    #[test]
     fn sweep_handles_empty_grid() {
-        let out: Vec<usize> = SweepRunner::new().map(Vec::<usize>::new(), |_| 1, |i| i);
+        let out: Vec<usize> = SweepRunner::new().map(Vec::<usize>::new(), |i| i);
         assert!(out.is_empty());
     }
 
@@ -1151,17 +971,15 @@ mod tests {
         for workers in [1usize, 4] {
             let done = AtomicUsize::new(0);
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                SweepRunner::sequential().with_workers(workers).map(
-                    (0..16usize).collect(),
-                    |_| 1,
-                    |i| {
+                SweepRunner::sequential()
+                    .with_workers(workers)
+                    .map((0..16usize).collect(), |i| {
                         if i == 3 || i == 11 {
                             panic!("deliberate test panic in point {i}");
                         }
                         done.fetch_add(1, Ordering::Relaxed);
                         i
-                    },
-                )
+                    })
             }));
             let payload = caught.expect_err("the sweep must resume the point's panic");
             let msg = payload
@@ -1172,31 +990,6 @@ mod tests {
             // ...and only after every healthy point completed.
             assert_eq!(done.load(Ordering::Relaxed), 14, "workers={workers}");
         }
-    }
-
-    #[test]
-    fn env_warnings_fire_once_per_process() {
-        assert!(first_env_warning("STP_TEST_WARN_ONCE"));
-        assert!(!first_env_warning("STP_TEST_WARN_ONCE"));
-        assert!(first_env_warning("STP_TEST_WARN_TWICE"));
-        assert!(!first_env_warning("STP_TEST_WARN_TWICE"));
-    }
-
-    #[test]
-    fn env_usize_parses_and_warns() {
-        // Valid values (with surrounding whitespace) parse.
-        assert_eq!(parse_env_usize("STP_SWEEP_WORKERS", "8"), Some(8));
-        assert_eq!(
-            parse_env_usize("STP_SWEEP_RANK_BUDGET", " 512\n"),
-            Some(512)
-        );
-        assert_eq!(parse_env_usize("STP_SWEEP_WORKERS", "0"), Some(0));
-        // Malformed values are rejected (with a warning) so the caller
-        // falls back to its default — never silently misconfigured.
-        assert_eq!(parse_env_usize("STP_SWEEP_WORKERS", "eight"), None);
-        assert_eq!(parse_env_usize("STP_SWEEP_WORKERS", "-4"), None);
-        assert_eq!(parse_env_usize("STP_SWEEP_WORKERS", "4.5"), None);
-        assert_eq!(parse_env_usize("STP_SWEEP_WORKERS", ""), None);
     }
 
     #[test]

@@ -51,9 +51,7 @@ use crate::checkpoint::{json_escape, parse_json, Checkpoint, JsonValue};
 use crate::distribution::SourceDist;
 use crate::msgset::payload_for;
 use crate::predict;
-use crate::runner::{
-    env_usize, try_record_sources, AlgoKind, RecordedRun, RunControl, SweepRunner,
-};
+use crate::runner::{try_record_sources, AlgoKind, RecordedRun, RunControl, SweepRunner};
 use crate::select::{cost_regime, recommend, CostRegime};
 use crate::supervise::{chaos_algorithms, PointStatus, SuperviseOpts};
 
@@ -117,7 +115,8 @@ pub struct PlanSpec {
     pub faults: Option<FaultPlan>,
     /// Canonical fault key (`-` when faultless, else the spec string).
     pub faults_key: String,
-    /// Executor the plan runs under.
+    /// Executor the plan runs under — the planner's construction-time
+    /// value, never a request field.
     pub exec: ExecMode,
     /// Attach an analyzer lint report to the plan body.
     pub lint: bool,
@@ -204,10 +203,12 @@ const MAX_P: usize = 4096;
 const MAX_LEN: usize = 1 << 20;
 
 /// Parse one request line against the given defaults. Every malformed
-/// field is a clean `Err` (one error response), never a panic.
+/// field is a clean `Err` (one error response), never a panic. `exec`
+/// is the planner's executor, stamped on every [`PlanSpec`]; a request
+/// cannot choose it.
 pub fn parse_request(
     line: &str,
-    default_exec: ExecMode,
+    exec: ExecMode,
     default_deadline: Duration,
 ) -> Result<Request, String> {
     let v = parse_json(line).map_err(|e| format!("bad JSON: {e}"))?;
@@ -220,6 +221,14 @@ pub fn parse_request(
                 "unknown cmd {other:?} (expected ping|stats|shutdown)"
             )),
         };
+    }
+
+    // A silently ignored "exec" would plan on an executor the client
+    // believes it chose; the field is gone, so say so.
+    if v.get("exec").is_some() {
+        return Err(
+            "field \"exec\" is not accepted: plans always run on the cooperative executor".into(),
+        );
     }
 
     let id = get_str(&v, "id")?.unwrap_or("").to_string();
@@ -303,13 +312,6 @@ pub fn parse_request(
             (Some(plan), spec.trim().to_string())
         }
         _ => (None, "-".to_string()),
-    };
-
-    // Executor: per-request override is *rejected* when invalid (the
-    // request is wrong); only the daemon-level env default is lenient.
-    let exec = match get_str(&v, "exec")? {
-        Some(name) => ExecMode::parse(name).map_err(|e| format!("exec: {e}"))?,
-        None => default_exec,
     };
 
     let lint = get_bool(&v, "lint")?.unwrap_or(false);
@@ -510,8 +512,11 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Default per-request deadline.
     pub deadline: Duration,
-    /// Default executor for plans.
+    /// Executor for every plan. `stp serve` always leaves this
+    /// cooperative; tests may pass the threaded reference driver.
     pub exec: ExecMode,
+    /// Per-plan watchdog budget (livelock containment).
+    pub budget: SimBudget,
 }
 
 impl Default for ServeConfig {
@@ -526,40 +531,8 @@ impl Default for ServeConfig {
                 .max(2),
             deadline: Duration::from_secs(30),
             exec: ExecMode::default(),
+            budget: SimBudget::default(),
         }
-    }
-}
-
-impl ServeConfig {
-    /// Defaults plus the environment: `STP_SERVE_ADDR`,
-    /// `STP_SERVE_CACHE`, `STP_SERVE_CACHE_CAP`, `STP_SERVE_WORKERS`,
-    /// `STP_SERVE_DEADLINE_MS`, and the (lenient — a daemon must not
-    /// die on a typo'd deploy) `STP_EXEC`.
-    pub fn from_env() -> Self {
-        let mut config = ServeConfig {
-            exec: ExecMode::from_env_lenient(),
-            ..ServeConfig::default()
-        };
-        if let Ok(addr) = std::env::var("STP_SERVE_ADDR") {
-            if !addr.trim().is_empty() {
-                config.addr = addr.trim().to_string();
-            }
-        }
-        if let Ok(path) = std::env::var("STP_SERVE_CACHE") {
-            if !path.trim().is_empty() {
-                config.cache_path = Some(PathBuf::from(path.trim()));
-            }
-        }
-        if let Some(cap) = env_usize("STP_SERVE_CACHE_CAP") {
-            config.cache_cap = cap.max(1);
-        }
-        if let Some(workers) = env_usize("STP_SERVE_WORKERS") {
-            config.workers = workers.clamp(1, 64);
-        }
-        if let Some(ms) = env_usize("STP_SERVE_DEADLINE_MS") {
-            config.deadline = Duration::from_millis(ms.max(1) as u64);
-        }
-        config
     }
 }
 
@@ -582,7 +555,7 @@ impl Planner {
             cache: PlanCache::open(config.cache_path.clone(), config.cache_cap),
             exec: config.exec,
             deadline: config.deadline,
-            budget: SimBudget::from_env(),
+            budget: config.budget.clone(),
             lint,
             stats: PlanStats::default(),
         }
@@ -639,7 +612,6 @@ impl Planner {
         };
         let statuses = SweepRunner::sequential().map_supervised(
             vec![()],
-            |_| 1,
             |_| self.run_point(spec, &token),
             &opts,
             |_, _| {},
@@ -1210,7 +1182,6 @@ mod tests {
             r#"{"machine":"paragon","rows":10,"cols":10,"dist":"row","s":30,"L":4096,"algo":"Br_xy_source"}"#,
             r#"{"machine":"paragon","rows":10,"cols":10,"dist":"col","s":30,"L":4096,"algo":"Br_Lin"}"#,
             r#"{"machine":"paragon","rows":5,"cols":20,"dist":"row","s":30,"L":4096,"algo":"Br_Lin"}"#,
-            r#"{"machine":"paragon","rows":10,"cols":10,"dist":"row","s":30,"L":4096,"algo":"Br_Lin","exec":"threaded"}"#,
             r#"{"machine":"paragon","rows":10,"cols":10,"dist":"row","s":30,"L":4096,"algo":"Br_Lin","faults":"drop=1/100,seed=3"}"#,
             r#"{"machine":"paragon","rows":10,"cols":10,"ports":5,"dist":"row","s":30,"L":4096,"algo":"Br_Lin"}"#,
             r#"{"machine":"paragon","rows":10,"cols":10,"dist":"row","s":31,"L":4096,"algo":"Br_Lin"}"#,
@@ -1221,6 +1192,13 @@ mod tests {
         for line in variants {
             assert_ne!(parse_plan(line).canonical_key(), base_key, "{line}");
         }
+        // The executor is the planner's value, not a request field.
+        let Ok(Request::Plan(threaded)) =
+            parse_request(base, ExecMode::Threaded, Duration::from_secs(5))
+        else {
+            panic!("base request must parse");
+        };
+        assert_ne!(threaded.canonical_key(), base_key);
     }
 
     #[test]
@@ -1233,7 +1211,6 @@ mod tests {
             r#"{"machine":"cm5","rows":4,"cols":4,"s":2}"#,
             r#"{"machine":"paragon","rows":10,"cols":10,"s":4,"algo":"nope"}"#,
             r#"{"machine":"paragon","rows":10,"cols":10,"s":4,"dist":"nope"}"#,
-            r#"{"machine":"paragon","rows":10,"cols":10,"s":4,"exec":"treaded"}"#,
             r#"{"machine":"paragon","rows":10,"cols":10,"s":4,"faults":"bogus"}"#,
             r#"{"machine":"paragon","rows":200,"cols":200,"s":4}"#, // p cap
             r#"{"machine":"paragon","rows":10,"cols":10,"s":4,"deadline_ms":0}"#,

@@ -10,7 +10,7 @@
 //! `catch_unwind`, a failed point is retried once and then quarantined
 //! as [`PointStatus::Failed`] with the error text, and the sweep always
 //! completes every healthy point. A shared [`CancelToken`] — optionally
-//! armed by a wall-clock deadline (`STP_SWEEP_DEADLINE_MS`) — aborts
+//! armed by a wall-clock deadline ([`SuperviseOpts::deadline`]) — aborts
 //! the remainder of the sweep cleanly: in-flight simulations exit at
 //! their next scheduling step, unstarted points come back
 //! [`PointStatus::Skipped`] so a checkpoint/resume cycle re-runs them.
@@ -30,7 +30,7 @@ use mpp_runtime::{CancelToken, CommFuture, Communicator, SimBudget, SimError};
 
 use crate::algorithms::{StpAlgorithm, StpCtx};
 use crate::msgset::MessageSet;
-use crate::runner::{env_usize, SweepRunner};
+use crate::runner::SweepRunner;
 
 /// Supervision policy for one sweep.
 #[derive(Debug, Clone)]
@@ -57,23 +57,12 @@ impl Default for SuperviseOpts {
             retries: 1,
             deadline: None,
             cancel: CancelToken::new(),
-            budget: SimBudget::from_env(),
+            budget: SimBudget::default(),
         }
     }
 }
 
 impl SuperviseOpts {
-    /// Defaults plus the environment overrides: `STP_SWEEP_DEADLINE_MS`
-    /// (whole-sweep wall-clock budget) and `STP_WATCHDOG_EVENTS`
-    /// (per-run event budget, via [`SimBudget::from_env`]).
-    pub fn from_env() -> Self {
-        let mut opts = SuperviseOpts::default();
-        if let Some(ms) = env_usize("STP_SWEEP_DEADLINE_MS") {
-            opts.deadline = Some(Duration::from_millis(ms as u64));
-        }
-        opts
-    }
-
     /// Override the whole-sweep deadline.
     pub fn with_deadline_ms(mut self, ms: u64) -> Self {
         self.deadline = Some(Duration::from_millis(ms));
@@ -222,10 +211,9 @@ impl SweepRunner {
     /// in input order; `observe(index, &status)` fires as each point
     /// settles (checkpoint writers hook in here — it may be called
     /// concurrently from several workers).
-    pub fn map_supervised<I, T, W, F, O>(
+    pub fn map_supervised<I, T, F, O>(
         &self,
         items: Vec<I>,
-        weight: W,
         job: F,
         opts: &SuperviseOpts,
         observe: O,
@@ -233,7 +221,6 @@ impl SweepRunner {
     where
         I: Send + Sync,
         T: Send,
-        W: Fn(&I) -> usize + Sync,
         F: Fn(&I) -> Result<T, SimError> + Sync,
         O: Fn(usize, &PointStatus<T>) + Sync,
     {
@@ -241,15 +228,11 @@ impl SweepRunner {
             .deadline
             .map(|after| DeadlineGuard::arm(after, opts.cancel.clone()));
         let indexed: Vec<(usize, I)> = items.into_iter().enumerate().collect();
-        self.map(
-            indexed,
-            |(_, item)| weight(item),
-            |(index, item)| {
-                let status = supervise_point(&item, &job, opts);
-                observe(index, &status);
-                status
-            },
-        )
+        self.map(indexed, |(index, item)| {
+            let status = supervise_point(&item, &job, opts);
+            observe(index, &status);
+            status
+        })
     }
 }
 
@@ -332,7 +315,6 @@ mod tests {
         let observed = Mutex::new(Vec::new());
         let statuses = SweepRunner::sequential().with_workers(4).map_supervised(
             (0..12usize).collect(),
-            |_| 1,
             |&i| Ok(i * 3),
             &SuperviseOpts::default(),
             |index, status: &PointStatus<usize>| {
@@ -359,7 +341,6 @@ mod tests {
         let attempts_on_3 = AtomicUsize::new(0);
         let statuses = SweepRunner::sequential().with_workers(3).map_supervised(
             (0..8usize).collect(),
-            |_| 1,
             |&i| {
                 if i == 3 {
                     attempts_on_3.fetch_add(1, Ordering::Relaxed);
@@ -401,7 +382,6 @@ mod tests {
         let ran = AtomicUsize::new(0);
         let statuses = SweepRunner::sequential().with_workers(4).map_supervised(
             (0..6usize).collect(),
-            |_| 1,
             |&i| {
                 ran.fetch_add(1, Ordering::Relaxed);
                 Ok(i)
@@ -417,7 +397,6 @@ mod tests {
     fn a_cancelled_run_is_skipped_not_failed() {
         let statuses = SweepRunner::sequential().map_supervised(
             vec![0usize],
-            |_| 1,
             |_| Err::<usize, _>(SimError::Cancelled),
             &SuperviseOpts::default(),
             |_, _| {},

@@ -194,6 +194,34 @@ fn per_request_deadline_cuts_runaway_plans() {
 }
 
 #[test]
+fn a_request_carrying_exec_is_rejected_by_name_and_the_daemon_lives_on() {
+    let (addr, handle) = start_daemon(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(&addr);
+    let plan = "\"machine\":\"paragon\",\"rows\":4,\"cols\":4,\"dist\":\"equal\",\
+                \"s\":4,\"L\":64,\"algo\":\"Br_Lin\"";
+    // Any value: the old names, a typo, not even a string.
+    for value in ["\"threaded\"", "\"coop\"", "\"treaded\"", "7", "null"] {
+        let reply = client.request(&format!("{{{plan},\"exec\":{value}}}"));
+        assert!(reply.contains("\"status\":\"error\""), "{value}: {reply}");
+        assert!(reply.contains("\\\"exec\\\""), "{value}: {reply}");
+        assert!(reply.contains("\"quarantined\":false"), "{value}: {reply}");
+    }
+    // Same connection, same request without the field: it plans.
+    let ok = client.request(&format!("{{{plan}}}"));
+    assert!(ok.contains("\"status\":\"ok\""), "{ok}");
+    assert!(ok.contains("\"exec\":\"cooperative\""), "{ok}");
+    let stats = client.request("{\"cmd\":\"stats\"}");
+    assert!(stats.contains("\"errors\":5"), "{stats}");
+    assert!(stats.contains("\"planned\":1"), "{stats}");
+    client.request("{\"cmd\":\"shutdown\"}");
+    handle.join().expect("daemon thread");
+}
+
+#[test]
 fn corrupt_cache_store_starts_fresh_and_reseals() {
     let cache_path = temp_path("corrupt");
     std::fs::write(&cache_path, "garbage, not a checkpoint").unwrap();

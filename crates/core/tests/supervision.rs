@@ -157,7 +157,6 @@ fn sweep(
     let opts_ref = &opts;
     let statuses = SweepRunner::new().map_supervised(
         to_run,
-        |_| 1,
         |pt| {
             executed.fetch_add(1, Ordering::Relaxed);
             run_point(pt, exec, opts_ref)

@@ -37,11 +37,14 @@ use crate::supervise::{CancelToken, SimBudget, Watchdog, WatchdogTrip};
 use crate::trace::MsgTrace;
 use crate::Tag;
 
-/// Which executor drives the rank programs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Which executor drives the rank programs. A value, never ambient
+/// state: the default is cooperative, and the threaded driver is a test
+/// oracle selected only by passing [`ExecMode::Threaded`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
     /// Rank programs run as resumable state machines multiplexed on the
     /// kernel thread — no per-rank OS threads, no channel round-trips.
+    #[default]
     Cooperative,
     /// One OS thread per rank with a trap/grant channel protocol — the
     /// original execution model, kept for differential testing.
@@ -49,79 +52,12 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
-    /// Parse an executor name: `coop`/`cooperative` or
-    /// `threaded`/`threads`/`thread`.
-    pub fn parse(value: &str) -> Result<Self, String> {
-        match value {
-            "coop" | "cooperative" => Ok(ExecMode::Cooperative),
-            "threaded" | "threads" | "thread" => Ok(ExecMode::Threaded),
-            other => Err(format!(
-                "unrecognized executor {other:?} (expected coop|cooperative|threaded|threads)"
-            )),
-        }
-    }
-
-    /// The executor selected by the `STP_EXEC` environment variable;
-    /// `Ok(Cooperative)` when unset or empty, `Err` (with the parse
-    /// message) on an unrecognized value.
-    ///
-    /// This is the entry point long-running services use: a daemon must
-    /// not die at construction because a deploy exported a typo'd
-    /// `STP_EXEC` — it decides itself whether to reject the request,
-    /// warn and fall back ([`from_env_lenient`](Self::from_env_lenient)),
-    /// or abort ([`from_env`](Self::from_env)).
-    pub fn try_from_env() -> Result<Self, String> {
-        match std::env::var("STP_EXEC") {
-            Ok(v) if v.trim().is_empty() => Ok(ExecMode::Cooperative),
-            Ok(v) => Self::parse(v.trim()).map_err(|e| format!("STP_EXEC: {e}")),
-            Err(_) => Ok(ExecMode::Cooperative),
-        }
-    }
-
-    /// The executor selected by the `STP_EXEC` environment variable;
-    /// cooperative when unset or empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized value. A typo like `STP_EXEC=treaded`
-    /// must not silently select the default executor — benchmarks and
-    /// differential tests would quietly measure the wrong thing. Only
-    /// top-level drivers (the `stp` CLI, benches) should take this hard
-    /// error; library construction paths use
-    /// [`from_env_lenient`](Self::from_env_lenient) instead.
-    pub fn from_env() -> Self {
-        Self::try_from_env().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`try_from_env`](Self::try_from_env), degraded to a warning: an
-    /// unrecognized `STP_EXEC` warns once per process and falls back to
-    /// the cooperative default instead of panicking. This is what
-    /// serving paths and other library-level constructors use — a bad
-    /// environment variable must cost a warning, never the process.
-    pub fn from_env_lenient() -> Self {
-        Self::try_from_env().unwrap_or_else(|e| {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!("warning: {e}; defaulting to the cooperative executor");
-            });
-            ExecMode::Cooperative
-        })
-    }
-
     /// Lower-case display name (`"cooperative"` / `"threaded"`).
     pub fn name(self) -> &'static str {
         match self {
             ExecMode::Cooperative => "cooperative",
             ExecMode::Threaded => "threaded",
         }
-    }
-}
-
-impl Default for ExecMode {
-    /// The environment-free default (cooperative) — what constructors
-    /// documented as "ignores the environment overrides" use.
-    fn default() -> Self {
-        ExecMode::Cooperative
     }
 }
 
@@ -148,9 +84,7 @@ pub struct SimConfig {
     /// panics at the offending operation.
     pub strict: bool,
     /// Which executor drives the rank programs. Defaults to
-    /// [`ExecMode::from_env_lenient`] (cooperative unless
-    /// `STP_EXEC=threaded`; an unrecognized value warns once and falls
-    /// back rather than killing a long-lived host process).
+    /// cooperative; the differential tests pass [`ExecMode::Threaded`].
     pub exec: ExecMode,
     /// Deterministic fault plan (drops, delays, link outages, node
     /// crashes, retransmission policy). `None` — or an inert plan — is
@@ -158,8 +92,7 @@ pub struct SimConfig {
     pub faults: Option<FaultPlan>,
     /// Watchdog ceilings converting livelocks into
     /// [`SimError::WatchdogTripped`] / [`SimError::DeadlineExceeded`]
-    /// instead of unbounded spins. Defaults to [`SimBudget::from_env`]
-    /// (unlimited unless `STP_WATCHDOG_EVENTS` is set).
+    /// instead of unbounded spins. Defaults to unlimited.
     pub budget: SimBudget,
     /// Cooperative cancellation: when the token is cancelled, the run
     /// exits with [`SimError::Cancelled`] at its next scheduling step.
@@ -174,9 +107,9 @@ impl Default for SimConfig {
             trace: false,
             recorder: None,
             strict: false,
-            exec: ExecMode::from_env_lenient(),
+            exec: ExecMode::default(),
             faults: None,
-            budget: SimBudget::from_env(),
+            budget: SimBudget::default(),
             cancel: None,
         }
     }
@@ -2198,24 +2131,11 @@ mod tests {
     }
 
     #[test]
-    fn exec_mode_parse_rejects_unknown_values() {
-        assert_eq!(ExecMode::parse("coop"), Ok(ExecMode::Cooperative));
-        assert_eq!(ExecMode::parse("cooperative"), Ok(ExecMode::Cooperative));
-        assert_eq!(ExecMode::parse("threaded"), Ok(ExecMode::Threaded));
-        assert_eq!(ExecMode::parse("threads"), Ok(ExecMode::Threaded));
-        assert_eq!(ExecMode::parse("thread"), Ok(ExecMode::Threaded));
-        // The silent-fallback bug: a typo must be an error, not the
-        // cooperative default.
-        assert!(ExecMode::parse("treaded").is_err());
-        assert!(ExecMode::parse("").is_err());
-        assert!(ExecMode::parse("COOP").is_err());
-    }
-
-    #[test]
-    fn exec_mode_default_is_env_free_cooperative() {
-        // `Default` is the contract behind constructors documented as
-        // "ignores the environment overrides": cooperative, no env read.
+    fn defaults_are_cooperative_and_unbounded() {
         assert_eq!(ExecMode::default(), ExecMode::Cooperative);
+        let config = SimConfig::default();
+        assert_eq!(config.exec, ExecMode::Cooperative);
+        assert!(config.budget.is_unlimited());
     }
 
     #[test]

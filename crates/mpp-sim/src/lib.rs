@@ -12,8 +12,9 @@
 //! [`Machine`](mpp_model::Machine) produce bit-identical virtual times
 //! and message orders, regardless of host scheduling.
 //!
-//! Two executors implement this model (selected by
-//! [`SimConfig::exec`] / the `STP_EXEC` environment variable):
+//! Two executors implement this model, selected by the
+//! [`SimConfig::exec`] value (nothing in this crate reads the process
+//! environment):
 //!
 //! * [`ExecMode::Cooperative`] (default): all rank programs are
 //!   multiplexed on the kernel's own thread as resumable futures.
@@ -22,7 +23,7 @@
 //!   indexed ready-queue (min-heap with lazy invalidation plus a
 //!   blocked-recv wakeup index) — O(log p) per event.
 //! * [`ExecMode::Threaded`]: the original one-OS-thread-per-rank
-//!   trap/grant model, kept as the differential-testing baseline.
+//!   trap/grant model, kept as the differential tests' oracle.
 //!
 //! Both executors share the same event-processing core and are verified
 //! to produce byte-identical outcomes (see `tests/exec_equivalence.rs`

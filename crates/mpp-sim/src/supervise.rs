@@ -17,7 +17,7 @@
 //!   instead of an unbounded spin.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
 use mpp_model::Time;
@@ -52,8 +52,7 @@ impl CancelToken {
 }
 
 /// Watchdog ceilings for one simulation run. The default budget is
-/// unlimited on every axis except the process-wide
-/// `STP_WATCHDOG_EVENTS` override (see [`SimBudget::from_env`]).
+/// unlimited on every axis.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimBudget {
     /// Maximum kernel events (sends, receive matches, timeouts,
@@ -67,19 +66,9 @@ pub struct SimBudget {
 }
 
 impl SimBudget {
-    /// An unlimited budget (ignores the environment).
+    /// An unlimited budget.
     pub fn unlimited() -> Self {
         SimBudget::default()
-    }
-
-    /// The process-default budget: unlimited unless `STP_WATCHDOG_EVENTS`
-    /// sets an event ceiling. A malformed value warns once per process
-    /// and is ignored — never silently misconfigured, never spammed.
-    pub fn from_env() -> Self {
-        SimBudget {
-            max_events: env_u64("STP_WATCHDOG_EVENTS"),
-            ..SimBudget::default()
-        }
     }
 
     /// Cap the number of kernel events.
@@ -169,34 +158,6 @@ impl Watchdog {
             }
         }
         Ok(())
-    }
-}
-
-/// Parse one watchdog environment override; `None` when unset or
-/// malformed (malformed warns, once per variable per process).
-fn env_u64(name: &str) -> Option<u64> {
-    let raw = std::env::var(name).ok()?;
-    match raw.trim().parse() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            warn_once(name, &raw);
-            None
-        }
-    }
-}
-
-/// Warn about a malformed environment variable exactly once per process
-/// per variable — budget parsing runs once per `SimConfig::default()`,
-/// i.e. once per grid point in a sweep.
-pub(crate) fn warn_once(name: &str, raw: &str) {
-    static WARNED: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
-    let mut warned = WARNED
-        .get_or_init(|| Mutex::new(Vec::new()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    if !warned.iter().any(|n| n == name) {
-        warned.push(name.to_string());
-        eprintln!("warning: ignoring {name}={raw:?}: expected a non-negative integer");
     }
 }
 

@@ -3,11 +3,12 @@
 # the CI gate proving that broken grid points are contained and that an
 # interrupted sweep resumes losslessly.
 #
-# 1. Chaos lint (both executors): the quick matrix plus an injected
-#    panicking algorithm and an injected deadlocking algorithm. The
-#    sweep must finish every healthy point, quarantine `chaos:panic`
-#    in the failure report, diagnose `chaos:deadlock` as a deadlock
-#    finding, and exit 1.
+# 1. Chaos lint: the quick matrix plus an injected panicking algorithm
+#    and an injected deadlocking algorithm. The sweep must finish every
+#    healthy point, quarantine `chaos:panic` in the failure report,
+#    diagnose `chaos:deadlock` as a deadlock finding, and exit 1. (That
+#    the threaded reference driver contains them too is pinned by
+#    `supervision::chaos_sweep_finishes_healthy_points_on_both_executors`.)
 # 2. Kill-and-resume: a checkpointed `stp sweep` is SIGTERMed mid-run,
 #    then resumed. The resumed report must be byte-identical to an
 #    uninterrupted reference run, with the checkpointed points
@@ -26,23 +27,22 @@ fail() { echo "chaos-smoke: $*" >&2; exit 1; }
 cargo build -q --release -p stp-bench --bin stp
 
 # --- 1. chaos containment --------------------------------------------------
-for exec in coop threaded; do
-  set +e
-  "$STP" lint --quick --chaos --exec "$exec" \
-    --json "$WORK/chaos-$exec.json" > "$WORK/chaos-$exec.out" 2>&1
-  status=$?
-  set -e
-  [ "$status" -eq 1 ] \
-    || { cat "$WORK/chaos-$exec.out" >&2; \
-         fail "chaos lint ($exec) must exit 1, exited $status"; }
-  grep -q 'FAILED chaos:panic/' "$WORK/chaos-$exec.out" \
-    || fail "chaos lint ($exec): panicking point not quarantined"
-  grep -q 'deliberate chaos panic' "$WORK/chaos-$exec.out" \
-    || fail "chaos lint ($exec): failure report lost the panic message"
-  grep -Eq 'chaos:deadlock.*\[deadlock\]' "$WORK/chaos-$exec.out" \
-    || fail "chaos lint ($exec): deadlocking point not diagnosed"
-  python3 - "$WORK/chaos-$exec.json" <<'EOF' \
-    || fail "chaos lint ($exec): report structure check failed"
+set +e
+"$STP" lint --quick --chaos \
+  --json "$WORK/chaos.json" > "$WORK/chaos.out" 2>&1
+status=$?
+set -e
+[ "$status" -eq 1 ] \
+  || { cat "$WORK/chaos.out" >&2; \
+       fail "chaos lint must exit 1, exited $status"; }
+grep -q 'FAILED chaos:panic/' "$WORK/chaos.out" \
+  || fail "chaos lint: panicking point not quarantined"
+grep -q 'deliberate chaos panic' "$WORK/chaos.out" \
+  || fail "chaos lint: failure report lost the panic message"
+grep -Eq 'chaos:deadlock.*\[deadlock/error\]' "$WORK/chaos.out" \
+  || fail "chaos lint: deadlocking point not diagnosed"
+python3 - "$WORK/chaos.json" <<'EOF' \
+  || fail "chaos lint: report structure check failed"
 import json, sys
 
 with open(sys.argv[1]) as fh:
@@ -67,8 +67,7 @@ for e in entries:
         sys.exit(f"healthy point {e['algo']}/{e['dist']} has findings: "
                  f"{e['findings']}")
 EOF
-  echo "chaos-smoke: chaos lint contained both fixtures on $exec"
-done
+echo "chaos-smoke: chaos lint contained both fixtures"
 
 # --- 2. kill mid-sweep, resume, byte-compare -------------------------------
 "$STP" sweep --json "$WORK/ref.json" > /dev/null \

@@ -18,11 +18,10 @@
 //! per-message or per-merge allocation (hundreds to thousands per run
 //! — `Br_Lin` moves ~900 messages) blows through them immediately.
 //!
-//! The executor is pinned to [`ExecMode::Cooperative`] regardless of
-//! `STP_EXEC` (the TSan CI job exports `STP_EXEC=threaded`): the
-//! threaded backend spreads ranks across OS threads, giving each its
-//! own arena, which shifts chunk-refill counts for reasons unrelated
-//! to the hot path under test.
+//! The executor is spelled out as [`ExecMode::Cooperative`]: the
+//! threaded reference driver spreads ranks across OS threads, giving
+//! each its own arena, which shifts chunk-refill counts for reasons
+//! unrelated to the hot path under test.
 //!
 //! The copy-metrics counters are process-global and tests in one binary
 //! run concurrently, so every test serialises on one lock.
