@@ -48,8 +48,7 @@ pub use checks::{
 pub use cost::{replay, CostReport, CriticalPath, LinkTimeline, PortUse};
 pub use lint::{
     hush_expected_panics, lint_fixtures, lint_matrix, lint_matrix_supervised, lint_point,
-    lint_point_key, lint_recorded, lint_sig, FixtureVerdict, LintConfig, LintEntry, PointFailure,
-    SupervisedLint,
+    lint_recorded, lint_sig, FixtureVerdict, LintConfig, LintEntry, SupervisedLint,
 };
 pub use report::{
     entries_to_json, entry_from_json, entry_to_json, fixtures_to_json, supervised_report_json,

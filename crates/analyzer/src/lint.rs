@@ -11,7 +11,9 @@ use stp_core::msgset::payload_for;
 use stp_core::runner::{
     record_sources, try_record_sources, AlgoKind, RecordedRun, RunControl, SweepRunner,
 };
-use stp_core::supervise::{chaos_algorithms, PointStatus, SuperviseOpts};
+use stp_core::supervise::{
+    matrix_points, matrix_shapes, MatrixPoint, SuperviseOpts, SupervisedRun,
+};
 
 use crate::checks::{analyze, AnalyzeOpts, Finding, Severity};
 use crate::fixtures;
@@ -34,9 +36,10 @@ pub struct LintConfig {
     /// finding (plus the payload leaks it causes).
     pub faults: Option<FaultPlan>,
     /// Chaos injection: append the deliberately broken
-    /// [`chaos_algorithms`] (a panicking and a deadlocking fixture) to
-    /// the grid; [`lint_matrix_supervised`] must finish every healthy
-    /// point and quarantine these.
+    /// [`chaos_algorithms`](stp_core::supervise::chaos_algorithms) (a
+    /// panicking and a deadlocking fixture) to the grid;
+    /// [`lint_matrix_supervised`] must finish every healthy point and
+    /// quarantine these.
     pub chaos: bool,
     /// Run the performance lints on every grid point (see
     /// [`AnalyzeOpts::perf`]). Off by default: perf smells on the
@@ -48,9 +51,7 @@ pub struct LintConfig {
 impl Default for LintConfig {
     fn default() -> Self {
         LintConfig {
-            // The acceptance matrix: two paper shapes, one tall, one with
-            // a prime dimension (exercises the non-power-of-two paths).
-            shapes: vec![(4, 4), (8, 4), (16, 16), (8, 3)],
+            shapes: matrix_shapes(false),
             msg_len: 64,
             max_link_load: None,
             faults: None,
@@ -64,7 +65,7 @@ impl LintConfig {
     /// A reduced matrix for unit tests and `stp lint --quick`.
     pub fn quick() -> Self {
         LintConfig {
-            shapes: vec![(4, 4), (8, 3)],
+            shapes: matrix_shapes(true),
             ..LintConfig::default()
         }
     }
@@ -99,31 +100,6 @@ pub struct LintEntry {
     pub dropped_attempts: usize,
     /// All findings.
     pub findings: Vec<Finding>,
-}
-
-/// The eight named source distributions of the paper.
-fn paper_dists() -> Vec<SourceDist> {
-    vec![
-        SourceDist::Row,
-        SourceDist::Column,
-        SourceDist::Equal,
-        SourceDist::DiagRight,
-        SourceDist::DiagLeft,
-        SourceDist::Band,
-        SourceDist::Cross,
-        SourceDist::SquareBlock,
-    ]
-}
-
-/// Source counts checked per shape: a sparse quarter-machine case and
-/// the all-sources case.
-fn source_counts(p: usize) -> Vec<usize> {
-    let sparse = (p / 4).max(2).min(p);
-    if sparse == p {
-        vec![p]
-    } else {
-        vec![sparse, p]
-    }
 }
 
 /// Record and analyze one named algorithm instance on one grid point.
@@ -195,8 +171,7 @@ pub fn lint_recorded(
 /// in `control`; a deadlocking schedule is still an `Ok` entry (with
 /// [`LintEntry::deadlocked`] and a `deadlock` finding), while rank
 /// panics and watchdog trips come back as `Err` for the caller's
-/// supervision layer. Pair with [`lint_point_key`] to memoize the
-/// report under a content address.
+/// supervision layer.
 #[allow(clippy::too_many_arguments)]
 pub fn lint_point(
     machine: &Machine,
@@ -223,123 +198,6 @@ pub fn lint_point(
     )
 }
 
-/// Content key of one [`lint_point`] report: every input that can
-/// change the analysis is in the string, so equal keys imply
-/// byte-identical reports (the simulation and the checks are
-/// deterministic). The serve daemon folds this into its plan cache key.
-#[allow(clippy::too_many_arguments)]
-pub fn lint_point_key(
-    machine: &Machine,
-    dist: &SourceDist,
-    s: usize,
-    msg_len: usize,
-    kind: AlgoKind,
-    max_link_load: Option<u64>,
-    perf: bool,
-    control: &RunControl,
-) -> String {
-    format!(
-        "lint-point:v1:{}/{}/{}x{}/s{}/L{}:exec={:?}:faults={:?}:mll={:?}:perf={}",
-        kind.name(),
-        dist.name(),
-        machine.shape.rows,
-        machine.shape.cols,
-        s,
-        msg_len,
-        control.exec.map(|e| e.name()),
-        control.faults,
-        max_link_load,
-        perf
-    )
-}
-
-// ---------------------------------------------------------------------------
-// The lint sweep (supervised: checkpoint/resume, chaos containment)
-// ---------------------------------------------------------------------------
-
-/// One grid point of the sweep: a real algorithm variant or an
-/// injected chaos fixture.
-enum PointAlg {
-    Kind(AlgoKind),
-    Chaos(&'static str, fn() -> Box<dyn StpAlgorithm>),
-}
-
-impl PointAlg {
-    fn name(&self) -> &str {
-        match self {
-            PointAlg::Kind(kind) => kind.name(),
-            PointAlg::Chaos(name, _) => name,
-        }
-    }
-
-    fn build(&self) -> Box<dyn StpAlgorithm> {
-        match self {
-            PointAlg::Kind(kind) => kind.build(),
-            PointAlg::Chaos(_, build) => build(),
-        }
-    }
-
-    fn lib(&self) -> mpp_model::LibraryKind {
-        match self {
-            PointAlg::Kind(kind) => kind.default_lib(),
-            PointAlg::Chaos(..) => mpp_model::LibraryKind::Nx,
-        }
-    }
-}
-
-struct GridPoint {
-    machine: Machine,
-    dist: SourceDist,
-    s: usize,
-    alg: PointAlg,
-}
-
-impl GridPoint {
-    /// Stable point id — the checkpoint key and the failure-report name.
-    fn id(&self) -> String {
-        format!(
-            "{}/{}/{}x{}/s{}",
-            self.alg.name(),
-            self.dist.name(),
-            self.machine.shape.rows,
-            self.machine.shape.cols,
-            self.s
-        )
-    }
-}
-
-/// The full grid of a lint config, chaos fixtures last.
-fn grid_points(config: &LintConfig) -> Vec<GridPoint> {
-    let mut points = Vec::new();
-    for &(rows, cols) in &config.shapes {
-        let machine = Machine::paragon(rows, cols);
-        for dist in paper_dists() {
-            for s in source_counts(machine.p()) {
-                for &kind in AlgoKind::all() {
-                    points.push(GridPoint {
-                        machine: machine.clone(),
-                        dist: dist.clone(),
-                        s,
-                        alg: PointAlg::Kind(kind),
-                    });
-                }
-            }
-        }
-    }
-    if config.chaos {
-        let (rows, cols) = config.shapes.first().copied().unwrap_or((4, 4));
-        for (name, build) in chaos_algorithms() {
-            points.push(GridPoint {
-                machine: Machine::paragon(rows, cols),
-                dist: SourceDist::Equal,
-                s: 2,
-                alg: PointAlg::Chaos(name, build),
-            });
-        }
-    }
-    points
-}
-
 /// Configuration signature guarding checkpoint reuse: progress recorded
 /// under one grid/fault-plan must never resume a different one. Open
 /// the [`CheckpointFile`] handed to [`lint_matrix_supervised`] with this
@@ -356,45 +214,14 @@ pub fn lint_sig(config: &LintConfig) -> String {
     )
 }
 
-/// A grid point quarantined by the supervised sweep.
-#[derive(Debug)]
-pub struct PointFailure {
-    /// Stable point id (`algo/dist/RxC/sN`).
-    pub id: String,
-    /// Attempts consumed before quarantine.
-    pub attempts: usize,
-    /// The final attempt's error text.
-    pub error: String,
-}
-
-/// Everything a supervised lint sweep produced.
-#[derive(Debug)]
-pub struct SupervisedLint {
-    /// Completed entries (checkpointed + freshly run), in grid order.
-    pub entries: Vec<LintEntry>,
-    /// Quarantined points, in grid order.
-    pub failures: Vec<PointFailure>,
-    /// Point ids skipped by cancellation or the sweep deadline.
-    pub skipped: Vec<String>,
-    /// Points replayed from the checkpoint instead of re-run.
-    pub resumed: usize,
-    /// Total grid points.
-    pub total: usize,
-}
-
-impl SupervisedLint {
-    /// True when every point completed without findings.
-    pub fn clean(&self) -> bool {
-        self.failures.is_empty()
-            && self.skipped.is_empty()
-            && self.entries.iter().all(|e| e.findings.is_empty())
-    }
-}
+/// Everything a supervised lint sweep produced: the completed entries
+/// (`done`), the quarantined and skipped points, and the replay count.
+pub type SupervisedLint = SupervisedRun<LintEntry>;
 
 /// Record and analyze every algorithm × distribution × shape × s grid
 /// point, concurrently on `runner`, under full supervision: each grid
 /// point runs isolated (a panicking or deadlocking algorithm is
-/// quarantined into [`SupervisedLint::failures`] / a `deadlock` finding,
+/// quarantined into [`SupervisedRun::failures`] / a `deadlock` finding,
 /// never a process abort), a shared token or wall-clock deadline skips
 /// the remainder cleanly, and — when `checkpoint` is given — completed
 /// points are persisted after each grid point and replayed verbatim on
@@ -407,51 +234,18 @@ pub fn lint_matrix_supervised(
     checkpoint: Option<&CheckpointFile>,
 ) -> SupervisedLint {
     hush_expected_panics();
-    let points = grid_points(config);
-    let total = points.len();
-    let ids: Vec<String> = points.iter().map(GridPoint::id).collect();
-
-    // Split the grid into checkpointed points (replayed, never re-run)
-    // and points that still need a simulation.
-    let mut slots: Vec<Option<PointStatus<LintEntry>>> = Vec::with_capacity(total);
-    let mut to_run = Vec::new();
-    let mut run_ids = Vec::new();
-    let mut resumed = 0usize;
-    for (point, id) in points.into_iter().zip(&ids) {
-        let cached =
-            checkpoint
-                .and_then(|cp| cp.get(id))
-                .and_then(|text| match entry_from_json(&text) {
-                    Ok(entry) => Some(entry),
-                    Err(e) => {
-                        eprintln!("warning: re-running {id}: bad checkpoint entry ({e})");
-                        None
-                    }
-                });
-        match cached {
-            Some(entry) => {
-                resumed += 1;
-                slots.push(Some(PointStatus::Done(entry)));
-            }
-            None => {
-                slots.push(None);
-                run_ids.push(id.clone());
-                to_run.push(point);
-            }
-        }
-    }
-
-    let msg_len = config.msg_len;
-    let max_link_load = config.max_link_load;
-    let faults = config.faults.clone();
-    let perf = config.perf;
-    let run_ids = &run_ids;
-    let statuses = runner.map_supervised(
-        to_run,
+    let points = matrix_points(&config.shapes, config.chaos);
+    let ids = points.iter().map(MatrixPoint::id).collect();
+    runner.run_resumable(
+        points,
+        ids,
+        checkpoint,
+        entry_to_json,
+        entry_from_json,
         |pt| {
             let alg = pt.alg.build();
             let control = RunControl {
-                faults: faults.clone(),
+                faults: config.faults.clone(),
                 budget: opts.budget.clone(),
                 cancel: Some(opts.cancel.clone()),
                 ..RunControl::default()
@@ -460,50 +254,17 @@ pub fn lint_matrix_supervised(
                 &pt.machine,
                 &pt.dist,
                 pt.s,
-                msg_len,
+                config.msg_len,
                 alg.as_ref(),
                 pt.alg.lib(),
                 pt.alg.name(),
-                max_link_load,
-                perf,
+                config.max_link_load,
+                config.perf,
                 &control,
             )
         },
         opts,
-        |index, status| {
-            if let (Some(cp), PointStatus::Done(entry)) = (checkpoint, status) {
-                cp.record(&run_ids[index], &entry_to_json(entry));
-            }
-        },
-    );
-
-    // Splice fresh statuses back into grid order.
-    let mut statuses = statuses.into_iter();
-    for slot in slots.iter_mut() {
-        if slot.is_none() {
-            *slot = Some(statuses.next().expect("one status per un-cached point"));
-        }
-    }
-
-    let mut out = SupervisedLint {
-        entries: Vec::new(),
-        failures: Vec::new(),
-        skipped: Vec::new(),
-        resumed,
-        total,
-    };
-    for (slot, id) in slots.into_iter().zip(ids) {
-        match slot.expect("every slot filled") {
-            PointStatus::Done(entry) => out.entries.push(entry),
-            PointStatus::Failed { attempts, error } => out.failures.push(PointFailure {
-                id,
-                attempts,
-                error,
-            }),
-            PointStatus::Skipped => out.skipped.push(id),
-        }
-    }
-    out
+    )
 }
 
 /// The "all points must finish" view of [`lint_matrix_supervised`] the
@@ -518,7 +279,7 @@ pub fn lint_matrix(config: &LintConfig, runner: &SweepRunner) -> Vec<LintEntry> 
         );
     }
     assert_eq!(sweep.skipped, Vec::<String>::new(), "points skipped");
-    sweep.entries
+    sweep.done
 }
 
 /// Verdict for one seeded-bug fixture.
@@ -700,9 +461,9 @@ mod tests {
         // ...while the deadlocking fixture records a partial schedule
         // whose analysis carries a deadlock finding, and every healthy
         // point completes clean.
-        assert_eq!(sweep.entries.len(), healthy + 1);
+        assert_eq!(sweep.done.len(), healthy + 1);
         let dead = sweep
-            .entries
+            .done
             .iter()
             .find(|e| e.algo == "chaos:deadlock")
             .expect("deadlock fixture entry");
@@ -714,7 +475,7 @@ mod tests {
             "{:?}",
             dead.findings
         );
-        for e in sweep.entries.iter().filter(|e| e.algo != "chaos:deadlock") {
+        for e in sweep.done.iter().filter(|e| e.algo != "chaos:deadlock") {
             assert!(
                 e.findings.is_empty(),
                 "{}/{}: {:?}",
@@ -723,38 +484,6 @@ mod tests {
                 e.findings
             );
         }
-    }
-
-    #[test]
-    fn checkpointed_matrix_resumes_without_replay() {
-        let config = LintConfig::quick();
-        let path = std::env::temp_dir().join(format!("stp-lint-ckpt-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let sig = lint_sig(&config);
-        let (runner, opts) = (SweepRunner::new(), SuperviseOpts::default());
-
-        let cp = CheckpointFile::open(&path, &sig).expect("open checkpoint");
-        let first = lint_matrix_supervised(&config, &runner, &opts, Some(&cp));
-        assert_eq!(first.resumed, 0);
-        assert_eq!(first.entries.len(), first.total);
-        assert_eq!(cp.completed(), first.total);
-        drop(cp);
-
-        // Re-open: every point replays from the checkpoint, zero re-run,
-        // and the report is byte-identical.
-        let cp = CheckpointFile::open(&path, &sig).expect("re-open checkpoint");
-        let second = lint_matrix_supervised(&config, &runner, &opts, Some(&cp));
-        assert_eq!(second.resumed, second.total);
-        assert_eq!(
-            crate::report::supervised_report_json(&first),
-            crate::report::supervised_report_json(&second),
-            "resumed report must be byte-identical"
-        );
-
-        // A different signature must NOT resume.
-        let cp2 = CheckpointFile::open(&path, "other-sig").expect("open with other sig");
-        assert_eq!(cp2.completed(), 0);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

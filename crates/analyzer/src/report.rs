@@ -133,32 +133,10 @@ pub fn entries_to_json(entries: &[LintEntry]) -> String {
 /// wall-clock** — an interrupted-and-resumed sweep must produce a
 /// byte-identical report to an uninterrupted one.
 pub fn supervised_report_json(sweep: &crate::lint::SupervisedLint) -> String {
-    let failures: Vec<String> = sweep
-        .failures
-        .iter()
-        .map(|f| {
-            format!(
-                "{{\"id\":\"{}\",\"attempts\":{},\"error\":\"{}\"}}",
-                json_escape(&f.id),
-                f.attempts,
-                json_escape(&f.error)
-            )
-        })
-        .collect();
-    let skipped: Vec<String> = sweep
-        .skipped
-        .iter()
-        .map(|id| format!("\"{}\"", json_escape(id)))
-        .collect();
-    // `resumed` is intentionally NOT in the report: it differs between
-    // an interrupted-and-resumed sweep and an uninterrupted one, and
-    // the two reports must be byte-identical.
     format!(
-        "{{\"points\":{},\"failures\":[{}],\"skipped\":[{}],\"entries\":{}}}",
-        sweep.total,
-        failures.join(","),
-        skipped.join(","),
-        entries_to_json(&sweep.entries)
+        "{{{},\"entries\":{}}}",
+        sweep.summary_json(),
+        entries_to_json(&sweep.done)
     )
 }
 

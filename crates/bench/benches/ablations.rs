@@ -7,9 +7,8 @@
 //! * **gather flavour** — direct vs binomial tree in 2-Step.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mpp_model::{Machine, MachineParams, MeshShape, Placement, Topology};
-use mpp_runtime::{run_simulated, Communicator};
-use stp_bench::run_ms;
+use mpp_model::{LibraryKind, Machine, MachineParams, MeshShape, Placement, Topology};
+use stp_bench::{run_alg_ms, run_ms};
 use stp_core::prelude::*;
 
 fn t3d_with(gamma_ns: f64, ports: usize, scattered: bool) -> Machine {
@@ -72,26 +71,13 @@ fn ablation_ports(c: &mut Criterion) {
 
 fn ablation_linear_order(c: &mut Criterion) {
     let machine = Machine::paragon(10, 10);
-    let shape = machine.shape;
     let mut g = c.benchmark_group("ablation_linear_order");
     g.sample_size(10);
     for (label, alg) in [("snake", BrLin::new()), ("row_major", BrLin::row_major())] {
         g.bench_function(label, |b| {
             b.iter(|| {
-                let sources = SourceDist::Equal.place(shape, 30);
-                let out = run_simulated(&machine, mpp_model::LibraryKind::Nx, async |comm| {
-                    let payload = sources
-                        .binary_search(&comm.rank())
-                        .is_ok()
-                        .then(|| payload_for(comm.rank(), 2048));
-                    let ctx = StpCtx {
-                        shape,
-                        sources: &sources,
-                        payload: payload.as_deref(),
-                    };
-                    alg.run(comm, &ctx).await.len()
-                });
-                out.makespan_ns
+                let sources = SourceDist::Equal.place(machine.shape, 30);
+                run_alg_ms(&machine, LibraryKind::Nx, &alg, &sources, 2048)
             })
         });
     }

@@ -54,7 +54,6 @@
 use mpp_model::{FaultPlan, LibraryKind, Machine};
 use mpp_runtime::{run_simulated_with, Communicator, SimConfig};
 use mpp_sim::{render_timeline, summarize};
-use stp_core::checkpoint::json_escape;
 use stp_core::env::Env;
 use stp_core::metrics::{figure2_row, format_table};
 use stp_core::prelude::*;
@@ -173,29 +172,21 @@ fn run_lint(args: &[String], env: &Env) -> ! {
     let checkpoint = open_checkpoint(args, "stp-lint.ckpt.json", &lint_sig(&config));
     let sweep = lint_matrix_supervised(&config, &env.sweep_runner(), &opts, checkpoint.as_ref());
 
-    let (findings, baselined) = print_lint_findings(&sweep.entries, baseline.as_ref());
-    for f in &sweep.failures {
-        println!(
-            "FAILED {} after {} attempt(s): {}",
-            f.id, f.attempts, f.error
-        );
-    }
-    for id in &sweep.skipped {
-        println!("SKIPPED {id} (cancelled before it ran)");
-    }
+    let (findings, baselined) = print_lint_findings(&sweep.done, baseline.as_ref());
+    print_unfinished(&sweep);
     println!(
         "linted {}/{} schedules: {findings} finding(s), {baselined} baselined, \
          {} with unattributable payloads, {} failed point(s), {} skipped, \
          {} replayed from checkpoint",
-        sweep.entries.len(),
+        sweep.done.len(),
         sweep.total,
-        sweep.entries.iter().filter(|e| e.opaque_payloads).count(),
+        sweep.done.iter().filter(|e| e.opaque_payloads).count(),
         sweep.failures.len(),
         sweep.skipped.len(),
         sweep.resumed
     );
     if config.faults.is_some() {
-        let drops: usize = sweep.entries.iter().map(|e| e.dropped_attempts).sum();
+        let drops: usize = sweep.done.iter().map(|e| e.dropped_attempts).sum();
         println!("fault plan active: {drops} transmission attempt(s) dropped across the matrix");
     }
     if let Some(path) = json_path {
@@ -203,7 +194,7 @@ fn run_lint(args: &[String], env: &Env) -> ! {
         eprintln!("[lint] report written to {path}");
     }
     let bad_findings = write_lint_artifacts(
-        &sweep.entries,
+        &sweep.done,
         baseline.as_ref(),
         get(args, "--sarif").as_deref(),
         get(args, "--write-baseline").as_deref(),
@@ -320,6 +311,19 @@ fn open_checkpoint(
     Some(cp)
 }
 
+/// One stdout line per quarantined and per skipped point of a sweep.
+fn print_unfinished<T>(run: &stp_core::supervise::SupervisedRun<T>) {
+    for f in &run.failures {
+        println!(
+            "FAILED {} after {} attempt(s): {}",
+            f.id, f.attempts, f.error
+        );
+    }
+    for id in &run.skipped {
+        println!("SKIPPED {id} (cancelled before it ran)");
+    }
+}
+
 /// The sweep supervision options: the per-run watchdog budget from
 /// `STP_WATCHDOG_EVENTS`, and the whole-sweep deadline from
 /// `--deadline-ms`, else `STP_SWEEP_DEADLINE_MS`.
@@ -336,234 +340,82 @@ fn supervise_opts(args: &[String], env: &Env) -> SuperviseOpts {
 /// deterministic JSON record — virtual time only, no wall-clock — so a
 /// resumed sweep's report is byte-identical to an uninterrupted one.
 fn run_sweep(args: &[String], env: &Env) -> ! {
-    use stp_core::algorithms::StpAlgorithm;
     use stp_core::runner::try_run_alg_controlled;
-    use stp_core::supervise::{chaos_algorithms, PointStatus};
+    use stp_core::supervise::{matrix_points, matrix_shapes, MatrixPoint};
 
     stp_analyzer::hush_expected_panics();
 
-    let shapes: Vec<(usize, usize)> = if has(args, "--quick") {
-        vec![(4, 4), (8, 3)]
-    } else {
-        vec![(4, 4), (8, 4), (16, 16), (8, 3)]
-    };
+    let shapes = matrix_shapes(has(args, "--quick"));
     let msg_len: usize = flag_num(args, "--len").unwrap_or(1024);
     let faults = parse_faults_flag(args);
     let chaos = has(args, "--chaos");
-
-    enum SweepAlg {
-        Kind(AlgoKind),
-        Chaos(&'static str, fn() -> Box<dyn StpAlgorithm>),
-    }
-    struct Point {
-        machine: Machine,
-        dist: SourceDist,
-        s: usize,
-        alg: SweepAlg,
-    }
-    let dists = [
-        SourceDist::Row,
-        SourceDist::Column,
-        SourceDist::Equal,
-        SourceDist::DiagRight,
-        SourceDist::DiagLeft,
-        SourceDist::Band,
-        SourceDist::Cross,
-        SourceDist::SquareBlock,
-    ];
-    let mut points = Vec::new();
-    for &(rows, cols) in &shapes {
-        let machine = Machine::paragon(rows, cols);
-        let p = machine.p();
-        let sparse = (p / 4).max(2).min(p);
-        let counts = if sparse == p {
-            vec![p]
-        } else {
-            vec![sparse, p]
-        };
-        for dist in &dists {
-            for &s in &counts {
-                for &kind in AlgoKind::all() {
-                    points.push(Point {
-                        machine: machine.clone(),
-                        dist: dist.clone(),
-                        s,
-                        alg: SweepAlg::Kind(kind),
-                    });
-                }
-            }
-        }
-    }
-    if chaos {
-        let (rows, cols) = shapes[0];
-        for (name, build) in chaos_algorithms() {
-            points.push(Point {
-                machine: Machine::paragon(rows, cols),
-                dist: SourceDist::Equal,
-                s: 2,
-                alg: SweepAlg::Chaos(name, build),
-            });
-        }
-    }
-    let ids: Vec<String> = points
-        .iter()
-        .map(|pt| {
-            let name = match &pt.alg {
-                SweepAlg::Kind(kind) => kind.name(),
-                SweepAlg::Chaos(name, _) => name,
-            };
-            format!(
-                "{}/{}/{}x{}/s{}",
-                name,
-                pt.dist.name(),
-                pt.machine.shape.rows,
-                pt.machine.shape.cols,
-                pt.s
-            )
-        })
-        .collect();
 
     let sig = format!("sweep:v2:shapes={shapes:?}:len={msg_len}:faults={faults:?}:chaos={chaos}");
     let opts = supervise_opts(args, env);
     let checkpoint = open_checkpoint(args, "stp-sweep.ckpt.json", &sig);
 
-    // Replay checkpointed records verbatim; run only the rest.
-    let mut slots: Vec<Option<PointStatus<String>>> = Vec::with_capacity(points.len());
-    let mut to_run = Vec::new();
-    let mut run_ids = Vec::new();
-    let mut resumed = 0usize;
-    for (point, id) in points.into_iter().zip(&ids) {
-        match checkpoint.as_ref().and_then(|cp| cp.get(id)) {
-            Some(record) => {
-                resumed += 1;
-                slots.push(Some(PointStatus::Done(record)));
-            }
-            None => {
-                slots.push(None);
-                run_ids.push(id.clone());
-                to_run.push(point);
-            }
-        }
-    }
-
-    let total = slots.len();
-    let faults = &faults;
-    let run_ids = &run_ids;
-    let checkpoint_ref = checkpoint.as_ref();
-    let statuses = env.sweep_runner().map_supervised(
-        to_run,
+    let points = matrix_points(&shapes, chaos);
+    let ids = points.iter().map(MatrixPoint::id).collect();
+    let sweep = env.sweep_runner().run_resumable(
+        points,
+        ids,
+        checkpoint.as_ref(),
+        String::clone,
+        |record| Ok(record.to_string()),
         |pt| {
             let sources = pt.dist.place(pt.machine.shape, pt.s);
-            let payload_of = move |src: usize| payload_for(src, msg_len);
             let control = RunControl {
                 faults: faults.clone(),
                 budget: opts.budget.clone(),
                 cancel: Some(opts.cancel.clone()),
                 ..RunControl::default()
             };
-            let name;
-            let out = match &pt.alg {
-                SweepAlg::Kind(kind) => {
-                    name = kind.name();
-                    try_run_sources_controlled(
-                        &pt.machine,
-                        kind.default_lib(),
-                        &sources,
-                        &payload_of,
-                        *kind,
-                        &control,
-                    )?
-                }
-                SweepAlg::Chaos(chaos_name, build) => {
-                    name = chaos_name;
-                    let alg = build();
-                    try_run_alg_controlled(
-                        &pt.machine,
-                        LibraryKind::Nx,
-                        &sources,
-                        &payload_of,
-                        alg.as_ref(),
-                        &control,
-                    )?
-                }
-            };
+            let out = try_run_alg_controlled(
+                &pt.machine,
+                pt.alg.lib(),
+                &sources,
+                &|src| payload_for(src, msg_len),
+                pt.alg.build().as_ref(),
+                &control,
+            )?;
             // Virtual quantities only — this record must be identical
             // whether the point ran now or replayed from a checkpoint.
             Ok(format!(
-                "{{\"id\":\"{}/{}/{}x{}/s{}\",\"makespan_ns\":{},\"verified\":{},\"contention_ns\":{}}}",
-                name,
-                pt.dist.name(),
-                pt.machine.shape.rows,
-                pt.machine.shape.cols,
-                pt.s,
+                "{{\"id\":\"{}\",\"makespan_ns\":{},\"verified\":{},\"contention_ns\":{}}}",
+                pt.id(),
                 out.makespan_ns,
                 out.verified,
                 out.contention_ns
             ))
         },
         &opts,
-        |index, status| {
-            if let (Some(cp), PointStatus::Done(record)) = (checkpoint_ref, status) {
-                cp.record(&run_ids[index], record);
-            }
-        },
     );
 
-    let mut statuses = statuses.into_iter();
-    for slot in slots.iter_mut() {
-        if slot.is_none() {
-            *slot = Some(statuses.next().expect("one status per un-cached point"));
-        }
-    }
-
-    let mut records = Vec::new();
-    let mut failures = Vec::new();
-    let mut skipped = Vec::new();
-    for (slot, id) in slots.into_iter().zip(ids) {
-        match slot.expect("every slot filled") {
-            PointStatus::Done(record) => records.push(record),
-            PointStatus::Failed { attempts, error } => failures.push((id, attempts, error)),
-            PointStatus::Skipped => skipped.push(id),
-        }
-    }
-    let unverified = records
+    let unverified = sweep
+        .done
         .iter()
         .filter(|r| r.contains("\"verified\":false"))
         .count();
-    for (id, attempts, error) in &failures {
-        println!("FAILED {id} after {attempts} attempt(s): {error}");
-    }
-    for id in &skipped {
-        println!("SKIPPED {id} (cancelled before it ran)");
-    }
+    print_unfinished(&sweep);
     println!(
-        "swept {}/{total} points: {unverified} unverified, \
-         {} failed, {} skipped, {resumed} replayed from checkpoint",
-        records.len(),
-        failures.len(),
-        skipped.len()
+        "swept {}/{} points: {unverified} unverified, \
+         {} failed, {} skipped, {} replayed from checkpoint",
+        sweep.done.len(),
+        sweep.total,
+        sweep.failures.len(),
+        sweep.skipped.len(),
+        sweep.resumed
     );
     if let Some(path) = get(args, "--json") {
-        let failures_json: Vec<String> = failures
-            .iter()
-            .map(|(id, attempts, error)| {
-                format!(
-                    "{{\"id\":\"{id}\",\"attempts\":{attempts},\"error\":\"{}\"}}",
-                    json_escape(error)
-                )
-            })
-            .collect();
-        let skipped_json: Vec<String> = skipped.iter().map(|id| format!("\"{id}\"")).collect();
         let report = format!(
-            "{{\"points\":{total},\"failures\":[{}],\"skipped\":[{}],\"records\":[\n  {}\n]}}",
-            failures_json.join(","),
-            skipped_json.join(","),
-            records.join(",\n  ")
+            "{{{},\"records\":[\n  {}\n]}}",
+            sweep.summary_json(),
+            sweep.done.join(",\n  ")
         );
         std::fs::write(&path, report).expect("write JSON report");
         eprintln!("[sweep] report written to {path}");
     }
-    let bad = unverified > 0 || !failures.is_empty() || !skipped.is_empty();
+    let bad = unverified > 0 || !sweep.failures.is_empty() || !sweep.skipped.is_empty();
     std::process::exit(if bad { 1 } else { 0 });
 }
 

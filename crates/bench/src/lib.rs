@@ -1,10 +1,16 @@
-//! Shared infrastructure for the figure-regeneration binaries and the
+//! Shared infrastructure for the `repro` figure binary and the
 //! Criterion benches: experiment grids, CSV/ASCII table output.
 
+pub mod figures;
 pub mod plot;
 
-use mpp_model::Machine;
+use std::io::Write;
+
+use mpp_model::{LibraryKind, Machine};
+use mpp_runtime::ExecMode;
+use stp_core::algorithms::StpAlgorithm;
 use stp_core::prelude::*;
+use stp_core::runner::try_run_alg_controlled;
 
 /// Run one algorithm/distribution/size point and return milliseconds.
 pub fn run_ms(
@@ -14,20 +20,7 @@ pub fn run_ms(
     s: usize,
     msg_len: usize,
 ) -> f64 {
-    let exp = Experiment {
-        machine,
-        dist,
-        s,
-        msg_len,
-        kind,
-    };
-    let out = exp.run().unwrap_or_else(|e| panic!("{e}"));
-    assert!(
-        out.verified,
-        "{} failed verification (s={s}, L={msg_len})",
-        kind.name()
-    );
-    out.makespan_ms()
+    run_ms_exec(machine, kind, dist, s, msg_len, ExecMode::default())
 }
 
 /// [`run_ms`] with an explicit executor — the `sweep_engine` benches
@@ -39,36 +32,58 @@ pub fn run_ms_exec(
     dist: SourceDist,
     s: usize,
     msg_len: usize,
-    exec: mpp_runtime::ExecMode,
+    exec: ExecMode,
 ) -> f64 {
-    use mpp_runtime::{run_simulated_with, Communicator, SimConfig};
-    let sources = dist.place(machine.shape, s);
-    let alg = kind.build();
-    let shape = machine.shape;
-    let config = SimConfig {
-        lib: kind.default_lib(),
-        exec,
-        ..SimConfig::default()
+    let exp = Experiment {
+        machine,
+        dist,
+        s,
+        msg_len,
+        kind,
     };
-    let out = run_simulated_with(machine, &config, async |comm| {
-        let payload = sources
-            .binary_search(&comm.rank())
-            .is_ok()
-            .then(|| payload_for(comm.rank(), msg_len));
-        let ctx = StpCtx {
-            shape,
-            sources: &sources,
-            payload: payload.as_deref(),
-        };
-        alg.run(comm, &ctx).await.len() == sources.len()
-    });
+    let control = RunControl {
+        exec: Some(exec),
+        ..RunControl::default()
+    };
+    let out = exp
+        .run_controlled(&control)
+        .unwrap_or_else(|e| panic!("{e}"));
     assert!(
-        out.results.iter().all(|&ok| ok),
+        out.verified,
         "{} failed verification (s={s}, L={msg_len}, exec={})",
         kind.name(),
         exec.name()
     );
-    out.makespan_ns as f64 / 1e6
+    out.makespan_ms()
+}
+
+/// [`run_ms`] for an algorithm object that has no [`AlgoKind`] (a
+/// `PartRecursive` depth, a `BrLin` order ablation): `msg_len`-byte
+/// messages at explicit `sources`, verified by the runner's delivery
+/// oracle.
+pub fn run_alg_ms(
+    machine: &Machine,
+    lib: LibraryKind,
+    alg: &dyn StpAlgorithm,
+    sources: &[usize],
+    msg_len: usize,
+) -> f64 {
+    let out = try_run_alg_controlled(
+        machine,
+        lib,
+        sources,
+        &|src| payload_for(src, msg_len),
+        alg,
+        &RunControl::default(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
+    assert!(
+        out.verified,
+        "{} failed verification (s={}, L={msg_len})",
+        alg.name(),
+        sources.len()
+    );
+    out.makespan_ms()
 }
 
 /// A labelled series (one curve of a figure).
@@ -80,24 +95,23 @@ pub struct Series {
     pub points: Vec<(f64, f64)>,
 }
 
-/// Print a figure as a CSV-compatible table: the x column plus one
+/// Write a figure as a CSV-compatible table: the x column plus one
 /// column per series.
-pub fn print_figure(title: &str, x_name: &str, series: &[Series]) {
-    println!("# {title}");
-    print!("{x_name}");
+pub fn print_figure(out: &mut dyn Write, title: &str, x_name: &str, series: &[Series]) {
+    let mut table = format!("# {title}\n{x_name}");
     for s in series {
-        print!(",{}", s.label);
+        table.push_str(&format!(",{}", s.label));
     }
-    println!();
+    table.push('\n');
     let n = series.first().map_or(0, |s| s.points.len());
     for i in 0..n {
-        print!("{}", series[0].points[i].0);
+        table.push_str(&series[0].points[i].0.to_string());
         for s in series {
-            print!(",{:.4}", s.points[i].1);
+            table.push_str(&format!(",{:.4}", s.points[i].1));
         }
-        println!();
+        table.push('\n');
     }
-    println!();
+    writeln!(out, "{table}").expect("write figure table");
 }
 
 /// Percentage difference `(a - b) / b * 100` (used by Figures 9 and 10:
@@ -106,33 +120,19 @@ pub fn pct_diff(a_ms: f64, b_ms: f64) -> f64 {
     (a_ms - b_ms) / b_ms * 100.0
 }
 
-/// Sweep a parameter for several algorithms, producing one series per
-/// algorithm: `point(kind, x)` must return milliseconds.
-pub fn sweep_algorithms<F>(kinds: &[AlgoKind], xs: &[f64], mut point: F) -> Vec<Series>
-where
-    F: FnMut(AlgoKind, f64) -> f64,
-{
-    kinds
-        .iter()
-        .map(|&k| Series {
-            label: k.name().to_string(),
-            points: xs.iter().map(|&x| (x, point(k, x))).collect(),
-        })
-        .collect()
-}
-
-/// The sweep pool of a `repro-*` binary or bench, honouring
+/// The sweep pool of the `repro` binary or a bench, honouring
 /// `STP_SWEEP_WORKERS`. Reads (and warns about) the process environment,
 /// so call it once per process.
 pub fn sweep_runner() -> SweepRunner {
     stp_core::env::Env::from_process().sweep_runner()
 }
 
-/// Parallel counterpart of [`sweep_algorithms`]: the whole
-/// (algorithm × x) grid is executed concurrently on a [`SweepRunner`].
-/// Virtual-time results are identical to the sequential sweep — each
-/// point is an independent deterministic simulation — so series come
-/// back in the same order with the same values, just sooner.
+/// Sweep a parameter for several algorithms, one series per algorithm:
+/// `point(kind, x)` must return milliseconds. The whole (algorithm × x)
+/// grid is executed concurrently on a [`SweepRunner`]; virtual-time
+/// results are identical to a sequential loop — each point is an
+/// independent deterministic simulation — so series come back in input
+/// order with the same values, just sooner.
 pub fn sweep_algorithms_parallel<F>(
     runner: &SweepRunner,
     kinds: &[AlgoKind],
@@ -157,20 +157,6 @@ where
                 .enumerate()
                 .map(|(xi, &x)| (x, ms[ki * xs.len() + xi]))
                 .collect(),
-        })
-        .collect()
-}
-
-/// Sweep a parameter for several distributions, one series each.
-pub fn sweep_distributions<F>(dists: &[SourceDist], xs: &[f64], mut point: F) -> Vec<Series>
-where
-    F: FnMut(&SourceDist, f64) -> f64,
-{
-    dists
-        .iter()
-        .map(|d| Series {
-            label: d.name().to_string(),
-            points: xs.iter().map(|&x| (x, point(d, x))).collect(),
         })
         .collect()
 }
@@ -222,7 +208,13 @@ mod tests {
         let kinds = [AlgoKind::TwoStep, AlgoKind::BrLin];
         let xs = [64.0, 256.0];
         let point = |k: AlgoKind, x: f64| run_ms(&machine, k, SourceDist::Equal, 4, x as usize);
-        let seq = sweep_algorithms(&kinds, &xs, point);
+        let seq: Vec<Series> = kinds
+            .iter()
+            .map(|&k| Series {
+                label: k.name().to_string(),
+                points: xs.iter().map(|&x| (x, point(k, x))).collect(),
+            })
+            .collect();
         let par = sweep_algorithms_parallel(
             &SweepRunner::sequential().with_workers(4),
             &kinds,

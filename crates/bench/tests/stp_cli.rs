@@ -1,19 +1,29 @@
-//! The `stp` binary's argument and environment handling, driven as a
-//! child process: a typo in a numeric flag or the retired executor flag
-//! is a usage error (exit 2), never a run at some default, and the
-//! `STP_*` variables still reach the subcommands that document them.
+//! The `stp` and `repro` binaries' argument and environment handling,
+//! driven as child processes: a typo in a numeric flag, the retired
+//! executor flag or an unknown figure name is a usage error (exit 2),
+//! never a run at some default; the `STP_*` variables still reach the
+//! subcommands that document them; and `--resume` replays a checkpoint
+//! in the format the previous release wrote.
 
 use std::process::Command;
 
-/// `stp` with the caller's `STP_*` variables removed.
-fn stp() -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_stp"));
+/// `binary` with the caller's `STP_*` variables removed.
+fn scrubbed(binary: &str) -> Command {
+    let mut cmd = Command::new(binary);
     for (name, _) in std::env::vars_os() {
         if name.to_string_lossy().starts_with("STP_") {
             cmd.env_remove(name);
         }
     }
     cmd
+}
+
+fn stp() -> Command {
+    scrubbed(env!("CARGO_BIN_EXE_stp"))
+}
+
+fn repro() -> Command {
+    scrubbed(env!("CARGO_BIN_EXE_repro"))
 }
 
 /// `(exit code, stdout, stderr)` of one child.
@@ -172,6 +182,162 @@ fn a_retired_variable_is_one_warning_not_an_error() {
     assert_eq!(stderr.matches("warning:").count(), 1, "{stderr}");
     assert!(
         stderr.contains(&name) && stderr.contains("ignored"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn repro_names_are_the_figure_table() {
+    use stp_bench::figures::FIGURES;
+    let names: Vec<&str> = FIGURES.iter().map(|&(name, _)| name).collect();
+    let mut unique = names.clone();
+    unique.sort();
+    unique.dedup();
+    assert_eq!(unique.len(), names.len(), "duplicate name in {names:?}");
+    // Every program the figure script used to call, then the renderer.
+    let scripted = "fig01 fig02 fig03 fig04 fig05 fig06 fig07 fig08 fig09 fig10 fig11 fig12 \
+                    fig13 partitioning nx-vs-mpi varlen adaptive dissem hypercube trace naive \
+                    contention report";
+    assert_eq!(names, scripted.split_whitespace().collect::<Vec<_>>());
+
+    let (code, stdout, stderr) = run(repro().arg("--list"));
+    assert_eq!((code, stderr.as_str()), (Some(0), ""));
+    assert_eq!(stdout.lines().collect::<Vec<_>>(), names);
+
+    for args in [
+        &["fig14"][..],
+        &[],
+        &["fig03", "fig04"],
+        &["fig02", "--p", "0"],
+    ] {
+        let (code, stdout, stderr) = run(repro().args(args));
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: repro"), "{args:?}: {stderr}");
+        assert_eq!(stdout, "", "{args:?} still ran");
+    }
+    let (_, _, stderr) = run(repro().arg("fig14"));
+    assert!(stderr.contains("unknown figure 'fig14'"), "{stderr}");
+
+    // One figure end to end; its one argument still reaches it.
+    let (code, stdout, _) = run(repro().arg("fig01"));
+    assert_eq!(code, Some(0));
+    assert!(
+        stdout.starts_with("R(30) on 10x10 (30 sources):"),
+        "{stdout}"
+    );
+    let (code, stdout, stderr) = run(repro().args(["fig02", "--p", "16"]));
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.starts_with("== p=16 (4x4), equal"), "{stdout}");
+    assert!(stderr.contains("[sweep] 6 grid points"), "{stderr}");
+}
+
+/// Resume `stp <args>` on the quick matrix from `checkpoint`, a file
+/// in the format the parent commit wrote. `replayable` of its records
+/// decode; its second is the first grid point's, *doctored* — it carries
+/// `doctored`, a value no simulation produces, so a replay shows in the
+/// report where a re-run would not. `summary(n)` is the stdout of a
+/// clean run that replayed `n` points. Returns the first resume's
+/// stderr.
+fn assert_resumes_from_a_parent_checkpoint(
+    args: &[&str],
+    checkpoint: &str,
+    replayable: usize,
+    doctored: &str,
+    summary: impl Fn(usize) -> String,
+) -> String {
+    let dir = std::env::temp_dir().join(format!("stp-cli-{}-{}", args[0], std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let file = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let ckpt = file("ckpt");
+    std::fs::write(&ckpt, checkpoint).expect("write checkpoint");
+    let resume = |report: &str| {
+        let flags = ["--checkpoint", ckpt.as_str(), "--resume", "--json", report];
+        let (code, stdout, stderr) = run(stp().args(args).args(flags));
+        assert_eq!(code, Some(0), "{stderr}");
+        let report = std::fs::read_to_string(report).expect("read report");
+        (stdout, stderr, report)
+    };
+
+    // The decodable records replay verbatim and every other point runs.
+    let (stdout, first_stderr, report) = resume(&file("first.json"));
+    assert_eq!(stdout, summary(replayable));
+    let first_point = report.lines().nth(1).expect("first record");
+    assert!(first_point.contains(doctored), "{first_point}");
+
+    // Now everything is in the file, still in the parent's format — the
+    // sig line and the doctored line are untouched — and a second
+    // resume replays all 640 points into a byte-identical report.
+    let saved = std::fs::read_to_string(&ckpt).expect("read checkpoint");
+    assert_eq!(saved.lines().next(), checkpoint.lines().next());
+    let doctored_line = checkpoint.lines().nth(2).expect("second record");
+    assert!(saved.lines().any(|l| l == doctored_line), "{saved}");
+    let (stdout, _, again) = resume(&file("second.json"));
+    assert_eq!(stdout, summary(640));
+    assert_eq!(again, report);
+
+    // Against an uninterrupted run only the doctored point differs.
+    let fresh = file("fresh.json");
+    let (code, stdout, stderr) = run(stp().args(args).args(["--json", &fresh]));
+    assert_eq!((code, stdout), (Some(0), summary(0)), "{stderr}");
+    let fresh = std::fs::read_to_string(&fresh).expect("read report");
+    assert_eq!(fresh.lines().count(), report.lines().count());
+    let differing: Vec<&str> = fresh
+        .lines()
+        .zip(report.lines())
+        .filter(|(honest, resumed)| honest != resumed)
+        .map(|(_, resumed)| resumed)
+        .collect();
+    assert_eq!(differing, [first_point]);
+    let _ = std::fs::remove_dir_all(&dir);
+    first_stderr
+}
+
+#[test]
+fn sweep_resumes_from_a_parent_format_checkpoint() {
+    let checkpoint = r#"{"sig":"sweep:v2:shapes=[(4, 4), (8, 3)]:len=64:faults=None:chaos=false","entries":{
+  "2-Step/B/4x4/s16":"{\"id\":\"2-Step/B/4x4/s16\",\"makespan_ns\":801131,\"verified\":true,\"contention_ns\":100830}",
+  "2-Step/R/4x4/s4":"{\"id\":\"2-Step/R/4x4/s4\",\"makespan_ns\":7,\"verified\":true,\"contention_ns\":0}",
+  "Br_Lin/R/4x4/s4":"{\"id\":\"Br_Lin/R/4x4/s4\",\"makespan_ns\":300810,\"verified\":true,\"contention_ns\":10288}"
+}}"#;
+    let stderr = assert_resumes_from_a_parent_checkpoint(
+        &["sweep", "--quick", "--len", "64"],
+        checkpoint,
+        3,
+        "\"makespan_ns\":7,",
+        |replayed| {
+            format!(
+                "swept 640/640 points: 0 unverified, 0 failed, 0 skipped, \
+                 {replayed} replayed from checkpoint\n"
+            )
+        },
+    );
+    assert!(stderr.contains("[resume] 3 finished point(s)"), "{stderr}");
+}
+
+#[test]
+fn lint_resumes_from_a_parent_format_checkpoint() {
+    // The third record is damaged: it costs a warning and a re-run.
+    let checkpoint = r#"{"sig":"lint:v3:shapes=[(4, 4), (8, 3)]:len=64:mll=None:faults=None:chaos=false:perf=false","entries":{
+  "2-Step/B/8x3/s6":"{\"algo\":\"2-Step\",\"dist\":\"B\",\"rows\":8,\"cols\":3,\"s\":6,\"sends\":28,\"recvs\":28,\"max_link_load\":5,\"deadlocked\":false,\"opaque_payloads\":false,\"dropped_attempts\":0,\"findings\":[]}",
+  "2-Step/R/4x4/s4":"{\"algo\":\"2-Step\",\"dist\":\"R\",\"rows\":4,\"cols\":4,\"s\":4,\"sends\":999,\"recvs\":18,\"max_link_load\":3,\"deadlocked\":false,\"opaque_payloads\":false,\"dropped_attempts\":0,\"findings\":[]}",
+  "Br_Lin/R/4x4/s4":"{\"algo\":\"Br_Lin\",\"dist\":\"R\""
+}}"#;
+    let stderr = assert_resumes_from_a_parent_checkpoint(
+        &["lint", "--quick"],
+        checkpoint,
+        2,
+        "\"sends\":999,",
+        |replayed| {
+            format!(
+                "linted 640/640 schedules: 0 finding(s), 0 baselined, \
+                 0 with unattributable payloads, 0 failed point(s), 0 skipped, \
+                 {replayed} replayed from checkpoint\n"
+            )
+        },
+    );
+    assert!(stderr.contains("[resume] 3 finished point(s)"), "{stderr}");
+    assert!(
+        stderr.contains("re-running Br_Lin/R/4x4/s4: bad checkpoint entry"),
         "{stderr}"
     );
 }

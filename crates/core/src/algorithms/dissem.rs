@@ -10,7 +10,7 @@
 //! modern MPI would use for `MPI_Allgatherv`, and it is included to
 //! answer the one Figure-13a claim our 2-Step-shaped `MPI_AllGather`
 //! model cannot reproduce: the convergence of AllGather towards
-//! Alltoall as `s → p`. Run `repro-dissem` to see that a
+//! Alltoall as `s → p`. Run `repro dissem` to see that a
 //! dissemination-based allgather (especially with zero-copy block
 //! placement, [`DissemAllGather::zero_copy`]) converges and even beats
 //! Alltoall — evidence that Cray's library simply did not use it.

@@ -13,7 +13,7 @@
 //! different sources load different links). Every processor therefore
 //! forwards up to `⌈log₂ p⌉` messages *per source* and receives exactly
 //! one message per source — `O(s·log p)` operations per processor versus
-//! `O(log p)` for the merge algorithms. `repro-naive` measures where the
+//! `O(log p)` for the merge algorithms. `repro naive` measures where the
 //! coordination-free approach actually loses on each machine.
 
 use mpp_model::MeshShape;

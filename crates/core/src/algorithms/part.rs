@@ -316,7 +316,7 @@ pub fn split_plan(plan: &XyPlan) -> Option<(XyPlan, XyPlan)> {
 /// dominates; the natural question is whether *more* partitioning could
 /// ever pay (smaller groups broadcast faster, but the merge phase needs
 /// `depth` pairwise exchange rounds of growing combined messages).
-/// `repro-partitioning` measures the answer: on the Paragon it gets
+/// `repro partitioning` measures the answer: on the Paragon it gets
 /// monotonically worse with depth, strengthening the paper's negative
 /// result.
 #[derive(Debug, Clone, Copy)]

@@ -87,6 +87,21 @@ impl SourceDist {
         })
     }
 
+    /// The eight named (seedless) distributions of §4, in the order the
+    /// acceptance matrix sweeps them.
+    pub fn named() -> [SourceDist; 8] {
+        [
+            SourceDist::Row,
+            SourceDist::Column,
+            SourceDist::Equal,
+            SourceDist::DiagRight,
+            SourceDist::DiagLeft,
+            SourceDist::Band,
+            SourceDist::Cross,
+            SourceDist::SquareBlock,
+        ]
+    }
+
     /// The six named distributions of the paper's Figure 6 comparison.
     pub fn paper_set() -> Vec<SourceDist> {
         vec![

@@ -66,7 +66,7 @@ pub fn figure2_row(algorithm: impl Into<String>, stats: &[CommStats]) -> Figure2
 }
 
 /// Format a slice of rows as an aligned ASCII table (used by the
-/// `repro-fig02` binary and examples).
+/// `repro fig02` and the examples).
 pub fn format_table(rows: &[Figure2Row]) -> String {
     let mut out = String::new();
     out.push_str(&format!(

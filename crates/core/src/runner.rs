@@ -279,16 +279,7 @@ impl Experiment<'_> {
     /// Run under the algorithm's default library flavour with a fault
     /// plan active in the network.
     pub fn run_with_faults(&self, faults: &FaultPlan) -> Result<Outcome, SimError> {
-        let sources = self.dist.place(self.machine.shape, self.s);
-        let len = self.msg_len;
-        run_sources_faulty(
-            self.machine,
-            self.kind.default_lib(),
-            &sources,
-            &|src| payload_for(src, len),
-            self.kind,
-            Some(faults),
-        )
+        self.run_controlled(&RunControl::with_faults(Some(faults)))
     }
 
     /// Run under full supervision ([`RunControl`]): watchdog budget,
@@ -303,22 +294,6 @@ impl Experiment<'_> {
             &|src| payload_for(src, len),
             self.kind,
             control,
-        )
-    }
-
-    /// Run with per-source message lengths (paper §5: "using different
-    /// length messages did not influence the performance significantly").
-    pub fn run_with_lengths(
-        &self,
-        len_of: &(dyn Fn(usize) -> usize + Sync),
-    ) -> Result<Outcome, SimError> {
-        let sources = self.dist.place(self.machine.shape, self.s);
-        run_sources(
-            self.machine,
-            self.kind.default_lib(),
-            &sources,
-            &|src| payload_for(src, len_of(src)),
-            self.kind,
         )
     }
 }
@@ -337,31 +312,13 @@ pub fn run_sources(
     payload_of: &(dyn Fn(usize) -> Vec<u8> + Sync),
     kind: AlgoKind,
 ) -> Result<Outcome, SimError> {
-    run_sources_faulty(machine, lib, sources, payload_of, kind, None)
-}
-
-/// [`run_sources`] with an optional fault plan active in the network.
-///
-/// Strict runtime schedule checks are disabled when a plan is given:
-/// drops and retries legitimately perturb arrival order, so ambiguity
-/// that is a bug on a clean network is expected behaviour here — the
-/// interesting property under faults is *delivery* (`verified`), which
-/// is still checked per rank.
-pub fn run_sources_faulty(
-    machine: &Machine,
-    lib: LibraryKind,
-    sources: &[usize],
-    payload_of: &(dyn Fn(usize) -> Vec<u8> + Sync),
-    kind: AlgoKind,
-    faults: Option<&FaultPlan>,
-) -> Result<Outcome, SimError> {
     try_run_sources_controlled(
         machine,
         lib,
         sources,
         payload_of,
         kind,
-        &RunControl::with_faults(faults),
+        &RunControl::default(),
     )
 }
 
@@ -389,6 +346,10 @@ pub fn try_run_alg_controlled(
     alg: &dyn StpAlgorithm,
     control: &RunControl,
 ) -> Result<Outcome, SimError> {
+    // Strict schedule checks are off under a fault plan: drops and
+    // retries legitimately perturb arrival order, so ambiguity that is a
+    // bug on a clean network is expected there — the property of
+    // interest under faults is delivery (`verified`), checked per rank.
     let config = SimConfig {
         lib,
         strict: cfg!(debug_assertions) && control.faults.is_none(),
@@ -447,7 +408,7 @@ fn try_run_alg_with(
 
 /// A run captured as a symbolic communication schedule.
 ///
-/// Produced by [`record_sources`] / [`Experiment::record`]; consumed by
+/// Produced by [`record_sources`] / [`try_record_sources`]; consumed by
 /// the `stp-analyzer` crate's static checks. The event list is complete
 /// even when the run deadlocks — the kernel flushes the partial schedule
 /// (with one `Blocked` event per stuck rank) before aborting, and the
@@ -558,23 +519,6 @@ pub fn try_record_sources(
             outcome: None,
         }),
         Err(e) => Err(e),
-    }
-}
-
-impl Experiment<'_> {
-    /// Capture this experiment's symbolic communication schedule under
-    /// the algorithm's default library flavour.
-    pub fn record(&self) -> RecordedRun {
-        let sources = self.dist.place(self.machine.shape, self.s);
-        let len = self.msg_len;
-        let alg = self.kind.build();
-        record_sources(
-            self.machine,
-            self.kind.default_lib(),
-            &sources,
-            &|src| payload_for(src, len),
-            alg.as_ref(),
-        )
     }
 }
 
@@ -816,16 +760,15 @@ mod tests {
     #[test]
     fn variable_length_messages_verify() {
         let machine = Machine::paragon(4, 4);
-        let exp = Experiment {
-            machine: &machine,
-            dist: SourceDist::DiagRight,
-            s: 4,
-            msg_len: 0, // ignored by run_with_lengths
-            kind: AlgoKind::BrLin,
-        };
-        let out = exp
-            .run_with_lengths(&|src| 64 + src * 32)
-            .expect("run failed");
+        let sources = SourceDist::DiagRight.place(machine.shape, 4);
+        let out = run_sources(
+            &machine,
+            LibraryKind::Nx,
+            &sources,
+            &|src| payload_for(src, 64 + src * 32),
+            AlgoKind::BrLin,
+        )
+        .expect("run failed");
         assert!(out.verified);
     }
 

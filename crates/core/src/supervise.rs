@@ -15,6 +15,13 @@
 //! their next scheduling step, unstarted points come back
 //! [`PointStatus::Skipped`] so a checkpoint/resume cycle re-runs them.
 //!
+//! [`SweepRunner::run_resumable`] puts a checkpoint in front of that:
+//! finished points are persisted as they settle and replayed verbatim
+//! on resume, and the statuses come back triaged into a
+//! [`SupervisedRun`]. It is the one resume loop behind `stp sweep` and
+//! `stp lint`, which both run the acceptance matrix defined here
+//! ([`matrix_shapes`], [`matrix_points`]).
+//!
 //! The module also hosts the chaos-injection fixtures ([`ChaosPanic`],
 //! [`ChaosDeadlock`]) that CI uses to prove the supervision plane works:
 //! deliberately broken algorithms a supervised sweep must survive and
@@ -26,11 +33,14 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use mpp_model::{LibraryKind, Machine};
 use mpp_runtime::{CancelToken, CommFuture, Communicator, SimBudget, SimError};
 
 use crate::algorithms::{StpAlgorithm, StpCtx};
+use crate::checkpoint::{json_escape, CheckpointFile};
+use crate::distribution::SourceDist;
 use crate::msgset::MessageSet;
-use crate::runner::SweepRunner;
+use crate::runner::{AlgoKind, SweepRunner};
 
 /// Supervision policy for one sweep.
 #[derive(Debug, Clone)]
@@ -237,6 +247,152 @@ impl SweepRunner {
 }
 
 // ---------------------------------------------------------------------------
+// Resumable supervised runs
+// ---------------------------------------------------------------------------
+
+/// A grid point quarantined by a supervised run.
+#[derive(Debug)]
+pub struct PointFailure {
+    /// Stable point id (`algo/dist/RxC/sN` on the acceptance matrix).
+    pub id: String,
+    /// Attempts consumed before quarantine.
+    pub attempts: usize,
+    /// The final attempt's error text.
+    pub error: String,
+}
+
+/// Everything a resumable supervised run produced.
+#[derive(Debug)]
+pub struct SupervisedRun<T> {
+    /// Results of the completed points (replayed + freshly run), in grid
+    /// order.
+    pub done: Vec<T>,
+    /// Quarantined points, in grid order.
+    pub failures: Vec<PointFailure>,
+    /// Ids of the points skipped by cancellation or the deadline.
+    pub skipped: Vec<String>,
+    /// Points replayed from the checkpoint instead of re-run.
+    pub resumed: usize,
+    /// Total grid points.
+    pub total: usize,
+}
+
+impl<T> SupervisedRun<T> {
+    /// The members every JSON report of a run opens with:
+    /// `"points":N,"failures":[..],"skipped":[..]`. Deliberately no
+    /// wall-clock and no `resumed` count — an interrupted-and-resumed
+    /// run must report byte-identically to an uninterrupted one.
+    pub fn summary_json(&self) -> String {
+        let failures: Vec<String> = self
+            .failures
+            .iter()
+            .map(|f| {
+                format!(
+                    "{{\"id\":\"{}\",\"attempts\":{},\"error\":\"{}\"}}",
+                    json_escape(&f.id),
+                    f.attempts,
+                    json_escape(&f.error)
+                )
+            })
+            .collect();
+        let skipped: Vec<String> = self
+            .skipped
+            .iter()
+            .map(|id| format!("\"{}\"", json_escape(id)))
+            .collect();
+        format!(
+            "\"points\":{},\"failures\":[{}],\"skipped\":[{}]",
+            self.total,
+            failures.join(","),
+            skipped.join(",")
+        )
+    }
+}
+
+impl SweepRunner {
+    /// [`map_supervised`](SweepRunner::map_supervised) behind a
+    /// checkpoint. A point whose id (`ids[i]` names `points[i]`) has a
+    /// record in `checkpoint` that `decode`s is replayed and never
+    /// re-run; a record that does not decode costs a warning and a
+    /// re-run. Every other point runs `job` under `opts`, and each one
+    /// that completes is `encode`d into the checkpoint as it settles, so
+    /// a killed run resumes with only unfinished work. The outcome is in
+    /// grid order whatever the completion order was.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_resumable<I, T>(
+        &self,
+        points: Vec<I>,
+        ids: Vec<String>,
+        checkpoint: Option<&CheckpointFile>,
+        encode: impl Fn(&T) -> String + Sync,
+        decode: impl Fn(&str) -> Result<T, String>,
+        job: impl Fn(&I) -> Result<T, SimError> + Sync,
+        opts: &SuperviseOpts,
+    ) -> SupervisedRun<T>
+    where
+        I: Send + Sync,
+        T: Send,
+    {
+        assert_eq!(points.len(), ids.len(), "one id per grid point");
+        let mut replayed: Vec<Option<T>> = Vec::with_capacity(points.len());
+        let mut to_run = Vec::new();
+        let mut run_ids = Vec::new();
+        for (point, id) in points.into_iter().zip(&ids) {
+            let record =
+                checkpoint
+                    .and_then(|cp| cp.get(id))
+                    .and_then(|text| match decode(&text) {
+                        Ok(value) => Some(value),
+                        Err(e) => {
+                            eprintln!("warning: re-running {id}: bad checkpoint entry ({e})");
+                            None
+                        }
+                    });
+            if record.is_none() {
+                run_ids.push(id.as_str());
+                to_run.push(point);
+            }
+            replayed.push(record);
+        }
+
+        let fresh = self.map_supervised(to_run, job, opts, |index, status| {
+            if let (Some(cp), PointStatus::Done(value)) = (checkpoint, status) {
+                cp.record(run_ids[index], &encode(value));
+            }
+        });
+
+        // Splice the fresh statuses back between the replayed records.
+        let mut out = SupervisedRun {
+            done: Vec::new(),
+            failures: Vec::new(),
+            skipped: Vec::new(),
+            resumed: 0,
+            total: ids.len(),
+        };
+        let mut fresh = fresh.into_iter();
+        for (record, id) in replayed.into_iter().zip(&ids) {
+            let status = match record {
+                Some(value) => {
+                    out.resumed += 1;
+                    PointStatus::Done(value)
+                }
+                None => fresh.next().expect("one status per point that ran"),
+            };
+            match status {
+                PointStatus::Done(value) => out.done.push(value),
+                PointStatus::Failed { attempts, error } => out.failures.push(PointFailure {
+                    id: id.clone(),
+                    attempts,
+                    error,
+                }),
+                PointStatus::Skipped => out.skipped.push(id.clone()),
+            }
+        }
+        out
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Chaos-injection fixtures
 // ---------------------------------------------------------------------------
 
@@ -302,6 +458,126 @@ pub fn chaos_algorithms() -> Vec<(&'static str, ChaosBuilder)> {
         ("chaos:panic", || Box::new(ChaosPanic)),
         ("chaos:deadlock", || Box::new(ChaosDeadlock)),
     ]
+}
+
+// ---------------------------------------------------------------------------
+// The acceptance matrix
+// ---------------------------------------------------------------------------
+
+/// The algorithm of one matrix point: a real variant or an injected
+/// chaos fixture.
+pub enum MatrixAlg {
+    /// A registered algorithm variant.
+    Kind(AlgoKind),
+    /// A chaos fixture, by stable name.
+    Chaos(&'static str, ChaosBuilder),
+}
+
+impl MatrixAlg {
+    /// Display name (the first segment of the point id).
+    pub fn name(&self) -> &'static str {
+        match self {
+            MatrixAlg::Kind(kind) => kind.name(),
+            MatrixAlg::Chaos(name, _) => name,
+        }
+    }
+
+    /// Instantiate the algorithm object.
+    pub fn build(&self) -> Box<dyn StpAlgorithm> {
+        match self {
+            MatrixAlg::Kind(kind) => kind.build(),
+            MatrixAlg::Chaos(_, build) => build(),
+        }
+    }
+
+    /// The library flavour the point runs under.
+    pub fn lib(&self) -> LibraryKind {
+        match self {
+            MatrixAlg::Kind(kind) => kind.default_lib(),
+            MatrixAlg::Chaos(..) => LibraryKind::Nx,
+        }
+    }
+}
+
+/// One grid point of the acceptance matrix.
+pub struct MatrixPoint {
+    /// The Paragon mesh the point runs on.
+    pub machine: Machine,
+    /// Source distribution.
+    pub dist: SourceDist,
+    /// Number of sources.
+    pub s: usize,
+    /// Algorithm.
+    pub alg: MatrixAlg,
+}
+
+impl MatrixPoint {
+    /// Stable point id `algo/dist/RxC/sN` — the checkpoint key and the
+    /// name failure reports use.
+    pub fn id(&self) -> String {
+        format!(
+            "{}/{}/{}x{}/s{}",
+            self.alg.name(),
+            self.dist.name(),
+            self.machine.shape.rows,
+            self.machine.shape.cols,
+            self.s
+        )
+    }
+}
+
+/// Mesh shapes of the acceptance matrix, `(rows, cols)`: two paper
+/// shapes, one tall, one with a prime dimension (exercises the
+/// non-power-of-two paths). `quick` is the reduced matrix of
+/// `stp lint --quick` / `stp sweep --quick` and the unit tests.
+pub fn matrix_shapes(quick: bool) -> Vec<(usize, usize)> {
+    if quick {
+        vec![(4, 4), (8, 3)]
+    } else {
+        vec![(4, 4), (8, 4), (16, 16), (8, 3)]
+    }
+}
+
+/// The acceptance matrix over `shapes`: every shape × the eight named
+/// distributions × a sparse quarter-machine source count and the
+/// all-sources count × every algorithm, in that nesting order. With
+/// `chaos`, the [`chaos_algorithms`] come last, on the first shape.
+pub fn matrix_points(shapes: &[(usize, usize)], chaos: bool) -> Vec<MatrixPoint> {
+    let mut points = Vec::new();
+    for &(rows, cols) in shapes {
+        let machine = Machine::paragon(rows, cols);
+        let p = machine.p();
+        let sparse = (p / 4).max(2).min(p);
+        let counts = if sparse == p {
+            vec![p]
+        } else {
+            vec![sparse, p]
+        };
+        for dist in SourceDist::named() {
+            for &s in &counts {
+                for &kind in AlgoKind::all() {
+                    points.push(MatrixPoint {
+                        machine: machine.clone(),
+                        dist: dist.clone(),
+                        s,
+                        alg: MatrixAlg::Kind(kind),
+                    });
+                }
+            }
+        }
+    }
+    if chaos {
+        let (rows, cols) = shapes.first().copied().unwrap_or((4, 4));
+        for (name, build) in chaos_algorithms() {
+            points.push(MatrixPoint {
+                machine: Machine::paragon(rows, cols),
+                dist: SourceDist::Equal,
+                s: 2,
+                alg: MatrixAlg::Chaos(name, build),
+            });
+        }
+    }
+    points
 }
 
 #[cfg(test)]
@@ -402,6 +678,168 @@ mod tests {
             |_, _| {},
         );
         assert!(matches!(statuses[0], PointStatus::Skipped));
+    }
+
+    /// A fresh checkpoint file under the temp dir, removed on drop.
+    struct TempCheckpoint(std::path::PathBuf);
+
+    impl TempCheckpoint {
+        fn new(tag: &str) -> Self {
+            let path = std::env::temp_dir()
+                .join(format!("stp-resumable-{tag}-{}.ckpt", std::process::id()));
+            let _ = std::fs::remove_file(&path);
+            TempCheckpoint(path)
+        }
+
+        fn open(&self) -> CheckpointFile {
+            CheckpointFile::open(&self.0, "resumable-test").expect("open checkpoint")
+        }
+    }
+
+    impl Drop for TempCheckpoint {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    /// `run_resumable` over points `0..n` with ids `p0..`, records
+    /// `"v<i>"` decoding to `i`; point 4 always fails. Returns the run
+    /// and the points the job executed, in ascending order.
+    fn resumable(n: usize, cp: Option<&CheckpointFile>) -> (SupervisedRun<usize>, Vec<usize>) {
+        crate::runner::tests_hush_deliberate_panics();
+        let executed = Mutex::new(Vec::new());
+        let run = SweepRunner::sequential().with_workers(3).run_resumable(
+            (0..n).collect(),
+            (0..n).map(|i| format!("p{i}")).collect(),
+            cp,
+            |v| format!("v{v}"),
+            |text| {
+                text.strip_prefix('v')
+                    .and_then(|digits| digits.parse().ok())
+                    .ok_or_else(|| format!("not a record: {text:?}"))
+            },
+            |&i| {
+                executed.lock().unwrap().push(i);
+                if i == 4 {
+                    panic!("deliberate test panic in point {i}");
+                }
+                Ok(i)
+            },
+            &SuperviseOpts::default().with_retries(0),
+        );
+        let mut executed = executed.into_inner().unwrap();
+        executed.sort();
+        (run, executed)
+    }
+
+    #[test]
+    fn a_resumed_run_replays_records_and_runs_only_the_rest_in_grid_order() {
+        let file = TempCheckpoint::new("resume");
+        // The interrupted run: the first five points, one of them bad.
+        let cp = file.open();
+        let (first, ran) = resumable(5, Some(&cp));
+        assert_eq!(ran, vec![0, 1, 2, 3, 4]);
+        assert_eq!((first.resumed, first.total), (0, 5));
+        assert_eq!(cp.completed(), 4, "a failed point leaves no record");
+        drop(cp);
+
+        // The resume, over the whole grid: four replays, the failed
+        // point and the new ones run, and everything is in grid order.
+        let cp = file.open();
+        let (second, ran) = resumable(8, Some(&cp));
+        assert_eq!(ran, vec![4, 5, 6, 7]);
+        assert_eq!(second.done, vec![0, 1, 2, 3, 5, 6, 7]);
+        assert_eq!((second.resumed, second.total), (4, 8));
+        assert_eq!(second.skipped, Vec::<String>::new());
+        let [failure] = &second.failures[..] else {
+            panic!("exactly point 4 fails: {:?}", second.failures);
+        };
+        assert_eq!((failure.id.as_str(), failure.attempts), ("p4", 1));
+        assert!(failure.error.contains("point 4"), "{}", failure.error);
+        assert_eq!(cp.completed(), 7);
+
+        // An uninterrupted run reports the same, byte for byte.
+        let (reference, ran) = resumable(8, None);
+        assert_eq!(ran.len(), 8);
+        assert_eq!(reference.done, second.done);
+        assert_eq!(reference.summary_json(), second.summary_json());
+        assert_eq!(
+            second.summary_json(),
+            "\"points\":8,\"failures\":[{\"id\":\"p4\",\"attempts\":1,\
+             \"error\":\"deliberate test panic in point 4\"}],\"skipped\":[]"
+        );
+    }
+
+    #[test]
+    fn a_record_that_does_not_decode_is_run_again_and_rewritten() {
+        let file = TempCheckpoint::new("bad-record");
+        let cp = file.open();
+        cp.record("p0", "v0");
+        cp.record("p1", "garbage");
+        cp.record("p2", "v2");
+        let (run, ran) = resumable(3, Some(&cp));
+        assert_eq!(ran, vec![1], "only the undecodable point runs");
+        assert_eq!(run.done, vec![0, 1, 2]);
+        assert_eq!(run.resumed, 2);
+        assert_eq!(cp.get("p1").as_deref(), Some("v1"));
+    }
+
+    #[test]
+    fn a_cancelled_resumable_run_names_what_it_skipped() {
+        let file = TempCheckpoint::new("skipped");
+        let cp = file.open();
+        cp.record("p1", "v1");
+        let opts = SuperviseOpts::default();
+        opts.cancel.cancel();
+        let run = SweepRunner::sequential().run_resumable(
+            vec![0usize, 1, 2],
+            vec!["p0".into(), "p1".into(), "p2".into()],
+            Some(&cp),
+            |v: &usize| format!("v{v}"),
+            |_| Ok(1),
+            |&i| Ok(i),
+            &opts,
+        );
+        // The record still replays; the unstarted points are skipped.
+        assert_eq!(run.done, vec![1]);
+        assert_eq!(run.skipped, vec!["p0", "p2"]);
+        assert_eq!((run.resumed, run.total), (1, 3));
+        assert_eq!(
+            run.summary_json(),
+            "\"points\":3,\"failures\":[],\"skipped\":[\"p0\",\"p2\"]"
+        );
+    }
+
+    #[test]
+    fn the_acceptance_matrix_is_1280_points_with_chaos_last() {
+        let algos = AlgoKind::all().len();
+        let full = matrix_points(&matrix_shapes(false), false);
+        // 8x3 = 24 gives two source counts like the rest: 6 and 24.
+        assert_eq!(full.len(), 4 * 8 * 2 * algos);
+        assert_eq!(full.len(), 1280);
+        let quick = matrix_points(&matrix_shapes(true), false);
+        assert_eq!(quick.len(), 640);
+        assert_eq!(full[0].id(), "2-Step/R/4x4/s4");
+        assert_eq!(full[1279].id(), "KPort_Alltoall/Sq/8x3/s24");
+
+        let chaotic = matrix_points(&matrix_shapes(false), true);
+        assert_eq!(chaotic.len(), 1282);
+        let ids: Vec<String> = chaotic.iter().map(MatrixPoint::id).collect();
+        assert_eq!(
+            ids[1280..],
+            ["chaos:panic/E/4x4/s2", "chaos:deadlock/E/4x4/s2"]
+        );
+        assert!(ids[..1280].iter().all(|id| !id.starts_with("chaos:")));
+        let unique: std::collections::BTreeSet<&String> = ids.iter().collect();
+        assert_eq!(unique.len(), ids.len(), "point ids are checkpoint keys");
+        // The quick matrix is a subset of the full one, in the same order.
+        let mut rest = ids.iter();
+        for point in &quick {
+            let id = point.id();
+            assert!(rest.any(|full_id| *full_id == id), "{id}");
+        }
+        // A machine too small for a sparse count sweeps all-sources only.
+        assert_eq!(matrix_points(&[(1, 2)], false).len(), 8 * algos);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use stp_core::msgset::payload_for;
 use stp_core::runner::{
     try_run_alg_controlled, try_run_sources_controlled, AlgoKind, RunControl, SweepRunner,
 };
-use stp_core::supervise::{chaos_algorithms, PointStatus, SuperviseOpts};
+use stp_core::supervise::{chaos_algorithms, SuperviseOpts};
 
 /// Silence the two expected panic flavours (this is an integration test
 /// — the crate-internal test hook is not visible here).
@@ -129,65 +129,37 @@ fn run_point(
     ))
 }
 
-/// Supervised sweep over `points`, splicing checkpointed records in
-/// verbatim. Returns the final report lines plus how many points the
-/// job actually executed.
+/// Resumable supervised sweep over `points`. Returns the report lines
+/// (records, then failures, then skips — each in grid order) plus how
+/// many times the job actually executed (a failed point is retried
+/// once, so it counts twice).
 fn sweep(
     points: Vec<Point>,
     exec: ExecMode,
     checkpoint: Option<&CheckpointFile>,
 ) -> (Vec<String>, usize) {
     let opts = SuperviseOpts::default();
-    let ids: Vec<String> = points.iter().map(point_id).collect();
-    let mut slots: Vec<Option<PointStatus<String>>> = Vec::with_capacity(points.len());
-    let mut to_run = Vec::new();
-    let mut run_ids = Vec::new();
-    for (pt, id) in points.into_iter().zip(&ids) {
-        match checkpoint.and_then(|cp| cp.get(id)) {
-            Some(record) => slots.push(Some(PointStatus::Done(record))),
-            None => {
-                slots.push(None);
-                run_ids.push(id.clone());
-                to_run.push(pt);
-            }
-        }
-    }
+    let ids = points.iter().map(point_id).collect();
     let executed = AtomicUsize::new(0);
-    let run_ids = &run_ids;
-    let opts_ref = &opts;
-    let statuses = SweepRunner::new().map_supervised(
-        to_run,
+    let run = SweepRunner::new().run_resumable(
+        points,
+        ids,
+        checkpoint,
+        String::clone,
+        |record| Ok(record.to_string()),
         |pt| {
             executed.fetch_add(1, Ordering::Relaxed);
-            run_point(pt, exec, opts_ref)
+            run_point(pt, exec, &opts)
         },
         &opts,
-        |index, status| {
-            if let (Some(cp), PointStatus::Done(record)) = (checkpoint, status) {
-                cp.record(&run_ids[index], record);
-            }
-        },
     );
-    let mut statuses = statuses.into_iter();
-    for slot in slots.iter_mut() {
-        if slot.is_none() {
-            *slot = Some(statuses.next().expect("one status per fresh point"));
-        }
-    }
-    let report = slots
-        .into_iter()
-        .zip(ids)
-        .map(|(slot, id)| match slot.expect("slot filled") {
-            PointStatus::Done(record) => record,
-            PointStatus::Failed { attempts, error } => {
-                format!("{id}:FAILED after {attempts} attempts: {error}")
-            }
-            PointStatus::Skipped => format!("{id}:SKIPPED"),
-        })
-        .collect();
-    // Retries make `executed` overshoot the failed points; report the
-    // number of *distinct* points the job saw instead.
-    (report, executed.load(Ordering::Relaxed))
+    let failed = run
+        .failures
+        .iter()
+        .map(|f| format!("{}:FAILED after {} attempts: {}", f.id, f.attempts, f.error));
+    let skipped = run.skipped.iter().map(|id| format!("{id}:SKIPPED"));
+    let report = run.done.iter().cloned().chain(failed).chain(skipped);
+    (report.collect(), executed.load(Ordering::Relaxed))
 }
 
 #[test]

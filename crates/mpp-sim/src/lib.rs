@@ -50,7 +50,7 @@
 //! `Pipelined` wormhole model (staggered per-link windows), `Circuit`
 //! (whole route held until the tail drains), or `Shared` (links as
 //! bandwidth servers at the hardware channel rate). See DESIGN.md §6 and
-//! the `repro-contention` ablation.
+//! the `repro contention` ablation.
 //!
 //! # Entry point
 //!

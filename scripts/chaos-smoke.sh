@@ -47,8 +47,10 @@ import json, sys
 
 with open(sys.argv[1]) as fh:
     rep = json.load(fh)
-# quick matrix: 2 shapes x 8 dists x 2 source counts x 17 algorithms,
-# plus the two chaos points.
+# quick matrix: 2 shapes x 8 dists x 2 source counts x 20 algorithms
+# = 640 points, plus the two chaos points.
+if rep["points"] != 642:
+    sys.exit(f"the quick chaos matrix is 642 points, got {rep['points']}")
 healthy = rep["points"] - 2
 entries = rep["entries"]
 if len(entries) != healthy + 1:

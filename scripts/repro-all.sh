@@ -1,17 +1,7 @@
 #!/usr/bin/env bash
 # Regenerate every figure/table of the paper plus the extension
-# experiments into results/. Run from the repository root.
+# experiments into results/ (CSV + SVG + REPORT.md). Run from the
+# repository root.
 set -euo pipefail
-cargo build --release -p stp-bench
-mkdir -p results
-BIN=target/release
-for f in 01 02 03 04 05 06 07 08 09 10 11 12 13; do
-  echo "== figure $f =="
-  "$BIN/repro-fig$f" | tee "results/fig$f.txt"
-done
-for x in partitioning nx-vs-mpi varlen adaptive dissem hypercube trace naive contention; do
-  echo "== $x =="
-  "$BIN/repro-$x" | tee "results/$x.txt"
-done
-"$BIN/repro-report"
-echo "All outputs written to results/ (CSV + SVG + REPORT.md)."
+cargo build --release -p stp-bench --bin repro
+target/release/repro all

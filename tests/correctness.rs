@@ -10,17 +10,9 @@ fn all_kinds() -> &'static [AlgoKind] {
 }
 
 fn all_dists() -> Vec<SourceDist> {
-    vec![
-        SourceDist::Row,
-        SourceDist::Column,
-        SourceDist::Equal,
-        SourceDist::DiagRight,
-        SourceDist::DiagLeft,
-        SourceDist::Band,
-        SourceDist::Cross,
-        SourceDist::SquareBlock,
-        SourceDist::Random { seed: 77 },
-    ]
+    let mut dists = SourceDist::named().to_vec();
+    dists.push(SourceDist::Random { seed: 77 });
+    dists
 }
 
 #[test]

@@ -18,20 +18,6 @@ use stp_broadcast::stp::runner::{
     record_sources_exec, record_sources_faulty, AlgoKind, RecordedRun,
 };
 
-/// The eight named source distributions of the paper.
-fn paper_dists() -> Vec<SourceDist> {
-    vec![
-        SourceDist::Row,
-        SourceDist::Column,
-        SourceDist::Equal,
-        SourceDist::DiagRight,
-        SourceDist::DiagLeft,
-        SourceDist::Band,
-        SourceDist::Cross,
-        SourceDist::SquareBlock,
-    ]
-}
-
 /// Record one grid point on the given executor.
 fn record(
     machine: &Machine,
@@ -294,7 +280,7 @@ fn executors_agree_multiport_under_link_outages() {
 fn executors_agree_full_matrix() {
     sweep(
         &[(4, 4), (8, 4), (16, 16), (8, 3)],
-        &paper_dists(),
+        &SourceDist::named(),
         AlgoKind::all(),
     );
 }
