@@ -9,12 +9,13 @@
 //! `(kind, rank, at_ns, seq)` order so reports and checkpoints are
 //! byte-stable regardless of which check emitted first.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use mpp_model::{LibraryKind, Link, Machine, Time};
 
-use crate::cost::CostReport;
-use crate::schedule::{Attributed, Attribution, Schedule};
+use crate::cost::{CostReport, LinkIndex};
+use crate::lint::timed;
+use crate::schedule::{has_bit, set_bit, source_payloads, PayloadIds, Schedule};
 
 /// How bad a finding is. Errors are always fatal to a lint run; warnings
 /// and notes can be suppressed by a committed baseline.
@@ -236,7 +237,7 @@ impl Default for AnalyzeOpts {
 /// Everything a [`Check`] can look at.
 pub struct CheckCtx<'a> {
     /// The recorded schedule under analysis.
-    pub sched: &'a Schedule,
+    pub sched: &'a Schedule<'a>,
     /// The machine it was recorded on.
     pub machine: &'a Machine,
     /// The source ranks of the s-to-p instance.
@@ -250,6 +251,9 @@ pub struct CheckCtx<'a> {
     pub cost: Option<&'a CostReport>,
     /// Per-link message counts over the machine's routes.
     pub link_counts: &'a BTreeMap<Link, u64>,
+    /// Content ids of the source reference payloads and of every send's
+    /// payload.
+    pub payloads: &'a PayloadIds<'a>,
 }
 
 /// Mutable results shared by all checks of one run.
@@ -300,8 +304,6 @@ pub struct Analysis {
     pub recvs: usize,
     /// Heaviest per-link message count over the machine's routes.
     pub max_link_load: u64,
-    /// The link carrying `max_link_load` (None on an empty schedule).
-    pub hottest_link: Option<Link>,
     /// True when some payload could not be traced back to a source; the
     /// leak check was skipped in that case instead of guessing.
     pub opaque_payloads: bool,
@@ -324,12 +326,22 @@ pub fn analyze(
     payload_of: &dyn Fn(usize) -> Vec<u8>,
     opts: &AnalyzeOpts,
 ) -> Analysis {
-    let (link_counts, max, hottest) = link_loads(sched, machine);
+    let references = source_payloads(sources, payload_of);
+    let ((link_counts, max_link_load), payloads) = timed("index", || {
+        (
+            link_loads(sched, machine),
+            PayloadIds::new(&references, &sched.sends),
+        )
+    });
     // The cost engine needs recorded timing to replay: skip it on
     // deadlocked runs (partial clocks) and hand-built schedules (no
     // transfer records).
     let cost = ((opts.conformance || opts.perf) && !sched.deadlocked && !sched.xfers.is_empty())
-        .then(|| crate::cost::replay(sched, machine, opts.lib, opts.faulted));
+        .then(|| {
+            timed("cost_replay", || {
+                crate::cost::replay(sched, machine, opts.lib, opts.faulted)
+            })
+        });
 
     let ctx = CheckCtx {
         sched,
@@ -339,10 +351,11 @@ pub fn analyze(
         opts,
         cost: cost.as_ref(),
         link_counts: &link_counts,
+        payloads: &payloads,
     };
     let mut out = CheckOutput::default();
     for check in registry() {
-        check.run(&ctx, &mut out);
+        timed(check.name(), || check.run(&ctx, &mut out));
     }
     // Canonical report order, independent of check execution order.
     out.findings
@@ -352,8 +365,7 @@ pub fn analyze(
         findings: out.findings,
         sends: sched.sends.len(),
         recvs: sched.recvs.len(),
-        max_link_load: max,
-        hottest_link: hottest,
+        max_link_load,
         opaque_payloads: out.opaque_payloads,
         cost,
     }
@@ -457,18 +469,20 @@ impl Check for LostMessageCheck {
 
     fn run(&self, ctx: &CheckCtx, out: &mut CheckOutput) {
         let sched = ctx.sched;
-        let lost = sched.lost_seqs();
-        if lost.is_empty() {
+        if sched.lost_seqs().next().is_none() {
             return;
         }
-        // Attempts actually made per lost message (drops are per attempt).
-        let mut attempts: HashMap<u64, u32> = HashMap::new();
+        let lost = sched.seq_flags(sched.lost_seqs());
+        // Attempts actually made per message (drops are per attempt).
+        let mut attempts: Vec<u32> = vec![0; sched.seq_slots()];
         for d in &sched.drops {
-            let e = attempts.entry(d.seq).or_insert(0);
-            *e = (*e).max(d.attempt + 1);
+            if let Some(slot) = sched.seq_slot(d.seq) {
+                attempts[slot] = attempts[slot].max(d.attempt + 1);
+            }
         }
         for send in &sched.sends {
-            if lost.contains(&send.seq) {
+            let slot = sched.seq_slot(send.seq).expect("send seqs are indexed");
+            if lost[slot] {
                 let mut f = Finding::new(
                     FindingKind::LostMessage,
                     Some(send.dst),
@@ -480,7 +494,7 @@ impl Check for LostMessageCheck {
                         send.tag,
                         send.data.len(),
                         send.step,
-                        attempts.get(&send.seq).copied().unwrap_or(1)
+                        attempts[slot]
                     ),
                 );
                 f.seq = Some(send.seq);
@@ -508,10 +522,11 @@ impl Check for UnmatchedSendCheck {
         if sched.deadlocked {
             return;
         }
-        let lost = sched.lost_seqs();
-        let matched = sched.matched_seqs();
+        let lost = sched.seq_flags(sched.lost_seqs());
+        let matched = sched.seq_flags(sched.recvs.iter().map(|r| r.seq));
         for send in &sched.sends {
-            if !matched.contains(&send.seq) && !lost.contains(&send.seq) {
+            let slot = sched.seq_slot(send.seq).expect("send seqs are indexed");
+            if !matched[slot] && !lost[slot] {
                 let mut f = Finding::new(
                     FindingKind::UnmatchedSend,
                     Some(send.dst),
@@ -581,56 +596,63 @@ impl Check for PayloadLeakCheck {
         if sched.deadlocked {
             return;
         }
-        let attribution = Attribution::new(ctx.sources, ctx.payload_of);
-        if !attribution.is_usable() {
+        let (sources, payloads) = (ctx.sources, ctx.payloads);
+        if !payloads.sources_distinct() {
             out.opaque_payloads = true;
             return;
         }
-        let send_by_seq: HashMap<u64, usize> = sched
-            .sends
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.seq, i))
-            .collect();
-
-        // knowledge[r] = sources whose bytes reached rank r.
-        let all: BTreeSet<usize> = ctx.sources.iter().copied().collect();
-        let mut knowledge: Vec<BTreeSet<usize>> = (0..sched.p)
-            .map(|r| {
-                if all.contains(&r) {
-                    BTreeSet::from([r])
-                } else {
-                    BTreeSet::new()
-                }
-            })
-            .collect();
-        for recv in &sched.recvs {
-            let Some(&i) = send_by_seq.get(&recv.seq) else {
-                continue;
-            };
-            match attribution.attribute(&sched.sends[i].data) {
-                Attributed::Sources(set) => knowledge[recv.rank].extend(set),
-                Attributed::Opaque => {
-                    out.opaque_payloads = true;
-                    return;
-                }
+        if sources.is_empty() {
+            return;
+        }
+        // Source sets are `words` u64s, bit `i` for `sources[i]`: `known`
+        // per rank, `carried` per distinct payload content (attributed
+        // once, when a receive first consumes it).
+        let words = sources.len().div_ceil(64);
+        let mut known = vec![0u64; sched.p * words];
+        for (bit, &src) in sources.iter().enumerate() {
+            if src < sched.p {
+                set_bit(&mut known[src * words..][..words], bit);
             }
         }
-        for (rank, known) in knowledge.iter().enumerate() {
-            if !all.is_subset(known) {
-                let missing: Vec<String> = all.difference(known).map(|s| s.to_string()).collect();
-                out.findings.push(Finding::new(
-                    FindingKind::PayloadLeak,
-                    Some(rank),
-                    format!(
-                        "rank {rank} never received the message(s) of source(s) {} \
-                         ({} of {} sources reached it)",
-                        missing.join(", "),
-                        known.len(),
-                        all.len()
-                    ),
-                ));
+        let mut carried = vec![0u64; payloads.distinct() * words];
+        let mut attributed = vec![false; payloads.distinct()];
+        for recv in &sched.recvs {
+            let Some(i) = sched.send_of(recv.seq) else {
+                continue;
+            };
+            let id = payloads.of_send[i] as usize;
+            let set = &mut carried[id * words..][..words];
+            if !std::mem::replace(&mut attributed[id], true)
+                && !payloads.attribute(sources, &sched.sends[i].data, set)
+            {
+                out.opaque_payloads = true;
+                return;
             }
+            for (k, c) in known[recv.rank * words..][..words].iter_mut().zip(set) {
+                *k |= *c;
+            }
+        }
+        for (rank, known) in known.chunks(words).enumerate() {
+            let reached: u32 = known.iter().map(|w| w.count_ones()).sum();
+            if reached as usize == sources.len() {
+                continue;
+            }
+            let mut missing: Vec<usize> = (0..sources.len())
+                .filter(|&bit| !has_bit(known, bit))
+                .map(|bit| sources[bit])
+                .collect();
+            missing.sort_unstable();
+            let missing: Vec<String> = missing.iter().map(|s| s.to_string()).collect();
+            out.findings.push(Finding::new(
+                FindingKind::PayloadLeak,
+                Some(rank),
+                format!(
+                    "rank {rank} never received the message(s) of source(s) {} \
+                     ({reached} of {} sources reached it)",
+                    missing.join(", "),
+                    sources.len()
+                ),
+            ));
         }
     }
 }
@@ -680,39 +702,41 @@ impl Check for LinkOverloadCheck {
 }
 
 /// Per-link message counts over the machine's dimension-ordered routes.
-fn link_loads(sched: &Schedule, machine: &Machine) -> (BTreeMap<Link, u64>, u64, Option<Link>) {
-    let mut counts: BTreeMap<Link, u64> = BTreeMap::new();
+fn link_loads(sched: &Schedule, machine: &Machine) -> (BTreeMap<Link, u64>, u64) {
+    let mut index = LinkIndex::new(machine.topology.num_nodes());
+    let mut counts: Vec<u64> = Vec::new();
+    let mut route = Vec::new();
     for send in &sched.sends {
-        for link in machine.route(send.src, send.dst) {
-            *counts.entry(link).or_insert(0) += 1;
+        machine.topology.route_into(
+            machine.node_of(send.src),
+            machine.node_of(send.dst),
+            &mut route,
+        );
+        for &link in &route {
+            let id = index.id(link) as usize;
+            if id == counts.len() {
+                counts.push(0);
+            }
+            counts[id] += 1;
         }
     }
-    let (max, hottest) = counts
-        .iter()
-        .max_by_key(|&(link, count)| (*count, std::cmp::Reverse(*link)))
-        .map_or((0, None), |(link, count)| (*count, Some(*link)));
-    (counts, max, hottest)
+    let max = counts.iter().copied().max().unwrap_or(0);
+    (index.links.into_iter().zip(counts).collect(), max)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{BlockedOp, DropOp, RecvOp, SendOp};
+    use crate::schedule::tests::send;
+    use mpp_runtime::{BlockedEvent, DropEvent, EventLog, RecvEvent};
 
-    fn send(seq: u64, src: usize, dst: usize, tag: u32, data: &[u8]) -> SendOp {
-        SendOp {
-            step: 0,
-            seq,
-            src,
-            dst,
-            tag,
-            data: data.to_vec(),
-            issue_ns: 0,
-        }
+    /// A hand-built log of a completed run on `p` ranks, as a schedule.
+    fn view(log: &EventLog, p: usize) -> Schedule<'_> {
+        Schedule::from_log(log, p, false, None)
     }
 
-    fn recv(seq: u64, rank: usize, src: usize, tag: u32, dup: usize) -> RecvOp {
-        RecvOp {
+    fn recv(seq: u64, rank: usize, src: usize, tag: u32, dup: usize) -> RecvEvent {
+        RecvEvent {
             step: 0,
             rank,
             src_filter: Some(src),
@@ -741,16 +765,13 @@ mod tests {
     #[test]
     fn clean_exchange_has_no_findings() {
         // 0 broadcasts its message to everyone; everyone receives it.
-        let mut sched = Schedule {
-            p: 4,
-            ..Schedule::default()
-        };
+        let (p, mut sched) = (4, EventLog::default());
         for (i, dst) in [1, 2, 3].into_iter().enumerate() {
             let seq = i as u64 + 1;
             sched.sends.push(send(seq, 0, dst, 5, &payload(0)));
             sched.recvs.push(recv(seq, dst, 0, 5, 1));
         }
-        let a = analyze(&sched, &machine(), &[0], &payload, &opts());
+        let a = analyze(&view(&sched, p), &machine(), &[0], &payload, &opts());
         assert!(a.is_clean(), "unexpected findings: {:?}", a.findings);
         assert_eq!(a.sends, 3);
         assert!(a.max_link_load >= 1);
@@ -759,28 +780,25 @@ mod tests {
 
     #[test]
     fn deadlock_cycle_is_reconstructed() {
-        let sched = Schedule {
-            p: 3,
-            blocked: vec![
-                BlockedOp {
-                    rank: 0,
-                    src_filter: Some(1),
-                    tag_filter: Some(9),
-                },
-                BlockedOp {
-                    rank: 1,
-                    src_filter: Some(2),
-                    tag_filter: Some(9),
-                },
-                BlockedOp {
-                    rank: 2,
-                    src_filter: Some(0),
-                    tag_filter: Some(9),
-                },
-            ],
-            deadlocked: true,
-            ..Schedule::default()
-        };
+        let mut log = EventLog::default();
+        log.blocked = vec![
+            BlockedEvent {
+                rank: 0,
+                src_filter: Some(1),
+                tag_filter: Some(9),
+            },
+            BlockedEvent {
+                rank: 1,
+                src_filter: Some(2),
+                tag_filter: Some(9),
+            },
+            BlockedEvent {
+                rank: 2,
+                src_filter: Some(0),
+                tag_filter: Some(9),
+            },
+        ];
+        let sched = Schedule::from_log(&log, 3, true, None);
         let a = analyze(&sched, &machine(), &[0], &payload, &opts());
         assert_eq!(a.findings.len(), 1);
         assert_eq!(a.findings[0].kind, FindingKind::Deadlock);
@@ -793,15 +811,12 @@ mod tests {
 
     #[test]
     fn unmatched_send_is_reported() {
-        let mut sched = Schedule {
-            p: 4,
-            ..Schedule::default()
-        };
+        let (p, mut sched) = (4, EventLog::default());
         sched.sends.push(send(1, 0, 1, 5, &payload(0)));
         sched.sends.push(send(2, 0, 2, 5, &payload(0)));
         sched.recvs.push(recv(1, 1, 0, 5, 1));
         // seq 2 never received; ranks 2 and 3 also leak source 0.
-        let a = analyze(&sched, &machine(), &[0], &payload, &opts());
+        let a = analyze(&view(&sched, p), &machine(), &[0], &payload, &opts());
         let kinds: Vec<FindingKind> = a.findings.iter().map(|f| f.kind).collect();
         assert!(kinds.contains(&FindingKind::UnmatchedSend));
         assert!(kinds.contains(&FindingKind::PayloadLeak));
@@ -809,15 +824,18 @@ mod tests {
 
     #[test]
     fn ambiguity_dedupes_per_site() {
-        let mut sched = Schedule {
-            p: 2,
-            ..Schedule::default()
-        };
+        let (p, mut sched) = (2, EventLog::default());
         sched.sends.push(send(1, 0, 1, 5, &payload(0)));
         sched.sends.push(send(2, 0, 1, 5, &payload(0)));
         sched.recvs.push(recv(1, 1, 0, 5, 2));
         sched.recvs.push(recv(2, 1, 0, 5, 1));
-        let a = analyze(&sched, &Machine::paragon(1, 2), &[0], &payload, &opts());
+        let a = analyze(
+            &view(&sched, p),
+            &Machine::paragon(1, 2),
+            &[0],
+            &payload,
+            &opts(),
+        );
         let ambiguities: Vec<_> = a
             .findings
             .iter()
@@ -826,8 +844,8 @@ mod tests {
         assert_eq!(ambiguities.len(), 1);
     }
 
-    fn drop(seq: u64, attempt: u32, exhausted: bool) -> DropOp {
-        DropOp {
+    fn drop(seq: u64, attempt: u32, exhausted: bool) -> DropEvent {
+        DropEvent {
             seq,
             src: 0,
             dst: 1,
@@ -838,14 +856,17 @@ mod tests {
 
     #[test]
     fn lost_message_is_attributed_to_the_fault_plan() {
-        let mut sched = Schedule {
-            p: 2,
-            ..Schedule::default()
-        };
+        let (p, mut sched) = (2, EventLog::default());
         sched.sends.push(send(1, 0, 1, 5, &payload(0)));
         sched.drops.push(drop(1, 0, false));
         sched.drops.push(drop(1, 1, true));
-        let a = analyze(&sched, &Machine::paragon(1, 2), &[0], &payload, &opts());
+        let a = analyze(
+            &view(&sched, p),
+            &Machine::paragon(1, 2),
+            &[0],
+            &payload,
+            &opts(),
+        );
         let kinds: Vec<FindingKind> = a.findings.iter().map(|f| f.kind).collect();
         assert!(kinds.contains(&FindingKind::LostMessage));
         // The root cause is reported once — not also as an unmatched send.
@@ -868,33 +889,33 @@ mod tests {
     #[test]
     fn recovered_drops_are_not_findings() {
         // Attempt 0 dropped, retry delivered: full delivery, clean run.
-        let mut sched = Schedule {
-            p: 2,
-            ..Schedule::default()
-        };
+        let (p, mut sched) = (2, EventLog::default());
         sched.sends.push(send(1, 0, 1, 5, &payload(0)));
         sched.drops.push(drop(1, 0, false));
         sched.recvs.push(recv(1, 1, 0, 5, 1));
-        let a = analyze(&sched, &Machine::paragon(1, 2), &[0], &payload, &opts());
+        let a = analyze(
+            &view(&sched, p),
+            &Machine::paragon(1, 2),
+            &[0],
+            &payload,
+            &opts(),
+        );
         assert!(a.is_clean(), "unexpected findings: {:?}", a.findings);
     }
 
     #[test]
     fn link_overload_requires_opt_in() {
-        let mut sched = Schedule {
-            p: 2,
-            ..Schedule::default()
-        };
+        let (p, mut sched) = (2, EventLog::default());
         for seq in 1..=4u64 {
             sched.sends.push(send(seq, 0, 1, seq as u32, &payload(0)));
             sched.recvs.push(recv(seq, 1, 0, seq as u32, 1));
         }
         let m = Machine::paragon(1, 2);
-        let silent = analyze(&sched, &m, &[0], &payload, &opts());
+        let silent = analyze(&view(&sched, p), &m, &[0], &payload, &opts());
         assert!(silent.is_clean());
         assert_eq!(silent.max_link_load, 4);
         let strict = analyze(
-            &sched,
+            &view(&sched, p),
             &m,
             &[0],
             &payload,
@@ -911,15 +932,12 @@ mod tests {
 
     #[test]
     fn findings_come_out_in_canonical_order() {
-        let mut sched = Schedule {
-            p: 4,
-            ..Schedule::default()
-        };
+        let (p, mut sched) = (4, EventLog::default());
         // Two unmatched sends pushed in reverse-destination order plus
         // leaks: the report must still sort by (kind, rank, at, seq).
         sched.sends.push(send(2, 0, 3, 5, &payload(0)));
         sched.sends.push(send(1, 0, 2, 5, &payload(0)));
-        let a = analyze(&sched, &machine(), &[0], &payload, &opts());
+        let a = analyze(&view(&sched, p), &machine(), &[0], &payload, &opts());
         let sorted: Vec<_> = a
             .findings
             .iter()
@@ -930,6 +948,199 @@ mod tests {
         assert_eq!(sorted, expect, "{:?}", a.findings);
         assert_eq!(a.findings[0].kind, FindingKind::UnmatchedSend);
         assert_eq!(a.findings[0].rank, Some(2));
+    }
+
+    /// The payload-leak check alone, as `analyze` would run it.
+    fn leak_check(sched: &Schedule, sources: &[usize], len: usize) -> CheckOutput {
+        let payload_of = move |src: usize| stp_core::msgset::payload_for(src, len);
+        let references = source_payloads(sources, &payload_of);
+        let mut out = CheckOutput::default();
+        let ctx = CheckCtx {
+            sched,
+            machine: &machine(),
+            sources,
+            payload_of: &payload_of,
+            opts: &opts(),
+            cost: None,
+            link_counts: &BTreeMap::new(),
+            payloads: &PayloadIds::new(&references, &sched.sends),
+        };
+        PayloadLeakCheck.run(&ctx, &mut out);
+        out
+    }
+
+    fn assert_same_leaks(sched: &Schedule, sources: &[usize], len: usize, what: &str) {
+        let dense = leak_check(sched, sources, len);
+        let payload_of = move |src: usize| stp_core::msgset::payload_for(src, len);
+        let naive = crate::naive::payload_leak(sched, sources, &payload_of);
+        assert_eq!(dense.opaque_payloads, naive.opaque_payloads, "{what}");
+        let details = |out: &CheckOutput| -> Vec<(Option<usize>, String)> {
+            let leaks = out.findings.iter();
+            leaks.map(|f| (f.rank, f.detail.clone())).collect()
+        };
+        assert_eq!(details(&dense), details(&naive), "{what}");
+    }
+
+    /// Interned ids and bit-set source sets against their `HashMap` /
+    /// `BTreeSet` versions, on every quick-matrix point and every
+    /// fixture: ids equal exactly when the bytes are, and the same leak
+    /// findings word for word.
+    #[test]
+    fn interning_and_leak_sets_agree_with_the_naive_versions_on_recorded_runs() {
+        let mut runs = 0;
+        crate::lint::tests::for_each_quick_recording(|machine, sources, run| {
+            let sched = Schedule::from_recorded(run, machine.p());
+            let ids = PayloadIds::new(&[], &sched.sends);
+            assert_eq!(ids.of_send, crate::naive::payload_ids(&sched));
+            assert_same_leaks(&sched, sources, 64, "recorded run");
+            runs += 1;
+        });
+        assert_eq!(runs, 640 + 5);
+    }
+
+    /// The order in which the leak check meets payloads is observable:
+    /// an unattributable payload aborts it only when a receive consumes
+    /// it, and then whatever was leaking goes unreported.
+    #[test]
+    fn leak_sets_agree_with_the_naive_version_around_opaque_payloads() {
+        let set = |entries: &[(usize, &[u8])]| {
+            let mut set = stp_core::msgset::MessageSet::new();
+            for (key, bytes) in entries {
+                set.insert(*key, bytes);
+            }
+            set.to_bytes()
+        };
+        let (a, b) = (payload(0), payload(2));
+        let both = set(&[(0, &a), (2, &b)]);
+        let rekeyed = set(&[(5, &b)]);
+        let unknown = set(&[(0, &a), (2, b"somebody else's bytes")]);
+        /// `(src, dst, payload, received)`.
+        type Msg<'a> = (usize, usize, &'a [u8], bool);
+        let cases: [(&str, &[Msg]); 4] = [
+            (
+                "complete",
+                &[
+                    (0, 1, &both, true),
+                    (0, 2, &a, true),
+                    (2, 0, &rekeyed, true),
+                    (0, 3, &both, true),
+                ],
+            ),
+            ("leaking", &[(0, 1, &a, true), (2, 3, &b, true)]),
+            (
+                "opaque but never received",
+                &[(0, 1, &a, true), (0, 2, &unknown, false)],
+            ),
+            (
+                "opaque after a leak",
+                &[(0, 1, &a, true), (0, 3, b"garbage", true)],
+            ),
+        ];
+        for (what, msgs) in cases {
+            let mut log = EventLog::default();
+            for (i, &(src, dst, data, received)) in msgs.iter().enumerate() {
+                log.sends.push(send(i as u64 + 1, src, dst, 5, data));
+                if received {
+                    log.recvs.push(recv(i as u64 + 1, dst, src, 5, 1));
+                }
+            }
+            assert_same_leaks(&view(&log, 4), &[0, 2], 16, what);
+        }
+        // Zero-length messages: one empty source is still attributable
+        // (through its key), two are ambiguous.
+        let mut log = EventLog::default();
+        log.sends.push(send(1, 0, 1, 5, &set(&[(0, &[])])));
+        log.recvs.push(recv(1, 1, 0, 5, 1));
+        assert_same_leaks(&view(&log, 2), &[0], 0, "one empty source");
+        assert_same_leaks(&view(&log, 2), &[0, 1], 0, "two empty sources");
+    }
+
+    /// Dense tables are sized from the recording, not trusted from it:
+    /// sequence numbers from 0, far apart, or next to `u64::MAX` must
+    /// index like small consecutive ones.
+    #[test]
+    fn findings_do_not_depend_on_how_sequence_numbers_are_spread() {
+        let build = |seqs: [u64; 4]| {
+            let mut log = EventLog::default();
+            // 0 -> 1 received, 0 -> 2 never received, 0 -> 3 destroyed
+            // by the fault plan, 0 -> 1 again with an ambiguous match.
+            for (seq, dst) in seqs.into_iter().zip([1, 2, 3, 1]) {
+                log.sends.push(send(seq, 0, dst, 5, &payload(0)));
+            }
+            log.recvs.push(recv(seqs[0], 1, 0, 5, 2));
+            log.recvs.push(recv(seqs[3], 1, 0, 5, 1));
+            log.drops.push(DropEvent {
+                dst: 3,
+                ..drop(seqs[2], 0, true)
+            });
+            log
+        };
+        let findings = |seqs: [u64; 4]| -> Vec<(FindingKind, Option<usize>, String, usize)> {
+            let log = build(seqs);
+            let a = analyze(&view(&log, 4), &machine(), &[0], &payload, &opts());
+            let nth = |seq: Option<u64>| seqs.iter().position(|&s| Some(s) == seq).unwrap_or(9);
+            let found = a.findings.iter();
+            found
+                .map(|f| (f.kind, f.rank, f.detail.clone(), nth(f.seq)))
+                .collect()
+        };
+        let plain = findings([1, 2, 3, 4]);
+        let kinds: BTreeSet<FindingKind> = plain.iter().map(|f| f.0).collect();
+        assert_eq!(
+            kinds.into_iter().collect::<Vec<_>>(),
+            [
+                FindingKind::UnmatchedSend,
+                FindingKind::MatchAmbiguity,
+                FindingKind::PayloadLeak,
+                FindingKind::LostMessage
+            ]
+        );
+        assert_eq!(findings([0, 1, 2, 3]), plain);
+        assert_eq!(findings([0, 1 << 20, 1 << 40, u64::MAX - 1]), plain);
+        assert_eq!(
+            findings([u64::MAX - 4, u64::MAX - 3, u64::MAX - 2, u64::MAX - 1]),
+            plain
+        );
+    }
+
+    /// The same on the timing side: a recorded run whose sequence numbers
+    /// are scattered over the whole `u64` range, on a machine larger than
+    /// any fixed-size node table would want to be, still replays
+    /// conformant and lints exactly as recorded.
+    #[test]
+    fn replay_indexes_scattered_seqs_on_a_large_machine() {
+        use stp_core::runner::{record_sources, AlgoKind};
+        let machine = Machine::paragon(24, 24);
+        let sources = [0, 100, 300, 575];
+        let kind = AlgoKind::BrLin;
+        let mut run = record_sources(
+            &machine,
+            kind.default_lib(),
+            &sources,
+            &payload,
+            kind.build().as_ref(),
+        );
+        let perf = AnalyzeOpts {
+            perf: true,
+            lib: kind.default_lib(),
+            ..opts()
+        };
+        let lint = |run: &stp_core::runner::RecordedRun| {
+            let sched = Schedule::from_recorded(run, machine.p());
+            let a = analyze(&sched, &machine, &sources, &payload, &perf);
+            let cost = a.cost.expect("a recorded run is replayed");
+            assert!(cost.conformant(), "{:?}", cost.divergences);
+            assert_eq!(Some(cost.makespan_ns), sched.makespan_ns);
+            let found = a.findings.into_iter();
+            found.map(|f| (f.kind, f.detail)).collect::<Vec<_>>()
+        };
+        let as_recorded = lint(&run);
+        let scatter = |seq: u64| seq.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let log = &mut run.events;
+        log.sends.iter_mut().for_each(|e| e.seq = scatter(e.seq));
+        log.xfers.iter_mut().for_each(|e| e.seq = scatter(e.seq));
+        log.recvs.iter_mut().for_each(|e| e.seq = scatter(e.seq));
+        assert_eq!(lint(&run), as_recorded);
     }
 
     #[test]

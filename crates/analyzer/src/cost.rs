@@ -23,11 +23,11 @@
 //! a port wait), per-transfer slack, per-link busy timelines, and
 //! per-node injection-port concurrency.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use mpp_model::{ContentionModel, LibraryKind, Link, Machine, Time};
 
-use crate::schedule::Schedule;
+use crate::schedule::{grouped, Schedule, NONE};
 
 /// Cap on recorded divergence messages per schedule: the first mismatch
 /// is the signal; later ones usually cascade from it.
@@ -50,6 +50,31 @@ pub struct LinkTimeline {
     /// Heaviest transfers through this link:
     /// `(seq, src, dst, window_ns)`, longest first.
     pub top: Vec<(u64, usize, usize, Time)>,
+}
+
+impl LinkTimeline {
+    /// Account one reserved window. `top` stays what sorting every
+    /// window by (duration descending, seq ascending) and keeping the
+    /// first [`TOP_TRANSFERS`] would give, without keeping the rest.
+    fn reserve(&mut self, from_ns: Time, until_ns: Time, seq: u64, src: usize, dst: usize) {
+        let dur = until_ns.saturating_sub(from_ns);
+        if self.messages == 0 {
+            self.first_busy_ns = Time::MAX;
+        }
+        self.messages += 1;
+        self.busy_ns += dur;
+        self.first_busy_ns = self.first_busy_ns.min(from_ns);
+        self.last_busy_ns = self.last_busy_ns.max(until_ns);
+        let at = self
+            .top
+            .iter()
+            .position(|&(s, _, _, d)| (dur, s) > (d, seq))
+            .unwrap_or(self.top.len());
+        if at < TOP_TRANSFERS {
+            self.top.truncate(TOP_TRANSFERS - 1);
+            self.top.insert(at, (seq, src, dst, dur));
+        }
+    }
 }
 
 /// Injection-port usage of one node.
@@ -91,17 +116,15 @@ pub struct CostReport {
     pub makespan_ns: Time,
     /// Critical-path decomposition.
     pub crit: CriticalPath,
-    /// Per-delivered-transfer slack: `(seq, ns)` the message sat in its
-    /// destination mailbox before the receiver asked for it.
-    pub slack_ns: Vec<(u64, Time)>,
     /// Busy timeline per directed link (recorded ground truth).
     pub links: BTreeMap<Link, LinkTimeline>,
     /// Injection-port usage per node.
     pub ports: Vec<PortUse>,
-    /// Total contention stall over all transfers (ns).
-    pub total_stall_ns: Time,
-    /// Total resource-free transfer time over all transfers (ns).
-    pub total_free_ns: Time,
+    /// The link of every recorded window (by position in
+    /// [`Schedule::windows`]), as an index into `link_table`.
+    pub(crate) window_link: Vec<u32>,
+    /// The distinct links the schedule reserved, in first-use order.
+    pub(crate) link_table: Vec<Link>,
 }
 
 impl CostReport {
@@ -109,48 +132,96 @@ impl CostReport {
     pub fn conformant(&self) -> bool {
         self.divergences.is_empty()
     }
+
+    fn diverge(&mut self, msg: impl FnOnce() -> String) {
+        if self.divergences.len() < DIVERGENCE_CAP {
+            self.divergences.push(msg());
+        }
+    }
 }
 
-/// Which constraint decided a transfer's injection instant.
+/// Compact ids (first-use order) for the directed links a schedule
+/// touches, so everything per link is an array indexed by id. This is
+/// the engine's own table — it shares nothing with the kernel's
+/// `from·n + to` busy table it is checked against. Links hang off their
+/// `from` node in short chains (a node has a handful of neighbours), so
+/// the table is linear in the machine, takes any link the recording
+/// names — one spare bucket holds those whose `from` lies outside the
+/// machine — and never hashes.
+pub(crate) struct LinkIndex {
+    head: Vec<u32>,
+    next: Vec<u32>,
+    /// The links by id.
+    pub(crate) links: Vec<Link>,
+}
+
+impl LinkIndex {
+    pub(crate) fn new(nodes: usize) -> LinkIndex {
+        LinkIndex {
+            head: vec![NONE; nodes + 1],
+            next: Vec::new(),
+            links: Vec::new(),
+        }
+    }
+
+    /// The id of `link`, assigning the next one on first sight.
+    pub(crate) fn id(&mut self, link: Link) -> u32 {
+        let bucket = link.from.min(self.head.len() - 1);
+        let mut at = self.head[bucket];
+        while at != NONE {
+            if self.links[at as usize] == link {
+                return at;
+            }
+            at = self.next[at as usize];
+        }
+        let id = self.links.len() as u32;
+        self.links.push(link);
+        self.next.push(self.head[bucket]);
+        self.head[bucket] = id;
+        id
+    }
+}
+
+/// Which constraint decided a transfer's injection instant. Holders are
+/// indices into [`Schedule::xfers`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Bound {
     /// Software-ready at the sender: nothing blocked it.
     Ready,
-    /// The source node's injection-port slot (last held by `seq`).
-    OutPort(Option<u64>),
+    /// The source node's injection-port slot (last held by this
+    /// transfer).
+    OutPort(u32),
     /// The destination node's ejection-port slot.
-    InPort(Option<u64>),
-    /// A busy link on the route.
-    OnLink(Link, Option<u64>),
+    InPort(u32),
+    /// A busy link on the route, by link id.
+    OnLink(u32, u32),
 }
 
-/// One replayed transfer with its recomputed schedule and provenance.
-#[derive(Debug, Clone)]
+/// A resource's reservation state: busy until `until`, last reserved by
+/// transfer `by`.
+#[derive(Debug, Clone, Copy)]
+struct Held {
+    until: Time,
+    by: u32,
+}
+
+/// The recomputed schedule of one transfer (the recorded inputs stay in
+/// [`Schedule::xfers`] at the same index).
+#[derive(Debug, Clone, Copy)]
 struct XferCost {
-    seq: u64,
-    src: usize,
-    ready_ns: Time,
     start_ns: Time,
     done_ns: Time,
     stall_ns: Time,
     free_ns: Time,
-    route: Vec<Link>,
     bound: Bound,
-    local: bool,
 }
 
 /// One operation of a rank's clock chain.
 #[derive(Debug, Clone, Copy)]
-enum OpKind {
-    /// `usize` indexes [`Schedule::sends`].
-    Send(usize),
-    /// `usize` indexes [`Schedule::recvs`].
-    Recv(usize),
-}
-
-#[derive(Debug, Clone, Copy)]
 struct RankOp {
-    kind: OpKind,
+    /// Index into [`Schedule::sends`] or [`Schedule::recvs`].
+    idx: u32,
+    is_send: bool,
     /// Recorded clock when the kernel processed the op (its input).
     in_ns: Time,
     /// Recomputed clock after the op.
@@ -159,10 +230,10 @@ struct RankOp {
 
 /// Index of the earliest-free slot (ties → lowest index) — the same
 /// deterministic arbitration the kernel uses.
-fn best_slot(slots: &[Time]) -> usize {
+fn best_slot(slots: &[Held]) -> usize {
     let mut best = 0;
-    for (i, &t) in slots.iter().enumerate().skip(1) {
-        if t < slots[best] {
+    for (i, slot) in slots.iter().enumerate().skip(1) {
+        if slot.until < slots[best].until {
             best = i;
         }
     }
@@ -190,290 +261,283 @@ pub fn replay(sched: &Schedule, machine: &Machine, lib: LibraryKind, faulted: bo
         ports: vec![PortUse::default(); n],
         ..CostReport::default()
     };
-    fn diverge(report: &mut CostReport, msg: String) {
-        if report.divergences.len() < DIVERGENCE_CAP {
-            report.divergences.push(msg);
-        }
-    }
+
+    let mut link_index = LinkIndex::new(n);
+    let window_link: Vec<u32> = sched
+        .windows
+        .iter()
+        .map(|w| link_index.id(w.link))
+        .collect();
+    let link_table = link_index.links;
 
     // ---- Network replay: recompute every transfer's reservations. ----
-    let mut link_busy: HashMap<Link, Time> = HashMap::new();
-    let mut link_writer: HashMap<Link, u64> = HashMap::new();
-    let mut out_port: Vec<Vec<Time>> = vec![vec![0; k]; n];
-    let mut in_port: Vec<Vec<Time>> = vec![vec![0; k]; n];
-    let mut out_writer: Vec<Vec<Option<u64>>> = vec![vec![None; k]; n];
-    let mut in_writer: Vec<Vec<Option<u64>>> = vec![vec![None; k]; n];
+    // Reservation state per link id and per port slot (`node * k + slot`).
+    // Alongside, the recorded windows feed the link timelines.
+    let idle = Held { until: 0, by: NONE };
+    let mut link_state = vec![idle; link_table.len()];
+    let mut out_port = vec![idle; n * k];
+    let mut in_port = vec![idle; n * k];
+    let mut timelines: Vec<LinkTimeline> = vec![LinkTimeline::default(); link_table.len()];
     let mut xfers: Vec<XferCost> = Vec::with_capacity(sched.xfers.len());
-    let mut xfer_by_seq: HashMap<u64, usize> = HashMap::with_capacity(sched.xfers.len());
-    let send_bytes: HashMap<u64, usize> =
-        sched.sends.iter().map(|s| (s.seq, s.data.len())).collect();
+    // Per sequence slot: the (last) transfer carrying that number.
+    let mut xfer_at: Vec<u32> = vec![NONE; sched.seq_slots()];
+    let mut expect_route: Vec<Link> = Vec::new();
 
-    for x in &sched.xfers {
+    for (xi, x) in sched.xfers.iter().enumerate() {
+        let xi = xi as u32;
         let bytes = x.bytes;
-        if let Some(&b) = send_bytes.get(&x.seq) {
+        xfer_at[sched.seq_slot(x.seq).expect("transfer seqs are indexed")] = xi;
+        if let Some(si) = sched.send_of(x.seq) {
+            let b = sched.sends[si].data.len();
             if b != bytes {
-                diverge(
-                    &mut report,
+                report.diverge(|| {
                     format!(
                         "seq {}: transfer bytes {} != send payload {}",
                         x.seq, bytes, b
-                    ),
-                );
+                    )
+                });
             }
         }
         let wire_ns = params.serialize_ns_lib(bytes, lib);
+        let windows = sched.windows_of(x);
+        let ids = &window_link[x.win_off as usize..][..windows.len()];
+        for (w, &l) in windows.iter().zip(ids) {
+            timelines[l as usize].reserve(w.from_ns, w.until_ns, x.seq, x.src, x.dst);
+        }
         if x.is_local() {
             let done = x.ready_ns + params.memcpy_ns(bytes);
             if done != x.done_ns {
-                diverge(
-                    &mut report,
+                report.diverge(|| {
                     format!(
                         "seq {}: local delivery recomputed at {} ns, kernel recorded {} ns",
                         x.seq, done, x.done_ns
-                    ),
-                );
+                    )
+                });
             }
-            let idx = xfers.len();
             xfers.push(XferCost {
-                seq: x.seq,
-                src: x.src,
-                ready_ns: x.ready_ns,
                 start_ns: x.ready_ns,
                 done_ns: done,
                 stall_ns: 0,
                 free_ns: done - x.ready_ns,
-                route: Vec::new(),
                 bound: Bound::Ready,
-                local: true,
             });
-            xfer_by_seq.insert(x.seq, idx);
             continue;
         }
 
-        let route: Vec<Link> = x.windows.iter().map(|w| w.link).collect();
+        let hops = windows.len();
+        let u = machine.node_of(x.src);
+        let v = machine.node_of(x.dst);
         if !faulted {
-            let expect = machine.route(x.src, x.dst);
-            if route != expect {
-                diverge(
-                    &mut report,
+            machine.topology.route_into(u, v, &mut expect_route);
+            if !windows.iter().map(|w| &w.link).eq(&expect_route) {
+                report.diverge(|| {
                     format!(
                         "seq {}: recorded route differs from the dimension-ordered \
                          route {} -> {} ({} vs {} hops)",
                         x.seq,
                         x.src,
                         x.dst,
-                        route.len(),
-                        expect.len()
-                    ),
-                );
+                        hops,
+                        expect_route.len()
+                    )
+                });
             }
         }
-        let u = machine.node_of(x.src);
-        let v = machine.node_of(x.dst);
-        let out_slot = best_slot(&out_port[u]);
-        let in_slot = best_slot(&in_port[v]);
-        if Some(out_slot) != x.out_slot || Some(in_slot) != x.in_slot {
-            diverge(
-                &mut report,
+        let (outs, ins) = (u * k..(u + 1) * k, v * k..(v + 1) * k);
+        let out_slot = best_slot(&out_port[outs.clone()]);
+        let in_slot = best_slot(&in_port[ins.clone()]);
+        if Some(out_slot as u32) != x.out_slot || Some(in_slot as u32) != x.in_slot {
+            report.diverge(|| {
                 format!(
                     "seq {}: recomputed port slots (out {}, in {}) != recorded ({:?}, {:?})",
                     x.seq, out_slot, in_slot, x.out_slot, x.in_slot
-                ),
-            );
+                )
+            });
         }
-        let in_horizon = in_port[v][in_slot].saturating_sub(route.len() as Time * tau);
-        let port_free = x.ready_ns.max(out_port[u][out_slot]).max(in_horizon);
+        let (out, inn) = (
+            out_port[outs.start + out_slot],
+            in_port[ins.start + in_slot],
+        );
+        let in_horizon = inn.until.saturating_sub(hops as Time * tau);
+        let port_free = x.ready_ns.max(out.until).max(in_horizon);
         let mut bound = Bound::Ready;
         if port_free > x.ready_ns {
-            bound = if out_port[u][out_slot] >= in_horizon {
-                Bound::OutPort(out_writer[u][out_slot])
+            bound = if out.until >= in_horizon {
+                Bound::OutPort(out.by)
             } else {
-                Bound::InPort(in_writer[v][in_slot])
+                Bound::InPort(inn.by)
             };
         }
 
         // Independent re-implementation of the contention arithmetic —
-        // see `mpp_sim::network` for the kernel's version.
-        let mut windows: Vec<(Link, Time, Time)> = Vec::with_capacity(route.len());
+        // see `mpp_sim::network` for the kernel's version. Each hop's
+        // recomputed window is held against the recorded one as it is
+        // produced; the first mismatch is reported after the transfer's
+        // own instants.
+        let mut bad_hop: Option<(usize, Time, Time)> = None;
+        let mut reserve = |link: &mut Held, i: usize, from: Time, until: Time| {
+            let w = &windows[i];
+            if bad_hop.is_none() && (from != w.from_ns || until != w.until_ns) {
+                bad_hop = Some((i, from, until));
+            }
+            *link = Held { until, by: xi };
+        };
         let (start, done) = match params.contention {
             ContentionModel::Shared => {
                 let link_ns = params.link_ns(bytes);
                 let mut head = port_free;
-                for link in &route {
-                    let busy = link_busy.get(link).copied().unwrap_or(0);
-                    if busy > head {
-                        head = busy;
-                        bound = Bound::OnLink(*link, link_writer.get(link).copied());
+                for (i, &l) in ids.iter().enumerate() {
+                    let link = &mut link_state[l as usize];
+                    if link.until > head {
+                        head = link.until;
+                        bound = Bound::OnLink(l, link.by);
                     }
-                    windows.push((*link, head, head + link_ns));
-                    link_busy.insert(*link, head + link_ns);
-                    link_writer.insert(*link, x.seq);
+                    reserve(link, i, head, head + link_ns);
                     head += tau;
                 }
                 let done = head + wire_ns;
-                let start = head - route.len() as Time * tau;
+                let start = head - hops as Time * tau;
                 (start, done)
             }
             model => {
                 let pipelined = model == ContentionModel::Pipelined;
                 let mut start = port_free;
-                for (i, link) in route.iter().enumerate() {
-                    let busy = link_busy.get(link).copied().unwrap_or(0);
+                for (i, &l) in ids.iter().enumerate() {
+                    let link = link_state[l as usize];
                     let slack = if pipelined { i as Time * tau } else { 0 };
-                    let cand = busy.saturating_sub(slack);
+                    let cand = link.until.saturating_sub(slack);
                     if cand > start {
                         start = cand;
-                        bound = Bound::OnLink(*link, link_writer.get(link).copied());
+                        bound = Bound::OnLink(l, link.by);
                     }
                 }
-                let done = start + params.hops_ns(route.len()) + wire_ns;
-                for (i, link) in route.iter().enumerate() {
-                    let (from, until) = if pipelined {
-                        (start + i as Time * tau, start + i as Time * tau + wire_ns)
+                let done = start + params.hops_ns(hops) + wire_ns;
+                for (i, &l) in ids.iter().enumerate() {
+                    let link = &mut link_state[l as usize];
+                    if pipelined {
+                        let from = start + i as Time * tau;
+                        reserve(link, i, from, from + wire_ns);
                     } else {
-                        (start, done)
-                    };
-                    windows.push((*link, from, until));
-                    link_busy.insert(*link, until);
-                    link_writer.insert(*link, x.seq);
+                        reserve(link, i, start, done);
+                    }
                 }
                 (start, done)
             }
         };
-        let free_ns = params.hops_ns(route.len()) + wire_ns;
+        let free_ns = params.hops_ns(hops) + wire_ns;
         let stall = done.saturating_sub(x.ready_ns + free_ns);
 
         if start != x.start_ns || done != x.done_ns {
-            diverge(
-                &mut report,
+            report.diverge(|| {
                 format!(
                     "seq {}: recomputed start/done {}/{} ns != recorded {}/{} ns",
                     x.seq, start, done, x.start_ns, x.done_ns
-                ),
-            );
+                )
+            });
         }
         if stall != x.stall_ns {
-            diverge(
-                &mut report,
+            report.diverge(|| {
                 format!(
                     "seq {}: recomputed stall {} ns != recorded {} ns",
                     x.seq, stall, x.stall_ns
-                ),
-            );
+                )
+            });
         }
-        for (i, w) in x.windows.iter().enumerate() {
-            let (link, from, until) = windows[i];
-            debug_assert_eq!(link, w.link);
-            if from != w.from_ns || until != w.until_ns {
-                diverge(
-                    &mut report,
-                    format!(
-                        "seq {}: hop {} ({}->{}) recomputed window [{}, {}] != \
-                         recorded [{}, {}]",
-                        x.seq, i, w.link.from, w.link.to, from, until, w.from_ns, w.until_ns
-                    ),
-                );
-                break;
-            }
+        if let Some((i, from, until)) = bad_hop {
+            let w = &windows[i];
+            report.diverge(|| {
+                format!(
+                    "seq {}: hop {} ({}->{}) recomputed window [{}, {}] != \
+                     recorded [{}, {}]",
+                    x.seq, i, w.link.from, w.link.to, from, until, w.from_ns, w.until_ns
+                )
+            });
         }
 
-        out_port[u][out_slot] = start + wire_ns;
-        in_port[v][in_slot] = done;
-        out_writer[u][out_slot] = Some(x.seq);
-        in_writer[v][in_slot] = Some(x.seq);
-        report.total_stall_ns += stall;
-        report.total_free_ns += free_ns;
+        out_port[outs.start + out_slot] = Held {
+            until: start + wire_ns,
+            by: xi,
+        };
+        in_port[ins.start + in_slot] = Held {
+            until: done,
+            by: xi,
+        };
         report.ports[u].sends += 1;
-
-        let idx = xfers.len();
         xfers.push(XferCost {
-            seq: x.seq,
-            src: x.src,
-            ready_ns: x.ready_ns,
             start_ns: start,
             done_ns: done,
             stall_ns: stall,
             free_ns,
-            route,
             bound,
-            local: false,
         });
-        xfer_by_seq.insert(x.seq, idx);
     }
+    let xfer_of = |seq: u64| -> Option<usize> {
+        let xi = xfer_at[sched.seq_slot(seq)?];
+        (xi != NONE).then_some(xi as usize)
+    };
 
     // ---- Recorded link timelines and port concurrency. ----
-    let mut link_contrib: BTreeMap<Link, Vec<(Time, u64, usize, usize)>> = BTreeMap::new();
-    let mut port_windows: Vec<Vec<(Time, Time)>> = vec![Vec::new(); n];
-    for x in &sched.xfers {
-        for w in &x.windows {
-            let t = report.links.entry(w.link).or_insert_with(|| LinkTimeline {
-                first_busy_ns: Time::MAX,
-                ..LinkTimeline::default()
-            });
-            t.messages += 1;
-            let dur = w.until_ns.saturating_sub(w.from_ns);
-            t.busy_ns += dur;
-            t.first_busy_ns = t.first_busy_ns.min(w.from_ns);
-            t.last_busy_ns = t.last_busy_ns.max(w.until_ns);
-            link_contrib
-                .entry(w.link)
-                .or_default()
-                .push((dur, x.seq, x.src, x.dst));
+    report.links = link_table.iter().copied().zip(timelines).collect();
+    // Sweep each node's recorded injection windows: +1 at window start,
+    // -1 at end (end before start on ties — back-to-back windows do not
+    // overlap).
+    let injected_at = |x: &mpp_runtime::XferEvent| (!x.is_local()).then(|| machine.node_of(x.src));
+    let (node_start, by_node) = grouped(sched.xfers.iter().map(injected_at), n);
+    let mut edges: Vec<(Time, i32)> = Vec::new();
+    for (node, port) in report.ports.iter_mut().enumerate() {
+        edges.clear();
+        for &xi in &by_node[node_start[node]..node_start[node + 1]] {
+            let x = &sched.xfers[xi as usize];
+            edges.push((x.start_ns, 1));
+            edges.push((x.start_ns + params.serialize_ns_lib(x.bytes, lib), -1));
         }
-        if !x.is_local() {
-            let wire_ns = params.serialize_ns_lib(x.bytes, lib);
-            port_windows[machine.node_of(x.src)].push((x.start_ns, x.start_ns + wire_ns));
-        }
-    }
-    for (link, mut contrib) in link_contrib {
-        contrib.sort_by(|a, b| (b.0, a.1).cmp(&(a.0, b.1)));
-        contrib.truncate(TOP_TRANSFERS);
-        if let Some(t) = report.links.get_mut(&link) {
-            t.top = contrib
-                .into_iter()
-                .map(|(dur, seq, src, dst)| (seq, src, dst, dur))
-                .collect();
-        }
-    }
-    for (node, mut windows) in port_windows.into_iter().enumerate() {
-        windows.sort_unstable();
-        // Sweep: +1 at window start, -1 at end (end before start on ties
-        // — back-to-back windows do not overlap).
-        let mut events: Vec<(Time, i32)> = Vec::with_capacity(windows.len() * 2);
-        for (from, until) in &windows {
-            events.push((*from, 1));
-            events.push((*until, -1));
-        }
-        events.sort_by_key(|&(t, delta)| (t, delta));
+        edges.sort_unstable();
         let (mut cur, mut max) = (0i32, 0i32);
-        for (_, delta) in events {
+        for &(_, delta) in &edges {
             cur += delta;
             max = max.max(cur);
         }
-        report.ports[node].max_out_concurrency = max.max(0) as usize;
+        port.max_out_concurrency = max as usize;
     }
 
     // ---- Per-rank clock chains. ----
-    let mut rank_ops: Vec<Vec<RankOp>> = vec![Vec::new(); sched.p];
-    for (i, s) in sched.sends.iter().enumerate() {
-        rank_ops[s.src].push(RankOp {
-            kind: OpKind::Send(i),
-            in_ns: s.issue_ns,
-            out_ns: 0,
-        });
+    let rank_of_op = sched
+        .sends
+        .iter()
+        .map(|s| Some(s.src))
+        .chain(sched.recvs.iter().map(|r| Some(r.rank)));
+    // Every rank's operations in one array: rank `r`'s chain is
+    // `ops[chain_start[r]..chain_start[r + 1]]`, ordered by input clock.
+    let (chain_start, order) = grouped(rank_of_op, sched.p);
+    let mut ops: Vec<RankOp> = order
+        .iter()
+        .map(|&item| {
+            let (is_send, idx) = match (item as usize).checked_sub(sched.sends.len()) {
+                None => (true, item as usize),
+                Some(recv) => (false, recv),
+            };
+            RankOp {
+                idx: idx as u32,
+                is_send,
+                in_ns: match is_send {
+                    true => sched.sends[idx].issue_ns,
+                    false => sched.recvs[idx].start_ns,
+                },
+                out_ns: 0,
+            }
+        })
+        .collect();
+    let mut finishes: Vec<Option<Time>> = vec![None; sched.p];
+    for f in &sched.finishes {
+        if let Some(slot) = finishes.get_mut(f.rank) {
+            *slot = Some(f.finish_ns);
+        }
     }
-    for (i, r) in sched.recvs.iter().enumerate() {
-        rank_ops[r.rank].push(RankOp {
-            kind: OpKind::Recv(i),
-            in_ns: r.start_ns,
-            out_ns: 0,
-        });
-    }
-    let finishes: HashMap<usize, Time> = sched.finishes.iter().copied().collect();
-    for (rank, ops) in rank_ops.iter_mut().enumerate() {
+    for (rank, &recorded) in finishes.iter().enumerate() {
+        let chain = &mut ops[chain_start[rank]..chain_start[rank + 1]];
         // Stable sort: batched sends share one issue clock and stay in
         // recording order, so batch members end up contiguous.
-        ops.sort_by_key(|op| op.in_ns);
+        chain.sort_by_key(|op| op.in_ns);
         let mut clock: Time = 0;
         // Issue clock of the previous send in the chain. A send whose
         // issue clock equals it is a later member of the same
@@ -484,73 +548,63 @@ pub fn replay(sched: &Schedule, machine: &Machine, lib: LibraryKind, faulted: bo
         // end. Sound because α_send > 0 makes the issue clocks of
         // *sequential* sends strictly increasing.
         let mut prev_send_in: Option<Time> = None;
-        for op in ops.iter_mut() {
-            let batch_member = matches!(op.kind, OpKind::Send(_)) && prev_send_in == Some(op.in_ns);
+        for op in chain.iter_mut() {
+            let batch_member = op.is_send && prev_send_in == Some(op.in_ns);
             if op.in_ns < clock && !batch_member {
-                diverge(
-                    &mut report,
+                report.diverge(|| {
                     format!(
                         "rank {rank}: operation clock {} ns earlier than the \
                          recomputed chain ({} ns) — the model overestimates",
                         op.in_ns, clock
-                    ),
-                );
+                    )
+                });
             }
-            match op.kind {
-                OpKind::Send(i) => {
-                    prev_send_in = Some(op.in_ns);
-                    clock = op.in_ns + alpha_send;
-                    if !faulted {
-                        let seq = sched.sends[i].seq;
-                        if let Some(&xi) = xfer_by_seq.get(&seq) {
-                            if xfers[xi].ready_ns != clock {
-                                diverge(
-                                    &mut report,
-                                    format!(
-                                        "seq {seq}: network-ready recomputed at {} ns \
-                                         (issue + α_send), kernel recorded {} ns",
-                                        clock, xfers[xi].ready_ns
-                                    ),
-                                );
-                            }
+            if op.is_send {
+                prev_send_in = Some(op.in_ns);
+                clock = op.in_ns + alpha_send;
+                if !faulted {
+                    let seq = sched.sends[op.idx as usize].seq;
+                    if let Some(xi) = xfer_of(seq) {
+                        let ready_ns = sched.xfers[xi].ready_ns;
+                        if ready_ns != clock {
+                            report.diverge(|| {
+                                format!(
+                                    "seq {seq}: network-ready recomputed at {} ns \
+                                     (issue + α_send), kernel recorded {} ns",
+                                    clock, ready_ns
+                                )
+                            });
                         }
                     }
                 }
-                OpKind::Recv(i) => {
-                    let r = &sched.recvs[i];
-                    let arrival = xfer_by_seq
-                        .get(&r.seq)
-                        .map(|&xi| xfers[xi].done_ns)
-                        .unwrap_or(r.arrival_ns);
-                    if arrival != r.arrival_ns {
-                        diverge(
-                            &mut report,
-                            format!(
-                                "seq {}: recomputed arrival {} ns != arrival {} ns \
-                                 recorded at rank {}'s receive",
-                                r.seq, arrival, r.arrival_ns, r.rank
-                            ),
-                        );
-                    }
-                    clock = op.in_ns.max(arrival) + alpha_recv;
-                    prev_send_in = None;
+            } else {
+                let r = &sched.recvs[op.idx as usize];
+                let arrival = xfer_of(r.seq).map_or(r.arrival_ns, |xi| xfers[xi].done_ns);
+                if arrival != r.arrival_ns {
+                    report.diverge(|| {
+                        format!(
+                            "seq {}: recomputed arrival {} ns != arrival {} ns \
+                             recorded at rank {}'s receive",
+                            r.seq, arrival, r.arrival_ns, r.rank
+                        )
+                    });
                 }
+                clock = op.in_ns.max(arrival) + alpha_recv;
+                prev_send_in = None;
             }
             op.out_ns = clock;
         }
         // Recomputed completion: the replayed chain plus the recorded
         // trailing local work. A kernel finish before the recomputed
         // chain means the model overestimated somewhere.
-        let recorded = finishes.get(&rank).copied();
         let finish = match recorded {
             Some(f) if f < clock => {
-                diverge(
-                    &mut report,
+                report.diverge(|| {
                     format!(
                         "rank {rank}: kernel finished at {f} ns, before the \
                          recomputed chain end {clock} ns"
-                    ),
-                );
+                    )
+                });
                 clock
             }
             Some(f) => f,
@@ -561,46 +615,39 @@ pub fn replay(sched: &Schedule, machine: &Machine, lib: LibraryKind, faulted: bo
     report.makespan_ns = report.rank_finish_ns.iter().copied().max().unwrap_or(0);
     if let Some(recorded) = sched.makespan_ns {
         if recorded != report.makespan_ns {
-            let msg = format!(
-                "recomputed makespan {} ns != kernel makespan {} ns",
-                report.makespan_ns, recorded
-            );
-            diverge(&mut report, msg);
+            let recomputed = report.makespan_ns;
+            report.diverge(|| {
+                format!("recomputed makespan {recomputed} ns != kernel makespan {recorded} ns")
+            });
         }
     }
 
     // Every delivered send must carry a transfer record.
     if !sched.xfers.is_empty() {
-        let lost = sched.lost_seqs();
+        let lost = sched.seq_flags(sched.lost_seqs());
         for s in &sched.sends {
-            if !lost.contains(&s.seq) && !xfer_by_seq.contains_key(&s.seq) {
-                diverge(
-                    &mut report,
+            let slot = sched.seq_slot(s.seq).expect("send seqs are indexed");
+            if !lost[slot] && xfer_at[slot] == NONE {
+                report.diverge(|| {
                     format!(
                         "seq {}: delivered send {} -> {} has no transfer record",
                         s.seq, s.src, s.dst
-                    ),
-                );
+                    )
+                });
             }
         }
     }
 
-    // ---- Slack per delivered transfer. ----
-    for r in &sched.recvs {
-        report
-            .slack_ns
-            .push((r.seq, r.start_ns.saturating_sub(r.arrival_ns)));
-    }
-
     // ---- Critical path. ----
+    report.window_link = window_link;
+    report.link_table = link_table;
     report.crit = critical_path(
         sched,
-        &rank_ops,
+        (&ops, &chain_start),
         &xfers,
-        &xfer_by_seq,
-        &report.rank_finish_ns,
-        alpha_send,
-        alpha_recv,
+        &xfer_of,
+        &report,
+        (alpha_send, alpha_recv),
     );
 
     report
@@ -614,18 +661,18 @@ pub fn replay(sched: &Schedule, machine: &Machine, lib: LibraryKind, faulted: bo
 /// the walk terminates.
 fn critical_path(
     sched: &Schedule,
-    rank_ops: &[Vec<RankOp>],
+    (ops, chain_start): (&[RankOp], &[usize]),
     xfers: &[XferCost],
-    xfer_by_seq: &HashMap<u64, usize>,
-    rank_finish: &[Time],
-    alpha_send: Time,
-    alpha_recv: Time,
+    xfer_of: &dyn Fn(u64) -> Option<usize>,
+    report: &CostReport,
+    (alpha_send, alpha_recv): (Time, Time),
 ) -> CriticalPath {
     let mut crit = CriticalPath {
         by_rank_ns: vec![0; sched.p],
         ..CriticalPath::default()
     };
-    let Some((last_rank, &finish)) = rank_finish
+    let Some((last_rank, &finish)) = report
+        .rank_finish_ns
         .iter()
         .enumerate()
         .max_by_key(|&(r, f)| (*f, std::cmp::Reverse(r)))
@@ -635,130 +682,138 @@ fn critical_path(
     if finish == 0 {
         return crit;
     }
-    // Index: send op position per seq (to jump from a transfer back into
-    // its sender's chain).
-    let mut send_op: HashMap<u64, (usize, usize)> = HashMap::new();
-    for (rank, ops) in rank_ops.iter().enumerate() {
-        for (i, op) in ops.iter().enumerate() {
-            if let OpKind::Send(si) = op.kind {
-                send_op.insert(sched.sends[si].seq, (rank, i));
-            }
+    // Position in `ops` of each send's op (to jump from a transfer back
+    // into its sender's chain).
+    let mut op_of_send: Vec<u32> = vec![NONE; sched.sends.len()];
+    for (at, op) in ops.iter().enumerate() {
+        if op.is_send {
+            op_of_send[op.idx as usize] = at as u32;
         }
     }
+    let sender_op = |xi: usize| -> Option<usize> {
+        Some(op_of_send[sched.send_of(sched.xfers[xi].seq)?] as usize)
+    };
+    let rank_of = |op: &RankOp| match op.is_send {
+        true => sched.sends[op.idx as usize].src,
+        false => sched.recvs[op.idx as usize].rank,
+    };
 
     enum Cursor {
-        /// Walking rank `0`'s chain at op index `1` (whose recomputed
-        /// output clock has already been consumed).
-        Rank(usize, usize),
+        /// Walking a rank's chain at this position of `ops` (whose
+        /// recomputed output clock has already been consumed).
+        Op(usize),
         Xfer(usize),
     }
 
+    // Rank time is accumulated signed: batched multi-port sends share
+    // one α_send window, so a gap term below can be negative (an overlap
+    // compensating the α already charged for the later batch member).
+    let mut by_rank: Vec<i128> = vec![0; sched.p];
+    let mut by_link: Vec<Option<Time>> = vec![None; report.link_table.len()];
     // Trailing local work after the last op.
-    let mut cursor = match rank_ops[last_rank].len() {
-        0 => {
-            crit.by_rank_ns[last_rank] += finish;
-            return crit;
-        }
-        len => {
-            crit.by_rank_ns[last_rank] += finish - rank_ops[last_rank][len - 1].out_ns;
-            Cursor::Rank(last_rank, len - 1)
-        }
-    };
-    let mut visited_ops: HashSet<(usize, usize)> = HashSet::new();
-    let mut visited_xfers: HashSet<usize> = HashSet::new();
+    let last = chain_start[last_rank + 1];
+    if last == chain_start[last_rank] {
+        crit.by_rank_ns[last_rank] = finish;
+        return crit;
+    }
+    by_rank[last_rank] += i128::from(finish - ops[last - 1].out_ns);
+    let mut cursor = Cursor::Op(last - 1);
+    let mut visited_ops = vec![false; ops.len()];
+    let mut visited_xfers = vec![false; xfers.len()];
     let budget = 4 * (sched.sends.len() + sched.recvs.len() + xfers.len()) + 16;
 
     for _ in 0..budget {
         match cursor {
-            Cursor::Rank(rank, i) => {
-                if !visited_ops.insert((rank, i)) {
+            Cursor::Op(at) => {
+                if std::mem::replace(&mut visited_ops[at], true) {
                     break;
                 }
-                let op = rank_ops[rank][i];
-                let (next_net, op_floor) = match op.kind {
-                    OpKind::Send(_) => {
-                        crit.by_rank_ns[rank] += alpha_send;
-                        (None, op.in_ns)
+                let op = ops[at];
+                let rank = rank_of(&op);
+                let mut next_net = None;
+                if op.is_send {
+                    by_rank[rank] += i128::from(alpha_send);
+                } else {
+                    by_rank[rank] += i128::from(alpha_recv);
+                    let r = &sched.recvs[op.idx as usize];
+                    let xi = xfer_of(r.seq);
+                    let arrival = xi.map_or(r.arrival_ns, |xi| xfers[xi].done_ns);
+                    if arrival > op.in_ns {
+                        next_net = xi;
                     }
-                    OpKind::Recv(ri) => {
-                        crit.by_rank_ns[rank] += alpha_recv;
-                        let r = &sched.recvs[ri];
-                        let arrival = xfer_by_seq
-                            .get(&r.seq)
-                            .map(|&xi| xfers[xi].done_ns)
-                            .unwrap_or(r.arrival_ns);
-                        if arrival > op.in_ns {
-                            (xfer_by_seq.get(&r.seq).copied(), op.in_ns)
-                        } else {
-                            (None, op.in_ns)
-                        }
-                    }
-                };
+                }
                 if let Some(xi) = next_net {
                     cursor = Cursor::Xfer(xi);
                     continue;
                 }
-                // Local: charge the opaque gap back to the previous op.
-                // Batched multi-port sends share one α_send window, so
-                // the previous op's out clock can sit *past* this op's
-                // floor: the gap term is then *negative* (an overlap
-                // compensating charges already made along the chain).
-                // The telescoped sum stays non-negative, so accumulate
-                // with wrapping arithmetic — the intermediate dip is
-                // fine modulo 2^64 and the final total is exact.
-                if i == 0 {
-                    crit.by_rank_ns[rank] += op_floor;
+                // Local: charge the opaque gap back to the previous op
+                // (negative inside a send batch, see above).
+                if at == chain_start[rank] {
+                    by_rank[rank] += i128::from(op.in_ns);
                     break;
                 }
-                crit.by_rank_ns[rank] = crit.by_rank_ns[rank]
-                    .wrapping_add(op_floor.wrapping_sub(rank_ops[rank][i - 1].out_ns));
-                cursor = Cursor::Rank(rank, i - 1);
+                by_rank[rank] += i128::from(op.in_ns) - i128::from(ops[at - 1].out_ns);
+                cursor = Cursor::Op(at - 1);
             }
             Cursor::Xfer(xi) => {
-                if !visited_xfers.insert(xi) {
+                if std::mem::replace(&mut visited_xfers[xi], true) {
                     break;
                 }
-                let x = &xfers[xi];
-                if x.local {
+                let (x, cost) = (&sched.xfers[xi], &xfers[xi]);
+                if x.is_local() {
                     // A memcpy delivery: charge it to the sender.
-                    crit.by_rank_ns[x.src] += x.done_ns - x.ready_ns;
-                    match send_op.get(&x.seq) {
-                        Some(&(rank, i)) => cursor = Cursor::Rank(rank, i),
+                    by_rank[x.src] += i128::from(cost.done_ns - x.ready_ns);
+                    match sender_op(xi) {
+                        Some(at) => cursor = Cursor::Op(at),
                         None => break,
                     }
                     continue;
                 }
                 crit.xfers += 1;
-                crit.stall_ns += x.stall_ns;
-                crit.free_ns += x.free_ns;
-                let span = x.done_ns - x.start_ns;
-                for link in &x.route {
-                    *crit.by_link_ns.entry(*link).or_insert(0) += span;
+                crit.stall_ns += cost.stall_ns;
+                crit.free_ns += cost.free_ns;
+                let span = cost.done_ns - cost.start_ns;
+                let ids = &report.window_link[x.win_off as usize..][..x.win_len as usize];
+                for &l in ids {
+                    *by_link[l as usize].get_or_insert(0) += span;
                 }
-                let wait = x.start_ns.saturating_sub(x.ready_ns);
-                match x.bound {
-                    Bound::Ready => match send_op.get(&x.seq) {
-                        Some(&(rank, i)) => cursor = Cursor::Rank(rank, i),
-                        None => break,
-                    },
+                let wait = cost.start_ns.saturating_sub(x.ready_ns);
+                let holder = match cost.bound {
+                    Bound::Ready => {
+                        match sender_op(xi) {
+                            Some(at) => cursor = Cursor::Op(at),
+                            None => break,
+                        }
+                        continue;
+                    }
                     Bound::OutPort(prev) | Bound::InPort(prev) => {
                         crit.port_wait_ns += wait;
-                        match prev.and_then(|s| xfer_by_seq.get(&s)).copied() {
-                            Some(pi) => cursor = Cursor::Xfer(pi),
-                            None => break,
-                        }
+                        prev
                     }
-                    Bound::OnLink(link, prev) => {
-                        *crit.by_link_ns.entry(link).or_insert(0) += wait;
-                        match prev.and_then(|s| xfer_by_seq.get(&s)).copied() {
-                            Some(pi) => cursor = Cursor::Xfer(pi),
-                            None => break,
-                        }
+                    Bound::OnLink(l, prev) => {
+                        *by_link[l as usize].get_or_insert(0) += wait;
+                        prev
                     }
+                };
+                if holder == NONE {
+                    break;
                 }
+                cursor = Cursor::Xfer(holder as usize);
             }
         }
     }
+    // The α charged for a batch member always precedes the negative gap
+    // that compensates it, so no rank's total can end below zero.
+    crit.by_rank_ns = by_rank
+        .into_iter()
+        .map(|ns| Time::try_from(ns).expect("critical-path rank time is never negative"))
+        .collect();
+    crit.by_link_ns = report
+        .link_table
+        .iter()
+        .zip(by_link)
+        .filter_map(|(link, ns)| Some((*link, ns?)))
+        .collect();
     crit
 }
 
@@ -917,6 +972,87 @@ mod tests {
         );
     }
 
+    /// Batched multi-port sends overlap inside one α_send window, which
+    /// the backward walk compensates with negative gap terms. The
+    /// accumulation is signed and must net out exactly: a path whose
+    /// transfers never waited on a resource (no stall) decomposes into
+    /// rank time plus traversal time summing to the makespan, and a path
+    /// with waits can only over-count (adjacent resource windows
+    /// overlap), never fall short or go negative.
+    #[test]
+    fn critical_path_sums_to_the_makespan_under_batched_sends() {
+        let machine = crate::fixtures::machines::five_port_machine();
+        let sources = vec![0, 3, 6, 9, 12, 15];
+        let payload_of = |src: usize| payload_for(src, 256);
+        let mut exact = 0;
+        for kind in [
+            AlgoKind::KPortLin,
+            AlgoKind::KPortScatter,
+            AlgoKind::KPortAlltoall,
+            AlgoKind::BrLin,
+        ] {
+            let alg = kind.build();
+            let run = record_sources_exec(
+                &machine,
+                kind.default_lib(),
+                &sources,
+                &payload_of,
+                alg.as_ref(),
+                ExecMode::Cooperative,
+            );
+            let sched = Schedule::from_recorded(&run, machine.p());
+            let report = replay(&sched, &machine, kind.default_lib(), false);
+            assert!(report.conformant(), "{:?}", report.divergences);
+            let crit = &report.crit;
+            let total = crit.by_rank_ns.iter().sum::<Time>() + crit.free_ns + crit.stall_ns;
+            assert!(
+                total >= report.makespan_ns,
+                "{}: decomposition {total} ns falls short of the makespan {} ns",
+                kind.name(),
+                report.makespan_ns
+            );
+            if crit.stall_ns == 0 {
+                assert_eq!(total, report.makespan_ns, "{}", kind.name());
+                exact += 1;
+            }
+        }
+        assert!(exact > 0, "no stall-free critical path among the schedules");
+    }
+
+    proptest::proptest! {
+        /// A link's top transfers, kept online, are what sorting every
+        /// window by (duration descending, seq ascending) and truncating
+        /// gives — ties in both keep arrival order — and the running
+        /// totals are the plain folds.
+        #[test]
+        fn online_top_transfers_match_sort_and_truncate(
+            windows in proptest::collection::vec((0u64..50, 0u64..4, 0u64..6), 0..40)
+        ) {
+            let mut timeline = LinkTimeline::default();
+            let mut all = Vec::new();
+            for (i, &(from, dur, seq)) in windows.iter().enumerate() {
+                timeline.reserve(from, from + dur, seq, i, i + 1);
+                all.push((dur, seq, i, i + 1));
+            }
+            all.sort_by(|a, b| (b.0, a.1).cmp(&(a.0, b.1)));
+            all.truncate(TOP_TRANSFERS);
+            let sorted: Vec<_> = all.iter().map(|&(dur, seq, src, dst)| (seq, src, dst, dur)).collect();
+            proptest::prop_assert_eq!(&timeline.top, &sorted);
+            proptest::prop_assert_eq!(timeline.messages, windows.len() as u64);
+            proptest::prop_assert_eq!(timeline.busy_ns, windows.iter().map(|w| w.1).sum::<u64>());
+            if !windows.is_empty() {
+                proptest::prop_assert_eq!(
+                    Some(timeline.first_busy_ns),
+                    windows.iter().map(|w| w.0).min()
+                );
+                proptest::prop_assert_eq!(
+                    Some(timeline.last_busy_ns),
+                    windows.iter().map(|w| w.0 + w.1).max()
+                );
+            }
+        }
+    }
+
     /// A deliberately perturbed recording must be caught.
     #[test]
     fn perturbed_recording_diverges() {
@@ -924,7 +1060,7 @@ mod tests {
         let sources = vec![0, 5, 10, 15];
         let payload_of = |src: usize| payload_for(src, 64);
         let alg = AlgoKind::BrLin.build();
-        let run = record_sources_exec(
+        let mut run = record_sources_exec(
             &machine,
             mpp_model::LibraryKind::Nx,
             &sources,
@@ -932,9 +1068,9 @@ mod tests {
             alg.as_ref(),
             ExecMode::Cooperative,
         );
-        let mut sched = Schedule::from_recorded(&run, machine.p());
-        let x = sched.xfers.last_mut().expect("transfers recorded");
+        let x = run.events.xfers.last_mut().expect("transfers recorded");
         x.done_ns += 1;
+        let sched = Schedule::from_recorded(&run, machine.p());
         let report = replay(&sched, &machine, mpp_model::LibraryKind::Nx, false);
         assert!(!report.conformant(), "a +1 ns skew must be detected");
     }

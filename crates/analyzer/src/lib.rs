@@ -35,6 +35,8 @@ pub mod checks;
 pub mod cost;
 pub mod fixtures;
 pub mod lint;
+#[cfg(test)]
+mod naive;
 pub mod perf_checks;
 pub mod report;
 pub mod sarif;
@@ -48,10 +50,11 @@ pub use checks::{
 pub use cost::{replay, CostReport, CriticalPath, LinkTimeline, PortUse};
 pub use lint::{
     hush_expected_panics, lint_fixtures, lint_matrix, lint_matrix_supervised, lint_point,
-    lint_recorded, lint_sig, FixtureVerdict, LintConfig, LintEntry, SupervisedLint,
+    lint_recorded, lint_sig, stage_totals, timed, FixtureVerdict, LintConfig, LintEntry,
+    SupervisedLint,
 };
 pub use report::{
     entries_to_json, entry_from_json, entry_to_json, fixtures_to_json, supervised_report_json,
 };
 pub use sarif::sarif_report;
-pub use schedule::{Attributed, Attribution, Schedule};
+pub use schedule::{PayloadIds, Schedule};

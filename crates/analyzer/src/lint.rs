@@ -1,16 +1,15 @@
 //! The lint sweep: record + analyze every algorithm over the full
 //! distribution × mesh matrix, plus the seeded-bug fixture gate.
 
-use std::sync::Once;
+use std::sync::{Mutex, Once, PoisonError};
+use std::time::{Duration, Instant};
 
 use mpp_model::{FaultPlan, Machine};
 use stp_core::algorithms::StpAlgorithm;
 use stp_core::checkpoint::CheckpointFile;
 use stp_core::distribution::SourceDist;
 use stp_core::msgset::payload_for;
-use stp_core::runner::{
-    record_sources, try_record_sources, AlgoKind, RecordedRun, RunControl, SweepRunner,
-};
+use stp_core::runner::{try_record_sources, AlgoKind, RecordedRun, RunControl, SweepRunner};
 use stp_core::supervise::{
     matrix_points, matrix_shapes, MatrixPoint, SuperviseOpts, SupervisedRun,
 };
@@ -102,6 +101,33 @@ pub struct LintEntry {
     pub findings: Vec<Finding>,
 }
 
+/// Busy time per lint stage, summed over every thread of this process,
+/// in the order the stages first ran.
+static STAGES: Mutex<Vec<(&'static str, Duration)>> = Mutex::new(Vec::new());
+
+/// Run `f` and add the time it took to `stage`'s total.
+pub fn timed<T>(stage: &'static str, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = f();
+    let spent = t0.elapsed();
+    let mut stages = STAGES.lock().unwrap_or_else(PoisonError::into_inner);
+    match stages.iter_mut().find(|(name, _)| *name == stage) {
+        Some((_, total)) => *total += spent,
+        None => stages.push((stage, spent)),
+    }
+    out
+}
+
+/// What [`timed`] has accumulated so far: record · build · index · cost
+/// replay · each check by [`Check::name`](crate::Check::name) · report.
+/// Host time, so it belongs on stderr, never in a report.
+pub fn stage_totals() -> Vec<(&'static str, Duration)> {
+    STAGES
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone()
+}
+
 /// Record and analyze one named algorithm instance on one grid point.
 /// The shared engine behind [`lint_point`] and
 /// [`lint_matrix_supervised`].
@@ -120,7 +146,9 @@ fn lint_alg_point(
 ) -> Result<LintEntry, mpp_runtime::SimError> {
     let sources = dist.place(machine.shape, s);
     let payload_of = move |src: usize| payload_for(src, msg_len);
-    let run = try_record_sources(machine, lib, &sources, &payload_of, alg, control)?;
+    let run = timed("record", || {
+        try_record_sources(machine, lib, &sources, &payload_of, alg, control)
+    })?;
     let opts = AnalyzeOpts {
         max_link_load,
         lib,
@@ -148,7 +176,7 @@ pub fn lint_recorded(
     run: &RecordedRun,
 ) -> LintEntry {
     let payload_of = move |src: usize| payload_for(src, msg_len);
-    let sched = Schedule::from_recorded(run, machine.p());
+    let sched = timed("build", || Schedule::from_recorded(run, machine.p()));
     let analysis = analyze(&sched, machine, sources, &payload_of, opts);
     LintEntry {
         algo: algo_name.to_string(),
@@ -240,7 +268,7 @@ pub fn lint_matrix_supervised(
         points,
         ids,
         checkpoint,
-        entry_to_json,
+        |entry| timed("report", || entry_to_json(entry)),
         entry_from_json,
         |pt| {
             let alg = pt.alg.build();
@@ -302,27 +330,23 @@ pub struct FixtureVerdict {
 /// error-severity (one bad schedule shape can trip several perf smells).
 pub fn lint_fixtures() -> Vec<FixtureVerdict> {
     hush_expected_panics();
-    let payload_of = |src: usize| payload_for(src, 64);
     fixtures::all()
         .into_iter()
         .map(|fx| {
-            let machine = (fx.machine)();
-            let sources = SourceDist::Equal.place(machine.shape, fx.s);
-            let alg = (fx.build)();
-            let run = record_sources(
-                &machine,
+            let entry = lint_alg_point(
+                &(fx.machine)(),
+                &SourceDist::Equal,
+                fx.s,
+                64,
+                (fx.build)().as_ref(),
                 mpp_model::LibraryKind::Nx,
-                &sources,
-                &payload_of,
-                alg.as_ref(),
-            );
-            let sched = Schedule::from_recorded(&run, machine.p());
-            let opts = AnalyzeOpts {
-                perf: fx.perf,
-                ..AnalyzeOpts::default()
-            };
-            let analysis = analyze(&sched, &machine, &sources, &payload_of, &opts);
-            let mut detected: Vec<FindingKind> = analysis.findings.iter().map(|f| f.kind).collect();
+                fx.name,
+                None,
+                fx.perf,
+                &RunControl::default(),
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
+            let mut detected: Vec<FindingKind> = entry.findings.iter().map(|f| f.kind).collect();
             detected.sort();
             detected.dedup();
             let pass = if fx.perf {
@@ -369,8 +393,39 @@ pub fn hush_expected_panics() {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use stp_core::runner::record_sources;
+
+    /// Record every point of the quick matrix and every seeded-bug
+    /// fixture (L = 64) and hand each recording to `check` — the corpus
+    /// of the differential tests.
+    pub(crate) fn for_each_quick_recording(
+        mut check: impl FnMut(&Machine, &[usize], &RecordedRun),
+    ) {
+        hush_expected_panics();
+        let payload_of = |src: usize| payload_for(src, 64);
+        for pt in matrix_points(&matrix_shapes(true), false) {
+            let sources = pt.dist.place(pt.machine.shape, pt.s);
+            let alg = pt.alg.build();
+            let run = record_sources(
+                &pt.machine,
+                pt.alg.lib(),
+                &sources,
+                &payload_of,
+                alg.as_ref(),
+            );
+            check(&pt.machine, &sources, &run);
+        }
+        for fx in fixtures::all() {
+            let machine = (fx.machine)();
+            let sources = SourceDist::Equal.place(machine.shape, fx.s);
+            let alg = (fx.build)();
+            let lib = mpp_model::LibraryKind::Nx;
+            let run = record_sources(&machine, lib, &sources, &payload_of, alg.as_ref());
+            check(&machine, &sources, &run);
+        }
+    }
 
     #[test]
     fn quick_matrix_is_clean_on_real_algorithms() {

@@ -6,11 +6,10 @@
 //! bugs, and some fire legitimately on the paper's weaker baselines
 //! (that is what the committed lint baseline suppresses).
 
-use std::collections::HashMap;
-
-use mpp_model::{Link, Time};
+use mpp_model::Time;
 
 use crate::checks::{Check, CheckCtx, CheckOutput, Finding, FindingKind};
+use crate::schedule::grouped;
 
 /// Nodes listed by name in an aggregate finding before eliding.
 const LIST_CAP: usize = 8;
@@ -171,35 +170,45 @@ impl Check for RedundantTransmission {
         if !ctx.opts.perf {
             return;
         }
-        if ctx.cost.is_none() {
-            return;
-        }
-        let data_of: HashMap<u64, &[u8]> = ctx
-            .sched
-            .sends
-            .iter()
-            .map(|s| (s.seq, s.data.as_slice()))
-            .collect();
-        let mut crossings: HashMap<(Link, &[u8]), usize> = HashMap::new();
-        let mut total = 0usize;
-        for x in &ctx.sched.xfers {
-            let Some(&data) = data_of.get(&x.seq) else {
-                continue;
-            };
-            for w in &x.windows {
-                *crossings.entry((w.link, data)).or_insert(0) += 1;
+        let Some(cost) = ctx.cost else { return };
+        let sched = ctx.sched;
+        // Transfers grouped by the content they carry (a counting sort
+        // on the content id), so one stamp per link tells whether the
+        // current content already crossed it.
+        let content_of = |x: &mpp_runtime::XferEvent| {
+            sched
+                .send_of(x.seq)
+                .map(|i| ctx.payloads.of_send[i] as usize)
+        };
+        let (_, by_content) = grouped(sched.xfers.iter().map(content_of), ctx.payloads.distinct());
+        // Per link: the last content that crossed it (one past the id of
+        // the transfer's content) and how often that content did.
+        let mut crossed = vec![(0usize, 0usize); cost.link_table.len()];
+        let (mut total, mut distinct) = (0usize, 0usize);
+        let mut worst: Option<(usize, std::cmp::Reverse<mpp_model::Link>)> = None;
+        for &xi in &by_content {
+            let x = &sched.xfers[xi as usize];
+            let stamp = content_of(x).expect("grouped transfers have a content") + 1;
+            for &l in &cost.window_link[x.win_off as usize..][..x.win_len as usize] {
+                let (last, count) = &mut crossed[l as usize];
+                if *last != stamp {
+                    (*last, *count) = (stamp, 0);
+                    distinct += 1;
+                }
+                *count += 1;
                 total += 1;
+                worst = worst.max(Some((
+                    *count,
+                    std::cmp::Reverse(cost.link_table[l as usize]),
+                )));
             }
         }
-        let dups: usize = crossings.values().map(|&c| c.saturating_sub(1)).sum();
+        let dups = total - distinct;
         if dups < REDUNDANT_MIN_DUPS || dups * REDUNDANT_RATIO < total {
             return;
         }
-        let (worst_link, worst_count) = crossings
-            .iter()
-            .max_by_key(|((link, _), &c)| (c, std::cmp::Reverse(*link)))
-            .map(|((link, _), &c)| (*link, c))
-            .expect("dups > 0 implies a crossing");
+        let (worst_count, std::cmp::Reverse(worst_link)) =
+            worst.expect("dups > 0 implies a crossing");
         out.findings.push(Finding::new(
             FindingKind::RedundantTransmission,
             None,

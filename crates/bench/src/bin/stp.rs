@@ -190,7 +190,8 @@ fn run_lint(args: &[String], env: &Env) -> ! {
         println!("fault plan active: {drops} transmission attempt(s) dropped across the matrix");
     }
     if let Some(path) = json_path {
-        std::fs::write(&path, supervised_report_json(&sweep)).expect("write JSON report");
+        let report = stp_analyzer::timed("report", || supervised_report_json(&sweep));
+        std::fs::write(&path, report).expect("write JSON report");
         eprintln!("[lint] report written to {path}");
     }
     let bad_findings = write_lint_artifacts(
@@ -199,6 +200,14 @@ fn run_lint(args: &[String], env: &Env) -> ! {
         get(args, "--sarif").as_deref(),
         get(args, "--write-baseline").as_deref(),
         findings,
+    );
+    let stages: Vec<String> = stp_analyzer::stage_totals()
+        .iter()
+        .map(|(stage, busy)| format!("{stage} {}", busy.as_millis()))
+        .collect();
+    eprintln!(
+        "[lint] stage ms, busy time summed over workers: {}",
+        stages.join(" · ")
     );
     let bad = bad_findings || !sweep.failures.is_empty() || !sweep.skipped.is_empty();
     std::process::exit(if bad { 1 } else { 0 });
@@ -229,8 +238,8 @@ fn write_lint_artifacts(
     unsuppressed: usize,
 ) -> bool {
     if let Some(path) = sarif_path {
-        std::fs::write(path, stp_analyzer::sarif_report(entries, baseline))
-            .expect("write SARIF report");
+        let sarif = stp_analyzer::timed("report", || stp_analyzer::sarif_report(entries, baseline));
+        std::fs::write(path, sarif).expect("write SARIF report");
         eprintln!("[lint] SARIF written to {path}");
     }
     if let Some(path) = write_baseline {

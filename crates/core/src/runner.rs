@@ -3,8 +3,8 @@
 
 use mpp_model::{LibraryKind, Machine, Time};
 use mpp_runtime::{
-    schedule_log, try_run_simulated_with, CancelToken, CommStats, Communicator, ExecMode,
-    FaultPlan, ScheduleEvent, SimBudget, SimConfig, SimError,
+    schedule_log, try_run_simulated_with, CancelToken, CommStats, Communicator, EventLog, ExecMode,
+    FaultPlan, SimBudget, SimConfig, SimError,
 };
 
 use crate::algorithms::{
@@ -409,14 +409,14 @@ fn try_run_alg_with(
 /// A run captured as a symbolic communication schedule.
 ///
 /// Produced by [`record_sources`] / [`try_record_sources`]; consumed by
-/// the `stp-analyzer` crate's static checks. The event list is complete
-/// even when the run deadlocks — the kernel flushes the partial schedule
-/// (with one `Blocked` event per stuck rank) before aborting, and the
-/// recorder catches the abort.
+/// the `stp-analyzer` crate's static checks, which read the log in place.
+/// The log is complete even when the run deadlocks — the kernel flushes
+/// the partial schedule (with one `blocked` record per stuck rank) before
+/// aborting, and the recorder catches the abort.
 #[derive(Debug)]
 pub struct RecordedRun {
     /// Communication events in deterministic kernel order.
-    pub events: Vec<ScheduleEvent>,
+    pub events: EventLog,
     /// True when the run aborted with every live rank blocked.
     pub deadlocked: bool,
     /// The timed outcome — `None` when the run deadlocked.
@@ -456,7 +456,7 @@ pub fn record_sources_exec(
 }
 
 /// [`record_sources_exec`] with an optional fault plan: the recorded
-/// schedule then contains one [`ScheduleEvent::Dropped`] per lost
+/// schedule then contains one [`DropEvent`](mpp_runtime::DropEvent) per lost
 /// transmission attempt, which the analyzer's delivery-completeness
 /// check consumes.
 pub fn record_sources_faulty(

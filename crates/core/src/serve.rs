@@ -722,19 +722,11 @@ impl Planner {
             outcome.contention_events,
             outcome.contention_ns,
         ));
-        let sends = run
-            .events
-            .iter()
-            .filter(|e| matches!(e, mpp_runtime::ScheduleEvent::Send { .. }))
-            .count();
-        let recvs = run
-            .events
-            .iter()
-            .filter(|e| matches!(e, mpp_runtime::ScheduleEvent::Recv { .. }))
-            .count();
         body.push_str(&format!(
-            ",\"schedule\":{{\"events\":{},\"sends\":{sends},\"recvs\":{recvs}}}",
+            ",\"schedule\":{{\"events\":{},\"sends\":{},\"recvs\":{}}}",
             run.events.len(),
+            run.events.sends.len(),
+            run.events.recvs.len(),
         ));
         // The replay recipe: the simulation is deterministic, so the
         // source set + algorithm + machine spec re-derive the schedule.

@@ -112,6 +112,12 @@ fn daemon_round_trip_cache_quarantine_and_persistence() {
         "hit must replay byte-identically"
     );
     assert!(cold.contains("\"verified\":true"), "{cold}");
+    // The schedule summary is read off the recording: every kernel
+    // event, and how many of them are sends and receive matches.
+    assert!(
+        cold.contains("\"schedule\":{\"events\":176,\"sends\":32,\"recvs\":32}"),
+        "{cold}"
+    );
 
     // A second connection shares the same cache.
     let mut other = Client::connect(&addr);

@@ -32,7 +32,10 @@ use crate::exec::{try_simulate_coop, CoopCell, CoopGrant, CoopOp};
 use crate::mailbox::{Mailbox, MsgRec};
 use crate::network::NetworkState;
 use crate::payload::Payload;
-use crate::record::{ScheduleEvent, ScheduleLog};
+use crate::record::{
+    BlockedEvent, DropEvent, EventKind, EventLog, FinishEvent, RecvEvent, ScheduleLog, SendEvent,
+    XferEvent,
+};
 use crate::supervise::{CancelToken, SimBudget, Watchdog, WatchdogTrip};
 use crate::trace::MsgTrace;
 use crate::Tag;
@@ -861,7 +864,7 @@ pub(crate) struct KernelCore<'m> {
     seq: u64,
     steps: Vec<u32>,
     trace: Vec<MsgTrace>,
-    events: Vec<ScheduleEvent>,
+    events: EventLog,
     /// Scratch route reused across every transmit — the per-message
     /// route `Vec` allocation was a top allocator hit in the hot path.
     route_buf: Vec<mpp_model::Link>,
@@ -879,6 +882,16 @@ pub(crate) struct KernelCore<'m> {
 impl<'m> KernelCore<'m> {
     pub fn new(machine: &'m Machine, config: &SimConfig) -> Self {
         let p = machine.p();
+        let mut net = NetworkState::new(machine);
+        let mut events = EventLog::default();
+        if config.recorder.is_some() {
+            // Recording runs capture the network's full reservation
+            // record per transfer — the cost-model conformance ground
+            // truth — into the arrays the last log on this thread left.
+            events = EventLog::recycled();
+            net.witness_on = true;
+            net.witness.windows = std::mem::take(&mut events.windows);
+        }
         KernelCore {
             machine,
             lib: config.lib,
@@ -888,21 +901,12 @@ impl<'m> KernelCore<'m> {
             strict: config.strict,
             recording: config.recorder.is_some(),
             recorder: config.recorder.clone(),
-            net: {
-                let mut net = NetworkState::new(machine);
-                // Recording runs capture the network's full reservation
-                // record per transfer — the cost-model conformance
-                // ground truth.
-                net.witness_on = config.recorder.is_some();
-                net
-            },
+            net,
             mailboxes: (0..p).map(|_| Mailbox::new()).collect(),
             seq: 0,
             steps: vec![0; p],
             trace: Vec::new(),
-            // Recording runs reuse a pooled event buffer so the schedule
-            // log costs no steady-state allocations across a sweep.
-            events: crate::record::pooled_events(),
+            events,
             route_buf: Vec::new(),
             faults: config.faults.clone().filter(|plan| !plan.is_inert()),
             fault_stats: vec![FaultStats::default(); p],
@@ -951,7 +955,8 @@ impl<'m> KernelCore<'m> {
         if self.recording {
             // One Send event per *logical* message, whatever the network
             // does to its transmission attempts.
-            self.events.push(ScheduleEvent::Send {
+            self.events.order.push(EventKind::Send);
+            self.events.sends.push(SendEvent {
                 step: self.steps[src_rank],
                 seq,
                 src: src_rank,
@@ -964,40 +969,37 @@ impl<'m> KernelCore<'m> {
         if let Some(arrival) = self.transmit(src_rank, dst, seq, bytes, wire_ns, ready) {
             if self.recording {
                 // The network's reservation record for this delivery —
-                // local memcpys reserve nothing, routed transfers hand
-                // over the witness filled by `transfer_routed`.
-                let ev = if src_rank == dst {
-                    ScheduleEvent::Xfer {
-                        seq,
-                        src: src_rank,
-                        dst,
-                        bytes,
-                        ready_ns: ready,
-                        start_ns: ready,
-                        done_ns: arrival,
-                        stall_ns: 0,
-                        out_slot: None,
-                        in_slot: None,
-                        windows: Vec::new(),
-                    }
-                } else {
-                    let stall_ns = self.net.last_stall_ns;
-                    let w = &mut self.net.witness;
-                    ScheduleEvent::Xfer {
-                        seq,
-                        src: src_rank,
-                        dst,
-                        bytes,
-                        ready_ns: w.ready_ns,
-                        start_ns: w.start_ns,
-                        done_ns: w.done_ns,
-                        stall_ns,
-                        out_slot: Some(w.out_slot),
-                        in_slot: Some(w.in_slot),
-                        windows: std::mem::take(&mut w.windows),
-                    }
+                // local memcpys reserve nothing, routed transfers read
+                // the witness filled by `transfer_routed`, whose windows
+                // already sit at the tail of the flat window array.
+                let w = &self.net.witness;
+                let mut xfer = XferEvent {
+                    seq,
+                    src: src_rank,
+                    dst,
+                    bytes,
+                    ready_ns: ready,
+                    start_ns: ready,
+                    done_ns: arrival,
+                    stall_ns: 0,
+                    out_slot: None,
+                    in_slot: None,
+                    win_off: 0,
+                    win_len: 0,
                 };
-                self.events.push(ev);
+                if src_rank != dst {
+                    xfer.ready_ns = w.ready_ns;
+                    xfer.start_ns = w.start_ns;
+                    xfer.done_ns = w.done_ns;
+                    xfer.stall_ns = self.net.last_stall_ns;
+                    xfer.out_slot = Some(w.out_slot as u32);
+                    xfer.in_slot = Some(w.in_slot as u32);
+                    xfer.win_off =
+                        u32::try_from(w.first_window).expect("more than 2^32 link windows");
+                    xfer.win_len = (w.windows.len() - w.first_window) as u32;
+                }
+                self.events.order.push(EventKind::Xfer);
+                self.events.xfers.push(xfer);
             }
             if self.trace_on {
                 self.trace.push(MsgTrace {
@@ -1132,7 +1134,8 @@ impl<'m> KernelCore<'m> {
                 self.fault_stats[src_rank].retransmits += 1;
             }
             if self.recording {
-                self.events.push(ScheduleEvent::Dropped {
+                self.events.order.push(EventKind::Dropped);
+                self.events.drops.push(DropEvent {
                     seq,
                     src: src_rank,
                     dst,
@@ -1165,7 +1168,8 @@ impl<'m> KernelCore<'m> {
             // consumed — the match-ambiguity hazard.
             let dup = self.mailboxes[rank].count_src_tag(rec.src, rec.tag) + 1;
             if self.recording {
-                self.events.push(ScheduleEvent::Recv {
+                self.events.order.push(EventKind::Recv);
+                self.events.recvs.push(RecvEvent {
                     step: self.steps[rank],
                     rank,
                     src_filter: src,
@@ -1205,7 +1209,8 @@ impl<'m> KernelCore<'m> {
         self.events_processed += 1;
         self.steps[rank] += 1;
         if self.recording {
-            self.events.push(ScheduleEvent::IterEnd { rank });
+            self.events.order.push(EventKind::IterEnd);
+            self.events.iter_ends.push(rank);
         }
     }
 
@@ -1215,7 +1220,8 @@ impl<'m> KernelCore<'m> {
         self.events_processed += 1;
         let leftover = self.mailboxes[rank].len();
         if self.recording {
-            self.events.push(ScheduleEvent::Finished {
+            self.events.order.push(EventKind::Finished);
+            self.events.finishes.push(FinishEvent {
                 rank,
                 leftover,
                 finish_ns,
@@ -1238,20 +1244,22 @@ impl<'m> KernelCore<'m> {
 
     /// Record a rank stuck in `recv` at deadlock time.
     pub fn record_blocked(&mut self, rank: usize, src: Option<usize>, tag: Option<Tag>) {
-        self.events.push(ScheduleEvent::Blocked {
+        self.events.order.push(EventKind::Blocked);
+        self.events.blocked.push(BlockedEvent {
             rank,
             src_filter: src,
             tag_filter: tag,
         });
     }
 
-    /// Hand the accumulated schedule events to the configured recorder
-    /// (if any). Safe to call from abort paths: later flushes append
-    /// nothing.
+    /// Move the accumulated schedule log (events plus the network's flat
+    /// window array) into the configured recorder, if any. Nothing is
+    /// copied; a kernel flushes once, from its normal or its abort path.
     pub fn flush_recording(&mut self, deadlocked: bool) {
         if let Some(log) = &self.recorder {
             let mut rec = log.lock().expect("schedule log poisoned");
-            rec.events.append(&mut self.events);
+            rec.events = std::mem::take(&mut self.events);
+            rec.events.windows = std::mem::take(&mut self.net.witness.windows);
             rec.deadlocked |= deadlocked;
         }
     }
@@ -1270,14 +1278,6 @@ impl<'m> KernelCore<'m> {
 
     pub fn take_fault_stats(&mut self) -> Vec<FaultStats> {
         std::mem::take(&mut self.fault_stats)
-    }
-}
-
-impl Drop for KernelCore<'_> {
-    fn drop(&mut self) {
-        // `flush_recording` appends the events out but keeps the buffer's
-        // capacity; park it for the next run on this thread.
-        crate::record::recycle_events(std::mem::take(&mut self.events));
     }
 }
 

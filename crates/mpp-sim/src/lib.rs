@@ -78,7 +78,10 @@ pub use kernel::{
 pub use mpp_model::{FaultPlan, LinkOutage, NodeCrash, RetryPolicy};
 pub use network::NetworkState;
 pub use payload::{copy_metrics, CopyMetrics, Payload, PayloadReader};
-pub use record::{schedule_log, LinkWindow, ScheduleEvent, ScheduleLog, ScheduleRecording};
+pub use record::{
+    schedule_log, BlockedEvent, DropEvent, EventKind, EventLog, FinishEvent, LinkWindow, RecvEvent,
+    ScheduleLog, ScheduleRecording, SendEvent, XferEvent,
+};
 pub use supervise::{CancelToken, SimBudget};
 pub use trace::{render_timeline, summarize, MsgTrace, TraceSummary};
 

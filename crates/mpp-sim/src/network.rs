@@ -106,8 +106,13 @@ pub struct XferWitness {
     pub out_slot: usize,
     /// Ejection-port slot reserved at the destination node.
     pub in_slot: usize,
-    /// Per-hop link reservations, in route order.
+    /// Per-hop link reservations of *every* witnessed transfer so far,
+    /// back to back and in route order: the recorder's flat window array,
+    /// which the kernel moves into the log when the run ends. The most
+    /// recent transfer's windows are `windows[first_window..]`.
     pub windows: Vec<LinkWindow>,
+    /// Where the most recent transfer's windows begin in `windows`.
+    pub first_window: usize,
 }
 
 /// Index of the earliest-free slot (ties → lowest index, deterministic).
@@ -201,7 +206,7 @@ impl NetworkState {
         self.last_stall_ns = 0;
         let witness_on = self.witness_on;
         if witness_on {
-            self.witness.windows.clear();
+            self.witness.first_window = self.witness.windows.len();
         }
         debug_assert_ne!(from_rank, to_rank, "self-sends bypass the network");
         let u = machine.node_of(from_rank);

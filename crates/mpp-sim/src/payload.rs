@@ -75,10 +75,14 @@ impl CopyMetrics {
 
 fn note_copied(bytes: usize) {
     BYTES_COPIED.fetch_add(bytes as u64, Ordering::Relaxed);
+    #[cfg(test)]
+    tests::note_on_this_thread(bytes as u64, 0);
 }
 
 fn note_alloc() {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    tests::note_on_this_thread(0, 1);
 }
 
 // ---------------------------------------------------------------------
@@ -738,17 +742,30 @@ impl PayloadReader<'_> {
 mod tests {
     use super::*;
 
-    // The copy counters are process-global; serialise every test that
-    // asserts on counter deltas.
-    static METRICS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // The copy counters are process-global and every test of this
+    // binary that builds a payload moves them, so the tests below assert
+    // on this thread's share instead: the arena is per-thread too, and
+    // nothing another test does can reach either.
+    thread_local! {
+        static THREAD_METRICS: std::cell::Cell<(u64, u64)> =
+            const { std::cell::Cell::new((0, 0)) };
+    }
 
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        METRICS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    pub(super) fn note_on_this_thread(bytes: u64, allocs: u64) {
+        THREAD_METRICS.with(|m| m.set((m.get().0 + bytes, m.get().1 + allocs)));
+    }
+
+    /// [`super::copy_metrics`], counting this thread's payload work only.
+    fn copy_metrics() -> CopyMetrics {
+        let (bytes_copied, allocs) = THREAD_METRICS.with(|m| m.get());
+        CopyMetrics {
+            bytes_copied,
+            allocs,
+        }
     }
 
     #[test]
     fn rope_concat_is_zero_copy() {
-        let _g = lock();
         let a = Payload::from_slice(b"hello ");
         let b = Payload::from_slice(b"world");
         let before = copy_metrics();
@@ -764,7 +781,6 @@ mod tests {
 
     #[test]
     fn slice_respects_segment_boundaries() {
-        let _g = lock();
         let mut p = Payload::from_slice(b"abcd");
         p.push_payload(&Payload::from_slice(b"efgh"));
         p.push_payload(&Payload::from_slice(b"ijkl"));
@@ -808,7 +824,6 @@ mod tests {
 
     #[test]
     fn to_vec_counts_the_copy() {
-        let _g = lock();
         let p = Payload::from_slice(&[9u8; 100]);
         let before = copy_metrics();
         let v = p.to_vec();
@@ -819,7 +834,6 @@ mod tests {
 
     #[test]
     fn contiguous_borrows_single_segment() {
-        let _g = lock();
         let p = Payload::from_slice(b"one-seg");
         let before = copy_metrics();
         assert!(matches!(p.contiguous(), Cow::Borrowed(b"one-seg")));
@@ -828,7 +842,6 @@ mod tests {
 
     #[test]
     fn from_arc_is_zero_copy_and_alloc_free() {
-        let _g = lock();
         let storage: Arc<[u8]> = Arc::from(&b"shared"[..]);
         let before = copy_metrics();
         let p = Payload::from_arc(Arc::clone(&storage));
@@ -840,7 +853,6 @@ mod tests {
 
     #[test]
     fn arena_reuses_chunks_across_generations() {
-        let _g = lock();
         // Warm the arena, drop everything, and check that a second
         // wave of payloads allocates no fresh chunks.
         let warm: Vec<Payload> = (0..64).map(|_| Payload::from_slice(&[7u8; 512])).collect();
@@ -857,7 +869,6 @@ mod tests {
 
     #[test]
     fn oversized_payloads_get_dedicated_chunks() {
-        let _g = lock();
         let big = vec![3u8; DEDICATED_LIMIT + 1];
         let before = copy_metrics();
         let p = Payload::from_slice(&big);

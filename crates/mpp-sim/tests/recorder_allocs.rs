@@ -1,0 +1,74 @@
+//! The schedule recorder must not allocate per recorded operation: its
+//! events go into flat arrays (link windows included, addressed by
+//! offset and length) that the next recording on the thread reuses. The
+//! only test of this binary, so the counting allocator sees nothing else.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use mpp_model::Machine;
+use mpp_sim::{schedule_log, simulate_with, ExecMode, Payload, SimConfig};
+
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const ROUNDS: u32 = 200;
+
+/// One ring exchange of `ROUNDS` rounds on a 4×4 mesh; returns the heap
+/// allocations it made and the transfers it recorded.
+fn ring(record: bool) -> (u64, usize) {
+    let machine = Machine::paragon(4, 4);
+    let log = schedule_log();
+    let config = SimConfig {
+        exec: ExecMode::Cooperative,
+        recorder: record.then(|| log.clone()),
+        ..SimConfig::default()
+    };
+    let before = ALLOCS.load(Ordering::Relaxed);
+    simulate_with(&machine, &config, |mut ctx| async move {
+        let (me, p) = (ctx.rank(), ctx.size());
+        for round in 0..ROUNDS {
+            // Five ranks on: a multi-hop route, so transfers carry windows.
+            ctx.send_payload((me + 5) % p, round, Payload::new());
+            ctx.recv(Some((me + p - 5) % p), Some(round)).await;
+        }
+    });
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let recording = std::mem::take(&mut *log.lock().expect("schedule log"));
+    assert!(recording.events.windows.len() >= recording.events.xfers.len());
+    (allocs, recording.events.xfers.len())
+}
+
+#[test]
+fn recording_allocates_per_run_not_per_transfer() {
+    // Warm: the first recording grows the arrays, dropping it parks them.
+    ring(true);
+    let (plain, _) = ring(false);
+    let (recorded, transfers) = ring(true);
+    assert_eq!(transfers, 16 * ROUNDS as usize);
+    let extra = recorded.saturating_sub(plain);
+    assert!(
+        extra < 16,
+        "recording {transfers} transfers cost {extra} allocations more than the \
+         unrecorded run ({recorded} vs {plain})"
+    );
+}
