@@ -81,78 +81,54 @@ pub enum FindingKind {
     AboveLowerBound,
 }
 
+/// Every kind's stable machine-readable name, severity class and
+/// one-line rule (the SARIF rule metadata), in declaration order.
+#[rustfmt::skip]
+const KINDS: [(FindingKind, &str, Severity, &str); 12] = {
+    use FindingKind::*;
+    use Severity::{Error, Info, Warn};
+    [
+        (Deadlock, "deadlock", Error, "every live rank is blocked in recv"),
+        (UnmatchedSend, "unmatched_send", Error, "a message was never received"),
+        (MatchAmbiguity, "match_ambiguity", Error, "delivery order decided a receive match"),
+        (PayloadLeak, "payload_leak", Error, "a rank is missing source messages"),
+        (LinkOverload, "link_overload", Warn, "a link exceeded the message bound"),
+        (LostMessage, "lost_message", Error, "the fault plan destroyed a message"),
+        (CostModelDivergence, "cost_model_divergence", Error, "the static cost model disagrees with the kernel"),
+        (IdlePorts, "idle_ports", Warn, "multi-port nodes drive one port at a time"),
+        (SerializationHotspot, "serialization_hotspot", Warn, "one rank dominates the critical path"),
+        (ContentionDominated, "contention_dominated", Warn, "contention stalls dominate the critical path"),
+        (RedundantTransmission, "redundant_transmission", Info, "identical payloads re-cross the same link"),
+        (AboveLowerBound, "above_lower_bound", Info, "makespan far above the s-to-p lower bound"),
+    ]
+};
+
 impl FindingKind {
+    fn row(self) -> &'static (FindingKind, &'static str, Severity, &'static str) {
+        let row = &KINDS[self as usize];
+        debug_assert_eq!(row.0, self, "KINDS is out of declaration order");
+        row
+    }
+
     /// Stable machine-readable name.
     pub fn name(self) -> &'static str {
-        match self {
-            FindingKind::Deadlock => "deadlock",
-            FindingKind::UnmatchedSend => "unmatched_send",
-            FindingKind::MatchAmbiguity => "match_ambiguity",
-            FindingKind::PayloadLeak => "payload_leak",
-            FindingKind::LinkOverload => "link_overload",
-            FindingKind::LostMessage => "lost_message",
-            FindingKind::CostModelDivergence => "cost_model_divergence",
-            FindingKind::IdlePorts => "idle_ports",
-            FindingKind::SerializationHotspot => "serialization_hotspot",
-            FindingKind::ContentionDominated => "contention_dominated",
-            FindingKind::RedundantTransmission => "redundant_transmission",
-            FindingKind::AboveLowerBound => "above_lower_bound",
-        }
+        self.row().1
     }
 
     /// Inverse of [`name`](FindingKind::name) — used when lint entries
     /// round-trip through a sweep checkpoint.
     pub fn from_name(name: &str) -> Option<FindingKind> {
-        Some(match name {
-            "deadlock" => FindingKind::Deadlock,
-            "unmatched_send" => FindingKind::UnmatchedSend,
-            "match_ambiguity" => FindingKind::MatchAmbiguity,
-            "payload_leak" => FindingKind::PayloadLeak,
-            "link_overload" => FindingKind::LinkOverload,
-            "lost_message" => FindingKind::LostMessage,
-            "cost_model_divergence" => FindingKind::CostModelDivergence,
-            "idle_ports" => FindingKind::IdlePorts,
-            "serialization_hotspot" => FindingKind::SerializationHotspot,
-            "contention_dominated" => FindingKind::ContentionDominated,
-            "redundant_transmission" => FindingKind::RedundantTransmission,
-            "above_lower_bound" => FindingKind::AboveLowerBound,
-            _ => return None,
-        })
+        KINDS.iter().find(|row| row.1 == name).map(|row| row.0)
     }
 
     /// Severity class of this kind.
     pub fn severity(self) -> Severity {
-        match self {
-            FindingKind::Deadlock
-            | FindingKind::UnmatchedSend
-            | FindingKind::MatchAmbiguity
-            | FindingKind::PayloadLeak
-            | FindingKind::LostMessage
-            | FindingKind::CostModelDivergence => Severity::Error,
-            FindingKind::LinkOverload
-            | FindingKind::IdlePorts
-            | FindingKind::SerializationHotspot
-            | FindingKind::ContentionDominated => Severity::Warn,
-            FindingKind::RedundantTransmission | FindingKind::AboveLowerBound => Severity::Info,
-        }
+        self.row().2
     }
 
     /// One-line description of the rule, for SARIF rule metadata.
     pub fn describe(self) -> &'static str {
-        match self {
-            FindingKind::Deadlock => "every live rank is blocked in recv",
-            FindingKind::UnmatchedSend => "a message was never received",
-            FindingKind::MatchAmbiguity => "delivery order decided a receive match",
-            FindingKind::PayloadLeak => "a rank is missing source messages",
-            FindingKind::LinkOverload => "a link exceeded the message bound",
-            FindingKind::LostMessage => "the fault plan destroyed a message",
-            FindingKind::CostModelDivergence => "the static cost model disagrees with the kernel",
-            FindingKind::IdlePorts => "multi-port nodes drive one port at a time",
-            FindingKind::SerializationHotspot => "one rank dominates the critical path",
-            FindingKind::ContentionDominated => "contention stalls dominate the critical path",
-            FindingKind::RedundantTransmission => "identical payloads re-cross the same link",
-            FindingKind::AboveLowerBound => "makespan far above the s-to-p lower bound",
-        }
+        self.row().3
     }
 }
 

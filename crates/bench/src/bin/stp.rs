@@ -201,16 +201,23 @@ fn run_lint(args: &[String], env: &Env) -> ! {
         get(args, "--write-baseline").as_deref(),
         findings,
     );
+    print_stage_line("lint");
+    let bad = bad_findings || !sweep.failures.is_empty() || !sweep.skipped.is_empty();
+    std::process::exit(if bad { 1 } else { 0 });
+}
+
+/// The run's host-time profile, one stderr line: what every
+/// [`stp_analyzer::timed`] stage cost — lint stages for `stp lint`,
+/// algorithms for `stp sweep`.
+fn print_stage_line(cmd: &str) {
     let stages: Vec<String> = stp_analyzer::stage_totals()
         .iter()
         .map(|(stage, busy)| format!("{stage} {}", busy.as_millis()))
         .collect();
     eprintln!(
-        "[lint] stage ms, busy time summed over workers: {}",
+        "[{cmd}] stage ms, busy time summed over workers: {}",
         stages.join(" · ")
     );
-    let bad = bad_findings || !sweep.failures.is_empty() || !sweep.skipped.is_empty();
-    std::process::exit(if bad { 1 } else { 0 });
 }
 
 /// Read and parse a `--baseline` file, exiting with usage status on
@@ -379,14 +386,16 @@ fn run_sweep(args: &[String], env: &Env) -> ! {
                 cancel: Some(opts.cancel.clone()),
                 ..RunControl::default()
             };
-            let out = try_run_alg_controlled(
-                &pt.machine,
-                pt.alg.lib(),
-                &sources,
-                &|src| payload_for(src, msg_len),
-                pt.alg.build().as_ref(),
-                &control,
-            )?;
+            let out = stp_analyzer::timed(pt.alg.name(), || {
+                try_run_alg_controlled(
+                    &pt.machine,
+                    pt.alg.lib(),
+                    &sources,
+                    &|src| payload_for(src, msg_len),
+                    pt.alg.build().as_ref(),
+                    &control,
+                )
+            })?;
             // Virtual quantities only — this record must be identical
             // whether the point ran now or replayed from a checkpoint.
             Ok(format!(
@@ -424,6 +433,7 @@ fn run_sweep(args: &[String], env: &Env) -> ! {
         std::fs::write(&path, report).expect("write JSON report");
         eprintln!("[sweep] report written to {path}");
     }
+    print_stage_line("sweep");
     let bad = unverified > 0 || !sweep.failures.is_empty() || !sweep.skipped.is_empty();
     std::process::exit(if bad { 1 } else { 0 });
 }
@@ -748,6 +758,11 @@ fn main() {
     if has(args, "--metrics") {
         let row = figure2_row(kind.name(), &out.stats);
         println!("\n{}", format_table(&[row]));
+        let k = out.counters;
+        println!(
+            "kernel: {} events   {} in flight at peak   {} mailbox(es) spilled",
+            k.events, k.peak_in_flight, k.mailbox_spills
+        );
         if let Some(q) = stp_core::quality::placement_quality(machine.shape, &sources, kind) {
             println!("placement quality for {}: {q:.2}", kind.name());
         }

@@ -312,6 +312,34 @@ fn sweep_resumes_from_a_parent_format_checkpoint() {
         },
     );
     assert!(stderr.contains("[resume] 3 finished point(s)"), "{stderr}");
+    // The sweep's host-time profile, by algorithm, closes its stderr.
+    let profile = stderr.lines().last().unwrap_or_default();
+    assert!(
+        profile.starts_with("[sweep] stage ms, busy time summed over workers: ")
+            && profile.contains(" · KPort_Alltoall "),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn metrics_print_the_kernel_counters() {
+    // 36 ranks: with every rank a source, 2-Step's gather root holds
+    // 35 messages at once, three past the mailbox's spill threshold.
+    let base = "--machine paragon --rows 3 --cols 12 --algo 2_step --dist equal --len 64 --metrics";
+    for (s, counters) in [
+        (
+            "4",
+            "kernel: 112 events   15 in flight at peak   0 mailbox(es) spilled\n",
+        ),
+        (
+            "36",
+            "kernel: 176 events   35 in flight at peak   1 mailbox(es) spilled\n",
+        ),
+    ] {
+        let (code, stdout, stderr) = run(stp().args(base.split(' ')).args(["--s", s]));
+        assert_eq!(code, Some(0), "{stderr}");
+        assert!(stdout.contains(counters), "{stdout}");
+    }
 }
 
 #[test]

@@ -43,6 +43,9 @@ pub mod algorithms;
 pub mod analysis;
 pub mod announce;
 pub mod checkpoint;
+#[cfg(test)]
+#[path = "../../mpp-sim/tests/support/counting_alloc.rs"]
+mod counting_alloc;
 pub mod distribution;
 pub mod env;
 pub mod ideal;

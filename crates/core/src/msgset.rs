@@ -87,47 +87,48 @@ impl MessageSet {
     /// Merge another set into this one. Sources already present keep
     /// their existing payload (in s-to-p broadcasting duplicate arrivals
     /// always carry identical payloads). Returns the number of *new*
-    /// payload bytes absorbed. Moves ropes — no byte copies.
+    /// payload bytes absorbed. Moves ropes — no byte copies — and works
+    /// in place: the held entries above the lowest new source each move
+    /// once, the rest stay, and the vector grows only when its spare
+    /// capacity does not cover the new sources.
     pub fn merge(&mut self, other: MessageSet) -> usize {
-        if other.entries.is_empty() {
+        let held = &mut self.entries;
+        let Some(&(lowest, _)) = other.entries.first() else {
             return 0;
-        }
-        if self.entries.is_empty() {
-            let absorbed = other.entries.iter().map(|(_, d)| d.len()).sum();
-            self.entries = other.entries;
-            return absorbed;
-        }
-        // Both sorted: a single merge walk instead of per-entry
-        // binary-search inserts (each of which shifts the tail).
-        let mut absorbed = 0;
-        let mut merged = Vec::with_capacity(self.entries.len() + other.entries.len());
-        let mut a = std::mem::take(&mut self.entries).into_iter().peekable();
-        let mut b = other.entries.into_iter().peekable();
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&(sa, _)), Some(&(sb, _))) => {
-                    if sa < sb {
-                        merged.push(a.next().unwrap());
-                    } else if sb < sa {
-                        let e = b.next().unwrap();
-                        absorbed += e.1.len();
-                        merged.push(e);
-                    } else {
-                        // Duplicate source: keep the existing payload.
-                        merged.push(a.next().unwrap());
-                        b.next();
-                    }
-                }
-                (Some(_), None) => merged.push(a.next().unwrap()),
-                (None, Some(_)) => {
-                    let e = b.next().unwrap();
-                    absorbed += e.1.len();
-                    merged.push(e);
-                }
-                (None, None) => break,
+        };
+        // Count the sources that are new: one walk over the two sorted
+        // runs, begun where the incoming one begins.
+        let mut at = held.partition_point(|&(s, _)| s < lowest);
+        let mut fresh = 0;
+        for &(src, _) in &other.entries {
+            while at < held.len() && held[at].0 < src {
+                at += 1;
+            }
+            if held.get(at).is_none_or(|&(s, _)| s != src) {
+                fresh += 1;
             }
         }
-        self.entries = merged;
+        // Open `fresh` slots at the end and merge from the back: `i`
+        // ends the held entries still to place, `gap` the free slots.
+        let mut i = held.len();
+        held.resize_with(i + fresh, Default::default);
+        let mut gap = held.len();
+        let mut absorbed = 0;
+        for (src, data) in other.entries.into_iter().rev() {
+            if gap == i {
+                break; // every new source is placed; the rest are duplicates
+            }
+            while i > 0 && held[i - 1].0 > src {
+                i -= 1;
+                gap -= 1;
+                held.swap(i, gap);
+            }
+            if i == 0 || held[i - 1].0 != src {
+                gap -= 1;
+                absorbed += data.len();
+                held[gap] = (src, data);
+            }
+        }
         absorbed
     }
 
@@ -317,6 +318,83 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert_eq!(a.get(1).unwrap(), b"one");
         assert_eq!(a.get(2).unwrap(), b"two");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// `merge` against a map: `held` of the 256 entries on one side,
+        /// the rest incoming — 1 into 255 through 255 into 1 — with
+        /// sources shared between the sides and payloads that tell the
+        /// sides apart.
+        #[test]
+        fn merge_matches_a_map_union(
+            held in 1usize..256,
+            pool in proptest::collection::vec(0u32..512, 640),
+        ) {
+            use std::collections::BTreeMap;
+            let side = |keys: &mut dyn Iterator<Item = &u32>, n: usize, byte: u8| {
+                let mut map = BTreeMap::new();
+                for &k in keys {
+                    if map.len() < n {
+                        map.insert(k, vec![byte; 1 + k as usize % 5]);
+                    }
+                }
+                map
+            };
+            let mut model = side(&mut pool.iter(), held, 0xA0);
+            let incoming = side(&mut pool.iter().rev(), 256 - held, 0x0B);
+            proptest::prop_assert_eq!((model.len(), incoming.len()), (held, 256 - held));
+            let to_set = |map: &BTreeMap<u32, Vec<u8>>| {
+                let mut set = MessageSet::new();
+                for (&src, data) in map {
+                    set.insert(src as usize, data);
+                }
+                set
+            };
+            let mut set = to_set(&model);
+            let absorbed = set.merge(to_set(&incoming));
+            let mut fresh_bytes = 0;
+            for (src, data) in incoming {
+                if let std::collections::btree_map::Entry::Vacant(slot) = model.entry(src) {
+                    fresh_bytes += data.len();
+                    slot.insert(data);
+                }
+            }
+            proptest::prop_assert_eq!(absorbed, fresh_bytes);
+            // Sorted and unique, source for source the model's; a shared
+            // source still carries the held side's payload.
+            proptest::prop_assert!(set.sources().eq(model.keys().map(|&k| k as usize)));
+            for (src, data) in &model {
+                proptest::prop_assert!(set.get(*src as usize).is_some_and(|got| got == data));
+            }
+            let back = MessageSet::from_payload(&set.to_payload());
+            proptest::prop_assert_eq!(back.as_ref(), Some(&set));
+        }
+    }
+
+    #[test]
+    fn merge_into_spare_capacity_allocates_nothing() {
+        use crate::counting_alloc::allocs;
+        let mut set = MessageSet::new();
+        for src in (0..64).step_by(2) {
+            set.insert_payload(src, Payload::new());
+        }
+        set.entries.reserve(3);
+        let [low, mid, high] =
+            [1, 31, 99].map(|src| MessageSet::single_payload(src, Payload::new()));
+        let before = allocs();
+        set.merge(low);
+        set.merge(mid);
+        set.merge(high);
+        assert_eq!(allocs() - before, 0);
+        assert_eq!(set.len(), 35);
+        // And the counter counts: a full vector has to grow.
+        set.entries.shrink_to_fit();
+        let one_more = MessageSet::single_payload(100, Payload::new());
+        let before = allocs();
+        set.merge(one_more);
+        assert!(allocs() > before);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use mpp_model::{LibraryKind, Machine, Time};
 use mpp_runtime::{
     schedule_log, try_run_simulated_with, CancelToken, CommStats, Communicator, EventLog, ExecMode,
-    FaultPlan, SimBudget, SimConfig, SimError,
+    FaultPlan, KernelCounters, SimBudget, SimConfig, SimError,
 };
 
 use crate::algorithms::{
@@ -218,6 +218,8 @@ pub struct Outcome {
     pub contention_ns: Time,
     /// The source ranks used.
     pub sources: Vec<usize>,
+    /// The kernel's own work, in counts.
+    pub counters: KernelCounters,
 }
 
 impl Outcome {
@@ -399,6 +401,7 @@ fn try_run_alg_with(
         contention_events: out.contention_events,
         contention_ns: out.contention_ns,
         sources: sources.to_vec(),
+        counters: out.counters,
     })
 }
 

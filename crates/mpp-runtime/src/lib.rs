@@ -24,8 +24,9 @@ pub mod thread_backend;
 pub use comm::{recv_from, BarrierFut, CommFuture, Communicator, Message, RecvFut, RecvTimeoutFut};
 pub use mpp_sim::{
     schedule_log, BlockedEvent, CancelToken, DropEvent, EventKind, EventLog, ExecMode, FaultPlan,
-    FaultStats, FinishEvent, LinkOutage, LinkWindow, NodeCrash, Payload, RecvEvent, RetryPolicy,
-    ScheduleLog, ScheduleRecording, SendEvent, SimBudget, SimConfig, SimError, XferEvent,
+    FaultStats, FinishEvent, KernelCounters, LinkOutage, LinkWindow, NodeCrash, Payload, RecvEvent,
+    RetryPolicy, ScheduleLog, ScheduleRecording, SendEvent, SimBudget, SimConfig, SimError,
+    XferEvent,
 };
 pub use sim_backend::{
     run_simulated, run_simulated_traced, run_simulated_with, try_run_simulated_with, RunOutput,

@@ -1,7 +1,7 @@
 //! Timed backend: `Communicator` over the `mpp-sim` kernel.
 
 use mpp_model::{LibraryKind, Machine, Time};
-use mpp_sim::{try_simulate_with, MsgTrace, Payload, RankCtx, SimConfig, SimError};
+use mpp_sim::{try_simulate_with, KernelCounters, MsgTrace, Payload, RankCtx, SimConfig, SimError};
 
 use crate::comm::{BarrierFut, Communicator, RecvFut, RecvTimeoutFut};
 use crate::stats::CommStats;
@@ -123,6 +123,8 @@ pub struct RunOutput<R> {
     /// Per-message trace (empty unless requested via
     /// [`run_simulated_traced`]).
     pub trace: Vec<MsgTrace>,
+    /// The kernel's own work, in counts.
+    pub counters: KernelCounters,
 }
 
 impl<R> RunOutput<R> {
@@ -212,6 +214,7 @@ where
         contention_events: out.contention_events,
         contention_ns: out.contention_ns,
         trace: out.trace,
+        counters: out.counters,
     })
 }
 

@@ -530,23 +530,5 @@ where
         0,
         "live ranks exhausted with unfinished machines"
     );
-    core.flush_recording(false);
-    let (contention_events, contention_ns) = core.contention();
-    let trace = core.take_trace();
-    let fault_stats = core.take_fault_stats();
-    let results: Vec<R> = results
-        .into_iter()
-        .enumerate()
-        .map(|(rank, r)| r.unwrap_or_else(|| panic!("rank {rank} produced no result")))
-        .collect();
-    let makespan_ns = finish_ns.iter().copied().max().unwrap_or(0);
-    Ok(SimOutcome {
-        results,
-        finish_ns,
-        makespan_ns,
-        contention_events,
-        contention_ns,
-        trace,
-        fault_stats,
-    })
+    Ok(core.finish(results, finish_ns))
 }

@@ -622,6 +622,22 @@ pub struct SimOutcome<R> {
     pub trace: Vec<MsgTrace>,
     /// Per-rank fault counters (all zero without a fault plan).
     pub fault_stats: Vec<FaultStats>,
+    /// What the run cost the kernel, in counts.
+    pub counters: KernelCounters,
+}
+
+/// Host-independent counts of the kernel's own work in one run — the
+/// column that tells an algorithm which floods the kernel from one that
+/// is merely slow. Identical across executors.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelCounters {
+    /// Kernel events processed: sends, receive matches, timeout
+    /// expiries, iteration marks, finishes.
+    pub events: u64,
+    /// Most messages sent but not yet received, over all ranks at once.
+    pub peak_in_flight: usize,
+    /// Ranks whose mailbox outgrew the sorted-vector form.
+    pub mailbox_spills: usize,
 }
 
 /// Per-rank fault-plane counters, accumulated at the sender.
@@ -741,9 +757,7 @@ where
     // the message is there to read.
     let panic_slots: Vec<Mutex<Option<String>>> = (0..p).map(|_| Mutex::new(None)).collect();
     let mut finish_ns = vec![0; p];
-    let (contention_events, contention_ns);
-    let trace;
-    let fault_stats;
+    let core;
 
     {
         // Channel plumbing: one trap channel and one grant channel per rank.
@@ -819,26 +833,11 @@ where
                 panic_slots,
             )
         });
-        (contention_events, contention_ns, trace, fault_stats) = kernel_out?;
+        core = kernel_out?;
     }
 
-    let results: Vec<R> = results
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        .enumerate()
-        .map(|(rank, r)| r.unwrap_or_else(|| panic!("rank {rank} produced no result")))
-        .collect();
-    let makespan_ns = finish_ns.iter().copied().max().unwrap_or(0);
-    Ok(SimOutcome {
-        results,
-        finish_ns,
-        makespan_ns,
-        contention_events,
-        contention_ns,
-        trace,
-        fault_stats,
-    })
+    let results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
+    Ok(core.finish(results, finish_ns))
 }
 
 // ---------------------------------------------------------------------
@@ -861,6 +860,9 @@ pub(crate) struct KernelCore<'m> {
     recorder: Option<ScheduleLog>,
     net: NetworkState,
     mailboxes: Vec<Mailbox>,
+    /// Messages in the mailboxes now, and the most there have been.
+    in_flight: usize,
+    peak_in_flight: usize,
     seq: u64,
     steps: Vec<u32>,
     trace: Vec<MsgTrace>,
@@ -902,7 +904,9 @@ impl<'m> KernelCore<'m> {
             recording: config.recorder.is_some(),
             recorder: config.recorder.clone(),
             net,
-            mailboxes: (0..p).map(|_| Mailbox::new()).collect(),
+            mailboxes: (0..p).map(|_| Mailbox::default()).collect(),
+            in_flight: 0,
+            peak_in_flight: 0,
             seq: 0,
             steps: vec![0; p],
             trace: Vec::new(),
@@ -1019,6 +1023,8 @@ impl<'m> KernelCore<'m> {
                 tag,
                 data,
             });
+            self.in_flight += 1;
+            self.peak_in_flight = self.peak_in_flight.max(self.in_flight);
         }
         // A lost message (every attempt dropped) never reaches a
         // mailbox; the sender still only pays α_send.
@@ -1162,6 +1168,7 @@ impl<'m> KernelCore<'m> {
         let rec = self.mailboxes[rank]
             .take_match(src, tag)
             .expect("selected recv without match");
+        self.in_flight -= 1;
         if self.recording || self.strict {
             // Duplicates left behind share the matched (src, tag):
             // delivery order alone decided which one this receive
@@ -1268,16 +1275,29 @@ impl<'m> KernelCore<'m> {
         self.machine.params.memcpy_ns(bytes)
     }
 
-    pub fn contention(&self) -> (u64, Time) {
-        (self.net.contention_events, self.net.contention_ns)
-    }
-
-    pub fn take_trace(&mut self) -> Vec<MsgTrace> {
-        std::mem::take(&mut self.trace)
-    }
-
-    pub fn take_fault_stats(&mut self) -> Vec<FaultStats> {
-        std::mem::take(&mut self.fault_stats)
+    /// Close a run that completed normally: hand the recording to its
+    /// recorder and assemble the outcome from the per-rank results.
+    pub fn finish<R>(mut self, results: Vec<Option<R>>, finish_ns: Vec<Time>) -> SimOutcome<R> {
+        self.flush_recording(false);
+        let results = results
+            .into_iter()
+            .enumerate()
+            .map(|(rank, r)| r.unwrap_or_else(|| panic!("rank {rank} produced no result")))
+            .collect();
+        SimOutcome {
+            results,
+            makespan_ns: finish_ns.iter().copied().max().unwrap_or(0),
+            finish_ns,
+            contention_events: self.net.contention_events,
+            contention_ns: self.net.contention_ns,
+            trace: self.trace,
+            fault_stats: self.fault_stats,
+            counters: KernelCounters {
+                events: self.events_processed,
+                peak_in_flight: self.peak_in_flight,
+                mailbox_spills: self.mailboxes.iter().filter(|mb| mb.spilled()).count(),
+            },
+        }
     }
 }
 
@@ -1396,20 +1416,19 @@ fn dispatch_trap(
 }
 
 /// The threaded kernel proper. Runs on the calling thread while rank
-/// threads wait. Returns
-/// `(contention_events, contention_ns, trace, fault_stats)`, or the
+/// threads wait. Returns the core of the completed run, or the
 /// `SimError` describing an abnormal termination — in which case every
 /// grant sender has been dropped, so blocked rank threads unwind with
 /// the quiet `KernelGone` sentinel and the enclosing `thread::scope`
 /// joins them before the error propagates.
-fn run_kernel(
-    machine: &Machine,
+fn run_kernel<'m>(
+    machine: &'m Machine,
     config: &SimConfig,
     trap_rxs: &[Receiver<Trap>],
     grant_txs: &mut [Option<Sender<Grant>>],
     finish_ns: &mut [Time],
     panic_slots: &[Mutex<Option<String>>],
-) -> Result<(u64, Time, Vec<MsgTrace>, Vec<FaultStats>), SimError> {
+) -> Result<KernelCore<'m>, SimError> {
     let mut core = KernelCore::new(machine, config);
     match kernel_loop(
         machine,
@@ -1420,16 +1439,7 @@ fn run_kernel(
         finish_ns,
         panic_slots,
     ) {
-        Ok(()) => {
-            core.flush_recording(false);
-            let (contention_events, contention_ns) = core.contention();
-            Ok((
-                contention_events,
-                contention_ns,
-                core.take_trace(),
-                core.take_fault_stats(),
-            ))
-        }
+        Ok(()) => Ok(core),
         Err(e) => {
             core.flush_recording(matches!(e, SimError::Deadlock { .. }));
             for tx in grant_txs.iter_mut() {

@@ -57,6 +57,9 @@
 //! [`simulate`] runs one per-rank program on every rank of a machine and
 //! returns per-rank results, finish times, and the makespan.
 
+#[cfg(test)]
+#[path = "../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 pub mod error;
 pub(crate) mod exec;
 pub mod kernel;
@@ -72,8 +75,8 @@ pub mod trace;
 pub use error::SimError;
 pub use kernel::{
     block_on_ready, simulate, simulate_with, try_simulate, try_simulate_with, BarrierFuture,
-    DeadlockInfo, Envelope, ExecMode, FaultStats, RankCtx, RecvFuture, RecvTimeoutFuture,
-    SimConfig, SimOutcome,
+    DeadlockInfo, Envelope, ExecMode, FaultStats, KernelCounters, RankCtx, RecvFuture,
+    RecvTimeoutFuture, SimConfig, SimOutcome,
 };
 pub use mpp_model::{FaultPlan, LinkOutage, NodeCrash, RetryPolicy};
 pub use network::NetworkState;

@@ -1,35 +1,12 @@
 //! The schedule recorder must not allocate per recorded operation: its
 //! events go into flat arrays (link windows included, addressed by
-//! offset and length) that the next recording on the thread reuses. The
-//! only test of this binary, so the counting allocator sees nothing else.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+//! offset and length) that the next recording on the thread reuses.
 
 use mpp_model::Machine;
 use mpp_sim::{schedule_log, simulate_with, ExecMode, Payload, SimConfig};
 
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to the system allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 const ROUNDS: u32 = 200;
 
@@ -43,7 +20,7 @@ fn ring(record: bool) -> (u64, usize) {
         recorder: record.then(|| log.clone()),
         ..SimConfig::default()
     };
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocs();
     simulate_with(&machine, &config, |mut ctx| async move {
         let (me, p) = (ctx.rank(), ctx.size());
         for round in 0..ROUNDS {
@@ -52,7 +29,7 @@ fn ring(record: bool) -> (u64, usize) {
             ctx.recv(Some((me + p - 5) % p), Some(round)).await;
         }
     });
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = counting_alloc::allocs() - before;
     let recording = std::mem::take(&mut *log.lock().expect("schedule log"));
     assert!(recording.events.windows.len() >= recording.events.xfers.len());
     (allocs, recording.events.xfers.len())

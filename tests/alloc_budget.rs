@@ -39,12 +39,12 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     COPY_METRICS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One cooperative run of the reference grid point (16x16 Paragon,
-/// s=24 equally-spread sources, 4096-byte messages — the same point
+/// One cooperative run with `s` equally-spread sources and 4096-byte
+/// messages (`s` = 24 on the 16x16 Paragon is the reference grid point
 /// `scripts/bench-smoke.sh` records as `copy_stats/...`). Returns
 /// `(payload_allocs, comm_allocs)` for the run.
-fn run_counting(machine: &Machine, kind: AlgoKind) -> (u64, u64) {
-    let sources = SourceDist::Equal.place(machine.shape, 24);
+fn run_counting(machine: &Machine, kind: AlgoKind, s: usize) -> (u64, u64) {
+    let sources = SourceDist::Equal.place(machine.shape, s);
     let alg = kind.build();
     let shape = machine.shape;
     let config = SimConfig {
@@ -76,10 +76,10 @@ fn run_counting(machine: &Machine, kind: AlgoKind) -> (u64, u64) {
 }
 
 /// Warm up, then assert the measured run stays within budget.
-fn assert_budget_on(machine: &Machine, kind: AlgoKind, payload_budget: u64) {
+fn assert_budget_on(machine: &Machine, kind: AlgoKind, s: usize, payload_budget: u64) {
     let _g = lock();
-    run_counting(machine, kind); // warmup: fill arena chunks + retired pool
-    let (payload_allocs, comm_allocs) = run_counting(machine, kind);
+    run_counting(machine, kind, s); // warmup: fill arena chunks + retired pool
+    let (payload_allocs, comm_allocs) = run_counting(machine, kind, s);
     assert!(
         payload_allocs <= payload_budget,
         "{}: {payload_allocs} payload allocations in one warm run \
@@ -95,7 +95,7 @@ fn assert_budget_on(machine: &Machine, kind: AlgoKind, payload_budget: u64) {
 }
 
 fn assert_budget(kind: AlgoKind, payload_budget: u64) {
-    assert_budget_on(&Machine::paragon(16, 16), kind, payload_budget);
+    assert_budget_on(&Machine::paragon(16, 16), kind, 24, payload_budget);
 }
 
 #[test]
@@ -130,5 +130,13 @@ fn kport_lin_alloc_budget() {
         Placement::Identity,
         MeshShape::new(16, 16),
     );
-    assert_budget_on(&machine, AlgoKind::KPortLin, 16);
+    assert_budget_on(&machine, AlgoKind::KPortLin, 24, 16);
+}
+
+#[test]
+fn kport_alltoall_alloc_budget() {
+    // 64 sources post all 255 sends before their first receive: 16 320
+    // messages in flight, every mailbox past the spill, one rope
+    // snapshot per source shared by all its sends. Warm observed 0.
+    assert_budget_on(&Machine::paragon(16, 16), AlgoKind::KPortAlltoall, 64, 16);
 }

@@ -10,6 +10,7 @@
 //! × the acceptance shapes). The quick subset runs in tier-1; the full
 //! matrix is `#[ignore]`d for tier-2 (`cargo test -- --ignored`).
 
+use stp_analyzer::{replay, Schedule};
 use stp_broadcast::model::{Machine, MachineParams, MeshShape, Placement, Topology};
 use stp_broadcast::runtime::{ExecMode, FaultPlan};
 use stp_broadcast::stp::distribution::SourceDist;
@@ -40,8 +41,13 @@ fn record(
 
 /// Compare a coop recording against a threaded recording of the same
 /// grid point: schedules, virtual times, and per-rank stats must all be
-/// byte-identical.
-fn assert_identical(machine: &Machine, dist: &SourceDist, s: usize, kind: AlgoKind) {
+/// byte-identical. Hands both recordings back.
+fn assert_identical(
+    machine: &Machine,
+    dist: &SourceDist,
+    s: usize,
+    kind: AlgoKind,
+) -> [RecordedRun; 2] {
     let coop = record(machine, dist, s, kind, ExecMode::Cooperative);
     let thr = record(machine, dist, s, kind, ExecMode::Threaded);
     let tag = format!(
@@ -54,8 +60,8 @@ fn assert_identical(machine: &Machine, dist: &SourceDist, s: usize, kind: AlgoKi
     assert_eq!(coop.deadlocked, thr.deadlocked, "{tag}: deadlock verdict");
     assert_eq!(coop.events, thr.events, "{tag}: recorded schedules");
     let (a, b) = (
-        coop.outcome.expect("coop outcome"),
-        thr.outcome.expect("threaded outcome"),
+        coop.outcome.as_ref().expect("coop outcome"),
+        thr.outcome.as_ref().expect("threaded outcome"),
     );
     assert_eq!(a.makespan_ns, b.makespan_ns, "{tag}: makespan");
     assert_eq!(a.finish_ns, b.finish_ns, "{tag}: per-rank finish times");
@@ -66,7 +72,9 @@ fn assert_identical(machine: &Machine, dist: &SourceDist, s: usize, kind: AlgoKi
         "{tag}: contention events"
     );
     assert_eq!(a.contention_ns, b.contention_ns, "{tag}: contention time");
+    assert_eq!(a.counters, b.counters, "{tag}: kernel counters");
     assert!(a.verified, "{tag}: run must verify");
+    [coop, thr]
 }
 
 /// A Paragon-parameterized mesh with five injection ports per node —
@@ -134,6 +142,38 @@ fn executors_agree_quick_odd_shape() {
         &[SourceDist::Row, SourceDist::Cross],
         &[AlgoKind::BrLin, AlgoKind::BrXySource, AlgoKind::TwoStep],
     );
+}
+
+/// Tier-1 past the spill: every other tier-1 case runs on p ≤ 24, where
+/// no mailbox can hold more than `SPILL_AT` = 32 messages. On a 6×7
+/// mesh with every rank a source, `KPort_Alltoall` (all 41 rounds posted
+/// before the first receive) and `2-Step`'s gather root put 41 in one
+/// mailbox, so there the deep form is what both executors run on —
+/// event for event — and what the cost replay must reproduce to the
+/// nanosecond. The other three move the same s·(p−1) messages paced,
+/// and stay shallow: the contrast the kernel counters exist to show.
+#[test]
+fn executors_agree_past_the_spill() {
+    let machine = Machine::paragon(6, 7);
+    for (kind, deep) in [
+        (AlgoKind::KPortAlltoall, true),
+        (AlgoKind::TwoStep, true),
+        (AlgoKind::PersAlltoAll, false),
+        (AlgoKind::MpiAlltoall, false),
+        (AlgoKind::NaiveIndependent, false),
+    ] {
+        for run in assert_identical(&machine, &SourceDist::Equal, machine.p(), kind) {
+            let sched = Schedule::from_recorded(&run, machine.p());
+            let report = replay(&sched, &machine, kind.default_lib(), false);
+            let name = kind.name();
+            assert!(report.conformant(), "{name}: {:?}", report.divergences);
+            let outcome = run.outcome.expect("completed run");
+            assert_eq!(report.makespan_ns, outcome.makespan_ns, "{name}");
+            // The case must not quietly stop covering the deep form.
+            let k = outcome.counters;
+            assert_eq!(k.mailbox_spills > 0, deep, "{name}: {k:?}");
+        }
+    }
 }
 
 /// Record one grid point on the given executor with a fault plan.
