@@ -71,7 +71,7 @@ impl LintConfig {
 }
 
 /// One analyzed grid point of the lint matrix.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LintEntry {
     /// Algorithm display name.
     pub algo: String,
@@ -128,14 +128,14 @@ pub fn stage_totals() -> Vec<(&'static str, Duration)> {
         .clone()
 }
 
-/// Record and analyze one named algorithm instance on one grid point.
-/// The shared engine behind [`lint_point`] and
+/// Record and analyze one named algorithm instance on the `sources`
+/// that `dist` placed. The shared engine behind [`lint_point`] and
 /// [`lint_matrix_supervised`].
 #[allow(clippy::too_many_arguments)]
 fn lint_alg_point(
     machine: &Machine,
     dist: &SourceDist,
-    s: usize,
+    sources: &[usize],
     msg_len: usize,
     alg: &dyn StpAlgorithm,
     lib: mpp_model::LibraryKind,
@@ -144,10 +144,9 @@ fn lint_alg_point(
     perf: bool,
     control: &RunControl,
 ) -> Result<LintEntry, mpp_runtime::SimError> {
-    let sources = dist.place(machine.shape, s);
     let payload_of = move |src: usize| payload_for(src, msg_len);
     let run = timed("record", || {
-        try_record_sources(machine, lib, &sources, &payload_of, alg, control)
+        try_record_sources(machine, lib, sources, &payload_of, alg, control)
     })?;
     let opts = AnalyzeOpts {
         max_link_load,
@@ -157,7 +156,7 @@ fn lint_alg_point(
         ..AnalyzeOpts::default()
     };
     Ok(lint_recorded(
-        machine, dist, &sources, msg_len, algo_name, &opts, &run,
+        machine, dist, sources, msg_len, algo_name, &opts, &run,
     ))
 }
 
@@ -215,7 +214,7 @@ pub fn lint_point(
     lint_alg_point(
         machine,
         dist,
-        s,
+        &dist.place(machine.shape, s),
         msg_len,
         alg.as_ref(),
         kind.default_lib(),
@@ -270,6 +269,7 @@ pub fn lint_matrix_supervised(
         checkpoint,
         |entry| timed("report", || entry_to_json(entry)),
         entry_from_json,
+        MatrixPoint::experiment,
         |pt| {
             let alg = pt.alg.build();
             let control = RunControl {
@@ -281,7 +281,7 @@ pub fn lint_matrix_supervised(
             lint_alg_point(
                 &pt.machine,
                 &pt.dist,
-                pt.s,
+                &pt.sources,
                 config.msg_len,
                 alg.as_ref(),
                 pt.alg.lib(),
@@ -290,6 +290,11 @@ pub fn lint_matrix_supervised(
                 config.perf,
                 &control,
             )
+        },
+        // The analysis never sees the label: only `dist` differs.
+        |pt, entry| LintEntry {
+            dist: pt.dist.name().to_string(),
+            ..entry.clone()
         },
         opts,
     )
@@ -333,10 +338,11 @@ pub fn lint_fixtures() -> Vec<FixtureVerdict> {
     fixtures::all()
         .into_iter()
         .map(|fx| {
+            let machine = (fx.machine)();
             let entry = lint_alg_point(
-                &(fx.machine)(),
+                &machine,
                 &SourceDist::Equal,
-                fx.s,
+                &SourceDist::Equal.place(machine.shape, fx.s),
                 64,
                 (fx.build)().as_ref(),
                 mpp_model::LibraryKind::Nx,
@@ -396,6 +402,7 @@ pub fn hush_expected_panics() {
 pub(crate) mod tests {
     use super::*;
     use stp_core::runner::record_sources;
+    use stp_core::supervise::MatrixAlg;
 
     /// Record every point of the quick matrix and every seeded-bug
     /// fixture (L = 64) and hand each recording to `check` — the corpus
@@ -406,16 +413,15 @@ pub(crate) mod tests {
         hush_expected_panics();
         let payload_of = |src: usize| payload_for(src, 64);
         for pt in matrix_points(&matrix_shapes(true), false) {
-            let sources = pt.dist.place(pt.machine.shape, pt.s);
             let alg = pt.alg.build();
             let run = record_sources(
                 &pt.machine,
                 pt.alg.lib(),
-                &sources,
+                &pt.sources,
                 &payload_of,
                 alg.as_ref(),
             );
-            check(&pt.machine, &sources, &run);
+            check(&pt.machine, &pt.sources, &run);
         }
         for fx in fixtures::all() {
             let machine = (fx.machine)();
@@ -450,6 +456,54 @@ pub(crate) mod tests {
                 e.algo, e.dist, e.rows, e.cols, e.s
             );
             assert!(e.sends > 0 && e.recvs > 0);
+        }
+    }
+
+    #[test]
+    fn grouped_lint_equals_linting_every_point() {
+        let faulted = FaultPlan::parse("seed=5,drop=1/8,retry=6:500").expect("fault plan");
+        for faults in [None, Some(faulted)] {
+            let config = LintConfig {
+                faults: faults.clone(),
+                perf: true,
+                ..LintConfig::quick()
+            };
+            let sweep = lint_matrix_supervised(
+                &config,
+                &SweepRunner::new(),
+                &SuperviseOpts::default(),
+                None,
+            );
+            assert_eq!((sweep.total, sweep.experiments), (640, 280));
+            assert!(sweep.failures.is_empty() && sweep.skipped.is_empty());
+            let control = RunControl {
+                faults,
+                ..RunControl::default()
+            };
+            let points = matrix_points(&config.shapes, false);
+            assert_eq!(sweep.done.len(), points.len());
+            for (pt, grouped) in points.iter().zip(&sweep.done) {
+                let MatrixAlg::Kind(kind) = pt.alg else {
+                    unreachable!("no chaos on this matrix")
+                };
+                let direct = lint_point(
+                    &pt.machine,
+                    &pt.dist,
+                    pt.sources.len(),
+                    config.msg_len,
+                    kind,
+                    None,
+                    true,
+                    &control,
+                )
+                .unwrap_or_else(|e| panic!("{}: {e}", pt.id()));
+                assert_eq!(
+                    entry_to_json(grouped),
+                    entry_to_json(&direct),
+                    "{}",
+                    pt.id()
+                );
+            }
         }
     }
 

@@ -201,15 +201,20 @@ fn run_lint(args: &[String], env: &Env) -> ! {
         get(args, "--write-baseline").as_deref(),
         findings,
     );
-    print_stage_line("lint");
+    print_stage_lines("lint", &sweep);
     let bad = bad_findings || !sweep.failures.is_empty() || !sweep.skipped.is_empty();
     std::process::exit(if bad { 1 } else { 0 });
 }
 
-/// The run's host-time profile, one stderr line: what every
-/// [`stp_analyzer::timed`] stage cost — lint stages for `stp lint`,
-/// algorithms for `stp sweep`.
-fn print_stage_line(cmd: &str) {
+/// The run's two host-side stderr lines: how much was simulated (its
+/// points, and the distinct experiments the ones not replayed came down
+/// to), then the host-time profile of every [`stp_analyzer::timed`]
+/// stage — lint stages for `stp lint`, algorithms for `stp sweep`.
+fn print_stage_lines<T>(cmd: &str, run: &stp_core::supervise::SupervisedRun<T>) {
+    eprintln!(
+        "[{cmd}] {} points, {} experiments simulated",
+        run.total, run.experiments
+    );
     let stages: Vec<String> = stp_analyzer::stage_totals()
         .iter()
         .map(|(stage, busy)| format!("{stage} {}", busy.as_millis()))
@@ -378,33 +383,35 @@ fn run_sweep(args: &[String], env: &Env) -> ! {
         checkpoint.as_ref(),
         String::clone,
         |record| Ok(record.to_string()),
+        MatrixPoint::experiment,
         |pt| {
-            let sources = pt.dist.place(pt.machine.shape, pt.s);
             let control = RunControl {
                 faults: faults.clone(),
                 budget: opts.budget.clone(),
                 cancel: Some(opts.cancel.clone()),
                 ..RunControl::default()
             };
-            let out = stp_analyzer::timed(pt.alg.name(), || {
+            stp_analyzer::timed(pt.alg.name(), || {
                 try_run_alg_controlled(
                     &pt.machine,
                     pt.alg.lib(),
-                    &sources,
+                    &pt.sources,
                     &|src| payload_for(src, msg_len),
                     pt.alg.build().as_ref(),
                     &control,
                 )
-            })?;
-            // Virtual quantities only — this record must be identical
-            // whether the point ran now or replayed from a checkpoint.
-            Ok(format!(
+            })
+        },
+        // Virtual quantities only — this record must be identical
+        // whether the point ran now or replayed from a checkpoint.
+        |pt, out| {
+            format!(
                 "{{\"id\":\"{}\",\"makespan_ns\":{},\"verified\":{},\"contention_ns\":{}}}",
                 pt.id(),
                 out.makespan_ns,
                 out.verified,
                 out.contention_ns
-            ))
+            )
         },
         &opts,
     );
@@ -433,7 +440,7 @@ fn run_sweep(args: &[String], env: &Env) -> ! {
         std::fs::write(&path, report).expect("write JSON report");
         eprintln!("[sweep] report written to {path}");
     }
-    print_stage_line("sweep");
+    print_stage_lines("sweep", &sweep);
     let bad = unverified > 0 || !sweep.failures.is_empty() || !sweep.skipped.is_empty();
     std::process::exit(if bad { 1 } else { 0 });
 }

@@ -321,6 +321,106 @@ fn sweep_resumes_from_a_parent_format_checkpoint() {
     );
 }
 
+/// The `stp sweep --len 64 --json` report, built by running every point
+/// of the matrix on its own through `try_run_alg_controlled`: the
+/// reference the grouped sweep must equal byte for byte.
+fn sweep_point_by_point(quick: bool, faults: Option<&str>) -> String {
+    use stp_core::msgset::payload_for;
+    use stp_core::runner::{try_run_alg_controlled, RunControl, SweepRunner};
+    use stp_core::supervise::{
+        matrix_points, matrix_shapes, PointFailure, SuperviseOpts, SupervisedRun,
+    };
+
+    let control = RunControl {
+        faults: faults.map(|spec| mpp_model::FaultPlan::parse(spec).expect("fault plan")),
+        ..RunControl::default()
+    };
+    let points = matrix_points(&matrix_shapes(quick), false);
+    let outcomes = SweepRunner::new().map(points.iter().collect(), |pt| {
+        let sources = pt.dist.place(pt.machine.shape, pt.sources.len());
+        let alg = pt.alg.build();
+        let payload_of = |src| payload_for(src, 64);
+        try_run_alg_controlled(
+            &pt.machine,
+            pt.alg.lib(),
+            &sources,
+            &payload_of,
+            alg.as_ref(),
+            &control,
+        )
+    });
+    let mut run = SupervisedRun {
+        done: Vec::new(),
+        failures: Vec::new(),
+        skipped: Vec::new(),
+        resumed: 0,
+        experiments: points.len(),
+        total: points.len(),
+    };
+    for (pt, outcome) in points.iter().zip(outcomes) {
+        match outcome {
+            Ok(out) => run.done.push(format!(
+                "{{\"id\":\"{}\",\"makespan_ns\":{},\"verified\":{},\"contention_ns\":{}}}",
+                pt.id(),
+                out.makespan_ns,
+                out.verified,
+                out.contention_ns
+            )),
+            Err(e) => run.failures.push(PointFailure {
+                id: pt.id(),
+                attempts: SuperviseOpts::default().retries + 1,
+                error: e.to_string(),
+            }),
+        }
+    }
+    format!(
+        "{{{},\"records\":[\n  {}\n]}}",
+        run.summary_json(),
+        run.done.join(",\n  ")
+    )
+}
+
+#[test]
+fn grouped_sweep_equals_running_every_point() {
+    let dir = std::env::temp_dir().join(format!("stp-cli-grouped-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let faults = "seed=5,drop=1/8,retry=6:500";
+    // The full faulted matrix is where experiments fail: four 16x16
+    // all-sources experiments deadlock, and all 32 of their points
+    // must inherit the failure.
+    for (quick, faults, counts, failed) in [
+        (true, None, "640 points, 280 experiments", 0),
+        (true, Some(faults), "640 points, 280 experiments", 0),
+        (false, Some(faults), "1280 points, 580 experiments", 32),
+    ] {
+        let report = dir.join("report.json").to_string_lossy().into_owned();
+        let mut cmd = stp();
+        cmd.args(["sweep", "--len", "64", "--json", &report]);
+        if quick {
+            cmd.arg("--quick");
+        }
+        if let Some(spec) = faults {
+            cmd.args(["--faults", spec]);
+        }
+        let (code, stdout, stderr) = run(&mut cmd);
+        assert_eq!(code, Some(if failed > 0 { 1 } else { 0 }), "{stderr}");
+        assert!(
+            stdout.contains(&format!(" 0 unverified, {failed} failed, 0 skipped")),
+            "{stdout}"
+        );
+        assert!(
+            stderr.contains(&format!("[sweep] {counts} simulated\n")),
+            "{stderr}"
+        );
+        let grouped = std::fs::read_to_string(&report).expect("read report");
+        let direct = sweep_point_by_point(quick, faults);
+        let first_difference = grouped.lines().zip(direct.lines()).find(|(a, b)| a != b);
+        assert_eq!(first_difference, None, "quick={quick} faults={faults:?}");
+        assert_eq!(grouped, direct);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn metrics_print_the_kernel_counters() {
     // 36 ranks: with every rank a source, 2-Step's gather root holds

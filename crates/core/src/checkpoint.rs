@@ -511,12 +511,15 @@ impl CheckpointFile {
         self.lock().get(id).map(str::to_string)
     }
 
-    /// Record a completed point and persist. Persistence is
+    /// Record completed `(id, record)` points — the members of one
+    /// settled experiment — and persist them in one save. Persistence is
     /// best-effort: an I/O failure costs resumability, not the sweep —
     /// it warns and keeps going.
-    pub fn record(&self, id: &str, record: &str) {
+    pub fn record(&self, records: &[(&str, String)]) {
         let mut cp = self.lock();
-        cp.insert(id, record);
+        for (id, record) in records {
+            cp.insert(id, record);
+        }
         if let Err(e) = cp.save(&self.path) {
             eprintln!(
                 "warning: could not save checkpoint {}: {e}",
@@ -637,8 +640,8 @@ mod tests {
         let path = tmp_path("sig");
         {
             let file = CheckpointFile::open(&path, "sig-a").expect("open");
-            file.record("p1", "one");
-            file.record("p2", "two");
+            file.record(&[("p1", "one".into())]);
+            file.record(&[("p2", "two".into())]);
             assert_eq!(file.completed(), 2);
         }
         // Same sig: progress resumes.

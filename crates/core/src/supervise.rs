@@ -16,9 +16,10 @@
 //! [`PointStatus::Skipped`] so a checkpoint/resume cycle re-runs them.
 //!
 //! [`SweepRunner::run_resumable`] puts a checkpoint in front of that:
-//! finished points are persisted as they settle and replayed verbatim
-//! on resume, and the statuses come back triaged into a
-//! [`SupervisedRun`]. It is the one resume loop behind `stp sweep` and
+//! each distinct experiment among the points is simulated once and
+//! every point's record rendered from it, finished points are persisted
+//! as they settle and replayed verbatim on resume, and the statuses come
+//! back triaged into a [`SupervisedRun`]. It is the one resume loop behind `stp sweep` and
 //! `stp lint`, which both run the acceptance matrix defined here
 //! ([`matrix_shapes`], [`matrix_points`]).
 //!
@@ -28,12 +29,14 @@
 //! report, not die from.
 
 use std::any::Any;
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use mpp_model::{LibraryKind, Machine};
+use mpp_model::{LibraryKind, Machine, MeshShape};
 use mpp_runtime::{CancelToken, CommFuture, Communicator, SimBudget, SimError};
 
 use crate::algorithms::{StpAlgorithm, StpCtx};
@@ -273,6 +276,9 @@ pub struct SupervisedRun<T> {
     pub skipped: Vec<String>,
     /// Points replayed from the checkpoint instead of re-run.
     pub resumed: usize,
+    /// Distinct experiments among the points that were not replayed:
+    /// how many simulations the run dispatched.
+    pub experiments: usize,
     /// Total grid points.
     pub total: usize,
 }
@@ -311,33 +317,44 @@ impl<T> SupervisedRun<T> {
 
 impl SweepRunner {
     /// [`map_supervised`](SweepRunner::map_supervised) behind a
-    /// checkpoint. A point whose id (`ids[i]` names `points[i]`) has a
-    /// record in `checkpoint` that `decode`s is replayed and never
-    /// re-run; a record that does not decode costs a warning and a
-    /// re-run. Every other point runs `job` under `opts`, and each one
-    /// that completes is `encode`d into the checkpoint as it settles, so
-    /// a killed run resumes with only unfinished work. The outcome is in
-    /// grid order whatever the completion order was.
+    /// checkpoint, simulating each distinct experiment once. A point
+    /// whose id (`ids[i]` names `points[i]`) has a record in `checkpoint`
+    /// that `decode`s is replayed and never re-run; a record that does
+    /// not decode costs a warning and a re-run.
+    ///
+    /// The other points are grouped by `key` — two points with equal
+    /// keys must be the same experiment under different labels. Each
+    /// group's first point in grid order is `simulate`d under `opts`, and
+    /// every member's record is `render`ed from that one outcome; a
+    /// failed or skipped experiment fails or skips every member alike. A
+    /// group that completes is `encode`d into the checkpoint in one save
+    /// as it settles, so a killed run resumes with only unfinished work.
+    /// The outcome is in grid order whatever the completion order was.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_resumable<I, T>(
+    pub fn run_resumable<I, K, E, T>(
         &self,
         points: Vec<I>,
         ids: Vec<String>,
         checkpoint: Option<&CheckpointFile>,
         encode: impl Fn(&T) -> String + Sync,
         decode: impl Fn(&str) -> Result<T, String>,
-        job: impl Fn(&I) -> Result<T, SimError> + Sync,
+        key: impl Fn(&I) -> K,
+        simulate: impl Fn(&I) -> Result<E, SimError> + Sync,
+        render: impl Fn(&I, &E) -> T + Sync,
         opts: &SuperviseOpts,
     ) -> SupervisedRun<T>
     where
         I: Send + Sync,
+        K: Eq + Hash,
         T: Send,
     {
         assert_eq!(points.len(), ids.len(), "one id per grid point");
-        let mut replayed: Vec<Option<T>> = Vec::with_capacity(points.len());
-        let mut to_run = Vec::new();
-        let mut run_ids = Vec::new();
-        for (point, id) in points.into_iter().zip(&ids) {
+        // Each point is replayed (`Ok(record)`) or runs as a member of
+        // experiment group `Err(g)`; `groups[g]` lists its members.
+        let mut slots: Vec<Result<T, usize>> = Vec::with_capacity(points.len());
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut group_of: HashMap<K, usize> = HashMap::new();
+        for (index, (point, id)) in points.iter().zip(&ids).enumerate() {
             let record =
                 checkpoint
                     .and_then(|cp| cp.get(id))
@@ -348,35 +365,66 @@ impl SweepRunner {
                             None
                         }
                     });
-            if record.is_none() {
-                run_ids.push(id.as_str());
-                to_run.push(point);
-            }
-            replayed.push(record);
+            slots.push(record.ok_or_else(|| {
+                let g = *group_of.entry(key(point)).or_insert_with(|| {
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                });
+                groups[g].push(index);
+                g
+            }));
         }
 
-        let fresh = self.map_supervised(to_run, job, opts, |index, status| {
-            if let (Some(cp), PointStatus::Done(value)) = (checkpoint, status) {
-                cp.record(run_ids[index], &encode(value));
-            }
-        });
+        let points = &points;
+        let mut fresh = self.map_supervised(
+            groups.iter().map(Vec::as_slice).collect(),
+            |members: &&[usize]| {
+                let outcome = simulate(&points[members[0]])?;
+                let records: Vec<T> = members
+                    .iter()
+                    .map(|&m| render(&points[m], &outcome))
+                    .collect();
+                Ok(records.into_iter())
+            },
+            opts,
+            |g, status| {
+                if let (Some(cp), PointStatus::Done(records)) = (checkpoint, status) {
+                    let encoded: Vec<(&str, String)> = groups[g]
+                        .iter()
+                        .zip(records.as_slice())
+                        .map(|(&m, record)| (ids[m].as_str(), encode(record)))
+                        .collect();
+                    cp.record(&encoded);
+                }
+            },
+        );
 
-        // Splice the fresh statuses back between the replayed records.
         let mut out = SupervisedRun {
             done: Vec::new(),
             failures: Vec::new(),
             skipped: Vec::new(),
             resumed: 0,
+            experiments: groups.len(),
             total: ids.len(),
         };
-        let mut fresh = fresh.into_iter();
-        for (record, id) in replayed.into_iter().zip(&ids) {
-            let status = match record {
-                Some(value) => {
+        for (slot, id) in slots.into_iter().zip(&ids) {
+            let status = match slot {
+                Ok(value) => {
                     out.resumed += 1;
                     PointStatus::Done(value)
                 }
-                None => fresh.next().expect("one status per point that ran"),
+                // Members take their records in grid order and inherit a
+                // failure or a skip as it is.
+                Err(g) => match &mut fresh[g] {
+                    PointStatus::Done(records) => {
+                        PointStatus::Done(records.next().expect("one record per member"))
+                    }
+                    PointStatus::Failed { attempts, error } => PointStatus::Failed {
+                        attempts: *attempts,
+                        error: error.clone(),
+                    },
+                    PointStatus::Skipped => PointStatus::Skipped,
+                },
             };
             match status {
                 PointStatus::Done(value) => out.done.push(value),
@@ -503,10 +551,10 @@ impl MatrixAlg {
 pub struct MatrixPoint {
     /// The Paragon mesh the point runs on.
     pub machine: Machine,
-    /// Source distribution.
+    /// Source distribution: the point's label.
     pub dist: SourceDist,
-    /// Number of sources.
-    pub s: usize,
+    /// The ranks `dist` placed the sources on.
+    pub sources: Vec<usize>,
     /// Algorithm.
     pub alg: MatrixAlg,
 }
@@ -521,8 +569,17 @@ impl MatrixPoint {
             self.dist.name(),
             self.machine.shape.rows,
             self.machine.shape.cols,
-            self.s
+            self.sources.len()
         )
+    }
+
+    /// What gets simulated: shape, algorithm and placed sources. It is
+    /// the whole experiment — every point of a shape runs on
+    /// `Machine::paragon(rows, cols)`, the library follows from the
+    /// algorithm, and message length, fault plan and budget belong to
+    /// the run — so two labels that place the same ranks share a key.
+    pub fn experiment(&self) -> (MeshShape, &'static str, Vec<usize>) {
+        (self.machine.shape, self.alg.name(), self.sources.clone())
     }
 }
 
@@ -555,11 +612,12 @@ pub fn matrix_points(shapes: &[(usize, usize)], chaos: bool) -> Vec<MatrixPoint>
         };
         for dist in SourceDist::named() {
             for &s in &counts {
+                let sources = dist.place(machine.shape, s);
                 for &kind in AlgoKind::all() {
                     points.push(MatrixPoint {
                         machine: machine.clone(),
                         dist: dist.clone(),
-                        s,
+                        sources: sources.clone(),
                         alg: MatrixAlg::Kind(kind),
                     });
                 }
@@ -569,10 +627,11 @@ pub fn matrix_points(shapes: &[(usize, usize)], chaos: bool) -> Vec<MatrixPoint>
     if chaos {
         let (rows, cols) = shapes.first().copied().unwrap_or((4, 4));
         for (name, build) in chaos_algorithms() {
+            let machine = Machine::paragon(rows, cols);
             points.push(MatrixPoint {
-                machine: Machine::paragon(rows, cols),
+                sources: SourceDist::Equal.place(machine.shape, 2),
+                machine,
                 dist: SourceDist::Equal,
-                s: 2,
                 alg: MatrixAlg::Chaos(name, build),
             });
         }
@@ -718,6 +777,7 @@ mod tests {
                     .and_then(|digits| digits.parse().ok())
                     .ok_or_else(|| format!("not a record: {text:?}"))
             },
+            |&i| i,
             |&i| {
                 executed.lock().unwrap().push(i);
                 if i == 4 {
@@ -725,6 +785,7 @@ mod tests {
                 }
                 Ok(i)
             },
+            |_, &v| v,
             &SuperviseOpts::default().with_retries(0),
         );
         let mut executed = executed.into_inner().unwrap();
@@ -774,9 +835,9 @@ mod tests {
     fn a_record_that_does_not_decode_is_run_again_and_rewritten() {
         let file = TempCheckpoint::new("bad-record");
         let cp = file.open();
-        cp.record("p0", "v0");
-        cp.record("p1", "garbage");
-        cp.record("p2", "v2");
+        cp.record(&[("p0", "v0".into())]);
+        cp.record(&[("p1", "garbage".into())]);
+        cp.record(&[("p2", "v2".into())]);
         let (run, ran) = resumable(3, Some(&cp));
         assert_eq!(ran, vec![1], "only the undecodable point runs");
         assert_eq!(run.done, vec![0, 1, 2]);
@@ -788,7 +849,7 @@ mod tests {
     fn a_cancelled_resumable_run_names_what_it_skipped() {
         let file = TempCheckpoint::new("skipped");
         let cp = file.open();
-        cp.record("p1", "v1");
+        cp.record(&[("p1", "v1".into())]);
         let opts = SuperviseOpts::default();
         opts.cancel.cancel();
         let run = SweepRunner::sequential().run_resumable(
@@ -797,7 +858,9 @@ mod tests {
             Some(&cp),
             |v: &usize| format!("v{v}"),
             |_| Ok(1),
+            |&i| i,
             |&i| Ok(i),
+            |_, &v| v,
             &opts,
         );
         // The record still replays; the unstarted points are skipped.
@@ -840,6 +903,53 @@ mod tests {
         }
         // A machine too small for a sparse count sweeps all-sources only.
         assert_eq!(matrix_points(&[(1, 2)], false).len(), 8 * algos);
+    }
+
+    #[test]
+    fn the_matrix_is_580_experiments_and_the_quick_one_280() {
+        let experiments = |points: &[MatrixPoint]| {
+            let keys: std::collections::HashSet<_> =
+                points.iter().map(MatrixPoint::experiment).collect();
+            keys.len()
+        };
+        assert_eq!(
+            experiments(&matrix_points(&matrix_shapes(false), false)),
+            580
+        );
+        assert_eq!(
+            experiments(&matrix_points(&matrix_shapes(true), false)),
+            280
+        );
+
+        // With s = p every label places every rank; at s = p/4 exactly
+        // these label pairs place the same sources.
+        let mut coinciding = Vec::new();
+        for (rows, cols) in matrix_shapes(false) {
+            let shape = Machine::paragon(rows, cols).shape;
+            let placed: Vec<_> = SourceDist::named()
+                .into_iter()
+                .map(|d| (d.name(), d.place(shape, shape.p() / 4)))
+                .collect();
+            for (i, (a, sa)) in placed.iter().enumerate() {
+                for (b, sb) in &placed[i + 1..] {
+                    if sa == sb {
+                        coinciding.push(format!("{a}={b}@{rows}x{cols}"));
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            coinciding,
+            [
+                "R=Cr@4x4",
+                "C=E@4x4",
+                "Dr=B@4x4",
+                "C=E@8x4",
+                "Dr=B@8x4",
+                "C=E@16x16",
+                "Dr=B@8x3"
+            ]
+        );
     }
 
     #[test]

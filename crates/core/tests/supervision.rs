@@ -15,7 +15,10 @@ use stp_core::msgset::payload_for;
 use stp_core::runner::{
     try_run_alg_controlled, try_run_sources_controlled, AlgoKind, RunControl, SweepRunner,
 };
-use stp_core::supervise::{chaos_algorithms, SuperviseOpts};
+use stp_core::supervise::{
+    chaos_algorithms, matrix_points, MatrixAlg, MatrixPoint, SuperviseOpts, SupervisedRun,
+    CHAOS_PANIC_MSG,
+};
 
 /// Silence the two expected panic flavours (this is an integration test
 /// — the crate-internal test hook is not visible here).
@@ -147,10 +150,12 @@ fn sweep(
         checkpoint,
         String::clone,
         |record| Ok(record.to_string()),
+        point_id,
         |pt| {
             executed.fetch_add(1, Ordering::Relaxed);
             run_point(pt, exec, &opts)
         },
+        |_, record| record.clone(),
         &opts,
     );
     let failed = run
@@ -248,4 +253,128 @@ fn interrupted_sweep_resumes_without_replaying_completed_points() {
         let _ = std::fs::remove_file(&path);
         let _ = ran_half;
     }
+}
+
+/// A resumable sweep of acceptance-matrix points, grouped by experiment
+/// the way `stp sweep` groups them. Returns the run, its report (as the
+/// report lines of [`sweep`]) and how many simulations ran.
+fn matrix_sweep(
+    points: Vec<MatrixPoint>,
+    checkpoint: Option<&CheckpointFile>,
+) -> (SupervisedRun<String>, Vec<String>, usize) {
+    let opts = SuperviseOpts::default();
+    let ids = points.iter().map(MatrixPoint::id).collect();
+    let simulated = AtomicUsize::new(0);
+    let run = SweepRunner::new().run_resumable(
+        points,
+        ids,
+        checkpoint,
+        String::clone,
+        |record| Ok(record.to_string()),
+        MatrixPoint::experiment,
+        |pt| {
+            simulated.fetch_add(1, Ordering::Relaxed);
+            let payload_of = |src: usize| payload_for(src, 64);
+            try_run_alg_controlled(
+                &pt.machine,
+                pt.alg.lib(),
+                &pt.sources,
+                &payload_of,
+                pt.alg.build().as_ref(),
+                &RunControl::default(),
+            )
+        },
+        |pt, out| {
+            format!(
+                "{}:makespan={},verified={}",
+                pt.id(),
+                out.makespan_ns,
+                out.verified
+            )
+        },
+        &opts,
+    );
+    let failed = run
+        .failures
+        .iter()
+        .map(|f| format!("{}:FAILED after {} attempts: {}", f.id, f.attempts, f.error));
+    let skipped = run.skipped.iter().map(|id| format!("{id}:SKIPPED"));
+    let report = run
+        .done
+        .iter()
+        .cloned()
+        .chain(failed)
+        .chain(skipped)
+        .collect();
+    (run, report, simulated.load(Ordering::Relaxed))
+}
+
+#[test]
+fn every_member_of_a_failed_experiment_fails_under_its_own_id() {
+    hush();
+    // With s = p every label places both ranks: one experiment, two points.
+    let (_, build) = chaos_algorithms()[0];
+    let points = [SourceDist::Row, SourceDist::Column]
+        .into_iter()
+        .map(|dist| {
+            let machine = Machine::paragon(1, 2);
+            MatrixPoint {
+                sources: dist.place(machine.shape, 2),
+                machine,
+                dist,
+                alg: MatrixAlg::Chaos("chaos:panic", build),
+            }
+        })
+        .collect();
+    let (run, _, simulated) = matrix_sweep(points, None);
+    assert_eq!((run.total, run.experiments), (2, 1));
+    assert_eq!(simulated, 2, "one representative, retried once");
+    assert!(run.done.is_empty() && run.skipped.is_empty());
+    let ids: Vec<&str> = run.failures.iter().map(|f| f.id.as_str()).collect();
+    assert_eq!(ids, ["chaos:panic/R/1x2/s2", "chaos:panic/C/1x2/s2"]);
+    let [first, second] = &run.failures[..] else {
+        unreachable!()
+    };
+    assert_eq!(
+        (first.attempts, &first.error),
+        (second.attempts, &second.error)
+    );
+    assert_eq!(first.attempts, 2);
+    assert!(first.error.contains(CHAOS_PANIC_MSG), "{}", first.error);
+}
+
+#[test]
+fn a_checkpoint_holding_part_of_an_experiment_resumes_byte_identically() {
+    hush();
+    // On 1x2 the matrix is all-sources only: eight labels of each of
+    // the algorithms' experiments.
+    let (reference, report, simulated) = matrix_sweep(matrix_points(&[(1, 2)], false), None);
+    let algorithms = AlgoKind::all().len();
+    assert_eq!(
+        (reference.total, reference.experiments),
+        (8 * algorithms, algorithms)
+    );
+    assert_eq!(simulated, algorithms);
+
+    let path = std::env::temp_dir().join(format!("stp-partial-group-{}.ckpt", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    // The interrupted run reaches the first label and half the second:
+    // every experiment has members on both sides of the cut.
+    let cut = algorithms + algorithms / 2;
+    let cp = CheckpointFile::open(&path, "partial-group").expect("open checkpoint");
+    let mut points = matrix_points(&[(1, 2)], false);
+    points.truncate(cut);
+    let _ = matrix_sweep(points, Some(&cp));
+    assert_eq!(cp.completed(), cut);
+    drop(cp);
+
+    let cp = CheckpointFile::open(&path, "partial-group").expect("re-open checkpoint");
+    let (resumed, resumed_report, simulated) =
+        matrix_sweep(matrix_points(&[(1, 2)], false), Some(&cp));
+    assert_eq!((resumed.resumed, resumed.experiments), (cut, algorithms));
+    assert_eq!(simulated, algorithms);
+    assert_eq!(resumed_report, report);
+    assert_eq!(resumed.summary_json(), reference.summary_json());
+    assert_eq!(cp.completed(), 8 * algorithms);
+    let _ = std::fs::remove_file(&path);
 }
