@@ -515,8 +515,8 @@ fn run_serve(args: &[String], env: &Env) -> ! {
         std::process::exit(1);
     });
     arm_signal_shutdown(&server.shutdown_flag());
-    // One parseable readiness line on stdout — serve-smoke and loadgen
-    // wait for it (and read back the real port when --addr used :0).
+    // One parseable readiness line on stdout — the benchmark harness
+    // waits for it (and reads back the real port when --addr used :0).
     println!("stp serve: listening on {}", server.local_addr());
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
@@ -713,7 +713,6 @@ fn main() {
         return;
     }
 
-    let copy_before = mpp_sim::copy_metrics();
     let out = try_run_sources_controlled(
         &machine,
         lib,
@@ -742,24 +741,6 @@ fn main() {
             "faults: {retransmits} retransmit(s)   {dropped} message(s) lost   \
              {rerouted} detour hop(s) (+{:.3} ms)",
             detour_ns as f64 / 1e6
-        );
-    }
-    if has(args, "--copy-stats") {
-        // One JSON record of host-side copy accounting: comm-layer
-        // copies (zero on the rope path) plus real copies inside
-        // `Payload` itself, against the virtual traffic volume.
-        // `scripts/bench-smoke.sh` appends this to BENCH_sweep.json.
-        let delta = mpp_sim::copy_metrics().since(&copy_before);
-        let comm_copied: u64 = out.stats.iter().map(|s| s.bytes_copied).sum();
-        let comm_allocs: u64 = out.stats.iter().map(|s| s.allocs).sum();
-        let traffic: u64 = out.stats.iter().map(|s| s.total_bytes()).sum();
-        println!(
-            "{{\"id\":\"copy_stats/{}/s{s}/L{len}\",\"comm_bytes_copied\":{comm_copied},\
-             \"comm_allocs\":{comm_allocs},\"payload_bytes_copied\":{},\
-             \"payload_allocs\":{},\"traffic_bytes\":{traffic}}}",
-            kind.name(),
-            delta.bytes_copied,
-            delta.allocs
         );
     }
     if has(args, "--metrics") {

@@ -1,5 +1,5 @@
-//! Shared infrastructure for the `repro` figure binary and the
-//! Criterion benches: experiment grids, CSV/ASCII table output.
+//! Shared infrastructure for the `repro` figure binary and the `stp`
+//! CLI: experiment grids, CSV/ASCII table output.
 
 pub mod figures;
 pub mod plot;
@@ -7,7 +7,6 @@ pub mod plot;
 use std::io::Write;
 
 use mpp_model::{LibraryKind, Machine};
-use mpp_runtime::ExecMode;
 use stp_core::algorithms::StpAlgorithm;
 use stp_core::prelude::*;
 use stp_core::runner::try_run_alg_controlled;
@@ -20,20 +19,6 @@ pub fn run_ms(
     s: usize,
     msg_len: usize,
 ) -> f64 {
-    run_ms_exec(machine, kind, dist, s, msg_len, ExecMode::default())
-}
-
-/// [`run_ms`] with an explicit executor — the `sweep_engine` benches
-/// race the cooperative kernel against the threaded trap/grant
-/// reference on the same grid point.
-pub fn run_ms_exec(
-    machine: &Machine,
-    kind: AlgoKind,
-    dist: SourceDist,
-    s: usize,
-    msg_len: usize,
-    exec: ExecMode,
-) -> f64 {
     let exp = Experiment {
         machine,
         dist,
@@ -41,24 +26,19 @@ pub fn run_ms_exec(
         msg_len,
         kind,
     };
-    let control = RunControl {
-        exec: Some(exec),
-        ..RunControl::default()
-    };
     let out = exp
-        .run_controlled(&control)
+        .run_controlled(&RunControl::default())
         .unwrap_or_else(|e| panic!("{e}"));
     assert!(
         out.verified,
-        "{} failed verification (s={s}, L={msg_len}, exec={})",
-        kind.name(),
-        exec.name()
+        "{} failed verification (s={s}, L={msg_len})",
+        kind.name()
     );
     out.makespan_ms()
 }
 
 /// [`run_ms`] for an algorithm object that has no [`AlgoKind`] (a
-/// `PartRecursive` depth, a `BrLin` order ablation): `msg_len`-byte
+/// `PartRecursive` depth, a zero-copy `DissemAllGather`): `msg_len`-byte
 /// messages at explicit `sources`, verified by the runner's delivery
 /// oracle.
 pub fn run_alg_ms(
@@ -120,7 +100,7 @@ pub fn pct_diff(a_ms: f64, b_ms: f64) -> f64 {
     (a_ms - b_ms) / b_ms * 100.0
 }
 
-/// The sweep pool of the `repro` binary or a bench, honouring
+/// The sweep pool of the `repro` binary, honouring
 /// `STP_SWEEP_WORKERS`. Reads (and warns about) the process environment,
 /// so call it once per process.
 pub fn sweep_runner() -> SweepRunner {

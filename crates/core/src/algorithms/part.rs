@@ -8,7 +8,7 @@
 //! exchanges the two partial results. The paper finds that on the
 //! Paragon "the partitioning approach hardly ever gives a better
 //! performance than repositioning alone" because the final exchange of
-//! large messages dominates — a result our benches reproduce.
+//! large messages dominates — a result `repro partitioning` reproduces.
 
 use mpp_model::MeshShape;
 use mpp_runtime::{CommFuture, Communicator};

@@ -53,7 +53,7 @@ pub enum SourceDist {
 }
 
 impl SourceDist {
-    /// Short name used in tables and benches.
+    /// Short name used in tables and figures.
     pub fn name(&self) -> &'static str {
         match self {
             SourceDist::Row => "R",

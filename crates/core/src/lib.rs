@@ -40,7 +40,6 @@
 //! ```
 
 pub mod algorithms;
-pub mod analysis;
 pub mod announce;
 pub mod checkpoint;
 #[cfg(test)]
@@ -59,7 +58,7 @@ pub mod select;
 pub mod serve;
 pub mod supervise;
 
-/// Convenient glob import for applications and benches.
+/// Convenient glob import for applications and the figure binaries.
 pub mod prelude {
     pub use crate::algorithms::{
         BrLin, BrXyDim, BrXySource, Part, PersAlltoAll, Repos, StpAlgorithm, StpCtx, TwoStep,

@@ -694,7 +694,7 @@ impl SweepRunner {
 
     /// Run a list of fully-specified experiments.
     ///
-    /// This is the convenience entry point for benches and repro bins:
+    /// This is the convenience entry point for examples and figures:
     /// any abnormal termination panics (after the other grid points
     /// finish). Supervised sweeps — per-point failure reports, retries,
     /// deadlines, checkpointing — go through

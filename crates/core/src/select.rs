@@ -5,7 +5,7 @@
 //! §5.3 concludes that on the T3D — where the network is fast relative
 //! to software costs — the wait-free `MPI_Alltoall` wins. This module
 //! turns those findings into a recommendation function, which the
-//! `algorithm_picker` example and the ablation benches exercise.
+//! `algorithm_picker` example and `stp serve`'s `"algo":"auto"` exercise.
 
 use mpp_model::Machine;
 

@@ -713,7 +713,7 @@ impl Planner {
             None => body.push_str(",\"predicted_ms\":null"),
         }
         // Virtual (simulated) time — never host wall-clock; the field
-        // names carry the unit (see the BENCH record schema note).
+        // names carry the unit.
         body.push_str(&format!(
             ",\"virtual_makespan_ms\":{:.6},\"virtual_makespan_ns\":{},\"verified\":{},\"contention_events\":{},\"contention_ns\":{}",
             outcome.makespan_ms(),
@@ -805,7 +805,7 @@ fn error_response(id: &str, error: &str, quarantined: bool) -> String {
 }
 
 /// Peak resident set size (`VmHWM`) in KiB from `/proc/self/status` —
-/// the bounded-memory number `stp-loadgen` reports.
+/// the bounded-memory number `{"cmd":"stats"}` reports.
 pub fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     status

@@ -3,7 +3,7 @@
 //!
 //! [`SweepRunner::map`](crate::runner::SweepRunner::map) executes grid
 //! points in parallel but still *propagates* failures — the right
-//! behaviour for benches, where a broken point means the bench is
+//! behaviour for figures, where a broken point means the figure is
 //! broken. Long sweeps over possibly-broken algorithms (the lint
 //! matrix, chaos-injection CI) instead go through
 //! [`SweepRunner::map_supervised`]: every grid point runs under

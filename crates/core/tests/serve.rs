@@ -173,6 +173,149 @@ fn daemon_round_trip_cache_quarantine_and_persistence() {
     let _ = std::fs::remove_file(&cache_path);
 }
 
+/// Everything after a reply's `"id"`, with `"cached"` normalised: the
+/// part that must be byte-identical for one key whoever asked and
+/// whether or not it was a hit.
+fn after_id(reply: &str) -> String {
+    let (_, rest) = reply
+        .split_once("\",\"status\":")
+        .expect("reply has an id then a status");
+    rest.replacen("\"cached\":false", "\"cached\":true", 1)
+}
+
+#[test]
+fn concurrent_clients_get_their_own_replies_from_one_cache() {
+    const PLANS: [&str; 6] = [
+        "\"rows\":4,\"cols\":4,\"dist\":\"equal\",\"s\":4,\"L\":256,\"algo\":\"Br_Lin\"",
+        "\"rows\":4,\"cols\":4,\"dist\":\"row\",\"s\":4,\"L\":512,\"algo\":\"Br_xy_source\"",
+        "\"rows\":8,\"cols\":4,\"dist\":\"cross\",\"s\":8,\"L\":128,\"algo\":\"2-Step\"",
+        "\"rows\":8,\"cols\":4,\"dist\":\"diag_right\",\"s\":8,\"L\":1024,\"algo\":\"PersAlltoAll\"",
+        "\"rows\":4,\"cols\":4,\"dist\":\"band\",\"s\":6,\"L\":64,\"algo\":\"auto\"",
+        "\"rows\":4,\"cols\":4,\"ports\":5,\"dist\":\"equal\",\"s\":4,\"L\":256,\"algo\":\"KPort_Lin\"",
+    ];
+    const MALFORMED: &str = "{\"machine\":";
+    const CHAOS: &str =
+        "\"rows\":4,\"cols\":4,\"dist\":\"equal\",\"s\":2,\"L\":64,\"algo\":\"chaos:panic\"";
+    // Each plan twice, the repeat after its first ask, hostile lines between.
+    #[derive(Clone, Copy)]
+    enum Line {
+        Plan(usize),
+        Malformed,
+        Chaos,
+    }
+    use Line::*;
+    let mix = [
+        Plan(0),
+        Plan(1),
+        Malformed,
+        Plan(0),
+        Plan(2),
+        Plan(3),
+        Plan(1),
+        Chaos,
+        Plan(4),
+        Plan(2),
+        Plan(5),
+        Plan(3),
+        Plan(4),
+        Plan(5),
+    ];
+    let plan_line =
+        |id: &str, body: &str| format!("{{\"id\":\"{id}\",\"machine\":\"paragon\",{body}}}");
+
+    let cache_path = temp_path("concurrent");
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        cache_path: Some(cache_path.clone()),
+        cache_cap: 64,
+        workers: 2,
+        deadline: Duration::from_secs(30),
+        ..ServeConfig::default()
+    };
+    let (addr, handle) = start_daemon(config.clone());
+    let clients = 4;
+    let start = std::sync::Barrier::new(clients);
+    let replies: Vec<Vec<String>> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..clients)
+            .map(|c| {
+                let (addr, start, mix) = (&addr, &start, &mix);
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr);
+                    let id = format!("client-{c}");
+                    start.wait();
+                    mix.iter()
+                        .map(|line| match *line {
+                            Plan(k) => client.request(&plan_line(&id, PLANS[k])),
+                            Malformed => client.request(MALFORMED),
+                            Chaos => client.request(&plan_line(&id, CHAOS)),
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+
+    // Every reply went to the connection that asked, and one key reads
+    // the same on every connection, cold or cached.
+    let mut first: [Option<String>; PLANS.len()] = Default::default();
+    for (c, replies) in replies.iter().enumerate() {
+        let own = format!("{{\"id\":\"client-{c}\",\"status\":");
+        let mut asked = [false; PLANS.len()];
+        for (line, reply) in mix.iter().zip(replies) {
+            match *line {
+                Plan(k) => {
+                    assert!(reply.starts_with(&own), "client {c}, plan {k}: {reply}");
+                    assert!(reply.contains("\"status\":\"ok\""), "{reply}");
+                    if asked[k] {
+                        assert!(reply.contains("\"cached\":true"), "repeat: {reply}");
+                    }
+                    asked[k] = true;
+                    let body = after_id(reply);
+                    let want = first[k].get_or_insert_with(|| body.clone());
+                    assert_eq!(body, *want, "client {c}, plan {k}");
+                }
+                Malformed => {
+                    assert!(
+                        reply.starts_with("{\"id\":\"\",\"status\":\"error\""),
+                        "{reply}"
+                    );
+                    assert!(reply.contains("\"quarantined\":false"), "{reply}");
+                }
+                Chaos => {
+                    assert!(reply.starts_with(&own), "client {c}, chaos: {reply}");
+                    assert!(reply.contains("\"status\":\"error\""), "{reply}");
+                    assert!(reply.contains("\"quarantined\":true"), "{reply}");
+                }
+            }
+        }
+    }
+
+    // The daemon lives on; the hostile lines were the only errors.
+    let mut after = Client::connect(&addr);
+    assert_eq!(
+        after.request("{\"cmd\":\"ping\"}"),
+        "{\"status\":\"ok\",\"pong\":true}"
+    );
+    let stats = after.request("{\"cmd\":\"stats\"}");
+    assert!(stats.contains("\"quarantined\":4,\"errors\":4,"), "{stats}");
+    after.request("{\"cmd\":\"shutdown\"}");
+    handle.join().expect("daemon thread");
+
+    // A fresh daemon on the flushed cache answers every key cached,
+    // byte-identical to what the clients saw.
+    let (addr, handle) = start_daemon(config);
+    let mut client = Client::connect(&addr);
+    for (k, plan) in PLANS.iter().enumerate() {
+        let reply = client.request(&plan_line("restart", plan));
+        assert!(reply.contains("\"cached\":true"), "{reply}");
+        assert_eq!(Some(after_id(&reply)), first[k], "plan {k} after restart");
+    }
+    client.request("{\"cmd\":\"shutdown\"}");
+    handle.join().expect("daemon thread");
+    let _ = std::fs::remove_file(&cache_path);
+}
+
 #[test]
 fn per_request_deadline_cuts_runaway_plans() {
     let (addr, handle) = start_daemon(ServeConfig {

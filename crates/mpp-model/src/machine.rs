@@ -106,7 +106,7 @@ impl Machine {
     }
 
     /// A T3D variant whose ranks are *fully scattered* over the torus —
-    /// the worst-case placement used by the placement ablation bench.
+    /// the worst-case placement.
     pub fn t3d_scattered(p: usize, seed: u64) -> Self {
         Machine::new(
             format!("T3D p={p} (scattered)"),

@@ -136,7 +136,7 @@ impl MachineParams {
 
     /// Builder: the same machine with `k` injection/ejection port slots
     /// per node. The canonical way to derive a multi-port variant of a
-    /// calibrated parameter set (perf fixtures, k-ported benches).
+    /// calibrated parameter set (perf fixtures, `stp --ports`).
     ///
     /// # Panics
     ///

@@ -40,9 +40,8 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// One cooperative run with `s` equally-spread sources and 4096-byte
-/// messages (`s` = 24 on the 16x16 Paragon is the reference grid point
-/// `scripts/bench-smoke.sh` records as `copy_stats/...`). Returns
-/// `(payload_allocs, comm_allocs)` for the run.
+/// messages (`s` = 24 on the 16x16 Paragon is the reference grid point).
+/// Returns `(payload_allocs, comm_allocs)` for the run.
 fn run_counting(machine: &Machine, kind: AlgoKind, s: usize) -> (u64, u64) {
     let sources = SourceDist::Equal.place(machine.shape, s);
     let alg = kind.build();

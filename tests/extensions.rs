@@ -148,6 +148,38 @@ fn recursive_partitioning_monotone_in_depth() {
     );
 }
 
+/// DESIGN §11's acceptance, in virtual time so it is exact: on the fig-4
+/// workload (DiagRight, s = 30, L = 16 KiB) `KPort_Lin` on a five-port
+/// 10×10 Paragon at least halves `Br_Lin`'s makespan on the one-port
+/// machine — the k-port model of arXiv 2008.12144.
+#[test]
+fn kport_lin_on_five_ports_halves_br_lin_on_one() {
+    let one_port = Machine::paragon(10, 10);
+    let mut five_port = Machine::paragon(10, 10);
+    five_port.params = five_port.params.clone().with_ports(5);
+    let run = |machine: &Machine, kind| {
+        let out = Experiment {
+            machine,
+            dist: SourceDist::DiagRight,
+            s: 30,
+            msg_len: 16 * 1024,
+            kind,
+        }
+        .run()
+        .expect("run failed");
+        assert!(out.verified, "{} failed verification", kind.name());
+        out.makespan_ns
+    };
+    let kport = run(&five_port, AlgoKind::KPortLin);
+    let br_lin = run(&one_port, AlgoKind::BrLin);
+    assert_eq!(kport, 17_424_508, "KPort_Lin on five ports");
+    assert_eq!(br_lin, 36_852_251, "Br_Lin on one port");
+    assert!(
+        br_lin >= 2 * kport,
+        "KPort_Lin {kport} ns must be at least 2x faster than Br_Lin {br_lin} ns"
+    );
+}
+
 #[test]
 fn naive_independent_through_algokind_on_both_machines() {
     for machine in [Machine::paragon(6, 6), Machine::t3d(36, 2)] {

@@ -51,6 +51,32 @@ fn all_algorithms_deliver_under_transient_drops() {
     );
 }
 
+/// The one 16×16 faulted point, pinned exactly: `Br_xy_source` on
+/// Cross(24) with 4 KiB messages under a 1-in-8 drop plan with six
+/// attempts recovers every message, and the retransmits cost a fixed
+/// amount of virtual time over the clean run.
+#[test]
+fn faulted_overhead_on_a_16x16_cross() {
+    let machine = Machine::paragon(16, 16);
+    let exp = Experiment {
+        machine: &machine,
+        dist: SourceDist::Cross,
+        s: 24,
+        msg_len: 4096,
+        kind: AlgoKind::BrXySource,
+    };
+    let clean = exp.run().expect("run failed");
+    let plan = FaultPlan::parse("seed=11,drop=1/8,retry=6:2000").expect("valid spec");
+    let faulted = exp.run_with_faults(&plan).expect("run failed");
+    assert!(clean.verified && faulted.verified);
+    let lost: u64 = faulted.stats.iter().map(|st| st.dropped).sum();
+    let retransmits: u64 = faulted.stats.iter().map(|st| st.retransmits).sum();
+    assert_eq!(lost, 0, "the retry budget must recover every drop");
+    assert_eq!(retransmits, 173);
+    assert_eq!(clean.makespan_ns, 6_240_467);
+    assert_eq!(faulted.makespan_ns, 6_712_974);
+}
+
 /// Same seed, same plan ⇒ byte-identical outcome; a different seed picks
 /// a different (but equally deterministic) drop pattern.
 #[test]
