@@ -52,12 +52,11 @@
 //! `STP_SERVE_*`) as arguments, and a flag overrides its variable.
 
 use mpp_model::{FaultPlan, LibraryKind, Machine};
-use mpp_runtime::{run_simulated_with, Communicator, SimConfig};
 use mpp_sim::{render_timeline, summarize};
 use stp_core::env::Env;
 use stp_core::metrics::{figure2_row, format_table};
 use stp_core::prelude::*;
-use stp_core::runner::try_run_sources_controlled;
+use stp_core::runner::{try_record_sources, try_run_sources_controlled};
 
 fn usage() -> ! {
     eprintln!("usage: stp --machine <paragon|t3d> [--rows R --cols C | --p P]");
@@ -679,29 +678,25 @@ fn main() {
     }
 
     if has(args, "--trace") {
-        let shape = machine.shape;
-        let alg = kind.build();
-        let config = SimConfig {
+        let rec = try_record_sources(
+            &machine,
             lib,
-            trace: true,
-            faults: control.faults.clone(),
-            budget: control.budget.clone(),
-            ..SimConfig::default()
-        };
-        let out = run_simulated_with(&machine, &config, async |comm| {
-            let payload = sources
-                .binary_search(&comm.rank())
-                .is_ok()
-                .then(|| payload_for(comm.rank(), len));
-            let ctx = StpCtx {
-                shape,
-                sources: &sources,
-                payload: payload.as_deref(),
-            };
-            alg.run(comm, &ctx).await.len() == sources.len()
+            &sources,
+            &|src| payload_for(src, len),
+            kind.build().as_ref(),
+            &control,
+        )
+        .unwrap_or_else(|e| {
+            eprintln!("stp: {e}");
+            std::process::exit(1);
         });
-        assert!(out.results.iter().all(|&ok| ok), "verification failed");
-        let sum = summarize(&out.trace);
+        let Some(out) = rec.outcome else {
+            let blocked = rec.events.blocked.len();
+            eprintln!("stp: simulation deadlock, {blocked} rank(s) blocked in recv");
+            std::process::exit(1);
+        };
+        assert!(out.verified, "verification failed");
+        let sum = summarize(&rec.events);
         println!(
             "time {:.3} ms   messages {}   bytes {}   stalled {:.3} ms",
             out.makespan_ms(),
@@ -709,7 +704,11 @@ fn main() {
             sum.bytes,
             sum.stalled_ns as f64 / 1e6
         );
-        println!("{}", render_timeline(&out.trace, machine.p().min(32), 72));
+        let alpha_send = machine.params.alpha_send(lib);
+        println!(
+            "{}",
+            render_timeline(&rec.events, alpha_send, machine.p().min(32), 72)
+        );
         return;
     }
 

@@ -16,13 +16,12 @@ use std::time::Instant;
 use mpp_model::{
     ContentionModel, LibraryKind, Machine, MachineParams, MeshShape, Placement, Topology,
 };
-use mpp_runtime::{run_simulated_traced, Communicator};
 use mpp_sim::{render_timeline, summarize};
 use stp_core::algorithms::{DissemAllGather, PartRecursive, ReposAdaptive};
 use stp_core::distribution::ascii_grid;
 use stp_core::metrics::{figure2_row, format_table};
 use stp_core::prelude::*;
-use stp_core::runner::run_sources;
+use stp_core::runner::{record_sources, run_sources};
 
 use crate::plot::{parse_csv_blocks, Chart};
 use crate::{
@@ -852,34 +851,33 @@ pub fn hypercube(_runner: &SweepRunner, out: &mut dyn Write) {
 /// arrivals at P₀ versus Br_Lin's balanced pairwise exchanges.
 pub fn trace(_runner: &SweepRunner, out: &mut dyn Write) {
     let machine = Machine::paragon(4, 4);
-    let shape = machine.shape;
-    let sources = SourceDist::Equal.place(shape, 8);
+    let sources = SourceDist::Equal.place(machine.shape, 8);
 
     for kind in [AlgoKind::TwoStep, AlgoKind::BrLin] {
-        let alg = kind.build();
-        let run = run_simulated_traced(&machine, LibraryKind::Nx, async |comm| {
-            let payload = sources
-                .binary_search(&comm.rank())
-                .is_ok()
-                .then(|| payload_for(comm.rank(), 1024));
-            let ctx = StpCtx {
-                shape,
-                sources: &sources,
-                payload: payload.as_deref(),
-            };
-            alg.run(comm, &ctx).await.len()
-        });
-        let summary = summarize(&run.trace);
+        let run = record_sources(
+            &machine,
+            LibraryKind::Nx,
+            &sources,
+            &|src| payload_for(src, 1024),
+            kind.build().as_ref(),
+        );
+        let outcome = run.outcome.expect("trace runs complete");
+        let summary = summarize(&run.events);
         outln!(
             out,
             "== {} on 4x4 Paragon, s=8, L=1K: {} msgs, {} KiB, {:.3} ms, stalled {:.3} ms ==",
             kind.name(),
             summary.messages,
             summary.bytes / 1024,
-            run.makespan_ms(),
+            outcome.makespan_ms(),
             summary.stalled_ns as f64 / 1e6,
         );
-        outln!(out, "{}", render_timeline(&run.trace, machine.p(), 72));
+        let alpha_send = machine.params.alpha_send(LibraryKind::Nx);
+        outln!(
+            out,
+            "{}",
+            render_timeline(&run.events, alpha_send, machine.p(), 72)
+        );
     }
 }
 

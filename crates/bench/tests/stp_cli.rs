@@ -2,8 +2,10 @@
 //! driven as child processes: a typo in a numeric flag, the retired
 //! executor flag or an unknown figure name is a usage error (exit 2),
 //! never a run at some default; the `STP_*` variables still reach the
-//! subcommands that document them; and `--resume` replays a checkpoint
-//! in the format the previous release wrote.
+//! subcommands that document them; `--resume` replays a checkpoint in
+//! the format the previous release wrote; and the text timelines of
+//! `repro trace` and `stp --trace`, read from the recorded event log,
+//! match the committed figure and a pinned summary line.
 
 use std::process::Command;
 
@@ -229,6 +231,20 @@ fn repro_names_are_the_figure_table() {
     assert_eq!(code, Some(0), "{stderr}");
     assert!(stdout.starts_with("== p=16 (4x4), equal"), "{stdout}");
     assert!(stderr.contains("[sweep] 6 grid points"), "{stderr}");
+}
+
+#[test]
+fn timelines_are_read_from_the_recorded_run() {
+    // The committed figure is what `repro all` wrote; `repro trace`
+    // must print it byte for byte.
+    let (code, stdout, stderr) = run(repro().arg("trace"));
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(stdout, include_str!("../../../results/trace.txt"));
+
+    let (code, stdout, stderr) = run(stp().args(point(&["--s", "8", "--len", "1024", "--trace"])));
+    assert_eq!(code, Some(0), "{stderr}");
+    let summary = "time 0.498 ms   messages 48   bytes 124032   stalled 0.059 ms";
+    assert_eq!(stdout.lines().nth(1), Some(summary), "{stdout}");
 }
 
 /// Resume `stp <args>` on the quick matrix from `checkpoint`, a file

@@ -7,9 +7,8 @@
 //! XOR-schedule implementation of Hambrusch/Hameed/Khokhar, reference \[8\]),
 //! plus a ring all-gather and a dissemination barrier used by extensions.
 //!
-//! All operations are written against
-//! [`mpp_runtime::Communicator`] and therefore run both on
-//! the timed simulator and on real threads.
+//! All operations are written against [`mpp_runtime::Communicator`] and
+//! run, timed, on the simulator.
 
 use mpp_runtime::{Communicator, Message, Payload, Tag};
 
@@ -254,17 +253,27 @@ pub async fn barrier_dissemination(comm: &mut dyn Communicator, tag: Tag) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpp_runtime::run_threads;
+    use mpp_model::{LibraryKind, Machine};
+    use mpp_runtime::{run_simulated, SimComm};
+
+    /// Run `program` on every rank of a `1 × p` Paragon; the per-rank
+    /// results.
+    pub(crate) fn run_on<R: Send>(
+        p: usize,
+        program: impl AsyncFn(&mut SimComm) -> R + Sync,
+    ) -> Vec<R> {
+        run_simulated(&Machine::paragon(1, p), LibraryKind::Nx, program).results
+    }
 
     #[test]
     fn bcast_reaches_everyone() {
         for p in [1usize, 2, 3, 5, 8, 13, 16] {
-            let out = run_threads(p, async |comm| {
+            let out = run_on(p, async |comm| {
                 let order: Vec<usize> = (0..comm.size()).collect();
                 let data = (comm.rank() == 0).then(|| b"payload".to_vec());
                 bcast_from_first(comm, &order, data, 100).await
             });
-            for r in out.results {
+            for r in out {
                 assert_eq!(r, b"payload");
             }
         }
@@ -272,44 +281,44 @@ mod tests {
 
     #[test]
     fn bcast_respects_arbitrary_order() {
-        let out = run_threads(6, async |comm| {
+        let out = run_on(6, async |comm| {
             let order = vec![3usize, 1, 4, 0, 5, 2];
             let data = (comm.rank() == 3).then(|| vec![9u8; 32]);
             bcast_from_first(comm, &order, data, 0).await
         });
-        for r in out.results {
+        for r in out {
             assert_eq!(r, vec![9u8; 32]);
         }
     }
 
     #[test]
     fn gather_collects_sorted() {
-        let out = run_threads(6, async |comm| {
+        let out = run_on(6, async |comm| {
             let senders = vec![1usize, 4, 5];
             let mine = senders
                 .contains(&comm.rank())
                 .then(|| vec![comm.rank() as u8]);
             gather_direct(comm, 0, &senders, mine.as_deref(), 7).await
         });
-        let at_root = &out.results[0];
+        let at_root = &out[0];
         assert_eq!(at_root.len(), 3);
         assert_eq!(
             at_root.iter().map(|m| m.src).collect::<Vec<_>>(),
             vec![1, 4, 5]
         );
-        assert!(out.results[1].is_empty());
+        assert!(out[1].is_empty());
     }
 
     #[test]
     fn gather_with_root_as_sender() {
-        let out = run_threads(4, async |comm| {
+        let out = run_on(4, async |comm| {
             let senders = vec![0usize, 2];
             let mine = senders
                 .contains(&comm.rank())
                 .then(|| vec![comm.rank() as u8 + 10]);
             gather_direct(comm, 0, &senders, mine.as_deref(), 1).await
         });
-        let at_root = &out.results[0];
+        let at_root = &out[0];
         assert_eq!(
             at_root.iter().map(|m| m.src).collect::<Vec<_>>(),
             vec![0, 2]
@@ -350,13 +359,13 @@ mod tests {
     #[test]
     fn personalized_delivers_all_source_payloads() {
         for p in [4usize, 6, 8] {
-            let out = run_threads(p, async |comm| {
+            let out = run_on(p, async |comm| {
                 let sources = [0usize, 2, 3];
                 let is_src = |r: usize| sources.contains(&r);
                 let mine = is_src(comm.rank()).then(|| vec![comm.rank() as u8; 16]);
                 personalized_from_sources(comm, &is_src, mine.as_deref(), 50).await
             });
-            for msgs in out.results {
+            for msgs in out {
                 assert_eq!(
                     msgs.iter().map(|m| m.src).collect::<Vec<_>>(),
                     vec![0, 2, 3]
@@ -370,12 +379,12 @@ mod tests {
 
     #[test]
     fn allgather_ring_all_payloads() {
-        let out = run_threads(5, async |comm| {
+        let out = run_on(5, async |comm| {
             let order: Vec<usize> = (0..comm.size()).collect();
             let payload = [comm.rank() as u8; 8];
             allgather_ring(comm, &order, &payload, 3).await
         });
-        for msgs in out.results {
+        for msgs in out {
             assert_eq!(msgs.len(), 5);
             for (i, m) in msgs.iter().enumerate() {
                 assert_eq!(m.src, i);
@@ -386,20 +395,20 @@ mod tests {
 
     #[test]
     fn allgather_single_rank() {
-        let out = run_threads(1, async |comm| allgather_ring(comm, &[0], b"solo", 1).await);
-        assert_eq!(out.results[0][0].data, b"solo");
+        let out = run_on(1, async |comm| allgather_ring(comm, &[0], b"solo", 1).await);
+        assert_eq!(out[0][0].data, b"solo");
     }
 
     #[test]
     fn dissemination_barrier_completes() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let count = AtomicUsize::new(0);
-        let out = run_threads(7, async |comm| {
+        let out = run_on(7, async |comm| {
             count.fetch_add(1, Ordering::SeqCst);
             barrier_dissemination(comm, 900).await;
             count.load(Ordering::SeqCst)
         });
-        assert!(out.results.iter().all(|&v| v == 7));
+        assert!(out.iter().all(|&v| v == 7));
     }
 }
 
@@ -550,7 +559,7 @@ pub async fn allreduce(
 #[cfg(test)]
 mod extended_tests {
     use super::*;
-    use mpp_runtime::run_threads;
+    use crate::tests::run_on;
 
     fn sum_u64(a: &[u8], b: &[u8]) -> Vec<u8> {
         let x = u64::from_le_bytes(a.try_into().unwrap());
@@ -561,7 +570,7 @@ mod extended_tests {
     #[test]
     fn scatter_delivers_per_rank_chunks() {
         for p in [1usize, 2, 3, 5, 8, 11] {
-            let out = run_threads(p, async |comm| {
+            let out = run_on(p, async |comm| {
                 let order: Vec<usize> = (0..comm.size()).collect();
                 let chunks = (comm.rank() == 0).then(|| {
                     (0..comm.size())
@@ -570,7 +579,7 @@ mod extended_tests {
                 });
                 scatter_from_first(comm, &order, chunks, 400).await
             });
-            for (rank, chunk) in out.results.iter().enumerate() {
+            for (rank, chunk) in out.iter().enumerate() {
                 assert_eq!(chunk, &vec![rank as u8; rank + 1], "p={p} rank={rank}");
             }
         }
@@ -578,47 +587,45 @@ mod extended_tests {
 
     #[test]
     fn scatter_respects_arbitrary_order() {
-        let out = run_threads(4, async |comm| {
+        let out = run_on(4, async |comm| {
             let order = vec![2usize, 0, 3, 1];
             let chunks = (comm.rank() == 2)
                 .then(|| vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec(), b"d".to_vec()]);
             scatter_from_first(comm, &order, chunks, 0).await
         });
-        assert_eq!(out.results[2], b"a");
-        assert_eq!(out.results[0], b"b");
-        assert_eq!(out.results[3], b"c");
-        assert_eq!(out.results[1], b"d");
+        assert_eq!(out[2], b"a");
+        assert_eq!(out[0], b"b");
+        assert_eq!(out[3], b"c");
+        assert_eq!(out[1], b"d");
     }
 
     #[test]
     fn reduce_sums_everything_at_root() {
         for p in [1usize, 2, 3, 6, 9, 16] {
-            let out = run_threads(p, async |comm| {
+            let out = run_on(p, async |comm| {
                 let order: Vec<usize> = (0..comm.size()).collect();
                 let contrib = (comm.rank() as u64 + 1).to_le_bytes();
                 reduce_to_first(comm, &order, &contrib, &sum_u64, 500).await
             });
             let want = (p as u64) * (p as u64 + 1) / 2;
-            let at_root = out.results[0].as_ref().expect("root gets the total");
+            let at_root = out[0].as_ref().expect("root gets the total");
             assert_eq!(
                 u64::from_le_bytes(at_root[..].try_into().unwrap()),
                 want,
                 "p={p}"
             );
-            for r in 1..p {
-                assert!(out.results[r].is_none());
-            }
+            assert!(out[1..].iter().all(Option::is_none));
         }
     }
 
     #[test]
     fn allreduce_agrees_everywhere() {
-        let out = run_threads(7, async |comm| {
+        let out = run_on(7, async |comm| {
             let order: Vec<usize> = (0..comm.size()).collect();
             let contrib = (comm.rank() as u64).to_le_bytes();
             allreduce(comm, &order, &contrib, &sum_u64, 600).await
         });
-        for r in out.results {
+        for r in out {
             assert_eq!(u64::from_le_bytes(r[..].try_into().unwrap()), 21);
         }
     }

@@ -77,8 +77,8 @@ impl<A: StpAlgorithm + Copy> StpAlgorithm for ReposAdaptive<A> {
 mod tests {
     use super::*;
     use mpp_model::Machine;
-    use mpp_runtime::run_threads;
 
+    use crate::algorithms::tests::assert_delivers;
     use crate::algorithms::BrXySource;
     use crate::distribution::SourceDist;
     use crate::msgset::payload_for;
@@ -107,23 +107,8 @@ mod tests {
     #[test]
     fn correct_on_both_paths() {
         let shape = MeshShape::new(8, 8);
-        let alg = adaptive();
         for dist in [SourceDist::SquareBlock, SourceDist::Row] {
-            let sources = dist.place(shape, 16);
-            let out = run_threads(shape.p(), async |comm| {
-                let payload = sources
-                    .binary_search(&comm.rank())
-                    .is_ok()
-                    .then(|| payload_for(comm.rank(), 64));
-                let ctx = StpCtx {
-                    shape,
-                    sources: &sources,
-                    payload: payload.as_deref(),
-                };
-                let set = alg.run(comm, &ctx).await;
-                set.sources().collect::<Vec<_>>() == sources
-            });
-            assert!(out.results.iter().all(|&ok| ok), "{}", dist.name());
+            assert_delivers(&adaptive(), shape, &dist.place(shape, 16), 64);
         }
     }
 

@@ -182,32 +182,12 @@ impl StpAlgorithm for BrDims {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpp_runtime::run_threads;
+    use crate::algorithms::tests::assert_delivers;
 
-    use crate::msgset::payload_for;
-
-    fn check(grid: GridShape, sources: Vec<usize>, len: usize) {
-        let p = grid.p();
-        // The 2-D StpCtx shape is only used for validation bookkeeping.
-        let shape = MeshShape::near_square(p);
-        let alg = BrDims::new(grid);
-        let out = run_threads(p, async |comm| {
-            let payload = sources
-                .contains(&comm.rank())
-                .then(|| payload_for(comm.rank(), len));
-            let ctx = StpCtx {
-                shape,
-                sources: &sources,
-                payload: payload.as_deref(),
-            };
-            alg.run(comm, &ctx).await
-        });
-        for (rank, set) in out.results.iter().enumerate() {
-            assert_eq!(set.sources().collect::<Vec<_>>(), sources, "rank {rank}");
-            for &s in &sources {
-                assert_eq!(set.get(s).unwrap(), payload_for(s, len));
-            }
-        }
+    fn check(grid: GridShape, sources: &[usize], len: usize) {
+        // The 2-D mesh only sizes the machine and the context check.
+        let shape = MeshShape::near_square(grid.p());
+        assert_delivers(&BrDims::new(grid), shape, sources, len);
     }
 
     #[test]
@@ -231,22 +211,22 @@ mod tests {
 
     #[test]
     fn three_d_grid_broadcast() {
-        check(GridShape::new(vec![2, 3, 4]), vec![0, 7, 13, 23], 32);
+        check(GridShape::new(vec![2, 3, 4]), &[0, 7, 13, 23], 32);
     }
 
     #[test]
     fn one_d_grid_is_br_lin() {
-        check(GridShape::new(vec![8]), vec![2, 5], 16);
+        check(GridShape::new(vec![8]), &[2, 5], 16);
     }
 
     #[test]
     fn two_d_matches_xy_semantics() {
-        check(GridShape::new(vec![4, 4]), vec![1, 6, 11], 16);
+        check(GridShape::new(vec![4, 4]), &[1, 6, 11], 16);
     }
 
     #[test]
     fn four_d_hypercubeish() {
-        check(GridShape::new(vec![2, 2, 2, 2]), vec![0, 15], 8);
+        check(GridShape::new(vec![2, 2, 2, 2]), &[0, 15], 8);
     }
 
     #[test]
@@ -258,6 +238,10 @@ mod tests {
 
     #[test]
     fn all_sources_3d() {
-        check(GridShape::new(vec![2, 2, 3]), (0..12).collect(), 8);
+        check(
+            GridShape::new(vec![2, 2, 3]),
+            &(0..12).collect::<Vec<_>>(),
+            8,
+        );
     }
 }

@@ -75,67 +75,37 @@ impl StpAlgorithm for BrLin {
 mod tests {
     use super::*;
     use mpp_model::MeshShape;
-    use mpp_runtime::run_threads;
 
-    use crate::msgset::payload_for;
-
-    fn check(shape: MeshShape, sources: Vec<usize>, len: usize, alg: BrLin) {
-        let out = run_threads(shape.p(), async |comm| {
-            let payload = sources
-                .contains(&comm.rank())
-                .then(|| payload_for(comm.rank(), len));
-            let ctx = StpCtx {
-                shape,
-                sources: &sources,
-                payload: payload.as_deref(),
-            };
-            alg.run(comm, &ctx).await
-        });
-        for (rank, set) in out.results.iter().enumerate() {
-            assert_eq!(set.sources().collect::<Vec<_>>(), sources, "rank {rank}");
-            for &s in &sources {
-                assert_eq!(
-                    set.get(s).unwrap(),
-                    payload_for(s, len),
-                    "rank {rank} src {s}"
-                );
-            }
-        }
-    }
+    use crate::algorithms::tests::assert_delivers;
 
     #[test]
     fn single_source_square() {
-        check(MeshShape::new(4, 4), vec![5], 64, BrLin::new());
+        assert_delivers(&BrLin::new(), MeshShape::new(4, 4), &[5], 64);
     }
 
     #[test]
     fn many_sources_square() {
-        check(
-            MeshShape::new(4, 4),
-            vec![0, 3, 7, 12, 15],
-            16,
-            BrLin::new(),
-        );
+        assert_delivers(&BrLin::new(), MeshShape::new(4, 4), &[0, 3, 7, 12, 15], 16);
     }
 
     #[test]
     fn all_sources() {
         let shape = MeshShape::new(3, 3);
-        check(shape, (0..9).collect(), 8, BrLin::new());
+        assert_delivers(&BrLin::new(), shape, &(0..9).collect::<Vec<_>>(), 8);
     }
 
     #[test]
     fn odd_mesh_row_major() {
-        check(MeshShape::new(3, 5), vec![2, 7, 14], 32, BrLin::row_major());
+        assert_delivers(&BrLin::row_major(), MeshShape::new(3, 5), &[2, 7, 14], 32);
     }
 
     #[test]
     fn odd_mesh_snake() {
-        check(MeshShape::new(5, 3), vec![0, 8], 32, BrLin::new());
+        assert_delivers(&BrLin::new(), MeshShape::new(5, 3), &[0, 8], 32);
     }
 
     #[test]
     fn zero_length_payloads() {
-        check(MeshShape::new(2, 4), vec![1, 6], 0, BrLin::new());
+        assert_delivers(&BrLin::new(), MeshShape::new(2, 4), &[1, 6], 0);
     }
 }

@@ -241,64 +241,42 @@ impl StpAlgorithm for BrXyDim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpp_runtime::run_threads;
-
+    use crate::algorithms::tests::assert_delivers;
     use crate::distribution::SourceDist;
-    use crate::msgset::payload_for;
-
-    fn check<A: StpAlgorithm>(alg: A, shape: MeshShape, sources: Vec<usize>, len: usize) {
-        let out = run_threads(shape.p(), async |comm| {
-            let payload = sources
-                .contains(&comm.rank())
-                .then(|| payload_for(comm.rank(), len));
-            let ctx = StpCtx {
-                shape,
-                sources: &sources,
-                payload: payload.as_deref(),
-            };
-            alg.run(comm, &ctx).await
-        });
-        for (rank, set) in out.results.iter().enumerate() {
-            assert_eq!(set.sources().collect::<Vec<_>>(), sources, "rank {rank}");
-            for &s in &sources {
-                assert_eq!(set.get(s).unwrap(), payload_for(s, len));
-            }
-        }
-    }
 
     #[test]
     fn xy_source_row_distribution() {
         let shape = MeshShape::new(4, 5);
         let sources = SourceDist::Row.place(shape, 10);
-        check(BrXySource, shape, sources, 16);
+        assert_delivers(&BrXySource, shape, &sources, 16);
     }
 
     #[test]
     fn xy_source_column_distribution() {
         let shape = MeshShape::new(4, 5);
         let sources = SourceDist::Column.place(shape, 8);
-        check(BrXySource, shape, sources, 16);
+        assert_delivers(&BrXySource, shape, &sources, 16);
     }
 
     #[test]
     fn xy_source_square_block() {
         let shape = MeshShape::new(5, 5);
         let sources = SourceDist::SquareBlock.place(shape, 9);
-        check(BrXySource, shape, sources, 8);
+        assert_delivers(&BrXySource, shape, &sources, 8);
     }
 
     #[test]
     fn xy_dim_cross() {
         let shape = MeshShape::new(5, 6);
         let sources = SourceDist::Cross.place(shape, 12);
-        check(BrXyDim, shape, sources, 8);
+        assert_delivers(&BrXyDim, shape, &sources, 8);
     }
 
     #[test]
     fn xy_single_source_and_full() {
         let shape = MeshShape::new(3, 4);
-        check(BrXySource, shape, vec![7], 4);
-        check(BrXyDim, shape, (0..12).collect(), 4);
+        assert_delivers(&BrXySource, shape, &[7], 4);
+        assert_delivers(&BrXyDim, shape, &(0..12).collect::<Vec<_>>(), 4);
     }
 
     #[test]

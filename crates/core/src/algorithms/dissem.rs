@@ -120,58 +120,37 @@ impl StpAlgorithm for DissemAllGather {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpp_runtime::run_threads;
-
+    use crate::algorithms::tests::{assert_delivers, run_on};
     use crate::msgset::payload_for;
-
-    fn check(shape: MeshShape, sources: Vec<usize>, len: usize, alg: DissemAllGather) {
-        let out = run_threads(shape.p(), async |comm| {
-            let payload = sources
-                .contains(&comm.rank())
-                .then(|| payload_for(comm.rank(), len));
-            let ctx = StpCtx {
-                shape,
-                sources: &sources,
-                payload: payload.as_deref(),
-            };
-            alg.run(comm, &ctx).await
-        });
-        for (rank, set) in out.results.iter().enumerate() {
-            assert_eq!(set.sources().collect::<Vec<_>>(), sources, "rank {rank}");
-            for &s in &sources {
-                assert_eq!(set.get(s).unwrap(), payload_for(s, len));
-            }
-        }
-    }
 
     #[test]
     fn power_of_two() {
-        check(
+        assert_delivers(
+            &DissemAllGather::new(),
             MeshShape::new(4, 4),
-            vec![0, 5, 10, 15],
+            &[0, 5, 10, 15],
             32,
-            DissemAllGather::new(),
         );
     }
 
     #[test]
     fn non_power_of_two() {
-        check(
+        assert_delivers(
+            &DissemAllGather::new(),
             MeshShape::new(3, 5),
-            vec![2, 7, 14],
+            &[2, 7, 14],
             32,
-            DissemAllGather::new(),
         );
-        check(MeshShape::new(3, 3), vec![4], 16, DissemAllGather::new());
+        assert_delivers(&DissemAllGather::new(), MeshShape::new(3, 3), &[4], 16);
     }
 
     #[test]
     fn zero_copy_variant() {
-        check(
+        assert_delivers(
+            &DissemAllGather::zero_copy(),
             MeshShape::new(2, 4),
-            vec![1, 6],
+            &[1, 6],
             64,
-            DissemAllGather::zero_copy(),
         );
     }
 
@@ -179,7 +158,7 @@ mod tests {
     fn zero_copy_charges_nothing() {
         let shape = MeshShape::new(4, 4);
         let sources = vec![0usize, 7];
-        let out = run_threads(shape.p(), async |comm| {
+        let copied = run_on(shape, async |comm| {
             let payload = sources
                 .contains(&comm.rank())
                 .then(|| payload_for(comm.rank(), 64));
@@ -191,16 +170,16 @@ mod tests {
             let _ = DissemAllGather::zero_copy().run(comm, &ctx).await;
             comm.stats().memcpy_bytes
         });
-        assert!(out.results.iter().all(|&b| b == 0));
+        assert!(copied.iter().all(|&b| b == 0));
     }
 
     #[test]
     fn all_sources() {
-        check(
+        assert_delivers(
+            &DissemAllGather::new(),
             MeshShape::new(3, 4),
-            (0..12).collect(),
+            &(0..12).collect::<Vec<_>>(),
             8,
-            DissemAllGather::new(),
         );
     }
 }

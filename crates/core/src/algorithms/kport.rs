@@ -472,75 +472,45 @@ impl StpAlgorithm for KPortAlltoall {
 mod tests {
     use super::*;
     use mpp_model::MeshShape;
-    use mpp_runtime::run_threads;
 
-    use crate::msgset::payload_for;
+    use crate::algorithms::tests::assert_delivers;
 
-    fn check(shape: MeshShape, sources: Vec<usize>, len: usize, alg: &dyn StpAlgorithm) {
-        let out = run_threads(shape.p(), async |comm| {
-            let payload = sources
-                .contains(&comm.rank())
-                .then(|| payload_for(comm.rank(), len));
-            let ctx = StpCtx {
-                shape,
-                sources: &sources,
-                payload: payload.as_deref(),
-            };
-            alg.run(comm, &ctx).await
-        });
-        for (rank, set) in out.results.iter().enumerate() {
-            assert_eq!(set.sources().collect::<Vec<_>>(), sources, "rank {rank}");
-            for &s in &sources {
-                assert_eq!(
-                    set.get(s).unwrap(),
-                    payload_for(s, len),
-                    "rank {rank} src {s}"
-                );
-            }
-        }
-    }
-
-    // The threads backend reports 1 port, so these exercise the k = 1
+    // The test Paragon has 1 port, so these exercise the k = 1
     // degenerate path (and odd meshes / source counts); multi-port
-    // behaviour is covered by the simulator-backed tests in
+    // behaviour is covered by the five-port tests in
     // `tests/exec_equivalence.rs` and the analyzer conformance suite.
 
     #[test]
     fn kport_lin_delivers() {
-        check(MeshShape::new(4, 4), vec![0, 3, 7, 12, 15], 32, &KPortLin);
-        check(MeshShape::new(3, 5), vec![2, 7, 14], 16, &KPortLin);
-        check(MeshShape::new(2, 2), vec![1], 8, &KPortLin);
+        assert_delivers(&KPortLin, MeshShape::new(4, 4), &[0, 3, 7, 12, 15], 32);
+        assert_delivers(&KPortLin, MeshShape::new(3, 5), &[2, 7, 14], 16);
+        assert_delivers(&KPortLin, MeshShape::new(2, 2), &[1], 8);
     }
 
     #[test]
     fn kport_scatter_delivers() {
-        check(
-            MeshShape::new(4, 4),
-            vec![0, 3, 7, 12, 15],
-            32,
-            &KPortScatter,
-        );
-        check(MeshShape::new(3, 5), vec![2, 7, 14], 16, &KPortScatter);
-        check(MeshShape::new(2, 2), vec![3], 8, &KPortScatter);
+        assert_delivers(&KPortScatter, MeshShape::new(4, 4), &[0, 3, 7, 12, 15], 32);
+        assert_delivers(&KPortScatter, MeshShape::new(3, 5), &[2, 7, 14], 16);
+        assert_delivers(&KPortScatter, MeshShape::new(2, 2), &[3], 8);
     }
 
     #[test]
     fn kport_alltoall_delivers() {
-        check(
-            MeshShape::new(4, 4),
-            vec![0, 3, 7, 12, 15],
-            32,
+        assert_delivers(&KPortAlltoall, MeshShape::new(4, 4), &[0, 3, 7, 12, 15], 32);
+        assert_delivers(&KPortAlltoall, MeshShape::new(3, 5), &[2, 7, 14], 16);
+        assert_delivers(
             &KPortAlltoall,
+            MeshShape::new(1, 7),
+            &(0..7).collect::<Vec<_>>(),
+            8,
         );
-        check(MeshShape::new(3, 5), vec![2, 7, 14], 16, &KPortAlltoall);
-        check(MeshShape::new(1, 7), (0..7).collect(), 8, &KPortAlltoall);
     }
 
     #[test]
     fn zero_length_payloads() {
-        check(MeshShape::new(2, 4), vec![1, 6], 0, &KPortLin);
-        check(MeshShape::new(2, 4), vec![1, 6], 0, &KPortScatter);
-        check(MeshShape::new(2, 4), vec![1, 6], 0, &KPortAlltoall);
+        assert_delivers(&KPortLin, MeshShape::new(2, 4), &[1, 6], 0);
+        assert_delivers(&KPortScatter, MeshShape::new(2, 4), &[1, 6], 0);
+        assert_delivers(&KPortAlltoall, MeshShape::new(2, 4), &[1, 6], 0);
     }
 
     #[test]

@@ -215,13 +215,63 @@ pub(crate) async fn br_lin_over(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpp_runtime::run_threads;
+    use mpp_model::{LibraryKind, Machine};
+    use mpp_runtime::{run_simulated, SimComm};
+
+    use crate::msgset::payload_for;
+
+    /// Run `program` on every rank of a `shape` Paragon; the per-rank
+    /// results.
+    pub(crate) fn run_on<R: Send>(
+        shape: MeshShape,
+        program: impl AsyncFn(&mut SimComm) -> R + Sync,
+    ) -> Vec<R> {
+        let machine = Machine::paragon(shape.rows, shape.cols);
+        run_simulated(&machine, LibraryKind::Nx, program).results
+    }
+
+    /// Run `alg` on a `shape` Paragon whose `sources` hold
+    /// `payload_for(src, len)`, and assert that every rank ends with
+    /// exactly those payloads, byte for byte.
+    pub(crate) fn assert_delivers(
+        alg: &dyn StpAlgorithm,
+        shape: MeshShape,
+        sources: &[usize],
+        len: usize,
+    ) {
+        let sets = run_on(shape, async |comm| {
+            let payload = sources
+                .contains(&comm.rank())
+                .then(|| payload_for(comm.rank(), len));
+            let ctx = StpCtx {
+                shape,
+                sources,
+                payload: payload.as_deref(),
+            };
+            alg.run(comm, &ctx).await
+        });
+        let name = alg.name();
+        for (rank, set) in sets.iter().enumerate() {
+            assert_eq!(
+                set.sources().collect::<Vec<_>>(),
+                sources,
+                "{name} rank {rank}"
+            );
+            for &s in sources {
+                assert_eq!(
+                    set.get(s).unwrap(),
+                    payload_for(s, len),
+                    "{name} rank {rank} src {s}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn br_lin_over_spreads_to_all() {
         for p in [4usize, 7, 10] {
             let sources = vec![1usize, p - 1];
-            let out = run_threads(p, async |comm| {
+            let sets = run_on(MeshShape::new(1, p), async |comm| {
                 let order: Vec<usize> = (0..comm.size()).collect();
                 let has: Vec<bool> = order.iter().map(|r| sources.contains(r)).collect();
                 let mut set = if sources.contains(&comm.rank()) {
@@ -232,7 +282,7 @@ mod tests {
                 br_lin_over(comm, &order, &has, &mut set, tags::BR_LIN).await;
                 set
             });
-            for set in out.results {
+            for set in sets {
                 let srcs: Vec<usize> = set.sources().collect();
                 assert_eq!(srcs, sources, "p={p}");
             }
@@ -241,7 +291,7 @@ mod tests {
 
     #[test]
     fn ctx_validation_catches_mismatch() {
-        let out = run_threads(2, async |comm| {
+        let ok = run_on(MeshShape::new(1, 2), async |comm| {
             let ctx = StpCtx {
                 shape: MeshShape::new(1, 2),
                 sources: &[0],
@@ -250,6 +300,6 @@ mod tests {
             ctx.validate(comm);
             true
         });
-        assert!(out.results.iter().all(|&b| b));
+        assert!(ok.iter().all(|&b| b));
     }
 }

@@ -108,48 +108,32 @@ impl StpAlgorithm for NaiveIndependent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpp_runtime::run_threads;
-
+    use crate::algorithms::tests::{assert_delivers, run_on};
     use crate::msgset::payload_for;
-
-    fn check(shape: MeshShape, sources: Vec<usize>, len: usize) {
-        let out = run_threads(shape.p(), async |comm| {
-            let payload = sources
-                .contains(&comm.rank())
-                .then(|| payload_for(comm.rank(), len));
-            let ctx = StpCtx {
-                shape,
-                sources: &sources,
-                payload: payload.as_deref(),
-            };
-            NaiveIndependent.run(comm, &ctx).await
-        });
-        for (rank, set) in out.results.iter().enumerate() {
-            assert_eq!(set.sources().collect::<Vec<_>>(), sources, "rank {rank}");
-            for &s in &sources {
-                assert_eq!(set.get(s).unwrap(), payload_for(s, len));
-            }
-        }
-    }
 
     #[test]
     fn basic() {
-        check(MeshShape::new(4, 4), vec![0, 5, 10], 32);
+        assert_delivers(&NaiveIndependent, MeshShape::new(4, 4), &[0, 5, 10], 32);
     }
 
     #[test]
     fn non_power_of_two() {
-        check(MeshShape::new(3, 5), vec![2, 7, 14], 16);
+        assert_delivers(&NaiveIndependent, MeshShape::new(3, 5), &[2, 7, 14], 16);
     }
 
     #[test]
     fn single_source_is_just_a_broadcast() {
-        check(MeshShape::new(2, 4), vec![3], 64);
+        assert_delivers(&NaiveIndependent, MeshShape::new(2, 4), &[3], 64);
     }
 
     #[test]
     fn all_sources() {
-        check(MeshShape::new(3, 3), (0..9).collect(), 8);
+        assert_delivers(
+            &NaiveIndependent,
+            MeshShape::new(3, 3),
+            &(0..9).collect::<Vec<_>>(),
+            8,
+        );
     }
 
     #[test]
@@ -159,7 +143,7 @@ mod tests {
         let shape = MeshShape::new(4, 4);
         let ops_for = |s: usize| {
             let sources: Vec<usize> = (0..s).collect();
-            let out = run_threads(shape.p(), async |comm| {
+            let ops = run_on(shape, async |comm| {
                 let payload = sources
                     .contains(&comm.rank())
                     .then(|| payload_for(comm.rank(), 16));
@@ -171,7 +155,7 @@ mod tests {
                 let _ = NaiveIndependent.run(comm, &ctx).await;
                 comm.stats().total_ops()
             });
-            out.results.iter().max().copied().unwrap()
+            ops.iter().max().copied().unwrap()
         };
         let few = ops_for(2);
         let many = ops_for(12);

@@ -459,34 +459,8 @@ impl<A: PlanRunnable> StpAlgorithm for PartRecursive<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpp_runtime::run_threads;
-
+    use crate::algorithms::tests::assert_delivers;
     use crate::distribution::SourceDist;
-    use crate::msgset::payload_for;
-
-    fn check<A: PlanRunnable>(alg: Part<A>, shape: MeshShape, sources: Vec<usize>, len: usize) {
-        let out = run_threads(shape.p(), async |comm| {
-            let payload = sources
-                .contains(&comm.rank())
-                .then(|| payload_for(comm.rank(), len));
-            let ctx = StpCtx {
-                shape,
-                sources: &sources,
-                payload: payload.as_deref(),
-            };
-            alg.run(comm, &ctx).await
-        });
-        for (rank, set) in out.results.iter().enumerate() {
-            assert_eq!(set.sources().collect::<Vec<_>>(), sources, "rank {rank}");
-            for &s in &sources {
-                assert_eq!(
-                    set.get(s).unwrap(),
-                    payload_for(s, len),
-                    "rank {rank} src {s}"
-                );
-            }
-        }
-    }
 
     #[test]
     fn split_prefers_rows() {
@@ -513,21 +487,21 @@ mod tests {
     fn part_lin_square_block() {
         let shape = MeshShape::new(4, 4);
         let sources = SourceDist::SquareBlock.place(shape, 6);
-        check(Part::new(BrLin::new(), "Part_Lin"), shape, sources, 16);
+        assert_delivers(&Part::new(BrLin::new(), "Part_Lin"), shape, &sources, 16);
     }
 
     #[test]
     fn part_xy_source_cross() {
         let shape = MeshShape::new(6, 6);
         let sources = SourceDist::Cross.place(shape, 12);
-        check(Part::new(BrXySource, "Part_xy_source"), shape, sources, 8);
+        assert_delivers(&Part::new(BrXySource, "Part_xy_source"), shape, &sources, 8);
     }
 
     #[test]
     fn part_xy_dim_equal() {
         let shape = MeshShape::new(4, 6);
         let sources = SourceDist::Equal.place(shape, 7);
-        check(Part::new(BrXyDim, "Part_xy_dim"), shape, sources, 8);
+        assert_delivers(&Part::new(BrXyDim, "Part_xy_dim"), shape, &sources, 8);
     }
 
     #[test]
@@ -535,54 +509,25 @@ mod tests {
         // s=1: one group gets the only source, the other relies entirely
         // on the final exchange.
         let shape = MeshShape::new(4, 4);
-        check(Part::new(BrLin::new(), "Part_Lin"), shape, vec![9], 32);
+        assert_delivers(&Part::new(BrLin::new(), "Part_Lin"), shape, &[9], 32);
     }
 
     #[test]
     fn part_odd_machine_falls_back() {
         let shape = MeshShape::new(3, 3);
-        let sources = vec![0usize, 4, 8];
-        check(Part::new(BrXySource, "Part_xy_source"), shape, sources, 8);
+        assert_delivers(
+            &Part::new(BrXySource, "Part_xy_source"),
+            shape,
+            &[0, 4, 8],
+            8,
+        );
     }
 
     #[test]
     fn part_all_sources() {
         let shape = MeshShape::new(4, 4);
-        check(
-            Part::new(BrLin::new(), "Part_Lin"),
-            shape,
-            (0..16).collect(),
-            4,
-        );
-    }
-
-    fn check_recursive<A: PlanRunnable>(
-        alg: PartRecursive<A>,
-        shape: MeshShape,
-        sources: Vec<usize>,
-        len: usize,
-    ) {
-        let out = run_threads(shape.p(), async |comm| {
-            let payload = sources
-                .contains(&comm.rank())
-                .then(|| payload_for(comm.rank(), len));
-            let ctx = StpCtx {
-                shape,
-                sources: &sources,
-                payload: payload.as_deref(),
-            };
-            alg.run(comm, &ctx).await
-        });
-        for (rank, set) in out.results.iter().enumerate() {
-            assert_eq!(set.sources().collect::<Vec<_>>(), sources, "rank {rank}");
-            for &s in &sources {
-                assert_eq!(
-                    set.get(s).unwrap(),
-                    payload_for(s, len),
-                    "rank {rank} src {s}"
-                );
-            }
-        }
+        let all: Vec<usize> = (0..16).collect();
+        assert_delivers(&Part::new(BrLin::new(), "Part_Lin"), shape, &all, 4);
     }
 
     #[test]
@@ -601,10 +546,10 @@ mod tests {
     fn recursive_depth_one_matches_part_semantics() {
         let shape = MeshShape::new(4, 4);
         let sources = SourceDist::Cross.place(shape, 6);
-        check_recursive(
-            PartRecursive::new(BrLin::new(), 1, "PartRec_1"),
+        assert_delivers(
+            &PartRecursive::new(BrLin::new(), 1, "PartRec_1"),
             shape,
-            sources,
+            &sources,
             16,
         );
     }
@@ -613,16 +558,16 @@ mod tests {
     fn recursive_depth_two_and_three() {
         let shape = MeshShape::new(4, 8);
         let sources = SourceDist::Equal.place(shape, 10);
-        check_recursive(
-            PartRecursive::new(BrXySource, 2, "PartRec_2"),
+        assert_delivers(
+            &PartRecursive::new(BrXySource, 2, "PartRec_2"),
             shape,
-            sources.clone(),
+            &sources,
             8,
         );
-        check_recursive(
-            PartRecursive::new(BrLin::new(), 3, "PartRec_3"),
+        assert_delivers(
+            &PartRecursive::new(BrLin::new(), 3, "PartRec_3"),
             shape,
-            sources,
+            &sources,
             8,
         );
     }
@@ -631,10 +576,10 @@ mod tests {
     fn recursive_depth_exceeding_splits_clamps() {
         // 2x2 machine: only 2 splits possible; depth 5 must still work.
         let shape = MeshShape::new(2, 2);
-        check_recursive(
-            PartRecursive::new(BrLin::new(), 5, "PartRec_5"),
+        assert_delivers(
+            &PartRecursive::new(BrLin::new(), 5, "PartRec_5"),
             shape,
-            vec![1, 2],
+            &[1, 2],
             8,
         );
     }
@@ -642,10 +587,10 @@ mod tests {
     #[test]
     fn recursive_single_source() {
         let shape = MeshShape::new(4, 4);
-        check_recursive(
-            PartRecursive::new(BrLin::new(), 2, "PartRec_2"),
+        assert_delivers(
+            &PartRecursive::new(BrLin::new(), 2, "PartRec_2"),
             shape,
-            vec![9],
+            &[9],
             16,
         );
     }

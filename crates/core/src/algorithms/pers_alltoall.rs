@@ -48,50 +48,35 @@ impl StpAlgorithm for PersAlltoAll {
 mod tests {
     use super::*;
     use mpp_model::MeshShape;
-    use mpp_runtime::run_threads;
 
+    use crate::algorithms::tests::{assert_delivers, run_on};
     use crate::msgset::payload_for;
-
-    fn check(shape: MeshShape, sources: Vec<usize>, len: usize) {
-        let out = run_threads(shape.p(), async |comm| {
-            let payload = sources
-                .contains(&comm.rank())
-                .then(|| payload_for(comm.rank(), len));
-            let ctx = StpCtx {
-                shape,
-                sources: &sources,
-                payload: payload.as_deref(),
-            };
-            PersAlltoAll.run(comm, &ctx).await
-        });
-        for set in out.results {
-            assert_eq!(set.sources().collect::<Vec<_>>(), sources);
-            for &s in &sources {
-                assert_eq!(set.get(s).unwrap(), payload_for(s, len));
-            }
-        }
-    }
 
     #[test]
     fn power_of_two_machine_uses_xor_schedule() {
-        check(MeshShape::new(4, 4), vec![0, 5, 10], 16);
+        assert_delivers(&PersAlltoAll, MeshShape::new(4, 4), &[0, 5, 10], 16);
     }
 
     #[test]
     fn general_machine_uses_shift_schedule() {
-        check(MeshShape::new(3, 5), vec![1, 7, 14], 16);
+        assert_delivers(&PersAlltoAll, MeshShape::new(3, 5), &[1, 7, 14], 16);
     }
 
     #[test]
     fn every_rank_a_source() {
-        check(MeshShape::new(2, 3), (0..6).collect(), 8);
+        assert_delivers(
+            &PersAlltoAll,
+            MeshShape::new(2, 3),
+            &(0..6).collect::<Vec<_>>(),
+            8,
+        );
     }
 
     #[test]
     fn no_combining_is_charged() {
         let shape = MeshShape::new(2, 4);
         let sources = vec![0usize, 3];
-        let out = run_threads(shape.p(), async |comm| {
+        let copied = run_on(shape, async |comm| {
             let payload = sources
                 .contains(&comm.rank())
                 .then(|| payload_for(comm.rank(), 64));
@@ -104,7 +89,7 @@ mod tests {
             comm.stats().memcpy_bytes
         });
         assert!(
-            out.results.iter().all(|&b| b == 0),
+            copied.iter().all(|&b| b == 0),
             "PersAlltoAll never combines"
         );
     }

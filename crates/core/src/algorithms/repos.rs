@@ -128,50 +128,27 @@ impl<A: StpAlgorithm> StpAlgorithm for Repos<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpp_runtime::run_threads;
-
+    use crate::algorithms::tests::assert_delivers;
     use crate::algorithms::{BrLin, BrXySource};
     use crate::distribution::SourceDist;
-    use crate::msgset::payload_for;
-
-    fn check<A: StpAlgorithm>(alg: Repos<A>, shape: MeshShape, sources: Vec<usize>, len: usize) {
-        let out = run_threads(shape.p(), async |comm| {
-            let payload = sources
-                .contains(&comm.rank())
-                .then(|| payload_for(comm.rank(), len));
-            let ctx = StpCtx {
-                shape,
-                sources: &sources,
-                payload: payload.as_deref(),
-            };
-            alg.run(comm, &ctx).await
-        });
-        for (rank, set) in out.results.iter().enumerate() {
-            // Repos relabels back to the original source ids, so the
-            // output contract matches the non-repositioning algorithms.
-            assert_eq!(set.sources().collect::<Vec<_>>(), sources, "rank {rank}");
-            for &s in &sources {
-                assert_eq!(
-                    set.get(s).unwrap(),
-                    payload_for(s, len),
-                    "rank {rank} src {s}"
-                );
-            }
-        }
-    }
 
     #[test]
     fn repos_lin_from_square_block() {
         let shape = MeshShape::new(4, 4);
         let sources = SourceDist::SquareBlock.place(shape, 4);
-        check(Repos::new(BrLin::new(), "Repos_Lin"), shape, sources, 16);
+        assert_delivers(&Repos::new(BrLin::new(), "Repos_Lin"), shape, &sources, 16);
     }
 
     #[test]
     fn repos_xy_source_from_cross() {
         let shape = MeshShape::new(5, 5);
         let sources = SourceDist::Cross.place(shape, 9);
-        check(Repos::new(BrXySource, "Repos_xy_source"), shape, sources, 8);
+        assert_delivers(
+            &Repos::new(BrXySource, "Repos_xy_source"),
+            shape,
+            &sources,
+            8,
+        );
     }
 
     #[test]
@@ -181,7 +158,7 @@ mod tests {
         let targets = BrLin::new().ideal_sources(shape, 4).unwrap();
         let moves = repositioning_moves(&targets, &targets);
         assert!(moves.is_empty());
-        check(Repos::new(BrLin::new(), "Repos_Lin"), shape, targets, 8);
+        assert_delivers(&Repos::new(BrLin::new(), "Repos_Lin"), shape, &targets, 8);
     }
 
     #[test]
@@ -208,6 +185,11 @@ mod tests {
         let sources: Vec<usize> = (0..12).collect();
         let targets = BrXySource.ideal_sources(shape, 12).unwrap();
         assert_eq!(targets, sources);
-        check(Repos::new(BrXySource, "Repos_xy_source"), shape, sources, 4);
+        assert_delivers(
+            &Repos::new(BrXySource, "Repos_xy_source"),
+            shape,
+            &sources,
+            4,
+        );
     }
 }

@@ -161,56 +161,46 @@ impl StpAlgorithm for TwoStep {
 mod tests {
     use super::*;
     use mpp_model::MeshShape;
-    use mpp_runtime::run_threads;
 
+    use crate::algorithms::tests::{assert_delivers, run_on};
     use crate::msgset::payload_for;
-
-    fn check(shape: MeshShape, sources: Vec<usize>, len: usize, alg: TwoStep) {
-        let out = run_threads(shape.p(), async |comm| {
-            let payload = sources
-                .contains(&comm.rank())
-                .then(|| payload_for(comm.rank(), len));
-            let ctx = StpCtx {
-                shape,
-                sources: &sources,
-                payload: payload.as_deref(),
-            };
-            alg.run(comm, &ctx).await
-        });
-        for set in out.results {
-            assert_eq!(set.sources().collect::<Vec<_>>(), sources);
-            for &s in &sources {
-                assert_eq!(set.get(s).unwrap(), payload_for(s, len));
-            }
-        }
-    }
 
     #[test]
     fn direct_basic() {
-        check(MeshShape::new(2, 4), vec![2, 5, 7], 32, TwoStep::direct());
+        assert_delivers(&TwoStep::direct(), MeshShape::new(2, 4), &[2, 5, 7], 32);
     }
 
     #[test]
     fn tree_basic() {
-        check(MeshShape::new(2, 4), vec![2, 5, 7], 32, TwoStep::tree());
+        assert_delivers(&TwoStep::tree(), MeshShape::new(2, 4), &[2, 5, 7], 32);
     }
 
     #[test]
     fn root_is_a_source_both_flavours() {
-        check(MeshShape::new(2, 3), vec![0, 4], 16, TwoStep::direct());
-        check(MeshShape::new(2, 3), vec![0, 4], 16, TwoStep::tree());
+        assert_delivers(&TwoStep::direct(), MeshShape::new(2, 3), &[0, 4], 16);
+        assert_delivers(&TwoStep::tree(), MeshShape::new(2, 3), &[0, 4], 16);
     }
 
     #[test]
     fn single_source_single_proc() {
-        check(MeshShape::new(1, 1), vec![0], 8, TwoStep::direct());
-        check(MeshShape::new(1, 1), vec![0], 8, TwoStep::tree());
+        assert_delivers(&TwoStep::direct(), MeshShape::new(1, 1), &[0], 8);
+        assert_delivers(&TwoStep::tree(), MeshShape::new(1, 1), &[0], 8);
     }
 
     #[test]
     fn all_sources_odd_p() {
-        check(MeshShape::new(3, 3), (0..9).collect(), 8, TwoStep::direct());
-        check(MeshShape::new(3, 3), (0..9).collect(), 8, TwoStep::tree());
+        assert_delivers(
+            &TwoStep::direct(),
+            MeshShape::new(3, 3),
+            &(0..9).collect::<Vec<_>>(),
+            8,
+        );
+        assert_delivers(
+            &TwoStep::tree(),
+            MeshShape::new(3, 3),
+            &(0..9).collect::<Vec<_>>(),
+            8,
+        );
     }
 
     #[test]
@@ -219,7 +209,7 @@ mod tests {
         // communicates in the gather: total sends ≈ O(log p), not O(p).
         let shape = MeshShape::new(4, 4);
         let sources = vec![15usize];
-        let out = run_threads(shape.p(), async |comm| {
+        let sends = run_on(shape, async |comm| {
             let payload = sources
                 .contains(&comm.rank())
                 .then(|| payload_for(comm.rank(), 8));
@@ -231,7 +221,7 @@ mod tests {
             let _ = TwoStep::tree().run(comm, &ctx).await;
             comm.stats().total_sends()
         });
-        let gather_sends: u64 = out.results.iter().sum();
+        let gather_sends: u64 = sends.iter().sum();
         // 4 tree levels of gather + 15 bcast sends.
         assert!(gather_sends <= 4 + 15, "too many sends: {gather_sends}");
     }

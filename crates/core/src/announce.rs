@@ -99,20 +99,24 @@ pub async fn announce_and_broadcast(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpp_model::MeshShape;
-    use mpp_runtime::run_threads;
+    use mpp_model::{LibraryKind, Machine, MeshShape};
+    use mpp_runtime::run_simulated;
 
     use crate::algorithms::{BrLin, BrXySource, TwoStep};
     use crate::msgset::payload_for;
 
     fn check(shape: MeshShape, sources: Vec<usize>, alg: &dyn StpAlgorithm) {
-        let out = run_threads(shape.p(), async |comm| {
-            // Each rank knows only its own status.
-            let payload = sources
-                .contains(&comm.rank())
-                .then(|| payload_for(comm.rank(), 64));
-            announce_and_broadcast(comm, shape, payload.as_deref(), alg).await
-        });
+        let out = run_simulated(
+            &Machine::paragon(shape.rows, shape.cols),
+            LibraryKind::Nx,
+            async |comm| {
+                // Each rank knows only its own status.
+                let payload = sources
+                    .contains(&comm.rank())
+                    .then(|| payload_for(comm.rank(), 64));
+                announce_and_broadcast(comm, shape, payload.as_deref(), alg).await
+            },
+        );
         for set in out.results {
             let set = set.expect("sources exist");
             assert_eq!(set.sources().collect::<Vec<_>>(), sources);
@@ -132,9 +136,11 @@ mod tests {
     #[test]
     fn no_sources_yields_none() {
         let shape = MeshShape::new(2, 3);
-        let out = run_threads(shape.p(), async |comm| {
-            announce_and_broadcast(comm, shape, None, &BrLin::new()).await
-        });
+        let out = run_simulated(
+            &Machine::paragon(shape.rows, shape.cols),
+            LibraryKind::Nx,
+            async |comm| announce_and_broadcast(comm, shape, None, &BrLin::new()).await,
+        );
         assert!(out.results.iter().all(|r| r.is_none()));
     }
 
@@ -148,12 +154,16 @@ mod tests {
     fn variable_lengths_announced() {
         let shape = MeshShape::new(2, 4);
         let sources = [1usize, 6];
-        let out = run_threads(shape.p(), async |comm| {
-            let payload = sources
-                .contains(&comm.rank())
-                .then(|| payload_for(comm.rank(), 10 + comm.rank() * 7));
-            announce_and_broadcast(comm, shape, payload.as_deref(), &BrLin::new()).await
-        });
+        let out = run_simulated(
+            &Machine::paragon(shape.rows, shape.cols),
+            LibraryKind::Nx,
+            async |comm| {
+                let payload = sources
+                    .contains(&comm.rank())
+                    .then(|| payload_for(comm.rank(), 10 + comm.rank() * 7));
+                announce_and_broadcast(comm, shape, payload.as_deref(), &BrLin::new()).await
+            },
+        );
         for set in out.results {
             let set = set.unwrap();
             assert_eq!(set.get(1).unwrap().len(), 17);

@@ -1,4 +1,4 @@
-//! The backend-agnostic communicator interface.
+//! The communicator interface the algorithms are written against.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -10,50 +10,32 @@ use crate::stats::CommStats;
 use crate::Tag;
 
 /// Boxed future for algorithm-level suspension points (e.g.
-/// `StpAlgorithm::run`) and third-party [`Communicator`] impls that
-/// can't name a concrete future type.
+/// `StpAlgorithm::run`), which must stay object-safe.
 ///
-/// The trait's own blocking operations no longer return this: they
-/// return the concrete [`RecvFut`]/[`RecvTimeoutFut`]/[`BarrierFut`]
-/// types below, which the built-in backends construct without any heap
-/// allocation. Futures never cross threads in either mode, so no `Send`
-/// bound is required.
+/// The trait's own blocking operations do not return this: they return
+/// the concrete [`RecvFut`]/[`RecvTimeoutFut`]/[`BarrierFut`] types
+/// below, which wrap the kernel's futures without any heap allocation.
+/// Futures never cross threads, so no `Send` bound is required.
 pub type CommFuture<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
 
-/// Future returned by [`Communicator::recv`].
-///
-/// Three shapes, none of which allocates on the built-in hot paths:
-/// the simulator wraps the kernel's hand-written receive future plus a
-/// borrow of the rank's statistics (recorded at resolution, so virtual
-/// wait time is known); blocking backends that already hold the message
-/// return it via the ready variant; anything else can still fall back
-/// to a boxed future.
+/// Future returned by [`Communicator::recv`]: the kernel's receive
+/// future plus a borrow of the rank's statistics, recorded at resolution
+/// (so the virtual wait time is known).
 pub struct RecvFut<'a> {
-    inner: RecvShape<'a, Message>,
+    fut: mpp_sim::RecvFuture<'a>,
+    stats: &'a mut CommStats,
 }
 
 /// Future returned by [`Communicator::recv_timeout`]; resolves to
 /// `None` on deadline expiry.
 pub struct RecvTimeoutFut<'a> {
-    inner: RecvShape<'a, Option<Message>>,
+    fut: mpp_sim::RecvTimeoutFuture<'a>,
+    stats: &'a mut CommStats,
 }
 
-enum RecvShape<'a, T> {
-    SimRecv {
-        fut: mpp_sim::RecvFuture<'a>,
-        stats: &'a mut CommStats,
-    },
-    SimRecvTimeout {
-        fut: mpp_sim::RecvTimeoutFuture<'a>,
-        stats: &'a mut CommStats,
-    },
-    /// Already resolved (blocking backends wait before returning).
-    Ready(Option<T>),
-    /// Escape hatch for third-party impls.
-    Boxed(CommFuture<'a, T>),
-}
-
-fn message_of(env: mpp_sim::Envelope) -> Message {
+/// Record a delivered envelope in `stats` and turn it into a [`Message`].
+fn delivered(stats: &mut CommStats, env: mpp_sim::Envelope) -> Message {
+    stats.record_recv(env.data.len(), env.waited_ns);
     Message {
         src: env.src,
         tag: env.tag,
@@ -62,46 +44,14 @@ fn message_of(env: mpp_sim::Envelope) -> Message {
 }
 
 impl<'a> RecvFut<'a> {
-    /// A receive that already completed with `msg`.
-    pub fn ready(msg: Message) -> Self {
-        RecvFut {
-            inner: RecvShape::Ready(Some(msg)),
-        }
-    }
-
-    /// Wrap an arbitrary boxed future (third-party backends).
-    pub fn from_boxed(fut: CommFuture<'a, Message>) -> Self {
-        RecvFut {
-            inner: RecvShape::Boxed(fut),
-        }
-    }
-
-    pub(crate) fn sim(fut: mpp_sim::RecvFuture<'a>, stats: &'a mut CommStats) -> Self {
-        RecvFut {
-            inner: RecvShape::SimRecv { fut, stats },
-        }
+    pub(crate) fn new(fut: mpp_sim::RecvFuture<'a>, stats: &'a mut CommStats) -> Self {
+        RecvFut { fut, stats }
     }
 }
 
 impl<'a> RecvTimeoutFut<'a> {
-    /// A receive that already completed (`None` = timed out).
-    pub fn ready(msg: Option<Message>) -> Self {
-        RecvTimeoutFut {
-            inner: RecvShape::Ready(Some(msg)),
-        }
-    }
-
-    /// Wrap an arbitrary boxed future (third-party backends).
-    pub fn from_boxed(fut: CommFuture<'a, Option<Message>>) -> Self {
-        RecvTimeoutFut {
-            inner: RecvShape::Boxed(fut),
-        }
-    }
-
-    pub(crate) fn sim(fut: mpp_sim::RecvTimeoutFuture<'a>, stats: &'a mut CommStats) -> Self {
-        RecvTimeoutFut {
-            inner: RecvShape::SimRecvTimeout { fut, stats },
-        }
+    pub(crate) fn new(fut: mpp_sim::RecvTimeoutFuture<'a>, stats: &'a mut CommStats) -> Self {
+        RecvTimeoutFut { fut, stats }
     }
 }
 
@@ -109,20 +59,12 @@ impl Future for RecvFut<'_> {
     type Output = Message;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Message> {
-        // All variants are `Unpin` (the kernel futures hold only
-        // references and plain data), so plain projection is fine.
-        match &mut self.get_mut().inner {
-            RecvShape::SimRecv { fut, stats } => match Pin::new(fut).poll(cx) {
-                Poll::Ready(env) => {
-                    stats.record_recv(env.data.len(), env.waited_ns);
-                    Poll::Ready(message_of(env))
-                }
-                Poll::Pending => Poll::Pending,
-            },
-            RecvShape::SimRecvTimeout { .. } => unreachable!("timeout shape in RecvFut"),
-            RecvShape::Ready(msg) => Poll::Ready(msg.take().expect("polled after completion")),
-            RecvShape::Boxed(fut) => fut.as_mut().poll(cx),
-        }
+        // The kernel futures hold only references and plain data, so
+        // both halves are `Unpin` and plain projection is fine.
+        let this = self.get_mut();
+        Pin::new(&mut this.fut)
+            .poll(cx)
+            .map(|env| delivered(this.stats, env))
     }
 }
 
@@ -130,53 +72,19 @@ impl Future for RecvTimeoutFut<'_> {
     type Output = Option<Message>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<Message>> {
-        match &mut self.get_mut().inner {
-            RecvShape::SimRecvTimeout { fut, stats } => match Pin::new(fut).poll(cx) {
-                Poll::Ready(Some(env)) => {
-                    stats.record_recv(env.data.len(), env.waited_ns);
-                    Poll::Ready(Some(message_of(env)))
-                }
-                Poll::Ready(None) => Poll::Ready(None),
-                Poll::Pending => Poll::Pending,
-            },
-            RecvShape::SimRecv { .. } => unreachable!("plain-recv shape in RecvTimeoutFut"),
-            RecvShape::Ready(msg) => Poll::Ready(msg.take().expect("polled after completion")),
-            RecvShape::Boxed(fut) => fut.as_mut().poll(cx),
-        }
+        let this = self.get_mut();
+        Pin::new(&mut this.fut)
+            .poll(cx)
+            .map(|env| env.map(|env| delivered(this.stats, env)))
     }
 }
 
 /// Future returned by [`Communicator::barrier`].
-pub struct BarrierFut<'a> {
-    inner: BarrierShape<'a>,
-}
-
-enum BarrierShape<'a> {
-    Sim(mpp_sim::BarrierFuture<'a>),
-    /// The barrier was already waited out (blocking backends).
-    Ready,
-    Boxed(CommFuture<'a, ()>),
-}
+pub struct BarrierFut<'a>(mpp_sim::BarrierFuture<'a>);
 
 impl<'a> BarrierFut<'a> {
-    /// A barrier that has already been crossed.
-    pub fn ready() -> Self {
-        BarrierFut {
-            inner: BarrierShape::Ready,
-        }
-    }
-
-    /// Wrap an arbitrary boxed future (third-party backends).
-    pub fn from_boxed(fut: CommFuture<'a, ()>) -> Self {
-        BarrierFut {
-            inner: BarrierShape::Boxed(fut),
-        }
-    }
-
-    pub(crate) fn sim(fut: mpp_sim::BarrierFuture<'a>) -> Self {
-        BarrierFut {
-            inner: BarrierShape::Sim(fut),
-        }
+    pub(crate) fn new(fut: mpp_sim::BarrierFuture<'a>) -> Self {
+        BarrierFut(fut)
     }
 }
 
@@ -184,11 +92,7 @@ impl Future for BarrierFut<'_> {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        match &mut self.get_mut().inner {
-            BarrierShape::Sim(fut) => Pin::new(fut).poll(cx),
-            BarrierShape::Ready => Poll::Ready(()),
-            BarrierShape::Boxed(fut) => fut.as_mut().poll(cx),
-        }
+        Pin::new(&mut self.get_mut().0).poll(cx)
     }
 }
 
@@ -206,8 +110,8 @@ pub struct Message {
 /// Point-to-point message passing as seen by one rank of an algorithm.
 ///
 /// All `stp-core` algorithms and `collectives` operations are written
-/// against this trait, so the same code runs timed on the simulator and
-/// untimed on real threads. Implementations must provide:
+/// against this trait and run, timed, on the simulator's
+/// [`SimComm`](crate::SimComm). It provides:
 ///
 /// * reliable, per-(src → dst, tag) FIFO-by-arrival delivery,
 /// * blocking `recv` (an `await` point) with optional source/tag filters,
@@ -233,60 +137,40 @@ pub trait Communicator {
     /// rope's segments are moved, never its bytes. Cost models and
     /// statistics treat it exactly like [`send`](Communicator::send) of
     /// the same length.
-    fn send_payload(&mut self, dst: usize, tag: Tag, data: Payload) {
-        // Conservative default for third-party impls: materialize.
-        self.send(dst, tag, &data.to_vec());
-    }
+    fn send_payload(&mut self, dst: usize, tag: Tag, data: Payload);
 
     /// Vectored multi-port send: issue every `(dst, tag, payload)`
-    /// member as one batched transmit. On the simulator the whole batch
-    /// pays a *single* α_send and all members become network-ready
-    /// simultaneously, so on a `k`-port machine up to `k` of them
-    /// occupy distinct injection slots and their wire times overlap —
-    /// the primitive the `KPort_*` algorithm family is built on.
-    ///
-    /// The default implementation issues the members as sequential
-    /// sends, which is cost-equivalent on a single-port backend and
-    /// always correct (delivery and statistics are per member).
-    fn send_batch(&mut self, msgs: Vec<(usize, Tag, Payload)>) {
-        for (dst, tag, data) in msgs {
-            self.send_payload(dst, tag, data);
-        }
-    }
+    /// member as one batched transmit. The whole batch pays a *single*
+    /// α_send and all members become network-ready simultaneously, so
+    /// on a `k`-port machine up to `k` of them occupy distinct injection
+    /// slots and their wire times overlap — the primitive the `KPort_*`
+    /// algorithm family is built on. Delivery and statistics are per
+    /// member.
+    fn send_batch(&mut self, msgs: Vec<(usize, Tag, Payload)>);
 
     /// Independent injection/ejection port slots per node on the machine
     /// this communicator runs on — the `k` a k-ported algorithm stripes
     /// its [`send_batch`](Communicator::send_batch) lanes across.
-    /// Backends without a machine model report 1 (single-ported).
-    fn ports(&self) -> usize {
-        1
-    }
+    fn ports(&self) -> usize;
 
     /// Blocking receive; `None` filters match anything. Among matching
     /// messages the earliest-arriving is returned.
     fn recv(&mut self, src: Option<usize>, tag: Option<Tag>) -> RecvFut<'_>;
 
     /// Receive with a deadline: like [`recv`](Communicator::recv), but
-    /// gives up and returns `None` once `timeout_ns` elapses with no
-    /// matching message (virtual time on the simulator, wall time on the
-    /// threads backend). The default implementation waits forever — a
-    /// correct refinement for backends without lossy delivery, where a
-    /// matching message is guaranteed to arrive whenever one is sent.
+    /// gives up and returns `None` once `timeout_ns` of virtual time
+    /// elapses with no matching message.
     fn recv_timeout(
         &mut self,
         src: Option<usize>,
         tag: Option<Tag>,
         timeout_ns: u64,
-    ) -> RecvTimeoutFut<'_> {
-        let _ = timeout_ns;
-        RecvTimeoutFut::from_boxed(Box::pin(async move { Some(self.recv(src, tag).await) }))
-    }
+    ) -> RecvTimeoutFut<'_>;
 
     /// Block until every rank has entered the barrier.
     fn barrier(&mut self) -> BarrierFut<'_>;
 
     /// Charge the local memory-copy cost of combining `bytes` bytes.
-    /// (A no-op cost-wise on the threads backend, but still recorded.)
     fn charge_memcpy(&mut self, bytes: usize);
 
     /// Close the current statistics iteration and start the next. The

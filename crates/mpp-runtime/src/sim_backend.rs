@@ -1,7 +1,7 @@
 //! Timed backend: `Communicator` over the `mpp-sim` kernel.
 
 use mpp_model::{LibraryKind, Machine, Time};
-use mpp_sim::{try_simulate_with, KernelCounters, MsgTrace, Payload, RankCtx, SimConfig, SimError};
+use mpp_sim::{try_simulate_with, KernelCounters, Payload, RankCtx, SimConfig, SimError};
 
 use crate::comm::{BarrierFut, Communicator, RecvFut, RecvTimeoutFut};
 use crate::stats::CommStats;
@@ -72,7 +72,7 @@ impl Communicator for SimComm {
         // Split borrow: the kernel future borrows `ctx`, the statistics
         // borrow rides alongside and is recorded at resolution.
         let SimComm { ctx, stats } = self;
-        RecvFut::sim(ctx.recv(src, tag), stats)
+        RecvFut::new(ctx.recv(src, tag), stats)
     }
 
     fn recv_timeout(
@@ -82,11 +82,11 @@ impl Communicator for SimComm {
         timeout_ns: u64,
     ) -> RecvTimeoutFut<'_> {
         let SimComm { ctx, stats } = self;
-        RecvTimeoutFut::sim(ctx.recv_timeout(src, tag, timeout_ns), stats)
+        RecvTimeoutFut::new(ctx.recv_timeout(src, tag, timeout_ns), stats)
     }
 
     fn barrier(&mut self) -> BarrierFut<'_> {
-        BarrierFut::sim(self.ctx.barrier())
+        BarrierFut::new(self.ctx.barrier())
     }
 
     fn charge_memcpy(&mut self, bytes: usize) {
@@ -120,9 +120,6 @@ pub struct RunOutput<R> {
     pub contention_events: u64,
     /// Total stall time (ns).
     pub contention_ns: Time,
-    /// Per-message trace (empty unless requested via
-    /// [`run_simulated_traced`]).
-    pub trace: Vec<MsgTrace>,
     /// The kernel's own work, in counts.
     pub counters: KernelCounters,
 }
@@ -142,20 +139,6 @@ where
 {
     let config = SimConfig {
         lib,
-        ..SimConfig::default()
-    };
-    run_simulated_with(machine, &config, program)
-}
-
-/// Like [`run_simulated`], with per-message tracing enabled.
-pub fn run_simulated_traced<R, F>(machine: &Machine, lib: LibraryKind, program: F) -> RunOutput<R>
-where
-    R: Send,
-    F: AsyncFn(&mut SimComm) -> R + Sync,
-{
-    let config = SimConfig {
-        lib,
-        trace: true,
         ..SimConfig::default()
     };
     run_simulated_with(machine, &config, program)
@@ -213,7 +196,6 @@ where
         makespan_ns: out.makespan_ns,
         contention_events: out.contention_events,
         contention_ns: out.contention_ns,
-        trace: out.trace,
         counters: out.counters,
     })
 }

@@ -28,7 +28,7 @@ pub struct IterStats {
     pub bytes_recv: u64,
     /// Receives that found no message waiting (the rank blocked).
     pub waits: u64,
-    /// Total blocked time in ns (0 on the threads backend unless measured).
+    /// Total blocked virtual time in ns.
     pub wait_ns: u64,
 }
 

@@ -37,7 +37,6 @@ use crate::record::{
     XferEvent,
 };
 use crate::supervise::{CancelToken, SimBudget, Watchdog, WatchdogTrip};
-use crate::trace::MsgTrace;
 use crate::Tag;
 
 /// Which executor drives the rank programs. A value, never ambient
@@ -73,9 +72,6 @@ pub struct SimConfig {
     /// here recurse at most `O(log p)` deep, so the default 256 KiB is
     /// plenty even at p=1024.
     pub stack_size: usize,
-    /// Record a [`MsgTrace`] for every message (see
-    /// [`SimOutcome::trace`]).
-    pub trace: bool,
     /// Capture the symbolic communication schedule into this log (see
     /// [`crate::record`]). `None` disables recording.
     pub recorder: Option<ScheduleLog>,
@@ -107,7 +103,6 @@ impl Default for SimConfig {
         SimConfig {
             lib: LibraryKind::Nx,
             stack_size: 256 * 1024,
-            trace: false,
             recorder: None,
             strict: false,
             exec: ExecMode::default(),
@@ -592,15 +587,15 @@ impl Future for BarrierFuture<'_> {
     }
 }
 
-/// Drive a future that never pends to completion (the blocking
-/// backends: threaded rank programs, the real-threads runtime backend).
-pub fn block_on_ready<Fut: Future>(fut: Fut) -> Fut::Output {
+/// Drive a future that never pends to completion (the threaded
+/// executor's rank programs, whose comm operations block their thread).
+fn block_on_ready<Fut: Future>(fut: Fut) -> Fut::Output {
     let mut fut = std::pin::pin!(fut);
     let mut cx = Context::from_waker(Waker::noop());
     match fut.as_mut().poll(&mut cx) {
         Poll::Ready(v) => v,
         Poll::Pending => {
-            panic!("blocking-backend future suspended; only cooperative runs may pend")
+            panic!("threaded rank future suspended; only cooperative runs may pend")
         }
     }
 }
@@ -618,8 +613,6 @@ pub struct SimOutcome<R> {
     pub contention_events: u64,
     /// Total stall time across all transfers (ns).
     pub contention_ns: Time,
-    /// Per-message records (empty unless [`SimConfig::trace`] is set).
-    pub trace: Vec<MsgTrace>,
     /// Per-rank fault counters (all zero without a fault plan).
     pub fault_stats: Vec<FaultStats>,
     /// What the run cost the kernel, in counts.
@@ -846,7 +839,7 @@ where
 
 /// Shared simulation state and event processing. Both executors route
 /// every globally visible effect (network transfers, sequence numbers,
-/// mailbox inserts, traces, schedule events, strict checks) through
+/// mailbox inserts, schedule events, strict checks) through
 /// these methods in the same global order, which is what makes their
 /// outcomes bit-identical.
 pub(crate) struct KernelCore<'m> {
@@ -854,7 +847,6 @@ pub(crate) struct KernelCore<'m> {
     lib: LibraryKind,
     pub alpha_send: Time,
     pub alpha_recv: Time,
-    trace_on: bool,
     strict: bool,
     recording: bool,
     recorder: Option<ScheduleLog>,
@@ -865,7 +857,6 @@ pub(crate) struct KernelCore<'m> {
     peak_in_flight: usize,
     seq: u64,
     steps: Vec<u32>,
-    trace: Vec<MsgTrace>,
     events: EventLog,
     /// Scratch route reused across every transmit — the per-message
     /// route `Vec` allocation was a top allocator hit in the hot path.
@@ -899,7 +890,6 @@ impl<'m> KernelCore<'m> {
             lib: config.lib,
             alpha_send: machine.params.alpha_send(config.lib),
             alpha_recv: machine.params.alpha_recv(config.lib),
-            trace_on: config.trace,
             strict: config.strict,
             recording: config.recorder.is_some(),
             recorder: config.recorder.clone(),
@@ -909,7 +899,6 @@ impl<'m> KernelCore<'m> {
             peak_in_flight: 0,
             seq: 0,
             steps: vec![0; p],
-            trace: Vec::new(),
             events,
             route_buf: Vec::new(),
             faults: config.faults.clone().filter(|plan| !plan.is_inert()),
@@ -1004,17 +993,6 @@ impl<'m> KernelCore<'m> {
                 }
                 self.events.order.push(EventKind::Xfer);
                 self.events.xfers.push(xfer);
-            }
-            if self.trace_on {
-                self.trace.push(MsgTrace {
-                    src: src_rank,
-                    dst,
-                    tag,
-                    bytes,
-                    send_ns: ready,
-                    arrival_ns: arrival,
-                    stalled_ns: self.net.last_stall_ns,
-                });
             }
             self.mailboxes[dst].insert(MsgRec {
                 arrival,
@@ -1290,7 +1268,6 @@ impl<'m> KernelCore<'m> {
             finish_ns,
             contention_events: self.net.contention_events,
             contention_ns: self.net.contention_ns,
-            trace: self.trace,
             fault_stats: self.fault_stats,
             counters: KernelCounters {
                 events: self.events_processed,
@@ -1934,39 +1911,6 @@ mod tests {
             out.contention_events > 0,
             "gather to rank 0 must show contention"
         );
-    }
-
-    #[test]
-    fn tracing_records_every_message() {
-        let m = Machine::paragon(2, 2);
-        let config = SimConfig {
-            trace: true,
-            ..Default::default()
-        };
-        let out = simulate_with(&m, &config, |mut ctx| async move {
-            if ctx.rank() == 0 {
-                for dst in 1..4 {
-                    ctx.send(dst, 5, &[0u8; 256]);
-                }
-            } else {
-                ctx.recv(Some(0), Some(5)).await;
-            }
-        });
-        assert_eq!(out.trace.len(), 3);
-        for t in &out.trace {
-            assert_eq!(t.src, 0);
-            assert_eq!(t.bytes, 256);
-            assert!(t.arrival_ns > t.send_ns);
-        }
-        // Untraced runs stay empty.
-        let out2 = simulate(&m, |mut ctx| async move {
-            if ctx.rank() == 0 {
-                ctx.send(1, 5, &[0u8; 8]);
-            } else if ctx.rank() == 1 {
-                ctx.recv(Some(0), Some(5)).await;
-            }
-        });
-        assert!(out2.trace.is_empty());
     }
 
     #[test]

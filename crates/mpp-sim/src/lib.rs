@@ -55,7 +55,10 @@
 //! # Entry point
 //!
 //! [`simulate`] runs one per-rank program on every rank of a machine and
-//! returns per-rank results, finish times, and the makespan.
+//! returns per-rank results, finish times, and the makespan. A run's one
+//! recording is its [`EventLog`] ([`SimConfig::recorder`]): the schedule
+//! analyzer reads it, and [`summarize`] / [`render_timeline`] turn it into
+//! message totals and a text timeline.
 
 #[cfg(test)]
 #[path = "../tests/support/counting_alloc.rs"]
@@ -74,9 +77,9 @@ pub mod trace;
 
 pub use error::SimError;
 pub use kernel::{
-    block_on_ready, simulate, simulate_with, try_simulate, try_simulate_with, BarrierFuture,
-    DeadlockInfo, Envelope, ExecMode, FaultStats, KernelCounters, RankCtx, RecvFuture,
-    RecvTimeoutFuture, SimConfig, SimOutcome,
+    simulate, simulate_with, try_simulate, try_simulate_with, BarrierFuture, DeadlockInfo,
+    Envelope, ExecMode, FaultStats, KernelCounters, RankCtx, RecvFuture, RecvTimeoutFuture,
+    SimConfig, SimOutcome,
 };
 pub use mpp_model::{FaultPlan, LinkOutage, NodeCrash, RetryPolicy};
 pub use network::NetworkState;
@@ -86,7 +89,7 @@ pub use record::{
     ScheduleLog, ScheduleRecording, SendEvent, XferEvent,
 };
 pub use supervise::{CancelToken, SimBudget};
-pub use trace::{render_timeline, summarize, MsgTrace, TraceSummary};
+pub use trace::{render_timeline, summarize, TraceSummary};
 
 /// Message tag, used by algorithms to match iteration/phase traffic.
 pub type Tag = u32;

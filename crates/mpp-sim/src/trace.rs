@@ -1,83 +1,68 @@
-//! Message tracing: optional per-message records of a simulation run,
-//! plus a plain-text timeline renderer.
+//! A plain-text view of one recorded run: message totals and a per-rank
+//! timeline, both read from the run's [`EventLog`].
 //!
-//! Enable with [`SimConfig::trace`](crate::SimConfig); the records come
-//! back in [`SimOutcome::trace`](crate::SimOutcome). Useful for seeing
-//! *why* an algorithm is slow on a distribution: hot-spot serialization
-//! shows up as a ladder of stalled transfers into one rank, combining
-//! stalls as gaps between a rank's receive and its next send.
+//! Record the run with [`SimConfig::recorder`](crate::SimConfig); every
+//! delivered message is one [`XferEvent`](crate::XferEvent) there, in
+//! kernel order. Useful for seeing *why* an algorithm is slow on a
+//! distribution: hot-spot serialization shows up as a ladder of stalled
+//! transfers into one rank, combining stalls as gaps between a rank's
+//! receive and its next send.
 
 use mpp_model::Time;
 
-use crate::Tag;
+use crate::record::EventLog;
 
-/// One point-to-point message observed by the kernel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MsgTrace {
-    /// Sending rank.
-    pub src: usize,
-    /// Receiving rank.
-    pub dst: usize,
-    /// Message tag.
-    pub tag: Tag,
-    /// Payload bytes.
-    pub bytes: usize,
-    /// Virtual time the send was issued (after α_send).
-    pub send_ns: Time,
-    /// Virtual time the message arrived at the destination node.
-    pub arrival_ns: Time,
-    /// Time the transfer waited for busy links/ports before starting.
-    pub stalled_ns: Time,
-}
-
-impl MsgTrace {
-    /// Transfer duration including stall (ns).
-    pub fn latency_ns(&self) -> Time {
-        self.arrival_ns.saturating_sub(self.send_ns)
-    }
-}
-
-/// Aggregate statistics over a trace.
+/// Aggregate statistics over the delivered messages of a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSummary {
-    /// Number of messages.
+    /// Number of delivered messages.
     pub messages: usize,
     /// Total payload bytes.
     pub bytes: u64,
     /// Total stalled time across transfers (ns).
     pub stalled_ns: Time,
-    /// Maximum single-message latency (ns).
-    pub max_latency_ns: Time,
-    /// Virtual time of the last arrival (ns).
-    pub span_ns: Time,
 }
 
-/// Summarize a trace.
-pub fn summarize(trace: &[MsgTrace]) -> TraceSummary {
+/// Summarize the delivered messages of a recorded run.
+pub fn summarize(log: &EventLog) -> TraceSummary {
     TraceSummary {
-        messages: trace.len(),
-        bytes: trace.iter().map(|t| t.bytes as u64).sum(),
-        stalled_ns: trace.iter().map(|t| t.stalled_ns).sum(),
-        max_latency_ns: trace.iter().map(|t| t.latency_ns()).max().unwrap_or(0),
-        span_ns: trace.iter().map(|t| t.arrival_ns).max().unwrap_or(0),
+        messages: log.xfers.len(),
+        bytes: log.xfers.iter().map(|x| x.bytes as u64).sum(),
+        stalled_ns: log.xfers.iter().map(|x| x.stall_ns).sum(),
     }
 }
 
 /// Render a per-rank timeline of message activity as text: one row per
 /// rank, `width` columns spanning virtual time; `>` marks a send, `<` an
 /// arrival, `#` both in the same cell.
-pub fn render_timeline(trace: &[MsgTrace], ranks: usize, width: usize) -> String {
-    let span = trace.iter().map(|t| t.arrival_ns).max().unwrap_or(0).max(1);
+///
+/// A send is marked where it left the sender's software, `issue +
+/// alpha_send` (pass the run's α_send), so retry backoff and fault-plan
+/// injection delays move only the arrival.
+pub fn render_timeline(log: &EventLog, alpha_send: Time, ranks: usize, width: usize) -> String {
+    let span = log
+        .xfers
+        .iter()
+        .map(|x| x.done_ns)
+        .max()
+        .unwrap_or(0)
+        .max(1);
     let col = |t: Time| ((t as u128 * (width as u128 - 1)) / span as u128) as usize;
     let mut grid = vec![vec![b' '; width]; ranks];
-    for t in trace {
-        if t.src < ranks {
-            let c = col(t.send_ns);
-            grid[t.src][c] = if grid[t.src][c] == b'<' { b'#' } else { b'>' };
+    for x in &log.xfers {
+        if x.src < ranks {
+            // Sends are logged in `seq` order, one per logical message.
+            let send = log
+                .sends
+                .binary_search_by_key(&x.seq, |s| s.seq)
+                .map(|i| &log.sends[i])
+                .expect("a transfer without its send");
+            let c = col(send.issue_ns + alpha_send);
+            grid[x.src][c] = if grid[x.src][c] == b'<' { b'#' } else { b'>' };
         }
-        if t.dst < ranks {
-            let c = col(t.arrival_ns);
-            grid[t.dst][c] = if grid[t.dst][c] == b'>' { b'#' } else { b'<' };
+        if x.dst < ranks {
+            let c = col(x.done_ns);
+            grid[x.dst][c] = if grid[x.dst][c] == b'>' { b'#' } else { b'<' };
         }
     }
     let mut out = String::new();
@@ -93,51 +78,97 @@ pub fn render_timeline(trace: &[MsgTrace], ranks: usize, width: usize) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{schedule_log, simulate_with, Payload, SendEvent, SimConfig, XferEvent};
+    use mpp_model::{LibraryKind, Machine};
 
-    fn t(src: usize, dst: usize, send: Time, arrival: Time, stalled: Time) -> MsgTrace {
-        MsgTrace {
+    /// One delivered message `src → dst`, issued at `issue` and arriving
+    /// at `done`.
+    fn message(log: &mut EventLog, src: usize, dst: usize, issue: Time, done: Time) {
+        let seq = log.sends.len() as u64 + 1;
+        log.sends.push(SendEvent {
+            step: 0,
+            seq,
             src,
             dst,
             tag: 0,
+            data: Payload::new(),
+            issue_ns: issue,
+        });
+        log.xfers.push(XferEvent {
+            seq,
+            src,
+            dst,
             bytes: 100,
-            send_ns: send,
-            arrival_ns: arrival,
-            stalled_ns: stalled,
-        }
+            ready_ns: issue,
+            start_ns: issue,
+            done_ns: done,
+            stall_ns: 10,
+            out_slot: None,
+            in_slot: None,
+            win_off: 0,
+            win_len: 0,
+        });
     }
 
     #[test]
-    fn summary_aggregates() {
-        let trace = vec![t(0, 1, 0, 100, 10), t(1, 0, 50, 400, 0)];
-        let s = summarize(&trace);
-        assert_eq!(s.messages, 2);
-        assert_eq!(s.bytes, 200);
-        assert_eq!(s.stalled_ns, 10);
-        assert_eq!(s.max_latency_ns, 350);
-        assert_eq!(s.span_ns, 400);
+    fn a_recorded_run_summarizes_every_delivered_message() {
+        let m = Machine::paragon(2, 2);
+        let log = schedule_log();
+        let config = SimConfig {
+            recorder: Some(log.clone()),
+            ..SimConfig::default()
+        };
+        let out = simulate_with(&m, &config, |mut ctx| async move {
+            if ctx.rank() == 0 {
+                for dst in 1..4 {
+                    ctx.send(dst, 5, &[0u8; 256]);
+                }
+            } else {
+                ctx.recv(Some(0), Some(5)).await;
+            }
+        });
+        let events = std::mem::take(&mut log.lock().unwrap().events);
+        let sum = summarize(&events);
+        assert_eq!((sum.messages, sum.bytes), (3, 768));
+        assert_eq!(sum.stalled_ns, out.contention_ns);
+        let alpha = m.params.alpha_send(LibraryKind::Nx);
+        let text = render_timeline(&events, alpha, 4, 40);
+        assert_eq!(text.lines().count(), 5); // 4 ranks + time axis
+        assert!(text.lines().next().unwrap().contains('>'));
+        assert!(text.lines().nth(3).unwrap().contains('<'));
     }
 
     #[test]
-    fn empty_trace_summary() {
-        let s = summarize(&[]);
-        assert_eq!(s.messages, 0);
-        assert_eq!(s.span_ns, 0);
+    fn empty_log_summary() {
+        let s = summarize(&EventLog::default());
+        assert_eq!((s.messages, s.bytes, s.stalled_ns), (0, 0, 0));
     }
 
     #[test]
-    fn timeline_has_one_row_per_rank() {
-        let trace = vec![t(0, 1, 0, 1000, 0)];
-        let text = render_timeline(&trace, 3, 40);
-        assert_eq!(text.lines().count(), 4); // 3 ranks + time axis
-        assert!(text.contains('>'));
-        assert!(text.contains('<'));
+    fn sends_are_marked_at_issue_plus_alpha() {
+        let mut log = EventLog::default();
+        message(&mut log, 0, 1, 0, 1000);
+        // α = 0 puts the send in column 0, α = 500 mid-row.
+        assert_eq!(
+            render_timeline(&log, 0, 2, 11).lines().next(),
+            Some("   0 |>          ")
+        );
+        assert_eq!(
+            render_timeline(&log, 500, 2, 11).lines().next(),
+            Some("   0 |     >     ")
+        );
+        assert_eq!(
+            render_timeline(&log, 0, 2, 11).lines().nth(1),
+            Some("   1 |          <")
+        );
     }
 
     #[test]
     fn timeline_marks_overlap() {
-        // send and arrival in the same cell on the same rank -> '#'
-        let trace = vec![t(0, 0, 500, 500, 0)];
-        let text = render_timeline(&trace, 1, 10);
+        // Send and arrival in the same cell on the same rank -> '#'.
+        let mut log = EventLog::default();
+        message(&mut log, 0, 0, 500, 500);
+        let text = render_timeline(&log, 0, 1, 10);
         assert!(text.contains('#'), "{text}");
     }
 }

@@ -10,6 +10,8 @@
 //! Run with: `cargo run --release --example custom_algorithm`
 
 use stp_broadcast::prelude::*;
+use stp_broadcast::runtime::FaultPlan;
+use stp_broadcast::stp::runner::try_run_alg_controlled;
 
 /// The custom algorithm: pipeline every source payload around a ring.
 struct RingPipeline;
@@ -65,23 +67,26 @@ fn main() {
     let sources = SourceDist::Equal.place(shape, 12);
     let len = 2048;
 
-    // 1. Correctness first, on real threads.
-    let out = run_threads(machine.p(), async |comm| {
-        let payload = sources
-            .binary_search(&comm.rank())
-            .is_ok()
-            .then(|| payload_for(comm.rank(), len));
-        let ctx = StpCtx {
-            shape,
-            sources: &sources,
-            payload: payload.as_deref(),
-        };
-        let set = RingPipeline.run(comm, &ctx).await;
-        set.sources().collect::<Vec<_>>() == sources
-    });
-    assert!(out.results.iter().all(|&ok| ok));
+    // 1. Correctness first, under seeded delivery delays: each plan holds
+    //    back a seeded half of all transmissions by 150 µs, so messages
+    //    arrive out of their clean order. A correct algorithm relies on
+    //    tags and source filters, never on arrival order — and a seed
+    //    that breaks it replays exactly.
+    for seed in 0..4 {
+        let plan = FaultPlan::parse(&format!("seed={seed},delay=1/2:150000")).unwrap();
+        let out = try_run_alg_controlled(
+            &machine,
+            LibraryKind::Nx,
+            &sources,
+            &|src| payload_for(src, len),
+            &RingPipeline,
+            &RunControl::with_faults(Some(&plan)),
+        )
+        .expect("run failed");
+        assert!(out.verified, "RingPipeline lost a message under {plan:?}");
+    }
     println!(
-        "RingPipeline verified on the threads backend ({} ranks)",
+        "RingPipeline verified under 4 seeded delay plans ({} ranks)",
         machine.p()
     );
 

@@ -75,11 +75,11 @@ fn main() {
     }
 
     // After the broadcast every processor can recompute the partition
-    // locally — demonstrate with the threads backend that each rank
-    // really holds every load record.
+    // locally — demonstrate that each rank really holds every load
+    // record.
     let shape = machine.shape;
     let sources = SourceDist::Cross.place(shape, 48);
-    let out = run_threads(machine.p(), async |comm| {
+    let out = run_simulated(&machine, LibraryKind::Nx, async |comm| {
         let payload = sources
             .binary_search(&comm.rank())
             .is_ok()

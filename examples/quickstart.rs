@@ -34,11 +34,11 @@ fn main() {
         );
     }
 
-    // The same algorithms also run on real OS threads (untimed) — handy
-    // for checking they are honest message-passing programs.
+    // Underneath, every algorithm is a rank program over the
+    // `Communicator` trait; `run_simulated` drives one directly.
     let shape = machine.shape;
     let sources = dist.place(shape, s);
-    let out = run_threads(machine.p(), async |comm| {
+    let out = run_simulated(&machine, LibraryKind::Nx, async |comm| {
         let payload = sources
             .binary_search(&comm.rank())
             .is_ok()
@@ -52,7 +52,7 @@ fn main() {
     });
     assert!(out.results.iter().all(|&n| n == s));
     println!(
-        "\nthreads backend: every rank holds {s} messages (wall {:?})",
-        out.wall
+        "\nBr_Lin driven rank by rank: every rank holds {s} messages at {:.3} ms",
+        out.makespan_ms()
     );
 }

@@ -6,8 +6,7 @@
 //! * [`model`] — machine models (topologies, routing, Paragon/T3D
 //!   parameter presets, placement).
 //! * [`sim`] — the deterministic discrete-event simulator.
-//! * [`runtime`] — the `Communicator` abstraction with simulated and
-//!   real-thread backends.
+//! * [`runtime`] — the `Communicator` abstraction over the simulator.
 //! * [`coll`] — baseline collective operations.
 //! * [`stp`] — the s-to-p broadcasting algorithms, distributions,
 //!   metrics, and experiment runner.
@@ -23,6 +22,6 @@ pub use stp_core as stp;
 /// One-stop prelude for applications.
 pub mod prelude {
     pub use mpp_model::{LibraryKind, Machine, MeshShape, Placement, Topology};
-    pub use mpp_runtime::{run_simulated, run_threads, CommStats, Communicator, Message};
+    pub use mpp_runtime::{run_simulated, CommStats, Communicator, Message};
     pub use stp_core::prelude::*;
 }

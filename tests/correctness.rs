@@ -1,6 +1,6 @@
 //! Cross-crate correctness matrix: every algorithm × distribution ×
 //! machine shape must leave every rank holding exactly the `s` source
-//! payloads, on both the simulator and the real-threads backend.
+//! payloads.
 
 use stp_broadcast::prelude::*;
 use stp_broadcast::stp::runner::run_sources;
@@ -78,38 +78,6 @@ fn simulator_matrix_t3d() {
 }
 
 #[test]
-fn threads_matrix() {
-    let shape = MeshShape::new(4, 4);
-    for &kind in all_kinds() {
-        for s in [1usize, 5, 16] {
-            let sources = SourceDist::Equal.place(shape, s);
-            let alg = kind.build();
-            let out = run_threads(shape.p(), async |comm| {
-                let payload = sources
-                    .binary_search(&comm.rank())
-                    .is_ok()
-                    .then(|| payload_for(comm.rank(), 48));
-                let ctx = StpCtx {
-                    shape,
-                    sources: &sources,
-                    payload: payload.as_deref(),
-                };
-                let set = alg.run(comm, &ctx).await;
-                set.sources().collect::<Vec<_>>() == sources
-                    && sources
-                        .iter()
-                        .all(|&s| *set.get(s).unwrap() == payload_for(s, 48))
-            });
-            assert!(
-                out.results.iter().all(|&ok| ok),
-                "{} s={s} failed on threads backend",
-                kind.name()
-            );
-        }
-    }
-}
-
-#[test]
 fn single_processor_machine() {
     let machine = Machine::paragon(1, 1);
     for kind in [AlgoKind::TwoStep, AlgoKind::BrLin, AlgoKind::PersAlltoAll] {
@@ -176,4 +144,34 @@ fn variable_length_payloads() {
         .expect("run failed");
         assert!(out.verified, "{} with variable lengths", kind.name());
     }
+}
+
+#[test]
+fn large_machine_smoke() {
+    // p = 512: the merge algorithms stay correct at scale.
+    let machine = Machine::paragon(16, 32);
+    for kind in [AlgoKind::BrLin, AlgoKind::BrXySource, AlgoKind::TwoStep] {
+        let exp = Experiment {
+            machine: &machine,
+            dist: SourceDist::Equal,
+            s: 100,
+            msg_len: 256,
+            kind,
+        };
+        let out = exp.run().expect("run failed");
+        assert!(out.verified, "{} failed at p=512", kind.name());
+    }
+}
+
+#[test]
+fn large_t3d_smoke() {
+    let machine = Machine::t3d(256, 9);
+    let exp = Experiment {
+        machine: &machine,
+        dist: SourceDist::Random { seed: 4 },
+        s: 64,
+        msg_len: 512,
+        kind: AlgoKind::MpiAlltoall,
+    };
+    assert!(exp.run().expect("run failed").verified);
 }

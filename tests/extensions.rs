@@ -1,7 +1,7 @@
 //! Integration tests for the extensions beyond the paper: source
 //! announcement, N-d `Br_dims`, the dissemination all-gather, adaptive
 //! repositioning and recursive partitioning — each exercised end-to-end
-//! on the timed simulator (their unit tests use the threads backend).
+//! through the public API on the timed simulator.
 
 use stp_broadcast::prelude::*;
 use stp_broadcast::stp::algorithms::{

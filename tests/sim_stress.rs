@@ -73,25 +73,6 @@ proptest! {
         let received: u64 = bytes_a.iter().sum();
         prop_assert_eq!(sent, received);
     }
-
-    /// The same scripts complete on the threads backend too.
-    #[test]
-    fn random_matched_scripts_complete_on_threads(script in script_strategy()) {
-        let out = run_threads(script.p, async |comm| {
-            let me = comm.rank();
-            for &(dst, tag, len) in &script.sends[me] {
-                comm.send(dst, tag, &vec![me as u8; len]);
-            }
-            let mut received = 0u64;
-            for _ in 0..script.expected(me) {
-                received += comm.recv(None, None).await.data.len() as u64;
-            }
-            received
-        });
-        let sent: u64 =
-            script.sends.iter().flatten().map(|&(_, _, len)| len as u64).sum();
-        prop_assert_eq!(out.results.iter().sum::<u64>(), sent);
-    }
 }
 
 #[test]
@@ -125,17 +106,11 @@ fn wildcard_and_filtered_receives_interleave() {
 }
 
 #[test]
-fn self_sends_work_on_both_backends() {
+fn self_sends_deliver_locally() {
     let machine = Machine::paragon(1, 2);
     let sim = run_simulated(&machine, LibraryKind::Nx, async |comm| {
         comm.send(comm.rank(), 0, b"self");
         comm.recv(Some(comm.rank()), Some(0)).await.data
     });
     assert!(sim.results.iter().all(|d| d == b"self"));
-
-    let thr = run_threads(2, async |comm| {
-        comm.send(comm.rank(), 0, b"self");
-        comm.recv(Some(comm.rank()), Some(0)).await.data
-    });
-    assert!(thr.results.iter().all(|d| d == b"self"));
 }
