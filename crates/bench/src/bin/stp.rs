@@ -304,21 +304,25 @@ fn print_lint_findings(
 
 /// Resolve the `--checkpoint`/`--resume` pair into an open checkpoint
 /// store (shared by `stp lint` and `stp sweep`). Without `--resume` any
-/// previous progress file is discarded so the sweep starts fresh.
+/// previous progress (snapshot and journal) is discarded so the sweep
+/// starts fresh.
 fn open_checkpoint(
     args: &[String],
     default_path: &str,
     sig: &str,
 ) -> Option<stp_core::checkpoint::CheckpointFile> {
+    use stp_core::checkpoint::CheckpointFile;
     let path = get(args, "--checkpoint");
     if path.is_none() && !has(args, "--resume") {
         return None;
     }
     let path = path.unwrap_or_else(|| default_path.to_string());
-    if !has(args, "--resume") {
-        let _ = std::fs::remove_file(&path);
-    }
-    let cp = stp_core::checkpoint::CheckpointFile::open(&path, sig).unwrap_or_else(|e| {
+    let cp = if has(args, "--resume") {
+        CheckpointFile::open(&path, sig)
+    } else {
+        CheckpointFile::create(&path, sig)
+    };
+    let cp = cp.unwrap_or_else(|e| {
         eprintln!("stp: cannot open checkpoint {path}: {e}");
         std::process::exit(2);
     });
@@ -749,6 +753,10 @@ fn main() {
         println!(
             "kernel: {} events   {} in flight at peak   {} mailbox(es) spilled",
             k.events, k.peak_in_flight, k.mailbox_spills
+        );
+        println!(
+            "schedule: {} sends  {} xfers  {} recvs  {} iter-ends  {} drops  {} finishes",
+            k.sends, k.xfers, k.recvs, k.iter_ends, k.drops, k.finishes
         );
         if let Some(q) = stp_core::quality::placement_quality(machine.shape, &sources, kind) {
             println!("placement quality for {}: {q:.2}", kind.name());

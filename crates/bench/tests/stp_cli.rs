@@ -337,6 +337,47 @@ fn sweep_resumes_from_a_parent_format_checkpoint() {
     );
 }
 
+/// Without `--resume`, `--checkpoint F` starts fresh: neither the
+/// snapshot at F nor a journal a killed run left beside it is replayed.
+#[test]
+fn a_sweep_without_resume_discards_the_snapshot_and_the_journal() {
+    let dir = std::env::temp_dir().join(format!("stp-cli-fresh-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let file = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let ckpt = file("ckpt");
+    let sweep = |report: &str| {
+        let args = [
+            "sweep",
+            "--quick",
+            "--len",
+            "64",
+            "--checkpoint",
+            &ckpt,
+            "--json",
+            report,
+        ];
+        let (code, stdout, stderr) = run(stp().args(args));
+        assert_eq!(code, Some(0), "{stderr}");
+        assert!(!stderr.contains("[resume]"), "{stderr}");
+        assert!(
+            stdout.ends_with(" 0 replayed from checkpoint\n"),
+            "{stdout}"
+        );
+        std::fs::read_to_string(report).expect("read report")
+    };
+    let first = sweep(&file("first.json"));
+    // What a run killed mid-sweep leaves: a live journal, here with a
+    // record no simulation produces.
+    std::fs::write(
+        format!("{ckpt}.journal"),
+        "{\"sig\":\"sweep:v2:shapes=[(4, 4), (8, 3)]:len=64:faults=None:chaos=false\"}\n\
+         {\"put\":[\"2-Step/R/4x4/s4\",\"{\\\"id\\\":\\\"2-Step/R/4x4/s4\\\",\\\"makespan_ns\\\":7}\"]}\n",
+    )
+    .expect("write journal");
+    assert_eq!(sweep(&file("second.json")), first);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The `stp sweep --len 64 --json` report, built by running every point
 /// of the matrix on its own through `try_run_alg_controlled`: the
 /// reference the grouped sweep must equal byte for byte.
@@ -442,14 +483,18 @@ fn metrics_print_the_kernel_counters() {
     // 36 ranks: with every rank a source, 2-Step's gather root holds
     // 35 messages at once, three past the mailbox's spill threshold.
     let base = "--machine paragon --rows 3 --cols 12 --algo 2_step --dist equal --len 64 --metrics";
+    // The schedule line counts what a recording would hold; a plain run
+    // charges no iteration marks, so `events` = sends + recvs + finishes.
     for (s, counters) in [
         (
             "4",
-            "kernel: 112 events   15 in flight at peak   0 mailbox(es) spilled\n",
+            "kernel: 112 events   15 in flight at peak   0 mailbox(es) spilled\n\
+             schedule: 38 sends  38 xfers  38 recvs  224 iter-ends  0 drops  36 finishes\n",
         ),
         (
             "36",
-            "kernel: 176 events   35 in flight at peak   1 mailbox(es) spilled\n",
+            "kernel: 176 events   35 in flight at peak   1 mailbox(es) spilled\n\
+             schedule: 70 sends  70 xfers  70 recvs  224 iter-ends  0 drops  36 finishes\n",
         ),
     ] {
         let (code, stdout, stderr) = run(stp().args(base.split(' ')).args(["--s", s]));

@@ -353,15 +353,23 @@ pub fn try_run_alg_controlled(
     // bug on a clean network is expected there — the property of
     // interest under faults is delivery (`verified`), checked per rank.
     let config = SimConfig {
-        lib,
         strict: cfg!(debug_assertions) && control.faults.is_none(),
+        ..sim_config(lib, control)
+    };
+    try_run_alg_with(machine, &config, sources, payload_of, alg)
+}
+
+/// The kernel configuration a [`RunControl`] asks for: fault plan,
+/// budget, cancellation and executor, nothing recorded, nothing strict.
+fn sim_config(lib: LibraryKind, control: &RunControl) -> SimConfig {
+    SimConfig {
+        lib,
         faults: control.faults.clone(),
         budget: control.budget.clone(),
         cancel: control.cancel.clone(),
         exec: control.exec.unwrap_or_default(),
         ..SimConfig::default()
-    };
-    try_run_alg_with(machine, &config, sources, payload_of, alg)
+    }
 }
 
 fn try_run_alg_with(
@@ -494,22 +502,31 @@ pub fn try_record_sources(
     alg: &dyn StpAlgorithm,
     control: &RunControl,
 ) -> Result<RecordedRun, SimError> {
-    let log = schedule_log();
+    try_plan_sources(machine, lib, sources, payload_of, alg, control, true)
+}
+
+/// [`try_record_sources`] with the recorder optional: `record: false`
+/// runs the same configuration without it (the serve daemon's unlinted
+/// plans). [`RecordedRun::events`] is then empty, and the outcome's
+/// [`KernelCounters`] still count every event a recording would hold.
+pub fn try_plan_sources(
+    machine: &Machine,
+    lib: LibraryKind,
+    sources: &[usize],
+    payload_of: &(dyn Fn(usize) -> Vec<u8> + Sync),
+    alg: &dyn StpAlgorithm,
+    control: &RunControl,
+    record: bool,
+) -> Result<RecordedRun, SimError> {
+    let log = record.then(schedule_log);
     let config = SimConfig {
-        lib,
-        recorder: Some(log.clone()),
-        exec: control.exec.unwrap_or_default(),
-        faults: control.faults.clone(),
-        budget: control.budget.clone(),
-        cancel: control.cancel.clone(),
-        ..SimConfig::default()
+        recorder: log.clone(),
+        ..sim_config(lib, control)
     };
     let run = try_run_alg_with(machine, &config, sources, payload_of, alg);
-    let recording = std::mem::take(
-        &mut *log
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner),
-    );
+    let recording = log
+        .map(|log| std::mem::take(&mut *log.lock().unwrap_or_else(PoisonError::into_inner)))
+        .unwrap_or_default();
     match run {
         Ok(outcome) => Ok(RecordedRun {
             events: recording.events,

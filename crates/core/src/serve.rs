@@ -27,13 +27,20 @@
 //! * **Content-addressed cache** — results are memoized under a
 //!   canonical `(algo, dist, shape, exec, faults, ports, s, L, lint)`
 //!   key (FNV-1a content hash as the entry id) in a bounded LRU
-//!   [`PlanCache`], persisted through the checkpoint file's
-//!   sig-guarded atomic tmp+rename discipline: a corrupt or
-//!   differently-versioned store starts fresh, a `SIGKILL` mid-save
-//!   leaves the previous complete store intact.
+//!   [`PlanCache`] over a sig-guarded
+//!   [`CheckpointFile`]: an insert and the evictions it causes are one
+//!   `fdatasync`ed journal append before the reply is written, whatever
+//!   the store's size; a corrupt or differently-versioned store starts
+//!   fresh, and a `SIGKILL` at any instant reopens to every insert that
+//!   was answered.
+//! * **Recording on demand** — a plan simulates once; only a
+//!   `"lint":true` request runs the schedule recorder, whose log the
+//!   analyzer needs. The reply's `"schedule"` counts come from the
+//!   kernel's own counters either way, so they are the same bytes.
 //! * **Shutdown** — `SIGTERM`/`SIGINT` (or a `{"cmd":"shutdown"}`
 //!   request) set a shared flag; the accept loop drains connections,
-//!   joins the worker pool, and flushes the cache before exiting.
+//!   joins the worker pool, and compacts the cache into one snapshot
+//!   before exiting.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -47,11 +54,11 @@ use std::time::Duration;
 use mpp_model::{FaultPlan, Machine};
 use mpp_runtime::{CancelToken, ExecMode, SimBudget, SimError};
 
-use crate::checkpoint::{json_escape, parse_json, Checkpoint, JsonValue};
+use crate::checkpoint::{json_escape, parse_json, CheckpointFile, JsonValue};
 use crate::distribution::SourceDist;
 use crate::msgset::payload_for;
 use crate::predict;
-use crate::runner::{try_record_sources, AlgoKind, RecordedRun, RunControl, SweepRunner};
+use crate::runner::{try_plan_sources, AlgoKind, RecordedRun, RunControl, SweepRunner};
 use crate::select::{cost_regime, recommend, CostRegime};
 use crate::supervise::{chaos_algorithms, PointStatus, SuperviseOpts};
 
@@ -344,127 +351,123 @@ pub fn parse_request(
 // Bounded persistent plan cache
 // ---------------------------------------------------------------------------
 
-struct CacheInner {
-    store: Checkpoint,
+struct Lru {
     /// LRU stamps per entry id (monotone clock; least stamp evicts).
+    /// Its keys are exactly the store's ids.
     stamps: HashMap<String, u64>,
     clock: u64,
     evictions: u64,
+}
+
+impl Lru {
+    fn touch(&mut self, id: &str) {
+        self.clock += 1;
+        if let Some(stamp) = self.stamps.get_mut(id) {
+            *stamp = self.clock;
+        } else {
+            self.stamps.insert(id.to_string(), self.clock);
+        }
+    }
+
+    /// The least recently used ids past `cap`, removed from the stamps;
+    /// equal stamps fall to the smaller id.
+    fn evict_to(&mut self, cap: usize) -> Vec<String> {
+        let mut victims = Vec::new();
+        while self.stamps.len() > cap {
+            let victim = self
+                .stamps
+                .iter()
+                .min_by_key(|&(id, stamp)| (*stamp, id))
+                .map(|(id, _)| id.clone())
+                .expect("a store past its cap has an entry");
+            self.stamps.remove(&victim);
+            victims.push(victim);
+        }
+        self.evictions += victims.len() as u64;
+        victims
+    }
 }
 
 /// A bounded, persistent, content-addressed plan cache.
 ///
 /// Entries map the FNV-1a content address of a [`PlanSpec`] to the
 /// exact plan-body JSON the cold run produced, so a hit replays the
-/// plan **byte-identically**. The store rides on [`Checkpoint`]:
-/// sig-guarded (a schema bump or corrupt file starts fresh with a
-/// warning, never a crash) and persisted through the atomic
-/// tmp+rename+fsync discipline on every insert and on
+/// plan **byte-identically**. The cache is an LRU over a
+/// [`CheckpointFile`]: sig-guarded (a schema bump or corrupt file starts
+/// fresh with a warning, never a crash), with each insert and the
+/// evictions it causes journaled in one `fdatasync`ed append, and the
+/// snapshot compacted by the store itself and on
 /// [`flush`](PlanCache::flush).
 pub struct PlanCache {
-    path: Option<PathBuf>,
+    file: CheckpointFile,
     cap: usize,
-    inner: Mutex<CacheInner>,
+    lru: Mutex<Lru>,
 }
 
 impl PlanCache {
     /// Open the cache. `path: None` keeps it in-memory only. A bound of
     /// `cap` entries is enforced on insert (least-recently-used entry
-    /// evicted first).
+    /// evicted first; the entries of a reopened store count as used in
+    /// the order they were last written).
     pub fn open(path: Option<PathBuf>, cap: usize) -> PlanCache {
-        let store = match path.as_deref().map(Checkpoint::load) {
-            Some(Ok(Some(cp))) if cp.sig() == CACHE_SIG => cp,
-            Some(Ok(Some(cp))) => {
-                eprintln!(
-                    "note: plan cache has signature {:?} (want {CACHE_SIG:?}); starting fresh",
-                    cp.sig()
-                );
-                Checkpoint::new(CACHE_SIG)
-            }
+        let file = match path.map(|path| CheckpointFile::open(path, CACHE_SIG)) {
+            Some(Ok(file)) => file,
             Some(Err(e)) => {
-                eprintln!("warning: could not read plan cache: {e}; starting fresh");
-                Checkpoint::new(CACHE_SIG)
+                eprintln!("warning: could not open plan cache: {e}; keeping it in memory");
+                CheckpointFile::memory(CACHE_SIG)
             }
-            // Missing or malformed (Checkpoint::load warns) — fresh.
-            _ => Checkpoint::new(CACHE_SIG),
+            None => CheckpointFile::memory(CACHE_SIG),
         };
-        let mut inner = CacheInner {
-            stamps: store.ids().map(|id| (id.to_string(), 0)).collect(),
-            store,
+        let mut lru = Lru {
+            stamps: HashMap::new(),
             clock: 0,
             evictions: 0,
         };
+        for id in file.replayed() {
+            lru.touch(id);
+        }
         // An oversized store (cap lowered between runs) shrinks now.
-        Self::evict_to_cap(&mut inner, cap);
+        let cap = cap.max(1);
+        let victims = lru.evict_to(cap);
+        if !victims.is_empty() {
+            file.commit::<&str>(&[], &victims);
+        }
         PlanCache {
-            path,
-            cap: cap.max(1),
-            inner: Mutex::new(inner),
+            file,
+            cap,
+            lru: Mutex::new(lru),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> std::sync::MutexGuard<'_, Lru> {
+        self.lru.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Look up a plan body, refreshing its LRU stamp.
     pub fn get(&self, id: &str) -> Option<String> {
-        let mut inner = self.lock();
-        let body = inner.store.get(id).map(str::to_string)?;
-        inner.clock += 1;
-        let clock = inner.clock;
-        inner.stamps.insert(id.to_string(), clock);
+        let mut lru = self.lock();
+        let body = self.file.get(id)?;
+        lru.touch(id);
         Some(body)
     }
 
-    /// Insert a plan body, evict past the cap, and persist (best
-    /// effort — an I/O failure costs persistence, not the request).
+    /// Insert a plan body and journal it with the evictions past the cap
+    /// (best effort — an I/O failure costs persistence, not the request).
     pub fn insert(&self, id: &str, body: &str) {
-        let mut inner = self.lock();
-        inner.store.insert(id, body);
-        inner.clock += 1;
-        let clock = inner.clock;
-        inner.stamps.insert(id.to_string(), clock);
-        Self::evict_to_cap(&mut inner, self.cap);
-        if let Some(path) = &self.path {
-            if let Err(e) = inner.store.save(path) {
-                eprintln!("warning: could not save plan cache {}: {e}", path.display());
-            }
-        }
+        let mut lru = self.lock();
+        lru.touch(id);
+        let victims = lru.evict_to(self.cap);
+        self.file.commit(&[(id, body)], &victims);
     }
 
-    fn evict_to_cap(inner: &mut CacheInner, cap: usize) {
-        while inner.store.len() > cap.max(1) {
-            let Some(victim) = inner
-                .stamps
-                .iter()
-                .min_by_key(|(_, stamp)| **stamp)
-                .map(|(id, _)| id.clone())
-            else {
-                break;
-            };
-            inner.store.remove(&victim);
-            inner.stamps.remove(&victim);
-            inner.evictions += 1;
-        }
-    }
-
-    /// Persist now (shutdown path).
+    /// Compact the store (shutdown path): one snapshot, empty journal.
     pub fn flush(&self) {
-        let inner = self.lock();
-        if let Some(path) = &self.path {
-            if let Err(e) = inner.store.save(path) {
-                eprintln!(
-                    "warning: could not flush plan cache {}: {e}",
-                    path.display()
-                );
-            }
-        }
+        self.file.flush();
     }
 
     /// Current entry count.
     pub fn len(&self) -> usize {
-        self.lock().store.len()
+        self.lock().stamps.len()
     }
 
     /// True when no plan is cached.
@@ -666,13 +669,16 @@ impl Planner {
                 (builder(), mpp_model::LibraryKind::Nx, None)
             }
         };
-        let run = try_record_sources(
+        // Only the analyzer reads the schedule log; a plain plan is the
+        // same run without the recorder.
+        let run = try_plan_sources(
             &spec.machine,
             lib,
             &sources,
             &payload_of,
             alg.as_ref(),
             &control,
+            spec.lint,
         )?;
         if run.deadlocked {
             return Ok(Err("simulation deadlocked: every rank blocked".into()));
@@ -722,11 +728,12 @@ impl Planner {
             outcome.contention_events,
             outcome.contention_ns,
         ));
+        let k = &outcome.counters;
         body.push_str(&format!(
             ",\"schedule\":{{\"events\":{},\"sends\":{},\"recvs\":{}}}",
-            run.events.len(),
-            run.events.sends.len(),
-            run.events.recvs.len(),
+            k.schedule_events(),
+            k.sends,
+            k.recvs,
         ));
         // The replay recipe: the simulation is deterministic, so the
         // source set + algorithm + machine spec re-derive the schedule.
@@ -764,11 +771,6 @@ impl Planner {
     fn note_error(&self) {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         self.stats.errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Flush the cache to disk (shutdown path).
-    pub fn flush(&self) {
-        self.cache.flush();
     }
 
     /// The counters, as one JSON object.
@@ -1030,7 +1032,7 @@ impl Server {
         for handle in worker_handles {
             let _ = handle.join();
         }
-        self.planner.flush();
+        self.planner.cache.flush();
         if let Listener::Unix(_, path) = &self.listener {
             let _ = std::fs::remove_file(path);
         }
@@ -1230,11 +1232,83 @@ mod tests {
         assert_eq!(cache.get("d").as_deref(), Some("4"));
     }
 
+    fn cache_path(tag: &str) -> PathBuf {
+        let path = std::env::temp_dir().join(format!(
+            "stp-serve-cache-test-{tag}-{}.json",
+            std::process::id()
+        ));
+        remove_store(&path);
+        path
+    }
+
+    fn remove_store(path: &std::path::Path) {
+        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(crate::checkpoint::journal_path(path));
+    }
+
+    #[test]
+    fn a_cache_dropped_without_flush_reopens_every_body_byte_identical() {
+        let path = cache_path("unflushed");
+        let bodies: Vec<(String, String)> = (0..12)
+            .map(|i| {
+                (
+                    format!("{i:016x}"),
+                    format!("{{\"n\":{i},\"s\":\"é \\\" \\\\ \\n\"}}"),
+                )
+            })
+            .collect();
+        {
+            let cache = PlanCache::open(Some(path.clone()), 8);
+            for (id, body) in &bodies {
+                cache.insert(id, body);
+            }
+            assert_eq!(cache.evictions(), 4);
+        }
+        let cache = PlanCache::open(Some(path.clone()), 8);
+        assert_eq!(cache.len(), 8);
+        for (id, body) in &bodies[4..] {
+            assert_eq!(cache.get(id).as_deref(), Some(body.as_str()), "{id}");
+        }
+        remove_store(&path);
+    }
+
+    /// The entries of a reopened store count as used in the order they
+    /// were last written, so a lowered cap evicts the same ones every
+    /// time: the snapshot's in id order, then the journal's.
+    #[test]
+    fn eviction_after_a_restart_is_deterministic() {
+        let path = cache_path("evict-restart");
+        let ids: Vec<String> = (0..8).map(|i| format!("{i:016x}")).collect();
+        for _ in 0..8 {
+            remove_store(&path);
+            {
+                let cache = PlanCache::open(Some(path.clone()), 16);
+                for id in &ids {
+                    cache.insert(id, "{}");
+                }
+                cache.flush();
+            }
+            {
+                // Rewritten after the snapshot, so newest: 1, then 0.
+                let cache = PlanCache::open(Some(path.clone()), 16);
+                cache.insert(&ids[1], "{}");
+                cache.insert(&ids[0], "{}");
+            }
+            let cache = PlanCache::open(Some(path.clone()), 4);
+            let survivors: Vec<&str> = ids
+                .iter()
+                .filter(|id| cache.get(id).is_some())
+                .map(String::as_str)
+                .collect();
+            assert_eq!(survivors, [&ids[0], &ids[1], &ids[6], &ids[7]]);
+            assert_eq!(cache.evictions(), 4);
+        }
+        remove_store(&path);
+    }
+
     #[test]
     fn cache_persists_and_corrupt_store_starts_fresh() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("stp-serve-cache-test-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+        let path = cache_path("corrupt");
         {
             let cache = PlanCache::open(Some(path.clone()), 16);
             cache.insert("k1", "{\"algo\":\"Br_Lin\"}");
@@ -1254,7 +1328,7 @@ mod tests {
             let cache = PlanCache::open(Some(path.clone()), 16);
             assert_eq!(cache.get("k2").as_deref(), Some("x"));
         }
-        let _ = std::fs::remove_file(&path);
+        remove_store(&path);
     }
 
     #[test]

@@ -327,8 +327,9 @@ impl SweepRunner {
     /// group's first point in grid order is `simulate`d under `opts`, and
     /// every member's record is `render`ed from that one outcome; a
     /// failed or skipped experiment fails or skips every member alike. A
-    /// group that completes is `encode`d into the checkpoint in one save
-    /// as it settles, so a killed run resumes with only unfinished work.
+    /// group that completes is `encode`d into the checkpoint in one
+    /// journal append as it settles, so a killed run resumes with only
+    /// unfinished work; the store is compacted once the sweep is over.
     /// The outcome is in grid order whatever the completion order was.
     #[allow(clippy::too_many_arguments)]
     pub fn run_resumable<I, K, E, T>(
@@ -398,6 +399,9 @@ impl SweepRunner {
                 }
             },
         );
+        if let Some(cp) = checkpoint {
+            cp.flush();
+        }
 
         let mut out = SupervisedRun {
             done: Vec::new(),
@@ -746,18 +750,24 @@ mod tests {
         fn new(tag: &str) -> Self {
             let path = std::env::temp_dir()
                 .join(format!("stp-resumable-{tag}-{}.ckpt", std::process::id()));
-            let _ = std::fs::remove_file(&path);
-            TempCheckpoint(path)
+            let file = TempCheckpoint(path);
+            file.remove();
+            file
         }
 
         fn open(&self) -> CheckpointFile {
             CheckpointFile::open(&self.0, "resumable-test").expect("open checkpoint")
         }
+
+        fn remove(&self) {
+            let _ = std::fs::remove_file(&self.0);
+            let _ = std::fs::remove_file(crate::checkpoint::journal_path(&self.0));
+        }
     }
 
     impl Drop for TempCheckpoint {
         fn drop(&mut self) {
-            let _ = std::fs::remove_file(&self.0);
+            self.remove();
         }
     }
 

@@ -6,10 +6,11 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Once;
 use std::time::Duration;
 
+use stp_core::checkpoint::journal_path;
 use stp_core::serve::{PlanCache, ServeConfig, Server, CACHE_SIG};
 
 /// Silence the chaos fixture's deliberate rank panic (integration tests
@@ -35,8 +36,14 @@ fn hush() {
 fn temp_path(tag: &str) -> PathBuf {
     let mut path = std::env::temp_dir();
     path.push(format!("stp-serve-test-{tag}-{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&path);
+    remove_store(&path);
     path
+}
+
+/// Delete a cache store: its snapshot and its journal.
+fn remove_store(path: &Path) {
+    let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_file(journal_path(path));
 }
 
 struct Client {
@@ -170,7 +177,7 @@ fn daemon_round_trip_cache_quarantine_and_persistence() {
     // The persisted store replays the plans after a restart.
     let reopened = PlanCache::open(Some(cache_path.clone()), 64);
     assert_eq!(reopened.len(), 2, "both planned points persisted");
-    let _ = std::fs::remove_file(&cache_path);
+    remove_store(&cache_path);
 }
 
 /// Everything after a reply's `"id"`, with `"cached"` normalised: the
@@ -313,7 +320,7 @@ fn concurrent_clients_get_their_own_replies_from_one_cache() {
     }
     client.request("{\"cmd\":\"shutdown\"}");
     handle.join().expect("daemon thread");
-    let _ = std::fs::remove_file(&cache_path);
+    remove_store(&cache_path);
 }
 
 #[test]
@@ -393,5 +400,7 @@ fn corrupt_cache_store_starts_fresh_and_reseals() {
         .expect("cache parses after reseal");
     assert_eq!(cp.sig(), CACHE_SIG);
     assert_eq!(cp.len(), 1);
-    let _ = std::fs::remove_file(&cache_path);
+    // A clean shutdown compacts: everything is in the snapshot.
+    assert_eq!(std::fs::read(journal_path(&cache_path)).unwrap(), b"");
+    remove_store(&cache_path);
 }

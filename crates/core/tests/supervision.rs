@@ -9,7 +9,7 @@ use std::sync::Once;
 
 use mpp_model::{LibraryKind, Machine};
 use mpp_runtime::ExecMode;
-use stp_core::checkpoint::CheckpointFile;
+use stp_core::checkpoint::{journal_path, CheckpointFile};
 use stp_core::distribution::SourceDist;
 use stp_core::msgset::payload_for;
 use stp_core::runner::{
@@ -38,6 +38,12 @@ fn hush() {
             }
         }));
     });
+}
+
+/// Delete a checkpoint store: its snapshot and its journal.
+fn remove_store(path: &std::path::Path) {
+    let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_file(journal_path(path));
 }
 
 /// One grid point: a real algorithm or a chaos fixture, by name.
@@ -217,7 +223,7 @@ fn interrupted_sweep_resumes_without_replaying_completed_points() {
             std::process::id(),
             exec.name()
         ));
-        let _ = std::fs::remove_file(&path);
+        remove_store(&path);
         let sig = format!("supervision-test:{}", exec.name());
 
         // The uninterrupted reference run.
@@ -250,7 +256,7 @@ fn interrupted_sweep_resumes_without_replaying_completed_points() {
             "{}: resumed report must be byte-identical to the uninterrupted run",
             exec.name()
         );
-        let _ = std::fs::remove_file(&path);
+        remove_store(&path);
         let _ = ran_half;
     }
 }
@@ -357,7 +363,7 @@ fn a_checkpoint_holding_part_of_an_experiment_resumes_byte_identically() {
     assert_eq!(simulated, algorithms);
 
     let path = std::env::temp_dir().join(format!("stp-partial-group-{}.ckpt", std::process::id()));
-    let _ = std::fs::remove_file(&path);
+    remove_store(&path);
     // The interrupted run reaches the first label and half the second:
     // every experiment has members on both sides of the cut.
     let cut = algorithms + algorithms / 2;
@@ -376,5 +382,5 @@ fn a_checkpoint_holding_part_of_an_experiment_resumes_byte_identically() {
     assert_eq!(resumed_report, report);
     assert_eq!(resumed.summary_json(), reference.summary_json());
     assert_eq!(cp.completed(), 8 * algorithms);
-    let _ = std::fs::remove_file(&path);
+    remove_store(&path);
 }

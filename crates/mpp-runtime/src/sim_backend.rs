@@ -352,5 +352,7 @@ mod tests {
         assert_eq!(a.finish_ns, b.finish_ns);
         assert_eq!(a.makespan_ns, b.makespan_ns);
         assert_eq!(a.stats, b.stats);
+        assert_eq!(a.counters, b.counters);
+        assert_eq!(a.counters.iter_ends, 16);
     }
 }

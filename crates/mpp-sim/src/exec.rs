@@ -62,6 +62,8 @@ pub(crate) struct CoopCell {
     /// Completion value for the op the rank is suspended on, deposited
     /// by the executor just before re-polling.
     pub grant: Option<CoopGrant>,
+    /// Iteration boundaries of a run that does not record them as ops.
+    pub iter_marks: u64,
 }
 
 /// A deferred operation in a rank's op queue.
@@ -253,6 +255,13 @@ fn describe_ranks(
     states
 }
 
+/// Move the ranks' rank-local iteration marks into the kernel counts.
+fn fold_iter_marks(core: &mut KernelCore, cells: &[Rc<RefCell<CoopCell>>]) {
+    for cell in cells {
+        core.counters.iter_ends += std::mem::take(&mut cell.borrow_mut().iter_marks);
+    }
+}
+
 /// Translate a watchdog trip into the corresponding [`SimError`],
 /// attaching the per-rank dump where the variant carries one.
 fn trip_error(
@@ -387,8 +396,10 @@ where
             }
 
             let Some((eff, rank)) = ready.pop() else {
+                fold_iter_marks(&mut core, &cells);
                 let info = DeadlockInfo {
                     states: describe_ranks(&mut core, &cells, &phases),
+                    counters: core.counters(),
                 };
                 return Err(SimError::Deadlock {
                     machine: machine.name.to_string(),
@@ -397,7 +408,7 @@ where
             };
 
             if let Some(wd) = watchdog.as_mut() {
-                if let Err(trip) = wd.check(core.events_processed(), eff) {
+                if let Err(trip) = wd.check(core.counters.events, eff) {
                     return Err(trip_error(trip, &mut core, &cells, &phases));
                 }
             }
@@ -530,5 +541,6 @@ where
         0,
         "live ranks exhausted with unfinished machines"
     );
+    fold_iter_marks(&mut core, &cells);
     Ok(core.finish(results, finish_ns))
 }

@@ -135,6 +135,8 @@ pub struct Envelope {
 pub struct DeadlockInfo {
     /// Per-rank one-line state descriptions.
     pub states: Vec<String>,
+    /// What the run cost the kernel up to the deadlock.
+    pub counters: KernelCounters,
 }
 
 // ---------------------------------------------------------------------
@@ -170,8 +172,7 @@ pub(crate) enum Trap {
         bytes: usize,
     },
     Barrier,
-    /// Iteration boundary marker — only issued while schedule recording
-    /// is active; costs zero virtual time.
+    /// Iteration boundary marker; costs zero virtual time.
     IterMark,
     Finished,
 }
@@ -442,17 +443,18 @@ impl RankCtx {
     }
 
     /// Mark an iteration boundary for the schedule recorder (zero
-    /// virtual-time cost). A no-op unless the run records a schedule, so
-    /// the runtime backends can call it unconditionally from
-    /// `next_iteration`.
+    /// virtual-time cost). The runtime backends call it unconditionally
+    /// from `next_iteration`; a cooperative run that does not record
+    /// only counts it, rank-locally.
     pub fn iter_mark(&mut self) {
-        if !self.recording {
-            return;
-        }
         if let Link::Coop { cell, .. } = &self.link {
             let mut c = cell.borrow_mut();
-            let eff = c.clock;
-            c.ops.push_back(CoopOp::IterMark { eff });
+            if self.recording {
+                let eff = c.clock;
+                c.ops.push_back(CoopOp::IterMark { eff });
+            } else {
+                c.iter_marks += 1;
+            }
             return;
         }
         match self.call(Trap::IterMark) {
@@ -621,16 +623,36 @@ pub struct SimOutcome<R> {
 
 /// Host-independent counts of the kernel's own work in one run — the
 /// column that tells an algorithm which floods the kernel from one that
-/// is merely slow. Identical across executors.
+/// is merely slow. Identical across executors. Recorded or not, each
+/// count from `sends` on equals the length of its [`EventLog`] array.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelCounters {
     /// Kernel events processed: sends, receive matches, timeout
-    /// expiries, iteration marks, finishes.
+    /// expiries, finishes, and iteration marks when recording.
     pub events: u64,
     /// Most messages sent but not yet received, over all ranks at once.
     pub peak_in_flight: usize,
     /// Ranks whose mailbox outgrew the sorted-vector form.
     pub mailbox_spills: usize,
+    /// Logical messages handed to the network.
+    pub sends: u64,
+    /// Messages delivered into a mailbox.
+    pub xfers: u64,
+    /// Receives that matched a message.
+    pub recvs: u64,
+    /// Iteration boundaries (`next_iteration` calls) over all ranks.
+    pub iter_ends: u64,
+    /// Transmission attempts lost to the fault plan.
+    pub drops: u64,
+    /// Rank programs that returned.
+    pub finishes: u64,
+}
+
+impl KernelCounters {
+    /// Events a recording holds, short of a deadlock's `blocked` ones.
+    pub fn schedule_events(&self) -> u64 {
+        self.sends + self.xfers + self.recvs + self.iter_ends + self.drops + self.finishes
+    }
 }
 
 /// Per-rank fault-plane counters, accumulated at the sender.
@@ -852,9 +874,8 @@ pub(crate) struct KernelCore<'m> {
     recorder: Option<ScheduleLog>,
     net: NetworkState,
     mailboxes: Vec<Mailbox>,
-    /// Messages in the mailboxes now, and the most there have been.
+    /// Messages in the mailboxes now.
     in_flight: usize,
-    peak_in_flight: usize,
     seq: u64,
     steps: Vec<u32>,
     events: EventLog,
@@ -865,11 +886,10 @@ pub(crate) struct KernelCore<'m> {
     /// fault-free fast path stays branch-one-deep.
     faults: Option<FaultPlan>,
     fault_stats: Vec<FaultStats>,
-    /// Kernel events processed (sends, receive matches, timeout
-    /// expiries, iteration marks, finishes) — the progress measure the
-    /// watchdog's event budget is charged against. Identical across
-    /// executors because both route these through `KernelCore`.
-    events_processed: u64,
+    /// The run's counts so far (`events` is what the watchdog's budget
+    /// is charged against); the cooperative executor adds its rank-local
+    /// iteration marks before [`finish`](KernelCore::finish).
+    pub counters: KernelCounters,
 }
 
 impl<'m> KernelCore<'m> {
@@ -896,27 +916,21 @@ impl<'m> KernelCore<'m> {
             net,
             mailboxes: (0..p).map(|_| Mailbox::default()).collect(),
             in_flight: 0,
-            peak_in_flight: 0,
             seq: 0,
             steps: vec![0; p],
             events,
             route_buf: Vec::new(),
             faults: config.faults.clone().filter(|plan| !plan.is_inert()),
             fault_stats: vec![FaultStats::default(); p],
-            events_processed: 0,
+            counters: KernelCounters::default(),
         }
-    }
-
-    /// Kernel events processed so far (the watchdog's progress measure).
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
     }
 
     /// Charge one event for a timeout expiry (which bypasses the
     /// `process_*` methods) so pure retry livelocks still make watchdog
     /// progress.
     pub fn note_timeout(&mut self) {
-        self.events_processed += 1;
+        self.counters.events += 1;
     }
 
     /// Earliest arrival among `rank`'s mailbox messages matching the
@@ -939,7 +953,8 @@ impl<'m> KernelCore<'m> {
         data: Payload,
         clock_at_issue: Time,
     ) -> Time {
-        self.events_processed += 1;
+        self.counters.events += 1;
+        self.counters.sends += 1;
         let ready = clock_at_issue + self.alpha_send;
         let bytes = data.len();
         let wire_ns = self.machine.params.serialize_ns_lib(bytes, self.lib);
@@ -960,6 +975,7 @@ impl<'m> KernelCore<'m> {
             });
         }
         if let Some(arrival) = self.transmit(src_rank, dst, seq, bytes, wire_ns, ready) {
+            self.counters.xfers += 1;
             if self.recording {
                 // The network's reservation record for this delivery —
                 // local memcpys reserve nothing, routed transfers read
@@ -1002,7 +1018,7 @@ impl<'m> KernelCore<'m> {
                 data,
             });
             self.in_flight += 1;
-            self.peak_in_flight = self.peak_in_flight.max(self.in_flight);
+            self.counters.peak_in_flight = self.counters.peak_in_flight.max(self.in_flight);
         }
         // A lost message (every attempt dropped) never reaches a
         // mailbox; the sender still only pays α_send.
@@ -1117,6 +1133,7 @@ impl<'m> KernelCore<'m> {
             } else {
                 self.fault_stats[src_rank].retransmits += 1;
             }
+            self.counters.drops += 1;
             if self.recording {
                 self.events.order.push(EventKind::Dropped);
                 self.events.drops.push(DropEvent {
@@ -1142,7 +1159,8 @@ impl<'m> KernelCore<'m> {
         tag: Option<Tag>,
         clock: Time,
     ) -> Result<(Envelope, Time), String> {
-        self.events_processed += 1;
+        self.counters.events += 1;
+        self.counters.recvs += 1;
         let rec = self.mailboxes[rank]
             .take_match(src, tag)
             .expect("selected recv without match");
@@ -1190,10 +1208,14 @@ impl<'m> KernelCore<'m> {
         ))
     }
 
+    /// An iteration boundary. Only a recording run charges it as a
+    /// kernel event (the cooperative executor counts the rest
+    /// rank-locally, without a trip through the kernel).
     pub fn process_iter_mark(&mut self, rank: usize) {
-        self.events_processed += 1;
-        self.steps[rank] += 1;
+        self.counters.iter_ends += 1;
         if self.recording {
+            self.counters.events += 1;
+            self.steps[rank] += 1;
             self.events.order.push(EventKind::IterEnd);
             self.events.iter_ends.push(rank);
         }
@@ -1202,7 +1224,8 @@ impl<'m> KernelCore<'m> {
     /// Process a rank's termination at its final clock `finish_ns`;
     /// `Err` carries the strict leftover diagnostic.
     pub fn process_finish(&mut self, rank: usize, finish_ns: Time) -> Result<(), String> {
-        self.events_processed += 1;
+        self.counters.events += 1;
+        self.counters.finishes += 1;
         let leftover = self.mailboxes[rank].len();
         if self.recording {
             self.events.order.push(EventKind::Finished);
@@ -1253,10 +1276,19 @@ impl<'m> KernelCore<'m> {
         self.machine.params.memcpy_ns(bytes)
     }
 
+    /// The run's counts so far.
+    pub fn counters(&self) -> KernelCounters {
+        KernelCounters {
+            mailbox_spills: self.mailboxes.iter().filter(|mb| mb.spilled()).count(),
+            ..self.counters
+        }
+    }
+
     /// Close a run that completed normally: hand the recording to its
     /// recorder and assemble the outcome from the per-rank results.
     pub fn finish<R>(mut self, results: Vec<Option<R>>, finish_ns: Vec<Time>) -> SimOutcome<R> {
         self.flush_recording(false);
+        let counters = self.counters();
         let results = results
             .into_iter()
             .enumerate()
@@ -1269,11 +1301,7 @@ impl<'m> KernelCore<'m> {
             contention_events: self.net.contention_events,
             contention_ns: self.net.contention_ns,
             fault_stats: self.fault_stats,
-            counters: KernelCounters {
-                events: self.events_processed,
-                peak_in_flight: self.peak_in_flight,
-                mailbox_spills: self.mailboxes.iter().filter(|mb| mb.spilled()).count(),
-            },
+            counters,
         }
     }
 }
@@ -1509,6 +1537,7 @@ fn kernel_loop(
         let Some((t, first)) = best else {
             let info = DeadlockInfo {
                 states: describe_ranks(core, &states),
+                counters: core.counters(),
             };
             return Err(SimError::Deadlock {
                 machine: machine.name.to_string(),
@@ -1517,7 +1546,7 @@ fn kernel_loop(
         };
 
         if let Some(wd) = watchdog.as_mut() {
-            if let Err(trip) = wd.check(core.events_processed(), t) {
+            if let Err(trip) = wd.check(core.counters.events, t) {
                 return Err(trip_error(trip, core, &states));
             }
         }

@@ -176,3 +176,143 @@ fn different_seeds_change_t3d_times() {
     }
     assert!(any_differs, "placement seed has no timing effect at all?");
 }
+
+/// The schedule counts of `counters`, in `EventLog` array order.
+fn schedule_counts(k: &stp_broadcast::runtime::KernelCounters) -> [u64; 6] {
+    [k.sends, k.xfers, k.recvs, k.iter_ends, k.drops, k.finishes]
+}
+
+/// The lengths of the same arrays in a recording.
+fn log_lengths(log: &stp_broadcast::runtime::EventLog) -> [u64; 6] {
+    [
+        log.sends.len(),
+        log.xfers.len(),
+        log.recvs.len(),
+        log.iter_ends.len(),
+        log.drops.len(),
+        log.finishes.len(),
+    ]
+    .map(|n| n as u64)
+}
+
+/// Run one point recorded and plain. The recorded run's counters equal
+/// its log's array lengths; the plain run, with no log, has the same
+/// counts and the same outcome. Returns the counts.
+fn counters_match_the_log(
+    machine: &Machine,
+    sources: &[usize],
+    lib: LibraryKind,
+    alg: &dyn stp_broadcast::stp::algorithms::StpAlgorithm,
+    faults: Option<&stp_broadcast::runtime::FaultPlan>,
+) -> [u64; 6] {
+    use stp_broadcast::stp::runner::{try_plan_sources, RunControl};
+    let control = RunControl::with_faults(faults);
+    let payload_of = |src: usize| stp_broadcast::stp::msgset::payload_for(src, 64);
+    let run = |record| {
+        try_plan_sources(machine, lib, sources, &payload_of, alg, &control, record)
+            .expect("run failed")
+    };
+    let (recorded, plain) = (run(true), run(false));
+    assert!(plain.events.is_empty());
+    let (r, q) = (recorded.outcome.unwrap(), plain.outcome.unwrap());
+    let counts = schedule_counts(&r.counters);
+    assert_eq!(counts, log_lengths(&recorded.events), "{}", alg.name());
+    assert_eq!(r.counters.schedule_events() as usize, recorded.events.len());
+    assert_eq!(schedule_counts(&q.counters), counts, "{}", alg.name());
+    assert_eq!(
+        (q.makespan_ns, &q.finish_ns, &q.stats, q.verified),
+        (r.makespan_ns, &r.finish_ns, &r.stats, r.verified)
+    );
+    assert_eq!(
+        (q.contention_events, q.contention_ns),
+        (r.contention_events, r.contention_ns)
+    );
+    counts
+}
+
+/// Recording a run changes what is kept, not what happens: over the
+/// quick matrix at one and five ports, on a T3D, and under a lossy fault
+/// plan, a plain run's kernel counters equal the recorded log's lengths
+/// and its outcome is the recorded run's.
+#[test]
+fn kernel_counters_equal_the_recorded_log() {
+    use stp_broadcast::stp::supervise::{matrix_points, matrix_shapes};
+    let mut seen = std::collections::HashSet::new();
+    for ports in [1, 5] {
+        for mut pt in matrix_points(&matrix_shapes(true), false) {
+            if !seen.insert((ports, pt.experiment())) {
+                continue;
+            }
+            pt.machine.params = pt.machine.params.clone().with_ports(ports);
+            counters_match_the_log(
+                &pt.machine,
+                &pt.sources,
+                pt.alg.lib(),
+                pt.alg.build().as_ref(),
+                None,
+            );
+        }
+    }
+    let t3d = Machine::t3d(16, 7);
+    let sources = SourceDist::Random { seed: 3 }.place(t3d.shape, 6);
+    for &kind in AlgoKind::all() {
+        counters_match_the_log(
+            &t3d,
+            &sources,
+            kind.default_lib(),
+            kind.build().as_ref(),
+            None,
+        );
+    }
+    let mesh = Machine::paragon(4, 4);
+    let sources = SourceDist::Equal.place(mesh.shape, 5);
+    let plan = stp_broadcast::runtime::FaultPlan::transient_drops(9, 1, 8, 6);
+    let mut drops = 0;
+    for &kind in AlgoKind::all() {
+        drops += counters_match_the_log(
+            &mesh,
+            &sources,
+            kind.default_lib(),
+            kind.build().as_ref(),
+            Some(&plan),
+        )[4];
+    }
+    assert!(drops > 0, "a 1/8 drop rate must lose some attempt");
+}
+
+/// A deadlocked run reports its counts in the error, and they equal the
+/// partial recording's, short of its `blocked` records.
+#[test]
+fn a_deadlock_reports_the_counters_of_its_partial_log() {
+    use stp_broadcast::runtime::SimError;
+    use stp_broadcast::stp::runner::{record_sources, try_run_alg_controlled, RunControl};
+    use stp_broadcast::stp::supervise::ChaosDeadlock;
+    let machine = Machine::paragon(4, 4);
+    let sources = SourceDist::Equal.place(machine.shape, 4);
+    let payload_of = |src: usize| stp_broadcast::stp::msgset::payload_for(src, 64);
+    let recorded = record_sources(
+        &machine,
+        LibraryKind::Nx,
+        &sources,
+        &payload_of,
+        &ChaosDeadlock,
+    );
+    assert!(recorded.deadlocked);
+    let plain = try_run_alg_controlled(
+        &machine,
+        LibraryKind::Nx,
+        &sources,
+        &payload_of,
+        &ChaosDeadlock,
+        &RunControl::default(),
+    );
+    let Err(SimError::Deadlock { info, .. }) = plain else {
+        panic!("the fixture must deadlock: {plain:?}");
+    };
+    assert_eq!(
+        schedule_counts(&info.counters),
+        log_lengths(&recorded.events)
+    );
+    assert_eq!(schedule_counts(&info.counters), [16, 16, 0, 0, 0, 0]);
+    assert_eq!(recorded.events.blocked.len(), 16);
+}
