@@ -9,8 +9,9 @@
 //! repro --list          the names, one per line
 //! ```
 //!
-//! The figures themselves are the functions of [`stp_bench::figures`];
-//! `STP_SWEEP_WORKERS` sizes the pool the sweeping ones run on.
+//! The figures themselves are the panels and functions of
+//! [`stp_bench::figures`]; `STP_SWEEP_WORKERS` sizes the pool their
+//! cells run on.
 
 use std::io::Write;
 
@@ -43,11 +44,11 @@ fn main() {
             for &(name, figure) in FIGURES {
                 println!("== {name} ==");
                 if name == "report" {
-                    figure(&runner, stdout);
+                    figure.write(&runner, stdout);
                     continue;
                 }
                 let mut text = Vec::new();
-                figure(&runner, &mut text);
+                figure.write(&runner, &mut text);
                 stdout.write_all(&text).expect("write figure output");
                 std::fs::write(format!("results/{name}.txt"), text).expect("write results file");
             }
@@ -61,7 +62,7 @@ fn main() {
             }
         },
         [name] => match FIGURES.iter().find(|(known, _)| *known == name) {
-            Some((_, figure)) => figure(&runner, stdout),
+            Some((_, figure)) => figure.write(&runner, stdout),
             None => {
                 eprintln!("repro: unknown figure '{name}'");
                 usage()

@@ -121,8 +121,6 @@ fn parse_faults_flag(args: &[String]) -> Option<FaultPlan> {
     })
 }
 
-use stp_bench::{parse_algo, parse_dist};
-
 /// `stp lint`: the static schedule-analysis gate, always under the
 /// supervised runner — chaos containment, deadline skips and
 /// checkpoint/resume are flags on the one sweep, not a second path.
@@ -596,12 +594,12 @@ fn main() {
     }
 
     let algo_name = get(args, "--algo").unwrap_or_else(|| usage());
-    let Some(kind) = parse_algo(&algo_name) else {
+    let Some(kind) = AlgoKind::parse(&algo_name) else {
         eprintln!("unknown algorithm '{algo_name}' (try --list)");
         usage()
     };
     let dist_name = get(args, "--dist").unwrap_or_else(|| usage());
-    let Some(dist) = parse_dist(&dist_name, seed) else {
+    let Some(dist) = SourceDist::parse(&dist_name, seed) else {
         eprintln!("unknown distribution '{dist_name}' (try --list)");
         usage()
     };

@@ -1,15 +1,20 @@
-//! Every figure, table and text result the `repro` binary regenerates:
-//! one plain function per name in [`FIGURES`], each writing its CSV /
-//! ASCII output to the writer it is handed. `repro <name>` runs one of
-//! them onto stdout; `repro all` runs each into `results/<name>.txt` and
-//! ends with [`report`], which renders those files as SVG charts.
+//! Every figure, table and text result the `repro` binary regenerates,
+//! by name in [`FIGURES`]. A figure that is a grid — a machine, a swept
+//! axis, one column per algorithm or distribution — is data: a list of
+//! [`Panel`]s whose every cell describes the run that produces its
+//! number. One loop simulates all cells of such a figure in a single
+//! [`SweepRunner::map`] and writes each panel as the CSV block
+//! [`parse_csv_blocks`] reads back. The figures that are not grids are
+//! functions writing to the writer they are handed. `repro <name>` runs
+//! one onto stdout; `repro all` runs each into `results/<name>.txt` and
+//! ends with `report`, which renders those files as SVG charts.
 //!
-//! Grid points are independent deterministic simulations, so a figure
-//! that sweeps on the [`SweepRunner`] prints the same bytes at any worker
-//! count; the rest ignore the runner and loop sequentially.
+//! Cells are independent deterministic simulations, so every figure
+//! prints the same bytes at any worker count.
 
 use std::fs;
 use std::io::Write;
+use std::iter::once;
 use std::path::Path;
 use std::time::Instant;
 
@@ -17,47 +22,61 @@ use mpp_model::{
     ContentionModel, LibraryKind, Machine, MachineParams, MeshShape, Placement, Topology,
 };
 use mpp_sim::{render_timeline, summarize};
-use stp_core::algorithms::{DissemAllGather, PartRecursive, ReposAdaptive};
+use stp_core::algorithms::{DissemAllGather, PartRecursive, ReposAdaptive, StpAlgorithm};
 use stp_core::distribution::ascii_grid;
 use stp_core::metrics::{figure2_row, format_table};
 use stp_core::prelude::*;
-use stp_core::runner::{record_sources, run_sources};
+use stp_core::runner::{record_sources, run_sources, try_run_alg_controlled};
 
 use crate::plot::{parse_csv_blocks, Chart};
-use crate::{
-    length_sweep, pct_diff, print_figure, run_alg_ms, run_ms, sweep_algorithms_parallel, Series,
-};
 
-/// A figure: writes its output to the writer, sweeping on the runner
-/// where its grid is large enough to be worth it.
-pub type Figure = fn(&SweepRunner, &mut dyn Write);
+/// How a [`FIGURES`] entry produces its output.
+#[derive(Clone, Copy)]
+pub enum Figure {
+    /// A grid: its panels, simulated in one sweep and written as CSV.
+    Panels(fn() -> Vec<Panel>),
+    /// Output that is not a grid of cells, written by its own function.
+    Custom(fn(&SweepRunner, &mut dyn Write)),
+}
+
+impl Figure {
+    /// Write the figure to `out`, sweeping its cells on `runner`.
+    pub fn write(self, runner: &SweepRunner, out: &mut dyn Write) {
+        match self {
+            Figure::Panels(panels) => print_panels(runner, out, &panels()),
+            Figure::Custom(figure) => figure(runner, out),
+        }
+    }
+}
+
+use Figure::{Custom, Panels};
 
 /// Every name `repro` accepts, in the order `repro all` runs them
 /// (`report` last: it reads what the others wrote).
 pub const FIGURES: &[(&str, Figure)] = &[
-    ("fig01", fig01),
-    ("fig02", fig02),
-    ("fig03", fig03),
-    ("fig04", fig04),
-    ("fig05", fig05),
-    ("fig06", fig06),
-    ("fig07", fig07),
-    ("fig08", fig08),
-    ("fig09", fig09),
-    ("fig10", fig10),
-    ("fig11", fig11),
-    ("fig12", fig12),
-    ("fig13", fig13),
-    ("partitioning", partitioning),
-    ("nx-vs-mpi", nx_vs_mpi),
-    ("varlen", varlen),
-    ("adaptive", adaptive),
-    ("dissem", dissem),
-    ("hypercube", hypercube),
-    ("trace", trace),
-    ("naive", naive),
-    ("contention", contention),
-    ("report", report),
+    ("fig01", Custom(fig01)),
+    ("fig02", Custom(fig02)),
+    ("fig03", Panels(fig03)),
+    ("fig04", Panels(fig04)),
+    ("fig05", Panels(fig05)),
+    ("fig06", Panels(fig06)),
+    ("fig07", Panels(fig07)),
+    ("fig08", Panels(fig08)),
+    ("fig09", Panels(fig09)),
+    ("fig10", Panels(fig10)),
+    ("fig11", Panels(fig11)),
+    ("fig12", Panels(fig12)),
+    ("fig13", Panels(fig13)),
+    ("partitioning", Custom(partitioning)),
+    ("nx-vs-mpi", Custom(nx_vs_mpi)),
+    ("varlen", Custom(varlen)),
+    ("adaptive", Custom(adaptive)),
+    ("dissem", Custom(dissem)),
+    ("hypercube", Panels(hypercube)),
+    ("trace", Custom(trace)),
+    ("naive", Panels(naive)),
+    ("contention", Custom(contention)),
+    ("report", Custom(report)),
 ];
 
 /// `println!` onto the figure's writer. A failed write panics, as
@@ -71,41 +90,211 @@ macro_rules! outln {
     };
 }
 
-/// `print!` onto the figure's writer.
-macro_rules! out {
-    ($out:expr, $($arg:tt)*) => {
-        write!($out, $($arg)*).expect("write figure output")
-    };
+/// The makespan in milliseconds of `alg` with `msg_len`-byte messages at
+/// `sources`, verified by the runner's delivery oracle. Cells run their
+/// [`AlgoKind`] through it; an algorithm object that has none (a
+/// `PartRecursive` depth, a zero-copy `DissemAllGather`) runs directly.
+fn run_alg_ms(
+    machine: &Machine,
+    lib: LibraryKind,
+    alg: &dyn StpAlgorithm,
+    sources: &[usize],
+    msg_len: usize,
+) -> f64 {
+    let out = try_run_alg_controlled(
+        machine,
+        lib,
+        sources,
+        &|src| payload_for(src, msg_len),
+        alg,
+        &RunControl::default(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
+    assert!(
+        out.verified,
+        "{} failed verification (s={}, L={msg_len})",
+        alg.name(),
+        sources.len()
+    );
+    out.makespan_ms()
 }
 
-/// A `# title` line, a `first,<algorithm names>` header, then one CSV
-/// row per key with `ms(key, kind)` in each algorithm's column.
-fn print_table<K>(
+/// One panel cell: the verified makespan in milliseconds of `kind` on
+/// `machine` with `s` sources placed by `dist` and `len`-byte messages,
+/// or, given `over`, by how many percent it exceeds the makespan of
+/// `over` at the same point (negative: `kind` is faster).
+struct Cell {
+    machine: Machine,
+    kind: AlgoKind,
+    over: Option<AlgoKind>,
+    dist: SourceDist,
+    s: usize,
+    len: usize,
+}
+
+impl Cell {
+    fn ms(&self, kind: AlgoKind) -> f64 {
+        let sources = self.dist.place(self.machine.shape, self.s);
+        let (lib, alg) = (kind.default_lib(), kind.build());
+        run_alg_ms(&self.machine, lib, alg.as_ref(), &sources, self.len)
+    }
+
+    fn value(&self) -> f64 {
+        let ms = self.ms(self.kind);
+        self.over.map_or(ms, |over| {
+            let base = self.ms(over);
+            (ms - base) / base * 100.0
+        })
+    }
+}
+
+/// A cell printing `kind`'s makespan on `machine`.
+fn ms(machine: &Machine, kind: AlgoKind, dist: SourceDist, s: usize, len: usize) -> Cell {
+    let (machine, over) = (machine.clone(), None);
+    Cell {
+        machine,
+        kind,
+        over,
+        dist,
+        s,
+        len,
+    }
+}
+
+/// A cell printing by how many percent `Repos_xy_source` differs from
+/// `Br_xy_source` (Figures 9 and 10; negative = repositioning wins).
+fn repos_pct(machine: &Machine, dist: &SourceDist, s: usize, len: usize) -> Cell {
+    let over = Some(AlgoKind::BrXySource);
+    Cell {
+        over,
+        ..ms(machine, AlgoKind::ReposXySource, dist.clone(), s, len)
+    }
+}
+
+/// One CSV block of a figure: a row per key, a column per series, and
+/// in every cell the run that produces its number.
+pub struct Panel {
+    title: String,
+    /// Header of the key column (`s`, `L`, `p`, `dist`, ...).
+    axis: &'static str,
+    rows: Vec<String>,
+    columns: Vec<String>,
+    /// Row-major: `cells[row * columns.len() + column]`.
+    cells: Vec<Cell>,
+    /// A table ends its figure without a blank line.
+    table: bool,
+    /// A `#` line above the title (Figure 8's shape legend).
+    legend: Option<&'static str>,
+}
+
+/// How a row or column key prints.
+trait Key {
+    fn key(&self) -> String;
+}
+
+impl Key for usize {
+    fn key(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl Key for AlgoKind {
+    fn key(&self) -> String {
+        self.name().to_string()
+    }
+}
+
+impl Key for SourceDist {
+    fn key(&self) -> String {
+        self.name().to_string()
+    }
+}
+
+/// A panel over `rows × columns`, `cell(row, column)` describing each
+/// run.
+fn grid<R: Key, C: Key>(
+    title: &str,
+    axis: &'static str,
+    rows: &[R],
+    columns: &[C],
+    cell: impl Fn(&R, &C) -> Cell,
+) -> Panel {
+    let cell = &cell;
+    Panel {
+        title: title.to_string(),
+        axis,
+        rows: rows.iter().map(Key::key).collect(),
+        columns: columns.iter().map(Key::key).collect(),
+        cells: rows
+            .iter()
+            .flat_map(|r| columns.iter().map(move |c| cell(r, c)))
+            .collect(),
+        table: false,
+        legend: None,
+    }
+}
+
+impl Panel {
+    /// The same panel written as a table.
+    fn table(self) -> Panel {
+        Panel {
+            table: true,
+            ..self
+        }
+    }
+}
+
+/// Every cell's number, one `Vec` per panel, from one
+/// [`SweepRunner::map`] over all cells.
+fn sweep(runner: &SweepRunner, panels: &[Panel]) -> Vec<Vec<f64>> {
+    let cells: Vec<&Cell> = panels.iter().flat_map(|p| &p.cells).collect();
+    let mut values = runner.map(cells, |cell| cell.value()).into_iter();
+    panels
+        .iter()
+        .map(|p| values.by_ref().take(p.cells.len()).collect())
+        .collect()
+}
+
+/// The one writer of the CSV block [`parse_csv_blocks`] reads back: a
+/// `# title` line, a header, then one line per row.
+fn write_block(
     out: &mut dyn Write,
     title: &str,
-    first: &str,
-    kinds: &[AlgoKind],
-    keys: impl IntoIterator<Item = (String, K)>,
-    ms: impl Fn(&K, AlgoKind) -> f64,
+    header: &str,
+    rows: impl IntoIterator<Item = String>,
 ) {
-    outln!(out, "# {title}");
-    out!(out, "{first}");
-    for k in kinds {
-        out!(out, ",{}", k.name());
+    outln!(out, "# {title}\n{header}");
+    for row in rows {
+        outln!(out, "{row}");
     }
-    outln!(out);
-    for (label, key) in keys {
-        out!(out, "{label}");
-        for &k in kinds {
-            out!(out, ",{:.4}", ms(&key, k));
+}
+
+/// `panel` with `values` in its cells, to four decimals.
+fn write_panel(out: &mut dyn Write, panel: &Panel, values: &[f64]) {
+    if let Some(legend) = panel.legend {
+        outln!(out, "# {legend}");
+    }
+    let header = format!("{},{}", panel.axis, panel.columns.join(","));
+    let rows = panel.rows.iter().zip(values.chunks(panel.columns.len()));
+    let rows = rows.map(|(key, row)| row.iter().fold(key.clone(), |l, v| format!("{l},{v:.4}")));
+    write_block(out, &panel.title, &header, rows);
+}
+
+/// Simulate every cell of `panels` in one sweep, then write them in
+/// order. Panels are separated by a blank line; a figure panel (not a
+/// table) also ends with one.
+fn print_panels(runner: &SweepRunner, out: &mut dyn Write, panels: &[Panel]) {
+    for (i, (panel, values)) in panels.iter().zip(sweep(runner, panels)).enumerate() {
+        write_panel(out, panel, &values);
+        if !panel.table || i + 1 < panels.len() {
+            outln!(out);
         }
-        outln!(out);
     }
 }
 
 /// Figure 1: placement of 30 sources in the row, cross, and right
 /// diagonal distributions on a 10×10 mesh.
-pub fn fig01(_runner: &SweepRunner, out: &mut dyn Write) {
+fn fig01(_runner: &SweepRunner, out: &mut dyn Write) {
     let shape = MeshShape::new(10, 10);
     for dist in [SourceDist::Row, SourceDist::Cross, SourceDist::DiagRight] {
         let sources = dist.place(shape, 30);
@@ -119,17 +308,8 @@ pub fn fig01(_runner: &SweepRunner, out: &mut dyn Write) {
     }
 }
 
-/// Squarest factorization of `p` as (rows, cols), rows ≤ cols.
-fn mesh_dims(p: usize) -> (usize, usize) {
-    let mut r = (p as f64).sqrt() as usize;
-    while r > 1 && !p.is_multiple_of(r) {
-        r -= 1;
-    }
-    (r.max(1), p / r.max(1))
-}
-
 /// Figure 2 at the paper's machine size, p = 256 (see [`fig02_at`]).
-pub fn fig02(runner: &SweepRunner, out: &mut dyn Write) {
+fn fig02(runner: &SweepRunner, out: &mut dyn Write) {
     fig02_at(256, runner, out);
 }
 
@@ -143,12 +323,12 @@ pub fn fig02(runner: &SweepRunner, out: &mut dyn Write) {
 /// Br_Lin) and once without.
 ///
 /// `repro fig02 --p N` picks the machine size `p` (rows×cols is the
-/// squarest factorization of N). The six (s × algorithm) grid points
-/// are independent simulations and run concurrently on the
-/// [`SweepRunner`]; `STP_SWEEP_WORKERS=1` forces sequential behaviour
-/// for speedup measurements.
+/// squarest factorization of N, [`MeshShape::near_square`]). The six
+/// (s × algorithm) grid points are independent simulations and run
+/// concurrently on the [`SweepRunner`]; `STP_SWEEP_WORKERS=1` forces
+/// sequential behaviour for speedup measurements.
 pub fn fig02_at(p: usize, runner: &SweepRunner, out: &mut dyn Write) {
-    let (rows, cols) = mesh_dims(p);
+    let MeshShape { rows, cols } = MeshShape::near_square(p);
     let machine = Machine::paragon(rows, cols);
     let kinds = [AlgoKind::TwoStep, AlgoKind::PersAlltoAll, AlgoKind::BrLin];
     // s chosen relative to p: the paper's table uses s=16 / s=24 at
@@ -214,11 +394,23 @@ pub fn fig02_at(p: usize, runner: &SweepRunner, out: &mut dyn Write) {
     );
 }
 
+/// The five algorithms of the Paragon scalability figures (Figs 4, 5).
+const PARAGON_KINDS: [AlgoKind; 5] = [
+    AlgoKind::TwoStep,
+    AlgoKind::PersAlltoAll,
+    AlgoKind::BrLin,
+    AlgoKind::BrXySource,
+    AlgoKind::BrXyDim,
+];
+
+/// The three merge-based algorithms (Figs 6, 7).
+const MERGE_KINDS: [AlgoKind; 3] = [AlgoKind::BrLin, AlgoKind::BrXySource, AlgoKind::BrXyDim];
+
 /// Figure 3: performance of all algorithms on a 10×10 Paragon; the
 /// number of sources varies from 1 to 100, L = 4 KiB, equal
 /// distribution. Includes the MPI builds of 2-Step and PersAlltoAll
 /// (`MPI_AllGather`, `MPI_Alltoall`).
-pub fn fig03(runner: &SweepRunner, out: &mut dyn Write) {
+fn fig03() -> Vec<Panel> {
     let machine = Machine::paragon(10, 10);
     let kinds = [
         AlgoKind::TwoStep,
@@ -229,93 +421,60 @@ pub fn fig03(runner: &SweepRunner, out: &mut dyn Write) {
         AlgoKind::BrXySource,
         AlgoKind::BrXyDim,
     ];
-    let ss: Vec<f64> = (0..=20)
-        .map(|i| if i == 0 { 1.0 } else { (i * 5) as f64 })
-        .collect();
-    let series = sweep_algorithms_parallel(runner, &kinds, &ss, |k, s| {
-        run_ms(&machine, k, SourceDist::Equal, s as usize, 4096)
-    });
-    print_figure(
-        out,
+    let ss: Vec<usize> = once(1).chain((5..=100).step_by(5)).collect();
+    vec![grid(
         "Figure 3: 10x10 Paragon, L=4K, equal distribution, time (ms) vs s",
         "s",
-        &series,
-    );
+        &ss,
+        &kinds,
+        |&s, &k| ms(&machine, k, SourceDist::Equal, s, 4096),
+    )]
 }
 
 /// Figure 4: performance on a 10×10 Paragon; L varies from 32 bytes to
-/// 16 KiB, s = 30, right diagonal distribution.
-pub fn fig04(runner: &SweepRunner, out: &mut dyn Write) {
+/// 16 KiB (the paper's Paragon message-size sweep), s = 30, right
+/// diagonal distribution.
+fn fig04() -> Vec<Panel> {
     let machine = Machine::paragon(10, 10);
-    let kinds = [
-        AlgoKind::TwoStep,
-        AlgoKind::PersAlltoAll,
-        AlgoKind::BrLin,
-        AlgoKind::BrXySource,
-        AlgoKind::BrXyDim,
-    ];
-    let lens: Vec<f64> = length_sweep().iter().map(|&l| l as f64).collect();
-    let series = sweep_algorithms_parallel(runner, &kinds, &lens, |k, len| {
-        run_ms(&machine, k, SourceDist::DiagRight, 30, len as usize)
-    });
-    print_figure(
-        out,
+    let lens: Vec<usize> = (5..=14).map(|k| 1 << k).collect();
+    vec![grid(
         "Figure 4: 10x10 Paragon, s=30, right diagonal, time (ms) vs L (bytes)",
         "L",
-        &series,
-    );
+        &lens,
+        &PARAGON_KINDS,
+        |&len, &k| ms(&machine, k, SourceDist::DiagRight, 30, len),
+    )]
 }
 
 /// Figure 5: performance on Paragons of 4 to 256 processors;
 /// L = 1 KiB, approximately √p sources, right diagonal distribution.
-pub fn fig05(runner: &SweepRunner, out: &mut dyn Write) {
-    let sizes = [2usize, 4, 6, 8, 10, 12, 14, 16]; // square side: p = side²
-    let kinds = [
-        AlgoKind::TwoStep,
-        AlgoKind::PersAlltoAll,
-        AlgoKind::BrLin,
-        AlgoKind::BrXySource,
-        AlgoKind::BrXyDim,
-    ];
-    let xs: Vec<f64> = sizes.iter().map(|&n| (n * n) as f64).collect();
-    let series = sweep_algorithms_parallel(runner, &kinds, &xs, |k, p| {
-        let side = (p as usize).isqrt();
-        let machine = Machine::paragon(side, side);
-        run_ms(&machine, k, SourceDist::DiagRight, side, 1024)
-    });
-    print_figure(
-        out,
+fn fig05() -> Vec<Panel> {
+    let ps: Vec<usize> = (2..=16).step_by(2).map(|side| side * side).collect();
+    vec![grid(
         "Figure 5: Paragon, L=1K, s=sqrt(p), right diagonal, time (ms) vs p",
         "p",
-        &series,
-    );
-}
-
-/// One table row per distribution, labelled with its short name.
-fn dist_rows(dists: impl IntoIterator<Item = SourceDist>) -> Vec<(String, SourceDist)> {
-    dists
-        .into_iter()
-        .map(|d| (d.name().to_string(), d))
-        .collect()
-}
-
-/// One table row per source count.
-fn s_rows(ss: &[usize]) -> Vec<(String, usize)> {
-    ss.iter().map(|&s| (s.to_string(), s)).collect()
+        &ps,
+        &PARAGON_KINDS,
+        |&p, &k| {
+            let side = p.isqrt();
+            let machine = Machine::paragon(side, side);
+            ms(&machine, k, SourceDist::DiagRight, side, 1024)
+        },
+    )]
 }
 
 /// Figure 6: performance of the three merge-based algorithms on a 10×10
 /// Paragon; L = 2 KiB, s = 30, across source distributions.
-pub fn fig06(_runner: &SweepRunner, out: &mut dyn Write) {
+fn fig06() -> Vec<Panel> {
     let machine = Machine::paragon(10, 10);
-    print_table(
-        out,
+    vec![grid(
         "Figure 6: 10x10 Paragon, L=2K, s=30, time (ms) per distribution",
         "dist",
-        &[AlgoKind::BrLin, AlgoKind::BrXySource, AlgoKind::BrXyDim],
-        dist_rows(SourceDist::paper_set()),
-        |dist, k| run_ms(&machine, k, dist.clone(), 30, 2048),
-    );
+        &SourceDist::paper_set(),
+        &MERGE_KINDS,
+        |dist, &k| ms(&machine, k, dist.clone(), 30, 2048),
+    )
+    .table()]
 }
 
 /// Figure 7: performance of the three merge-based algorithms on a 10×10
@@ -323,21 +482,16 @@ pub fn fig06(_runner: &SweepRunner, out: &mut dyn Write) {
 /// volume is fixed at 80 KiB and the number of sources varies — the
 /// paper's demonstration that spreading the data over more sources is
 /// faster.
-pub fn fig07(runner: &SweepRunner, out: &mut dyn Write) {
+fn fig07() -> Vec<Panel> {
     const TOTAL: usize = 80 * 1024;
     let machine = Machine::paragon(10, 10);
-    let kinds = [AlgoKind::BrLin, AlgoKind::BrXySource, AlgoKind::BrXyDim];
-    let ss = [5.0, 10.0, 20.0, 40.0, 80.0];
-    let series = sweep_algorithms_parallel(runner, &kinds, &ss, |k, s| {
-        let s = s as usize;
-        run_ms(&machine, k, SourceDist::DiagRight, s, TOTAL / s)
-    });
-    print_figure(
-        out,
+    vec![grid(
         "Figure 7: 10x10 Paragon, right diagonal, total sL=80K fixed, time (ms) vs s",
         "s",
-        &series,
-    );
+        &[5, 10, 20, 40, 80],
+        &MERGE_KINDS,
+        |&s, &k| ms(&machine, k, SourceDist::DiagRight, s, TOTAL / s),
+    )]
 }
 
 /// Figure 8: performance of `Br_Lin` on a 120-node Paragon when the
@@ -345,45 +499,23 @@ pub fn fig07(runner: &SweepRunner, out: &mut dyn Write) {
 /// counts. Demonstrates that the *same* distribution is good or bad
 /// depending on the mesh dimensions (the paper's s=15-faster-than-s=8
 /// anomaly comes from where the equal distribution lands on each shape).
-pub fn fig08(_runner: &SweepRunner, out: &mut dyn Write) {
-    let shapes = [(2usize, 60usize), (4, 30), (6, 20), (8, 15), (10, 12)];
-    let series: Vec<Series> = [8usize, 15, 60]
-        .iter()
-        .map(|&s| Series {
-            label: format!("s={s}"),
-            points: shapes
-                .iter()
-                .enumerate()
-                .map(|(i, &(r, c))| {
-                    let machine = Machine::paragon(r, c);
-                    let ms = run_ms(&machine, AlgoKind::BrLin, SourceDist::Equal, s, 4096);
-                    (i as f64, ms)
-                })
-                .collect(),
-        })
-        .collect();
-    outln!(out, "# shapes: 0=2x60 1=4x30 2=6x20 3=8x15 4=10x12");
-    print_figure(
-        out,
-        "Figure 8: Br_Lin on 120-node Paragon, equal distribution, L=4K, time (ms) vs shape",
-        "shape",
-        &series,
-    );
-}
-
-/// One series per distribution: `y(dist, x)` at every `x`.
-fn series_per_dist(
-    dists: &[SourceDist],
-    xs: &[usize],
-    y: impl Fn(&SourceDist, usize) -> f64,
-) -> Vec<Series> {
-    dists
-        .iter()
-        .map(|dist| Series {
-            label: dist.name().to_string(),
-            points: xs.iter().map(|&x| (x as f64, y(dist, x))).collect(),
-        })
-        .collect()
+fn fig08() -> Vec<Panel> {
+    let shapes = [(2, 60), (4, 30), (6, 20), (8, 15), (10, 12)];
+    vec![Panel {
+        columns: vec!["s=8".into(), "s=15".into(), "s=60".into()],
+        legend: Some("shapes: 0=2x60 1=4x30 2=6x20 3=8x15 4=10x12"),
+        ..grid(
+            "Figure 8: Br_Lin on 120-node Paragon, equal distribution, L=4K, time (ms) vs shape",
+            "shape",
+            &[0usize, 1, 2, 3, 4],
+            &[8usize, 15, 60],
+            |&i, &s| {
+                let (rows, cols) = shapes[i];
+                let machine = Machine::paragon(rows, cols);
+                ms(&machine, AlgoKind::BrLin, SourceDist::Equal, s, 4096)
+            },
+        )
+    }]
 }
 
 /// The four distributions of the repositioning comparison (Figs 9, 10).
@@ -394,47 +526,33 @@ const REPOS_DISTS: [SourceDist; 4] = [
     SourceDist::Band,
 ];
 
-/// Percentage by which `Repos_xy_source` differs from `Br_xy_source`
-/// on one point of a 16×16 Paragon (negative = repositioning wins).
-fn repos_pct(machine: &Machine, dist: &SourceDist, s: usize, len: usize) -> f64 {
-    let plain = run_ms(machine, AlgoKind::BrXySource, dist.clone(), s, len);
-    let repos = run_ms(machine, AlgoKind::ReposXySource, dist.clone(), s, len);
-    pct_diff(repos, plain)
-}
-
 /// Figure 9: percentage difference between `Repos_xy_source` and
 /// `Br_xy_source` on a 16×16 Paragon; L = 6 KiB, varying the number of
 /// sources, on four input distributions (cross, square block, equal,
 /// band). Negative values mean repositioning is *faster*.
-pub fn fig09(_runner: &SweepRunner, out: &mut dyn Write) {
+fn fig09() -> Vec<Panel> {
     let machine = Machine::paragon(16, 16);
-    let ss = [16usize, 50, 75, 100, 128, 150, 192];
-    let series = series_per_dist(&REPOS_DISTS, &ss, |dist, s| {
-        repos_pct(&machine, dist, s, 6 * 1024)
-    });
-    print_figure(
-        out,
+    vec![grid(
         "Figure 9: 16x16 Paragon, L=6K: % difference Repos_xy_source vs Br_xy_source (negative = repositioning wins)",
         "s",
-        &series,
-    );
+        &[16, 50, 75, 100, 128, 150, 192],
+        &REPOS_DISTS,
+        |&s, dist| repos_pct(&machine, dist, s, 6 * 1024),
+    )]
 }
 
 /// Figure 10: percentage difference between `Repos_xy_source` and
 /// `Br_xy_source` on a 16×16 Paragon; s = 75, varying the message
 /// length, on four input distributions. Negative = repositioning wins.
-pub fn fig10(_runner: &SweepRunner, out: &mut dyn Write) {
+fn fig10() -> Vec<Panel> {
     let machine = Machine::paragon(16, 16);
-    let lens = [256usize, 512, 1024, 2048, 4096, 6144, 8192, 16384];
-    let series = series_per_dist(&REPOS_DISTS, &lens, |dist, len| {
-        repos_pct(&machine, dist, 75, len)
-    });
-    print_figure(
-        out,
+    vec![grid(
         "Figure 10: 16x16 Paragon, s=75: % difference Repos_xy_source vs Br_xy_source vs L (negative = repositioning wins)",
         "L",
-        &series,
-    );
+        &[256, 512, 1024, 2048, 4096, 6144, 8192, 16384],
+        &REPOS_DISTS,
+        |&len, dist| repos_pct(&machine, dist, 75, len),
+    )]
 }
 
 /// The four distributions of the T3D `MPI_AllGather` studies (Figs 11,
@@ -449,42 +567,36 @@ const T3D_DISTS: [SourceDist; 4] = [
 /// Placement seed of every T3D machine the figures build.
 const T3D_SEED: u64 = 42;
 
+/// Source counts of the T3D p = 128 problem-size sweeps (Figs 11b, 12).
+const T3D_SS: [usize; 6] = [4, 8, 16, 32, 64, 128];
+
 /// Figure 11: scalability of `MPI_AllGather` on the T3D under different
 /// source distributions.
 ///
 /// (a) machine size varies (16..256 virtual processors) with s = 32 and
-///     the total message volume fixed at 128 KiB;
+///     the total message volume fixed at 128 KiB (L = 4 KiB);
 /// (b) problem size varies on p = 128 with L = 16 KiB.
-pub fn fig11(_runner: &SweepRunner, out: &mut dyn Write) {
-    // (a) varying machine size, s=32, total = 128K (L = 4K).
-    let series_a = series_per_dist(&T3D_DISTS, &[64, 128, 256], |dist, p| {
-        let machine = Machine::t3d(p, T3D_SEED);
-        run_ms(
-            &machine,
-            AlgoKind::MpiAllGather,
-            dist.clone(),
-            32,
-            128 * 1024 / 32,
-        )
-    });
-    print_figure(
-        out,
-        "Figure 11a: T3D MPI_AllGather, s=32, total 128K, time (ms) vs p",
-        "p",
-        &series_a,
-    );
-
-    // (b) p = 128, L = 16K, varying the number of sources (problem size).
+fn fig11() -> Vec<Panel> {
     let machine = Machine::t3d(128, T3D_SEED);
-    let series_b = series_per_dist(&T3D_DISTS, &[4, 8, 16, 32, 64, 128], |dist, s| {
-        run_ms(&machine, AlgoKind::MpiAllGather, dist.clone(), s, 16 * 1024)
-    });
-    print_figure(
-        out,
-        "Figure 11b: T3D p=128 MPI_AllGather, L=16K, time (ms) vs s",
-        "s",
-        &series_b,
-    );
+    vec![
+        grid(
+            "Figure 11a: T3D MPI_AllGather, s=32, total 128K, time (ms) vs p",
+            "p",
+            &[64, 128, 256],
+            &T3D_DISTS,
+            |&p, dist| {
+                let (machine, len) = (Machine::t3d(p, T3D_SEED), 128 * 1024 / 32);
+                ms(&machine, AlgoKind::MpiAllGather, dist.clone(), 32, len)
+            },
+        ),
+        grid(
+            "Figure 11b: T3D p=128 MPI_AllGather, L=16K, time (ms) vs s",
+            "s",
+            &T3D_SS,
+            &T3D_DISTS,
+            |&s, dist| ms(&machine, AlgoKind::MpiAllGather, dist.clone(), s, 16 * 1024),
+        ),
+    ]
 }
 
 /// Figure 12: `MPI_AllGather` on a 128-processor T3D with the total
@@ -492,23 +604,23 @@ pub fn fig11(_runner: &SweepRunner, out: &mut dyn Write) {
 /// under different source distributions. Reproduces two claims: more
 /// sources for the same volume is faster (up to the s→p deterioration),
 /// and the equal distribution tends to win for s ≤ p/4.
-pub fn fig12(_runner: &SweepRunner, out: &mut dyn Write) {
+fn fig12() -> Vec<Panel> {
     let machine = Machine::t3d(128, T3D_SEED);
-    let series = series_per_dist(&T3D_DISTS, &[4, 8, 16, 32, 64, 128], |dist, s| {
-        run_ms(
-            &machine,
-            AlgoKind::MpiAllGather,
-            dist.clone(),
-            s,
-            128 * 1024 / s,
-        )
-    });
-    print_figure(
-        out,
+    vec![grid(
         "Figure 12: T3D p=128, MPI_AllGather, total 128K fixed, time (ms) vs s",
         "s",
-        &series,
-    );
+        &T3D_SS,
+        &T3D_DISTS,
+        |&s, dist| {
+            ms(
+                &machine,
+                AlgoKind::MpiAllGather,
+                dist.clone(),
+                s,
+                128 * 1024 / s,
+            )
+        },
+    )]
 }
 
 /// Figure 13: three algorithms on a 128-processor T3D, L = 4 KiB.
@@ -519,43 +631,39 @@ pub fn fig12(_runner: &SweepRunner, out: &mut dyn Write) {
 /// The paper's headline: the ranking *flips* relative to the Paragon —
 /// `MPI_Alltoall` wins (no combining, minimal waiting), `Br_Lin` loses
 /// to its combining and wait costs.
-pub fn fig13(runner: &SweepRunner, out: &mut dyn Write) {
+fn fig13() -> Vec<Panel> {
     let machine = Machine::t3d(128, T3D_SEED);
     let kinds = [
         AlgoKind::MpiAllGather,
         AlgoKind::MpiAlltoall,
         AlgoKind::BrLin,
     ];
-
-    // (a) s sweep, equal distribution.
-    let ss = [5.0, 10.0, 20.0, 40.0, 64.0, 96.0, 128.0];
-    let series = sweep_algorithms_parallel(runner, &kinds, &ss, |k, s| {
-        run_ms(&machine, k, SourceDist::Equal, s as usize, 4096)
-    });
-    print_figure(
-        out,
-        "Figure 13a: T3D p=128, L=4K, equal distribution, time (ms) vs s",
-        "s",
-        &series,
-    );
-
-    // (b) distributions at s = 40.
-    print_table(
-        out,
-        "Figure 13b: T3D p=128, L=4K, s=40, time (ms) per distribution",
-        "dist",
-        &kinds,
-        dist_rows([
-            SourceDist::Row,
-            SourceDist::Column,
-            SourceDist::Equal,
-            SourceDist::DiagRight,
-            SourceDist::SquareBlock,
-            SourceDist::Cross,
-            SourceDist::Random { seed: 7 },
-        ]),
-        |dist, k| run_ms(&machine, k, dist.clone(), 40, 4096),
-    );
+    let dists = [
+        SourceDist::Row,
+        SourceDist::Column,
+        SourceDist::Equal,
+        SourceDist::DiagRight,
+        SourceDist::SquareBlock,
+        SourceDist::Cross,
+        SourceDist::Random { seed: 7 },
+    ];
+    vec![
+        grid(
+            "Figure 13a: T3D p=128, L=4K, equal distribution, time (ms) vs s",
+            "s",
+            &[5, 10, 20, 40, 64, 96, 128],
+            &kinds,
+            |&s, &k| ms(&machine, k, SourceDist::Equal, s, 4096),
+        ),
+        grid(
+            "Figure 13b: T3D p=128, L=4K, s=40, time (ms) per distribution",
+            "dist",
+            &dists,
+            &kinds,
+            |dist, &k| ms(&machine, k, dist.clone(), 40, 4096),
+        )
+        .table(),
+    ]
 }
 
 /// §5.2 (text result, no figure number): the partitioning approach
@@ -563,70 +671,60 @@ pub fn fig13(runner: &SweepRunner, out: &mut dyn Write) {
 /// the Paragon — the final inter-group exchange of large messages
 /// dominates. Compares `Br_xy_source`, `Repos_xy_source` and
 /// `Part_xy_source` on a 16×16 Paragon.
-pub fn partitioning(runner: &SweepRunner, out: &mut dyn Write) {
+fn partitioning(runner: &SweepRunner, out: &mut dyn Write) {
     let machine = Machine::paragon(16, 16);
     let kinds = [
         AlgoKind::BrXySource,
         AlgoKind::ReposXySource,
         AlgoKind::PartXySource,
     ];
-
-    let ss = [16.0, 50.0, 75.0, 100.0, 150.0, 192.0];
-    let series = sweep_algorithms_parallel(runner, &kinds, &ss, |k, s| {
-        run_ms(&machine, k, SourceDist::Cross, s as usize, 6 * 1024)
-    });
-    print_figure(
-        out,
-        "Partitioning: 16x16 Paragon, cross distribution, L=6K, time (ms) vs s",
-        "s",
-        &series,
-    );
-
-    let lens = [1024.0, 2048.0, 4096.0, 8192.0, 16384.0];
-    let series = sweep_algorithms_parallel(runner, &kinds, &lens, |k, len| {
-        run_ms(&machine, k, SourceDist::SquareBlock, 75, len as usize)
-    });
-    print_figure(
-        out,
-        "Partitioning: 16x16 Paragon, square block, s=75, time (ms) vs L",
-        "L",
-        &series,
-    );
+    let panels = [
+        grid(
+            "Partitioning: 16x16 Paragon, cross distribution, L=6K, time (ms) vs s",
+            "s",
+            &[16, 50, 75, 100, 150, 192],
+            &kinds,
+            |&s, &k| ms(&machine, k, SourceDist::Cross, s, 6 * 1024),
+        ),
+        grid(
+            "Partitioning: 16x16 Paragon, square block, s=75, time (ms) vs L",
+            "L",
+            &[1024, 2048, 4096, 8192, 16384],
+            &kinds,
+            |&len, &k| ms(&machine, k, SourceDist::SquareBlock, 75, len),
+        ),
+    ];
+    print_panels(runner, out, &panels);
 
     // Extension: does *deeper* recursive partitioning ever pay? (No —
     // the merge rounds of growing combined messages dominate harder.)
     let sources = SourceDist::Cross.place(machine.shape, 75);
-    outln!(
-        out,
-        "# Extension: recursive partitioning depth sweep (cross, s=75, L=6K)"
-    );
-    outln!(out, "depth,ms");
-    outln!(
-        out,
-        "0 (Repos),{:.4}",
-        run_ms(
-            &machine,
-            AlgoKind::ReposXySource,
-            SourceDist::Cross,
-            75,
-            6 * 1024
-        )
-    );
-    for depth in 1..=4 {
+    let repos = ms(
+        &machine,
+        AlgoKind::ReposXySource,
+        SourceDist::Cross,
+        75,
+        6 * 1024,
+    )
+    .value();
+    let depths = (1..=4).map(|depth| {
         let alg = PartRecursive::new(BrXySource, depth, "PartRec");
-        outln!(
-            out,
-            "{depth},{:.4}",
-            run_alg_ms(&machine, LibraryKind::Nx, &alg, &sources, 6 * 1024)
-        );
-    }
+        let ms = run_alg_ms(&machine, LibraryKind::Nx, &alg, &sources, 6 * 1024);
+        format!("{depth},{ms:.4}")
+    });
+    write_block(
+        out,
+        "Extension: recursive partitioning depth sweep (cross, s=75, L=6K)",
+        "depth,ms",
+        once(format!("0 (Repos),{repos:.4}")).chain(depths),
+    );
 }
 
 /// §5 (text result): "We have compiled and run all algorithms on the
 /// Paragon under MPI environment. We have observed a performance loss of
 /// 2 to 5% in every MPI implementation." Runs every algorithm under both
 /// library flavours on the Figure-3 workload and reports the loss.
-pub fn nx_vs_mpi(_runner: &SweepRunner, out: &mut dyn Write) {
+fn nx_vs_mpi(_runner: &SweepRunner, out: &mut dyn Write) {
     let machine = Machine::paragon(10, 10);
     let kinds = [
         AlgoKind::TwoStep,
@@ -636,12 +734,7 @@ pub fn nx_vs_mpi(_runner: &SweepRunner, out: &mut dyn Write) {
         AlgoKind::BrXyDim,
         AlgoKind::ReposXySource,
     ];
-    outln!(
-        out,
-        "# NX vs MPI on a 10x10 Paragon, equal distribution, s=30, L=4K"
-    );
-    outln!(out, "algorithm,nx_ms,mpi_ms,loss_pct");
-    for kind in kinds {
+    let rows = kinds.map(|kind| {
         let exp = Experiment {
             machine: &machine,
             dist: SourceDist::Equal,
@@ -653,15 +746,15 @@ pub fn nx_vs_mpi(_runner: &SweepRunner, out: &mut dyn Write) {
         let mpi = exp.run_with_lib(LibraryKind::Mpi).expect("run failed");
         assert!(nx.verified && mpi.verified);
         let loss = (mpi.makespan_ns as f64 - nx.makespan_ns as f64) / nx.makespan_ns as f64 * 100.0;
-        outln!(
-            out,
-            "{},{:.4},{:.4},{:.2}",
-            kind.name(),
-            nx.makespan_ms(),
-            mpi.makespan_ms(),
-            loss
-        );
-    }
+        let (nx, mpi) = (nx.makespan_ms(), mpi.makespan_ms());
+        format!("{},{nx:.4},{mpi:.4},{loss:.2}", kind.name())
+    });
+    write_block(
+        out,
+        "NX vs MPI on a 10x10 Paragon, equal distribution, s=30, L=4K",
+        "algorithm,nx_ms,mpi_ms,loss_pct",
+        rows,
+    );
 }
 
 /// §5 (text result): "In our experiments, using different length
@@ -673,7 +766,7 @@ pub fn nx_vs_mpi(_runner: &SweepRunner, out: &mut dyn Write) {
 /// Compares uniform-length runs against mixed-length runs with the same
 /// total volume, across distributions, and checks that the good/poor
 /// ordering is preserved.
-pub fn varlen(_runner: &SweepRunner, out: &mut dyn Write) {
+fn varlen(_runner: &SweepRunner, out: &mut dyn Write) {
     let machine = Machine::paragon(10, 10);
     let s = 30;
     // Mixed: alternate 2K / 4K / 6K by source index — same total as
@@ -684,14 +777,9 @@ pub fn varlen(_runner: &SweepRunner, out: &mut dyn Write) {
         _ => 6144,
     };
 
-    outln!(
-        out,
-        "# 10x10 Paragon, s=30, Br_xy_source: uniform 4K vs mixed lengths (same total)"
-    );
-    outln!(out, "dist,uniform_ms,mixed_ms,delta_pct");
     let mut uniform_order = Vec::new();
     let mut mixed_order = Vec::new();
-    for dist in SourceDist::paper_set() {
+    let rows = SourceDist::paper_set().into_iter().map(|dist| {
         let sources = dist.place(machine.shape, s);
         let run = |len_of: &(dyn Fn(usize) -> usize + Sync)| {
             let outcome = run_sources(
@@ -708,17 +796,17 @@ pub fn varlen(_runner: &SweepRunner, out: &mut dyn Write) {
         let uniform = run(&|_| 4096);
         let mixed = run(&mixed_len);
         let delta = (mixed.makespan_ms() - uniform.makespan_ms()) / uniform.makespan_ms() * 100.0;
-        outln!(
-            out,
-            "{},{:.4},{:.4},{:+.1}",
-            dist.name(),
-            uniform.makespan_ms(),
-            mixed.makespan_ms(),
-            delta
-        );
         uniform_order.push((dist.name(), uniform.makespan_ns));
         mixed_order.push((dist.name(), mixed.makespan_ns));
-    }
+        let (uniform, mixed) = (uniform.makespan_ms(), mixed.makespan_ms());
+        format!("{},{uniform:.4},{mixed:.4},{delta:+.1}", dist.name())
+    });
+    write_block(
+        out,
+        "10x10 Paragon, s=30, Br_xy_source: uniform 4K vs mixed lengths (same total)",
+        "dist,uniform_ms,mixed_ms,delta_pct",
+        rows,
+    );
     uniform_order.sort_by_key(|&(_, t)| t);
     mixed_order.sort_by_key(|&(_, t)| t);
     let same_ranking = uniform_order
@@ -743,38 +831,39 @@ pub fn varlen(_runner: &SweepRunner, out: &mut dyn Write) {
 /// positive bars). `ReposAdaptive_xy_source` gates the permutation on a
 /// local placement-quality score; this reruns the Figure-9 grid with all
 /// three policies.
-pub fn adaptive(_runner: &SweepRunner, out: &mut dyn Write) {
+fn adaptive(_runner: &SweepRunner, out: &mut dyn Write) {
     let machine = Machine::paragon(16, 16);
     let shape = machine.shape;
     let adaptive = ReposAdaptive::new(BrXySource, AlgoKind::BrXySource, "ReposAdaptive_xy_source");
-
-    outln!(
-        out,
-        "# 16x16 Paragon, L=6K: plain vs always-reposition vs adaptive (ms)"
-    );
-    outln!(out, "dist,s,quality,plain,repos,adaptive,repositioned?");
-    for dist in [
+    let dists = [
         SourceDist::Cross,
         SourceDist::SquareBlock,
         SourceDist::Equal,
         SourceDist::Band,
         SourceDist::Row,
-    ] {
-        for s in [16usize, 75, 150] {
-            let sources = dist.place(shape, s);
-            let quality = placement_quality(shape, &sources, AlgoKind::BrXySource)
-                .expect("Br_xy_source has a placement quality");
-            outln!(
-                out,
-                "{},{s},{quality:.2},{:.3},{:.3},{:.3},{}",
-                dist.name(),
-                run_ms(&machine, AlgoKind::BrXySource, dist.clone(), s, 6144),
-                run_ms(&machine, AlgoKind::ReposXySource, dist.clone(), s, 6144),
-                run_alg_ms(&machine, LibraryKind::Nx, &adaptive, &sources, 6144),
-                adaptive.would_reposition(shape, &sources)
-            );
-        }
-    }
+    ];
+    let points = dists
+        .into_iter()
+        .flat_map(|d| [16usize, 75, 150].map(|s| (d.clone(), s)));
+    let rows = points.map(|(dist, s)| {
+        let sources = dist.place(shape, s);
+        let quality = placement_quality(shape, &sources, AlgoKind::BrXySource)
+            .expect("Br_xy_source has a placement quality");
+        format!(
+            "{},{s},{quality:.2},{:.3},{:.3},{:.3},{}",
+            dist.name(),
+            ms(&machine, AlgoKind::BrXySource, dist.clone(), s, 6144).value(),
+            ms(&machine, AlgoKind::ReposXySource, dist.clone(), s, 6144).value(),
+            run_alg_ms(&machine, LibraryKind::Nx, &adaptive, &sources, 6144),
+            adaptive.would_reposition(shape, &sources)
+        )
+    });
+    write_block(
+        out,
+        "16x16 Paragon, L=6K: plain vs always-reposition vs adaptive (ms)",
+        "dist,s,quality,plain,repos,adaptive,repositioned?",
+        rows,
+    );
 }
 
 /// Extension: where would MPI_AllGather/MPI_Alltoall convergence come
@@ -786,30 +875,27 @@ pub fn adaptive(_runner: &SweepRunner, out: &mut dyn Write) {
 /// all-gather — the implementation a modern MPI library would use — on
 /// the same Figure-13a workload, with and without combining charges:
 /// the zero-copy variant runs below Alltoall at every point.
-pub fn dissem(_runner: &SweepRunner, out: &mut dyn Write) {
+fn dissem(_runner: &SweepRunner, out: &mut dyn Write) {
     let machine = Machine::t3d(128, T3D_SEED);
-    outln!(
-        out,
-        "# T3D p=128, L=4K, equal distribution (Fig 13a workload + extension)"
-    );
-    outln!(
-        out,
-        "s,MPI_AllGather,MPI_Alltoall,Br_Lin,Dissem,Dissem_zero_copy"
-    );
-    for s in [5usize, 20, 40, 64, 96, 128] {
+    let rows = [5usize, 20, 40, 64, 96, 128].map(|s| {
         let sources = SourceDist::Equal.place(machine.shape, s);
-        let of_kind = |kind| run_ms(&machine, kind, SourceDist::Equal, s, 4096);
+        let of_kind = |kind| ms(&machine, kind, SourceDist::Equal, s, 4096).value();
         let of_alg = |alg| run_alg_ms(&machine, LibraryKind::Mpi, alg, &sources, 4096);
-        outln!(
-            out,
+        format!(
             "{s},{:.4},{:.4},{:.4},{:.4},{:.4}",
             of_kind(AlgoKind::MpiAllGather),
             of_kind(AlgoKind::MpiAlltoall),
             of_kind(AlgoKind::BrLin),
             of_alg(&DissemAllGather::new()),
             of_alg(&DissemAllGather::zero_copy())
-        );
-    }
+        )
+    });
+    write_block(
+        out,
+        "T3D p=128, L=4K, equal distribution (Fig 13a workload + extension)",
+        "s,MPI_AllGather,MPI_Alltoall,Br_Lin,Dissem,Dissem_zero_copy",
+        rows,
+    );
 }
 
 /// Extension: s-to-p broadcasting on a hypercube MPP.
@@ -818,7 +904,7 @@ pub fn dissem(_runner: &SweepRunner, out: &mut dyn Write) {
 /// Bokhari, Lan et al.); this runs the paper's algorithm suite on an
 /// nCUBE-2-class hypercube to see which Paragon conclusions carry over
 /// to a richer topology (log-diameter, one channel per dimension).
-pub fn hypercube(_runner: &SweepRunner, out: &mut dyn Write) {
+fn hypercube() -> Vec<Panel> {
     let machine = Machine::hypercube(6); // 64 nodes
     let kinds = [
         AlgoKind::TwoStep,
@@ -827,29 +913,30 @@ pub fn hypercube(_runner: &SweepRunner, out: &mut dyn Write) {
         AlgoKind::BrXySource,
         AlgoKind::ReposXySource,
     ];
-    print_table(
-        out,
-        "Hypercube-64 (nCUBE-2 class), L=4K, equal distribution",
-        "s",
-        &kinds,
-        s_rows(&[1, 8, 16, 32, 64]),
-        |&s, k| run_ms(&machine, k, SourceDist::Equal, s, 4096),
-    );
-    outln!(out);
-    print_table(
-        out,
-        "distributions at s=16, L=4K",
-        "dist",
-        &kinds,
-        dist_rows(SourceDist::paper_set()),
-        |dist, k| run_ms(&machine, k, dist.clone(), 16, 4096),
-    );
+    vec![
+        grid(
+            "Hypercube-64 (nCUBE-2 class), L=4K, equal distribution",
+            "s",
+            &[1, 8, 16, 32, 64],
+            &kinds,
+            |&s, &k| ms(&machine, k, SourceDist::Equal, s, 4096),
+        )
+        .table(),
+        grid(
+            "distributions at s=16, L=4K",
+            "dist",
+            &SourceDist::paper_set(),
+            &kinds,
+            |dist, &k| ms(&machine, k, dist.clone(), 16, 4096),
+        )
+        .table(),
+    ]
 }
 
 /// Message-level traces of two contrasting algorithms — a diagnostic
 /// view of *why* the paper's results hold: 2-Step's ladder of serialized
 /// arrivals at P₀ versus Br_Lin's balanced pairwise exchanges.
-pub fn trace(_runner: &SweepRunner, out: &mut dyn Write) {
+fn trace(_runner: &SweepRunner, out: &mut dyn Write) {
     let machine = Machine::paragon(4, 4);
     let sources = SourceDist::Equal.place(machine.shape, 8);
 
@@ -886,7 +973,7 @@ pub fn trace(_runner: &SweepRunner, out: &mut dyn Write) {
 /// performance due to arising congestion and the large number of
 /// messages in the system". Measures it against the merge algorithms on
 /// both machines.
-pub fn naive(_runner: &SweepRunner, out: &mut dyn Write) {
+fn naive() -> Vec<Panel> {
     let paragon = Machine::paragon(10, 10);
     let t3d = Machine::t3d(128, T3D_SEED);
     let kinds = [
@@ -894,23 +981,24 @@ pub fn naive(_runner: &SweepRunner, out: &mut dyn Write) {
         AlgoKind::BrLin,
         AlgoKind::BrXySource,
     ];
-    print_table(
-        out,
-        "10x10 Paragon, L=4K, equal distribution (ms)",
-        "s",
-        &kinds,
-        s_rows(&[5, 15, 30, 60, 100]),
-        |&s, k| run_ms(&paragon, k, SourceDist::Equal, s, 4096),
-    );
-    outln!(out);
-    print_table(
-        out,
-        "T3D p=128, L=4K, equal distribution (ms)",
-        "s",
-        &kinds,
-        s_rows(&[5, 20, 40, 96]),
-        |&s, k| run_ms(&t3d, k, SourceDist::Equal, s, 4096),
-    );
+    vec![
+        grid(
+            "10x10 Paragon, L=4K, equal distribution (ms)",
+            "s",
+            &[5, 15, 30, 60, 100],
+            &kinds,
+            |&s, &k| ms(&paragon, k, SourceDist::Equal, s, 4096),
+        )
+        .table(),
+        grid(
+            "T3D p=128, L=4K, equal distribution (ms)",
+            "s",
+            &[5, 20, 40, 96],
+            &kinds,
+            |&s, &k| ms(&t3d, k, SourceDist::Equal, s, 4096),
+        )
+        .table(),
+    ]
 }
 
 /// Ablation: how much do the distribution effects depend on the link
@@ -926,7 +1014,7 @@ pub fn naive(_runner: &SweepRunner, out: &mut dyn Write) {
 /// on the real Paragon must have come from effects outside any linear
 /// link-reservation model (flit-level hot-spot trees, software-level
 /// interference).
-pub fn contention(_runner: &SweepRunner, out: &mut dyn Write) {
+fn contention(runner: &SweepRunner, out: &mut dyn Write) {
     let models = [
         ContentionModel::Shared,
         ContentionModel::Pipelined,
@@ -944,64 +1032,35 @@ pub fn contention(_runner: &SweepRunner, out: &mut dyn Write) {
             MeshShape::new(10, 10),
         )
     });
-    outln!(
-        out,
-        "# Figure-6 grid (10x10, L=2K, s=30, Br_xy_source) under contention models (ms)"
-    );
-    out!(out, "dist");
-    for m in models {
-        out!(out, ",{m:?}");
-    }
-    outln!(out);
-    let mut worst = [0.0f64; 3];
-    let mut best = [f64::MAX; 3];
-    for dist in SourceDist::paper_set() {
-        out!(out, "{}", dist.name());
-        for (i, machine) in machines.iter().enumerate() {
-            let ms = run_ms(machine, AlgoKind::BrXySource, dist.clone(), 30, 2048);
-            worst[i] = worst[i].max(ms);
-            best[i] = best[i].min(ms);
-            out!(out, ",{ms:.4}");
-        }
-        outln!(out);
-    }
-    out!(out, "gap(worst/best)");
-    for (w, b) in worst.iter().zip(best) {
-        out!(out, ",{:.2}x", w / b);
-    }
-    outln!(out);
+    let panel = Panel {
+        columns: models.iter().map(|m| format!("{m:?}")).collect(),
+        ..grid(
+            "Figure-6 grid (10x10, L=2K, s=30, Br_xy_source) under contention models (ms)",
+            "dist",
+            &SourceDist::paper_set(),
+            &[0usize, 1, 2],
+            |dist, &m| ms(&machines[m], AlgoKind::BrXySource, dist.clone(), 30, 2048),
+        )
+    };
+    let values = sweep(runner, std::slice::from_ref(&panel)).remove(0);
+    write_panel(out, &panel, &values);
+    let gaps = (0..models.len()).map(|m| {
+        let column = values.iter().skip(m).step_by(models.len());
+        let (worst, best) = column.fold((0.0f64, f64::MAX), |(w, b), &v| (w.max(v), b.min(v)));
+        format!(",{:.2}x", worst / best)
+    });
+    outln!(out, "gap(worst/best){}", gaps.collect::<String>());
 }
-
-/// Files [`report`] renders, with whether their x axis is exponential.
-const REPORT_FILES: &[(&str, bool)] = &[
-    ("fig03", false),
-    ("fig04", true),
-    ("fig05", false),
-    ("fig06", false),
-    ("fig07", false),
-    ("fig08", false),
-    ("fig09", false),
-    ("fig10", true),
-    ("fig11", false),
-    ("fig12", false),
-    ("fig13", false),
-    ("partitioning", false),
-    ("nx-vs-mpi", false),
-    ("varlen", false),
-    ("dissem", false),
-    ("hypercube", false),
-    ("naive", false),
-    ("contention", false),
-];
 
 /// Render the regenerated figure data (`results/*.txt`, produced by
 /// `repro all`) into SVG charts plus a REPORT.md index — the paper's
 /// figures as figures again.
 ///
-/// Numeric sweeps become line charts (log-x for the message-length
-/// sweeps), categorical tables become grouped horizontal bars. Each
-/// chart links back to its CSV (the accessible table view).
-pub fn report(_runner: &SweepRunner, out: &mut dyn Write) {
+/// Every figure whose output holds CSV blocks is rendered. Numeric
+/// sweeps become line charts (log-x for Figures 4 and 10, the
+/// message-length sweeps), categorical tables become grouped horizontal
+/// bars. Each chart links back to its CSV (the accessible table view).
+fn report(_runner: &SweepRunner, out: &mut dyn Write) {
     let results = Path::new("results");
     if !results.exists() {
         eprintln!("results/ not found — run `repro all` first");
@@ -1016,17 +1075,14 @@ pub fn report(_runner: &SweepRunner, out: &mut dyn Write) {
     );
     let mut rendered = 0;
 
-    for &(name, log_x) in REPORT_FILES {
+    for &(name, _) in FIGURES.iter().filter(|&&(name, _)| name != "report") {
+        let log_x = matches!(name, "fig04" | "fig10");
         let path = results.join(format!("{name}.txt"));
         let Ok(text) = fs::read_to_string(&path) else {
             eprintln!("skipping {name}: no {path:?}");
             continue;
         };
         let blocks = parse_csv_blocks(&text);
-        if blocks.is_empty() {
-            eprintln!("skipping {name}: no CSV blocks");
-            continue;
-        }
         for (i, block) in blocks.iter().enumerate() {
             let suffix = if blocks.len() > 1 {
                 format!("-{}", i + 1)

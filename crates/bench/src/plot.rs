@@ -12,7 +12,14 @@
 //! contrast on the light surface, so charts always ship alongside the
 //! CSV table view (the relief rule).
 
-use crate::Series;
+/// A labelled series (one curve of a chart).
+#[derive(Debug, Clone)]
+pub struct Series {
+    /// Curve label (algorithm or distribution name).
+    pub label: String,
+    /// (x, milliseconds) points.
+    pub points: Vec<(f64, f64)>,
+}
 
 /// Categorical palette, light mode, fixed slot order (validated: worst
 /// adjacent CVD ΔE 24.2; aqua/yellow/magenta carry the contrast WARN —
@@ -376,40 +383,27 @@ impl CsvBlock {
 
     /// Convert to chart series (numeric x only).
     pub fn to_series(&self) -> Vec<Series> {
-        self.labels
-            .iter()
-            .enumerate()
-            .map(|(i, label)| Series {
-                label: label.clone(),
-                points: self
-                    .row_keys
-                    .iter()
-                    .zip(&self.values)
-                    .map(|(k, row)| (k.parse::<f64>().unwrap_or(0.0), row[i]))
-                    .collect(),
-            })
-            .collect()
+        self.series(|_, key| key.parse::<f64>().unwrap_or(0.0))
     }
 
     /// Convert to bar-chart series (one point per category, x = index).
     pub fn to_bar_series(&self) -> Vec<Series> {
-        self.labels
-            .iter()
-            .enumerate()
-            .map(|(i, label)| Series {
-                label: label.clone(),
-                points: self
-                    .values
-                    .iter()
-                    .enumerate()
-                    .map(|(g, row)| (g as f64, row[i]))
-                    .collect(),
-            })
-            .collect()
+        self.series(|g, _| g as f64)
+    }
+
+    /// One series per label, `x(row index, row key)` on the x axis.
+    fn series(&self, x: impl Fn(usize, &str) -> f64) -> Vec<Series> {
+        let rows = || self.row_keys.iter().zip(&self.values).enumerate();
+        let points = |i: usize| rows().map(|(g, (k, row))| (x(g, k), row[i])).collect();
+        let series = |(i, label): (usize, &String)| Series {
+            label: label.clone(),
+            points: points(i),
+        };
+        self.labels.iter().enumerate().map(series).collect()
     }
 }
 
-/// Parse the `print_figure` CSV format: one or more blocks, each a
+/// Parse the CSV format the figures write: one or more blocks, each a
 /// `# title` line, a header row, then data rows. Non-CSV lines are
 /// skipped. Returns the blocks found.
 pub fn parse_csv_blocks(text: &str) -> Vec<CsvBlock> {

@@ -347,6 +347,15 @@ mod tests {
     }
 
     #[test]
+    fn dist_names_parse() {
+        let parse = SourceDist::parse;
+        assert_eq!(parse("cross", 0), Some(SourceDist::Cross));
+        assert_eq!(parse("Sq", 0), Some(SourceDist::SquareBlock));
+        assert_eq!(parse("rand", 7), Some(SourceDist::Random { seed: 7 }));
+        assert_eq!(parse("nope", 0), None);
+    }
+
+    #[test]
     fn all_distributions_place_exactly_s() {
         let shapes = [
             MeshShape::new(10, 10),

@@ -55,11 +55,6 @@ impl BrLinSchedule {
     pub fn levels(&self) -> usize {
         self.ops.len()
     }
-
-    /// Positions that communicate in a given level.
-    pub fn active_positions(&self, level: usize) -> usize {
-        self.ops[level].iter().filter(|v| !v.is_empty()).count()
-    }
 }
 
 /// Compute the `Br_Lin` schedule for `has` initial message flags.

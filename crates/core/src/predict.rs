@@ -202,13 +202,6 @@ fn log2_ceil(n: usize) -> u32 {
     }
 }
 
-/// A crude lower bound: every processor must *receive* all s payloads
-/// it does not hold, at its ejection-port bandwidth.
-pub fn lower_bound_ns(machine: &Machine, s: usize, len: usize) -> Time {
-    let ports = machine.params.ports_per_node as u64;
-    machine.params.serialize_ns(wire_size(s, len)) / ports
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,16 +250,6 @@ mod tests {
     fn partitioning_has_no_closed_form() {
         let m = Machine::paragon(16, 16);
         assert!(estimate_ns(&m, AlgoKind::PartLin, 10, 1024).is_none());
-    }
-
-    #[test]
-    fn lower_bound_below_every_estimate() {
-        let m = Machine::paragon(8, 8);
-        for &kind in AlgoKind::all() {
-            if let Some(t) = estimate_ns(&m, kind, 16, 2048) {
-                assert!(t >= lower_bound_ns(&m, 16, 2048), "{}", kind.name());
-            }
-        }
     }
 
     #[test]

@@ -729,6 +729,17 @@ mod tests {
     use crate::msgset::MessageSet;
 
     #[test]
+    fn algo_names_roundtrip() {
+        for &k in AlgoKind::all() {
+            assert_eq!(AlgoKind::parse(k.name()), Some(k), "{}", k.name());
+            // lowercase with underscores also works
+            let mangled = k.name().to_lowercase().replace(['-', ' '], "_");
+            assert_eq!(AlgoKind::parse(&mangled), Some(k), "{mangled}");
+        }
+        assert_eq!(AlgoKind::parse("no_such_algorithm"), None);
+    }
+
+    #[test]
     fn every_algorithm_verifies_on_a_paragon() {
         let machine = Machine::paragon(4, 4);
         for &kind in AlgoKind::all() {

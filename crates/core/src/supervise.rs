@@ -126,14 +126,6 @@ impl<T> PointStatus<T> {
             _ => None,
         }
     }
-
-    /// Consume into the result, if the point completed.
-    pub fn into_done(self) -> Option<T> {
-        match self {
-            PointStatus::Done(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 /// `(done, failed, skipped)` counts over a finished supervised sweep.

@@ -718,17 +718,6 @@ where
     try_simulate_with(machine, config, program).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Run `program` on every rank of `machine` with default config,
-/// surfacing abnormal terminations as [`SimError`] instead of panicking.
-pub fn try_simulate<R, F, Fut>(machine: &Machine, program: F) -> Result<SimOutcome<R>, SimError>
-where
-    R: Send,
-    F: Fn(RankCtx) -> Fut + Sync,
-    Fut: Future<Output = R>,
-{
-    try_simulate_with(machine, &SimConfig::default(), program)
-}
-
 /// Run `program` on every rank of `machine` under the given config.
 ///
 /// Abnormal terminations — deadlock, a panicking rank program, watchdog

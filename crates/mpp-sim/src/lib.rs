@@ -77,9 +77,8 @@ pub mod trace;
 
 pub use error::SimError;
 pub use kernel::{
-    simulate, simulate_with, try_simulate, try_simulate_with, BarrierFuture, DeadlockInfo,
-    Envelope, ExecMode, FaultStats, KernelCounters, RankCtx, RecvFuture, RecvTimeoutFuture,
-    SimConfig, SimOutcome,
+    simulate, simulate_with, try_simulate_with, BarrierFuture, DeadlockInfo, Envelope, ExecMode,
+    FaultStats, KernelCounters, RankCtx, RecvFuture, RecvTimeoutFuture, SimConfig, SimOutcome,
 };
 pub use mpp_model::{FaultPlan, LinkOutage, NodeCrash, RetryPolicy};
 pub use network::NetworkState;
