@@ -7,9 +7,8 @@
 //! smell. Error-severity findings can never be baselined: a deadlock or
 //! a cost-model divergence fails the gate regardless.
 //!
-//! Keys are `<kind>@<algo>/<dist>/<RxC>/s<N>` — executor-independent
-//! (findings are byte-identical across executors) and stable across
-//! sweeps. The file format is a single sorted JSON object:
+//! Keys are `<kind>@<algo>/<dist>/<RxC>/s<N>` — stable across sweeps
+//! and worker counts. The file format is a single sorted JSON object:
 //!
 //! ```json
 //! { "suppress": [

@@ -9,13 +9,16 @@
 //! a rank's operations are treated as opaque local work. Everything
 //! else — port slots, link windows, injection/arrival instants, stalls,
 //! per-rank completion times, and the makespan — is **recomputed** and
-//! compared against the kernel's recorded ground truth.
+//! compared against the kernel's recorded ground truth. So is the
+//! executor's event order where it shows: every receive must have
+//! matched the message the mailbox rule selects from the recomputed
+//! arrivals (see `check_matches`).
 //!
 //! **Cost-model conformance**: any mismatch between a recomputed value
 //! and the recorded one is a [`CostReport::divergences`] entry — a bug
 //! in either the cost engine or the kernel, surfaced by the analyzer as
 //! an error-severity `cost_model_divergence` finding and machine-checked
-//! in CI over the whole lint matrix on both executors.
+//! in CI over the whole lint matrix.
 //!
 //! On top of the replay the engine derives the structures the perf
 //! lints consume: the dependency-weighted critical path (attributing
@@ -26,6 +29,7 @@
 use std::collections::BTreeMap;
 
 use mpp_model::{ContentionModel, LibraryKind, Link, Machine, Time};
+use mpp_runtime::Tag;
 
 use crate::schedule::{grouped, Schedule, NONE};
 
@@ -622,6 +626,10 @@ pub fn replay(sched: &Schedule, machine: &Machine, lib: LibraryKind, faulted: bo
         }
     }
 
+    if alpha_send > 0 {
+        check_matches(sched, &xfers, &xfer_of, &mut report);
+    }
+
     // Every delivered send must carry a transfer record.
     if !sched.xfers.is_empty() {
         let lost = sched.seq_flags(sched.lost_seqs());
@@ -651,6 +659,135 @@ pub fn replay(sched: &Schedule, machine: &Machine, lib: LibraryKind, faulted: bo
     );
 
     report
+}
+
+/// A message in a rank's mailbox, as the matched-send check sees it.
+#[derive(Debug, Clone, Copy)]
+struct Delivered {
+    arrival: Time,
+    seq: u64,
+    src: usize,
+    tag: Tag,
+}
+
+/// The mailbox rule, re-derived from arrivals: each receive must match
+/// the earliest `(arrival, seq)` among the messages delivered to its
+/// rank that match its filters, arrived by the instant it completed
+/// from (`max(start, arrival)`), and no earlier receive of the rank
+/// consumed. A receive that matched anything else is a divergence.
+///
+/// Exact when α_send > 0, which the caller checks: a message that
+/// arrived by that instant was sent at least α_send before it arrived,
+/// so strictly earlier, and the kernel processes events in `(time,
+/// rank)` order — the message sat in the mailbox when the receive
+/// matched. Fault plans keep this (delays and retries only make arrival
+/// later), so faulted schedules are checked too. On a zero-α machine a
+/// message can arrive at its issue instant, after a same-instant
+/// receive of a lower rank, and the rule no longer says what the kernel
+/// saw.
+///
+/// Near-linear: each rank's deliveries are put in `(arrival, seq)`
+/// order once — usually already so, since one ejection port delivers in
+/// reservation order — and threaded into one list per source, like the
+/// kernel's deep mailbox; an exact-source receive walks its source's
+/// list, a wildcard one the whole mailbox, each from the first
+/// unconsumed entry.
+fn check_matches(
+    sched: &Schedule,
+    xfers: &[XferCost],
+    xfer_of: &dyn Fn(u64) -> Option<usize>,
+    report: &mut CostReport,
+) {
+    let p = sched.p;
+    let delivered: Vec<Option<(usize, Delivered)>> = (sched.xfers.iter().zip(xfers))
+        .map(|(x, cost)| {
+            let send = &sched.sends[sched.send_of(x.seq)?];
+            let mail = Delivered {
+                arrival: cost.done_ns,
+                seq: x.seq,
+                src: x.src,
+                tag: send.tag,
+            };
+            (x.src < p && x.dst < p).then_some((x.dst, mail))
+        })
+        .collect();
+    let (box_start, box_order) = grouped(delivered.iter().map(|d| Some(d.as_ref()?.0)), p);
+    let mut mail: Vec<Delivered> = box_order
+        .iter()
+        .filter_map(|&xi| Some(delivered[xi as usize]?.1))
+        .collect();
+    let by_rank = sched.recvs.iter().map(|r| (r.rank < p).then_some(r.rank));
+    let (recv_start, recv_order) = grouped(by_rank, p);
+    let mut taken = vec![false; mail.len()];
+    // Per delivery, the next one from the same source; per source, the
+    // first of the current rank's that may still be unconsumed.
+    let mut next = vec![NONE; mail.len()];
+    let mut head = vec![NONE; p];
+    for rank in 0..p {
+        let (lo, hi) = (box_start[rank], box_start[rank + 1]);
+        let order = |m: &Delivered| (m.arrival, m.seq);
+        if !mail[lo..hi].is_sorted_by_key(order) {
+            mail[lo..hi].sort_unstable_by_key(order);
+        }
+        for at in (lo..hi).rev() {
+            next[at] = std::mem::replace(&mut head[mail[at].src], at as u32);
+        }
+        let mut first = lo;
+        for &ri in &recv_order[recv_start[rank]..recv_start[rank + 1]] {
+            let r = &sched.recvs[ri as usize];
+            let Some(xi) = xfer_of(r.seq) else { continue };
+            let key = (xfers[xi].done_ns, r.seq);
+            let until = r.start_ns.max(key.0);
+            let fits = |at: usize| {
+                let m = &mail[at];
+                !taken[at] && m.arrival <= until && r.tag_filter.is_none_or(|t| t == m.tag)
+            };
+            let pick = match r.src_filter {
+                Some(src) if src < p => {
+                    while head[src] != NONE && taken[head[src] as usize] {
+                        head[src] = next[head[src] as usize];
+                    }
+                    let mut at = head[src];
+                    while at != NONE && mail[at as usize].arrival <= until && !fits(at as usize) {
+                        at = next[at as usize];
+                    }
+                    (at != NONE && fits(at as usize)).then_some(at as usize)
+                }
+                Some(_) => None,
+                None => {
+                    while first < hi && taken[first] {
+                        first += 1;
+                    }
+                    (first..hi)
+                        .take_while(|&at| mail[at].arrival <= until)
+                        .find(|&at| fits(at))
+                }
+            };
+            let matched = mail[lo..hi]
+                .binary_search_by_key(&key, order)
+                .ok()
+                .map(|i| lo + i)
+                .filter(|&at| !taken[at]);
+            if pick != matched {
+                let picked = pick.map_or("no message".to_string(), |at| {
+                    format!("seq {}", mail[at].seq)
+                });
+                report.diverge(|| {
+                    format!(
+                        "rank {rank}: receive matched seq {}, but the mailbox rule \
+                         (earliest arrival, then seq) picks {picked}",
+                        r.seq
+                    )
+                });
+            }
+            if let Some(at) = matched {
+                taken[at] = true;
+            }
+        }
+        for m in &mail[lo..hi] {
+            head[m.src] = NONE;
+        }
+    }
 }
 
 /// Backward walk from the latest-finishing rank, attributing makespan
@@ -820,9 +957,8 @@ fn critical_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpp_runtime::ExecMode;
     use stp_core::msgset::payload_for;
-    use stp_core::runner::{record_sources_exec, AlgoKind};
+    use stp_core::runner::{record_sources, AlgoKind};
 
     /// The cost engine must reproduce the kernel's schedule exactly on a
     /// real recorded run — the conformance keystone in miniature.
@@ -833,13 +969,12 @@ mod tests {
         let payload_of = |src: usize| payload_for(src, 64);
         for kind in [AlgoKind::BrLin, AlgoKind::TwoStep, AlgoKind::BrXySource] {
             let alg = kind.build();
-            let run = record_sources_exec(
+            let run = record_sources(
                 &machine,
                 kind.default_lib(),
                 &sources,
                 &payload_of,
                 alg.as_ref(),
-                ExecMode::Cooperative,
             );
             let sched = Schedule::from_recorded(&run, machine.p());
             let report = replay(&sched, &machine, kind.default_lib(), false);
@@ -855,89 +990,96 @@ mod tests {
         }
     }
 
-    /// Conformance must hold on BOTH executors: the threaded kernel
-    /// resolves contention through real OS threads, the cooperative one
-    /// through a deterministic event loop, yet both must land on the
-    /// virtual schedule the static engine recomputes.
-    #[test]
-    fn conformance_holds_on_both_executors() {
-        let machine = Machine::paragon(4, 4);
-        let sources = vec![0, 5, 10, 15];
+    /// Record `kind` on `machine` and replay it: conformant, matched-send
+    /// rule included, with the kernel's makespan.
+    fn assert_conformant(machine: &Machine, sources: &[usize], kind: AlgoKind) {
         let payload_of = |src: usize| payload_for(src, 256);
-        for exec in [ExecMode::Cooperative, ExecMode::Threaded] {
-            for &kind in AlgoKind::all() {
-                let alg = kind.build();
-                let run = record_sources_exec(
-                    &machine,
-                    kind.default_lib(),
-                    &sources,
-                    &payload_of,
-                    alg.as_ref(),
-                    exec,
-                );
-                let sched = Schedule::from_recorded(&run, machine.p());
-                let report = replay(&sched, &machine, kind.default_lib(), false);
-                assert!(
-                    report.conformant(),
-                    "{} on {exec:?}: {:?}",
-                    kind.name(),
-                    report.divergences
-                );
-                let outcome = run.outcome.expect("completed run");
-                assert_eq!(
-                    report.makespan_ns,
-                    outcome.makespan_ns,
-                    "{} on {exec:?}: makespan mismatch",
-                    kind.name()
-                );
-            }
+        let alg = kind.build();
+        let run = record_sources(
+            machine,
+            kind.default_lib(),
+            sources,
+            &payload_of,
+            alg.as_ref(),
+        );
+        let sched = Schedule::from_recorded(&run, machine.p());
+        let report = replay(&sched, machine, kind.default_lib(), false);
+        let name = kind.name();
+        assert!(report.conformant(), "{name}: {:?}", report.divergences);
+        let outcome = run.outcome.expect("completed run");
+        assert_eq!(report.makespan_ns, outcome.makespan_ns, "{name}: makespan");
+    }
+
+    /// Every algorithm lands on the virtual schedule the static engine
+    /// recomputes, and every receive matched what the mailbox rule picks.
+    #[test]
+    fn conformance_holds_for_every_algorithm() {
+        let machine = Machine::paragon(4, 4);
+        for &kind in AlgoKind::all() {
+            assert_conformant(&machine, &[0, 5, 10, 15], kind);
         }
     }
 
     /// Multi-port conformance: on a five-port machine the k-ported
     /// algorithms issue real `send_batch` groups whose members take
     /// distinct injection slots in the same tick, and the replay must
-    /// still land on every recorded instant exactly — on both
-    /// executors, with identical makespans. This is the zero-tolerance
-    /// gate for the batched-transmit clock rule (one α_send per batch).
+    /// still land on every recorded instant exactly. This is the
+    /// zero-tolerance gate for the batched-transmit clock rule (one
+    /// α_send per batch).
     #[test]
     fn conformance_holds_with_batched_multiport_sends() {
         let machine = crate::fixtures::machines::five_port_machine();
-        let sources = vec![0, 3, 6, 9, 12, 15];
-        let payload_of = |src: usize| payload_for(src, 256);
-        for exec in [ExecMode::Cooperative, ExecMode::Threaded] {
-            for kind in [
-                AlgoKind::KPortLin,
-                AlgoKind::KPortScatter,
-                AlgoKind::KPortAlltoall,
-                AlgoKind::BrLin,
-            ] {
-                let alg = kind.build();
-                let run = record_sources_exec(
-                    &machine,
-                    kind.default_lib(),
-                    &sources,
-                    &payload_of,
-                    alg.as_ref(),
-                    exec,
-                );
-                let sched = Schedule::from_recorded(&run, machine.p());
-                let report = replay(&sched, &machine, kind.default_lib(), false);
-                assert!(
-                    report.conformant(),
-                    "{} on {exec:?}: {:?}",
-                    kind.name(),
-                    report.divergences
-                );
-                let outcome = run.outcome.expect("completed run");
-                assert_eq!(
-                    report.makespan_ns,
-                    outcome.makespan_ns,
-                    "{} on {exec:?}: makespan mismatch",
-                    kind.name()
-                );
-            }
+        for kind in [
+            AlgoKind::KPortLin,
+            AlgoKind::KPortScatter,
+            AlgoKind::KPortAlltoall,
+            AlgoKind::BrLin,
+        ] {
+            assert_conformant(&machine, &[0, 3, 6, 9, 12, 15], kind);
         }
+    }
+
+    /// Which send a receive matched is checked, not taken on trust: swap
+    /// the matches of two receives with the same filters whose messages
+    /// had both arrived before the first of them ran. Every clock of the
+    /// recording stays what it was, so only the mailbox rule — earliest
+    /// arrival first — can tell, and it must.
+    #[test]
+    fn swapped_matches_diverge() {
+        let machine = Machine::paragon(4, 4);
+        let kind = AlgoKind::TwoStep;
+        let alg = kind.build();
+        let mut run = record_sources(
+            &machine,
+            kind.default_lib(),
+            &[0, 5, 10, 15],
+            &|src| payload_for(src, 64),
+            alg.as_ref(),
+        );
+        let recvs = &run.events.recvs;
+        let filters = |i: usize| (recvs[i].rank, recvs[i].src_filter, recvs[i].tag_filter);
+        let (a, b) = (0..recvs.len())
+            .flat_map(|a| (a + 1..recvs.len()).map(move |b| (a, b)))
+            .find(|&(a, b)| {
+                filters(a) == filters(b)
+                    && recvs[a].arrival_ns < recvs[b].arrival_ns
+                    && recvs[a].start_ns >= recvs[b].arrival_ns
+            })
+            .expect("a rank with two same-filter receives of waiting messages");
+        let (ra, rb) = (recvs[a].clone(), recvs[b].clone());
+        for (at, other) in [(a, &rb), (b, &ra)] {
+            let r = &mut run.events.recvs[at];
+            (r.seq, r.src, r.tag, r.arrival_ns) =
+                (other.seq, other.src, other.tag, other.arrival_ns);
+        }
+        let sched = Schedule::from_recorded(&run, machine.p());
+        let report = replay(&sched, &machine, kind.default_lib(), false);
+        let want = format!(
+            "rank {}: receive matched seq {}, but the mailbox rule \
+             (earliest arrival, then seq) picks seq {}",
+            ra.rank, rb.seq, ra.seq
+        );
+        assert_eq!(report.divergences, [want]);
     }
 
     /// The critical-path decomposition must account for (almost) the
@@ -948,13 +1090,12 @@ mod tests {
         let sources = vec![0, 5, 10, 15];
         let payload_of = |src: usize| payload_for(src, 1024);
         let alg = AlgoKind::BrLin.build();
-        let run = record_sources_exec(
+        let run = record_sources(
             &machine,
             mpp_model::LibraryKind::Nx,
             &sources,
             &payload_of,
             alg.as_ref(),
-            ExecMode::Cooperative,
         );
         let sched = Schedule::from_recorded(&run, machine.p());
         let report = replay(&sched, &machine, mpp_model::LibraryKind::Nx, false);
@@ -992,13 +1133,12 @@ mod tests {
             AlgoKind::BrLin,
         ] {
             let alg = kind.build();
-            let run = record_sources_exec(
+            let run = record_sources(
                 &machine,
                 kind.default_lib(),
                 &sources,
                 &payload_of,
                 alg.as_ref(),
-                ExecMode::Cooperative,
             );
             let sched = Schedule::from_recorded(&run, machine.p());
             let report = replay(&sched, &machine, kind.default_lib(), false);
@@ -1060,13 +1200,12 @@ mod tests {
         let sources = vec![0, 5, 10, 15];
         let payload_of = |src: usize| payload_for(src, 64);
         let alg = AlgoKind::BrLin.build();
-        let mut run = record_sources_exec(
+        let mut run = record_sources(
             &machine,
             mpp_model::LibraryKind::Nx,
             &sources,
             &payload_of,
             alg.as_ref(),
-            ExecMode::Cooperative,
         );
         let x = run.events.xfers.last_mut().expect("transfers recorded");
         x.done_ns += 1;

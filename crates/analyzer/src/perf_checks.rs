@@ -272,10 +272,9 @@ mod tests {
     use crate::fixtures;
     use crate::schedule::Schedule;
     use mpp_model::Machine;
-    use mpp_runtime::ExecMode;
     use stp_core::distribution::SourceDist;
     use stp_core::msgset::payload_for;
-    use stp_core::runner::{record_sources_exec, AlgoKind};
+    use stp_core::runner::{record_sources, AlgoKind};
 
     fn perf_opts() -> AnalyzeOpts {
         AnalyzeOpts {
@@ -294,13 +293,12 @@ mod tests {
         let payload_of = |src: usize| payload_for(src, 64);
         for kind in [AlgoKind::TwoStep, AlgoKind::BrXyDim, AlgoKind::PartLin] {
             let alg = kind.build();
-            let run = record_sources_exec(
+            let run = record_sources(
                 &machine,
                 kind.default_lib(),
                 &sources,
                 &payload_of,
                 alg.as_ref(),
-                ExecMode::Cooperative,
             );
             let sched = Schedule::from_recorded(&run, machine.p());
             let a = analyze(
@@ -331,13 +329,12 @@ mod tests {
         let sources = SourceDist::Equal.place(machine.shape, fx.s);
         let payload_of = |src: usize| payload_for(src, 64);
         let alg = (fx.build)();
-        let run = record_sources_exec(
+        let run = record_sources(
             &machine,
             mpp_model::LibraryKind::Nx,
             &sources,
             &payload_of,
             alg.as_ref(),
-            ExecMode::Cooperative,
         );
         let sched = Schedule::from_recorded(&run, machine.p());
         let a = analyze(&sched, &machine, &sources, &payload_of, &perf_opts());
@@ -367,13 +364,12 @@ mod tests {
         let sources = SourceDist::Equal.place(machine.shape, fx.s);
         let payload_of = |src: usize| payload_for(src, 64);
         let alg = (fx.build)();
-        let run = record_sources_exec(
+        let run = record_sources(
             &machine,
             mpp_model::LibraryKind::Nx,
             &sources,
             &payload_of,
             alg.as_ref(),
-            ExecMode::Cooperative,
         );
         let sched = Schedule::from_recorded(&run, machine.p());
         let a = analyze(&sched, &machine, &sources, &payload_of, &perf_opts());
@@ -408,13 +404,12 @@ mod tests {
         for s in [10usize, 12] {
             let sources = SourceDist::Equal.place(machine.shape, s);
             let alg = AlgoKind::KPortLin.build();
-            let run = record_sources_exec(
+            let run = record_sources(
                 &machine,
                 AlgoKind::KPortLin.default_lib(),
                 &sources,
                 &payload_of,
                 alg.as_ref(),
-                ExecMode::Cooperative,
             );
             let sched = Schedule::from_recorded(&run, machine.p());
             let a = analyze(&sched, &machine, &sources, &payload_of, &perf_opts());

@@ -194,8 +194,8 @@ impl<K: std::hash::Hash + Eq, V> Memo<K, V> {
         if let Some(value) = table.get(&key) {
             return Arc::clone(value);
         }
-        // Compute under the lock: in threaded runs every rank arrives at
-        // once, and one computation plus p-1 waits beats p computations.
+        // Compute under the lock: sweep workers asking for the same key
+        // at once wait for one computation instead of repeating it.
         let value = Arc::new(compute());
         if table.len() >= Self::MAX {
             table.clear();

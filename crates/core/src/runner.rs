@@ -244,8 +244,7 @@ pub struct RunControl {
     /// Cooperative cancellation: the run exits with
     /// [`SimError::Cancelled`] at its next scheduling step.
     pub cancel: Option<CancelToken>,
-    /// Executor; `None` is cooperative. The differential tests pass
-    /// the threaded reference driver here.
+    /// Executor; `None` is the one there is (see [`ExecMode`]).
     pub exec: Option<ExecMode>,
 }
 
@@ -449,24 +448,10 @@ pub fn record_sources(
     payload_of: &(dyn Fn(usize) -> Vec<u8> + Sync),
     alg: &dyn StpAlgorithm,
 ) -> RecordedRun {
-    record_sources_exec(machine, lib, sources, payload_of, alg, ExecMode::default())
+    record_sources_faulty(machine, lib, sources, payload_of, alg, None)
 }
 
-/// [`record_sources`] with an explicit executor — the differential
-/// tests run the same schedule on both executors and require the
-/// recordings to be identical.
-pub fn record_sources_exec(
-    machine: &Machine,
-    lib: LibraryKind,
-    sources: &[usize],
-    payload_of: &(dyn Fn(usize) -> Vec<u8> + Sync),
-    alg: &dyn StpAlgorithm,
-    exec: ExecMode,
-) -> RecordedRun {
-    record_sources_faulty(machine, lib, sources, payload_of, alg, exec, None)
-}
-
-/// [`record_sources_exec`] with an optional fault plan: the recorded
+/// [`record_sources`] with an optional fault plan: the recorded
 /// schedule then contains one [`DropEvent`](mpp_runtime::DropEvent) per lost
 /// transmission attempt, which the analyzer's delivery-completeness
 /// check consumes.
@@ -476,14 +461,9 @@ pub fn record_sources_faulty(
     sources: &[usize],
     payload_of: &(dyn Fn(usize) -> Vec<u8> + Sync),
     alg: &dyn StpAlgorithm,
-    exec: ExecMode,
     faults: Option<&FaultPlan>,
 ) -> RecordedRun {
-    let control = RunControl {
-        faults: faults.cloned(),
-        exec: Some(exec),
-        ..RunControl::default()
-    };
+    let control = RunControl::with_faults(faults);
     try_record_sources(machine, lib, sources, payload_of, alg, &control)
         .unwrap_or_else(|e| panic!("{e}"))
 }
@@ -840,40 +820,34 @@ mod tests {
     }
 
     #[test]
-    fn one_flipped_byte_on_one_rank_fails_verification_on_both_executors() {
+    fn one_flipped_byte_on_one_rank_fails_verification() {
         let machine = Machine::paragon(4, 4);
         let sources = SourceDist::Equal.place(machine.shape, 5);
         let len = 300;
-        for exec in [ExecMode::Cooperative, ExecMode::Threaded] {
-            let control = RunControl {
-                exec: Some(exec),
-                ..RunControl::default()
-            };
-            let verified = |alg: &dyn StpAlgorithm| {
-                try_run_alg_controlled(
-                    &machine,
-                    LibraryKind::Nx,
-                    &sources,
-                    &|src| payload_for(src, len),
-                    alg,
-                    &control,
-                )
-                .expect("run failed")
-                .verified
-            };
-            assert!(verified(&BrLin::new()), "{exec:?}: the honest run");
-            // First source, last source; first byte, last byte; first
-            // rank, last rank — none may slip past the check.
-            for (rank, src, byte) in [
-                (0, sources[0], 0),
-                (15, sources[4], len - 1),
-                (9, sources[2], 150),
-            ] {
-                assert!(
-                    !verified(&FlipsOneByte { rank, src, byte }),
-                    "{exec:?}: rank {rank} source {src} byte {byte}"
-                );
-            }
+        let verified = |alg: &dyn StpAlgorithm| {
+            try_run_alg_controlled(
+                &machine,
+                LibraryKind::Nx,
+                &sources,
+                &|src| payload_for(src, len),
+                alg,
+                &RunControl::default(),
+            )
+            .expect("run failed")
+            .verified
+        };
+        assert!(verified(&BrLin::new()), "the honest run");
+        // First source, last source; first byte, last byte; first rank,
+        // last rank — none may slip past the check.
+        for (rank, src, byte) in [
+            (0, sources[0], 0),
+            (15, sources[4], len - 1),
+            (9, sources[2], 150),
+        ] {
+            assert!(
+                !verified(&FlipsOneByte { rank, src, byte }),
+                "rank {rank} source {src} byte {byte}"
+            );
         }
     }
 

@@ -515,8 +515,7 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Default per-request deadline.
     pub deadline: Duration,
-    /// Executor for every plan. `stp serve` always leaves this
-    /// cooperative; tests may pass the threaded reference driver.
+    /// Executor for every plan (see [`ExecMode`]: there is one).
     pub exec: ExecMode,
     /// Per-plan watchdog budget (livelock containment).
     pub budget: SimBudget,
@@ -1186,13 +1185,6 @@ mod tests {
         for line in variants {
             assert_ne!(parse_plan(line).canonical_key(), base_key, "{line}");
         }
-        // The executor is the planner's value, not a request field.
-        let Ok(Request::Plan(threaded)) =
-            parse_request(base, ExecMode::Threaded, Duration::from_secs(5))
-        else {
-            panic!("base request must parse");
-        };
-        assert_ne!(threaded.canonical_key(), base_key);
     }
 
     #[test]

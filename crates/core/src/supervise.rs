@@ -978,38 +978,24 @@ mod tests {
     fn chaos_fixtures_fail_with_the_right_error_kinds() {
         use crate::runner::{try_run_alg_controlled, RunControl};
         use mpp_model::{LibraryKind, Machine};
-        use mpp_runtime::ExecMode;
         crate::runner::tests_hush_deliberate_panics();
         let machine = Machine::paragon(4, 4);
         let sources = vec![0usize, 5];
         let payload_of = |src: usize| vec![src as u8; 16];
-        for exec in [ExecMode::Cooperative, ExecMode::Threaded] {
-            let control = RunControl {
-                exec: Some(exec),
-                ..RunControl::default()
-            };
-            let err = try_run_alg_controlled(
+        let run = |alg: &dyn crate::algorithms::StpAlgorithm| {
+            try_run_alg_controlled(
                 &machine,
                 LibraryKind::Nx,
                 &sources,
                 &payload_of,
-                &ChaosPanic,
-                &control,
+                alg,
+                &RunControl::default(),
             )
-            .expect_err("chaos:panic must fail");
-            assert_eq!(err.kind(), "rank_panic", "{exec:?}: {err}");
-            assert!(err.to_string().contains(CHAOS_PANIC_MSG), "{exec:?}: {err}");
-
-            let err = try_run_alg_controlled(
-                &machine,
-                LibraryKind::Nx,
-                &sources,
-                &payload_of,
-                &ChaosDeadlock,
-                &control,
-            )
-            .expect_err("chaos:deadlock must fail");
-            assert_eq!(err.kind(), "deadlock", "{exec:?}: {err}");
-        }
+        };
+        let err = run(&ChaosPanic).expect_err("chaos:panic must fail");
+        assert_eq!(err.kind(), "rank_panic", "{err}");
+        assert!(err.to_string().contains(CHAOS_PANIC_MSG), "{err}");
+        let err = run(&ChaosDeadlock).expect_err("chaos:deadlock must fail");
+        assert_eq!(err.kind(), "deadlock", "{err}");
     }
 }

@@ -1,14 +1,13 @@
 //! End-to-end tests of the supervised execution plane: a sweep with
 //! deliberately broken algorithms (one panicking, one deadlocking) must
-//! finish every healthy point and quarantine the bad ones on *both*
-//! executors, and an interrupted sweep must resume from its checkpoint
-//! replaying zero completed points with a byte-identical report.
+//! finish every healthy point and quarantine the bad ones, and an
+//! interrupted sweep must resume from its checkpoint replaying zero
+//! completed points with a byte-identical report.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
 use mpp_model::{LibraryKind, Machine};
-use mpp_runtime::ExecMode;
 use stp_core::checkpoint::{journal_path, CheckpointFile};
 use stp_core::distribution::SourceDist;
 use stp_core::msgset::payload_for;
@@ -90,11 +89,7 @@ fn point_id(pt: &Point) -> String {
 
 /// Run one grid point to its deterministic record string (virtual
 /// quantities only, so records are comparable across runs and resumes).
-fn run_point(
-    pt: &Point,
-    exec: ExecMode,
-    opts: &SuperviseOpts,
-) -> Result<String, mpp_runtime::SimError> {
+fn run_point(pt: &Point, opts: &SuperviseOpts) -> Result<String, mpp_runtime::SimError> {
     let machine = Machine::paragon(4, 4);
     let sources = pt.dist.place(machine.shape, pt.s);
     let payload_of = |src: usize| payload_for(src, 256);
@@ -102,7 +97,7 @@ fn run_point(
         faults: None,
         budget: opts.budget.clone(),
         cancel: Some(opts.cancel.clone()),
-        exec: Some(exec),
+        exec: None,
     };
     let out = match pt.kind {
         Some(kind) => try_run_sources_controlled(
@@ -142,11 +137,7 @@ fn run_point(
 /// (records, then failures, then skips — each in grid order) plus how
 /// many times the job actually executed (a failed point is retried
 /// once, so it counts twice).
-fn sweep(
-    points: Vec<Point>,
-    exec: ExecMode,
-    checkpoint: Option<&CheckpointFile>,
-) -> (Vec<String>, usize) {
+fn sweep(points: Vec<Point>, checkpoint: Option<&CheckpointFile>) -> (Vec<String>, usize) {
     let opts = SuperviseOpts::default();
     let ids = points.iter().map(point_id).collect();
     let executed = AtomicUsize::new(0);
@@ -159,7 +150,7 @@ fn sweep(
         point_id,
         |pt| {
             executed.fetch_add(1, Ordering::Relaxed);
-            run_point(pt, exec, &opts)
+            run_point(pt, &opts)
         },
         |_, record| record.clone(),
         &opts,
@@ -174,91 +165,76 @@ fn sweep(
 }
 
 #[test]
-fn chaos_sweep_finishes_healthy_points_on_both_executors() {
+fn chaos_sweep_finishes_healthy_points() {
     hush();
-    for exec in [ExecMode::Cooperative, ExecMode::Threaded] {
-        let (report, _) = sweep(grid(), exec, None);
-        assert_eq!(report.len(), 14, "{}: wrong point count", exec.name());
-        let failed: Vec<&String> = report.iter().filter(|l| l.contains(":FAILED")).collect();
-        assert_eq!(
-            failed.len(),
-            2,
-            "{}: exactly the two chaos points must fail: {report:?}",
-            exec.name()
-        );
-        let panic_line = failed
-            .iter()
-            .find(|l| l.starts_with("chaos:panic/"))
-            .unwrap_or_else(|| panic!("{}: no chaos:panic failure in {failed:?}", exec.name()));
-        assert!(
-            panic_line.contains("deliberate chaos panic"),
-            "{}: {panic_line}",
-            exec.name()
-        );
-        let deadlock_line = failed
-            .iter()
-            .find(|l| l.starts_with("chaos:deadlock/"))
-            .unwrap_or_else(|| panic!("{}: no chaos:deadlock failure in {failed:?}", exec.name()));
-        assert!(
-            deadlock_line.contains("simulation deadlock on"),
-            "{}: {deadlock_line}",
-            exec.name()
-        );
-        // Every healthy point completed and verified.
-        let done = report
-            .iter()
-            .filter(|l| l.contains("verified=true"))
-            .count();
-        assert_eq!(done, 12, "{}: healthy points lost: {report:?}", exec.name());
-        assert!(!report.iter().any(|l| l.contains(":SKIPPED")));
-    }
+    let (report, _) = sweep(grid(), None);
+    assert_eq!(report.len(), 14, "wrong point count");
+    let failed: Vec<&String> = report.iter().filter(|l| l.contains(":FAILED")).collect();
+    assert_eq!(
+        failed.len(),
+        2,
+        "exactly the two chaos points must fail: {report:?}"
+    );
+    let panic_line = failed
+        .iter()
+        .find(|l| l.starts_with("chaos:panic/"))
+        .unwrap_or_else(|| panic!("no chaos:panic failure in {failed:?}"));
+    assert!(
+        panic_line.contains("deliberate chaos panic"),
+        "{panic_line}"
+    );
+    let deadlock_line = failed
+        .iter()
+        .find(|l| l.starts_with("chaos:deadlock/"))
+        .unwrap_or_else(|| panic!("no chaos:deadlock failure in {failed:?}"));
+    assert!(
+        deadlock_line.contains("simulation deadlock on"),
+        "{deadlock_line}"
+    );
+    // Every healthy point completed and verified.
+    let done = report
+        .iter()
+        .filter(|l| l.contains("verified=true"))
+        .count();
+    assert_eq!(done, 12, "healthy points lost: {report:?}");
+    assert!(!report.iter().any(|l| l.contains(":SKIPPED")));
 }
 
 #[test]
 fn interrupted_sweep_resumes_without_replaying_completed_points() {
     hush();
-    for exec in [ExecMode::Cooperative, ExecMode::Threaded] {
-        let path = std::env::temp_dir().join(format!(
-            "stp-supervision-{}-{}.ckpt",
-            std::process::id(),
-            exec.name()
-        ));
-        remove_store(&path);
-        let sig = format!("supervision-test:{}", exec.name());
+    let path = std::env::temp_dir().join(format!("stp-supervision-{}.ckpt", std::process::id()));
+    remove_store(&path);
+    let sig = "supervision-test";
 
-        // The uninterrupted reference run.
-        let (reference, ran_all) = sweep(grid(), exec, None);
-        assert_eq!(ran_all, 14 + 2, "every point once, failed points twice");
+    // The uninterrupted reference run.
+    let (reference, ran_all) = sweep(grid(), None);
+    assert_eq!(ran_all, 14 + 2, "every point once, failed points twice");
 
-        // "Interrupted" run: only the first half of the grid reaches the
-        // checkpoint before the (simulated) kill.
-        let cp = CheckpointFile::open(&path, &sig).expect("open checkpoint");
-        let half: Vec<Point> = grid().into_iter().take(7).collect();
-        let (_, ran_half) = sweep(half, exec, Some(&cp));
-        let completed_half = cp.completed();
-        assert!(completed_half >= 5, "most of the half-grid must complete");
-        drop(cp);
+    // "Interrupted" run: only the first half of the grid reaches the
+    // checkpoint before the (simulated) kill.
+    let cp = CheckpointFile::open(&path, sig).expect("open checkpoint");
+    let half: Vec<Point> = grid().into_iter().take(7).collect();
+    let _ = sweep(half, Some(&cp));
+    let completed_half = cp.completed();
+    assert!(completed_half >= 5, "most of the half-grid must complete");
+    drop(cp);
 
-        // Resume over the full grid: completed points replay verbatim,
-        // only the remainder (and the failed chaos points) re-run.
-        let cp = CheckpointFile::open(&path, &sig).expect("re-open checkpoint");
-        assert_eq!(cp.completed(), completed_half, "checkpoint must persist");
-        let (resumed, ran_resume) = sweep(grid(), exec, Some(&cp));
-        assert_eq!(
-            ran_resume,
-            ran_all - completed_half,
-            "{}: resume must replay zero completed points",
-            exec.name()
-        );
-        assert_eq!(
-            resumed,
-            reference,
-            "{}: resumed report must be byte-identical to the uninterrupted run",
-            exec.name()
-        );
-        remove_store(&path);
-        let _ = ran_half;
-    }
+    // Resume over the full grid: completed points replay verbatim, only
+    // the remainder (and the failed chaos points) re-run.
+    let cp = CheckpointFile::open(&path, sig).expect("re-open checkpoint");
+    assert_eq!(cp.completed(), completed_half, "checkpoint must persist");
+    let (resumed, ran_resume) = sweep(grid(), Some(&cp));
+    assert_eq!(
+        ran_resume,
+        ran_all - completed_half,
+        "resume must replay zero completed points"
+    );
+    assert_eq!(
+        resumed, reference,
+        "resumed report must be byte-identical to the uninterrupted run"
+    );
+    remove_store(&path);
 }
 
 /// A resumable sweep of acceptance-matrix points, grouped by experiment

@@ -321,15 +321,13 @@ mod tests {
     }
 
     #[test]
-    fn executors_agree_through_the_runtime() {
-        use mpp_sim::ExecMode;
+    fn runs_replay_exactly_through_the_runtime() {
         let m = Machine::t3d(16, 5);
-        let run = |exec: ExecMode| {
-            let config = SimConfig {
-                lib: LibraryKind::Nx,
-                exec,
-                ..SimConfig::default()
-            };
+        let config = SimConfig {
+            lib: LibraryKind::Nx,
+            ..SimConfig::default()
+        };
+        let run = || {
             run_simulated_with(&m, &config, async |comm| {
                 let p = comm.size();
                 for hop in [1usize, 3, 7] {
@@ -346,8 +344,7 @@ mod tests {
                 total
             })
         };
-        let a = run(ExecMode::Cooperative);
-        let b = run(ExecMode::Threaded);
+        let (a, b) = (run(), run());
         assert_eq!(a.results, b.results);
         assert_eq!(a.finish_ns, b.finish_ns);
         assert_eq!(a.makespan_ns, b.makespan_ns);

@@ -113,14 +113,6 @@ impl SimError {
     }
 }
 
-/// Sentinel unwind payload used by rank threads when the kernel has
-/// already torn the grant channels down (because it aborted on some
-/// *other* rank's failure). Raised with `resume_unwind` so it never
-/// triggers the panic hook, and swallowed by the rank thread's
-/// `catch_unwind` — the rank exits quietly instead of reporting a
-/// spurious secondary panic.
-pub(crate) struct KernelGone;
-
 /// Stringify a caught panic payload.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {

@@ -10,23 +10,28 @@
 //! the future. The executor drains deferred ops in global
 //! `(effective time, rank)` order through the shared [`KernelCore`],
 //! driven by the calendar-bucket
-//! [`ReadyQueue`](crate::sched::ReadyQueue) instead of the threaded
-//! kernel's O(p) scan.
+//! [`ReadyQueue`](crate::sched::ReadyQueue).
 //!
-//! # Why this is equivalent to the threaded kernel
+//! # The ordering invariant
 //!
-//! In the threaded model every rank waits at exactly one pending trap,
-//! and the kernel repeatedly processes the trap with minimal
-//! `(effective time, rank)`. Here a rank may have queued *several* ops
-//! ahead of its suspension point, but because its clock only moves
-//! forward, the op at the queue head always has the minimum effective
-//! time within that queue — so scheduling queue heads by
-//! `(eff, rank)` visits globally visible effects (network transfers,
-//! sequence numbers, mailbox inserts, recorded events) in exactly the
-//! order the threaded kernel does. Blocked receives re-enter the ready
-//! queue from [`wake_recv`] when a matching message is inserted; since a
-//! new arrival can only lower the earliest match, stale queue entries are
-//! safe to discard lazily. See DESIGN.md §8 for the full argument.
+//! Every globally visible effect (network transfers, sequence numbers,
+//! mailbox inserts, recorded events) happens in one global order: by
+//! `(effective time, rank)`, where a deferred op's effective time is the
+//! rank's clock when it issued the op, and a receive's is
+//! `max(clock, earliest matching arrival)` (capped by its deadline).
+//! A rank may have queued *several* ops ahead of its suspension point,
+//! but its clock only moves forward, so the op at the queue head always
+//! has the minimum effective time within that queue — scheduling queue
+//! heads by `(eff, rank)` is scheduling ops by it. Blocked receives
+//! re-enter the ready queue from [`wake_recv`] when a matching message
+//! is inserted; since a new arrival can only lower the earliest match,
+//! stale queue entries are safe to discard lazily. With α_send > 0,
+//! processing an op at `t` creates work for other ranks only after `t`
+//! (anything it sends arrives later), so the order never goes back in
+//! time. The order is a pure function of virtual times and rank ids,
+//! which is why two runs are bit-identical; the analyzer's cost replay
+//! re-derives it from the recording (which send each receive matched).
+//! See DESIGN.md §8.
 
 use std::cell::RefCell;
 use std::future::Future;
@@ -51,9 +56,9 @@ use crate::Tag;
 /// context never hold borrows across a suspension point.
 #[derive(Default)]
 pub(crate) struct CoopCell {
-    /// The rank's virtual clock — single source of truth in cooperative
-    /// mode, advanced rank-locally by sends/compute/memcpy and by the
-    /// executor on recv/barrier grants.
+    /// The rank's virtual clock — its single source of truth, advanced
+    /// rank-locally by sends/compute/memcpy and by the executor on
+    /// recv/barrier grants.
     pub clock: Time,
     /// Deferred operations not yet processed by the executor, in issue
     /// order. The suspension ops (`RecvWait`/`BarrierWait`/`Finished`)
@@ -148,8 +153,7 @@ fn poll_rank<R, Fut: Future<Output = R>>(
 }
 
 /// Classify `rank` by its op-queue head and (re-)insert it into the
-/// ready queue if it is schedulable. Mirrors the threaded kernel's
-/// per-step classification of each rank's single pending trap.
+/// ready queue if it is schedulable.
 fn settle_head(
     rank: usize,
     cells: &[Rc<RefCell<CoopCell>>],
@@ -181,7 +185,7 @@ fn settle_head(
                     ready.push(rank, e);
                 }
                 // No match yet, but the rank gives up at the deadline —
-                // it stays schedulable (mirrors the threaded scan).
+                // it stays schedulable.
                 (None, Some(d)) => {
                     phases[rank] = Phase::Ready;
                     ready.push(rank, *d);
@@ -288,8 +292,7 @@ pub(crate) fn try_simulate_coop<R, F, Fut>(
     program: &F,
 ) -> Result<SimOutcome<R>, SimError>
 where
-    R: Send,
-    F: Fn(RankCtx) -> Fut + Sync,
+    F: Fn(RankCtx) -> Fut,
     Fut: Future<Output = R>,
 {
     let p = machine.p();
@@ -306,7 +309,7 @@ where
     // One slab allocation holds every rank's state machine for the whole
     // experiment; machines are polled in place and dropped in place.
     let mut slab: RankSlab<Fut> = RankSlab::new((0..p).map(|rank| {
-        program(RankCtx::new_coop(
+        program(RankCtx::new(
             rank,
             p,
             recording,
@@ -437,8 +440,7 @@ where
                     wake_recv(dst, &cells, &mut phases, &mut ready, &core);
                 }
                 CoopOp::SendBatch { msgs, eff } => {
-                    // All members issue in this one step, mirroring the
-                    // threaded kernel's single SendBatch trap; each
+                    // All members issue in this one step; each
                     // destination is then woken like a plain send's.
                     let dsts: Vec<usize> = msgs.iter().map(|(dst, _, _)| *dst).collect();
                     core.process_send_batch(rank, msgs, eff);
@@ -467,8 +469,8 @@ where
                 }
                 CoopOp::RecvWait { src, tag, deadline } => {
                     let clock = cells[rank].borrow().clock;
-                    // Deliver iff a match can complete by the deadline
-                    // (same pop-time rule as the threaded kernel).
+                    // Deliver iff a match can complete by the deadline;
+                    // otherwise this pop is the timeout's expiry.
                     let deliverable = core
                         .peek_mailbox(rank, src, tag)
                         .map(|arrival| clock.max(arrival))
@@ -543,4 +545,68 @@ where
     );
     fold_iter_marks(&mut core, &cells);
     Ok(core.finish(results, finish_ns))
+}
+
+#[cfg(test)]
+mod tests {
+    use mpp_model::{Machine, Time};
+
+    use crate::kernel::{simulate, simulate_with, SimConfig};
+    use crate::record::{schedule_log, EventKind};
+
+    /// A message that can complete exactly at a receive's deadline is
+    /// delivered, not timed out.
+    #[test]
+    fn a_match_at_the_deadline_is_delivered() {
+        let m = Machine::paragon(1, 2);
+        let run = |timeout_ns: Time| {
+            simulate(&m, move |mut ctx| async move {
+                if ctx.rank() == 0 {
+                    ctx.send(1, 3, b"on time");
+                    None
+                } else {
+                    let env = ctx.recv_timeout(Some(0), Some(3), timeout_ns).await;
+                    env.map(|env| env.arrival)
+                }
+            })
+        };
+        let arrival = run(1_000_000_000).results[1].expect("delivered");
+        assert_eq!(run(arrival).results[1], Some(arrival));
+        assert_eq!(run(arrival - 1).results[1], None);
+    }
+
+    /// A waiting timed receive completes at its match, not at its
+    /// deadline: it is processed before a later send of another rank.
+    #[test]
+    fn a_timed_receive_completes_at_its_match() {
+        let m = Machine::paragon(1, 3);
+        let log = schedule_log();
+        let config = SimConfig {
+            recorder: Some(log.clone()),
+            ..SimConfig::default()
+        };
+        simulate_with(&m, &config, |mut ctx| async move {
+            match ctx.rank() {
+                0 => ctx.send(1, 3, b"early"),
+                1 => {
+                    let env = ctx.recv_timeout(Some(0), Some(3), 1_000_000_000).await;
+                    assert!(env.is_some());
+                }
+                _ => {
+                    ctx.compute_ns(10_000_000);
+                    ctx.send(0, 4, b"late");
+                }
+            }
+        });
+        let order = &log.lock().unwrap().events.order;
+        let at = |kind: EventKind| order.iter().position(|&k| k == kind).unwrap();
+        let second_send = order
+            .iter()
+            .enumerate()
+            .filter(|&(_, &k)| k == EventKind::Send)
+            .nth(1)
+            .map(|(i, _)| i)
+            .unwrap();
+        assert!(at(EventKind::Recv) < second_send, "{order:?}");
+    }
 }

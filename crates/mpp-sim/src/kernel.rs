@@ -2,32 +2,23 @@
 //!
 //! Rank programs are `async` state machines over [`RankCtx`]; every
 //! communication call advances this rank's virtual clock under the timing
-//! model in the crate docs. Two executors drive them:
-//!
-//! * **Cooperative** (default, [`ExecMode::Cooperative`]) — all rank
-//!   programs are multiplexed on the kernel's own thread (see the
-//!   `exec` module). Sends, compute and memcpy charges are handled
-//!   rank-locally and deferred; only `recv` and `barrier` suspend.
-//! * **Threaded** ([`ExecMode::Threaded`]) — the original
-//!   one-OS-thread-per-rank trap/grant model, kept as the differential
-//!   baseline: every operation round-trips through two channels.
-//!
-//! Both executors feed the same `KernelCore` state machine (network,
-//! mailboxes, sequence numbers, recording), so virtual times, statistics
-//! and recorded schedules are bit-identical by construction.
+//! model in the crate docs. One executor drives them, the cooperative
+//! one in the `exec` module: every rank program is multiplexed on the
+//! calling thread, sends, compute and memcpy charges are handled
+//! rank-locally and deferred, and only `recv` and `barrier` suspend.
+//! Every globally visible effect (network transfers, mailboxes, sequence
+//! numbers, recording) goes through `KernelCore` in one global
+//! `(effective time, rank)` order.
 
 use std::cell::RefCell;
 use std::future::Future;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Mutex, PoisonError};
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 
 use mpp_model::{FaultPlan, LibraryKind, Machine, MachineParams, Time};
 
-use crate::error::{panic_message, KernelGone, SimError};
+use crate::error::SimError;
 use crate::exec::{try_simulate_coop, CoopCell, CoopGrant, CoopOp};
 use crate::mailbox::{Mailbox, MsgRec};
 use crate::network::NetworkState;
@@ -36,29 +27,28 @@ use crate::record::{
     BlockedEvent, DropEvent, EventKind, EventLog, FinishEvent, RecvEvent, ScheduleLog, SendEvent,
     XferEvent,
 };
-use crate::supervise::{CancelToken, SimBudget, Watchdog, WatchdogTrip};
+use crate::supervise::{CancelToken, SimBudget};
 use crate::Tag;
 
-/// Which executor drives the rank programs. A value, never ambient
-/// state: the default is cooperative, and the threaded driver is a test
-/// oracle selected only by passing [`ExecMode::Threaded`].
+/// The executor that drives the rank programs. There is one; the type
+/// stays only because the benchmark's probes still name it — they build
+/// `ExecMode::Cooperative` into `SimConfig`, `RunControl` and
+/// `ServeConfig`, and the serve daemon's `exec=cooperative` cache-key
+/// segment and `"exec":"cooperative"` reply field print its name. Those
+/// names go together with a change to the benchmark.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
     /// Rank programs run as resumable state machines multiplexed on the
-    /// kernel thread — no per-rank OS threads, no channel round-trips.
+    /// calling thread.
     #[default]
     Cooperative,
-    /// One OS thread per rank with a trap/grant channel protocol — the
-    /// original execution model, kept for differential testing.
-    Threaded,
 }
 
 impl ExecMode {
-    /// Lower-case display name (`"cooperative"` / `"threaded"`).
+    /// Lower-case display name (`"cooperative"`).
     pub fn name(self) -> &'static str {
         match self {
             ExecMode::Cooperative => "cooperative",
-            ExecMode::Threaded => "threaded",
         }
     }
 }
@@ -68,10 +58,6 @@ impl ExecMode {
 pub struct SimConfig {
     /// Library flavour scaling the α costs (NX vs MPI on the Paragon).
     pub lib: LibraryKind,
-    /// Stack size for rank threads (threaded executor only). Algorithms
-    /// here recurse at most `O(log p)` deep, so the default 256 KiB is
-    /// plenty even at p=1024.
-    pub stack_size: usize,
     /// Capture the symbolic communication schedule into this log (see
     /// [`crate::record`]). `None` disables recording.
     pub recorder: Option<ScheduleLog>,
@@ -82,8 +68,7 @@ pub struct SimConfig {
     /// statically; enabling them turns schedule bugs into immediate
     /// panics at the offending operation.
     pub strict: bool,
-    /// Which executor drives the rank programs. Defaults to
-    /// cooperative; the differential tests pass [`ExecMode::Threaded`].
+    /// The executor (see [`ExecMode`]: there is one).
     pub exec: ExecMode,
     /// Deterministic fault plan (drops, delays, link outages, node
     /// crashes, retransmission policy). `None` — or an inert plan — is
@@ -102,7 +87,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             lib: LibraryKind::Nx,
-            stack_size: 256 * 1024,
             recorder: None,
             strict: false,
             exec: ExecMode::default(),
@@ -139,87 +123,26 @@ pub struct DeadlockInfo {
     pub counters: KernelCounters,
 }
 
-// ---------------------------------------------------------------------
-// Trap / grant protocol between rank threads and the kernel
-// (threaded executor only).
-// ---------------------------------------------------------------------
-
-pub(crate) enum Trap {
-    Send {
-        dst: usize,
-        tag: Tag,
-        data: Payload,
-    },
-    /// Vectored multi-port issue: all members share one α_send charge
-    /// and become network-ready at the same instant, so the network
-    /// arbitrates them across the node's free port slots (ascending,
-    /// in declared order) instead of serializing through slot 0.
-    SendBatch {
-        msgs: Vec<(usize, Tag, Payload)>,
-    },
-    Recv {
-        src: Option<usize>,
-        tag: Option<Tag>,
-        /// Virtual-time deadline: when no matching message can be
-        /// delivered by this instant the receive gives up (the
-        /// `recv_timeout` primitive). `None` blocks forever.
-        deadline: Option<Time>,
-    },
-    ComputeNs {
-        ns: Time,
-    },
-    Memcpy {
-        bytes: usize,
-    },
-    Barrier,
-    /// Iteration boundary marker; costs zero virtual time.
-    IterMark,
-    Finished,
-}
-
-enum Grant {
-    Sent { clock: Time },
-    Received { env: Envelope, clock: Time },
-    TimedOut { clock: Time },
-    Done { clock: Time },
-}
-
-/// How a [`RankCtx`] reaches the kernel.
-enum Link {
-    /// Channel round-trips to a kernel on another thread.
-    Threaded {
-        to_kernel: Sender<Trap>,
-        from_kernel: Receiver<Grant>,
-    },
-    /// Shared cell with the cooperative executor on the same thread.
-    /// Sends/compute/memcpy are handled rank-locally against the cell
-    /// (deferred ops + local clock); only recv/barrier suspend. The cell
-    /// is a plain `Rc<RefCell<_>>`: everything cooperative runs on one
-    /// thread, so the hot path pays two pointer checks per op instead of
-    /// an atomic lock/unlock pair.
-    Coop {
-        cell: Rc<RefCell<CoopCell>>,
-        alpha_send: Time,
-        params: MachineParams,
-    },
-}
-
 /// The per-rank handle user programs communicate through.
 ///
 /// Obtained only inside [`simulate`]; every method advances this rank's
 /// virtual clock. `recv` and `barrier` are `await`ed; everything else is
-/// synchronous.
+/// synchronous and rank-local: it charges the rank's clock in the cell
+/// it shares with the executor and defers the operation there. The cell
+/// is a plain `Rc<RefCell<_>>`: everything runs on one thread, so the
+/// hot path pays two pointer checks per op instead of an atomic
+/// lock/unlock pair.
 pub struct RankCtx {
     rank: usize,
     size: usize,
-    clock: Time, // threaded-mode mirror; cooperative mode reads the cell
     recording: bool,
-    ports: usize,
-    link: Link,
+    cell: Rc<RefCell<CoopCell>>,
+    alpha_send: Time,
+    params: MachineParams,
 }
 
 impl RankCtx {
-    pub(crate) fn new_coop(
+    pub(crate) fn new(
         rank: usize,
         size: usize,
         recording: bool,
@@ -227,18 +150,13 @@ impl RankCtx {
         alpha_send: Time,
         params: MachineParams,
     ) -> Self {
-        let ports = params.ports_per_node;
         RankCtx {
             rank,
             size,
-            clock: 0,
             recording,
-            ports,
-            link: Link::Coop {
-                cell,
-                alpha_send,
-                params,
-            },
+            cell,
+            alpha_send,
+            params,
         }
     }
 
@@ -259,45 +177,13 @@ impl RankCtx {
     /// its [`send_batch`](Self::send_batch) lanes across.
     #[inline]
     pub fn ports(&self) -> usize {
-        self.ports
+        self.params.ports_per_node
     }
 
     /// This rank's virtual clock (ns).
     #[inline]
     pub fn clock(&self) -> Time {
-        match &self.link {
-            Link::Threaded { .. } => self.clock,
-            Link::Coop { cell, .. } => cell.borrow().clock,
-        }
-    }
-
-    fn call(&mut self, trap: Trap) -> Grant {
-        let Link::Threaded {
-            to_kernel,
-            from_kernel,
-        } = &self.link
-        else {
-            unreachable!("channel trap on the cooperative link")
-        };
-        // A closed channel means the kernel already aborted on some other
-        // failure (deadlock, another rank's panic, a tripped watchdog).
-        // Unwind with the quiet sentinel — `resume_unwind` skips the
-        // panic hook — so this rank exits without a spurious secondary
-        // report; its `catch_unwind` swallows the sentinel.
-        if to_kernel.send(trap).is_err() {
-            resume_unwind(Box::new(KernelGone));
-        }
-        let grant = match from_kernel.recv() {
-            Ok(g) => g,
-            Err(_) => resume_unwind(Box::new(KernelGone)),
-        };
-        self.clock = match &grant {
-            Grant::Sent { clock }
-            | Grant::Done { clock }
-            | Grant::TimedOut { clock }
-            | Grant::Received { clock, .. } => *clock,
-        };
-        grant
+        self.cell.borrow().clock
     }
 
     /// Asynchronous send: returns after the software startup cost; the
@@ -316,29 +202,18 @@ impl RankCtx {
     pub fn send_payload(&mut self, dst: usize, tag: Tag, data: impl Into<Payload>) {
         assert!(dst < self.size, "send to rank {dst} out of range");
         let data = data.into();
-        if let Link::Coop {
-            cell, alpha_send, ..
-        } = &self.link
-        {
-            // Rank-local: charge the startup cost and defer the transfer.
-            // The executor processes deferred sends in global
-            // (issue clock, rank) order, so network state, sequence
-            // numbers and mailbox contents match the threaded kernel.
-            let mut c = cell.borrow_mut();
-            let eff = c.clock;
-            c.ops.push_back(CoopOp::Send {
-                dst,
-                tag,
-                data,
-                eff,
-            });
-            c.clock = eff + *alpha_send;
-            return;
-        }
-        match self.call(Trap::Send { dst, tag, data }) {
-            Grant::Sent { .. } => {}
-            _ => unreachable!("kernel protocol violation"),
-        }
+        // Rank-local: charge the startup cost and defer the transfer.
+        // The executor processes deferred sends in global
+        // (issue clock, rank) order.
+        let mut c = self.cell.borrow_mut();
+        let eff = c.clock;
+        c.ops.push_back(CoopOp::Send {
+            dst,
+            tag,
+            data,
+            eff,
+        });
+        c.clock = eff + self.alpha_send;
     }
 
     /// Vectored send: issue every `(dst, tag, payload)` member in one
@@ -355,23 +230,11 @@ impl RankCtx {
         for (dst, _, _) in &msgs {
             assert!(*dst < self.size, "send to rank {dst} out of range");
         }
-        if let Link::Coop {
-            cell, alpha_send, ..
-        } = &self.link
-        {
-            // Rank-local like a plain send: one deferred op, one α_send.
-            // The executor expands the batch through the same
-            // `KernelCore` entry point the threaded kernel uses.
-            let mut c = cell.borrow_mut();
-            let eff = c.clock;
-            c.ops.push_back(CoopOp::SendBatch { msgs, eff });
-            c.clock = eff + *alpha_send;
-            return;
-        }
-        match self.call(Trap::SendBatch { msgs }) {
-            Grant::Sent { .. } => {}
-            _ => unreachable!("kernel protocol violation"),
-        }
+        // Rank-local like a plain send: one deferred op, one α_send.
+        let mut c = self.cell.borrow_mut();
+        let eff = c.clock;
+        c.ops.push_back(CoopOp::SendBatch { msgs, eff });
+        c.clock = eff + self.alpha_send;
     }
 
     /// Blocking receive. `src`/`tag` of `None` match anything; among
@@ -408,29 +271,14 @@ impl RankCtx {
 
     /// Charge local computation time directly (ns).
     pub fn compute_ns(&mut self, ns: Time) {
-        if let Link::Coop { cell, .. } = &self.link {
-            // Rank-local: only this rank's clock moves; no kernel trip.
-            cell.borrow_mut().clock += ns;
-            return;
-        }
-        match self.call(Trap::ComputeNs { ns }) {
-            Grant::Done { .. } => {}
-            _ => unreachable!("kernel protocol violation"),
-        }
+        self.cell.borrow_mut().clock += ns;
     }
 
     /// Charge the machine's memory-copy cost for `bytes` bytes — used by
     /// algorithms when *combining* messages, which the paper identifies as
     /// a first-order cost on the T3D.
     pub fn charge_memcpy(&mut self, bytes: usize) {
-        if let Link::Coop { cell, params, .. } = &self.link {
-            cell.borrow_mut().clock += params.memcpy_ns(bytes);
-            return;
-        }
-        match self.call(Trap::Memcpy { bytes }) {
-            Grant::Done { .. } => {}
-            _ => unreachable!("kernel protocol violation"),
-        }
+        self.cell.borrow_mut().clock += self.params.memcpy_ns(bytes);
     }
 
     /// Global barrier, modelled as a dissemination barrier:
@@ -444,31 +292,32 @@ impl RankCtx {
 
     /// Mark an iteration boundary for the schedule recorder (zero
     /// virtual-time cost). The runtime backends call it unconditionally
-    /// from `next_iteration`; a cooperative run that does not record
-    /// only counts it, rank-locally.
+    /// from `next_iteration`; a run that does not record only counts it,
+    /// rank-locally.
     pub fn iter_mark(&mut self) {
-        if let Link::Coop { cell, .. } = &self.link {
-            let mut c = cell.borrow_mut();
-            if self.recording {
-                let eff = c.clock;
-                c.ops.push_back(CoopOp::IterMark { eff });
-            } else {
-                c.iter_marks += 1;
-            }
-            return;
+        let mut c = self.cell.borrow_mut();
+        if self.recording {
+            let eff = c.clock;
+            c.ops.push_back(CoopOp::IterMark { eff });
+        } else {
+            c.iter_marks += 1;
         }
-        match self.call(Trap::IterMark) {
-            Grant::Done { .. } => {}
-            _ => unreachable!("kernel protocol violation"),
+    }
+
+    /// Register a suspension op on the first poll (and pend); on later
+    /// polls take the executor's grant, pending until it is there.
+    fn suspend(&mut self, registered: &mut bool, op: impl FnOnce() -> CoopOp) -> Poll<CoopGrant> {
+        let mut c = self.cell.borrow_mut();
+        if !std::mem::replace(registered, true) {
+            c.ops.push_back(op());
+            return Poll::Pending;
         }
+        c.grant.take().map_or(Poll::Pending, Poll::Ready)
     }
 }
 
-/// Future returned by [`RankCtx::recv`].
-///
-/// Threaded link: the blocking trap/grant round-trip happens inside the
-/// first poll (never pends). Cooperative link: the first poll registers
-/// a `RecvWait` with the executor and pends; the executor re-polls after
+/// Future returned by [`RankCtx::recv`]: the first poll registers a
+/// `RecvWait` with the executor and pends; the executor re-polls after
 /// depositing the matched envelope.
 pub struct RecvFuture<'a> {
     ctx: &'a mut RankCtx,
@@ -482,32 +331,18 @@ impl Future for RecvFuture<'_> {
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Envelope> {
         let this = self.get_mut();
-        if let Link::Coop { cell, .. } = &this.ctx.link {
-            let mut c = cell.borrow_mut();
-            if !this.registered {
-                this.registered = true;
-                c.ops.push_back(CoopOp::RecvWait {
-                    src: this.src,
-                    tag: this.tag,
-                    deadline: None,
-                });
-                return Poll::Pending;
-            }
-            return match c.grant.take() {
-                Some(CoopGrant::Received(env)) => Poll::Ready(env),
-                Some(_) => unreachable!("mismatched cooperative grant"),
-                None => Poll::Pending,
-            };
-        }
         let (src, tag) = (this.src, this.tag);
-        match this.ctx.call(Trap::Recv {
+        let wait = || CoopOp::RecvWait {
             src,
             tag,
             deadline: None,
-        }) {
-            Grant::Received { env, .. } => Poll::Ready(env),
-            _ => unreachable!("kernel protocol violation"),
-        }
+        };
+        this.ctx
+            .suspend(&mut this.registered, wait)
+            .map(|grant| match grant {
+                CoopGrant::Received(env) => env,
+                _ => unreachable!("mismatched cooperative grant"),
+            })
     }
 }
 
@@ -526,34 +361,15 @@ impl Future for RecvTimeoutFuture<'_> {
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Option<Envelope>> {
         let this = self.get_mut();
-        if let Link::Coop { cell, .. } = &this.ctx.link {
-            let mut c = cell.borrow_mut();
-            if !this.registered {
-                this.registered = true;
-                c.ops.push_back(CoopOp::RecvWait {
-                    src: this.src,
-                    tag: this.tag,
-                    deadline: Some(this.deadline),
-                });
-                return Poll::Pending;
-            }
-            return match c.grant.take() {
-                Some(CoopGrant::Received(env)) => Poll::Ready(Some(env)),
-                Some(CoopGrant::TimedOut) => Poll::Ready(None),
-                Some(CoopGrant::Done) => unreachable!("mismatched cooperative grant"),
-                None => Poll::Pending,
-            };
-        }
-        let (src, tag, deadline) = (this.src, this.tag, this.deadline);
-        match this.ctx.call(Trap::Recv {
-            src,
-            tag,
-            deadline: Some(deadline),
-        }) {
-            Grant::Received { env, .. } => Poll::Ready(Some(env)),
-            Grant::TimedOut { .. } => Poll::Ready(None),
-            _ => unreachable!("kernel protocol violation"),
-        }
+        let (src, tag, deadline) = (this.src, this.tag, Some(this.deadline));
+        let wait = || CoopOp::RecvWait { src, tag, deadline };
+        this.ctx
+            .suspend(&mut this.registered, wait)
+            .map(|grant| match grant {
+                CoopGrant::Received(env) => Some(env),
+                CoopGrant::TimedOut => None,
+                CoopGrant::Done => unreachable!("mismatched cooperative grant"),
+            })
     }
 }
 
@@ -569,36 +385,12 @@ impl Future for BarrierFuture<'_> {
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
-        if let Link::Coop { cell, .. } = &this.ctx.link {
-            let mut c = cell.borrow_mut();
-            if !this.registered {
-                this.registered = true;
-                c.ops.push_back(CoopOp::BarrierWait);
-                return Poll::Pending;
-            }
-            return match c.grant.take() {
-                Some(CoopGrant::Done) => Poll::Ready(()),
-                Some(_) => unreachable!("mismatched cooperative grant"),
-                None => Poll::Pending,
-            };
-        }
-        match this.ctx.call(Trap::Barrier) {
-            Grant::Done { .. } => Poll::Ready(()),
-            _ => unreachable!("kernel protocol violation"),
-        }
-    }
-}
-
-/// Drive a future that never pends to completion (the threaded
-/// executor's rank programs, whose comm operations block their thread).
-fn block_on_ready<Fut: Future>(fut: Fut) -> Fut::Output {
-    let mut fut = std::pin::pin!(fut);
-    let mut cx = Context::from_waker(Waker::noop());
-    match fut.as_mut().poll(&mut cx) {
-        Poll::Ready(v) => v,
-        Poll::Pending => {
-            panic!("threaded rank future suspended; only cooperative runs may pend")
-        }
+        this.ctx
+            .suspend(&mut this.registered, || CoopOp::BarrierWait)
+            .map(|grant| match grant {
+                CoopGrant::Done => {}
+                _ => unreachable!("mismatched cooperative grant"),
+            })
     }
 }
 
@@ -623,7 +415,7 @@ pub struct SimOutcome<R> {
 
 /// Host-independent counts of the kernel's own work in one run — the
 /// column that tells an algorithm which floods the kernel from one that
-/// is merely slow. Identical across executors. Recorded or not, each
+/// is merely slow. Recorded or not, each
 /// count from `sends` on equals the length of its [`EventLog`] array.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelCounters {
@@ -693,8 +485,7 @@ impl<R> SimOutcome<R> {
 /// ```
 pub fn simulate<R, F, Fut>(machine: &Machine, program: F) -> SimOutcome<R>
 where
-    R: Send,
-    F: Fn(RankCtx) -> Fut + Sync,
+    F: Fn(RankCtx) -> Fut,
     Fut: Future<Output = R>,
 {
     simulate_with(machine, &SimConfig::default(), program)
@@ -711,8 +502,7 @@ where
 /// that must survive bad runs calls [`try_simulate_with`] instead.
 pub fn simulate_with<R, F, Fut>(machine: &Machine, config: &SimConfig, program: F) -> SimOutcome<R>
 where
-    R: Send,
-    F: Fn(RankCtx) -> Fut + Sync,
+    F: Fn(RankCtx) -> Fut,
     Fut: Future<Output = R>,
 {
     try_simulate_with(machine, config, program).unwrap_or_else(|e| panic!("{e}"))
@@ -723,136 +513,28 @@ where
 /// Abnormal terminations — deadlock, a panicking rank program, watchdog
 /// budget trips, wall-clock deadlines, cancellation, strict-check
 /// violations — return `Err(SimError)` with the kernel shut down
-/// cleanly (all rank threads joined, the schedule recorder flushed).
-/// The process never aborts through this entry point.
+/// cleanly (every rank's state machine dropped, the schedule recorder
+/// flushed). The process never aborts through this entry point.
 pub fn try_simulate_with<R, F, Fut>(
     machine: &Machine,
     config: &SimConfig,
     program: F,
 ) -> Result<SimOutcome<R>, SimError>
 where
-    R: Send,
-    F: Fn(RankCtx) -> Fut + Sync,
+    F: Fn(RankCtx) -> Fut,
     Fut: Future<Output = R>,
 {
-    match config.exec {
-        ExecMode::Cooperative => try_simulate_coop(machine, config, &program),
-        ExecMode::Threaded => try_simulate_threaded(machine, config, &program),
-    }
-}
-
-fn try_simulate_threaded<R, F, Fut>(
-    machine: &Machine,
-    config: &SimConfig,
-    program: &F,
-) -> Result<SimOutcome<R>, SimError>
-where
-    R: Send,
-    F: Fn(RankCtx) -> Fut + Sync,
-    Fut: Future<Output = R>,
-{
-    let p = machine.p();
-    assert!(p > 0);
-
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..p).map(|_| None).collect());
-    // One slot per rank for the captured panic message of a rank program
-    // that died. A rank writes its slot *before* dropping its trap
-    // sender, so by the time the kernel observes the channel disconnect
-    // the message is there to read.
-    let panic_slots: Vec<Mutex<Option<String>>> = (0..p).map(|_| Mutex::new(None)).collect();
-    let mut finish_ns = vec![0; p];
-    let core;
-
-    {
-        // Channel plumbing: one trap channel and one grant channel per rank.
-        let mut trap_rxs = Vec::with_capacity(p);
-        let mut grant_txs = Vec::with_capacity(p);
-        let mut rank_ends = Vec::with_capacity(p);
-        for rank in 0..p {
-            let (trap_tx, trap_rx) = channel::<Trap>();
-            let (grant_tx, grant_rx) = channel::<Grant>();
-            trap_rxs.push(trap_rx);
-            grant_txs.push(Some(grant_tx));
-            rank_ends.push(Some((rank, trap_tx, grant_rx)));
-        }
-
-        let results = &results;
-        let panic_slots = &panic_slots;
-        let kernel_out = std::thread::scope(|scope| {
-            for end in rank_ends.iter_mut() {
-                let (rank, trap_tx, grant_rx) = end.take().unwrap();
-                let recording = config.recorder.is_some();
-                let ports = machine.params.ports_per_node;
-                let builder = std::thread::Builder::new()
-                    .name(format!("rank-{rank}"))
-                    .stack_size(config.stack_size);
-                builder
-                    .spawn_scoped(scope, move || {
-                        let finish_tx = trap_tx.clone();
-                        let ctx = RankCtx {
-                            rank,
-                            size: p,
-                            clock: 0,
-                            recording,
-                            ports,
-                            link: Link::Threaded {
-                                to_kernel: trap_tx,
-                                from_kernel: grant_rx,
-                            },
-                        };
-                        match catch_unwind(AssertUnwindSafe(|| block_on_ready(program(ctx)))) {
-                            Ok(out) => {
-                                results.lock().unwrap_or_else(PoisonError::into_inner)[rank] =
-                                    Some(out);
-                                // Ignore send failure: the kernel may
-                                // already have aborted on another rank.
-                                let _ = finish_tx.send(Trap::Finished);
-                            }
-                            Err(payload) => {
-                                // A KernelGone sentinel means the kernel
-                                // aborted first and this rank is merely
-                                // being torn down — not a rank failure.
-                                if !payload.is::<KernelGone>() {
-                                    *panic_slots[rank]
-                                        .lock()
-                                        .unwrap_or_else(PoisonError::into_inner) =
-                                        Some(panic_message(&*payload));
-                                }
-                                // `finish_tx` (the last trap sender; the
-                                // future holding `ctx` dropped during the
-                                // unwind) drops here, after the slot
-                                // write, disconnecting the kernel.
-                            }
-                        }
-                    })
-                    .expect("failed to spawn rank thread");
-            }
-
-            run_kernel(
-                machine,
-                config,
-                &trap_rxs,
-                &mut grant_txs,
-                &mut finish_ns,
-                panic_slots,
-            )
-        });
-        core = kernel_out?;
-    }
-
-    let results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
-    Ok(core.finish(results, finish_ns))
+    try_simulate_coop(machine, config, &program)
 }
 
 // ---------------------------------------------------------------------
-// KernelCore: the executor-independent half of the kernel.
+// KernelCore: the kernel's state and event processing.
 // ---------------------------------------------------------------------
 
-/// Shared simulation state and event processing. Both executors route
-/// every globally visible effect (network transfers, sequence numbers,
-/// mailbox inserts, schedule events, strict checks) through
-/// these methods in the same global order, which is what makes their
-/// outcomes bit-identical.
+/// Simulation state and event processing. The executor routes every
+/// globally visible effect (network transfers, sequence numbers,
+/// mailbox inserts, schedule events, strict checks) through these
+/// methods, one at a time, in global `(effective time, rank)` order.
 pub(crate) struct KernelCore<'m> {
     machine: &'m Machine,
     lib: LibraryKind,
@@ -876,7 +558,7 @@ pub(crate) struct KernelCore<'m> {
     faults: Option<FaultPlan>,
     fault_stats: Vec<FaultStats>,
     /// The run's counts so far (`events` is what the watchdog's budget
-    /// is charged against); the cooperative executor adds its rank-local
+    /// is charged against); the executor adds its rank-local
     /// iteration marks before [`finish`](KernelCore::finish).
     pub counters: KernelCounters,
 }
@@ -1045,8 +727,8 @@ impl<'m> KernelCore<'m> {
     /// Fault decisions are pure hashes of `(plan seed, seq, attempt)`
     /// and outage windows are functions of the injection instant, so the
     /// result depends only on this call's arguments and the network
-    /// state — identical across executors, which process sends in the
-    /// same global order.
+    /// state, which sends reach in one global order — a replay from the
+    /// plan's seed is exact.
     fn transmit(
         &mut self,
         src_rank: usize,
@@ -1198,8 +880,8 @@ impl<'m> KernelCore<'m> {
     }
 
     /// An iteration boundary. Only a recording run charges it as a
-    /// kernel event (the cooperative executor counts the rest
-    /// rank-locally, without a trip through the kernel).
+    /// kernel event (the executor counts the rest rank-locally, without
+    /// a trip through the kernel).
     pub fn process_iter_mark(&mut self, rank: usize) {
         self.counters.iter_ends += 1;
         if self.recording {
@@ -1261,10 +943,6 @@ impl<'m> KernelCore<'m> {
         }
     }
 
-    pub fn memcpy_ns(&self, bytes: usize) -> Time {
-        self.machine.params.memcpy_ns(bytes)
-    }
-
     /// The run's counts so far.
     pub fn counters(&self) -> KernelCounters {
         KernelCounters {
@@ -1294,375 +972,6 @@ impl<'m> KernelCore<'m> {
         }
     }
 }
-
-// ---------------------------------------------------------------------
-// The threaded kernel loop (differential baseline).
-// ---------------------------------------------------------------------
-
-struct RankState {
-    clock: Time,
-    pending: Option<Trap>,
-    done: bool,
-    in_barrier: bool,
-}
-
-/// Effective time of a rank's pending trap, `None` when the rank is not
-/// schedulable (blocked receive with no match and no deadline, or a
-/// barrier trap, which only the classification pass may consume).
-fn eff_of(core: &KernelCore, rank: usize, st: &RankState) -> Option<Time> {
-    match st.pending.as_ref()? {
-        Trap::Recv { src, tag, deadline } => {
-            let match_eff = core.peek_mailbox(rank, *src, *tag).map(|a| st.clock.max(a));
-            match (match_eff, deadline) {
-                (Some(e), Some(d)) => Some(e.min(*d)),
-                (Some(e), None) => Some(e),
-                // No match yet, but the rank gives up at the deadline —
-                // it stays schedulable.
-                (None, Some(d)) => Some(*d),
-                (None, None) => None, // blocked
-            }
-        }
-        Trap::Barrier => None,
-        _ => Some(st.clock),
-    }
-}
-
-/// Grant `rank`'s pending (non-barrier) trap and pull its next one.
-/// `Err` is an abnormal termination (strict violation or rank panic);
-/// [`run_kernel`] owns the cleanup.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_trap(
-    core: &mut KernelCore,
-    states: &mut [RankState],
-    trap_rxs: &[Receiver<Trap>],
-    grant_txs: &mut [Option<Sender<Grant>>],
-    panic_slots: &[Mutex<Option<String>>],
-    finish_ns: &mut [Time],
-    live: &mut usize,
-    rank: usize,
-) -> Result<(), SimError> {
-    let trap = states[rank].pending.take().unwrap();
-    match trap {
-        Trap::Send { dst, tag, data } => {
-            let ready = core.process_send(rank, dst, tag, data, states[rank].clock);
-            states[rank].clock = ready;
-            send_grant(grant_txs, rank, Grant::Sent { clock: ready });
-            states[rank].pending = Some(recv_trap(trap_rxs, panic_slots, rank)?);
-        }
-        Trap::SendBatch { msgs } => {
-            let ready = core.process_send_batch(rank, msgs, states[rank].clock);
-            states[rank].clock = ready;
-            send_grant(grant_txs, rank, Grant::Sent { clock: ready });
-            states[rank].pending = Some(recv_trap(trap_rxs, panic_slots, rank)?);
-        }
-        Trap::Recv { src, tag, deadline } => {
-            // Deliver iff a match can complete by the deadline;
-            // otherwise this was scheduled as a timeout expiry.
-            let deliverable = core
-                .peek_mailbox(rank, src, tag)
-                .map(|a| states[rank].clock.max(a))
-                .is_some_and(|e| deadline.is_none_or(|d| e <= d));
-            if deliverable {
-                let (env, clock) = core
-                    .process_recv(rank, src, tag, states[rank].clock)
-                    .map_err(SimError::StrictViolation)?;
-                states[rank].clock = clock;
-                send_grant(grant_txs, rank, Grant::Received { env, clock });
-                states[rank].pending = Some(recv_trap(trap_rxs, panic_slots, rank)?);
-            } else {
-                let d = deadline.expect("scheduled recv without match or deadline");
-                core.note_timeout();
-                let clock = d + core.alpha_recv;
-                states[rank].clock = clock;
-                send_grant(grant_txs, rank, Grant::TimedOut { clock });
-                states[rank].pending = Some(recv_trap(trap_rxs, panic_slots, rank)?);
-            }
-        }
-        Trap::ComputeNs { ns } => {
-            states[rank].clock += ns;
-            let clock = states[rank].clock;
-            send_grant(grant_txs, rank, Grant::Done { clock });
-            states[rank].pending = Some(recv_trap(trap_rxs, panic_slots, rank)?);
-        }
-        Trap::Memcpy { bytes } => {
-            states[rank].clock += core.memcpy_ns(bytes);
-            let clock = states[rank].clock;
-            send_grant(grant_txs, rank, Grant::Done { clock });
-            states[rank].pending = Some(recv_trap(trap_rxs, panic_slots, rank)?);
-        }
-        Trap::Barrier => unreachable!("barrier traps handled by the classification pass"),
-        Trap::IterMark => {
-            core.process_iter_mark(rank);
-            let clock = states[rank].clock;
-            send_grant(grant_txs, rank, Grant::Done { clock });
-            states[rank].pending = Some(recv_trap(trap_rxs, panic_slots, rank)?);
-        }
-        Trap::Finished => {
-            core.process_finish(rank, states[rank].clock)
-                .map_err(SimError::StrictViolation)?;
-            states[rank].done = true;
-            finish_ns[rank] = states[rank].clock;
-            grant_txs[rank] = None;
-            *live -= 1;
-        }
-    }
-    Ok(())
-}
-
-/// The threaded kernel proper. Runs on the calling thread while rank
-/// threads wait. Returns the core of the completed run, or the
-/// `SimError` describing an abnormal termination — in which case every
-/// grant sender has been dropped, so blocked rank threads unwind with
-/// the quiet `KernelGone` sentinel and the enclosing `thread::scope`
-/// joins them before the error propagates.
-fn run_kernel<'m>(
-    machine: &'m Machine,
-    config: &SimConfig,
-    trap_rxs: &[Receiver<Trap>],
-    grant_txs: &mut [Option<Sender<Grant>>],
-    finish_ns: &mut [Time],
-    panic_slots: &[Mutex<Option<String>>],
-) -> Result<KernelCore<'m>, SimError> {
-    let mut core = KernelCore::new(machine, config);
-    match kernel_loop(
-        machine,
-        config,
-        &mut core,
-        trap_rxs,
-        grant_txs,
-        finish_ns,
-        panic_slots,
-    ) {
-        Ok(()) => Ok(core),
-        Err(e) => {
-            core.flush_recording(matches!(e, SimError::Deadlock { .. }));
-            for tx in grant_txs.iter_mut() {
-                *tx = None;
-            }
-            Err(e)
-        }
-    }
-}
-
-/// The scheduling loop of the threaded kernel; every abnormal exit
-/// bubbles out as `Err` for [`run_kernel`] to clean up after.
-#[allow(clippy::too_many_arguments)]
-fn kernel_loop(
-    machine: &Machine,
-    config: &SimConfig,
-    core: &mut KernelCore,
-    trap_rxs: &[Receiver<Trap>],
-    grant_txs: &mut [Option<Sender<Grant>>],
-    finish_ns: &mut [Time],
-    panic_slots: &[Mutex<Option<String>>],
-) -> Result<(), SimError> {
-    let p = machine.p();
-    let mut states: Vec<RankState> = (0..p)
-        .map(|_| RankState {
-            clock: 0,
-            pending: None,
-            done: false,
-            in_barrier: false,
-        })
-        .collect();
-    let mut live = p;
-    let mut watchdog = Watchdog::for_run(&config.budget, &config.cancel);
-
-    // Collect the initial trap from every rank (threads run concurrently
-    // up to their first communication call — zero virtual time).
-    for (rank, st) in states.iter_mut().enumerate() {
-        st.pending = Some(recv_trap(trap_rxs, panic_slots, rank)?);
-    }
-
-    while live > 0 {
-        // Classify pending barrier traps.
-        for st in states.iter_mut() {
-            if !st.done && matches!(st.pending, Some(Trap::Barrier)) {
-                st.in_barrier = true;
-            }
-        }
-
-        // Barrier release: every live rank has arrived.
-        let in_barrier = states.iter().filter(|s| !s.done && s.in_barrier).count();
-        if in_barrier == live && live > 0 {
-            let t_max = states
-                .iter()
-                .filter(|s| !s.done)
-                .map(|s| s.clock)
-                .max()
-                .unwrap();
-            let t_rel = core.barrier_release_time(t_max, live);
-            for (rank, st) in states.iter_mut().enumerate() {
-                if st.done {
-                    continue;
-                }
-                st.clock = t_rel;
-                st.in_barrier = false;
-                st.pending = None;
-                send_grant(grant_txs, rank, Grant::Done { clock: t_rel });
-            }
-            for (rank, st) in states.iter_mut().enumerate() {
-                if !st.done {
-                    st.pending = Some(recv_trap(trap_rxs, panic_slots, rank)?);
-                }
-            }
-            continue;
-        }
-
-        // Pick the processable rank with the smallest effective time.
-        let mut best: Option<(Time, usize)> = None;
-        for (rank, st) in states.iter().enumerate() {
-            if st.done || st.in_barrier {
-                continue;
-            }
-            let Some(eff) = eff_of(core, rank, st) else {
-                continue; // blocked recv (or a barrier not yet classified)
-            };
-            if best.is_none_or(|(bt, br)| (eff, rank) < (bt, br)) {
-                best = Some((eff, rank));
-            }
-        }
-
-        let Some((t, first)) = best else {
-            let info = DeadlockInfo {
-                states: describe_ranks(core, &states),
-                counters: core.counters(),
-            };
-            return Err(SimError::Deadlock {
-                machine: machine.name.to_string(),
-                info,
-            });
-        };
-
-        if let Some(wd) = watchdog.as_mut() {
-            if let Err(trip) = wd.check(core.counters.events, t) {
-                return Err(trip_error(trip, core, &states));
-            }
-        }
-
-        if core.alpha_send > 0 {
-            // Batched same-tick grant pass: every rank whose effective
-            // time equals `t` is granted in one sweep, ascending by rank,
-            // without re-scanning all p ranks between grants. This visits
-            // traps in exactly the `(eff, rank)` order the re-scanning
-            // loop would: with α_send > 0 a grant at `t` can only create
-            // work strictly after `t` for *other* ranks (anything it
-            // sends arrives later), and ranks consume only their own
-            // mailboxes, so batch membership is stable; a rank's *own*
-            // zero-cost follow-up (e.g. an iteration mark) at `t` has
-            // this rank's index and is drained before moving on.
-            for rank in first..p {
-                loop {
-                    let st = &states[rank];
-                    if st.done || st.in_barrier {
-                        break;
-                    }
-                    match eff_of(core, rank, st) {
-                        Some(eff) if eff == t => {}
-                        _ => break,
-                    }
-                    dispatch_trap(
-                        core,
-                        &mut states,
-                        trap_rxs,
-                        grant_txs,
-                        panic_slots,
-                        finish_ns,
-                        &mut live,
-                        rank,
-                    )?;
-                }
-            }
-        } else {
-            // Degenerate zero-α machine: a send may arrive at its issue
-            // instant and re-ready an already-visited rank at `t`, so
-            // grant strictly one trap per scan.
-            dispatch_trap(
-                core,
-                &mut states,
-                trap_rxs,
-                grant_txs,
-                panic_slots,
-                finish_ns,
-                &mut live,
-                first,
-            )?;
-        }
-    }
-
-    Ok(())
-}
-
-/// Pull `rank`'s next trap; a disconnected trap channel means the rank
-/// thread panicked (it writes its panic message to `panic_slots[rank]`
-/// before dropping the last sender).
-fn recv_trap(
-    trap_rxs: &[Receiver<Trap>],
-    panic_slots: &[Mutex<Option<String>>],
-    rank: usize,
-) -> Result<Trap, SimError> {
-    match trap_rxs[rank].recv() {
-        Ok(t) => Ok(t),
-        Err(_) => {
-            let message = panic_slots[rank]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take()
-                .unwrap_or_else(|| "<rank thread exited without a panic message>".to_string());
-            Err(SimError::RankPanic { rank, message })
-        }
-    }
-}
-
-fn send_grant(grant_txs: &[Option<Sender<Grant>>], rank: usize, grant: Grant) {
-    // A failed send means the rank thread died between trapping and
-    // receiving its grant; the death is diagnosed by the next
-    // `recv_trap` on the rank's closed trap channel.
-    if let Some(tx) = grant_txs[rank].as_ref() {
-        let _ = tx.send(grant);
-    }
-}
-
-/// Per-rank one-line state descriptions for deadlock/watchdog dumps;
-/// ranks sitting in `recv` are also recorded into the schedule log as
-/// `Blocked` events so the analyzer sees the wait-for structure.
-fn describe_ranks(core: &mut KernelCore, states: &[RankState]) -> Vec<String> {
-    let mut out = Vec::with_capacity(states.len());
-    for (rank, st) in states.iter().enumerate() {
-        let what = if st.done {
-            "done".to_string()
-        } else {
-            match st.pending.as_ref() {
-                Some(Trap::Recv { src, tag, .. }) => {
-                    core.record_blocked(rank, *src, *tag);
-                    format!(
-                        "blocked recv(src={src:?}, tag={tag:?}), mailbox has {} msgs",
-                        core.mailbox_len(rank)
-                    )
-                }
-                Some(Trap::Barrier) => "waiting in barrier".to_string(),
-                _ => "runnable?".to_string(),
-            }
-        };
-        out.push(format!("rank {rank} @ {}ns: {what}", st.clock));
-    }
-    out
-}
-
-/// Translate a watchdog trip into the corresponding [`SimError`],
-/// attaching the per-rank dump where the variant carries one.
-fn trip_error(trip: WatchdogTrip, core: &mut KernelCore, states: &[RankState]) -> SimError {
-    match trip {
-        WatchdogTrip::Budget(events, virtual_ns) => SimError::WatchdogTripped {
-            events,
-            virtual_ns,
-            states: describe_ranks(core, states),
-        },
-        WatchdogTrip::Wall(wall_ms) => SimError::DeadlineExceeded { wall_ms },
-        WatchdogTrip::Cancelled => SimError::Cancelled,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1670,20 +979,6 @@ mod tests {
 
     fn ring_machine() -> Machine {
         Machine::paragon(2, 4)
-    }
-
-    fn threaded() -> SimConfig {
-        SimConfig {
-            exec: ExecMode::Threaded,
-            ..SimConfig::default()
-        }
-    }
-
-    fn coop() -> SimConfig {
-        SimConfig {
-            exec: ExecMode::Cooperative,
-            ..SimConfig::default()
-        }
     }
 
     #[test]
@@ -1756,34 +1051,13 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_runs() {
+    fn a_messy_program_replays_exactly() {
+        // Wildcard receives, compute, memcpy and a barrier: two runs give
+        // bit-identical virtual outcomes, and the barrier leaves every
+        // rank on one clock.
         let m = ring_machine();
         let run = || {
             simulate(&m, |mut ctx| async move {
-                let p = ctx.size();
-                let next = (ctx.rank() + 1) % p;
-                let prev = (ctx.rank() + p - 1) % p;
-                ctx.send(next, 3, &vec![ctx.rank() as u8; 256]);
-                let env = ctx.recv(Some(prev), Some(3)).await;
-                ctx.charge_memcpy(env.data.len());
-                ctx.clock()
-            })
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.finish_ns, b.finish_ns);
-        assert_eq!(a.makespan_ns, b.makespan_ns);
-        assert_eq!(a.contention_ns, b.contention_ns);
-    }
-
-    #[test]
-    fn cooperative_and_threaded_agree_exactly() {
-        // The differential core check: both executors must produce
-        // bit-identical virtual outcomes on a messy program mixing
-        // wildcard receives, compute, memcpy and barriers.
-        let m = ring_machine();
-        let run = |config: &SimConfig| {
-            simulate_with(&m, config, |mut ctx| async move {
                 let p = ctx.size();
                 let me = ctx.rank();
                 ctx.compute_ns(137 * me as u64);
@@ -1800,13 +1074,13 @@ mod tests {
                 (got, ctx.clock())
             })
         };
-        let a = run(&coop());
-        let b = run(&threaded());
+        let (a, b) = (run(), run());
         assert_eq!(a.results, b.results);
         assert_eq!(a.finish_ns, b.finish_ns);
         assert_eq!(a.makespan_ns, b.makespan_ns);
         assert_eq!(a.contention_events, b.contention_events);
         assert_eq!(a.contention_ns, b.contention_ns);
+        assert!(a.finish_ns.iter().all(|&t| t == a.makespan_ns));
     }
 
     #[test]
@@ -1845,15 +1119,6 @@ mod tests {
         let m = Machine::paragon(1, 2);
         simulate(&m, |mut ctx| async move {
             // Both ranks receive, nobody sends.
-            let _ = ctx.recv(None, None).await;
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "deadlock")]
-    fn deadlock_is_detected_threaded() {
-        let m = Machine::paragon(1, 2);
-        simulate_with(&m, &threaded(), |mut ctx| async move {
             let _ = ctx.recv(None, None).await;
         });
     }
@@ -1941,64 +1206,41 @@ mod tests {
         assert_eq!(out.finish_ns[7], 800);
     }
 
-    /// Keep deliberate test panics out of the captured test output.
-    /// Rank-thread panics escape libtest's output capture, so the hook
-    /// swallows exactly the marker message our fixtures use.
-    fn hush_deliberate_panics() {
-        use std::sync::Once;
-        static ONCE: Once = Once::new();
-        ONCE.call_once(|| {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let msg = panic_message(info.payload());
-                if msg.contains("deliberate test panic") {
-                    return;
-                }
-                prev(info);
-            }));
-        });
-    }
-
     #[test]
     fn rank_panic_is_a_structured_error() {
-        hush_deliberate_panics();
         let m = Machine::paragon(1, 2);
-        for config in [coop(), threaded()] {
-            let err = try_simulate_with(&m, &config, |mut ctx| async move {
-                if ctx.rank() == 1 {
-                    panic!("deliberate test panic at rank 1");
-                }
-                // Rank 0 would block forever; the kernel must shut it
-                // down cleanly once rank 1 dies.
-                let _ = ctx.recv(Some(1), None).await;
-            })
-            .unwrap_err();
-            match err {
-                SimError::RankPanic { rank, message } => {
-                    assert_eq!(rank, 1, "{} executor", config.exec.name());
-                    assert!(message.contains("deliberate test panic"), "got: {message}");
-                }
-                other => panic!("expected RankPanic, got {other}"),
+        let err = try_simulate_with(&m, &SimConfig::default(), |mut ctx| async move {
+            if ctx.rank() == 1 {
+                panic!("deliberate test panic at rank 1");
             }
+            // Rank 0 would block forever; the kernel must shut it down
+            // cleanly once rank 1 dies.
+            let _ = ctx.recv(Some(1), None).await;
+        })
+        .unwrap_err();
+        match err {
+            SimError::RankPanic { rank, message } => {
+                assert_eq!(rank, 1);
+                assert!(message.contains("deliberate test panic"), "got: {message}");
+            }
+            other => panic!("expected RankPanic, got {other}"),
         }
     }
 
     #[test]
     fn try_simulate_reports_deadlock_without_panicking() {
         let m = Machine::paragon(1, 2);
-        for config in [coop(), threaded()] {
-            let err = try_simulate_with(&m, &config, |mut ctx| async move {
-                let _ = ctx.recv(None, None).await;
-            })
-            .unwrap_err();
-            assert_eq!(err.kind(), "deadlock");
-            match err {
-                SimError::Deadlock { machine, info } => {
-                    assert_eq!(machine, m.name);
-                    assert_eq!(info.states.len(), 2);
-                }
-                other => panic!("expected Deadlock, got {other}"),
+        let err = try_simulate_with(&m, &SimConfig::default(), |mut ctx| async move {
+            let _ = ctx.recv(None, None).await;
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), "deadlock");
+        match err {
+            SimError::Deadlock { machine, info } => {
+                assert_eq!(machine, m.name);
+                assert_eq!(info.states.len(), 2);
             }
+            other => panic!("expected Deadlock, got {other}"),
         }
     }
 
@@ -2018,31 +1260,33 @@ mod tests {
     #[test]
     fn watchdog_event_budget_trips_on_livelock() {
         let m = Machine::paragon(1, 2);
-        for mut config in [coop(), threaded()] {
-            config.budget = SimBudget::unlimited().with_max_events(500);
-            let err = try_simulate_with(&m, &config, ping_pong_forever).unwrap_err();
-            match err {
-                SimError::WatchdogTripped { events, states, .. } => {
-                    assert!(events > 500, "counted {events} events");
-                    assert_eq!(states.len(), 2);
-                }
-                other => panic!("expected WatchdogTripped, got {other}"),
+        let config = SimConfig {
+            budget: SimBudget::unlimited().with_max_events(500),
+            ..SimConfig::default()
+        };
+        let err = try_simulate_with(&m, &config, ping_pong_forever).unwrap_err();
+        match err {
+            SimError::WatchdogTripped { events, states, .. } => {
+                assert!(events > 500, "counted {events} events");
+                assert_eq!(states.len(), 2);
             }
+            other => panic!("expected WatchdogTripped, got {other}"),
         }
     }
 
     #[test]
     fn watchdog_virtual_time_budget_trips_on_livelock() {
         let m = Machine::paragon(1, 2);
-        for mut config in [coop(), threaded()] {
-            config.budget = SimBudget::unlimited().with_max_virtual_ns(1_000_000);
-            let err = try_simulate_with(&m, &config, ping_pong_forever).unwrap_err();
-            match err {
-                SimError::WatchdogTripped { virtual_ns, .. } => {
-                    assert!(virtual_ns > 1_000_000);
-                }
-                other => panic!("expected WatchdogTripped, got {other}"),
+        let config = SimConfig {
+            budget: SimBudget::unlimited().with_max_virtual_ns(1_000_000),
+            ..SimConfig::default()
+        };
+        let err = try_simulate_with(&m, &config, ping_pong_forever).unwrap_err();
+        match err {
+            SimError::WatchdogTripped { virtual_ns, .. } => {
+                assert!(virtual_ns > 1_000_000);
             }
+            other => panic!("expected WatchdogTripped, got {other}"),
         }
     }
 
@@ -2050,29 +1294,31 @@ mod tests {
     #[cfg_attr(miri, ignore = "wall-clock probe")]
     fn wall_clock_deadline_trips_on_livelock() {
         let m = Machine::paragon(1, 2);
-        for mut config in [coop(), threaded()] {
-            config.budget = SimBudget::unlimited().with_max_wall(std::time::Duration::ZERO);
-            let err = try_simulate_with(&m, &config, ping_pong_forever).unwrap_err();
-            assert!(
-                matches!(err, SimError::DeadlineExceeded { .. }),
-                "expected DeadlineExceeded, got {err}"
-            );
-        }
+        let config = SimConfig {
+            budget: SimBudget::unlimited().with_max_wall(std::time::Duration::ZERO),
+            ..SimConfig::default()
+        };
+        let err = try_simulate_with(&m, &config, ping_pong_forever).unwrap_err();
+        assert!(
+            matches!(err, SimError::DeadlineExceeded { .. }),
+            "expected DeadlineExceeded, got {err}"
+        );
     }
 
     #[test]
     fn cancellation_stops_a_run_cleanly() {
         let m = Machine::paragon(1, 2);
-        for mut config in [coop(), threaded()] {
-            let token = CancelToken::new();
-            token.cancel();
-            config.cancel = Some(token);
-            let err = try_simulate_with(&m, &config, ping_pong_forever).unwrap_err();
-            assert!(
-                matches!(err, SimError::Cancelled),
-                "expected Cancelled, got {err}"
-            );
-        }
+        let token = CancelToken::new();
+        token.cancel();
+        let config = SimConfig {
+            cancel: Some(token),
+            ..SimConfig::default()
+        };
+        let err = try_simulate_with(&m, &config, ping_pong_forever).unwrap_err();
+        assert!(
+            matches!(err, SimError::Cancelled),
+            "expected Cancelled, got {err}"
+        );
     }
 
     #[test]
@@ -2113,28 +1359,22 @@ mod tests {
     #[test]
     fn recv_timeout_expires_then_delivers() {
         let m = Machine::paragon(1, 2);
-        let run = |config: &SimConfig| {
-            simulate_with(&m, config, |mut ctx| async move {
-                if ctx.rank() == 0 {
-                    ctx.compute_ns(50_000); // sender is slow
-                    ctx.send(1, 3, b"late");
-                    (0, 0)
-                } else {
-                    // Expires long before the sender is ready...
-                    let miss = ctx.recv_timeout(Some(0), Some(3), 10).await;
-                    assert!(miss.is_none(), "nothing can arrive in 10 ns");
-                    let after_timeout = ctx.clock();
-                    // ...then a patient retry delivers.
-                    let hit = ctx.recv_timeout(Some(0), Some(3), 10_000_000).await;
-                    assert!(hit.is_some());
-                    (after_timeout, ctx.clock())
-                }
-            })
-        };
-        let a = run(&coop());
-        let b = run(&threaded());
-        assert_eq!(a.results, b.results, "executors disagree on timeouts");
-        assert_eq!(a.finish_ns, b.finish_ns);
+        let a = simulate(&m, |mut ctx| async move {
+            if ctx.rank() == 0 {
+                ctx.compute_ns(50_000); // sender is slow
+                ctx.send(1, 3, b"late");
+                (0, 0)
+            } else {
+                // Expires long before the sender is ready...
+                let miss = ctx.recv_timeout(Some(0), Some(3), 10).await;
+                assert!(miss.is_none(), "nothing can arrive in 10 ns");
+                let after_timeout = ctx.clock();
+                // ...then a patient retry delivers.
+                let hit = ctx.recv_timeout(Some(0), Some(3), 10_000_000).await;
+                assert!(hit.is_some());
+                (after_timeout, ctx.clock())
+            }
+        });
         let (after_timeout, done) = a.results[1];
         // Giving up costs one α_recv at the deadline.
         assert_eq!(
@@ -2145,16 +1385,14 @@ mod tests {
     }
 
     #[test]
-    fn transient_drops_are_retried_and_equivalent() {
+    fn transient_drops_are_retried() {
         use mpp_model::FaultPlan;
         let m = ring_machine();
-        let faults = Some(FaultPlan::transient_drops(3, 1, 2, 20));
-        let run = |exec: ExecMode| {
-            let config = SimConfig {
-                exec,
-                faults: faults.clone(),
-                ..SimConfig::default()
-            };
+        let config = SimConfig {
+            faults: Some(FaultPlan::transient_drops(3, 1, 2, 20)),
+            ..SimConfig::default()
+        };
+        let run = || {
             simulate_with(&m, &config, |mut ctx| async move {
                 if ctx.rank() == 0 {
                     for _ in 1..8 {
@@ -2165,12 +1403,8 @@ mod tests {
                 }
             })
         };
-        let a = run(ExecMode::Cooperative);
-        let b = run(ExecMode::Threaded);
-        assert_eq!(
-            a.finish_ns, b.finish_ns,
-            "faulted runs must stay equivalent"
-        );
+        let (a, b) = (run(), run());
+        assert_eq!(a.finish_ns, b.finish_ns, "a faulted run replays exactly");
         assert_eq!(a.fault_stats, b.fault_stats);
         let retransmits: u64 = a.fault_stats.iter().map(|s| s.retransmits).sum();
         assert!(retransmits > 0, "a 1/2 drop rate must force retransmits");
@@ -2191,7 +1425,7 @@ mod tests {
         };
         let config = SimConfig {
             faults: Some(plan),
-            ..coop()
+            ..SimConfig::default()
         };
         let out = simulate_with(&m, &config, |mut ctx| async move {
             if ctx.rank() == 0 {
@@ -2221,24 +1455,17 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let run = |exec: ExecMode| {
-            let config = SimConfig {
-                exec,
-                faults: Some(plan.clone()),
-                ..SimConfig::default()
-            };
-            simulate_with(&m, &config, |mut ctx| async move {
-                if ctx.rank() == 0 {
-                    ctx.send(1, 0, &[1u8; 64]);
-                } else if ctx.rank() == 1 {
-                    ctx.recv(Some(0), Some(0)).await;
-                }
-            })
+        let config = SimConfig {
+            faults: Some(plan),
+            ..SimConfig::default()
         };
-        let a = run(ExecMode::Cooperative);
-        let b = run(ExecMode::Threaded);
-        assert_eq!(a.finish_ns, b.finish_ns);
-        assert_eq!(a.fault_stats, b.fault_stats);
+        let a = simulate_with(&m, &config, |mut ctx| async move {
+            if ctx.rank() == 0 {
+                ctx.send(1, 0, &[1u8; 64]);
+            } else if ctx.rank() == 1 {
+                ctx.recv(Some(0), Some(0)).await;
+            }
+        });
         assert_eq!(
             a.fault_stats[0].rerouted_hops, 2,
             "1-hop route became 3 hops"

@@ -12,22 +12,16 @@
 //! [`Machine`](mpp_model::Machine) produce bit-identical virtual times
 //! and message orders, regardless of host scheduling.
 //!
-//! Two executors implement this model, selected by the
-//! [`SimConfig::exec`] value (nothing in this crate reads the process
-//! environment):
-//!
-//! * [`ExecMode::Cooperative`] (default): all rank programs are
-//!   multiplexed on the kernel's own thread as resumable futures.
-//!   Sends, compute and memcpy charges are handled rank-locally and
-//!   deferred; only `recv`/`barrier` suspend. Scheduling uses an
-//!   indexed ready-queue (min-heap with lazy invalidation plus a
-//!   blocked-recv wakeup index) — O(log p) per event.
-//! * [`ExecMode::Threaded`]: the original one-OS-thread-per-rank
-//!   trap/grant model, kept as the differential tests' oracle.
-//!
-//! Both executors share the same event-processing core and are verified
-//! to produce byte-identical outcomes (see `tests/exec_equivalence.rs`
-//! and DESIGN.md §8).
+//! One executor implements this model: all rank programs are
+//! multiplexed on the calling thread as resumable futures. Sends,
+//! compute and memcpy charges are handled rank-locally and deferred;
+//! only `recv`/`barrier` suspend. Scheduling uses a calendar queue with
+//! lazy invalidation plus a blocked-recv wakeup index, so a pop is O(1)
+//! and a push O(log w) in the handful of ranks ready within one window
+//! of virtual time. Nothing in this crate reads the process
+//! environment. The analyzer's cost replay checks the order from the
+//! recording alone: every timestamp, and which send each receive
+//! matched (see DESIGN.md §7b and §8).
 //!
 //! # Timing model
 //!

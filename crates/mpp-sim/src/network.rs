@@ -479,9 +479,9 @@ mod tests {
         // The multi-port batch contract: k transfers handed to the
         // network at the same ready instant (one `send_batch`) must
         // occupy the k injection slots in deterministic ascending order
-        // of issue — the property that keeps coop and threaded
-        // recordings byte-identical and lets the cost engine re-derive
-        // the slot assignment from the recording alone.
+        // of issue — the property that keeps recordings byte-identical
+        // and lets the cost engine re-derive the slot assignment from
+        // the recording alone.
         use mpp_model::MachineParams;
         let machine = Machine::new(
             "Paragon 4x4 (5-port)",

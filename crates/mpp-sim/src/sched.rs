@@ -1,24 +1,22 @@
-//! Indexed ready-queue for the cooperative executor.
+//! Indexed ready-queue for the executor.
 //!
-//! The threaded kernel picks the next rank to run with an O(p) scan over
-//! every rank state per processed event. The cooperative executor
-//! replaces that scan with a *calendar queue* keyed on virtual time:
-//! entries inside the active time window live in a small array sorted
-//! descending, so the next wakeup — and every same-tick wakeup behind
-//! it — is an O(1) pop off the back; entries beyond the window wait in
-//! an unsorted overflow bucket that is swept forward only when the
-//! window advances. Simulated time in one experiment clusters tightly
-//! (ranks march in α-spaced phases), so nearly every push lands in the
-//! active window at O(log w) for a tiny `w`, and the heap's O(log p)
-//! rebalancing per event disappears from the hot path.
+//! The executor needs the ready rank with the smallest `(effective
+//! time, rank)` after every processed event. A *calendar queue* keyed on
+//! virtual time answers that: entries inside the active time window
+//! live in a small array sorted descending, so the next wakeup — and
+//! every same-tick wakeup behind it — is an O(1) pop off the back;
+//! entries beyond the window wait in an unsorted overflow bucket that is
+//! swept forward only when the window advances. Simulated time in one
+//! experiment clusters tightly (ranks march in α-spaced phases), so
+//! nearly every push lands in the active window at O(log w) for a tiny
+//! `w`.
 //!
-//! Like the binary-heap queue it replaces (kept below as
-//! [`HeapReadyQueue`], the differential reference), it uses *lazy
-//! invalidation*: each rank has at most one live entry, stamped with a
-//! per-rank generation counter. Pushing a new entry for a rank silently
-//! invalidates its previous one, and stale entries are discarded at pop
-//! time. Pop order is therefore exactly the threaded scheduler's
-//! `min (eff, rank)` selection rule.
+//! It uses *lazy invalidation*: each rank has at most one live entry,
+//! stamped with a per-rank generation counter. Pushing a new entry for
+//! a rank silently invalidates its previous one, and stale entries are
+//! discarded at pop time. Pop order is therefore exactly the `min (eff,
+//! rank)` over each rank's last push — the linear-scan model the
+//! proptest below holds it to.
 //!
 //! Invariants relied on by the executor (see DESIGN.md §8):
 //!
@@ -31,11 +29,11 @@
 //! * **Pop consumes** — a popped rank has no live entry until the
 //!   executor settles its next queue head and pushes again.
 //!
-//! The queue does *not* assume monotone pops: a push below the current
-//! window (or below the last popped time) is binary-inserted into the
-//! active array and pops in exact `(eff, rank)` order, so the structure
-//! agrees with the heap on arbitrary input sequences (see the
-//! proptest).
+//! The queue does *not* assume monotone pops or improving re-pushes: a
+//! push below the current window (or below the last popped time) is
+//! binary-inserted into the active array and pops in exact `(eff, rank)`
+//! order, and a later-time re-push wins like any other, so the structure
+//! agrees with the linear-scan model on arbitrary input sequences.
 
 use mpp_model::Time;
 
@@ -169,41 +167,6 @@ impl ReadyQueue {
     }
 }
 
-/// The seed scheduler: binary min-heap with the same generation-stamped
-/// lazy invalidation. Kept as the differential reference for the
-/// calendar queue's equivalence proptest.
-#[cfg(test)]
-pub(crate) struct HeapReadyQueue {
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(Time, usize, u64)>>,
-    gen: Vec<u64>,
-}
-
-#[cfg(test)]
-impl HeapReadyQueue {
-    pub fn new(p: usize) -> Self {
-        HeapReadyQueue {
-            heap: std::collections::BinaryHeap::with_capacity(p.saturating_mul(2)),
-            gen: vec![0; p],
-        }
-    }
-
-    pub fn push(&mut self, rank: usize, eff: Time) {
-        self.gen[rank] += 1;
-        self.heap
-            .push(std::cmp::Reverse((eff, rank, self.gen[rank])));
-    }
-
-    pub fn pop(&mut self) -> Option<(Time, usize)> {
-        while let Some(std::cmp::Reverse((eff, rank, gen))) = self.heap.pop() {
-            if gen == self.gen[rank] {
-                self.gen[rank] += 1;
-                return Some((eff, rank));
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,6 +238,20 @@ mod tests {
     }
 
     #[test]
+    fn an_entry_at_the_window_end_waits_for_its_window() {
+        // (2048, 0) waits in the overflow bucket while the window is
+        // [1024, 2048); a later push of (2048, 2) must wait with it, or
+        // it pops ahead of the lower rank.
+        let mut q = ReadyQueue::for_run(3, 0, 1024);
+        q.push(0, 2048);
+        q.push(1, 1500);
+        assert_eq!(q.pop(), Some((1500, 1)));
+        q.push(2, 2048);
+        assert_eq!(q.pop(), Some((2048, 0)));
+        assert_eq!(q.pop(), Some((2048, 2)));
+    }
+
+    #[test]
     fn stale_compaction_keeps_live_entries() {
         // Hammer one rank with improving re-pushes until well past the
         // sizing bound: compaction must fire (debug assertion inside
@@ -290,58 +267,18 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
-    /// Randomized equivalence against the threaded kernel's O(p) scan:
-    /// interleave pushes (monotone per rank, as the executor guarantees)
-    /// and pops, and require identical selections.
-    #[test]
-    fn matches_linear_scan_reference() {
-        let p = 8;
-        let mut q = ReadyQueue::new(p);
-        let mut reference: Vec<Option<Time>> = vec![None; p];
-        // SplitMix64 for a deterministic op sequence.
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut next = || {
-            state = state.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z ^= z >> 27;
-            z
-        };
-        for _ in 0..2000 {
-            let r = next();
-            if r % 3 != 0 {
-                let rank = (r as usize / 3) % p;
-                // Entries only improve: new eff ≤ current, or fresh.
-                let eff = match reference[rank] {
-                    Some(cur) => cur.saturating_sub(next() % 50),
-                    None => next() % 1000,
-                };
-                q.push(rank, eff);
-                reference[rank] = Some(eff);
-            } else {
-                let best = reference
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(rank, eff)| eff.map(|e| (e, rank)))
-                    .min();
-                assert_eq!(q.pop(), best);
-                if let Some((_, rank)) = best {
-                    reference[rank] = None;
-                }
-            }
-        }
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
 
-        /// Differential check of the calendar queue against the seed's
-        /// binary heap on *arbitrary* interleavings — same-tick ties,
-        /// re-pushes in both directions (lazy invalidation), pushes
-        /// below the advanced window, and pathological widths. Pop
-        /// sequences must be identical element for element.
+        /// The calendar queue against the linear-scan model — one
+        /// `Option<Time>` per rank, the last push wins, a pop takes the
+        /// minimum `(eff, rank)` — on *arbitrary* interleavings:
+        /// same-tick ties, re-pushes in both directions (lazy
+        /// invalidation), pushes below the advanced window, both window
+        /// widths, and a final drain. Pop sequences must be identical
+        /// element for element.
         #[test]
-        fn calendar_matches_heap(
+        fn matches_linear_scan_model(
             width in proptest::prop_oneof![
                 proptest::strategy::Just(1024u64),
                 proptest::strategy::Just(1u64 << 20),
@@ -351,20 +288,32 @@ mod tests {
         ) {
             let p = 6;
             let mut cal = ReadyQueue::for_run(p, 2, width);
-            let mut heap = HeapReadyQueue::new(p);
+            let mut model: Vec<Option<Time>> = vec![None; p];
+            let pop_model = |model: &mut [Option<Time>]| {
+                let best = model
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(rank, eff)| eff.map(|e| (e, rank)))
+                    .min();
+                if let Some((_, rank)) = best {
+                    model[rank] = None;
+                }
+                best
+            };
             for (is_pop, rank, time) in ops {
                 if is_pop == 1 {
-                    proptest::prop_assert_eq!(cal.pop(), heap.pop());
+                    proptest::prop_assert_eq!(cal.pop(), pop_model(&mut model));
                 } else {
-                    // Cluster times to force same-tick collisions.
-                    let t = time / 7 * 7;
+                    // Cluster times to force same-tick collisions, on
+                    // window boundaries too (multiples of 1024).
+                    let t = time / 64 * 64;
                     cal.push(rank, t);
-                    heap.push(rank, t);
+                    model[rank] = Some(t);
                 }
             }
             // Drain both to the end.
             loop {
-                let (a, b) = (cal.pop(), heap.pop());
+                let (a, b) = (cal.pop(), pop_model(&mut model));
                 proptest::prop_assert_eq!(a, b);
                 if a.is_none() {
                     break;

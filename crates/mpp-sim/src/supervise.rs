@@ -107,7 +107,7 @@ pub(crate) enum WatchdogTrip {
     Cancelled,
 }
 
-/// Per-run watchdog state shared by both executors. Constructed only
+/// Per-run watchdog state of the executor. Constructed only
 /// when the run is supervised (some ceiling or a cancel token is set),
 /// so unsupervised runs pay a single `Option` check per scheduling step.
 pub(crate) struct Watchdog {

@@ -6,9 +6,9 @@
 # 1. Chaos lint: the quick matrix plus an injected panicking algorithm
 #    and an injected deadlocking algorithm. The sweep must finish every
 #    healthy point, quarantine `chaos:panic` in the failure report,
-#    diagnose `chaos:deadlock` as a deadlock finding, and exit 1. (That
-#    the threaded reference driver contains them too is pinned by
-#    `supervision::chaos_sweep_finishes_healthy_points_on_both_executors`.)
+#    diagnose `chaos:deadlock` as a deadlock finding, and exit 1. (The
+#    same containment in-process is pinned by
+#    `supervision::chaos_sweep_finishes_healthy_points`.)
 # 2. Kill-and-resume: a checkpointed `stp sweep` is SIGKILLed mid-run
 #    (no handler runs, so the store is whatever its last journal append
 #    left), then resumed. The resumed report must be byte-identical to

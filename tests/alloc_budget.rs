@@ -18,10 +18,8 @@
 //! per-message or per-merge allocation (hundreds to thousands per run
 //! — `Br_Lin` moves ~900 messages) blows through them immediately.
 //!
-//! The executor is spelled out as [`ExecMode::Cooperative`]: the
-//! threaded reference driver spreads ranks across OS threads, giving
-//! each its own arena, which shifts chunk-refill counts for reasons
-//! unrelated to the hot path under test.
+//! Every rank runs on the calling thread, so one run draws on one
+//! thread's arena.
 //!
 //! The copy-metrics counters are process-global and tests in one binary
 //! run concurrently, so every test serialises on one lock.
@@ -30,7 +28,7 @@ use std::sync::Mutex;
 
 use stp_broadcast::model::{MachineParams, Topology};
 use stp_broadcast::prelude::*;
-use stp_broadcast::runtime::{run_simulated_with, ExecMode, SimConfig};
+use stp_broadcast::runtime::{run_simulated_with, SimConfig};
 use stp_broadcast::sim;
 
 static COPY_METRICS_LOCK: Mutex<()> = Mutex::new(());
@@ -39,7 +37,7 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     COPY_METRICS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One cooperative run with `s` equally-spread sources and 4096-byte
+/// One run with `s` equally-spread sources and 4096-byte
 /// messages (`s` = 24 on the 16x16 Paragon is the reference grid point).
 /// Returns `(payload_allocs, comm_allocs)` for the run.
 fn run_counting(machine: &Machine, kind: AlgoKind, s: usize) -> (u64, u64) {
@@ -48,7 +46,6 @@ fn run_counting(machine: &Machine, kind: AlgoKind, s: usize) -> (u64, u64) {
     let shape = machine.shape;
     let config = SimConfig {
         lib: kind.default_lib(),
-        exec: ExecMode::Cooperative,
         ..SimConfig::default()
     };
     let before = sim::copy_metrics();

@@ -1,72 +1,98 @@
-//! Differential determinism: the cooperative executor must be
-//! *indistinguishable* from the threaded trap/grant executor in every
-//! observable output — virtual times, per-rank `CommStats`, and the
-//! recorded symbolic communication schedule, event for event.
+//! The executor, checked from its recordings. Every grid point below is
+//! recorded twice and must give identical `EventLog`s, outcomes and
+//! kernel counters (a run is a pure function of its inputs), must
+//! deliver every source's bytes, and must replay conformant through the
+//! analyzer's cost engine — every timestamp recomputed, and every
+//! receive's match re-derived by the mailbox rule (earliest arrival,
+//! then seq) — landing on the kernel's makespan. The engine shares no
+//! code with the executor, so an event-order bug in the executor shows
+//! up as a divergence here. The recording's own order is checked too:
+//! events were processed by `(effective time, rank)`.
 //!
-//! The argument in DESIGN.md §8 is that both executors drive the same
-//! `KernelCore` and only differ in how a rank program is resumed; these
-//! tests are the empirical check of that argument over the analyzer's
-//! full lint matrix (every algorithm × the paper's eight distributions
-//! × the acceptance shapes). The quick subset runs in tier-1; the full
-//! matrix is `#[ignore]`d for tier-2 (`cargo test -- --ignored`).
+//! The grids: every algorithm on a small mesh, a prime-dimension shape,
+//! a mesh past the mailbox spill, five-port machines where `send_batch`
+//! groups fan across port slots, and transient drops and link outages on
+//! one- and five-port machines. (The `executors_agree_*` names date from
+//! when a second executor was the reference here.)
 
 use stp_analyzer::{replay, Schedule};
 use stp_broadcast::model::{Machine, MachineParams, MeshShape, Placement, Topology};
-use stp_broadcast::runtime::{ExecMode, FaultPlan};
+use stp_broadcast::runtime::{EventKind, EventLog, FaultPlan};
 use stp_broadcast::stp::distribution::SourceDist;
 use stp_broadcast::stp::msgset::payload_for;
-use stp_broadcast::stp::runner::{
-    record_sources_exec, record_sources_faulty, AlgoKind, RecordedRun,
-};
+use stp_broadcast::stp::runner::{record_sources_faulty, AlgoKind, RecordedRun};
 
-/// Record one grid point on the given executor.
+/// Record one grid point, under `plan` when there is one.
 fn record(
     machine: &Machine,
     dist: &SourceDist,
     s: usize,
     kind: AlgoKind,
-    exec: ExecMode,
+    plan: Option<&FaultPlan>,
 ) -> RecordedRun {
     let sources = dist.place(machine.shape, s);
     let alg = kind.build();
-    record_sources_exec(
+    record_sources_faulty(
         machine,
         kind.default_lib(),
         &sources,
         &|src| payload_for(src, 64),
         alg.as_ref(),
-        exec,
+        plan,
     )
 }
 
-/// Compare a coop recording against a threaded recording of the same
-/// grid point: schedules, virtual times, and per-rank stats must all be
-/// byte-identical. Hands both recordings back.
-fn assert_identical(
+/// The executor's ordering invariant, read off a recording: sends,
+/// receives and finishes were processed in non-decreasing
+/// `(effective time, rank)` — a send at its issue clock, a receive at
+/// `max(start, arrival)`, a finish at the rank's final clock.
+fn assert_processing_order(log: &EventLog, tag: &str) {
+    let (mut sends, mut recvs, mut finishes) =
+        (log.sends.iter(), log.recvs.iter(), log.finishes.iter());
+    let mut last = (0, 0);
+    for kind in &log.order {
+        let at = match kind {
+            EventKind::Send => sends.next().map(|s| (s.issue_ns, s.src)),
+            EventKind::Recv => recvs.next().map(|r| (r.start_ns.max(r.arrival_ns), r.rank)),
+            EventKind::Finished => finishes.next().map(|f| (f.finish_ns, f.rank)),
+            _ => continue,
+        };
+        let at = at.expect("the order tape names a recorded event");
+        assert!(at >= last, "{tag}: {kind:?} at {at:?} after {last:?}");
+        last = at;
+    }
+}
+
+/// Record a grid point twice and hold it to the contract: identical
+/// recordings, outcomes and counters; full delivery; events in
+/// processing order; a conformant replay, matched-send rule included,
+/// with the kernel's makespan. Hands the recording back.
+fn assert_exact(
     machine: &Machine,
     dist: &SourceDist,
     s: usize,
     kind: AlgoKind,
-) -> [RecordedRun; 2] {
-    let coop = record(machine, dist, s, kind, ExecMode::Cooperative);
-    let thr = record(machine, dist, s, kind, ExecMode::Threaded);
+    plan: Option<&FaultPlan>,
+) -> RecordedRun {
+    let run = record(machine, dist, s, kind, plan);
+    let again = record(machine, dist, s, kind, plan);
     let tag = format!(
-        "{} / {} on {}x{} s={s}",
+        "{} / {} on {}x{} s={s}{}",
         kind.name(),
         dist.name(),
         machine.shape.rows,
-        machine.shape.cols
+        machine.shape.cols,
+        if plan.is_some() { " (faulted)" } else { "" }
     );
-    assert_eq!(coop.deadlocked, thr.deadlocked, "{tag}: deadlock verdict");
-    assert_eq!(coop.events, thr.events, "{tag}: recorded schedules");
+    assert!(!run.deadlocked && !again.deadlocked, "{tag}: deadlock");
+    assert_eq!(run.events, again.events, "{tag}: recorded schedules");
     let (a, b) = (
-        coop.outcome.as_ref().expect("coop outcome"),
-        thr.outcome.as_ref().expect("threaded outcome"),
+        run.outcome.as_ref().expect("outcome"),
+        again.outcome.as_ref().expect("outcome"),
     );
     assert_eq!(a.makespan_ns, b.makespan_ns, "{tag}: makespan");
     assert_eq!(a.finish_ns, b.finish_ns, "{tag}: per-rank finish times");
     assert_eq!(a.stats, b.stats, "{tag}: per-rank CommStats");
-    assert_eq!(a.verified, b.verified, "{tag}: verification");
     assert_eq!(
         a.contention_events, b.contention_events,
         "{tag}: contention events"
@@ -74,13 +100,19 @@ fn assert_identical(
     assert_eq!(a.contention_ns, b.contention_ns, "{tag}: contention time");
     assert_eq!(a.counters, b.counters, "{tag}: kernel counters");
     assert!(a.verified, "{tag}: run must verify");
-    [coop, thr]
+    assert_processing_order(&run.events, &tag);
+    let sched = Schedule::from_recorded(&run, machine.p());
+    let report = replay(&sched, machine, kind.default_lib(), plan.is_some());
+    assert!(report.conformant(), "{tag}: {:?}", report.divergences);
+    assert_eq!(
+        report.makespan_ns, a.makespan_ns,
+        "{tag}: replayed makespan"
+    );
+    run
 }
 
 /// A Paragon-parameterized mesh with five injection ports per node —
-/// the shape where `send_batch` groups actually fan across port slots,
-/// so the coop poll-all-at-once path and the threaded same-tick
-/// arbitration path genuinely diverge in mechanism.
+/// the shape where `send_batch` groups actually fan across port slots.
 fn five_port_paragon(rows: usize, cols: usize) -> Machine {
     Machine::new(
         "Paragon (5-port)",
@@ -109,47 +141,44 @@ fn source_counts(p: usize) -> Vec<usize> {
     }
 }
 
-fn sweep(shapes: &[(usize, usize)], dists: &[SourceDist], kinds: &[AlgoKind]) {
-    for &(rows, cols) in shapes {
-        let machine = Machine::paragon(rows, cols);
-        for dist in dists {
-            for s in source_counts(machine.p()) {
-                for &kind in kinds {
-                    assert_identical(&machine, dist, s, kind);
-                }
+fn sweep(machine: &Machine, dists: &[SourceDist], kinds: &[AlgoKind]) {
+    for dist in dists {
+        for s in source_counts(machine.p()) {
+            for &kind in kinds {
+                assert_exact(machine, dist, s, kind, None);
             }
         }
     }
 }
 
-/// Tier-1 subset: every algorithm on one small shape with two
-/// representative distributions — fast, runs in the default suite.
+/// Every algorithm on one small shape with two representative
+/// distributions.
 #[test]
 fn executors_agree_quick() {
     sweep(
-        &[(4, 4)],
+        &Machine::paragon(4, 4),
         &[SourceDist::Equal, SourceDist::DiagRight],
         AlgoKind::all(),
     );
 }
 
-/// Tier-1 subset: shape with a prime dimension (non-power-of-two
-/// paths) on the remaining distributions, merge algorithms only.
+/// A shape with a prime dimension (non-power-of-two paths) on the
+/// remaining distributions, merge algorithms only.
 #[test]
 fn executors_agree_quick_odd_shape() {
     sweep(
-        &[(8, 3)],
+        &Machine::paragon(8, 3),
         &[SourceDist::Row, SourceDist::Cross],
         &[AlgoKind::BrLin, AlgoKind::BrXySource, AlgoKind::TwoStep],
     );
 }
 
-/// Tier-1 past the spill: every other tier-1 case runs on p ≤ 24, where
-/// no mailbox can hold more than `SPILL_AT` = 32 messages. On a 6×7
-/// mesh with every rank a source, `KPort_Alltoall` (all 41 rounds posted
-/// before the first receive) and `2-Step`'s gather root put 41 in one
-/// mailbox, so there the deep form is what both executors run on —
-/// event for event — and what the cost replay must reproduce to the
+/// Past the spill: every other case runs on p ≤ 24, where no mailbox
+/// can hold more than `SPILL_AT` = 32 messages. On a 6×7 mesh with every
+/// rank a source, `KPort_Alltoall` (all 41 rounds posted before the
+/// first receive) and `2-Step`'s gather root put 41 in one mailbox, so
+/// there the deep form is what the kernel runs on — and what the cost
+/// replay, the matched-send rule included, must reproduce to the
 /// nanosecond. The other three move the same s·(p−1) messages paced,
 /// and stay shallow: the contrast the kernel counters exist to show.
 #[test]
@@ -162,165 +191,77 @@ fn executors_agree_past_the_spill() {
         (AlgoKind::MpiAlltoall, false),
         (AlgoKind::NaiveIndependent, false),
     ] {
-        for run in assert_identical(&machine, &SourceDist::Equal, machine.p(), kind) {
-            let sched = Schedule::from_recorded(&run, machine.p());
-            let report = replay(&sched, &machine, kind.default_lib(), false);
-            let name = kind.name();
-            assert!(report.conformant(), "{name}: {:?}", report.divergences);
-            let outcome = run.outcome.expect("completed run");
-            assert_eq!(report.makespan_ns, outcome.makespan_ns, "{name}");
-            // The case must not quietly stop covering the deep form.
-            let k = outcome.counters;
-            assert_eq!(k.mailbox_spills > 0, deep, "{name}: {k:?}");
-        }
+        let run = assert_exact(&machine, &SourceDist::Equal, machine.p(), kind, None);
+        // The case must not quietly stop covering the deep form.
+        let k = run.outcome.expect("completed run").counters;
+        assert_eq!(k.mailbox_spills > 0, deep, "{}: {k:?}", kind.name());
     }
 }
 
-/// Record one grid point on the given executor with a fault plan.
-fn record_faulted(
-    machine: &Machine,
-    dist: &SourceDist,
-    s: usize,
-    kind: AlgoKind,
-    exec: ExecMode,
-    plan: &FaultPlan,
-) -> RecordedRun {
-    let sources = dist.place(machine.shape, s);
-    let alg = kind.build();
-    record_sources_faulty(
-        machine,
-        kind.default_lib(),
-        &sources,
-        &|src| payload_for(src, 64),
-        alg.as_ref(),
-        exec,
-        Some(plan),
-    )
-}
-
-/// The equivalence argument must survive fault injection: drop/retry
-/// decisions are pure hashes of `(seed, seq, attempt)` and rerouting is
-/// a deterministic function of virtual time, so an identical plan must
-/// produce byte-identical recordings — including the `Dropped` events —
-/// on both executors.
-fn assert_identical_faulted(
-    machine: &Machine,
-    dist: &SourceDist,
-    s: usize,
-    kind: AlgoKind,
-    plan: &FaultPlan,
-) {
-    let coop = record_faulted(machine, dist, s, kind, ExecMode::Cooperative, plan);
-    let thr = record_faulted(machine, dist, s, kind, ExecMode::Threaded, plan);
-    let tag = format!(
-        "{} / {} on {}x{} s={s} (faulted)",
-        kind.name(),
-        dist.name(),
-        machine.shape.rows,
-        machine.shape.cols
-    );
-    assert_eq!(coop.deadlocked, thr.deadlocked, "{tag}: deadlock verdict");
-    assert_eq!(coop.events, thr.events, "{tag}: recorded schedules");
-    let (a, b) = (
-        coop.outcome.expect("coop outcome"),
-        thr.outcome.expect("threaded outcome"),
-    );
-    assert_eq!(a.makespan_ns, b.makespan_ns, "{tag}: makespan");
-    assert_eq!(a.finish_ns, b.finish_ns, "{tag}: per-rank finish times");
-    assert_eq!(a.stats, b.stats, "{tag}: per-rank CommStats");
-    assert_eq!(a.verified, b.verified, "{tag}: verification");
-    assert_eq!(
-        a.contention_events, b.contention_events,
-        "{tag}: contention events"
-    );
-    assert_eq!(a.contention_ns, b.contention_ns, "{tag}: contention time");
-    assert!(a.verified, "{tag}: retries must restore full delivery");
-}
-
-/// Tier-1: every algorithm under a transient-drop plan with retry on a
-/// small shape — same plan, both executors, byte-identical recordings
-/// and full delivery.
+/// Every algorithm under a transient-drop plan with retry on a small
+/// shape: drop decisions are pure hashes of `(seed, seq, attempt)`, so
+/// the recording — `Dropped` events included — replays exactly, and
+/// retries restore full delivery.
 #[test]
 fn executors_agree_under_transient_drops() {
     let machine = Machine::paragon(4, 4);
     let plan = FaultPlan::transient_drops(13, 1, 8, 6);
     for &kind in AlgoKind::all() {
-        assert_identical_faulted(&machine, &SourceDist::Equal, 5, kind, &plan);
+        assert_exact(&machine, &SourceDist::Equal, 5, kind, Some(&plan));
     }
 }
 
-/// Tier-1: link outages force detours; the rerouted schedule must stay
-/// executor-independent too.
+/// Link outages force detours; the rerouted schedule replays exactly
+/// too.
 #[test]
 fn executors_agree_under_link_outages() {
     let machine = Machine::paragon(4, 4);
     let plan = FaultPlan::parse("link=5-6@0..,link=9-10@0..200000").expect("valid spec");
     for &kind in &[AlgoKind::BrLin, AlgoKind::BrXySource, AlgoKind::TwoStep] {
-        assert_identical_faulted(&machine, &SourceDist::Cross, 6, kind, &plan);
+        assert_exact(&machine, &SourceDist::Cross, 6, kind, Some(&plan));
     }
 }
 
-/// Tier-1: multi-port equivalence. On a five-port machine every level
-/// of a k-ported algorithm issues a real multi-member `send_batch`;
-/// the batch must land on the same injection slots (ascending, in
-/// declared order) under both executors, making the recordings
-/// byte-identical.
+/// Multi-port: on a five-port machine every level of a k-ported
+/// algorithm issues a real multi-member `send_batch`, whose members take
+/// distinct injection slots (ascending, in declared order).
 #[test]
 fn executors_agree_multiport() {
-    let machine = five_port_paragon(4, 4);
-    for dist in [SourceDist::Equal, SourceDist::DiagRight] {
-        for s in source_counts(machine.p()) {
-            for kind in KPORT_KINDS {
-                assert_identical(&machine, &dist, s, kind);
-            }
-        }
-    }
+    sweep(
+        &five_port_paragon(4, 4),
+        &[SourceDist::Equal, SourceDist::DiagRight],
+        &KPORT_KINDS,
+    );
 }
 
-/// Tier-1: multi-port equivalence on a prime-dimension shape, where
-/// lane segment lengths differ and some levels batch fewer than k
-/// members.
+/// Multi-port on a prime-dimension shape, where lane segment lengths
+/// differ and some levels batch fewer than k members.
 #[test]
 fn executors_agree_multiport_odd_shape() {
     let machine = five_port_paragon(3, 5);
     for kind in KPORT_KINDS {
-        assert_identical(&machine, &SourceDist::Cross, 6, kind);
+        assert_exact(&machine, &SourceDist::Cross, 6, kind, None);
     }
 }
 
-/// Tier-1: dropped batch members retry independently — each member of
-/// a `send_batch` keeps its own `(seed, seq, attempt)` hash chain — and
-/// the recovery schedule must still be executor-independent.
+/// Dropped batch members retry independently — each member of a
+/// `send_batch` keeps its own `(seed, seq, attempt)` hash chain.
 #[test]
 fn executors_agree_multiport_under_transient_drops() {
     let machine = five_port_paragon(4, 4);
     let plan = FaultPlan::transient_drops(13, 1, 8, 6);
     for kind in KPORT_KINDS {
-        assert_identical_faulted(&machine, &SourceDist::Equal, 5, kind, &plan);
+        assert_exact(&machine, &SourceDist::Equal, 5, kind, Some(&plan));
     }
 }
 
-/// Tier-1: link outages under batched transmits — the detoured batch
-/// members contend for the surviving links, and the rerouted schedule
-/// must stay executor-independent.
+/// Link outages under batched transmits: the detoured batch members
+/// contend for the surviving links.
 #[test]
 fn executors_agree_multiport_under_link_outages() {
     let machine = five_port_paragon(4, 4);
     let plan = FaultPlan::parse("link=5-6@0..,link=9-10@0..200000").expect("valid spec");
     for kind in KPORT_KINDS {
-        assert_identical_faulted(&machine, &SourceDist::Cross, 6, kind, &plan);
+        assert_exact(&machine, &SourceDist::Cross, 6, kind, Some(&plan));
     }
-}
-
-/// Tier-2: the full lint matrix — every algorithm × all eight paper
-/// distributions × the acceptance shapes. Minutes of runtime; run with
-/// `cargo test --test exec_equivalence -- --ignored`.
-#[test]
-#[ignore = "full matrix is tier-2; run with -- --ignored"]
-fn executors_agree_full_matrix() {
-    sweep(
-        &[(4, 4), (8, 4), (16, 16), (8, 3)],
-        &SourceDist::named(),
-        AlgoKind::all(),
-    );
 }

@@ -2,7 +2,10 @@
 //! transmissions, which reorders arrivals at the ranks. The algorithms
 //! must still deliver every payload byte for byte — they may rely on
 //! tags and source filters, never on arrival order — and a seed that
-//! breaks one replays exactly.
+//! breaks one replays exactly. Every delayed run also replays conformant
+//! through the analyzer's cost engine: with arrivals out of issue order,
+//! that is where the mailbox rule (earliest arrival, then seq) is
+//! checked on receives that had a choice.
 //!
 //! Each group runs on a one-port and a five-port Paragon. One port
 //! delivers into a node in the order the sends were issued, so there a
@@ -11,6 +14,7 @@
 
 use std::ops::Range;
 
+use stp_analyzer::{replay, Schedule};
 use stp_broadcast::prelude::*;
 use stp_broadcast::runtime::{EventLog, FaultPlan};
 use stp_broadcast::stp::runner::{try_record_sources, RecordedRun};
@@ -49,8 +53,9 @@ fn arrival_order(log: &EventLog, p: usize) -> Vec<Vec<usize>> {
 }
 
 /// Run every algorithm of `kinds` under `delay=1/2:<delay_ns>` at each
-/// seed of `seeds`, on both machines. Every run must deliver and must
-/// replay an identical event log from its seed, and on each machine at
+/// seed of `seeds`, on both machines. Every run must deliver, must
+/// replay an identical event log from its seed and must replay
+/// conformant through the cost engine, and on each machine at
 /// least one run of the group must reorder some rank's arrivals against
 /// the clean run — otherwise the delays tested nothing.
 fn survive_delays(
@@ -77,11 +82,19 @@ fn survive_delays(
                     "{} on {ports} port(s) failed under {plan:?}",
                     kind.name()
                 );
-                let replay = record(&machine, kind, s, Some(&plan));
+                let again = record(&machine, kind, s, Some(&plan));
                 assert!(
-                    replay.events == run.events,
+                    again.events == run.events,
                     "{} on {ports} port(s) under {plan:?} does not replay from its seed",
                     kind.name()
+                );
+                let sched = Schedule::from_recorded(&run, shape.p());
+                let report = replay(&sched, &machine, kind.default_lib(), true);
+                assert!(
+                    report.conformant(),
+                    "{} on {ports} port(s) under {plan:?}: {:?}",
+                    kind.name(),
+                    report.divergences
                 );
                 reordered |= arrival_order(&run.events, shape.p()) != clean;
             }

@@ -6,7 +6,7 @@
 
 use stp_analyzer::{analyze, AnalyzeOpts, FindingKind, Schedule};
 use stp_broadcast::model::{Machine, MachineParams, MeshShape, Placement, Topology};
-use stp_broadcast::runtime::{ExecMode, FaultPlan, RetryPolicy};
+use stp_broadcast::runtime::{FaultPlan, RetryPolicy};
 use stp_broadcast::stp::distribution::SourceDist;
 use stp_broadcast::stp::msgset::payload_for;
 use stp_broadcast::stp::runner::{record_sources_faulty, AlgoKind, Experiment};
@@ -137,7 +137,6 @@ fn node_crash_is_diagnosed_as_lost_messages() {
         &sources,
         &payload_of,
         alg.as_ref(),
-        ExecMode::Cooperative,
         Some(&plan),
     );
     assert!(run.deadlocked, "rank 15's feeders must starve");
@@ -182,7 +181,6 @@ fn exhausted_budget_counts_losses() {
         &sources,
         &payload_of,
         alg.as_ref(),
-        ExecMode::Cooperative,
         Some(&plan),
     );
     assert!(run.deadlocked, "total loss must starve the receivers");
@@ -236,7 +234,6 @@ fn batch_members_burn_individual_retry_budgets() {
         &sources,
         &payload_of,
         alg.as_ref(),
-        ExecMode::Cooperative,
         Some(&plan),
     );
     assert!(run.deadlocked, "total loss must starve the receivers");
