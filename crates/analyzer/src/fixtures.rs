@@ -13,7 +13,7 @@
 //! legitimately trip several perf smells at once.
 
 use mpp_model::Machine;
-use mpp_runtime::{CommFuture, Communicator};
+use mpp_runtime::{CommFuture, RankCtx};
 use stp_core::algorithms::{StpAlgorithm, StpCtx};
 use stp_core::msgset::MessageSet;
 
@@ -126,11 +126,7 @@ impl StpAlgorithm for OffByOnePartner {
         "fixture:off_by_one_partner"
     }
 
-    fn run<'a>(
-        &'a self,
-        comm: &'a mut dyn Communicator,
-        ctx: &'a StpCtx<'a>,
-    ) -> CommFuture<'a, MessageSet> {
+    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             ctx.validate(comm);
             let (me, p) = (comm.rank(), comm.size());
@@ -156,11 +152,7 @@ impl StpAlgorithm for DuplicateTag {
         "fixture:duplicate_tag"
     }
 
-    fn run<'a>(
-        &'a self,
-        comm: &'a mut dyn Communicator,
-        ctx: &'a StpCtx<'a>,
-    ) -> CommFuture<'a, MessageSet> {
+    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             ctx.validate(comm);
             let me = comm.rank();
@@ -200,11 +192,7 @@ impl StpAlgorithm for SerialStar {
         "fixture:serial_star"
     }
 
-    fn run<'a>(
-        &'a self,
-        comm: &'a mut dyn Communicator,
-        ctx: &'a StpCtx<'a>,
-    ) -> CommFuture<'a, MessageSet> {
+    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             ctx.validate(comm);
             let me = comm.rank();
@@ -237,11 +225,7 @@ impl StpAlgorithm for DroppedCombine {
         "fixture:dropped_combine"
     }
 
-    fn run<'a>(
-        &'a self,
-        comm: &'a mut dyn Communicator,
-        ctx: &'a StpCtx<'a>,
-    ) -> CommFuture<'a, MessageSet> {
+    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             ctx.validate(comm);
             let me = comm.rank();

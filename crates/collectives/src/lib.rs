@@ -7,10 +7,24 @@
 //! XOR-schedule implementation of Hambrusch/Hameed/Khokhar, reference \[8\]),
 //! plus a ring all-gather and a dissemination barrier used by extensions.
 //!
-//! All operations are written against [`mpp_runtime::Communicator`] and
-//! run, timed, on the simulator.
+//! All operations are written against the simulator's
+//! [`RankCtx`] and run, timed, on it. Operations
+//! that collect messages return them as [`Envelope`]s; a rank's own
+//! payload is one that arrived when the operation took it.
 
-use mpp_runtime::{Communicator, Message, Payload, Tag};
+use mpp_runtime::{Envelope, Payload, RankCtx, Tag};
+
+/// `data`, held by the calling rank itself, as an envelope that arrived
+/// now without waiting.
+fn held(comm: &RankCtx, tag: Tag, data: Payload) -> Envelope {
+    Envelope {
+        src: comm.rank(),
+        tag,
+        data,
+        arrival: comm.clock(),
+        waited_ns: 0,
+    }
+}
 
 /// One-to-all broadcast over an ordered participant list, root at
 /// position 0.
@@ -31,7 +45,7 @@ use mpp_runtime::{Communicator, Message, Payload, Tag};
 /// Panics if the calling rank is not in `order`, or if `data` presence
 /// disagrees with the caller's position.
 pub async fn bcast_from_first<P: Into<Payload>>(
-    comm: &mut dyn Communicator,
+    comm: &mut RankCtx,
     order: &[usize],
     data: Option<P>,
     tag_base: Tag,
@@ -86,12 +100,12 @@ pub async fn bcast_from_first<P: Into<Payload>>(
 /// not it is a sender) receives and returns all messages sorted by source
 /// rank, other ranks return an empty vector.
 pub async fn gather_direct(
-    comm: &mut dyn Communicator,
+    comm: &mut RankCtx,
     root: usize,
     senders: &[usize],
     my_payload: Option<&[u8]>,
     tag: Tag,
-) -> Vec<Message> {
+) -> Vec<Envelope> {
     let me = comm.rank();
     let am_sender = senders.contains(&me);
     assert_eq!(
@@ -106,11 +120,7 @@ pub async fn gather_direct(
     let mut out = Vec::new();
     if me == root {
         if let Some(p) = my_payload {
-            out.push(Message {
-                src: me,
-                tag,
-                data: Payload::from_slice(p),
-            });
+            out.push(held(comm, tag, Payload::from_slice(p)));
         }
         let expect = senders.iter().filter(|&&s| s != root).count();
         for _ in 0..expect {
@@ -122,7 +132,7 @@ pub async fn gather_direct(
 }
 
 /// Partner of `rank` in round `round` of the personalized-exchange
-/// schedule over `p` ranks, as `(send_to, recv_from)`.
+/// schedule over `p` ranks, as `(send to, receive from)`.
 ///
 /// For power-of-two `p` this is the XOR schedule of reference \[8\]
 /// (`rank ^ round`, self-inverse); otherwise a cyclic-shift schedule where
@@ -147,11 +157,11 @@ pub fn exchange_partner(p: usize, round: usize, rank: usize) -> (usize, usize) {
 /// Non-sources "send null messages" in the paper's phrasing; here a null
 /// message is simply skipped, which is what a real implementation does.
 pub async fn personalized_from_sources(
-    comm: &mut dyn Communicator,
+    comm: &mut RankCtx,
     is_source: &dyn Fn(usize) -> bool,
     my_payload: Option<&[u8]>,
     tag: Tag,
-) -> Vec<Message> {
+) -> Vec<Envelope> {
     let p = comm.size();
     let me = comm.rank();
     assert_eq!(is_source(me), my_payload.is_some());
@@ -161,11 +171,7 @@ pub async fn personalized_from_sources(
     let rope = my_payload.map(Payload::from_slice);
     let mut out = Vec::new();
     if let Some(pay) = &rope {
-        out.push(Message {
-            src: me,
-            tag,
-            data: pay.clone(),
-        });
+        out.push(held(comm, tag, pay.clone()));
     }
     for round in 1..p {
         let (to, from) = exchange_partner(p, round, me);
@@ -185,11 +191,11 @@ pub async fn personalized_from_sources(
 /// every participant holds every participant's payload, sorted by rank.
 /// Used by extension benchmarks as another library-style baseline.
 pub async fn allgather_ring(
-    comm: &mut dyn Communicator,
+    comm: &mut RankCtx,
     order: &[usize],
     my_payload: &[u8],
     tag: Tag,
-) -> Vec<Message> {
+) -> Vec<Envelope> {
     let n = order.len();
     let me = comm.rank();
     let my_pos = order
@@ -198,20 +204,12 @@ pub async fn allgather_ring(
         .expect("caller not in allgather order");
     let mine = Payload::from_slice(my_payload);
     if n == 1 {
-        return vec![Message {
-            src: me,
-            tag,
-            data: mine,
-        }];
+        return vec![held(comm, tag, mine)];
     }
     let next = order[(my_pos + 1) % n];
     let prev = order[(my_pos + n - 1) % n];
 
-    let mut out = vec![Message {
-        src: me,
-        tag,
-        data: mine.clone(),
-    }];
+    let mut out = vec![held(comm, tag, mine.clone())];
     // Round k delivers the payload originated by the participant k+1
     // positions behind us; `src` is rewritten from relayer to originator.
     // Each relay forwards the received rope as-is — no byte copies.
@@ -221,11 +219,7 @@ pub async fn allgather_ring(
         let got = comm.recv(Some(prev), Some(tag)).await;
         forward = got.data.clone();
         let origin = order[(my_pos + n - 1 - k) % n];
-        out.push(Message {
-            src: origin,
-            tag: got.tag,
-            data: got.data,
-        });
+        out.push(Envelope { src: origin, ..got });
         comm.next_iteration();
     }
     out.sort_by_key(|m| m.src);
@@ -235,7 +229,7 @@ pub async fn allgather_ring(
 /// Dissemination barrier implemented with real messages (an alternative
 /// to the kernel's modelled barrier): `⌈log₂ p⌉` rounds; in round `k`
 /// rank `r` signals `(r + 2^k) mod p` and waits for `(r - 2^k) mod p`.
-pub async fn barrier_dissemination(comm: &mut dyn Communicator, tag: Tag) {
+pub async fn barrier_dissemination(comm: &mut RankCtx, tag: Tag) {
     let p = comm.size();
     let me = comm.rank();
     let mut step = 1usize;
@@ -253,16 +247,17 @@ pub async fn barrier_dissemination(comm: &mut dyn Communicator, tag: Tag) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpp_model::{LibraryKind, Machine};
-    use mpp_runtime::{run_simulated, SimComm};
+    use mpp_model::Machine;
+    use mpp_runtime::simulate;
 
     /// Run `program` on every rank of a `1 × p` Paragon; the per-rank
     /// results.
-    pub(crate) fn run_on<R: Send>(
-        p: usize,
-        program: impl AsyncFn(&mut SimComm) -> R + Sync,
-    ) -> Vec<R> {
-        run_simulated(&Machine::paragon(1, p), LibraryKind::Nx, program).results
+    pub(crate) fn run_on<R>(p: usize, program: impl AsyncFn(&mut RankCtx) -> R) -> Vec<R> {
+        let program = &program;
+        simulate(&Machine::paragon(1, p), move |mut ctx| async move {
+            program(&mut ctx).await
+        })
+        .results
     }
 
     #[test]
@@ -443,7 +438,7 @@ fn unframe_chunks(bytes: &[u8]) -> Vec<Vec<u8>> {
 /// second half's chunks in one combined message, so the root sends
 /// `⌈log₂ n⌉` messages instead of `n-1`.
 pub async fn scatter_from_first(
-    comm: &mut dyn Communicator,
+    comm: &mut RankCtx,
     order: &[usize],
     chunks: Option<Vec<Vec<u8>>>,
     tag_base: Tag,
@@ -500,7 +495,7 @@ pub type Combine<'a> = &'a dyn Fn(&[u8], &[u8]) -> Vec<u8>;
 /// participant's contribution with the associative `combine` function.
 /// Returns `Some(total)` at the root, `None` elsewhere.
 pub async fn reduce_to_first(
-    comm: &mut dyn Communicator,
+    comm: &mut RankCtx,
     order: &[usize],
     my_contrib: &[u8],
     combine: Combine<'_>,
@@ -544,7 +539,7 @@ pub async fn reduce_to_first(
 
 /// All-reduce: binomial reduction followed by a broadcast of the result.
 pub async fn allreduce(
-    comm: &mut dyn Communicator,
+    comm: &mut RankCtx,
     order: &[usize],
     my_contrib: &[u8],
     combine: Combine<'_>,

@@ -12,7 +12,7 @@
 //! score falls below a threshold.
 
 use mpp_model::MeshShape;
-use mpp_runtime::{CommFuture, Communicator};
+use mpp_runtime::{CommFuture, RankCtx};
 
 use crate::algorithms::{Repos, StpAlgorithm, StpCtx};
 use crate::msgset::MessageSet;
@@ -54,11 +54,7 @@ impl<A: StpAlgorithm + Copy> StpAlgorithm for ReposAdaptive<A> {
         self.name
     }
 
-    fn run<'a>(
-        &'a self,
-        comm: &'a mut dyn Communicator,
-        ctx: &'a StpCtx<'a>,
-    ) -> CommFuture<'a, MessageSet> {
+    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             if self.would_reposition(ctx.shape, ctx.sources) {
                 Repos::new(self.base, self.name).run(comm, ctx).await
@@ -78,7 +74,7 @@ mod tests {
     use super::*;
     use mpp_model::Machine;
 
-    use crate::algorithms::tests::assert_delivers;
+    use crate::algorithms::tests::{assert_delivers, simulate_on};
     use crate::algorithms::BrXySource;
     use crate::distribution::SourceDist;
     use crate::msgset::payload_for;
@@ -135,19 +131,18 @@ mod tests {
         let alg = adaptive();
         let adaptive_ns = |dist: SourceDist| {
             let sources = dist.place(shape, 75);
-            let out =
-                mpp_runtime::run_simulated(&machine, mpp_model::LibraryKind::Nx, async |comm| {
-                    let payload = sources
-                        .binary_search(&comm.rank())
-                        .is_ok()
-                        .then(|| payload_for(comm.rank(), 6144));
-                    let ctx = StpCtx {
-                        shape,
-                        sources: &sources,
-                        payload: payload.as_deref(),
-                    };
-                    alg.run(comm, &ctx).await.len()
-                });
+            let out = simulate_on(shape, async |comm| {
+                let payload = sources
+                    .binary_search(&comm.rank())
+                    .is_ok()
+                    .then(|| payload_for(comm.rank(), 6144));
+                let ctx = StpCtx {
+                    shape,
+                    sources: &sources,
+                    payload: payload.as_deref(),
+                };
+                alg.run(comm, &ctx).await.len()
+            });
             out.makespan_ns as f64
         };
 

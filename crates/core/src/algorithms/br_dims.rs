@@ -11,7 +11,7 @@
 //! line (spread the smallest messages first).
 
 use mpp_model::MeshShape;
-use mpp_runtime::{CommFuture, Communicator, Tag};
+use mpp_runtime::{CommFuture, RankCtx, Tag};
 
 use crate::algorithms::{br_lin_over, StpAlgorithm, StpCtx};
 use crate::msgset::MessageSet;
@@ -126,11 +126,7 @@ impl StpAlgorithm for BrDims {
         "Br_dims"
     }
 
-    fn run<'a>(
-        &'a self,
-        comm: &'a mut dyn Communicator,
-        ctx: &'a StpCtx<'a>,
-    ) -> CommFuture<'a, MessageSet> {
+    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             ctx.validate(comm);
             assert_eq!(

@@ -1,6 +1,6 @@
 //! `Br_Lin` (paper §2): recursive pairing on a linear processor order.
 
-use mpp_runtime::{CommFuture, Communicator};
+use mpp_runtime::{CommFuture, RankCtx};
 
 use crate::algorithms::{br_lin_over, tags, StpAlgorithm, StpCtx};
 use crate::msgset::MessageSet;
@@ -43,11 +43,7 @@ impl StpAlgorithm for BrLin {
         "Br_Lin"
     }
 
-    fn run<'a>(
-        &'a self,
-        comm: &'a mut dyn Communicator,
-        ctx: &'a StpCtx<'a>,
-    ) -> CommFuture<'a, MessageSet> {
+    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             ctx.validate(comm);
             let order: Vec<usize> = match self.order {

@@ -10,7 +10,7 @@
 //! * `Br_xy_dim`: rows first iff `r ≥ c`, ignoring source positions.
 
 use mpp_model::MeshShape;
-use mpp_runtime::{CommFuture, Communicator, Tag};
+use mpp_runtime::{CommFuture, RankCtx, Tag};
 
 use crate::algorithms::{br_lin_over, tags, StpAlgorithm, StpCtx};
 use crate::distribution::{col_counts, row_counts};
@@ -102,7 +102,7 @@ pub fn shape_dim_order(shape: MeshShape) -> DimOrder {
 /// Exposed for the partitioning algorithms, which run it on machine
 /// halves.
 pub(crate) async fn run_xy_on_plan(
-    comm: &mut dyn Communicator,
+    comm: &mut RankCtx,
     plan: &XyPlan,
     sources_pos: &[usize],
     order: DimOrder,
@@ -164,11 +164,7 @@ impl StpAlgorithm for BrXySource {
         "Br_xy_source"
     }
 
-    fn run<'a>(
-        &'a self,
-        comm: &'a mut dyn Communicator,
-        ctx: &'a StpCtx<'a>,
-    ) -> CommFuture<'a, MessageSet> {
+    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             ctx.validate(comm);
             let plan = XyPlan::identity(ctx.shape);
@@ -206,11 +202,7 @@ impl StpAlgorithm for BrXyDim {
         "Br_xy_dim"
     }
 
-    fn run<'a>(
-        &'a self,
-        comm: &'a mut dyn Communicator,
-        ctx: &'a StpCtx<'a>,
-    ) -> CommFuture<'a, MessageSet> {
+    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             ctx.validate(comm);
             let plan = XyPlan::identity(ctx.shape);

@@ -16,7 +16,7 @@
 //! Alltoall — evidence that Cray's library simply did not use it.
 
 use mpp_model::MeshShape;
-use mpp_runtime::{CommFuture, Communicator};
+use mpp_runtime::{CommFuture, RankCtx};
 
 use crate::algorithms::{StpAlgorithm, StpCtx};
 use crate::msgset::MessageSet;
@@ -64,11 +64,7 @@ impl StpAlgorithm for DissemAllGather {
         }
     }
 
-    fn run<'a>(
-        &'a self,
-        comm: &'a mut dyn Communicator,
-        ctx: &'a StpCtx<'a>,
-    ) -> CommFuture<'a, MessageSet> {
+    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             ctx.validate(comm);
             let p = comm.size();
@@ -120,7 +116,7 @@ impl StpAlgorithm for DissemAllGather {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::tests::{assert_delivers, run_on};
+    use crate::algorithms::tests::{assert_delivers, simulate_on};
     use crate::msgset::payload_for;
 
     #[test]
@@ -158,7 +154,7 @@ mod tests {
     fn zero_copy_charges_nothing() {
         let shape = MeshShape::new(4, 4);
         let sources = vec![0usize, 7];
-        let copied = run_on(shape, async |comm| {
+        let copied = simulate_on(shape, async |comm| {
             let payload = sources
                 .contains(&comm.rank())
                 .then(|| payload_for(comm.rank(), 64));
@@ -168,8 +164,11 @@ mod tests {
                 payload: payload.as_deref(),
             };
             let _ = DissemAllGather::zero_copy().run(comm, &ctx).await;
-            comm.stats().memcpy_bytes
-        });
+        })
+        .stats
+        .iter()
+        .map(|st| st.memcpy_bytes)
+        .collect::<Vec<_>>();
         assert!(copied.iter().all(|&b| b == 0));
     }
 

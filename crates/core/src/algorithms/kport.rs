@@ -4,7 +4,7 @@
 //! ports per node; `MachineParams::ports_per_node` models it), yet the
 //! §2 algorithms issue one send at a time and leave k−1 ports idle.
 //! This module stripes the broadcast across all k ports using the
-//! [`Communicator::send_batch`] primitive: the whole batch pays a
+//! [`RankCtx::send_batch`] primitive: the whole batch pays a
 //! single α_send and its members occupy distinct injection slots, so up
 //! to k wire times overlap (cf. Träff's k-ported message combining,
 //! arXiv:2008.12144, and Zhou et al.'s multi-lane collectives,
@@ -26,7 +26,7 @@
 //!   batch-sends its message to the other p−1 ranks in rotated order,
 //!   k destinations per batch.
 
-use mpp_runtime::{CommFuture, Communicator, Tag};
+use mpp_runtime::{CommFuture, RankCtx, Tag};
 use mpp_sim::Payload;
 
 use crate::algorithms::{tags, StpAlgorithm, StpCtx};
@@ -175,12 +175,12 @@ pub(crate) fn build_lane(
 /// one message set per lane. All lanes advance level-locked over a
 /// *global* level index (a lane's segments run back to back); within a
 /// level a rank collects every lane's sends into a *single*
-/// [`Communicator::send_batch`] (one α_send for up to k transmits,
+/// [`RankCtx::send_batch`] (one α_send for up to k transmits,
 /// fanned across the injection-port slots in declared order), then
 /// drains the level's receives lane by lane. One `next_iteration` per
 /// level, like `br_lin_over`.
 pub(crate) async fn kport_merge(
-    comm: &mut dyn Communicator,
+    comm: &mut RankCtx,
     lanes: &[Vec<KportLane>],
     sets: &mut [MessageSet],
     tag_base: Tag,
@@ -270,11 +270,7 @@ impl StpAlgorithm for KPortLin {
         "KPort_Lin"
     }
 
-    fn run<'a>(
-        &'a self,
-        comm: &'a mut dyn Communicator,
-        ctx: &'a StpCtx<'a>,
-    ) -> CommFuture<'a, MessageSet> {
+    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             ctx.validate(comm);
             let p = ctx.shape.p();
@@ -320,11 +316,7 @@ impl StpAlgorithm for KPortScatter {
         "KPort_Scatter"
     }
 
-    fn run<'a>(
-        &'a self,
-        comm: &'a mut dyn Communicator,
-        ctx: &'a StpCtx<'a>,
-    ) -> CommFuture<'a, MessageSet> {
+    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             ctx.validate(comm);
             let p = ctx.shape.p();
@@ -429,11 +421,7 @@ impl StpAlgorithm for KPortAlltoall {
         "KPort_Alltoall"
     }
 
-    fn run<'a>(
-        &'a self,
-        comm: &'a mut dyn Communicator,
-        ctx: &'a StpCtx<'a>,
-    ) -> CommFuture<'a, MessageSet> {
+    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             ctx.validate(comm);
             let p = ctx.shape.p();

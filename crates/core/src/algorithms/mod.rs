@@ -31,7 +31,7 @@ pub mod repos;
 pub mod two_step;
 
 use mpp_model::MeshShape;
-use mpp_runtime::{CommFuture, Communicator, Tag};
+use mpp_runtime::{CommFuture, RankCtx, Tag};
 
 use crate::msgset::MessageSet;
 
@@ -73,7 +73,7 @@ impl StpCtx<'_> {
     }
 
     /// Sanity-check the context for the calling rank.
-    pub fn validate(&self, comm: &dyn Communicator) {
+    pub fn validate(&self, comm: &RankCtx) {
         assert_eq!(
             self.shape.p(),
             comm.size(),
@@ -113,11 +113,7 @@ pub trait StpAlgorithm: Sync {
     /// Returns a boxed future so the trait stays object-safe: rank
     /// programs are resumable state machines on the simulator's
     /// cooperative executor, and suspend at every `recv`/`barrier`.
-    fn run<'a>(
-        &'a self,
-        comm: &'a mut dyn Communicator,
-        ctx: &'a StpCtx<'a>,
-    ) -> CommFuture<'a, MessageSet>;
+    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet>;
 
     /// An ideal source distribution of `s` sources for this algorithm on
     /// `shape`, as sorted row-major positions — the target the
@@ -168,7 +164,7 @@ pub(crate) mod tags {
 /// One `next_iteration` is recorded per level so the Figure-2 metrics
 /// can be derived.
 pub(crate) async fn br_lin_over(
-    comm: &mut dyn Communicator,
+    comm: &mut RankCtx,
     order: &[usize],
     has: &[bool],
     set: &mut MessageSet,
@@ -213,21 +209,29 @@ pub(crate) async fn br_lin_over(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use mpp_model::{LibraryKind, Machine};
-    use mpp_runtime::{run_simulated, SimComm};
+    use mpp_model::Machine;
+    use mpp_runtime::{simulate, SimOutcome};
 
     use crate::msgset::payload_for;
 
-    /// Run `program` on every rank of a `shape` Paragon; the per-rank
-    /// results.
-    pub(crate) fn run_on<R: Send>(
+    /// Run `program` on every rank of a `shape` Paragon.
+    pub(crate) fn simulate_on<R>(
         shape: MeshShape,
-        program: impl AsyncFn(&mut SimComm) -> R + Sync,
-    ) -> Vec<R> {
+        program: impl AsyncFn(&mut RankCtx) -> R,
+    ) -> SimOutcome<R> {
+        let program = &program;
         let machine = Machine::paragon(shape.rows, shape.cols);
-        run_simulated(&machine, LibraryKind::Nx, program).results
+        simulate(
+            &machine,
+            move |mut ctx| async move { program(&mut ctx).await },
+        )
+    }
+
+    /// [`simulate_on`]'s per-rank results.
+    pub(crate) fn run_on<R>(shape: MeshShape, program: impl AsyncFn(&mut RankCtx) -> R) -> Vec<R> {
+        simulate_on(shape, program).results
     }
 
     /// Run `alg` on a `shape` Paragon whose `sources` hold

@@ -17,7 +17,7 @@
 //! coordination-free approach actually loses on each machine.
 
 use mpp_model::MeshShape;
-use mpp_runtime::{CommFuture, Communicator, Payload, Tag};
+use mpp_runtime::{CommFuture, Payload, RankCtx, Tag};
 
 use crate::algorithms::{StpAlgorithm, StpCtx};
 use crate::msgset::MessageSet;
@@ -34,11 +34,7 @@ impl StpAlgorithm for NaiveIndependent {
         "NaiveIndependent"
     }
 
-    fn run<'a>(
-        &'a self,
-        comm: &'a mut dyn Communicator,
-        ctx: &'a StpCtx<'a>,
-    ) -> CommFuture<'a, MessageSet> {
+    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             ctx.validate(comm);
             let p = comm.size();
@@ -108,7 +104,7 @@ impl StpAlgorithm for NaiveIndependent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::tests::{assert_delivers, run_on};
+    use crate::algorithms::tests::{assert_delivers, simulate_on};
     use crate::msgset::payload_for;
 
     #[test]
@@ -143,7 +139,7 @@ mod tests {
         let shape = MeshShape::new(4, 4);
         let ops_for = |s: usize| {
             let sources: Vec<usize> = (0..s).collect();
-            let ops = run_on(shape, async |comm| {
+            let ops = simulate_on(shape, async |comm| {
                 let payload = sources
                     .contains(&comm.rank())
                     .then(|| payload_for(comm.rank(), 16));
@@ -153,8 +149,11 @@ mod tests {
                     payload: payload.as_deref(),
                 };
                 let _ = NaiveIndependent.run(comm, &ctx).await;
-                comm.stats().total_ops()
-            });
+            })
+            .stats
+            .iter()
+            .map(|st| st.total_ops())
+            .collect::<Vec<_>>();
             ops.iter().max().copied().unwrap()
         };
         let few = ops_for(2);

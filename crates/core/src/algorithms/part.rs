@@ -11,7 +11,7 @@
 //! large messages dominates — a result `repro partitioning` reproduces.
 
 use mpp_model::MeshShape;
-use mpp_runtime::{CommFuture, Communicator};
+use mpp_runtime::{CommFuture, RankCtx};
 
 use crate::algorithms::br_xy::{run_xy_on_plan, shape_dim_order, source_dim_order, XyPlan};
 use crate::algorithms::{
@@ -29,7 +29,7 @@ pub trait PlanRunnable: StpAlgorithm + Copy {
     /// [`StpAlgorithm::run`].
     fn run_on_plan<'a>(
         &'a self,
-        comm: &'a mut dyn Communicator,
+        comm: &'a mut RankCtx,
         plan: &'a XyPlan,
         sources_pos: &'a [usize],
         set: &'a mut MessageSet,
@@ -39,7 +39,7 @@ pub trait PlanRunnable: StpAlgorithm + Copy {
 impl PlanRunnable for BrLin {
     fn run_on_plan<'a>(
         &'a self,
-        comm: &'a mut dyn Communicator,
+        comm: &'a mut RankCtx,
         plan: &'a XyPlan,
         sources_pos: &'a [usize],
         set: &'a mut MessageSet,
@@ -59,7 +59,7 @@ impl PlanRunnable for BrLin {
 impl PlanRunnable for BrXySource {
     fn run_on_plan<'a>(
         &'a self,
-        comm: &'a mut dyn Communicator,
+        comm: &'a mut RankCtx,
         plan: &'a XyPlan,
         sources_pos: &'a [usize],
         set: &'a mut MessageSet,
@@ -83,7 +83,7 @@ impl PlanRunnable for BrXySource {
 impl PlanRunnable for BrXyDim {
     fn run_on_plan<'a>(
         &'a self,
-        comm: &'a mut dyn Communicator,
+        comm: &'a mut RankCtx,
         plan: &'a XyPlan,
         sources_pos: &'a [usize],
         set: &'a mut MessageSet,
@@ -158,7 +158,7 @@ pub fn split_mesh(shape: MeshShape) -> Option<Partition> {
 /// what this rank holds afterwards, keyed by its own rank — the moved
 /// message stays the rope it arrived as, nothing is copied out of it.
 async fn permute_to_targets(
-    comm: &mut dyn Communicator,
+    comm: &mut RankCtx,
     ctx: &StpCtx<'_>,
     targets_all: &[usize],
 ) -> MessageSet {
@@ -203,11 +203,7 @@ impl<A: PlanRunnable> StpAlgorithm for Part<A> {
         self.name
     }
 
-    fn run<'a>(
-        &'a self,
-        comm: &'a mut dyn Communicator,
-        ctx: &'a StpCtx<'a>,
-    ) -> CommFuture<'a, MessageSet> {
+    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             ctx.validate(comm);
             let Some(partition) = split_mesh(ctx.shape) else {
@@ -340,11 +336,7 @@ impl<A: PlanRunnable> StpAlgorithm for PartRecursive<A> {
         self.name
     }
 
-    fn run<'a>(
-        &'a self,
-        comm: &'a mut dyn Communicator,
-        ctx: &'a StpCtx<'a>,
-    ) -> CommFuture<'a, MessageSet> {
+    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             ctx.validate(comm);
             let me = comm.rank();

@@ -11,7 +11,7 @@
 //! overall winner.
 
 use collectives::personalized_from_sources;
-use mpp_runtime::{CommFuture, Communicator};
+use mpp_runtime::{CommFuture, RankCtx};
 
 use crate::algorithms::{tags, StpAlgorithm, StpCtx};
 use crate::msgset::MessageSet;
@@ -25,11 +25,7 @@ impl StpAlgorithm for PersAlltoAll {
         "PersAlltoAll"
     }
 
-    fn run<'a>(
-        &'a self,
-        comm: &'a mut dyn Communicator,
-        ctx: &'a StpCtx<'a>,
-    ) -> CommFuture<'a, MessageSet> {
+    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             ctx.validate(comm);
             let msgs =
@@ -49,7 +45,7 @@ mod tests {
     use super::*;
     use mpp_model::MeshShape;
 
-    use crate::algorithms::tests::{assert_delivers, run_on};
+    use crate::algorithms::tests::{assert_delivers, simulate_on};
     use crate::msgset::payload_for;
 
     #[test]
@@ -76,7 +72,7 @@ mod tests {
     fn no_combining_is_charged() {
         let shape = MeshShape::new(2, 4);
         let sources = vec![0usize, 3];
-        let copied = run_on(shape, async |comm| {
+        let copied = simulate_on(shape, async |comm| {
             let payload = sources
                 .contains(&comm.rank())
                 .then(|| payload_for(comm.rank(), 64));
@@ -86,8 +82,11 @@ mod tests {
                 payload: payload.as_deref(),
             };
             let _ = PersAlltoAll.run(comm, &ctx).await;
-            comm.stats().memcpy_bytes
-        });
+        })
+        .stats
+        .iter()
+        .map(|st| st.memcpy_bytes)
+        .collect::<Vec<_>>();
         assert!(
             copied.iter().all(|&b| b == 0),
             "PersAlltoAll never combines"

@@ -12,7 +12,7 @@
 use std::borrow::Cow;
 
 use mpp_model::MeshShape;
-use mpp_runtime::{CommFuture, Communicator};
+use mpp_runtime::{CommFuture, RankCtx};
 
 use crate::algorithms::{tags, StpAlgorithm, StpCtx};
 use crate::msgset::MessageSet;
@@ -55,11 +55,7 @@ impl<A: StpAlgorithm> StpAlgorithm for Repos<A> {
         self.name
     }
 
-    fn run<'a>(
-        &'a self,
-        comm: &'a mut dyn Communicator,
-        ctx: &'a StpCtx<'a>,
-    ) -> CommFuture<'a, MessageSet> {
+    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             ctx.validate(comm);
             let me = comm.rank();

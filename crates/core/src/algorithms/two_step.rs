@@ -20,7 +20,7 @@
 //!   makes the T3D distribution effects of Figures 11 and 12 visible.
 
 use collectives::bcast_from_first;
-use mpp_runtime::{CommFuture, Communicator};
+use mpp_runtime::{CommFuture, RankCtx};
 
 use crate::algorithms::{tags, StpAlgorithm, StpCtx};
 use crate::msgset::MessageSet;
@@ -54,7 +54,7 @@ impl TwoStep {
 
     /// Gather all source payloads into a [`MessageSet`] at the root;
     /// other ranks return an empty set.
-    async fn gather(&self, comm: &mut dyn Communicator, ctx: &StpCtx<'_>) -> MessageSet {
+    async fn gather(&self, comm: &mut RankCtx, ctx: &StpCtx<'_>) -> MessageSet {
         let me = comm.rank();
         let mut set = match ctx.payload {
             Some(p) => MessageSet::single(me, p),
@@ -96,7 +96,7 @@ impl TwoStep {
 /// Recursive step of the tree gather on segment `[lo, hi)`. Returns a
 /// boxed future because async recursion needs an indirection.
 fn gather_seg<'a>(
-    comm: &'a mut dyn Communicator,
+    comm: &'a mut RankCtx,
     set: &'a mut MessageSet,
     lo: usize,
     hi: usize,
@@ -136,11 +136,7 @@ impl StpAlgorithm for TwoStep {
         }
     }
 
-    fn run<'a>(
-        &'a self,
-        comm: &'a mut dyn Communicator,
-        ctx: &'a StpCtx<'a>,
-    ) -> CommFuture<'a, MessageSet> {
+    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             ctx.validate(comm);
             let me = comm.rank();
@@ -162,7 +158,7 @@ mod tests {
     use super::*;
     use mpp_model::MeshShape;
 
-    use crate::algorithms::tests::{assert_delivers, run_on};
+    use crate::algorithms::tests::{assert_delivers, simulate_on};
     use crate::msgset::payload_for;
 
     #[test]
@@ -209,7 +205,7 @@ mod tests {
         // communicates in the gather: total sends ≈ O(log p), not O(p).
         let shape = MeshShape::new(4, 4);
         let sources = vec![15usize];
-        let sends = run_on(shape, async |comm| {
+        let sends = simulate_on(shape, async |comm| {
             let payload = sources
                 .contains(&comm.rank())
                 .then(|| payload_for(comm.rank(), 8));
@@ -219,8 +215,11 @@ mod tests {
                 payload: payload.as_deref(),
             };
             let _ = TwoStep::tree().run(comm, &ctx).await;
-            comm.stats().total_sends()
-        });
+        })
+        .stats
+        .iter()
+        .map(|st| st.total_sends())
+        .collect::<Vec<_>>();
         let gather_sends: u64 = sends.iter().sum();
         // 4 tree levels of gather + 15 bcast sends.
         assert!(gather_sends <= 4 + 15, "too many sends: {gather_sends}");

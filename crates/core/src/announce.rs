@@ -15,7 +15,7 @@
 //! broadcast itself for the paper's message sizes.
 
 use collectives::allreduce;
-use mpp_runtime::Communicator;
+use mpp_runtime::RankCtx;
 
 use crate::algorithms::{StpAlgorithm, StpCtx};
 use crate::msgset::MessageSet;
@@ -62,7 +62,7 @@ fn merge_tables(a: &[u8], b: &[u8]) -> Vec<u8> {
 /// message set, identical on every rank, or `None` when no rank had a
 /// message (the s = 0 case the synchronous API cannot express).
 pub async fn announce_and_broadcast(
-    comm: &mut dyn Communicator,
+    comm: &mut RankCtx,
     shape: mpp_model::MeshShape,
     my_payload: Option<&[u8]>,
     alg: &dyn StpAlgorithm,
@@ -99,25 +99,21 @@ pub async fn announce_and_broadcast(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpp_model::{LibraryKind, Machine, MeshShape};
-    use mpp_runtime::run_simulated;
+    use mpp_model::MeshShape;
 
+    use crate::algorithms::tests::run_on;
     use crate::algorithms::{BrLin, BrXySource, TwoStep};
     use crate::msgset::payload_for;
 
     fn check(shape: MeshShape, sources: Vec<usize>, alg: &dyn StpAlgorithm) {
-        let out = run_simulated(
-            &Machine::paragon(shape.rows, shape.cols),
-            LibraryKind::Nx,
-            async |comm| {
-                // Each rank knows only its own status.
-                let payload = sources
-                    .contains(&comm.rank())
-                    .then(|| payload_for(comm.rank(), 64));
-                announce_and_broadcast(comm, shape, payload.as_deref(), alg).await
-            },
-        );
-        for set in out.results {
+        let sets = run_on(shape, async |comm| {
+            // Each rank knows only its own status.
+            let payload = sources
+                .contains(&comm.rank())
+                .then(|| payload_for(comm.rank(), 64));
+            announce_and_broadcast(comm, shape, payload.as_deref(), alg).await
+        });
+        for set in sets {
             let set = set.expect("sources exist");
             assert_eq!(set.sources().collect::<Vec<_>>(), sources);
             for &s in &sources {
@@ -136,12 +132,10 @@ mod tests {
     #[test]
     fn no_sources_yields_none() {
         let shape = MeshShape::new(2, 3);
-        let out = run_simulated(
-            &Machine::paragon(shape.rows, shape.cols),
-            LibraryKind::Nx,
-            async |comm| announce_and_broadcast(comm, shape, None, &BrLin::new()).await,
-        );
-        assert!(out.results.iter().all(|r| r.is_none()));
+        let sets = run_on(shape, async |comm| {
+            announce_and_broadcast(comm, shape, None, &BrLin::new()).await
+        });
+        assert!(sets.iter().all(|r| r.is_none()));
     }
 
     #[test]
@@ -154,17 +148,13 @@ mod tests {
     fn variable_lengths_announced() {
         let shape = MeshShape::new(2, 4);
         let sources = [1usize, 6];
-        let out = run_simulated(
-            &Machine::paragon(shape.rows, shape.cols),
-            LibraryKind::Nx,
-            async |comm| {
-                let payload = sources
-                    .contains(&comm.rank())
-                    .then(|| payload_for(comm.rank(), 10 + comm.rank() * 7));
-                announce_and_broadcast(comm, shape, payload.as_deref(), &BrLin::new()).await
-            },
-        );
-        for set in out.results {
+        let sets = run_on(shape, async |comm| {
+            let payload = sources
+                .contains(&comm.rank())
+                .then(|| payload_for(comm.rank(), 10 + comm.rank() * 7));
+            announce_and_broadcast(comm, shape, payload.as_deref(), &BrLin::new()).await
+        });
+        for set in sets {
             let set = set.unwrap();
             assert_eq!(set.get(1).unwrap().len(), 17);
             assert_eq!(set.get(6).unwrap().len(), 52);

@@ -3,8 +3,8 @@
 
 use mpp_model::{LibraryKind, Machine, Time};
 use mpp_runtime::{
-    schedule_log, try_run_simulated_with, CancelToken, CommStats, Communicator, EventLog, ExecMode,
-    FaultPlan, KernelCounters, SimBudget, SimConfig, SimError,
+    try_simulate_with, CancelToken, CommStats, EventLog, ExecMode, FaultPlan, KernelCounters,
+    SimBudget, SimConfig, SimError,
 };
 
 use crate::algorithms::{
@@ -355,7 +355,7 @@ pub fn try_run_alg_controlled(
         strict: cfg!(debug_assertions) && control.faults.is_none(),
         ..sim_config(lib, control)
     };
-    try_run_alg_with(machine, &config, sources, payload_of, alg)
+    try_run_alg_with(machine, &config, sources, payload_of, alg).map(|(outcome, _)| outcome)
 }
 
 /// The kernel configuration a [`RunControl`] asks for: fault plan,
@@ -371,18 +371,21 @@ fn sim_config(lib: LibraryKind, control: &RunControl) -> SimConfig {
     }
 }
 
+/// The verified, timed outcome of `alg` and the run's recording (empty
+/// unless `config.record`).
 fn try_run_alg_with(
     machine: &Machine,
     config: &SimConfig,
     sources: &[usize],
     payload_of: &(dyn Fn(usize) -> Vec<u8> + Sync),
     alg: &dyn StpAlgorithm,
-) -> Result<Outcome, SimError> {
+) -> Result<(Outcome, EventLog), SimError> {
     let shape = machine.shape;
     // The delivery oracle: the s expected messages, generated once per
     // run. Sources send from it and every rank checks against it.
     let expected: Vec<Vec<u8>> = sources.iter().map(|&s| payload_of(s)).collect();
-    let out = try_run_simulated_with(machine, config, async |comm| {
+    let expected = &expected;
+    let out = try_simulate_with(machine, config, |mut comm| async move {
         let me = comm.rank();
         let ctx = StpCtx {
             shape,
@@ -392,15 +395,15 @@ fn try_run_alg_with(
                 .ok()
                 .map(|i| expected[i].as_slice()),
         };
-        let set = alg.run(comm, &ctx).await;
+        let set = alg.run(&mut comm, &ctx).await;
         // Verify on-rank: exactly the sources, each byte for byte.
         set.sources().eq(sources.iter().copied())
             && sources
                 .iter()
-                .zip(&expected)
+                .zip(expected)
                 .all(|(&s, want)| set.get(s).is_some_and(|got| got == want))
     })?;
-    Ok(Outcome {
+    let outcome = Outcome {
         makespan_ns: out.makespan_ns,
         finish_ns: out.finish_ns,
         stats: out.stats,
@@ -409,7 +412,8 @@ fn try_run_alg_with(
         contention_ns: out.contention_ns,
         sources: sources.to_vec(),
         counters: out.counters,
-    })
+    };
+    Ok((outcome, out.log))
 }
 
 // ---------------------------------------------------------------------------
@@ -420,9 +424,9 @@ fn try_run_alg_with(
 ///
 /// Produced by [`record_sources`] / [`try_record_sources`]; consumed by
 /// the `stp-analyzer` crate's static checks, which read the log in place.
-/// The log is complete even when the run deadlocks — the kernel flushes
-/// the partial schedule (with one `blocked` record per stuck rank) before
-/// aborting, and the recorder catches the abort.
+/// The log is complete even when the run deadlocks — the kernel returns
+/// the partial schedule (with one `blocked` record per stuck rank) on
+/// the deadlock error.
 #[derive(Debug)]
 pub struct RecordedRun {
     /// Communication events in deterministic kernel order.
@@ -498,23 +502,18 @@ pub fn try_plan_sources(
     control: &RunControl,
     record: bool,
 ) -> Result<RecordedRun, SimError> {
-    let log = record.then(schedule_log);
     let config = SimConfig {
-        recorder: log.clone(),
+        record,
         ..sim_config(lib, control)
     };
-    let run = try_run_alg_with(machine, &config, sources, payload_of, alg);
-    let recording = log
-        .map(|log| std::mem::take(&mut *log.lock().unwrap_or_else(PoisonError::into_inner)))
-        .unwrap_or_default();
-    match run {
-        Ok(outcome) => Ok(RecordedRun {
-            events: recording.events,
-            deadlocked: recording.deadlocked,
+    match try_run_alg_with(machine, &config, sources, payload_of, alg) {
+        Ok((outcome, events)) => Ok(RecordedRun {
+            events,
+            deadlocked: false,
             outcome: Some(outcome),
         }),
-        Err(SimError::Deadlock { .. }) => Ok(RecordedRun {
-            events: recording.events,
+        Err(SimError::Deadlock { info, .. }) => Ok(RecordedRun {
+            events: info.log,
             deadlocked: true,
             outcome: None,
         }),
@@ -798,7 +797,7 @@ mod tests {
 
         fn run<'a>(
             &'a self,
-            comm: &'a mut dyn Communicator,
+            comm: &'a mut mpp_runtime::RankCtx,
             ctx: &'a StpCtx<'a>,
         ) -> mpp_runtime::CommFuture<'a, MessageSet> {
             Box::pin(async move {

@@ -37,7 +37,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use mpp_model::{LibraryKind, Machine, MeshShape};
-use mpp_runtime::{CancelToken, CommFuture, Communicator, SimBudget, SimError};
+use mpp_runtime::{CancelToken, CommFuture, RankCtx, SimBudget, SimError};
 
 use crate::algorithms::{StpAlgorithm, StpCtx};
 use crate::checkpoint::{json_escape, CheckpointFile};
@@ -456,7 +456,7 @@ impl StpAlgorithm for ChaosPanic {
 
     fn run<'a>(
         &'a self,
-        comm: &'a mut dyn Communicator,
+        comm: &'a mut RankCtx,
         _ctx: &'a StpCtx<'a>,
     ) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
@@ -481,7 +481,7 @@ impl StpAlgorithm for ChaosDeadlock {
 
     fn run<'a>(
         &'a self,
-        comm: &'a mut dyn Communicator,
+        comm: &'a mut RankCtx,
         _ctx: &'a StpCtx<'a>,
     ) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {

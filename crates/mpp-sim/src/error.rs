@@ -17,7 +17,7 @@ use mpp_model::Time;
 use crate::kernel::DeadlockInfo;
 
 /// Why a simulation failed to run to completion.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum SimError {
     /// Every live rank is blocked in `recv` with no matching message in
     /// flight (or waiting at a barrier some blocked rank will never
@@ -25,8 +25,9 @@ pub enum SimError {
     Deadlock {
         /// `Machine::name` of the simulated machine.
         machine: String,
-        /// Per-rank one-line state descriptions at deadlock time.
-        info: DeadlockInfo,
+        /// Per-rank state at deadlock time, the counts and the partial
+        /// recording (boxed: the recording would bloat every `Result`).
+        info: Box<DeadlockInfo>,
     },
     /// A rank program panicked. The kernel shuts the remaining ranks
     /// down cleanly and reports the captured panic message.

@@ -5,9 +5,10 @@
 //! [`RankSlab`](crate::slab::RankSlab) allocation and polled in place —
 //! no per-rank `Box::pin`, no per-op heap traffic. Each rank owns a
 //! [`CoopCell`]: rank-local operations (`send`, `compute_ns`,
-//! `charge_memcpy`, `iter_mark`) update the cell's virtual clock directly
-//! and append *deferred ops*; only `recv` and `barrier` actually suspend
-//! the future. The executor drains deferred ops in global
+//! `charge_memcpy`, `next_iteration`) update the cell's virtual clock and
+//! statistics directly and append *deferred ops*; only `recv` and
+//! `barrier` actually suspend the future. The executor drains deferred
+//! ops in global
 //! `(effective time, rank)` order through the shared [`KernelCore`],
 //! driven by the calendar-bucket
 //! [`ReadyQueue`](crate::sched::ReadyQueue).
@@ -47,6 +48,7 @@ use crate::kernel::{DeadlockInfo, Envelope, KernelCore, RankCtx, SimConfig, SimO
 use crate::payload::Payload;
 use crate::sched::ReadyQueue;
 use crate::slab::{RankSlab, SlabHandle};
+use crate::stats::CommStats;
 use crate::supervise::{Watchdog, WatchdogTrip};
 use crate::Tag;
 
@@ -67,8 +69,9 @@ pub(crate) struct CoopCell {
     /// Completion value for the op the rank is suspended on, deposited
     /// by the executor just before re-polling.
     pub grant: Option<CoopGrant>,
-    /// Iteration boundaries of a run that does not record them as ops.
-    pub iter_marks: u64,
+    /// The rank's communication statistics; its iteration count is also
+    /// where a run that does not record boundaries as ops counts them.
+    pub stats: CommStats,
 }
 
 /// A deferred operation in a rank's op queue.
@@ -259,10 +262,13 @@ fn describe_ranks(
     states
 }
 
-/// Move the ranks' rank-local iteration marks into the kernel counts.
-fn fold_iter_marks(core: &mut KernelCore, cells: &[Rc<RefCell<CoopCell>>]) {
-    for cell in cells {
-        core.counters.iter_ends += std::mem::take(&mut cell.borrow_mut().iter_marks);
+/// Add the iteration boundaries a run without recording counted only
+/// rank-locally, in its statistics, to the kernel counts.
+fn fold_iteration_ends(core: &mut KernelCore, cells: &[Rc<RefCell<CoopCell>>], recording: bool) {
+    if !recording {
+        for cell in cells {
+            core.counters.iter_ends += cell.borrow().stats.iters.len() as u64 - 1;
+        }
     }
 }
 
@@ -299,11 +305,16 @@ where
     assert!(p > 0);
 
     let mut core = KernelCore::new(machine, config);
-    let recording = config.recorder.is_some();
+    let recording = config.record;
     let alpha_send = core.alpha_send;
 
     let cells: Vec<Rc<RefCell<CoopCell>>> = (0..p)
-        .map(|_| Rc::new(RefCell::new(CoopCell::default())))
+        .map(|_| {
+            Rc::new(RefCell::new(CoopCell {
+                stats: CommStats::new(),
+                ..CoopCell::default()
+            }))
+        })
         .collect();
     let mut results: Vec<Option<R>> = (0..p).map(|_| None).collect();
     // One slab allocation holds every rank's state machine for the whole
@@ -341,8 +352,8 @@ where
     let mut watchdog = Watchdog::for_run(&config.budget, &config.cancel);
 
     // The scheduling loop proper; every abnormal exit bubbles out as
-    // `Err` for the teardown below (flush the recorder, drop the slab
-    // with every unfinished state machine in place).
+    // `Err` for the teardown below (drop the slab with every unfinished
+    // state machine in place).
     let mut run_loop = || -> Result<(), SimError> {
         // Run every rank up to its first suspension point, then classify.
         for rank in 0..p {
@@ -399,14 +410,15 @@ where
             }
 
             let Some((eff, rank)) = ready.pop() else {
-                fold_iter_marks(&mut core, &cells);
+                fold_iteration_ends(&mut core, &cells, recording);
                 let info = DeadlockInfo {
                     states: describe_ranks(&mut core, &cells, &phases),
                     counters: core.counters(),
+                    log: core.take_log(),
                 };
                 return Err(SimError::Deadlock {
                     machine: machine.name.to_string(),
-                    info,
+                    info: Box::new(info),
                 });
             };
 
@@ -428,7 +440,14 @@ where
                     data,
                     eff,
                 } => {
-                    core.process_send(rank, dst, tag, data, eff);
+                    core.process_send(
+                        rank,
+                        dst,
+                        tag,
+                        data,
+                        eff,
+                        &mut cells[rank].borrow_mut().stats,
+                    );
                     settle_head(
                         rank,
                         &cells,
@@ -443,7 +462,7 @@ where
                     // All members issue in this one step; each
                     // destination is then woken like a plain send's.
                     let dsts: Vec<usize> = msgs.iter().map(|(dst, _, _)| *dst).collect();
-                    core.process_send_batch(rank, msgs, eff);
+                    core.process_send_batch(rank, msgs, eff, &mut cells[rank].borrow_mut().stats);
                     settle_head(
                         rank,
                         &cells,
@@ -498,7 +517,7 @@ where
                         core.note_timeout();
                         {
                             let mut cell = cells[rank].borrow_mut();
-                            cell.clock = d + core.alpha_recv;
+                            cell.clock = d.saturating_add(core.alpha_recv);
                             cell.grant = Some(CoopGrant::TimedOut);
                         }
                         poll_rank(rank, &mut slab, &mut results, &cells)?;
@@ -533,18 +552,19 @@ where
         Ok(())
     };
 
-    if let Err(e) = run_loop() {
-        core.flush_recording(matches!(e, SimError::Deadlock { .. }));
-        return Err(e);
-    }
+    run_loop()?;
 
     debug_assert_eq!(
         slab.live(),
         0,
         "live ranks exhausted with unfinished machines"
     );
-    fold_iter_marks(&mut core, &cells);
-    Ok(core.finish(results, finish_ns))
+    fold_iteration_ends(&mut core, &cells, recording);
+    let stats = cells
+        .iter()
+        .map(|cell| std::mem::take(&mut cell.borrow_mut().stats))
+        .collect();
+    Ok(core.finish(results, finish_ns, stats))
 }
 
 #[cfg(test)]
@@ -552,7 +572,7 @@ mod tests {
     use mpp_model::{Machine, Time};
 
     use crate::kernel::{simulate, simulate_with, SimConfig};
-    use crate::record::{schedule_log, EventKind};
+    use crate::record::EventKind;
 
     /// A message that can complete exactly at a receive's deadline is
     /// delivered, not timed out.
@@ -580,12 +600,11 @@ mod tests {
     #[test]
     fn a_timed_receive_completes_at_its_match() {
         let m = Machine::paragon(1, 3);
-        let log = schedule_log();
         let config = SimConfig {
-            recorder: Some(log.clone()),
+            record: true,
             ..SimConfig::default()
         };
-        simulate_with(&m, &config, |mut ctx| async move {
+        let out = simulate_with(&m, &config, |mut ctx| async move {
             match ctx.rank() {
                 0 => ctx.send(1, 3, b"early"),
                 1 => {
@@ -598,7 +617,7 @@ mod tests {
                 }
             }
         });
-        let order = &log.lock().unwrap().events.order;
+        let order = &out.log.order;
         let at = |kind: EventKind| order.iter().position(|&k| k == kind).unwrap();
         let second_send = order
             .iter()

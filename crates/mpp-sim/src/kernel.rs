@@ -24,9 +24,9 @@ use crate::mailbox::{Mailbox, MsgRec};
 use crate::network::NetworkState;
 use crate::payload::Payload;
 use crate::record::{
-    BlockedEvent, DropEvent, EventKind, EventLog, FinishEvent, RecvEvent, ScheduleLog, SendEvent,
-    XferEvent,
+    BlockedEvent, DropEvent, EventKind, EventLog, FinishEvent, RecvEvent, SendEvent, XferEvent,
 };
+use crate::stats::CommStats;
 use crate::supervise::{CancelToken, SimBudget};
 use crate::Tag;
 
@@ -58,9 +58,11 @@ impl ExecMode {
 pub struct SimConfig {
     /// Library flavour scaling the α costs (NX vs MPI on the Paragon).
     pub lib: LibraryKind,
-    /// Capture the symbolic communication schedule into this log (see
-    /// [`crate::record`]). `None` disables recording.
-    pub recorder: Option<ScheduleLog>,
+    /// Record the symbolic communication schedule (see
+    /// [`crate::record`]): the [`EventLog`] comes back on
+    /// [`SimOutcome::log`], or on [`DeadlockInfo::log`] when the run
+    /// deadlocks.
+    pub record: bool,
     /// Enforce schedule sanity at runtime: every receive match must be
     /// unambiguous (no second in-flight message with the same
     /// `(src, tag)`), and no rank may finish with undelivered messages
@@ -87,7 +89,7 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             lib: LibraryKind::Nx,
-            recorder: None,
+            record: false,
             strict: false,
             exec: ExecMode::default(),
             faults: None,
@@ -115,23 +117,36 @@ pub struct Envelope {
 
 /// Diagnostic snapshot produced when the simulation deadlocks
 /// (every live rank blocked in `recv` with no matching message).
-#[derive(Debug, Clone)]
 pub struct DeadlockInfo {
     /// Per-rank one-line state descriptions.
     pub states: Vec<String>,
     /// What the run cost the kernel up to the deadlock.
     pub counters: KernelCounters,
+    /// The partial schedule of a recorded run, with one `blocked`
+    /// record per stuck rank (empty unless [`SimConfig::record`]).
+    pub log: EventLog,
 }
 
-/// The per-rank handle user programs communicate through.
+// The log stays out of the dump: `SimError`'s message prints this form.
+impl std::fmt::Debug for DeadlockInfo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DeadlockInfo")
+            .field("states", &self.states)
+            .field("counters", &self.counters)
+            .finish()
+    }
+}
+
+/// The per-rank handle rank programs communicate through — the one
+/// every algorithm and collective is written against.
 ///
 /// Obtained only inside [`simulate`]; every method advances this rank's
-/// virtual clock. `recv` and `barrier` are `await`ed; everything else is
-/// synchronous and rank-local: it charges the rank's clock in the cell
-/// it shares with the executor and defers the operation there. The cell
-/// is a plain `Rc<RefCell<_>>`: everything runs on one thread, so the
-/// hot path pays two pointer checks per op instead of an atomic
-/// lock/unlock pair.
+/// virtual clock and records into the rank's [`CommStats`]. `recv` and
+/// `barrier` are `await`ed; everything else is synchronous and
+/// rank-local: it charges the rank's clock in the cell it shares with
+/// the executor and defers the operation there. The cell is a plain
+/// `Rc<RefCell<_>>`: everything runs on one thread, so the hot path pays
+/// two pointer checks per op instead of an atomic lock/unlock pair.
 pub struct RankCtx {
     rank: usize,
     size: usize,
@@ -189,10 +204,12 @@ impl RankCtx {
     /// Asynchronous send: returns after the software startup cost; the
     /// transfer itself proceeds in the network model.
     ///
-    /// Copies `data` once into shared storage. Prefer
+    /// Copies `data` once into shared storage (counted in
+    /// [`CommStats::bytes_copied`]). Prefer
     /// [`send_payload`](Self::send_payload) when the payload already
     /// lives in a [`Payload`] — that path moves pointers, not bytes.
     pub fn send(&mut self, dst: usize, tag: Tag, data: &[u8]) {
+        self.cell.borrow_mut().stats.record_copy(data.len());
         self.send_payload(dst, tag, Payload::from_slice(data));
     }
 
@@ -206,6 +223,7 @@ impl RankCtx {
         // The executor processes deferred sends in global
         // (issue clock, rank) order.
         let mut c = self.cell.borrow_mut();
+        c.stats.record_send(data.len());
         let eff = c.clock;
         c.ops.push_back(CoopOp::Send {
             dst,
@@ -221,6 +239,7 @@ impl RankCtx {
     /// become network-ready at `clock + α_send` simultaneously, so on a
     /// multi-port machine they occupy distinct injection slots (assigned
     /// in declared order, ascending) and their wire times overlap.
+    /// Statistics count every member as one send.
     ///
     /// An empty batch is a no-op and costs nothing.
     pub fn send_batch(&mut self, msgs: Vec<(usize, Tag, Payload)>) {
@@ -232,6 +251,9 @@ impl RankCtx {
         }
         // Rank-local like a plain send: one deferred op, one α_send.
         let mut c = self.cell.borrow_mut();
+        for (_, _, data) in &msgs {
+            c.stats.record_send(data.len());
+        }
         let eff = c.clock;
         c.ops.push_back(CoopOp::SendBatch { msgs, eff });
         c.clock = eff + self.alpha_send;
@@ -278,7 +300,9 @@ impl RankCtx {
     /// algorithms when *combining* messages, which the paper identifies as
     /// a first-order cost on the T3D.
     pub fn charge_memcpy(&mut self, bytes: usize) {
-        self.cell.borrow_mut().clock += self.params.memcpy_ns(bytes);
+        let mut c = self.cell.borrow_mut();
+        c.stats.record_memcpy(bytes);
+        c.clock += self.params.memcpy_ns(bytes);
     }
 
     /// Global barrier, modelled as a dissemination barrier:
@@ -290,29 +314,35 @@ impl RankCtx {
         }
     }
 
-    /// Mark an iteration boundary for the schedule recorder (zero
-    /// virtual-time cost). The runtime backends call it unconditionally
-    /// from `next_iteration`; a run that does not record only counts it,
-    /// rank-locally.
-    pub fn iter_mark(&mut self) {
+    /// Close the current statistics iteration and start the next (zero
+    /// virtual-time cost). The merge-based algorithms call this once per
+    /// communication round so the paper's per-iteration parameters
+    /// (congestion, active processors) can be measured; a recorded run
+    /// also logs the boundary.
+    pub fn next_iteration(&mut self) {
         let mut c = self.cell.borrow_mut();
+        c.stats.next_iteration();
         if self.recording {
             let eff = c.clock;
             c.ops.push_back(CoopOp::IterMark { eff });
-        } else {
-            c.iter_marks += 1;
         }
     }
 
     /// Register a suspension op on the first poll (and pend); on later
-    /// polls take the executor's grant, pending until it is there.
+    /// polls take the executor's grant, pending until it is there. A
+    /// delivered message is recorded in the statistics here, when the
+    /// receive resolves and its wait is known.
     fn suspend(&mut self, registered: &mut bool, op: impl FnOnce() -> CoopOp) -> Poll<CoopGrant> {
         let mut c = self.cell.borrow_mut();
         if !std::mem::replace(registered, true) {
             c.ops.push_back(op());
             return Poll::Pending;
         }
-        c.grant.take().map_or(Poll::Pending, Poll::Ready)
+        let grant = c.grant.take();
+        if let Some(CoopGrant::Received(env)) = &grant {
+            c.stats.record_recv(env.data.len(), env.waited_ns);
+        }
+        grant.map_or(Poll::Pending, Poll::Ready)
     }
 }
 
@@ -407,10 +437,12 @@ pub struct SimOutcome<R> {
     pub contention_events: u64,
     /// Total stall time across all transfers (ns).
     pub contention_ns: Time,
-    /// Per-rank fault counters (all zero without a fault plan).
-    pub fault_stats: Vec<FaultStats>,
+    /// Per-rank communication statistics, fault counters included.
+    pub stats: Vec<CommStats>,
     /// What the run cost the kernel, in counts.
     pub counters: KernelCounters,
+    /// The run's recording (empty unless [`SimConfig::record`]).
+    pub log: EventLog,
 }
 
 /// Host-independent counts of the kernel's own work in one run — the
@@ -445,19 +477,6 @@ impl KernelCounters {
     pub fn schedule_events(&self) -> u64 {
         self.sends + self.xfers + self.recvs + self.iter_ends + self.drops + self.finishes
     }
-}
-
-/// Per-rank fault-plane counters, accumulated at the sender.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Transmission attempts lost to the fault plan and retried.
-    pub retransmits: u64,
-    /// Messages lost for good (every attempt dropped or unroutable).
-    pub dropped: u64,
-    /// Extra hops taken by detours around dead links.
-    pub rerouted_hops: u64,
-    /// Extra head-latency cost of those detour hops (ns).
-    pub detour_ns: Time,
 }
 
 impl<R> SimOutcome<R> {
@@ -513,8 +532,9 @@ where
 /// Abnormal terminations — deadlock, a panicking rank program, watchdog
 /// budget trips, wall-clock deadlines, cancellation, strict-check
 /// violations — return `Err(SimError)` with the kernel shut down
-/// cleanly (every rank's state machine dropped, the schedule recorder
-/// flushed). The process never aborts through this entry point.
+/// cleanly (every rank's state machine dropped; a deadlock keeps the
+/// partial recording). The process never aborts through this entry
+/// point.
 pub fn try_simulate_with<R, F, Fut>(
     machine: &Machine,
     config: &SimConfig,
@@ -542,7 +562,6 @@ pub(crate) struct KernelCore<'m> {
     pub alpha_recv: Time,
     strict: bool,
     recording: bool,
-    recorder: Option<ScheduleLog>,
     net: NetworkState,
     mailboxes: Vec<Mailbox>,
     /// Messages in the mailboxes now.
@@ -556,7 +575,6 @@ pub(crate) struct KernelCore<'m> {
     /// Active fault plan; inert plans are normalized away so the
     /// fault-free fast path stays branch-one-deep.
     faults: Option<FaultPlan>,
-    fault_stats: Vec<FaultStats>,
     /// The run's counts so far (`events` is what the watchdog's budget
     /// is charged against); the executor adds its rank-local
     /// iteration marks before [`finish`](KernelCore::finish).
@@ -568,7 +586,7 @@ impl<'m> KernelCore<'m> {
         let p = machine.p();
         let mut net = NetworkState::new(machine);
         let mut events = EventLog::default();
-        if config.recorder.is_some() {
+        if config.record {
             // Recording runs capture the network's full reservation
             // record per transfer — the cost-model conformance ground
             // truth — into the arrays the last log on this thread left.
@@ -582,8 +600,7 @@ impl<'m> KernelCore<'m> {
             alpha_send: machine.params.alpha_send(config.lib),
             alpha_recv: machine.params.alpha_recv(config.lib),
             strict: config.strict,
-            recording: config.recorder.is_some(),
-            recorder: config.recorder.clone(),
+            recording: config.record,
             net,
             mailboxes: (0..p).map(|_| Mailbox::default()).collect(),
             in_flight: 0,
@@ -592,7 +609,6 @@ impl<'m> KernelCore<'m> {
             events,
             route_buf: Vec::new(),
             faults: config.faults.clone().filter(|plan| !plan.is_inert()),
-            fault_stats: vec![FaultStats::default(); p],
             counters: KernelCounters::default(),
         }
     }
@@ -615,7 +631,8 @@ impl<'m> KernelCore<'m> {
     }
 
     /// Process a send issued at `clock_at_issue`; returns the sender's
-    /// post-send clock (`clock_at_issue + α_send`).
+    /// post-send clock (`clock_at_issue + α_send`). Fault counters go to
+    /// the sender's `stats`.
     pub fn process_send(
         &mut self,
         src_rank: usize,
@@ -623,6 +640,7 @@ impl<'m> KernelCore<'m> {
         tag: Tag,
         data: Payload,
         clock_at_issue: Time,
+        stats: &mut CommStats,
     ) -> Time {
         self.counters.events += 1;
         self.counters.sends += 1;
@@ -645,7 +663,7 @@ impl<'m> KernelCore<'m> {
                 issue_ns: clock_at_issue,
             });
         }
-        if let Some(arrival) = self.transmit(src_rank, dst, seq, bytes, wire_ns, ready) {
+        if let Some(arrival) = self.transmit(src_rank, dst, seq, bytes, wire_ns, ready, stats) {
             self.counters.xfers += 1;
             if self.recording {
                 // The network's reservation record for this delivery —
@@ -708,6 +726,7 @@ impl<'m> KernelCore<'m> {
         src_rank: usize,
         msgs: Vec<(usize, Tag, Payload)>,
         clock_at_issue: Time,
+        stats: &mut CommStats,
     ) -> Time {
         debug_assert!(!msgs.is_empty(), "empty batches are filtered at issue");
         let mut ready = clock_at_issue + self.alpha_send;
@@ -715,7 +734,7 @@ impl<'m> KernelCore<'m> {
             // Same issue clock for every member ⇒ `process_send`
             // computes the identical ready instant each time; the only
             // per-member state that advances is the network reservation.
-            ready = self.process_send(src_rank, dst, tag, data, clock_at_issue);
+            ready = self.process_send(src_rank, dst, tag, data, clock_at_issue, stats);
         }
         ready
     }
@@ -729,6 +748,7 @@ impl<'m> KernelCore<'m> {
     /// result depends only on this call's arguments and the network
     /// state, which sends reach in one global order — a replay from the
     /// plan's seed is exact.
+    #[allow(clippy::too_many_arguments)]
     fn transmit(
         &mut self,
         src_rank: usize,
@@ -737,6 +757,7 @@ impl<'m> KernelCore<'m> {
         bytes: usize,
         wire_ns: Time,
         ready: Time,
+        stats: &mut CommStats,
     ) -> Option<Time> {
         let machine = self.machine;
         if src_rank == dst {
@@ -785,7 +806,6 @@ impl<'m> KernelCore<'m> {
             if !plan.should_drop(seq, attempt) {
                 if let Some(route) = route {
                     if route.len() > base_hops {
-                        let stats = &mut self.fault_stats[src_rank];
                         stats.rerouted_hops += (route.len() - base_hops) as u64;
                         stats.detour_ns +=
                             machine.params.hops_ns(route.len()) - machine.params.hops_ns(base_hops);
@@ -800,9 +820,9 @@ impl<'m> KernelCore<'m> {
             // existed); a dropped attempt reserves no network resources.
             let exhausted = attempt + 1 >= max_attempts;
             if exhausted {
-                self.fault_stats[src_rank].dropped += 1;
+                stats.dropped += 1;
             } else {
-                self.fault_stats[src_rank].retransmits += 1;
+                stats.retransmits += 1;
             }
             self.counters.drops += 1;
             if self.recording {
@@ -923,6 +943,9 @@ impl<'m> KernelCore<'m> {
 
     /// Record a rank stuck in `recv` at deadlock time.
     pub fn record_blocked(&mut self, rank: usize, src: Option<usize>, tag: Option<Tag>) {
+        if !self.recording {
+            return;
+        }
         self.events.order.push(EventKind::Blocked);
         self.events.blocked.push(BlockedEvent {
             rank,
@@ -932,15 +955,12 @@ impl<'m> KernelCore<'m> {
     }
 
     /// Move the accumulated schedule log (events plus the network's flat
-    /// window array) into the configured recorder, if any. Nothing is
-    /// copied; a kernel flushes once, from its normal or its abort path.
-    pub fn flush_recording(&mut self, deadlocked: bool) {
-        if let Some(log) = &self.recorder {
-            let mut rec = log.lock().expect("schedule log poisoned");
-            rec.events = std::mem::take(&mut self.events);
-            rec.events.windows = std::mem::take(&mut self.net.witness.windows);
-            rec.deadlocked |= deadlocked;
-        }
+    /// window array) out of the kernel; empty unless recording. Nothing
+    /// is copied.
+    pub fn take_log(&mut self) -> EventLog {
+        let mut log = std::mem::take(&mut self.events);
+        log.windows = std::mem::take(&mut self.net.witness.windows);
+        log
     }
 
     /// The run's counts so far.
@@ -951,10 +971,14 @@ impl<'m> KernelCore<'m> {
         }
     }
 
-    /// Close a run that completed normally: hand the recording to its
-    /// recorder and assemble the outcome from the per-rank results.
-    pub fn finish<R>(mut self, results: Vec<Option<R>>, finish_ns: Vec<Time>) -> SimOutcome<R> {
-        self.flush_recording(false);
+    /// Close a run that completed normally: assemble the outcome from
+    /// the per-rank results and statistics, and the recording.
+    pub fn finish<R>(
+        mut self,
+        results: Vec<Option<R>>,
+        finish_ns: Vec<Time>,
+        stats: Vec<CommStats>,
+    ) -> SimOutcome<R> {
         let counters = self.counters();
         let results = results
             .into_iter()
@@ -967,8 +991,9 @@ impl<'m> KernelCore<'m> {
             finish_ns,
             contention_events: self.net.contention_events,
             contention_ns: self.net.contention_ns,
-            fault_stats: self.fault_stats,
+            stats,
             counters,
+            log: self.take_log(),
         }
     }
 }
@@ -1405,10 +1430,10 @@ mod tests {
         };
         let (a, b) = (run(), run());
         assert_eq!(a.finish_ns, b.finish_ns, "a faulted run replays exactly");
-        assert_eq!(a.fault_stats, b.fault_stats);
-        let retransmits: u64 = a.fault_stats.iter().map(|s| s.retransmits).sum();
+        assert_eq!(a.stats, b.stats);
+        let retransmits: u64 = a.stats.iter().map(|s| s.retransmits).sum();
         assert!(retransmits > 0, "a 1/2 drop rate must force retransmits");
-        let dropped: u64 = a.fault_stats.iter().map(|s| s.dropped).sum();
+        let dropped: u64 = a.stats.iter().map(|s| s.dropped).sum();
         assert_eq!(dropped, 0, "20 attempts at 1/2 never exhaust");
     }
 
@@ -1438,8 +1463,8 @@ mod tests {
             }
         });
         assert!(out.results[1], "the message must never arrive");
-        assert_eq!(out.fault_stats[0].dropped, 1);
-        assert_eq!(out.fault_stats[0].retransmits, 0);
+        assert_eq!(out.stats[0].dropped, 1);
+        assert_eq!(out.stats[0].retransmits, 0);
     }
 
     #[test]
@@ -1466,11 +1491,8 @@ mod tests {
                 ctx.recv(Some(0), Some(0)).await;
             }
         });
-        assert_eq!(
-            a.fault_stats[0].rerouted_hops, 2,
-            "1-hop route became 3 hops"
-        );
-        assert!(a.fault_stats[0].detour_ns > 0);
+        assert_eq!(a.stats[0].rerouted_hops, 2, "1-hop route became 3 hops");
+        assert!(a.stats[0].detour_ns > 0);
         // The detour costs extra hop latency versus a clean network.
         let clean = simulate(&m, |mut ctx| async move {
             if ctx.rank() == 0 {
@@ -1484,5 +1506,170 @@ mod tests {
             a.contention_ns, clean.contention_ns,
             "detours are not contention"
         );
+    }
+
+    #[test]
+    fn a_timeout_at_the_end_of_time_ends_the_run() {
+        // A deadline that saturates to `Time::MAX` with no sender must
+        // time out at the end of virtual time, not overflow the ready
+        // queue's window or the receiver's clock.
+        let m = Machine::paragon(1, 2);
+        let out = simulate(&m, |mut ctx| async move {
+            if ctx.rank() == 1 {
+                ctx.compute_ns(5);
+                ctx.recv_timeout(Some(0), Some(0), u64::MAX).await.is_none()
+            } else {
+                true
+            }
+        });
+        assert_eq!(out.results, vec![true, true]);
+        assert_eq!(out.makespan_ns, Time::MAX);
+    }
+
+    #[test]
+    fn stats_flow_back_per_rank() {
+        let m = Machine::paragon(1, 4);
+        let out = simulate(&m, |mut ctx| async move {
+            if ctx.rank() == 0 {
+                for dst in 1..ctx.size() {
+                    ctx.send(dst, 0, &[0u8; 512]);
+                }
+            } else {
+                ctx.recv(Some(0), Some(0)).await;
+            }
+            ctx.rank()
+        });
+        assert_eq!(out.results, vec![0, 1, 2, 3]);
+        assert_eq!(out.stats[0].total_sends(), 3);
+        assert_eq!(out.stats[0].total_recvs(), 0);
+        for r in 1..4 {
+            assert_eq!(out.stats[r].total_recvs(), 1);
+            assert_eq!(out.stats[r].iters[0].bytes_recv, 512);
+        }
+        assert!(out.makespan_ns > 0);
+    }
+
+    #[test]
+    fn iteration_buckets_propagate() {
+        let m = Machine::paragon(1, 2);
+        let out = simulate(&m, |mut ctx| async move {
+            let peer = 1 - ctx.rank();
+            ctx.send(peer, 0, b"x");
+            ctx.recv(Some(peer), Some(0)).await;
+            ctx.next_iteration();
+            ctx.send(peer, 1, b"yy");
+            ctx.recv(Some(peer), Some(1)).await;
+        });
+        for st in &out.stats {
+            assert_eq!(st.iters.len(), 2);
+            assert_eq!(st.iters[0].ops(), 2);
+            assert_eq!(st.iters[1].ops(), 2);
+        }
+    }
+
+    #[test]
+    fn memcpy_charges_show_in_stats_and_time() {
+        let m = Machine::paragon(1, 2);
+        let out = simulate(&m, |mut ctx| async move {
+            if ctx.rank() == 0 {
+                ctx.charge_memcpy(1 << 20);
+            }
+        });
+        assert_eq!(out.stats[0].memcpy_bytes, 1 << 20);
+        assert_eq!(out.finish_ns[0], m.params.memcpy_ns(1 << 20));
+    }
+
+    #[test]
+    fn deterministic_run_output() {
+        let m = Machine::t3d(16, 5);
+        let config = SimConfig {
+            lib: LibraryKind::Mpi,
+            ..SimConfig::default()
+        };
+        let run = || {
+            simulate_with(&m, &config, |mut ctx| async move {
+                let p = ctx.size();
+                let next = (ctx.rank() + 1) % p;
+                ctx.send(next, 0, &[7u8; 64]);
+                let prev = (ctx.rank() + p - 1) % p;
+                ctx.recv(Some(prev), Some(0)).await.data.len()
+            })
+        };
+        let a = run();
+        let b = run();
+        assert_eq!(a.makespan_ns, b.makespan_ns);
+        assert_eq!(a.finish_ns, b.finish_ns);
+    }
+
+    #[test]
+    fn fault_counters_reach_comm_stats() {
+        let m = Machine::paragon(2, 4);
+        let config = SimConfig {
+            faults: Some(FaultPlan::transient_drops(11, 1, 2, 20)),
+            ..SimConfig::default()
+        };
+        let out = simulate_with(&m, &config, |mut ctx| async move {
+            if ctx.rank() == 0 {
+                for _ in 1..ctx.size() {
+                    ctx.recv(None, None).await;
+                }
+            } else {
+                ctx.send(0, 0, &[3u8; 256]);
+            }
+        });
+        let retransmits: u64 = out.stats.iter().map(|s| s.retransmits).sum();
+        assert!(retransmits > 0, "1/2 drop rate must show up in CommStats");
+        assert!(out.stats.iter().all(|s| s.dropped == 0));
+    }
+
+    #[test]
+    fn recv_timeout_on_simulator() {
+        let m = Machine::paragon(1, 2);
+        let out = simulate(&m, |mut ctx| async move {
+            if ctx.rank() == 1 {
+                let miss = ctx.recv_timeout(Some(0), Some(5), 100).await;
+                assert!(miss.is_none(), "no send has happened yet");
+                ctx.send(0, 7, b"go");
+                let hit = ctx.recv_timeout(Some(0), Some(5), 1_000_000_000).await;
+                hit.is_some()
+            } else {
+                // Waits for rank 1's timeout to expire before sending.
+                ctx.recv(Some(1), Some(7)).await;
+                ctx.send(1, 5, b"late");
+                false
+            }
+        });
+        assert_eq!(out.results, vec![false, true]);
+        // Only the delivered receive counts; the timed-out one does not.
+        assert_eq!(out.stats[1].total_recvs(), 1);
+    }
+
+    #[test]
+    fn runs_replay_exactly_through_the_runtime() {
+        let m = Machine::t3d(16, 5);
+        let run = || {
+            simulate(&m, |mut ctx| async move {
+                let p = ctx.size();
+                for hop in [1usize, 3, 7] {
+                    ctx.send((ctx.rank() + hop) % p, hop as Tag, &[9u8; 96]);
+                }
+                let mut total = 0usize;
+                for _ in 0..3 {
+                    let env = ctx.recv(None, None).await;
+                    ctx.charge_memcpy(env.data.len());
+                    total += env.data.len();
+                }
+                ctx.next_iteration();
+                ctx.barrier().await;
+                total
+            })
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.results, b.results);
+        assert_eq!(a.finish_ns, b.finish_ns);
+        assert_eq!(a.makespan_ns, b.makespan_ns);
+        assert_eq!(a.stats, b.stats);
+        assert_eq!(a.counters, b.counters);
+        assert_eq!(a.counters.iter_ends, 16);
     }
 }

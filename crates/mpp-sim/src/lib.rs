@@ -49,10 +49,13 @@
 //! # Entry point
 //!
 //! [`simulate`] runs one per-rank program on every rank of a machine and
-//! returns per-rank results, finish times, and the makespan. A run's one
-//! recording is its [`EventLog`] ([`SimConfig::recorder`]): the schedule
-//! analyzer reads it, and [`summarize`] / [`render_timeline`] turn it into
-//! message totals and a text timeline.
+//! returns per-rank results, finish times, the makespan and every rank's
+//! [`CommStats`]. Rank programs hold one handle, the [`RankCtx`]: the
+//! s-to-p algorithms and the collectives are written against it. A
+//! run's one recording is its [`EventLog`] ([`SimConfig::record`],
+//! returned on [`SimOutcome::log`]): the schedule analyzer reads it, and
+//! [`summarize`] / [`render_timeline`] turn it into message totals and a
+//! text timeline.
 
 #[cfg(test)]
 #[path = "../tests/support/counting_alloc.rs"]
@@ -66,21 +69,23 @@ pub mod payload;
 pub mod record;
 pub(crate) mod sched;
 pub(crate) mod slab;
+pub mod stats;
 pub mod supervise;
 pub mod trace;
 
 pub use error::SimError;
 pub use kernel::{
     simulate, simulate_with, try_simulate_with, BarrierFuture, DeadlockInfo, Envelope, ExecMode,
-    FaultStats, KernelCounters, RankCtx, RecvFuture, RecvTimeoutFuture, SimConfig, SimOutcome,
+    KernelCounters, RankCtx, RecvFuture, RecvTimeoutFuture, SimConfig, SimOutcome,
 };
 pub use mpp_model::{FaultPlan, LinkOutage, NodeCrash, RetryPolicy};
 pub use network::NetworkState;
 pub use payload::{copy_metrics, CopyMetrics, Payload, PayloadReader};
 pub use record::{
-    schedule_log, BlockedEvent, DropEvent, EventKind, EventLog, FinishEvent, LinkWindow, RecvEvent,
-    ScheduleLog, ScheduleRecording, SendEvent, XferEvent,
+    BlockedEvent, DropEvent, EventKind, EventLog, FinishEvent, LinkWindow, RecvEvent, SendEvent,
+    XferEvent,
 };
+pub use stats::{CommStats, IterStats};
 pub use supervise::{CancelToken, SimBudget};
 pub use trace::{render_timeline, summarize, TraceSummary};
 

@@ -1,9 +1,9 @@
 //! Schedule recording: the raw material of static schedule analysis.
 //!
-//! When [`SimConfig::recorder`](crate::SimConfig) is set, the kernel
+//! When [`SimConfig::record`](crate::SimConfig) is set, the kernel
 //! appends one record per communication operation to its [`EventLog`]
-//! and moves the log into the shared [`ScheduleLog`] when the run ends.
-//! The records form the *symbolic communication schedule* of the
+//! and returns the log by value on
+//! [`SimOutcome::log`](crate::SimOutcome::log). The records form the *symbolic communication schedule* of the
 //! program — who sends what to whom, with which tag, in which iteration,
 //! and which concrete message every receive matched — independent of the
 //! timing numbers themselves (virtual time is used only to order
@@ -18,38 +18,15 @@
 //! `stp-analyzer` consumes this log to check the schedule as a graph:
 //! deadlock cycles, unmatched sends, match ambiguity, payload-completeness
 //! leaks, and per-link contention. Recording a run that deadlocks still
-//! yields the partial schedule: the kernel flushes the log (with
-//! [`ScheduleRecording::deadlocked`] set and one [`BlockedEvent`] per
-//! stuck rank) before aborting, so the analyzer can catch the panic and
+//! yields the partial schedule, with one [`BlockedEvent`] per stuck rank:
+//! it comes back on the error's
+//! [`DeadlockInfo::log`](crate::DeadlockInfo::log), so the analyzer can
 //! diagnose the cycle.
-
-use std::sync::{Arc, Mutex};
 
 use mpp_model::{Link, Time};
 
 use crate::payload::Payload;
 use crate::Tag;
-
-/// Shared, thread-safe schedule log handle.
-///
-/// Clone one handle into [`SimConfig`](crate::SimConfig) and keep the
-/// other; the kernel moves its log into it when the simulation finishes
-/// *or* aborts on deadlock.
-pub type ScheduleLog = Arc<Mutex<ScheduleRecording>>;
-
-/// Create an empty [`ScheduleLog`].
-pub fn schedule_log() -> ScheduleLog {
-    Arc::new(Mutex::new(ScheduleRecording::default()))
-}
-
-/// Everything recorded from one simulated run.
-#[derive(Debug, Default)]
-pub struct ScheduleRecording {
-    /// The recorded events.
-    pub events: EventLog,
-    /// True when the run aborted because every live rank was blocked.
-    pub deadlocked: bool,
-}
 
 /// Which array of the [`EventLog`] an event went to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,7 +154,7 @@ pub struct LinkWindow {
 /// A message handed to the network.
 ///
 /// `step` is the issuing rank's iteration index — the number of
-/// [`next_iteration`](crate::RankCtx::iter_mark) marks that rank had
+/// [`next_iteration`](crate::RankCtx::next_iteration) marks that rank had
 /// recorded when the operation was issued. Algorithms call it once per
 /// communication round, so `step` aligns with the paper's iterations.
 #[derive(Debug, Clone, PartialEq, Eq)]

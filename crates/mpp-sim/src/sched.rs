@@ -46,13 +46,15 @@ const DEFAULT_WIDTH: Time = 64 * 1024;
 /// Calendar queue of ready ranks keyed by `(effective time, rank)`,
 /// with generation-stamped lazy invalidation.
 pub(crate) struct ReadyQueue {
-    /// Entries with `eff < win_end`, sorted descending by
+    /// Entries with `eff <= win_last`, sorted descending by
     /// `(eff, rank, gen)` — pop is `near.pop()`.
     near: Vec<(Time, usize, u64)>,
-    /// Entries with `eff >= win_end`, unsorted.
+    /// Entries with `eff > win_last`, unsorted.
     far: Vec<(Time, usize, u64)>,
-    /// Exclusive upper bound of the active window.
-    win_end: Time,
+    /// Inclusive upper bound of the active window. Inclusive, so the
+    /// window ending at `Time::MAX` (a deadline at the end of time) needs
+    /// no bound past it.
+    win_last: Time,
     /// Window width (power of two, virtual ns).
     width: Time,
     gen: Vec<u64>,
@@ -81,7 +83,7 @@ impl ReadyQueue {
         ReadyQueue {
             near: Vec::with_capacity(cap_bound.min(p * 2 + 8)),
             far: Vec::with_capacity(p.min(64)),
-            win_end: width,
+            win_last: width - 1,
             width,
             gen: vec![0; p],
             entries: 0,
@@ -94,7 +96,7 @@ impl ReadyQueue {
     pub fn push(&mut self, rank: usize, eff: Time) {
         self.gen[rank] += 1;
         let entry = (eff, rank, self.gen[rank]);
-        if eff < self.win_end {
+        if eff <= self.win_last {
             // Descending order: find insertion point from the back.
             let at = self.near.partition_point(|&e| e > entry);
             self.near.insert(at, entry);
@@ -144,11 +146,10 @@ impl ReadyQueue {
             .min()
             .expect("far is non-empty");
         // Align the window so repeated advances hit stable boundaries.
-        let start = min & !(self.width - 1);
-        self.win_end = start + self.width;
+        self.win_last = min | (self.width - 1);
         let mut i = 0;
         while i < self.far.len() {
-            if self.far[i].0 < self.win_end {
+            if self.far[i].0 <= self.win_last {
                 self.near.push(self.far.swap_remove(i));
             } else {
                 i += 1;

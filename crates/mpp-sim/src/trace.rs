@@ -1,7 +1,7 @@
 //! A plain-text view of one recorded run: message totals and a per-rank
 //! timeline, both read from the run's [`EventLog`].
 //!
-//! Record the run with [`SimConfig::recorder`](crate::SimConfig); every
+//! Record the run with [`SimConfig::record`](crate::SimConfig); every
 //! delivered message is one [`XferEvent`](crate::XferEvent) there, in
 //! kernel order. Useful for seeing *why* an algorithm is slow on a
 //! distribution: hot-spot serialization shows up as a ladder of stalled
@@ -78,7 +78,7 @@ pub fn render_timeline(log: &EventLog, alpha_send: Time, ranks: usize, width: us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{schedule_log, simulate_with, Payload, SendEvent, SimConfig, XferEvent};
+    use crate::{simulate_with, Payload, SendEvent, SimConfig, XferEvent};
     use mpp_model::{LibraryKind, Machine};
 
     /// One delivered message `src → dst`, issued at `issue` and arriving
@@ -113,9 +113,8 @@ mod tests {
     #[test]
     fn a_recorded_run_summarizes_every_delivered_message() {
         let m = Machine::paragon(2, 2);
-        let log = schedule_log();
         let config = SimConfig {
-            recorder: Some(log.clone()),
+            record: true,
             ..SimConfig::default()
         };
         let out = simulate_with(&m, &config, |mut ctx| async move {
@@ -127,12 +126,12 @@ mod tests {
                 ctx.recv(Some(0), Some(5)).await;
             }
         });
-        let events = std::mem::take(&mut log.lock().unwrap().events);
-        let sum = summarize(&events);
+        let events = &out.log;
+        let sum = summarize(events);
         assert_eq!((sum.messages, sum.bytes), (3, 768));
         assert_eq!(sum.stalled_ns, out.contention_ns);
         let alpha = m.params.alpha_send(LibraryKind::Nx);
-        let text = render_timeline(&events, alpha, 4, 40);
+        let text = render_timeline(events, alpha, 4, 40);
         assert_eq!(text.lines().count(), 5); // 4 ranks + time axis
         assert!(text.lines().next().unwrap().contains('>'));
         assert!(text.lines().nth(3).unwrap().contains('<'));

@@ -3,7 +3,7 @@
 //! offset and length) that the next recording on the thread reuses.
 
 use mpp_model::Machine;
-use mpp_sim::{schedule_log, simulate_with, ExecMode, Payload, SimConfig};
+use mpp_sim::{simulate_with, ExecMode, Payload, SimConfig};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -14,14 +14,13 @@ const ROUNDS: u32 = 200;
 /// allocations it made and the transfers it recorded.
 fn ring(record: bool) -> (u64, usize) {
     let machine = Machine::paragon(4, 4);
-    let log = schedule_log();
     let config = SimConfig {
         exec: ExecMode::Cooperative,
-        recorder: record.then(|| log.clone()),
+        record,
         ..SimConfig::default()
     };
     let before = counting_alloc::allocs();
-    simulate_with(&machine, &config, |mut ctx| async move {
+    let out = simulate_with(&machine, &config, |mut ctx| async move {
         let (me, p) = (ctx.rank(), ctx.size());
         for round in 0..ROUNDS {
             // Five ranks on: a multi-hop route, so transfers carry windows.
@@ -30,9 +29,8 @@ fn ring(record: bool) -> (u64, usize) {
         }
     });
     let allocs = counting_alloc::allocs() - before;
-    let recording = std::mem::take(&mut *log.lock().expect("schedule log"));
-    assert!(recording.events.windows.len() >= recording.events.xfers.len());
-    (allocs, recording.events.xfers.len())
+    assert!(out.log.windows.len() >= out.log.xfers.len());
+    (allocs, out.log.xfers.len())
 }
 
 #[test]

@@ -1,5 +1,5 @@
-//! Writing your own s-to-p algorithm against the `Communicator` trait —
-//! a tutorial example.
+//! Writing your own s-to-p algorithm against the simulator's rank
+//! handle, `RankCtx` — a tutorial example.
 //!
 //! Implements a *ring pipeline* s-to-p broadcast: the sources' messages
 //! travel around a ring, each rank absorbing and forwarding. `O(p)`
@@ -23,7 +23,7 @@ impl StpAlgorithm for RingPipeline {
 
     fn run<'a>(
         &'a self,
-        comm: &'a mut dyn stp_broadcast::runtime::Communicator,
+        comm: &'a mut RankCtx,
         ctx: &'a StpCtx<'a>,
     ) -> stp_broadcast::runtime::CommFuture<'a, MessageSet> {
         Box::pin(async move {
@@ -92,17 +92,18 @@ fn main() {
 
     // 2. Then performance, on the simulator, against the paper's field.
     let ring_ms = {
-        let run = run_simulated(&machine, LibraryKind::Nx, async |comm| {
+        let sources = &sources;
+        let run = simulate(&machine, |mut comm| async move {
             let payload = sources
                 .binary_search(&comm.rank())
                 .is_ok()
                 .then(|| payload_for(comm.rank(), len));
             let ctx = StpCtx {
                 shape,
-                sources: &sources,
+                sources,
                 payload: payload.as_deref(),
             };
-            RingPipeline.run(comm, &ctx).await.len()
+            RingPipeline.run(&mut comm, &ctx).await.len()
         });
         run.makespan_ns as f64 / 1e6
     };

@@ -22,7 +22,7 @@ fn main() {
     let machine = Machine::paragon(8, 8);
     let shape = machine.shape;
 
-    let out = run_simulated(&machine, LibraryKind::Nx, async |comm| {
+    let out = simulate(&machine, |mut comm| async move {
         let me = comm.rank();
         let (row, col) = shape.coords(me);
 
@@ -81,7 +81,8 @@ fn main() {
                 let y = f64::from_le_bytes(b.try_into().unwrap());
                 (x + y).to_le_bytes().to_vec()
             };
-            let total = coll::allreduce(comm, &order, &residual.to_le_bytes(), &combine, 100).await;
+            let total =
+                coll::allreduce(&mut comm, &order, &residual.to_le_bytes(), &combine, 100).await;
             let total = f64::from_le_bytes(total[..].try_into().unwrap());
             comm.next_iteration();
 
@@ -98,7 +99,7 @@ fn main() {
                     sources: &dist,
                     payload: payload.as_deref(),
                 };
-                let set = BrXySource.run(comm, &ctx).await;
+                let set = BrXySource.run(&mut comm, &ctx).await;
                 assert_eq!(set.len(), s);
                 broadcasts += 1;
             }

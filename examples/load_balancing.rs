@@ -78,18 +78,18 @@ fn main() {
     // locally — demonstrate that each rank really holds every load
     // record.
     let shape = machine.shape;
-    let sources = SourceDist::Cross.place(shape, 48);
-    let out = run_simulated(&machine, LibraryKind::Nx, async |comm| {
+    let sources = &SourceDist::Cross.place(shape, 48);
+    let out = simulate(&machine, |mut comm| async move {
         let payload = sources
             .binary_search(&comm.rank())
             .is_ok()
             .then(|| load_record(comm.rank(), 1000));
         let ctx = StpCtx {
             shape,
-            sources: &sources,
+            sources,
             payload: payload.as_deref(),
         };
-        let set = BrXySource.run(comm, &ctx).await;
+        let set = BrXySource.run(&mut comm, &ctx).await;
         // Recompute: total load over all published records.
         set.sources()
             .map(|s| {

@@ -35,20 +35,20 @@ fn main() {
     }
 
     // Underneath, every algorithm is a rank program over the
-    // `Communicator` trait; `run_simulated` drives one directly.
+    // simulator's rank handle, `RankCtx`; `simulate` drives one directly.
     let shape = machine.shape;
-    let sources = dist.place(shape, s);
-    let out = run_simulated(&machine, LibraryKind::Nx, async |comm| {
+    let sources = &dist.place(shape, s);
+    let out = simulate(&machine, |mut comm| async move {
         let payload = sources
             .binary_search(&comm.rank())
             .is_ok()
             .then(|| payload_for(comm.rank(), msg_len));
         let ctx = StpCtx {
             shape,
-            sources: &sources,
+            sources,
             payload: payload.as_deref(),
         };
-        BrLin::new().run(comm, &ctx).await.len()
+        BrLin::new().run(&mut comm, &ctx).await.len()
     });
     assert!(out.results.iter().all(|&n| n == s));
     println!(

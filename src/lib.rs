@@ -5,8 +5,9 @@
 //!
 //! * [`model`] — machine models (topologies, routing, Paragon/T3D
 //!   parameter presets, placement).
-//! * [`sim`] — the deterministic discrete-event simulator.
-//! * [`runtime`] — the `Communicator` abstraction over the simulator.
+//! * [`sim`] — the deterministic discrete-event simulator and its rank
+//!   handle, `RankCtx`, that every algorithm is written against.
+//! * [`runtime`] — the simulator names the algorithm crates import.
 //! * [`coll`] — baseline collective operations.
 //! * [`stp`] — the s-to-p broadcasting algorithms, distributions,
 //!   metrics, and experiment runner.
@@ -22,6 +23,6 @@ pub use stp_core as stp;
 /// One-stop prelude for applications.
 pub mod prelude {
     pub use mpp_model::{LibraryKind, Machine, MeshShape, Placement, Topology};
-    pub use mpp_runtime::{run_simulated, CommStats, Communicator, Message};
+    pub use mpp_sim::{simulate, simulate_with, CommStats, Envelope, RankCtx, SimConfig};
     pub use stp_core::prelude::*;
 }

@@ -28,7 +28,6 @@ use std::sync::Mutex;
 
 use stp_broadcast::model::{MachineParams, Topology};
 use stp_broadcast::prelude::*;
-use stp_broadcast::runtime::{run_simulated_with, SimConfig};
 use stp_broadcast::sim;
 
 static COPY_METRICS_LOCK: Mutex<()> = Mutex::new(());
@@ -41,25 +40,25 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 /// messages (`s` = 24 on the 16x16 Paragon is the reference grid point).
 /// Returns `(payload_allocs, comm_allocs)` for the run.
 fn run_counting(machine: &Machine, kind: AlgoKind, s: usize) -> (u64, u64) {
-    let sources = SourceDist::Equal.place(machine.shape, s);
-    let alg = kind.build();
+    let sources = &SourceDist::Equal.place(machine.shape, s);
+    let alg = &kind.build();
     let shape = machine.shape;
     let config = SimConfig {
         lib: kind.default_lib(),
         ..SimConfig::default()
     };
     let before = sim::copy_metrics();
-    let out = run_simulated_with(machine, &config, async |comm| {
+    let out = simulate_with(machine, &config, |mut comm| async move {
         let payload = sources
             .binary_search(&comm.rank())
             .is_ok()
             .then(|| payload_for(comm.rank(), 4096));
         let ctx = StpCtx {
             shape,
-            sources: &sources,
+            sources,
             payload: payload.as_deref(),
         };
-        alg.run(comm, &ctx).await.len() == sources.len()
+        alg.run(&mut comm, &ctx).await.len() == sources.len()
     });
     let payload_allocs = sim::copy_metrics().since(&before).allocs;
     assert!(

@@ -8,10 +8,10 @@ use stp_broadcast::prelude::*;
 #[test]
 fn bcast_on_simulator_with_timing() {
     let machine = Machine::paragon(4, 4);
-    let out = run_simulated(&machine, LibraryKind::Nx, async |comm| {
+    let out = simulate(&machine, |mut comm| async move {
         let order: Vec<usize> = (0..comm.size()).collect();
         let data = (comm.rank() == 0).then(|| vec![7u8; 4096]);
-        coll::bcast_from_first(comm, &order, data, 0).await
+        coll::bcast_from_first(&mut comm, &order, data, 0).await
     });
     assert!(out.results.iter().all(|d| *d == vec![7u8; 4096]));
     // log2(16) = 4 rounds; the makespan must be at least 4 serialized
@@ -24,10 +24,10 @@ fn bcast_on_simulator_with_timing() {
 #[test]
 fn gather_hot_spot_shows_in_contention() {
     let machine = Machine::paragon(4, 4);
-    let out = run_simulated(&machine, LibraryKind::Nx, async |comm| {
+    let out = simulate(&machine, |mut comm| async move {
         let senders: Vec<usize> = (0..comm.size()).collect();
         let mine = vec![comm.rank() as u8; 2048];
-        coll::gather_direct(comm, 0, &senders, Some(&mine), 1)
+        coll::gather_direct(&mut comm, 0, &senders, Some(&mine), 1)
             .await
             .len()
     });
@@ -41,9 +41,9 @@ fn gather_hot_spot_shows_in_contention() {
 #[test]
 fn personalized_exchange_balances_iterations() {
     let machine = Machine::paragon(4, 4);
-    let out = run_simulated(&machine, LibraryKind::Nx, async |comm| {
+    let out = simulate(&machine, |mut comm| async move {
         let mine = vec![comm.rank() as u8; 256];
-        let msgs = coll::personalized_from_sources(comm, &|_| true, Some(&mine), 5).await;
+        let msgs = coll::personalized_from_sources(&mut comm, &|_| true, Some(&mine), 5).await;
         msgs.len()
     });
     assert!(out.results.iter().all(|&n| n == 16));
@@ -55,10 +55,16 @@ fn personalized_exchange_balances_iterations() {
 #[test]
 fn allgather_ring_on_simulator() {
     let machine = Machine::t3d(12, 3);
-    let out = run_simulated(&machine, LibraryKind::Mpi, async |comm| {
+    let mpi = SimConfig {
+        lib: LibraryKind::Mpi,
+        ..SimConfig::default()
+    };
+    let out = simulate_with(&machine, &mpi, |mut comm| async move {
         let order: Vec<usize> = (0..comm.size()).collect();
         let payload = [comm.rank() as u8; 32];
-        coll::allgather_ring(comm, &order, &payload, 2).await.len()
+        coll::allgather_ring(&mut comm, &order, &payload, 2)
+            .await
+            .len()
     });
     assert!(out.results.iter().all(|&n| n == 12));
 }
@@ -66,7 +72,7 @@ fn allgather_ring_on_simulator() {
 #[test]
 fn scatter_and_reduce_roundtrip_on_simulator() {
     let machine = Machine::paragon(3, 3);
-    let out = run_simulated(&machine, LibraryKind::Nx, async |comm| {
+    let out = simulate(&machine, |mut comm| async move {
         let order: Vec<usize> = (0..comm.size()).collect();
         // Root scatters rank-indexed chunks ...
         let chunks = (comm.rank() == 0).then(|| {
@@ -74,7 +80,7 @@ fn scatter_and_reduce_roundtrip_on_simulator() {
                 .map(|i| vec![i as u8; 16])
                 .collect::<Vec<_>>()
         });
-        let mine = coll::scatter_from_first(comm, &order, chunks, 10).await;
+        let mine = coll::scatter_from_first(&mut comm, &order, chunks, 10).await;
         assert_eq!(mine, vec![comm.rank() as u8; 16]);
         // ... then a reduction sums everyone's chunk value.
         let contrib = (mine[0] as u64).to_le_bytes();
@@ -83,7 +89,7 @@ fn scatter_and_reduce_roundtrip_on_simulator() {
                 .to_le_bytes()
                 .to_vec()
         };
-        coll::reduce_to_first(comm, &order, &contrib, &sum, 50)
+        coll::reduce_to_first(&mut comm, &order, &contrib, &sum, 50)
             .await
             .map(|v| u64::from_le_bytes(v[..].try_into().unwrap()))
     });
@@ -94,11 +100,11 @@ fn scatter_and_reduce_roundtrip_on_simulator() {
 #[test]
 fn dissemination_barrier_synchronizes_clocks_on_simulator() {
     let machine = Machine::paragon(2, 4);
-    let out = run_simulated(&machine, LibraryKind::Nx, async |comm| {
+    let out = simulate(&machine, |mut comm| async move {
         if comm.rank() == 3 {
             comm.compute_ns(2_000_000); // one slow rank
         }
-        coll::barrier_dissemination(comm, 900).await;
+        coll::barrier_dissemination(&mut comm, 900).await;
         comm.clock()
     });
     // After a dissemination barrier every rank's clock is at least the

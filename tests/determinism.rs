@@ -79,7 +79,7 @@ fn flat_and_rope_sends_cost_identical_virtual_time() {
     let machine = Machine::paragon(3, 4);
     let p = machine.p();
     let ring = |payload_of: &(dyn Fn() -> Option<mpp_sim::Payload> + Sync)| {
-        run_simulated(&machine, LibraryKind::Nx, async |comm| {
+        simulate(&machine, |mut comm| async move {
             let me = comm.rank();
             let next = (me + 1) % p;
             match payload_of() {

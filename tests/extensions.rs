@@ -14,12 +14,12 @@ fn announce_then_broadcast_on_simulator() {
     let machine = Machine::paragon(4, 4);
     let shape = machine.shape;
     let sources = [3usize, 8, 12];
-    let out = run_simulated(&machine, LibraryKind::Nx, async |comm| {
+    let out = simulate(&machine, |mut comm| async move {
         // Each rank knows only whether *it* has a message.
         let payload = sources
             .contains(&comm.rank())
             .then(|| payload_for(comm.rank(), 256));
-        announce_and_broadcast(comm, shape, payload.as_deref(), &BrLin::new())
+        announce_and_broadcast(&mut comm, shape, payload.as_deref(), &BrLin::new())
             .await
             .map(|set| set.sources().collect::<Vec<_>>())
     });
@@ -39,20 +39,23 @@ fn br_dims_on_t3d_native_3d_grid() {
     let shape = machine.shape;
     let grid = GridShape::cube_for(64);
     let sources = SourceDist::Equal.place(shape, 9);
-    let alg = BrDims::new(grid);
-
-    let dims_out = run_simulated(&machine, LibraryKind::Mpi, async |comm| {
+    let (sources, alg) = (&sources, &BrDims::new(grid));
+    let mpi = SimConfig {
+        lib: LibraryKind::Mpi,
+        ..SimConfig::default()
+    };
+    let dims_out = simulate_with(&machine, &mpi, |mut comm| async move {
         let payload = sources
             .binary_search(&comm.rank())
             .is_ok()
             .then(|| payload_for(comm.rank(), 512));
         let ctx = StpCtx {
             shape,
-            sources: &sources,
+            sources,
             payload: payload.as_deref(),
         };
-        let set = alg.run(comm, &ctx).await;
-        set.sources().collect::<Vec<_>>() == sources
+        let set = alg.run(&mut comm, &ctx).await;
+        set.sources().collect::<Vec<_>>() == *sources
             && sources
                 .iter()
                 .all(|&s| *set.get(s).unwrap() == payload_for(s, 512))
@@ -68,18 +71,22 @@ fn dissem_zero_copy_beats_alltoall_on_t3d() {
     let machine = Machine::t3d(128, 42);
     let shape = machine.shape;
     let sources = SourceDist::Equal.place(shape, 40);
-    let alg = DissemAllGather::zero_copy();
-    let dissem = run_simulated(&machine, LibraryKind::Mpi, async |comm| {
+    let (sources, alg) = (&sources, &DissemAllGather::zero_copy());
+    let mpi = SimConfig {
+        lib: LibraryKind::Mpi,
+        ..SimConfig::default()
+    };
+    let dissem = simulate_with(&machine, &mpi, |mut comm| async move {
         let payload = sources
             .binary_search(&comm.rank())
             .is_ok()
             .then(|| payload_for(comm.rank(), 4096));
         let ctx = StpCtx {
             shape,
-            sources: &sources,
+            sources,
             payload: payload.as_deref(),
         };
-        alg.run(comm, &ctx).await.len()
+        alg.run(&mut comm, &ctx).await.len()
     });
     assert!(dissem.results.iter().all(|&n| n == 40));
 
@@ -122,20 +129,20 @@ fn recursive_partitioning_monotone_in_depth() {
     // depth 3 ≥ depth 1.
     let machine = Machine::paragon(16, 16);
     let shape = machine.shape;
-    let sources = SourceDist::Cross.place(shape, 75);
+    let sources = &SourceDist::Cross.place(shape, 75);
     let ms_for = |depth: usize| {
-        let alg = PartRecursive::new(BrXySource, depth, "PartRec");
-        let out = run_simulated(&machine, LibraryKind::Nx, async |comm| {
+        let alg = &PartRecursive::new(BrXySource, depth, "PartRec");
+        let out = simulate(&machine, |mut comm| async move {
             let payload = sources
                 .binary_search(&comm.rank())
                 .is_ok()
                 .then(|| payload_for(comm.rank(), 6144));
             let ctx = StpCtx {
                 shape,
-                sources: &sources,
+                sources,
                 payload: payload.as_deref(),
             };
-            alg.run(comm, &ctx).await.len()
+            alg.run(&mut comm, &ctx).await.len()
         });
         assert!(out.results.iter().all(|&n| n == 75));
         out.makespan_ns

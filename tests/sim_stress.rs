@@ -36,7 +36,7 @@ fn script_strategy() -> impl Strategy<Value = Script> {
 
 fn run_script_sim(script: &Script) -> (Vec<u64>, Vec<u64>) {
     let machine = Machine::paragon(1, script.p);
-    let out = run_simulated(&machine, LibraryKind::Nx, async |comm| {
+    let out = simulate(&machine, |mut comm| async move {
         let me = comm.rank();
         for &(dst, tag, len) in &script.sends[me] {
             comm.send(dst, tag, &vec![me as u8; len]);
@@ -80,7 +80,7 @@ fn wildcard_and_filtered_receives_interleave() {
     // One rank mixes wildcard, source-filtered, and tag-filtered
     // receives against out-of-order senders.
     let machine = Machine::paragon(1, 4);
-    let out = run_simulated(&machine, LibraryKind::Nx, async |comm| {
+    let out = simulate(&machine, |mut comm| async move {
         match comm.rank() {
             1 => {
                 comm.send(0, 7, b"from1-tag7");
@@ -108,7 +108,7 @@ fn wildcard_and_filtered_receives_interleave() {
 #[test]
 fn self_sends_deliver_locally() {
     let machine = Machine::paragon(1, 2);
-    let sim = run_simulated(&machine, LibraryKind::Nx, async |comm| {
+    let sim = simulate(&machine, |mut comm| async move {
         comm.send(comm.rank(), 0, b"self");
         comm.recv(Some(comm.rank()), Some(0)).await.data
     });

@@ -28,7 +28,7 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 fn legacy_flat_send_records_copies() {
     let _g = lock();
     let machine = Machine::paragon(1, 2);
-    let out = run_simulated(&machine, LibraryKind::Nx, async |comm| {
+    let out = simulate(&machine, |mut comm| async move {
         if comm.rank() == 0 {
             comm.send(1, 7, &[0xAB; 4096]);
         } else {
@@ -49,7 +49,7 @@ fn legacy_flat_send_records_copies() {
 fn rope_send_records_no_copies() {
     let _g = lock();
     let machine = Machine::paragon(1, 2);
-    let out = run_simulated(&machine, LibraryKind::Nx, async |comm| {
+    let out = simulate(&machine, |mut comm| async move {
         if comm.rank() == 0 {
             // One upfront copy to build the rope; the eight sends then
             // share it by reference.
