@@ -18,8 +18,9 @@
 //!   a two-phase row/column decomposition with alternating orientation
 //!   and staggered rotation, so concurrent lanes drive complementary
 //!   link classes at the bandwidth-heavy late levels). Per level a rank
-//!   ships all its lanes' snapshots in one batch. With k = 1 this
-//!   degenerates to single-lane `Br_Lin`.
+//!   ships all its lanes' snapshots in one batch. With k = 1 the one
+//!   lane has `Br_Lin`'s order and schedule, but not always its
+//!   makespan (see `lane_order`).
 //! * [`KPortScatter`] — gather at a root, stripe the bundle into k
 //!   parts batch-scattered to k leaders, then a k-lane broadcast merge.
 //! * [`KPortAlltoall`] — port-striped direct exchange: every source
@@ -61,8 +62,13 @@ fn lane_count(ports: usize, p: usize) -> usize {
 /// rotation by `j·p/k` — the obvious choice — preserves adjacency and
 /// puts every lane on the *same* row links at the final levels.
 ///
-/// Lane 0 is always the plain snake order, so `KPort_Lin` at k = 1 is
-/// exactly `Br_Lin`. Degenerate 1×n / n×1 meshes have one link class;
+/// Lane 0 is always the plain snake order, so `KPort_Lin` at k = 1
+/// runs `Br_Lin`'s order and pairing schedule. It is not always
+/// `Br_Lin`'s makespan: [`kport_merge`] ships a level's sends as one
+/// `send_batch`, which pays one α_send, where `br_lin_over` pays
+/// α_send per send. Where a position sends twice in a level (on 8×3's
+/// 24-position line, not on 4×4, 8×4 or 16×16) `KPort_Lin` is the
+/// faster of the two. Degenerate 1×n / n×1 meshes have one link class;
 /// there every lane is the snake rotated by `v`.
 pub(crate) fn lane_order(shape: mpp_model::MeshShape, v: usize) -> Vec<usize> {
     let p = shape.p();
@@ -95,6 +101,7 @@ pub(crate) fn lane_order(shape: mpp_model::MeshShape, v: usize) -> Vec<usize> {
 /// lanes — the same property that makes the `Br_Lin` schedule
 /// precomputable. A lane is a *sequence* of segments run back to back
 /// (e.g. row merge then column merge).
+#[derive(Debug, PartialEq)]
 pub(crate) struct KportLane {
     /// `order[i]` is the rank at linear position `i`.
     pub order: Vec<usize>,
@@ -102,7 +109,9 @@ pub(crate) struct KportLane {
     pub has: Vec<bool>,
 }
 
-/// Build lane `j`'s merge segments for initial holders `holds`.
+/// Build lane `j`'s merge segments for the initial holders `holders`
+/// (any order, duplicates allowed), in O(line length + holders) on a
+/// 2D mesh — no rank asks about all p ranks.
 ///
 /// On a proper 2D mesh with k ≥ 2 a lane is the paper's two-phase xy
 /// decomposition of `Br_Lin` — merge within rows, then within columns —
@@ -115,58 +124,60 @@ pub(crate) struct KportLane {
 /// in-line pairing so same-orientation lanes meet over different edges.
 ///
 /// With k = 1 (or a degenerate 1×n mesh) the lane is a single
-/// boustrophedon segment — `KPort_Lin` then *is* `Br_Lin`.
+/// boustrophedon segment: the `Br_Lin` order and the `Br_Lin` pairing
+/// schedule (see `lane_order` for why the makespans can still differ).
 pub(crate) fn build_lane(
     shape: mpp_model::MeshShape,
     me: usize,
     j: usize,
     k: usize,
-    holds: &dyn Fn(usize) -> bool,
+    holders: &[usize],
 ) -> Vec<KportLane> {
     let (rows, cols) = (shape.rows, shape.cols);
     if k == 1 || rows < 2 || cols < 2 {
         let order = lane_order(shape, j);
-        let has = order.iter().map(|&r| holds(r)).collect();
+        let mut held = vec![false; shape.p()];
+        for &r in holders {
+            held[r] = true;
+        }
+        let has = order.iter().map(|&r| held[r]).collect();
         return vec![KportLane { order, has }];
     }
     let rows_first = j.is_multiple_of(2);
     let shift = j / 2;
-    let rotate = |v: Vec<usize>, by: usize| -> Vec<usize> {
+    fn rotated<T: Copy>(v: &[T], by: usize) -> Vec<T> {
         let n = v.len();
         (0..n).map(|i| v[(i + by) % n]).collect()
-    };
-    let (my_row, my_col) = shape.coords(me);
-    let row_order = rotate((0..cols).map(|c| shape.rank(my_row, c)).collect(), shift);
-    let col_order = rotate((0..rows).map(|r| shape.rank(r, my_col)).collect(), shift);
-    // Lines of the first dimension that hold anything — the phase-2
-    // has-flags (a line spreads internally in phase 1, so after it every
-    // member of a holding line holds).
-    let mut line_hit = vec![false; if rows_first { rows } else { cols }];
-    for r in (0..shape.p()).filter(|&r| holds(r)) {
-        let (row, col) = shape.coords(r);
-        line_hit[if rows_first { row } else { col }] = true;
     }
-    let (first, second) = if rows_first {
-        (row_order, col_order)
+    let (my_row, my_col) = shape.coords(me);
+    let row_ranks: Vec<usize> = (0..cols).map(|c| shape.rank(my_row, c)).collect();
+    let col_ranks: Vec<usize> = (0..rows).map(|r| shape.rank(r, my_col)).collect();
+    // Phase-1 has-flags: the holders on my row (by column) and on my
+    // column (by row). Phase-2 has-flags: the rows and columns holding
+    // anything (a line spreads internally in phase 1, so after it every
+    // member of a holding line holds).
+    let (mut in_row, mut in_col) = (vec![false; cols], vec![false; rows]);
+    let (mut row_hit, mut col_hit) = (vec![false; rows], vec![false; cols]);
+    for &r in holders {
+        let (row, col) = shape.coords(r);
+        in_row[col] |= row == my_row;
+        in_col[row] |= col == my_col;
+        row_hit[row] = true;
+        col_hit[col] = true;
+    }
+    let (first, has1, second, has2) = if rows_first {
+        (row_ranks, in_row, col_ranks, row_hit)
     } else {
-        (col_order, row_order)
+        (col_ranks, in_col, row_ranks, col_hit)
     };
-    let has1 = first.iter().map(|&r| holds(r)).collect();
-    let has2 = second
-        .iter()
-        .map(|&r| {
-            let (row, col) = shape.coords(r);
-            line_hit[if rows_first { row } else { col }]
-        })
-        .collect();
     vec![
         KportLane {
-            order: first,
-            has: has1,
+            order: rotated(&first, shift),
+            has: rotated(&has1, shift),
         },
         KportLane {
-            order: second,
-            has: has2,
+            order: rotated(&second, shift),
+            has: rotated(&has2, shift),
         },
     ]
 }
@@ -279,13 +290,17 @@ impl StpAlgorithm for KPortLin {
             // Lane of a source = its index in the sorted source list,
             // mod k; lane j's merge segments come from [`build_lane`] so
             // concurrent lanes drive complementary link classes.
-            let lane_of = |r: usize| ctx.sources.binary_search(&r).ok().map(|i| i % k);
             let lanes: Vec<Vec<KportLane>> = (0..k)
-                .map(|j| build_lane(ctx.shape, me, j, k, &|r| lane_of(r) == Some(j)))
+                .map(|j| {
+                    let holders: Vec<usize> =
+                        ctx.sources.iter().skip(j).step_by(k).copied().collect();
+                    build_lane(ctx.shape, me, j, k, &holders)
+                })
                 .collect();
+            let my_lane = ctx.sources.binary_search(&me).ok().map(|i| i % k);
             let mut sets: Vec<MessageSet> = (0..k)
                 .map(|j| match ctx.payload {
-                    Some(pl) if lane_of(me) == Some(j) => MessageSet::single(me, pl),
+                    Some(pl) if my_lane == Some(j) => MessageSet::single(me, pl),
                     _ => MessageSet::new(),
                 })
                 .collect();
@@ -389,9 +404,12 @@ impl StpAlgorithm for KPortScatter {
             // leader (and the root, which co-holds part j).
             let lanes: Vec<Vec<KportLane>> = (0..k)
                 .map(|j| {
-                    build_lane(ctx.shape, me, j, k, &|r| {
-                        active(j) && (r == leader(j) || r == root)
-                    })
+                    let holders = if active(j) {
+                        vec![leader(j), root]
+                    } else {
+                        vec![]
+                    };
+                    build_lane(ctx.shape, me, j, k, &holders)
                 })
                 .collect();
             kport_merge(
@@ -499,6 +517,95 @@ mod tests {
         assert_delivers(&KPortLin, MeshShape::new(2, 4), &[1, 6], 0);
         assert_delivers(&KPortScatter, MeshShape::new(2, 4), &[1, 6], 0);
         assert_delivers(&KPortAlltoall, MeshShape::new(2, 4), &[1, 6], 0);
+    }
+
+    /// The lanes [`build_lane`] must produce, by asking every one of
+    /// the p ranks whether it holds.
+    fn brute_force_lane(
+        shape: MeshShape,
+        me: usize,
+        j: usize,
+        k: usize,
+        holds: &dyn Fn(usize) -> bool,
+    ) -> Vec<KportLane> {
+        let (rows, cols) = (shape.rows, shape.cols);
+        if k == 1 || rows < 2 || cols < 2 {
+            let order = lane_order(shape, j);
+            let has = order.iter().map(|&r| holds(r)).collect();
+            return vec![KportLane { order, has }];
+        }
+        let rows_first = j.is_multiple_of(2);
+        let rotate = |v: Vec<usize>| -> Vec<usize> {
+            let n = v.len();
+            (0..n).map(|i| v[(i + j / 2) % n]).collect()
+        };
+        let (my_row, my_col) = shape.coords(me);
+        let row_order = rotate((0..cols).map(|c| shape.rank(my_row, c)).collect());
+        let col_order = rotate((0..rows).map(|r| shape.rank(r, my_col)).collect());
+        let line = |r: usize| {
+            let (row, col) = shape.coords(r);
+            if rows_first {
+                row
+            } else {
+                col
+            }
+        };
+        let hit: Vec<usize> = (0..shape.p()).filter(|&r| holds(r)).map(line).collect();
+        let (first, second) = if rows_first {
+            (row_order, col_order)
+        } else {
+            (col_order, row_order)
+        };
+        let has1 = first.iter().map(|&r| holds(r)).collect();
+        let has2 = second.iter().map(|&r| hit.contains(&line(r))).collect();
+        vec![
+            KportLane {
+                order: first,
+                has: has1,
+            },
+            KportLane {
+                order: second,
+                has: has2,
+            },
+        ]
+    }
+
+    #[test]
+    fn lanes_from_holder_lists_match_the_all_ranks_reference() {
+        use crate::distribution::SourceDist;
+        for (rows, cols) in [(4, 4), (8, 3), (16, 16)] {
+            let shape = MeshShape::new(rows, cols);
+            let p = shape.p();
+            for k in [1, 2, 5] {
+                for (dist, s) in [
+                    (SourceDist::Cross, p / 3),
+                    (SourceDist::Random { seed: 7 }, 5),
+                    (SourceDist::Row, p),
+                ] {
+                    let sources = dist.place(shape, s);
+                    let root = sources[0];
+                    let leader = |j: usize| (root + j * p / k) % p;
+                    for j in 0..k {
+                        // KPort_Lin: the sources with index ≡ j (mod k).
+                        let lin: Vec<usize> = sources.iter().skip(j).step_by(k).copied().collect();
+                        // KPort_Scatter: the lane leader and the root.
+                        let scatter = [leader(j), root];
+                        for me in 0..p {
+                            assert_eq!(
+                                build_lane(shape, me, j, k, &lin),
+                                brute_force_lane(shape, me, j, k, &|r| lin.contains(&r)),
+                                "KPort_Lin {rows}x{cols} k={k} lane {j} rank {me}"
+                            );
+                            assert_eq!(
+                                build_lane(shape, me, j, k, &scatter),
+                                brute_force_lane(shape, me, j, k, &|r| scatter.contains(&r)),
+                                "KPort_Scatter {rows}x{cols} k={k} lane {j} rank {me}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

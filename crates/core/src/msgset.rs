@@ -74,6 +74,12 @@ impl MessageSet {
             .map(|i| &self.entries[i].1)
     }
 
+    /// Payload of the `i`-th source held, in ascending source order
+    /// (panics when `i ≥ len()`).
+    pub(crate) fn payload_at(&self, i: usize) -> &Payload {
+        &self.entries[i].1
+    }
+
     /// Total payload bytes (excluding headers).
     pub fn payload_bytes(&self) -> usize {
         self.entries.iter().map(|(_, d)| d.len()).sum()

@@ -12,7 +12,7 @@ use crate::algorithms::{
     NaiveIndependent, Part, PersAlltoAll, Repos, ReposAdaptive, StpAlgorithm, StpCtx, TwoStep,
 };
 use crate::distribution::SourceDist;
-use crate::msgset::payload_for;
+use crate::msgset::{payload_for, MessageSet};
 
 /// Every algorithm variant the experiments exercise.
 ///
@@ -382,7 +382,8 @@ fn try_run_alg_with(
 ) -> Result<(Outcome, EventLog), SimError> {
     let shape = machine.shape;
     // The delivery oracle: the s expected messages, generated once per
-    // run. Sources send from it and every rank checks against it.
+    // run. Sources send from it and the runner checks every rank's
+    // result against it once the kernel returns.
     let expected: Vec<Vec<u8>> = sources.iter().map(|&s| payload_of(s)).collect();
     let expected = &expected;
     let out = try_simulate_with(machine, config, |mut comm| async move {
@@ -395,25 +396,32 @@ fn try_run_alg_with(
                 .ok()
                 .map(|i| expected[i].as_slice()),
         };
-        let set = alg.run(&mut comm, &ctx).await;
-        // Verify on-rank: exactly the sources, each byte for byte.
-        set.sources().eq(sources.iter().copied())
-            && sources
-                .iter()
-                .zip(expected)
-                .all(|(&s, want)| set.get(s).is_some_and(|got| got == want))
+        alg.run(&mut comm, &ctx).await
     })?;
     let outcome = Outcome {
         makespan_ns: out.makespan_ns,
         finish_ns: out.finish_ns,
         stats: out.stats,
-        verified: out.results.iter().all(|&ok| ok),
+        verified: all_delivered(&out.results, sources, expected),
         contention_events: out.contention_events,
         contention_ns: out.contention_ns,
         sources: sources.to_vec(),
         counters: out.counters,
     };
     Ok((outcome, out.log))
+}
+
+/// Verify after the run: every rank holds exactly the sources, each
+/// byte for byte. The sweep goes source by source — entry `i` of every
+/// rank against `expected[i]` — so the oracle message and the storage
+/// the ranks share for it stay in cache across all `p` compares.
+fn all_delivered(sets: &[MessageSet], sources: &[usize], expected: &[Vec<u8>]) -> bool {
+    sets.iter()
+        .all(|set| set.sources().eq(sources.iter().copied()))
+        && expected
+            .iter()
+            .enumerate()
+            .all(|(i, want)| sets.iter().all(|set| set.payload_at(i) == want.as_slice()))
 }
 
 // ---------------------------------------------------------------------------
@@ -705,7 +713,6 @@ impl SweepRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msgset::MessageSet;
 
     #[test]
     fn algo_names_roundtrip() {
@@ -782,17 +789,31 @@ mod tests {
         assert!(out.verified);
     }
 
-    /// `Br_Lin`, except that rank `rank` ends up with one byte of
-    /// source `src`'s message flipped.
-    struct FlipsOneByte {
-        rank: usize,
-        src: usize,
-        byte: usize,
+    /// One way to spoil a rank's delivered set.
+    #[derive(Clone, Copy, Debug)]
+    enum Tamper {
+        /// Flip one byte of one source's payload.
+        FlipByte { src: usize, byte: usize },
+        /// Drop one source.
+        Remove(usize),
+        /// Add a source that sent nothing.
+        Extra(usize),
+        /// Cut one source's payload short by a byte.
+        Truncate(usize),
+        /// Hand back nothing at all.
+        Empty,
     }
 
-    impl StpAlgorithm for FlipsOneByte {
+    /// `Br_Lin`, except that rank `rank` ends up with its result
+    /// tampered with.
+    struct Tampered {
+        rank: usize,
+        how: Tamper,
+    }
+
+    impl StpAlgorithm for Tampered {
         fn name(&self) -> &'static str {
-            "fixture:flips_one_byte"
+            "fixture:tampered"
         }
 
         fn run<'a>(
@@ -802,16 +823,27 @@ mod tests {
         ) -> mpp_runtime::CommFuture<'a, MessageSet> {
             Box::pin(async move {
                 let set = BrLin::new().run(comm, ctx).await;
-                if comm.rank() != self.rank {
-                    return set;
+                match self.how {
+                    _ if comm.rank() != self.rank => return set,
+                    Tamper::Empty => return MessageSet::new(),
+                    _ => {}
                 }
                 let mut tampered = MessageSet::new();
                 for (src, data) in set.into_entries() {
+                    let src = src as usize;
                     let mut bytes = data.to_vec();
-                    if src as usize == self.src {
-                        bytes[self.byte] ^= 1;
+                    match self.how {
+                        Tamper::FlipByte { src: s, byte } if s == src => bytes[byte] ^= 1,
+                        Tamper::Remove(s) if s == src => continue,
+                        Tamper::Truncate(s) if s == src => {
+                            bytes.pop();
+                        }
+                        _ => {}
                     }
-                    tampered.insert(src as usize, &bytes);
+                    tampered.insert(src, &bytes);
+                }
+                if let Tamper::Extra(s) = self.how {
+                    tampered.insert(s, &[7; 3]);
                 }
                 tampered
             })
@@ -819,7 +851,7 @@ mod tests {
     }
 
     #[test]
-    fn one_flipped_byte_on_one_rank_fails_verification() {
+    fn every_tampered_result_fails_verification() {
         let machine = Machine::paragon(4, 4);
         let sources = SourceDist::Equal.place(machine.shape, 5);
         let len = 300;
@@ -836,17 +868,43 @@ mod tests {
             .verified
         };
         assert!(verified(&BrLin::new()), "the honest run");
+        let idle = (0..16)
+            .find(|r| !sources.contains(r))
+            .expect("a rank that sends nothing");
         // First source, last source; first byte, last byte; first rank,
-        // last rank — none may slip past the check.
-        for (rank, src, byte) in [
-            (0, sources[0], 0),
-            (15, sources[4], len - 1),
-            (9, sources[2], 150),
+        // last rank; a source rank and an idle one — none may slip past.
+        for (rank, how) in [
+            (
+                0,
+                Tamper::FlipByte {
+                    src: sources[0],
+                    byte: 0,
+                },
+            ),
+            (
+                15,
+                Tamper::FlipByte {
+                    src: sources[4],
+                    byte: len - 1,
+                },
+            ),
+            (
+                9,
+                Tamper::FlipByte {
+                    src: sources[2],
+                    byte: 150,
+                },
+            ),
+            (3, Tamper::Remove(sources[0])),
+            (15, Tamper::Remove(sources[4])),
+            (6, Tamper::Extra(idle)),
+            (sources[1], Tamper::Extra(15)),
+            (12, Tamper::Truncate(sources[3])),
+            (0, Tamper::Truncate(sources[4])),
+            (0, Tamper::Empty),
+            (15, Tamper::Empty),
         ] {
-            assert!(
-                !verified(&FlipsOneByte { rank, src, byte }),
-                "rank {rank} source {src} byte {byte}"
-            );
+            assert!(!verified(&Tampered { rank, how }), "rank {rank}: {how:?}");
         }
     }
 

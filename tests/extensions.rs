@@ -187,6 +187,43 @@ fn kport_lin_on_five_ports_halves_br_lin_on_one() {
     );
 }
 
+/// On one port `KPort_Lin` runs a single lane: the snake order and the
+/// `Br_Lin` pairing schedule. It still ships each level's sends as one
+/// `send_batch` (one α_send), where `Br_Lin` pays α_send per send. On
+/// power-of-two meshes no position sends twice in a level and the
+/// makespans agree; on 8×3 some do, and `KPort_Lin` comes out ahead.
+#[test]
+fn kport_lin_on_one_port_is_br_lin_until_a_position_sends_twice() {
+    for (rows, cols) in [(4, 4), (8, 4), (16, 16), (8, 3)] {
+        let machine = Machine::paragon(rows, cols);
+        let p = machine.p();
+        for dist in [SourceDist::Row, SourceDist::Equal, SourceDist::Cross] {
+            for s in [p / 4, p] {
+                let run = |kind: AlgoKind| {
+                    let out = Experiment {
+                        machine: &machine,
+                        dist: dist.clone(),
+                        s,
+                        msg_len: 64,
+                        kind,
+                    }
+                    .run()
+                    .expect("run failed");
+                    assert!(out.verified, "{} failed verification", kind.name());
+                    out.makespan_ns
+                };
+                let (kport, br_lin) = (run(AlgoKind::KPortLin), run(AlgoKind::BrLin));
+                let at = format!("{rows}x{cols} {dist:?} s={s}: KPort_Lin {kport} Br_Lin {br_lin}");
+                if (rows, cols) == (8, 3) {
+                    assert!(kport < br_lin, "{at}");
+                } else {
+                    assert_eq!(kport, br_lin, "{at}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn naive_independent_through_algokind_on_both_machines() {
     for machine in [Machine::paragon(6, 6), Machine::t3d(36, 2)] {
