@@ -22,7 +22,7 @@ use mpp_model::{
     ContentionModel, LibraryKind, Machine, MachineParams, MeshShape, Placement, Topology,
 };
 use mpp_sim::{render_timeline, summarize};
-use stp_core::algorithms::{DissemAllGather, PartRecursive, ReposAdaptive, StpAlgorithm};
+use stp_core::algorithms::{DissemAllGather, ReposAdaptive, StpAlgorithm};
 use stp_core::distribution::ascii_grid;
 use stp_core::metrics::{figure2_row, format_table};
 use stp_core::prelude::*;
@@ -92,8 +92,8 @@ macro_rules! outln {
 
 /// The makespan in milliseconds of `alg` with `msg_len`-byte messages at
 /// `sources`, verified by the runner's delivery oracle. Cells run their
-/// [`AlgoKind`] through it; an algorithm object that has none (a
-/// `PartRecursive` depth, a zero-copy `DissemAllGather`) runs directly.
+/// [`AlgoKind`] through it; an algorithm object that has none (a deeper
+/// `Part`, a zero-copy `DissemAllGather`) runs directly.
 fn run_alg_ms(
     machine: &Machine,
     lib: LibraryKind,
@@ -696,8 +696,10 @@ fn partitioning(runner: &SweepRunner, out: &mut dyn Write) {
     ];
     print_panels(runner, out, &panels);
 
-    // Extension: does *deeper* recursive partitioning ever pay? (No —
-    // the merge rounds of growing combined messages dominate harder.)
+    // Extension: does *deeper* partitioning ever pay? No depth ≥ 2 beats
+    // depth 1 and none beats repositioning alone: the merge rounds of
+    // growing combined messages dominate. Not monotonically, though —
+    // depth 3 undercuts depth 2.
     let sources = SourceDist::Cross.place(machine.shape, 75);
     let repos = ms(
         &machine,
@@ -708,7 +710,7 @@ fn partitioning(runner: &SweepRunner, out: &mut dyn Write) {
     )
     .value();
     let depths = (1..=4).map(|depth| {
-        let alg = PartRecursive::new(BrXySource, depth, "PartRec");
+        let alg = Part::new(BrXySource, depth, "Part_xy_source");
         let ms = run_alg_ms(&machine, LibraryKind::Nx, &alg, &sources, 6 * 1024);
         format!("{depth},{ms:.4}")
     });

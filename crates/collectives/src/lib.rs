@@ -1,30 +1,19 @@
 //! Baseline collective-communication operations.
 //!
-//! These are the "existing communication library" routines the paper
-//! contrasts its algorithms against (§2): a direct gather, a one-to-all
-//! broadcast using the recursive-halving pattern of `Br_Lin`, a
-//! personalized all-to-all built from `p` pairwise permutations (the
-//! XOR-schedule implementation of Hambrusch/Hameed/Khokhar, reference \[8\]),
-//! plus a ring all-gather and a dissemination barrier used by extensions.
+//! These are the "existing communication library" routines the paper's
+//! baselines are built from (§2): a one-to-all broadcast using the
+//! recursive-halving pattern of `Br_Lin` (2-Step's broadcast phase;
+//! `NaiveIndependent` walks the same tree), and a personalized
+//! all-to-all built from `p` pairwise permutations (the XOR-schedule
+//! implementation of Hambrusch/Hameed/Khokhar, reference \[8\], behind
+//! `PersAlltoAll`).
 //!
-//! All operations are written against the simulator's
-//! [`RankCtx`] and run, timed, on it. Operations
-//! that collect messages return them as [`Envelope`]s; a rank's own
-//! payload is one that arrived when the operation took it.
+//! Both are written against the simulator's [`RankCtx`] and run, timed,
+//! on it. The exchange returns the messages it collected as
+//! [`Envelope`]s; a rank's own payload is one that arrived when the
+//! operation took it.
 
 use mpp_runtime::{Envelope, Payload, RankCtx, Tag};
-
-/// `data`, held by the calling rank itself, as an envelope that arrived
-/// now without waiting.
-fn held(comm: &RankCtx, tag: Tag, data: Payload) -> Envelope {
-    Envelope {
-        src: comm.rank(),
-        tag,
-        data,
-        arrival: comm.clock(),
-        waited_ns: 0,
-    }
-}
 
 /// One-to-all broadcast over an ordered participant list, root at
 /// position 0.
@@ -92,45 +81,6 @@ pub async fn bcast_from_first<P: Into<Payload>>(
     payload.expect("broadcast did not reach this rank")
 }
 
-/// Direct gather: every rank in `senders` (except the root, if present)
-/// sends its payload straight to `root`. This is the paper's 2-Step
-/// gather — it deliberately concentrates `O(s)` congestion at the root.
-///
-/// Every rank in `senders` must pass `Some(payload)`; the root (whether or
-/// not it is a sender) receives and returns all messages sorted by source
-/// rank, other ranks return an empty vector.
-pub async fn gather_direct(
-    comm: &mut RankCtx,
-    root: usize,
-    senders: &[usize],
-    my_payload: Option<&[u8]>,
-    tag: Tag,
-) -> Vec<Envelope> {
-    let me = comm.rank();
-    let am_sender = senders.contains(&me);
-    assert_eq!(
-        am_sender,
-        my_payload.is_some(),
-        "senders and only senders supply a payload"
-    );
-
-    if am_sender && me != root {
-        comm.send(root, tag, my_payload.unwrap());
-    }
-    let mut out = Vec::new();
-    if me == root {
-        if let Some(p) = my_payload {
-            out.push(held(comm, tag, Payload::from_slice(p)));
-        }
-        let expect = senders.iter().filter(|&&s| s != root).count();
-        for _ in 0..expect {
-            out.push(comm.recv(None, Some(tag)).await);
-        }
-        out.sort_by_key(|m| m.src);
-    }
-    out
-}
-
 /// Partner of `rank` in round `round` of the personalized-exchange
 /// schedule over `p` ranks, as `(send to, receive from)`.
 ///
@@ -171,7 +121,14 @@ pub async fn personalized_from_sources(
     let rope = my_payload.map(Payload::from_slice);
     let mut out = Vec::new();
     if let Some(pay) = &rope {
-        out.push(held(comm, tag, pay.clone()));
+        // The source's own payload, as an envelope that arrived now.
+        out.push(Envelope {
+            src: me,
+            tag,
+            data: pay.clone(),
+            arrival: comm.clock(),
+            waited_ns: 0,
+        });
     }
     for round in 1..p {
         let (to, from) = exchange_partner(p, round, me);
@@ -187,63 +144,6 @@ pub async fn personalized_from_sources(
     out
 }
 
-/// Ring all-gather over an ordered participant list: after `n-1` rounds
-/// every participant holds every participant's payload, sorted by rank.
-/// Used by extension benchmarks as another library-style baseline.
-pub async fn allgather_ring(
-    comm: &mut RankCtx,
-    order: &[usize],
-    my_payload: &[u8],
-    tag: Tag,
-) -> Vec<Envelope> {
-    let n = order.len();
-    let me = comm.rank();
-    let my_pos = order
-        .iter()
-        .position(|&r| r == me)
-        .expect("caller not in allgather order");
-    let mine = Payload::from_slice(my_payload);
-    if n == 1 {
-        return vec![held(comm, tag, mine)];
-    }
-    let next = order[(my_pos + 1) % n];
-    let prev = order[(my_pos + n - 1) % n];
-
-    let mut out = vec![held(comm, tag, mine.clone())];
-    // Round k delivers the payload originated by the participant k+1
-    // positions behind us; `src` is rewritten from relayer to originator.
-    // Each relay forwards the received rope as-is — no byte copies.
-    let mut forward = mine;
-    for k in 0..n - 1 {
-        comm.send_payload(next, tag, forward.clone());
-        let got = comm.recv(Some(prev), Some(tag)).await;
-        forward = got.data.clone();
-        let origin = order[(my_pos + n - 1 - k) % n];
-        out.push(Envelope { src: origin, ..got });
-        comm.next_iteration();
-    }
-    out.sort_by_key(|m| m.src);
-    out
-}
-
-/// Dissemination barrier implemented with real messages (an alternative
-/// to the kernel's modelled barrier): `⌈log₂ p⌉` rounds; in round `k`
-/// rank `r` signals `(r + 2^k) mod p` and waits for `(r - 2^k) mod p`.
-pub async fn barrier_dissemination(comm: &mut RankCtx, tag: Tag) {
-    let p = comm.size();
-    let me = comm.rank();
-    let mut step = 1usize;
-    let mut round: Tag = 0;
-    while step < p {
-        let to = (me + step) % p;
-        let from = (me + p - step) % p;
-        comm.send(to, tag + round, &[]);
-        comm.recv(Some(from), Some(tag + round)).await;
-        step <<= 1;
-        round += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,7 +152,7 @@ mod tests {
 
     /// Run `program` on every rank of a `1 × p` Paragon; the per-rank
     /// results.
-    pub(crate) fn run_on<R>(p: usize, program: impl AsyncFn(&mut RankCtx) -> R) -> Vec<R> {
+    fn run_on<R>(p: usize, program: impl AsyncFn(&mut RankCtx) -> R) -> Vec<R> {
         let program = &program;
         simulate(&Machine::paragon(1, p), move |mut ctx| async move {
             program(&mut ctx).await
@@ -284,41 +184,6 @@ mod tests {
         for r in out {
             assert_eq!(r, vec![9u8; 32]);
         }
-    }
-
-    #[test]
-    fn gather_collects_sorted() {
-        let out = run_on(6, async |comm| {
-            let senders = vec![1usize, 4, 5];
-            let mine = senders
-                .contains(&comm.rank())
-                .then(|| vec![comm.rank() as u8]);
-            gather_direct(comm, 0, &senders, mine.as_deref(), 7).await
-        });
-        let at_root = &out[0];
-        assert_eq!(at_root.len(), 3);
-        assert_eq!(
-            at_root.iter().map(|m| m.src).collect::<Vec<_>>(),
-            vec![1, 4, 5]
-        );
-        assert!(out[1].is_empty());
-    }
-
-    #[test]
-    fn gather_with_root_as_sender() {
-        let out = run_on(4, async |comm| {
-            let senders = vec![0usize, 2];
-            let mine = senders
-                .contains(&comm.rank())
-                .then(|| vec![comm.rank() as u8 + 10]);
-            gather_direct(comm, 0, &senders, mine.as_deref(), 1).await
-        });
-        let at_root = &out[0];
-        assert_eq!(
-            at_root.iter().map(|m| m.src).collect::<Vec<_>>(),
-            vec![0, 2]
-        );
-        assert_eq!(at_root[0].data, vec![10]);
     }
 
     #[test]
@@ -370,265 +235,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn allgather_ring_all_payloads() {
-        let out = run_on(5, async |comm| {
-            let order: Vec<usize> = (0..comm.size()).collect();
-            let payload = [comm.rank() as u8; 8];
-            allgather_ring(comm, &order, &payload, 3).await
-        });
-        for msgs in out {
-            assert_eq!(msgs.len(), 5);
-            for (i, m) in msgs.iter().enumerate() {
-                assert_eq!(m.src, i);
-                assert_eq!(m.data, vec![i as u8; 8]);
-            }
-        }
-    }
-
-    #[test]
-    fn allgather_single_rank() {
-        let out = run_on(1, async |comm| allgather_ring(comm, &[0], b"solo", 1).await);
-        assert_eq!(out[0][0].data, b"solo");
-    }
-
-    #[test]
-    fn dissemination_barrier_completes() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let count = AtomicUsize::new(0);
-        let out = run_on(7, async |comm| {
-            count.fetch_add(1, Ordering::SeqCst);
-            barrier_dissemination(comm, 900).await;
-            count.load(Ordering::SeqCst)
-        });
-        assert!(out.iter().all(|&v| v == 7));
-    }
-}
-
-/// Length-prefixed framing for a list of byte chunks (scatter payloads).
-fn frame_chunks(chunks: &[Vec<u8>]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + chunks.iter().map(|c| 4 + c.len()).sum::<usize>());
-    out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
-    for c in chunks {
-        out.extend_from_slice(&(c.len() as u32).to_le_bytes());
-        out.extend_from_slice(c);
-    }
-    out
-}
-
-fn unframe_chunks(bytes: &[u8]) -> Vec<Vec<u8>> {
-    let count = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-    let mut out = Vec::with_capacity(count);
-    let mut at = 4;
-    for _ in 0..count {
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-        at += 4;
-        out.push(bytes[at..at + len].to_vec());
-        at += len;
-    }
-    debug_assert_eq!(at, bytes.len(), "trailing bytes in chunk frame");
-    out
-}
-
-/// Binomial scatter over an ordered participant list, root at position 0:
-/// participant `i` ends with `chunks[i]`. The root provides one chunk per
-/// participant; at each recursion step the segment holder forwards the
-/// second half's chunks in one combined message, so the root sends
-/// `⌈log₂ n⌉` messages instead of `n-1`.
-pub async fn scatter_from_first(
-    comm: &mut RankCtx,
-    order: &[usize],
-    chunks: Option<Vec<Vec<u8>>>,
-    tag_base: Tag,
-) -> Vec<u8> {
-    let me = comm.rank();
-    let my_pos = order
-        .iter()
-        .position(|&r| r == me)
-        .expect("caller not in scatter order");
-    assert_eq!(
-        my_pos == 0,
-        chunks.is_some(),
-        "exactly the root provides chunks"
-    );
-    if let Some(c) = &chunks {
-        assert_eq!(c.len(), order.len(), "one chunk per participant");
-    }
-
-    // Walk the same segment tree as `bcast_from_first`, but carry only
-    // the chunks destined for the current segment.
-    let mut mine: Option<Vec<Vec<u8>>> = chunks;
-    let mut lo = 0usize;
-    let mut hi = order.len();
-    let mut depth: Tag = 0;
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo).div_ceil(2);
-        if my_pos == lo {
-            let all = mine.as_mut().expect("segment holder must hold chunks");
-            // Chunks are indexed relative to the current segment [lo, hi).
-            let second_half = all.split_off(mid - lo);
-            comm.send(order[mid], tag_base + depth, &frame_chunks(&second_half));
-            hi = mid;
-        } else if my_pos == mid {
-            let msg = comm.recv(Some(order[lo]), Some(tag_base + depth)).await;
-            mine = Some(unframe_chunks(&msg.data.contiguous()));
-            lo = mid;
-        } else if my_pos < mid {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-        depth += 1;
-        comm.next_iteration();
-    }
-    let mut v = mine.expect("scatter did not reach this rank");
-    debug_assert_eq!(v.len(), 1);
-    v.pop().unwrap()
-}
-
-/// An associative combining function for reductions.
-pub type Combine<'a> = &'a dyn Fn(&[u8], &[u8]) -> Vec<u8>;
-
-/// Binomial-tree reduction to the first participant: combines every
-/// participant's contribution with the associative `combine` function.
-/// Returns `Some(total)` at the root, `None` elsewhere.
-pub async fn reduce_to_first(
-    comm: &mut RankCtx,
-    order: &[usize],
-    my_contrib: &[u8],
-    combine: Combine<'_>,
-    tag_base: Tag,
-) -> Option<Vec<u8>> {
-    let me = comm.rank();
-    let my_pos = order
-        .iter()
-        .position(|&r| r == me)
-        .expect("caller not in reduce order");
-    let mut acc = my_contrib.to_vec();
-
-    // Process the segment tree bottom-up: mirror of bcast_from_first.
-    // Collect the path of segments containing my_pos (root segment
-    // first), then act deepest-first.
-    let mut path = Vec::new();
-    let (mut lo, mut hi) = (0usize, order.len());
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo).div_ceil(2);
-        path.push((lo, mid, hi));
-        if my_pos < mid {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    for (depth, &(lo, mid, _hi)) in path.iter().enumerate().rev() {
-        let tag = tag_base + depth as Tag;
-        if my_pos == mid {
-            comm.send(order[lo], tag, &acc);
-            comm.next_iteration();
-            return None; // contribution handed up; done
-        } else if my_pos == lo {
-            let msg = comm.recv(Some(order[mid]), Some(tag)).await;
-            acc = combine(&acc, &msg.data.contiguous());
-            comm.next_iteration();
-        }
-    }
-    (my_pos == 0).then_some(acc)
-}
-
-/// All-reduce: binomial reduction followed by a broadcast of the result.
-pub async fn allreduce(
-    comm: &mut RankCtx,
-    order: &[usize],
-    my_contrib: &[u8],
-    combine: Combine<'_>,
-    tag_base: Tag,
-) -> Vec<u8> {
-    let reduced = reduce_to_first(comm, order, my_contrib, combine, tag_base).await;
-    bcast_from_first(comm, order, reduced, tag_base + 64)
-        .await
-        .to_vec()
-}
-
-#[cfg(test)]
-mod extended_tests {
-    use super::*;
-    use crate::tests::run_on;
-
-    fn sum_u64(a: &[u8], b: &[u8]) -> Vec<u8> {
-        let x = u64::from_le_bytes(a.try_into().unwrap());
-        let y = u64::from_le_bytes(b.try_into().unwrap());
-        (x + y).to_le_bytes().to_vec()
-    }
-
-    #[test]
-    fn scatter_delivers_per_rank_chunks() {
-        for p in [1usize, 2, 3, 5, 8, 11] {
-            let out = run_on(p, async |comm| {
-                let order: Vec<usize> = (0..comm.size()).collect();
-                let chunks = (comm.rank() == 0).then(|| {
-                    (0..comm.size())
-                        .map(|i| vec![i as u8; i + 1])
-                        .collect::<Vec<_>>()
-                });
-                scatter_from_first(comm, &order, chunks, 400).await
-            });
-            for (rank, chunk) in out.iter().enumerate() {
-                assert_eq!(chunk, &vec![rank as u8; rank + 1], "p={p} rank={rank}");
-            }
-        }
-    }
-
-    #[test]
-    fn scatter_respects_arbitrary_order() {
-        let out = run_on(4, async |comm| {
-            let order = vec![2usize, 0, 3, 1];
-            let chunks = (comm.rank() == 2)
-                .then(|| vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec(), b"d".to_vec()]);
-            scatter_from_first(comm, &order, chunks, 0).await
-        });
-        assert_eq!(out[2], b"a");
-        assert_eq!(out[0], b"b");
-        assert_eq!(out[3], b"c");
-        assert_eq!(out[1], b"d");
-    }
-
-    #[test]
-    fn reduce_sums_everything_at_root() {
-        for p in [1usize, 2, 3, 6, 9, 16] {
-            let out = run_on(p, async |comm| {
-                let order: Vec<usize> = (0..comm.size()).collect();
-                let contrib = (comm.rank() as u64 + 1).to_le_bytes();
-                reduce_to_first(comm, &order, &contrib, &sum_u64, 500).await
-            });
-            let want = (p as u64) * (p as u64 + 1) / 2;
-            let at_root = out[0].as_ref().expect("root gets the total");
-            assert_eq!(
-                u64::from_le_bytes(at_root[..].try_into().unwrap()),
-                want,
-                "p={p}"
-            );
-            assert!(out[1..].iter().all(Option::is_none));
-        }
-    }
-
-    #[test]
-    fn allreduce_agrees_everywhere() {
-        let out = run_on(7, async |comm| {
-            let order: Vec<usize> = (0..comm.size()).collect();
-            let contrib = (comm.rank() as u64).to_le_bytes();
-            allreduce(comm, &order, &contrib, &sum_u64, 600).await
-        });
-        for r in out {
-            assert_eq!(u64::from_le_bytes(r[..].try_into().unwrap()), 21);
-        }
-    }
-
-    #[test]
-    fn chunk_framing_roundtrip() {
-        let chunks = vec![vec![], vec![1], vec![2, 3, 4]];
-        assert_eq!(unframe_chunks(&frame_chunks(&chunks)), chunks);
-        assert_eq!(unframe_chunks(&frame_chunks(&[])), Vec::<Vec<u8>>::new());
     }
 }

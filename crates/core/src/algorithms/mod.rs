@@ -19,7 +19,6 @@
 //! under [`LibraryKind::Mpi`](mpp_model::LibraryKind).
 
 pub mod adaptive;
-pub mod br_dims;
 pub mod br_lin;
 pub mod br_xy;
 pub mod dissem;
@@ -36,13 +35,12 @@ use mpp_runtime::{CommFuture, RankCtx, Tag};
 use crate::msgset::MessageSet;
 
 pub use adaptive::ReposAdaptive;
-pub use br_dims::{BrDims, GridShape};
 pub use br_lin::BrLin;
 pub use br_xy::{BrXyDim, BrXySource, DimOrder};
 pub use dissem::DissemAllGather;
 pub use kport::{KPortAlltoall, KPortLin, KPortScatter};
 pub use naive::NaiveIndependent;
-pub use part::{Part, PartRecursive};
+pub use part::Part;
 pub use pers_alltoall::PersAlltoAll;
 pub use repos::Repos;
 pub use two_step::TwoStep;
@@ -145,7 +143,7 @@ pub(crate) mod tags {
     pub const REPOS: Tag = 3_300;
     /// Partitioning permutation.
     pub const PART_REPOS: Tag = 3_400;
-    /// Partitioning final inter-group exchange.
+    /// Partitioning inter-group exchanges (`base + merge round`).
     pub const PART_EXCHANGE: Tag = 3_500;
     /// `KPort_Lin` lanes (`base + level·16 + lane`).
     pub const KPORT: Tag = 3_600;

@@ -8,10 +8,11 @@
 //! exchanges the two partial results. The paper finds that on the
 //! Paragon "the partitioning approach hardly ever gives a better
 //! performance than repositioning alone" because the final exchange of
-//! large messages dominates — a result `repro partitioning` reproduces.
+//! large messages dominates — a result `repro partitioning` reproduces,
+//! and extends to `2^depth` groups ([`Part`]'s depth).
 
 use mpp_model::MeshShape;
-use mpp_runtime::{CommFuture, RankCtx};
+use mpp_runtime::{CommFuture, RankCtx, Tag};
 
 use crate::algorithms::br_xy::{run_xy_on_plan, shape_dim_order, source_dim_order, XyPlan};
 use crate::algorithms::{
@@ -104,56 +105,36 @@ impl PlanRunnable for BrXyDim {
     }
 }
 
-/// How the machine is split in two.
-#[derive(Debug, Clone)]
-pub struct Partition {
-    /// First group as a sub-mesh plan.
-    pub g1: XyPlan,
-    /// Second group; same size as `g1`.
-    pub g2: XyPlan,
-}
-
-/// Split a mesh into two equal halves: by rows when `r` is even,
-/// otherwise by columns when `c` is even. Returns `None` when `p` is odd
-/// (no equal split exists).
-pub fn split_mesh(shape: MeshShape) -> Option<Partition> {
-    let (r, c) = (shape.rows, shape.cols);
-    if r % 2 == 0 {
-        let half = MeshShape::new(r / 2, c);
-        let g1 = XyPlan {
-            shape: half,
-            ranks: (0..r / 2)
-                .flat_map(|row| (0..c).map(move |col| row * c + col))
-                .collect(),
-        };
-        let g2 = XyPlan {
-            shape: half,
-            ranks: (r / 2..r)
-                .flat_map(|row| (0..c).map(move |col| row * c + col))
-                .collect(),
-        };
-        Some(Partition { g1, g2 })
-    } else if c % 2 == 0 {
-        let half = MeshShape::new(r, c / 2);
-        let g1 = XyPlan {
-            shape: half,
-            ranks: (0..r)
-                .flat_map(|row| (0..c / 2).map(move |col| row * c + col))
-                .collect(),
-        };
-        let g2 = XyPlan {
-            shape: half,
-            ranks: (0..r)
-                .flat_map(|row| (c / 2..c).map(move |col| row * c + col))
-                .collect(),
-        };
-        Some(Partition { g1, g2 })
-    } else {
-        None
+/// Split a plan into two equal halves: by rows when it has an even
+/// number of rows, otherwise by columns when it has an even number of
+/// columns. Each half lists its global ranks in its own row-major order.
+/// Returns `None` when `p` is odd (no equal split exists).
+fn split_plan(plan: &XyPlan) -> Option<(XyPlan, XyPlan)> {
+    let (r, c) = (plan.shape.rows, plan.shape.cols);
+    let by_rows = r % 2 == 0;
+    if !by_rows && c % 2 == 1 {
+        return None;
     }
+    let half = if by_rows {
+        MeshShape::new(r / 2, c)
+    } else {
+        MeshShape::new(r, c / 2)
+    };
+    let (first, second): (Vec<usize>, Vec<usize>) = (0..r * c).partition(|&i| {
+        if by_rows {
+            i / c < r / 2
+        } else {
+            i % c < c / 2
+        }
+    });
+    let plan_at = |positions: Vec<usize>| XyPlan {
+        shape: half,
+        ranks: positions.into_iter().map(|i| plan.ranks[i]).collect(),
+    };
+    Some((plan_at(first), plan_at(second)))
 }
 
-/// The partial permutation both partitioners start with: the i-th
+/// The partial permutation the partitioner starts with: the i-th
 /// source (ascending) ships its message to `targets_all[i]`. Returns
 /// what this rank holds afterwards, keyed by its own rank — the moved
 /// message stays the rope it arrived as, nothing is copied out of it.
@@ -184,17 +165,32 @@ async fn permute_to_targets(
     set
 }
 
-/// `Part_<base>`: repositioning + machine partitioning.
+/// `Part_<base>`: repositioning + machine partitioning into `2^depth`
+/// congruent groups.
+///
+/// Depth 1 is the paper's `Part_*`: two groups and one final exchange.
+/// A deeper partitioner halves every group again, so each group
+/// broadcasts among fewer ranks, but the merge phase then needs `depth`
+/// pairwise exchange rounds of growing combined messages. `repro
+/// partitioning` sweeps depths 1–4 on the 16×16 Paragon (cross, s = 75,
+/// L = 6 KiB): no depth ≥ 2 beats depth 1, and no depth beats
+/// `Repos_xy_source`, so the extension strengthens the paper's negative
+/// result. The cost is not monotone in depth — depth 3 undercuts
+/// depth 2 there.
 #[derive(Debug, Clone, Copy)]
 pub struct Part<A> {
     base: A,
+    depth: usize,
     name: &'static str,
 }
 
 impl<A: PlanRunnable> Part<A> {
-    /// Wrap a base algorithm. `name` follows the paper ("Part_Lin", …).
-    pub fn new(base: A, name: &'static str) -> Self {
-        Part { base, name }
+    /// Wrap a base algorithm with `depth` nested splits (`1` for the
+    /// paper's algorithms). Splitting stops early at a group with an odd
+    /// number of ranks; `name` follows the paper ("Part_Lin", …).
+    pub fn new(base: A, depth: usize, name: &'static str) -> Self {
+        assert!(depth >= 1);
+        Part { base, depth, name }
     }
 }
 
@@ -206,76 +202,85 @@ impl<A: PlanRunnable> StpAlgorithm for Part<A> {
     fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             ctx.validate(comm);
-            let Some(partition) = split_mesh(ctx.shape) else {
+            let me = comm.rank();
+            let s = ctx.s();
+
+            // The leaf groups: halve every group, up to `depth` times.
+            // All groups stay congruent, so one fails to split iff all do.
+            let mut groups = vec![XyPlan::identity(ctx.shape)];
+            let mut splits = 0;
+            while splits < self.depth {
+                let Some(halves) = groups.iter().map(split_plan).collect::<Option<Vec<_>>>() else {
+                    break;
+                };
+                groups = halves.into_iter().flat_map(|(a, b)| [a, b]).collect();
+                splits += 1;
+            }
+            if splits == 0 {
                 // Odd machine: no equal split — fall back to repositioning
                 // alone, which partitions degenerate to anyway.
                 return Repos::new(self.base, self.name).run(comm, ctx).await;
-            };
-            let me = comm.rank();
-            let s = ctx.s();
-            let p = ctx.shape.p();
-            let p1 = partition.g1.shape.p();
+            }
 
-            // Proportional source split: p1/p2 = 1, so s1 = ⌈s/2⌉.
-            let s1 = (s * p1 + p / 2) / p;
-            let s2 = s - s1;
-
-            // Ideal targets inside each group (plan positions → global ranks).
-            let t1_pos = if s1 > 0 {
-                self.base
-                    .ideal_sources(partition.g1.shape, s1)
+            // Proportional source split (all groups are the same size):
+            // group g of n gets sources ⌈s·g/n⌉ up to ⌈s·(g+1)/n⌉, so G₁
+            // gets ⌈s/2⌉ at depth 1. The sorted sources fill each group's
+            // sorted ideal targets in group order.
+            let n = groups.len();
+            let first = |g: usize| (s * g).div_ceil(n);
+            let mut targets_all: Vec<usize> = Vec::with_capacity(s);
+            for (g, group) in groups.iter().enumerate() {
+                let s_g = first(g + 1) - first(g);
+                if s_g == 0 {
+                    continue;
+                }
+                let mut targets: Vec<usize> = self
+                    .base
+                    .ideal_sources(group.shape, s_g)
                     .expect("base must define an ideal")
-            } else {
-                Vec::new()
-            };
-            let t2_pos = if s2 > 0 {
-                self.base
-                    .ideal_sources(partition.g2.shape, s2)
-                    .expect("base must define an ideal")
-            } else {
-                Vec::new()
-            };
-            let mut t1_global: Vec<usize> = t1_pos.iter().map(|&i| partition.g1.ranks[i]).collect();
-            let mut t2_global: Vec<usize> = t2_pos.iter().map(|&i| partition.g2.ranks[i]).collect();
-            t1_global.sort_unstable();
-            t2_global.sort_unstable();
-
-            // The permutation: sources (ascending) fill G1's targets then
-            // G2's. origin_of[k] = original source whose message lands on
-            // targets_all[k].
-            let targets_all: Vec<usize> =
-                t1_global.iter().chain(t2_global.iter()).copied().collect();
+                    .into_iter()
+                    .map(|pos| group.ranks[pos])
+                    .collect();
+                targets.sort_unstable();
+                targets_all.extend(targets);
+            }
 
             // Phase 0: partial permutation.
             let mut set = permute_to_targets(comm, ctx, &targets_all).await;
 
             // Phase 1: base algorithm inside my group, simultaneously with
-            // the other group.
-            let (my_plan, my_targets_global, partner) = {
-                if let Some(pos) = partition.g1.pos_of(me) {
-                    (&partition.g1, &t1_global, partition.g2.ranks[pos])
-                } else {
-                    let pos = partition.g2.pos_of(me).expect("rank in neither group");
-                    (&partition.g2, &t2_global, partition.g1.ranks[pos])
-                }
-            };
-            let mut sources_pos: Vec<usize> = my_targets_global
+            // the other groups.
+            let (g, my_pos) = groups
                 .iter()
-                .map(|&g| my_plan.pos_of(g).expect("target outside its group"))
+                .enumerate()
+                .find_map(|(g, group)| Some((g, group.pos_of(me)?)))
+                .expect("rank in no group");
+            let mut sources_pos: Vec<usize> = targets_all[first(g)..first(g + 1)]
+                .iter()
+                .map(|&t| groups[g].pos_of(t).expect("target outside its group"))
                 .collect();
             sources_pos.sort_unstable();
-
             self.base
-                .run_on_plan(comm, my_plan, &sources_pos, &mut set)
+                .run_on_plan(comm, &groups[g], &sources_pos, &mut set)
                 .await;
             comm.next_iteration();
 
-            // Phase 2: pairwise exchange between the groups (a permutation).
-            comm.send_payload(partner, tags::PART_EXCHANGE, set.to_payload());
-            let got = comm.recv(Some(partner), Some(tags::PART_EXCHANGE)).await;
-            comm.charge_memcpy(got.data.len());
-            let other = MessageSet::from_payload(&got.data).expect("malformed partition exchange");
-            set.merge(other);
+            // Phase 2: `splits` merge rounds, each a permutation: in round
+            // j my group exchanges member-wise with group `g ^ 2^j`. An
+            // iteration mark separates rounds; none follows the last.
+            for j in 0..splits {
+                if j > 0 {
+                    comm.next_iteration();
+                }
+                let partner = groups[g ^ (1 << j)].ranks[my_pos];
+                let tag = tags::PART_EXCHANGE + j as Tag;
+                comm.send_payload(partner, tag, set.to_payload());
+                let got = comm.recv(Some(partner), Some(tag)).await;
+                comm.charge_memcpy(got.data.len());
+                let other =
+                    MessageSet::from_payload(&got.data).expect("malformed partition exchange");
+                set.merge(other);
+            }
 
             // Relabel target-keyed messages back to original sources.
             let mut out = MessageSet::new();
@@ -295,205 +300,62 @@ impl<A: PlanRunnable> StpAlgorithm for Part<A> {
     }
 }
 
-/// Split a plan into two equal halves (nested splitting for the
-/// recursive partitioner). Child ranks are mapped through the parent.
-pub fn split_plan(plan: &XyPlan) -> Option<(XyPlan, XyPlan)> {
-    let inner = split_mesh(plan.shape)?;
-    let map = |child: &XyPlan| XyPlan {
-        shape: child.shape,
-        ranks: child.ranks.iter().map(|&pos| plan.ranks[pos]).collect(),
-    };
-    Some((map(&inner.g1), map(&inner.g2)))
-}
-
-/// Extension: recursive partitioning into `2^depth` groups.
-///
-/// The paper partitions into two groups and finds the final exchange
-/// dominates; the natural question is whether *more* partitioning could
-/// ever pay (smaller groups broadcast faster, but the merge phase needs
-/// `depth` pairwise exchange rounds of growing combined messages).
-/// `repro partitioning` measures the answer: on the Paragon it gets
-/// monotonically worse with depth, strengthening the paper's negative
-/// result.
-#[derive(Debug, Clone, Copy)]
-pub struct PartRecursive<A> {
-    base: A,
-    /// Number of recursive splits (`1` reproduces `Part_*`).
-    pub depth: usize,
-    name: &'static str,
-}
-
-impl<A: PlanRunnable> PartRecursive<A> {
-    /// Wrap a base algorithm with `depth` recursive splits.
-    pub fn new(base: A, depth: usize, name: &'static str) -> Self {
-        assert!(depth >= 1);
-        PartRecursive { base, depth, name }
-    }
-}
-
-impl<A: PlanRunnable> StpAlgorithm for PartRecursive<A> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
-        Box::pin(async move {
-            ctx.validate(comm);
-            let me = comm.rank();
-            let s = ctx.s();
-
-            // Build the leaf groups by splitting as far as possible (up to
-            // `depth`); all leaves end congruent because splits are always
-            // exact halves.
-            let mut groups = vec![XyPlan::identity(ctx.shape)];
-            let mut achieved = 0usize;
-            for _ in 0..self.depth {
-                let mut next = Vec::with_capacity(groups.len() * 2);
-                let mut ok = true;
-                for g in &groups {
-                    match split_plan(g) {
-                        Some((a, b)) => {
-                            next.push(a);
-                            next.push(b);
-                        }
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if !ok {
-                    break;
-                }
-                groups = next;
-                achieved += 1;
-            }
-            if achieved == 0 {
-                return Repos::new(self.base, self.name).run(comm, ctx).await;
-            }
-            let n_groups = groups.len();
-
-            // Proportional source allocation across groups, then ideal
-            // targets inside each.
-            let mut targets_all: Vec<usize> = Vec::with_capacity(s);
-            let mut group_targets: Vec<Vec<usize>> = Vec::with_capacity(n_groups);
-            for (g, group) in groups.iter().enumerate() {
-                let lo = s * g / n_groups;
-                let hi = s * (g + 1) / n_groups;
-                let s_g = hi - lo;
-                let mut tg: Vec<usize> = if s_g > 0 {
-                    self.base
-                        .ideal_sources(group.shape, s_g)
-                        .expect("base must define an ideal")
-                        .into_iter()
-                        .map(|pos| group.ranks[pos])
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                tg.sort_unstable();
-                targets_all.extend(tg.iter().copied());
-                group_targets.push(tg);
-            }
-
-            // Phase 0: the repositioning permutation (sorted sources fill the
-            // groups in order).
-            let mut set = permute_to_targets(comm, ctx, &targets_all).await;
-
-            // Phase 1: base algorithm inside my leaf group.
-            let my_group = groups
-                .iter()
-                .position(|g| g.pos_of(me).is_some())
-                .expect("rank must belong to a leaf group");
-            let my_pos = groups[my_group].pos_of(me).unwrap();
-            let mut sources_pos: Vec<usize> = group_targets[my_group]
-                .iter()
-                .map(|&t| groups[my_group].pos_of(t).unwrap())
-                .collect();
-            sources_pos.sort_unstable();
-            self.base
-                .run_on_plan(comm, &groups[my_group], &sources_pos, &mut set)
-                .await;
-            comm.next_iteration();
-
-            // Phase 2: `achieved` merge rounds — at round j my group
-            // exchanges member-wise with its sibling block `my_group ^ 2^j`.
-            for j in 0..achieved {
-                let partner_group = my_group ^ (1usize << j);
-                let partner = groups[partner_group].ranks[my_pos];
-                let tag = tags::PART_EXCHANGE + j as u32;
-                comm.send_payload(partner, tag, set.to_payload());
-                let got = comm.recv(Some(partner), Some(tag)).await;
-                comm.charge_memcpy(got.data.len());
-                let other = MessageSet::from_payload(&got.data).expect("malformed merge exchange");
-                set.merge(other);
-                comm.next_iteration();
-            }
-
-            // Relabel back to original source ids.
-            let mut out = MessageSet::new();
-            for (t, data) in set.into_entries() {
-                let k = targets_all
-                    .iter()
-                    .position(|&x| x == t as usize)
-                    .expect("unexpected key after recursive partitioning");
-                out.insert_payload(ctx.sources[k], data);
-            }
-            out
-        })
-    }
-
-    fn ideal_sources(&self, shape: MeshShape, s: usize) -> Option<Vec<usize>> {
-        self.base.ideal_sources(shape, s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithms::tests::assert_delivers;
     use crate::distribution::SourceDist;
 
+    /// The two halves of the whole `shape` machine.
+    fn split(shape: MeshShape) -> Option<(XyPlan, XyPlan)> {
+        split_plan(&XyPlan::identity(shape))
+    }
+
     #[test]
     fn split_prefers_rows() {
-        let p = split_mesh(MeshShape::new(4, 5)).unwrap();
-        assert_eq!(p.g1.shape, MeshShape::new(2, 5));
-        assert_eq!(p.g1.ranks, (0..10).collect::<Vec<_>>());
-        assert_eq!(p.g2.ranks, (10..20).collect::<Vec<_>>());
+        let (g1, g2) = split(MeshShape::new(4, 5)).unwrap();
+        assert_eq!(g1.shape, MeshShape::new(2, 5));
+        assert_eq!(g1.ranks, (0..10).collect::<Vec<_>>());
+        assert_eq!(g2.ranks, (10..20).collect::<Vec<_>>());
     }
 
     #[test]
     fn split_falls_back_to_columns() {
-        let p = split_mesh(MeshShape::new(5, 4)).unwrap();
-        assert_eq!(p.g1.shape, MeshShape::new(5, 2));
-        assert!(p.g1.ranks.contains(&0) && p.g1.ranks.contains(&17));
-        assert!(p.g2.ranks.contains(&2) && p.g2.ranks.contains(&19));
+        let (g1, g2) = split(MeshShape::new(5, 4)).unwrap();
+        assert_eq!(g1.shape, MeshShape::new(5, 2));
+        assert!(g1.ranks.contains(&0) && g1.ranks.contains(&17));
+        assert!(g2.ranks.contains(&2) && g2.ranks.contains(&19));
     }
 
     #[test]
     fn split_odd_machine_none() {
-        assert!(split_mesh(MeshShape::new(3, 5)).is_none());
+        assert!(split(MeshShape::new(3, 5)).is_none());
     }
 
     #[test]
     fn part_lin_square_block() {
         let shape = MeshShape::new(4, 4);
         let sources = SourceDist::SquareBlock.place(shape, 6);
-        assert_delivers(&Part::new(BrLin::new(), "Part_Lin"), shape, &sources, 16);
+        assert_delivers(&Part::new(BrLin, 1, "Part_Lin"), shape, &sources, 16);
     }
 
     #[test]
     fn part_xy_source_cross() {
         let shape = MeshShape::new(6, 6);
         let sources = SourceDist::Cross.place(shape, 12);
-        assert_delivers(&Part::new(BrXySource, "Part_xy_source"), shape, &sources, 8);
+        assert_delivers(
+            &Part::new(BrXySource, 1, "Part_xy_source"),
+            shape,
+            &sources,
+            8,
+        );
     }
 
     #[test]
     fn part_xy_dim_equal() {
         let shape = MeshShape::new(4, 6);
         let sources = SourceDist::Equal.place(shape, 7);
-        assert_delivers(&Part::new(BrXyDim, "Part_xy_dim"), shape, &sources, 8);
+        assert_delivers(&Part::new(BrXyDim, 1, "Part_xy_dim"), shape, &sources, 8);
     }
 
     #[test]
@@ -501,14 +363,14 @@ mod tests {
         // s=1: one group gets the only source, the other relies entirely
         // on the final exchange.
         let shape = MeshShape::new(4, 4);
-        assert_delivers(&Part::new(BrLin::new(), "Part_Lin"), shape, &[9], 32);
+        assert_delivers(&Part::new(BrLin, 1, "Part_Lin"), shape, &[9], 32);
     }
 
     #[test]
     fn part_odd_machine_falls_back() {
         let shape = MeshShape::new(3, 3);
         assert_delivers(
-            &Part::new(BrXySource, "Part_xy_source"),
+            &Part::new(BrXySource, 1, "Part_xy_source"),
             shape,
             &[0, 4, 8],
             8,
@@ -519,71 +381,37 @@ mod tests {
     fn part_all_sources() {
         let shape = MeshShape::new(4, 4);
         let all: Vec<usize> = (0..16).collect();
-        assert_delivers(&Part::new(BrLin::new(), "Part_Lin"), shape, &all, 4);
+        assert_delivers(&Part::new(BrLin, 1, "Part_Lin"), shape, &all, 4);
     }
 
     #[test]
     fn split_plan_nests() {
-        let root = XyPlan::identity(MeshShape::new(4, 4));
-        let (a, b) = split_plan(&root).unwrap();
+        let (a, _) = split(MeshShape::new(4, 4)).unwrap();
         assert_eq!(a.shape, MeshShape::new(2, 4));
         let (aa, ab) = split_plan(&a).unwrap();
         assert_eq!(aa.shape, MeshShape::new(1, 4));
         assert_eq!(aa.ranks, vec![0, 1, 2, 3]);
         assert_eq!(ab.ranks, vec![4, 5, 6, 7]);
-        let _ = b;
     }
 
     #[test]
-    fn recursive_depth_one_matches_part_semantics() {
-        let shape = MeshShape::new(4, 4);
-        let sources = SourceDist::Cross.place(shape, 6);
-        assert_delivers(
-            &PartRecursive::new(BrLin::new(), 1, "PartRec_1"),
-            shape,
-            &sources,
-            16,
-        );
-    }
-
-    #[test]
-    fn recursive_depth_two_and_three() {
+    fn depth_two_and_three() {
         let shape = MeshShape::new(4, 8);
         let sources = SourceDist::Equal.place(shape, 10);
-        assert_delivers(
-            &PartRecursive::new(BrXySource, 2, "PartRec_2"),
-            shape,
-            &sources,
-            8,
-        );
-        assert_delivers(
-            &PartRecursive::new(BrLin::new(), 3, "PartRec_3"),
-            shape,
-            &sources,
-            8,
-        );
+        assert_delivers(&Part::new(BrXySource, 2, "Part_2"), shape, &sources, 8);
+        assert_delivers(&Part::new(BrLin, 3, "Part_3"), shape, &sources, 8);
     }
 
     #[test]
-    fn recursive_depth_exceeding_splits_clamps() {
+    fn depth_beyond_the_splits_clamps() {
         // 2x2 machine: only 2 splits possible; depth 5 must still work.
         let shape = MeshShape::new(2, 2);
-        assert_delivers(
-            &PartRecursive::new(BrLin::new(), 5, "PartRec_5"),
-            shape,
-            &[1, 2],
-            8,
-        );
+        assert_delivers(&Part::new(BrLin, 5, "Part_5"), shape, &[1, 2], 8);
     }
 
     #[test]
-    fn recursive_single_source() {
+    fn depth_two_single_source() {
         let shape = MeshShape::new(4, 4);
-        assert_delivers(
-            &PartRecursive::new(BrLin::new(), 2, "PartRec_2"),
-            shape,
-            &[9],
-            16,
-        );
+        assert_delivers(&Part::new(BrLin, 2, "Part_2"), shape, &[9], 16);
     }
 }

@@ -132,7 +132,7 @@ mod tests {
     fn repos_lin_from_square_block() {
         let shape = MeshShape::new(4, 4);
         let sources = SourceDist::SquareBlock.place(shape, 4);
-        assert_delivers(&Repos::new(BrLin::new(), "Repos_Lin"), shape, &sources, 16);
+        assert_delivers(&Repos::new(BrLin, "Repos_Lin"), shape, &sources, 16);
     }
 
     #[test]
@@ -151,10 +151,10 @@ mod tests {
     fn repos_noop_when_already_ideal() {
         // When the input *is* the ideal distribution no message moves.
         let shape = MeshShape::new(4, 4);
-        let targets = BrLin::new().ideal_sources(shape, 4).unwrap();
+        let targets = BrLin.ideal_sources(shape, 4).unwrap();
         let moves = repositioning_moves(&targets, &targets);
         assert!(moves.is_empty());
-        assert_delivers(&Repos::new(BrLin::new(), "Repos_Lin"), shape, &targets, 8);
+        assert_delivers(&Repos::new(BrLin, "Repos_Lin"), shape, &targets, 8);
     }
 
     #[test]

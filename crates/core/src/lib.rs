@@ -40,7 +40,6 @@
 //! ```
 
 pub mod algorithms;
-pub mod announce;
 pub mod checkpoint;
 #[cfg(test)]
 #[path = "../../mpp-sim/tests/support/counting_alloc.rs"]
@@ -63,7 +62,6 @@ pub mod prelude {
     pub use crate::algorithms::{
         BrLin, BrXyDim, BrXySource, Part, PersAlltoAll, Repos, StpAlgorithm, StpCtx, TwoStep,
     };
-    pub use crate::announce::announce_and_broadcast;
     pub use crate::distribution::SourceDist;
     pub use crate::metrics::Figure2Row;
     pub use crate::msgset::{payload_for, MessageSet};

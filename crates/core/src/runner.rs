@@ -162,15 +162,15 @@ impl AlgoKind {
             AlgoKind::TwoStep => Box::new(TwoStep::direct()),
             AlgoKind::MpiAllGather => Box::new(TwoStep::tree()),
             AlgoKind::PersAlltoAll | AlgoKind::MpiAlltoall => Box::new(PersAlltoAll),
-            AlgoKind::BrLin => Box::new(BrLin::new()),
+            AlgoKind::BrLin => Box::new(BrLin),
             AlgoKind::BrXySource => Box::new(BrXySource),
             AlgoKind::BrXyDim => Box::new(BrXyDim),
-            AlgoKind::ReposLin => Box::new(Repos::new(BrLin::new(), "Repos_Lin")),
+            AlgoKind::ReposLin => Box::new(Repos::new(BrLin, "Repos_Lin")),
             AlgoKind::ReposXySource => Box::new(Repos::new(BrXySource, "Repos_xy_source")),
             AlgoKind::ReposXyDim => Box::new(Repos::new(BrXyDim, "Repos_xy_dim")),
-            AlgoKind::PartLin => Box::new(Part::new(BrLin::new(), "Part_Lin")),
-            AlgoKind::PartXySource => Box::new(Part::new(BrXySource, "Part_xy_source")),
-            AlgoKind::PartXyDim => Box::new(Part::new(BrXyDim, "Part_xy_dim")),
+            AlgoKind::PartLin => Box::new(Part::new(BrLin, 1, "Part_Lin")),
+            AlgoKind::PartXySource => Box::new(Part::new(BrXySource, 1, "Part_xy_source")),
+            AlgoKind::PartXyDim => Box::new(Part::new(BrXyDim, 1, "Part_xy_dim")),
             AlgoKind::DissemAllGather => Box::new(DissemAllGather::new()),
             AlgoKind::DissemZeroCopy => Box::new(DissemAllGather::zero_copy()),
             AlgoKind::ReposAdaptiveXySource => Box::new(ReposAdaptive::new(
@@ -822,7 +822,7 @@ mod tests {
             ctx: &'a StpCtx<'a>,
         ) -> mpp_runtime::CommFuture<'a, MessageSet> {
             Box::pin(async move {
-                let set = BrLin::new().run(comm, ctx).await;
+                let set = BrLin.run(comm, ctx).await;
                 match self.how {
                     _ if comm.rank() != self.rank => return set,
                     Tamper::Empty => return MessageSet::new(),
@@ -867,7 +867,7 @@ mod tests {
             .expect("run failed")
             .verified
         };
-        assert!(verified(&BrLin::new()), "the honest run");
+        assert!(verified(&BrLin), "the honest run");
         let idle = (0..16)
             .find(|r| !sources.contains(r))
             .expect("a rank that sends nothing");

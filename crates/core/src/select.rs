@@ -4,8 +4,8 @@
 //! the Paragon (moderate `s < p/2`, `p > 16`, `1 KiB ≤ L ≤ 16 KiB`), and
 //! §5.3 concludes that on the T3D — where the network is fast relative
 //! to software costs — the wait-free `MPI_Alltoall` wins. This module
-//! turns those findings into a recommendation function, which the
-//! `algorithm_picker` example and `stp serve`'s `"algo":"auto"` exercise.
+//! turns those findings into a recommendation function, which `stp
+//! serve`'s `"algo":"auto"` exercises.
 
 use mpp_model::Machine;
 

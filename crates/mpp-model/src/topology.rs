@@ -283,51 +283,6 @@ impl Topology {
         }
     }
 
-    /// Bisection width: the number of directed links crossing a balanced
-    /// cut of the machine (both directions counted). A standard
-    /// capacity measure — the all-to-all-heavy algorithms are limited by
-    /// it.
-    pub fn bisection_width(&self) -> usize {
-        match *self {
-            Topology::Linear { n } => {
-                if n > 1 {
-                    2
-                } else {
-                    0
-                }
-            }
-            Topology::Mesh2D { rows, cols } => {
-                // Cut across the longer dimension. When that dimension is
-                // odd no perfectly balanced straight cut exists; this is
-                // the standard ⌈n/2⌉ | ⌊n/2⌋ nearly-balanced cut, which
-                // still severs `rows.min(cols)` bidirectional channels.
-                if rows * cols <= 1 {
-                    0
-                } else {
-                    2 * rows.min(cols)
-                }
-            }
-            Topology::Torus3D { dx, dy, dz } => {
-                // Cut perpendicular to the longest dimension; the torus
-                // wraps, so the cut crosses two rings of links.
-                let longest = dx.max(dy).max(dz);
-                let cross_section = dx * dy * dz / longest;
-                if longest > 1 {
-                    4 * cross_section
-                } else {
-                    0
-                }
-            }
-            Topology::Hypercube { dim } => {
-                if dim == 0 {
-                    0
-                } else {
-                    1usize << dim // 2 * 2^(dim-1)
-                }
-            }
-        }
-    }
-
     /// A 3-D torus with near-cubic dimensions for `p` nodes.
     ///
     /// Factors `p` into `dx ≥ dy ≥ dz` as balanced as possible; used to
@@ -569,24 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn bisection_widths() {
-        assert_eq!(Topology::Linear { n: 8 }.bisection_width(), 2);
-        assert_eq!(Topology::Mesh2D { rows: 4, cols: 4 }.bisection_width(), 8);
-        assert_eq!(Topology::Hypercube { dim: 6 }.bisection_width(), 64);
-        // 4x4x2 torus: longest dim 4, cross-section 8, wrap doubles: 32.
-        assert_eq!(
-            Topology::Torus3D {
-                dx: 4,
-                dy: 4,
-                dz: 2
-            }
-            .bisection_width(),
-            32
-        );
-        assert_eq!(Topology::Linear { n: 1 }.bisection_width(), 0);
-    }
-
-    #[test]
     fn routes_are_deterministic() {
         let t = Topology::Torus3D {
             dx: 4,
@@ -594,18 +531,6 @@ mod tests {
             dz: 4,
         };
         assert_eq!(t.route(3, 49), t.route(3, 49));
-    }
-
-    #[test]
-    fn bisection_width_mesh_edge_cases() {
-        // A single node has no cut.
-        assert_eq!(Topology::Mesh2D { rows: 1, cols: 1 }.bisection_width(), 0);
-        // A 1×n mesh is a line: one bidirectional channel crosses the cut.
-        assert_eq!(Topology::Mesh2D { rows: 1, cols: 8 }.bisection_width(), 2);
-        assert_eq!(Topology::Mesh2D { rows: 8, cols: 1 }.bisection_width(), 2);
-        // Odd longer dimension: the nearly-balanced 3×3 cut severs 3
-        // bidirectional channels.
-        assert_eq!(Topology::Mesh2D { rows: 3, cols: 3 }.bisection_width(), 6);
     }
 
     #[test]

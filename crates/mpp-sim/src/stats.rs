@@ -160,11 +160,6 @@ impl CommStats {
         self.iters.iter().map(|i| i.waits).sum()
     }
 
-    /// Total blocked time (ns).
-    pub fn total_wait_ns(&self) -> u64 {
-        self.iters.iter().map(|i| i.wait_ns).sum()
-    }
-
     /// Maximum sends+receives in any single iteration (`congestion`).
     pub fn congestion(&self) -> u64 {
         self.iters.iter().map(|i| i.ops()).max().unwrap_or(0)
@@ -187,11 +182,6 @@ impl CommStats {
         } else {
             sum / n as f64
         }
-    }
-
-    /// Number of iterations in which this rank communicated.
-    pub fn active_iterations(&self) -> u64 {
-        self.iters.iter().filter(|i| i.active()).count() as u64
     }
 }
 
@@ -230,7 +220,6 @@ mod tests {
         s.record_recv(10, 0);
         s.record_recv(10, 500);
         assert_eq!(s.total_waits(), 1);
-        assert_eq!(s.total_wait_ns(), 500);
     }
 
     #[test]
@@ -242,7 +231,6 @@ mod tests {
         s.record_send(3000);
         // (1000/1 + 3000/1) / 2 = 2000
         assert!((s.avg_msg_len() - 2000.0).abs() < 1e-9);
-        assert_eq!(s.active_iterations(), 2);
     }
 
     #[test]

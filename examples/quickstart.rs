@@ -48,7 +48,7 @@ fn main() {
             sources,
             payload: payload.as_deref(),
         };
-        BrLin::new().run(&mut comm, &ctx).await.len()
+        BrLin.run(&mut comm, &ctx).await.len()
     });
     assert!(out.results.iter().all(|&n| n == s));
     println!(

@@ -1,6 +1,6 @@
-//! Collectives correctness on the *timed* backend (their unit tests run
-//! on threads; the algorithms exercise them indirectly — here they are
-//! driven directly on the simulator, including cost sanity checks).
+//! Collectives on the timed simulator: the two the algorithms call,
+//! driven directly with cost sanity checks, plus the hot spot of a
+//! direct gather and the kernel's modelled barrier.
 
 use stp_broadcast::coll;
 use stp_broadcast::prelude::*;
@@ -23,15 +23,22 @@ fn bcast_on_simulator_with_timing() {
 
 #[test]
 fn gather_hot_spot_shows_in_contention() {
+    // A direct gather, as 2-Step's first phase runs it: every other rank
+    // sends straight to rank 0.
     let machine = Machine::paragon(4, 4);
     let out = simulate(&machine, |mut comm| async move {
-        let senders: Vec<usize> = (0..comm.size()).collect();
-        let mine = vec![comm.rank() as u8; 2048];
-        coll::gather_direct(&mut comm, 0, &senders, Some(&mine), 1)
-            .await
-            .len()
+        let p = comm.size();
+        if comm.rank() == 0 {
+            for _ in 1..p {
+                comm.recv(None, Some(1)).await;
+            }
+            p - 1
+        } else {
+            comm.send(0, 1, &vec![comm.rank() as u8; 2048]);
+            0
+        }
     });
-    assert_eq!(out.results[0], 16);
+    assert_eq!(out.results[0], 15);
     assert!(
         out.contention_events > 0,
         "15 senders into one port must contend"
@@ -53,62 +60,17 @@ fn personalized_exchange_balances_iterations() {
 }
 
 #[test]
-fn allgather_ring_on_simulator() {
-    let machine = Machine::t3d(12, 3);
-    let mpi = SimConfig {
-        lib: LibraryKind::Mpi,
-        ..SimConfig::default()
-    };
-    let out = simulate_with(&machine, &mpi, |mut comm| async move {
-        let order: Vec<usize> = (0..comm.size()).collect();
-        let payload = [comm.rank() as u8; 32];
-        coll::allgather_ring(&mut comm, &order, &payload, 2)
-            .await
-            .len()
-    });
-    assert!(out.results.iter().all(|&n| n == 12));
-}
-
-#[test]
-fn scatter_and_reduce_roundtrip_on_simulator() {
-    let machine = Machine::paragon(3, 3);
-    let out = simulate(&machine, |mut comm| async move {
-        let order: Vec<usize> = (0..comm.size()).collect();
-        // Root scatters rank-indexed chunks ...
-        let chunks = (comm.rank() == 0).then(|| {
-            (0..comm.size())
-                .map(|i| vec![i as u8; 16])
-                .collect::<Vec<_>>()
-        });
-        let mine = coll::scatter_from_first(&mut comm, &order, chunks, 10).await;
-        assert_eq!(mine, vec![comm.rank() as u8; 16]);
-        // ... then a reduction sums everyone's chunk value.
-        let contrib = (mine[0] as u64).to_le_bytes();
-        let sum = |a: &[u8], b: &[u8]| {
-            (u64::from_le_bytes(a.try_into().unwrap()) + u64::from_le_bytes(b.try_into().unwrap()))
-                .to_le_bytes()
-                .to_vec()
-        };
-        coll::reduce_to_first(&mut comm, &order, &contrib, &sum, 50)
-            .await
-            .map(|v| u64::from_le_bytes(v[..].try_into().unwrap()))
-    });
-    assert_eq!(out.results[0], Some(36)); // 0+1+...+8
-    assert!(out.results[1..].iter().all(|r| r.is_none()));
-}
-
-#[test]
 fn dissemination_barrier_synchronizes_clocks_on_simulator() {
     let machine = Machine::paragon(2, 4);
     let out = simulate(&machine, |mut comm| async move {
         if comm.rank() == 3 {
             comm.compute_ns(2_000_000); // one slow rank
         }
-        coll::barrier_dissemination(&mut comm, 900).await;
+        comm.barrier().await;
         comm.clock()
     });
-    // After a dissemination barrier every rank's clock is at least the
-    // slow rank's pre-barrier time.
+    // After the kernel's barrier (modelled as a dissemination barrier)
+    // every rank's clock is at least the slow rank's pre-barrier time.
     assert!(
         out.results.iter().all(|&c| c >= 2_000_000),
         "{:?}",

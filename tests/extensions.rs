@@ -1,67 +1,12 @@
-//! Integration tests for the extensions beyond the paper: source
-//! announcement, N-d `Br_dims`, the dissemination all-gather, adaptive
-//! repositioning and recursive partitioning — each exercised end-to-end
-//! through the public API on the timed simulator.
+//! Integration tests for the extensions beyond the paper: the
+//! dissemination all-gather, adaptive repositioning, recursive
+//! partitioning, the k-ported `KPort_Lin` and the naive independent
+//! broadcasts — each exercised end-to-end through the public API on the
+//! timed simulator.
 
 use stp_broadcast::prelude::*;
-use stp_broadcast::stp::algorithms::{
-    BrDims, DissemAllGather, GridShape, PartRecursive, StpAlgorithm,
-};
-use stp_broadcast::stp::announce::announce_and_broadcast;
-
-#[test]
-fn announce_then_broadcast_on_simulator() {
-    let machine = Machine::paragon(4, 4);
-    let shape = machine.shape;
-    let sources = [3usize, 8, 12];
-    let out = simulate(&machine, |mut comm| async move {
-        // Each rank knows only whether *it* has a message.
-        let payload = sources
-            .contains(&comm.rank())
-            .then(|| payload_for(comm.rank(), 256));
-        announce_and_broadcast(&mut comm, shape, payload.as_deref(), &BrLin::new())
-            .await
-            .map(|set| set.sources().collect::<Vec<_>>())
-    });
-    for r in out.results {
-        assert_eq!(r.unwrap(), sources.to_vec());
-    }
-    // The announcement costs log p rounds of p-word tables — small
-    // against the broadcast itself.
-    assert!(out.makespan_ns > 0);
-}
-
-#[test]
-fn br_dims_on_t3d_native_3d_grid() {
-    // Run Br_dims on the T3D's natural 3-D factorization and verify it
-    // against Br_Lin on the same machine.
-    let machine = Machine::t3d(64, 11);
-    let shape = machine.shape;
-    let grid = GridShape::cube_for(64);
-    let sources = SourceDist::Equal.place(shape, 9);
-    let (sources, alg) = (&sources, &BrDims::new(grid));
-    let mpi = SimConfig {
-        lib: LibraryKind::Mpi,
-        ..SimConfig::default()
-    };
-    let dims_out = simulate_with(&machine, &mpi, |mut comm| async move {
-        let payload = sources
-            .binary_search(&comm.rank())
-            .is_ok()
-            .then(|| payload_for(comm.rank(), 512));
-        let ctx = StpCtx {
-            shape,
-            sources,
-            payload: payload.as_deref(),
-        };
-        let set = alg.run(&mut comm, &ctx).await;
-        set.sources().collect::<Vec<_>>() == *sources
-            && sources
-                .iter()
-                .all(|&s| *set.get(s).unwrap() == payload_for(s, 512))
-    });
-    assert!(dims_out.results.iter().all(|&ok| ok));
-}
+use stp_broadcast::stp::algorithms::DissemAllGather;
+use stp_broadcast::stp::runner::try_run_alg_controlled;
 
 #[test]
 fn dissem_zero_copy_beats_alltoall_on_t3d() {
@@ -122,37 +67,59 @@ fn adaptive_runs_through_algokind() {
     }
 }
 
+/// §5.2's negative result, extended to `2^depth` groups at the cross,
+/// s = 75, L = 6 KiB point of `repro partitioning` (16×16 Paragon):
+/// `Part` at depth 1 is `Part_xy_source`, no deeper partitioning beats
+/// depth 1, and no depth beats `Repos_xy_source`. The cost is not
+/// monotone in depth, so nothing here claims it is.
 #[test]
-fn recursive_partitioning_monotone_in_depth() {
-    // Deeper partitioning must not get better on the Paragon (the
-    // paper's negative result, extended): allow small noise but require
-    // depth 3 ≥ depth 1.
+fn deeper_partitioning_never_beats_depth_one_or_repositioning() {
     let machine = Machine::paragon(16, 16);
-    let shape = machine.shape;
-    let sources = &SourceDist::Cross.place(shape, 75);
-    let ms_for = |depth: usize| {
-        let alg = &PartRecursive::new(BrXySource, depth, "PartRec");
-        let out = simulate(&machine, |mut comm| async move {
-            let payload = sources
-                .binary_search(&comm.rank())
-                .is_ok()
-                .then(|| payload_for(comm.rank(), 6144));
-            let ctx = StpCtx {
-                shape,
-                sources,
-                payload: payload.as_deref(),
-            };
-            alg.run(&mut comm, &ctx).await.len()
-        });
-        assert!(out.results.iter().all(|&n| n == 75));
+    let (s, len) = (75, 6 * 1024);
+    let sources = SourceDist::Cross.place(machine.shape, s);
+    let part_ns = |depth: usize| {
+        let alg = Part::new(BrXySource, depth, "Part_xy_source");
+        let out = try_run_alg_controlled(
+            &machine,
+            LibraryKind::Nx,
+            &sources,
+            &|src| payload_for(src, len),
+            &alg,
+            &RunControl::default(),
+        )
+        .expect("run failed");
+        assert!(out.verified, "depth {depth} failed verification");
         out.makespan_ns
     };
-    let d1 = ms_for(1);
-    let d3 = ms_for(3);
-    assert!(
-        d3 > d1,
-        "depth 3 ({d3}) must not beat depth 1 ({d1}) on the Paragon"
-    );
+    let kind_ns = |kind: AlgoKind| {
+        let out = Experiment {
+            machine: &machine,
+            dist: SourceDist::Cross,
+            s,
+            msg_len: len,
+            kind,
+        }
+        .run()
+        .expect("run failed");
+        assert!(out.verified, "{} failed verification", kind.name());
+        out.makespan_ns
+    };
+    let depths: Vec<_> = (1..=4).map(part_ns).collect();
+    let repos = kind_ns(AlgoKind::ReposXySource);
+    assert_eq!(depths[0], kind_ns(AlgoKind::PartXySource), "depth 1");
+    for (depth, &ns) in (2..).zip(&depths[1..]) {
+        assert!(
+            ns > depths[0],
+            "depth {depth} ({ns} ns) must not beat depth 1 ({} ns)",
+            depths[0]
+        );
+    }
+    for (depth, &ns) in (1..).zip(&depths) {
+        assert!(
+            ns > repos,
+            "depth {depth} ({ns} ns) must not beat Repos_xy_source ({repos} ns)"
+        );
+    }
 }
 
 /// DESIGN §11's acceptance, in virtual time so it is exact: on the fig-4
