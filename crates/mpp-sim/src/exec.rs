@@ -10,7 +10,7 @@
 //! `barrier` actually suspend the future. The executor drains deferred
 //! ops in global
 //! `(effective time, rank)` order through the shared [`KernelCore`],
-//! driven by the calendar-bucket
+//! driven by the heap-and-front-slot
 //! [`ReadyQueue`](crate::sched::ReadyQueue).
 //!
 //! # The ordering invariant
@@ -338,14 +338,14 @@ where
 
     let mut phases = vec![Phase::Ready; p];
     // Size the ready queue for this run: `p` ranks, each of which a
-    // faulty network can re-ready once per retransmission attempt, with
-    // the calendar window scaled to the machine's software α costs (the
-    // natural spacing between schedulable events).
+    // faulty network can re-ready once per retransmission attempt.
     let retry_budget = config
         .faults
         .as_ref()
         .map_or(0, |f| f.retry.max_attempts as usize);
-    let mut ready = ReadyQueue::for_run(p, retry_budget, core.alpha_send + core.alpha_recv);
+    let mut ready = ReadyQueue::for_run(p, retry_budget);
+    // The destinations of the send batch in hand, woken after it issues.
+    let mut batch_dsts: Vec<usize> = Vec::new();
     let mut in_barrier = 0usize;
     let mut live = p;
     let mut finish_ns = vec![0; p];
@@ -461,7 +461,8 @@ where
                 CoopOp::SendBatch { msgs, eff } => {
                     // All members issue in this one step; each
                     // destination is then woken like a plain send's.
-                    let dsts: Vec<usize> = msgs.iter().map(|(dst, _, _)| *dst).collect();
+                    batch_dsts.clear();
+                    batch_dsts.extend(msgs.iter().map(|(dst, _, _)| *dst));
                     core.process_send_batch(rank, msgs, eff, &mut cells[rank].borrow_mut().stats);
                     settle_head(
                         rank,
@@ -471,7 +472,7 @@ where
                         &mut in_barrier,
                         &core,
                     );
-                    for dst in dsts {
+                    for &dst in &batch_dsts {
                         wake_recv(dst, &cells, &mut phases, &mut ready, &core);
                     }
                 }

@@ -15,10 +15,11 @@
 //! One executor implements this model: all rank programs are
 //! multiplexed on the calling thread as resumable futures. Sends,
 //! compute and memcpy charges are handled rank-locally and deferred;
-//! only `recv`/`barrier` suspend. Scheduling uses a calendar queue with
-//! lazy invalidation plus a blocked-recv wakeup index, so a pop is O(1)
-//! and a push O(log w) in the handful of ranks ready within one window
-//! of virtual time. Nothing in this crate reads the process
+//! only `recv`/`barrier` suspend. Scheduling uses a binary heap with a
+//! one-entry front slot and lazy invalidation, plus a blocked-recv
+//! wakeup index: a push and pop cost O(log p), and O(1) for the common
+//! rank that re-enters below everyone else at the time it just left.
+//! Nothing in this crate reads the process
 //! environment. The analyzer's cost replay checks the order from the
 //! recording alone: every timestamp, and which send each receive
 //! matched (see DESIGN.md §7b and §8).

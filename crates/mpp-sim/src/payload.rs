@@ -702,6 +702,27 @@ impl PayloadReader<'_> {
         self.read_exact(&mut b).then(|| u32::from_le_bytes(b))
     }
 
+    /// Step over the next `n` bytes. Returns false (consuming nothing)
+    /// if fewer remain.
+    pub fn skip(&mut self, n: usize) -> bool {
+        if self.remaining() < n {
+            return false;
+        }
+        let segs = self.payload.segs.as_slice();
+        let mut need = n;
+        while need > 0 {
+            let take = need.min(segs[self.seg].len - self.seg_off);
+            need -= take;
+            self.seg_off += take;
+            if self.seg_off == segs[self.seg].len {
+                self.seg += 1;
+                self.seg_off = 0;
+            }
+        }
+        self.pos += n;
+        true
+    }
+
     /// Take the next `n` bytes as a zero-copy sub-payload, or None if
     /// fewer remain.
     pub fn take_payload(&mut self, n: usize) -> Option<Payload> {
@@ -808,6 +829,21 @@ mod tests {
         // A length off the wire is checked against what remains before
         // anything is built from it.
         assert!(p.reader().take_payload(usize::MAX).is_none());
+    }
+
+    #[test]
+    fn skip_spans_segments() {
+        let mut p = Payload::from_slice(b"ab");
+        p.push_payload(&Payload::from_slice(b"cde"));
+        p.push_payload(&Payload::from_slice(b"fg"));
+        let mut r = p.reader();
+        assert!(r.skip(3));
+        assert_eq!(r.take_payload(2).unwrap(), b"de");
+        assert!(!r.skip(3), "only two bytes remain");
+        assert_eq!(r.remaining(), 2);
+        assert!(r.skip(2));
+        assert_eq!(r.remaining(), 0);
+        assert!(r.skip(0));
     }
 
     #[test]

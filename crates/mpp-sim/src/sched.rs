@@ -1,15 +1,14 @@
 //! Indexed ready-queue for the executor.
 //!
 //! The executor needs the ready rank with the smallest `(effective
-//! time, rank)` after every processed event. A *calendar queue* keyed on
-//! virtual time answers that: entries inside the active time window
-//! live in a small array sorted descending, so the next wakeup — and
-//! every same-tick wakeup behind it — is an O(1) pop off the back;
-//! entries beyond the window wait in an unsorted overflow bucket that is
-//! swept forward only when the window advances. Simulated time in one
-//! experiment clusters tightly (ranks march in α-spaced phases), so
-//! nearly every push lands in the active window at O(log w) for a tiny
-//! `w`.
+//! time, rank)` after every processed event. A binary heap keyed
+//! `(eff, rank)` answers that in O(log p), plus a one-entry *front
+//! slot*: an entry pushed below everything in the heap waits there
+//! instead, and `pop` takes it without touching the heap. The executor
+//! pushes that way all the time — a rank that has just popped usually
+//! re-enters at the same effective time (an iteration mark and the send
+//! behind it share one key), below every other waiting rank — so the
+//! common push and pop are O(1).
 //!
 //! It uses *lazy invalidation*: each rank has at most one live entry,
 //! stamped with a per-rank generation counter. Pushing a new entry for
@@ -30,36 +29,65 @@
 //!   executor settles its next queue head and pushes again.
 //!
 //! The queue does *not* assume monotone pops or improving re-pushes: a
-//! push below the current window (or below the last popped time) is
-//! binary-inserted into the active array and pops in exact `(eff, rank)`
-//! order, and a later-time re-push wins like any other, so the structure
-//! agrees with the linear-scan model on arbitrary input sequences.
+//! push below everything queued takes the front slot (moving a previous
+//! front into the heap), a later-time re-push wins like any other, and
+//! a stale front is dropped at pop like a stale heap entry, so the
+//! structure agrees with the linear-scan model on arbitrary input
+//! sequences.
+
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 use mpp_model::Time;
 
-/// Default active-window width (ns of virtual time) when the caller has
-/// no machine parameters at hand; `for_run` picks a width near the
-/// machine's α instead.
-#[cfg(test)]
-const DEFAULT_WIDTH: Time = 64 * 1024;
+/// A queued rank, ordered by `(eff, rank)` as one `u128`, which
+/// compares in two instructions where a tuple branches field by field.
+/// The generation rides along unordered: two entries of one rank at one
+/// time are interchangeable, since at most one of them is live.
+#[derive(Clone, Copy)]
+struct Entry {
+    eff: Time,
+    rank: usize,
+    gen: u64,
+}
 
-/// Calendar queue of ready ranks keyed by `(effective time, rank)`,
-/// with generation-stamped lazy invalidation.
+impl Entry {
+    #[inline]
+    fn key(&self) -> u128 {
+        (self.eff as u128) << 64 | self.rank as u128
+    }
+}
+
+impl Ord for Entry {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Entry {}
+
+/// Min-heap of ready ranks keyed by `(effective time, rank)`, with a
+/// front slot and generation-stamped lazy invalidation.
 pub(crate) struct ReadyQueue {
-    /// Entries with `eff <= win_last`, sorted descending by
-    /// `(eff, rank, gen)` — pop is `near.pop()`.
-    near: Vec<(Time, usize, u64)>,
-    /// Entries with `eff > win_last`, unsorted.
-    far: Vec<(Time, usize, u64)>,
-    /// Inclusive upper bound of the active window. Inclusive, so the
-    /// window ending at `Time::MAX` (a deadline at the end of time) needs
-    /// no bound past it.
-    win_last: Time,
-    /// Window width (power of two, virtual ns).
-    width: Time,
+    /// An entry pushed below every entry of `heap`. No heap entry orders
+    /// below it; one of the same key is the same rank's, and one of the
+    /// two is stale.
+    front: Option<Entry>,
+    heap: BinaryHeap<Reverse<Entry>>,
     gen: Vec<u64>,
-    /// Stored entries (live + stale) across both arrays.
-    entries: usize,
     /// Stale-compaction trigger and the sizing bound asserted on in
     /// debug builds: ranks + retry budget + slack (see `for_run`).
     cap_bound: usize,
@@ -69,24 +97,18 @@ impl ReadyQueue {
     /// Queue for `p` ranks with default sizing (tests, ad-hoc use).
     #[cfg(test)]
     pub fn new(p: usize) -> Self {
-        ReadyQueue::for_run(p, 0, DEFAULT_WIDTH)
+        ReadyQueue::for_run(p, 0)
     }
 
-    /// Queue sized for a run: `p` ranks, a per-message retry budget
+    /// Queue sized for a run: `p` ranks and a per-message retry budget
     /// from the fault plan (each in-flight retry can re-wake a blocked
-    /// rank and strand one stale entry), and a window width hint —
-    /// ideally the machine's α, the natural spacing between a rank's
-    /// consecutive events.
-    pub fn for_run(p: usize, retry_budget: usize, width_hint: Time) -> Self {
-        let width = width_hint.max(1024).next_power_of_two();
+    /// rank and strand one stale entry).
+    pub fn for_run(p: usize, retry_budget: usize) -> Self {
         let cap_bound = (p * 2 + p * retry_budget / 4 + 64).next_power_of_two();
         ReadyQueue {
-            near: Vec::with_capacity(cap_bound.min(p * 2 + 8)),
-            far: Vec::with_capacity(p.min(64)),
-            win_last: width - 1,
-            width,
+            front: None,
+            heap: BinaryHeap::with_capacity(cap_bound.min(p * 2 + 8)),
             gen: vec![0; p],
-            entries: 0,
             cap_bound,
         }
     }
@@ -95,25 +117,36 @@ impl ReadyQueue {
     /// entry it may have had.
     pub fn push(&mut self, rank: usize, eff: Time) {
         self.gen[rank] += 1;
-        let entry = (eff, rank, self.gen[rank]);
-        if eff <= self.win_last {
-            // Descending order: find insertion point from the back.
-            let at = self.near.partition_point(|&e| e > entry);
-            self.near.insert(at, entry);
-        } else {
-            self.far.push(entry);
-        }
-        self.entries += 1;
-        if self.entries > self.cap_bound {
-            self.compact();
-            debug_assert!(
-                self.entries <= self.cap_bound,
-                "ready-queue grew past its sizing bound even after dropping \
-                 stale entries: {} live entries for {} ranks (bound {})",
-                self.entries,
-                self.gen.len(),
-                self.cap_bound
-            );
+        let entry = Entry {
+            eff,
+            rank,
+            gen: self.gen[rank],
+        };
+        // Keep `front` below the heap: a lower entry displaces it, and
+        // an empty slot takes an entry below the heap's minimum.
+        let to_heap = match self.front {
+            Some(front) if entry < front => self.front.replace(entry),
+            Some(_) => Some(entry),
+            None if self.heap.peek().is_none_or(|&Reverse(min)| entry < min) => {
+                self.front = Some(entry);
+                None
+            }
+            None => Some(entry),
+        };
+        if let Some(entry) = to_heap {
+            self.heap.push(Reverse(entry));
+            if self.heap.len() > self.cap_bound {
+                let gen = &self.gen;
+                self.heap.retain(|Reverse(e)| e.gen == gen[e.rank]);
+                debug_assert!(
+                    self.heap.len() <= self.cap_bound,
+                    "ready-queue grew past its sizing bound even after dropping \
+                     stale entries: {} live entries for {} ranks (bound {})",
+                    self.heap.len(),
+                    self.gen.len(),
+                    self.cap_bound
+                );
+            }
         }
     }
 
@@ -121,50 +154,15 @@ impl ReadyQueue {
     /// consumed: the rank must be `push`ed again to become ready.
     pub fn pop(&mut self) -> Option<(Time, usize)> {
         loop {
-            while let Some((eff, rank, gen)) = self.near.pop() {
-                self.entries -= 1;
-                if gen == self.gen[rank] {
-                    self.gen[rank] += 1; // consume — no live entry remains
-                    return Some((eff, rank));
-                }
-            }
-            if self.far.is_empty() {
-                return None;
-            }
-            self.advance_window();
-        }
-    }
-
-    /// Jump the window to the earliest overflow entry and sweep
-    /// everything inside the new window into the active array.
-    fn advance_window(&mut self) {
-        debug_assert!(self.near.is_empty() && !self.far.is_empty());
-        let min = self
-            .far
-            .iter()
-            .map(|&(t, _, _)| t)
-            .min()
-            .expect("far is non-empty");
-        // Align the window so repeated advances hit stable boundaries.
-        self.win_last = min | (self.width - 1);
-        let mut i = 0;
-        while i < self.far.len() {
-            if self.far[i].0 <= self.win_last {
-                self.near.push(self.far.swap_remove(i));
-            } else {
-                i += 1;
+            let Entry { eff, rank, gen } = match self.front.take() {
+                Some(front) => front,
+                None => self.heap.pop()?.0,
+            };
+            if gen == self.gen[rank] {
+                self.gen[rank] += 1; // consume — no live entry remains
+                return Some((eff, rank));
             }
         }
-        // Descending, so `pop()` yields ascending `(eff, rank, gen)`.
-        self.near.sort_unstable_by(|a, b| b.cmp(a));
-    }
-
-    /// Drop stale (superseded-generation) entries in place.
-    fn compact(&mut self) {
-        let gen = &self.gen;
-        self.near.retain(|&(_, rank, g)| g == gen[rank]);
-        self.far.retain(|&(_, rank, g)| g == gen[rank]);
-        self.entries = self.near.len() + self.far.len();
     }
 }
 
@@ -211,9 +209,10 @@ mod tests {
 
     #[test]
     fn window_advance_spans_sparse_times() {
-        // Times far apart force repeated window jumps, including over
-        // wholly empty calendar space.
-        let mut q = ReadyQueue::for_run(4, 0, 1024);
+        // Times twelve orders of magnitude apart, pushed out of order,
+        // pop in time order: the first push takes the front slot and
+        // the heap orders the rest behind it.
+        let mut q = ReadyQueue::for_run(4, 0);
         q.push(0, 0);
         q.push(1, 10_000_000);
         q.push(2, 3);
@@ -229,7 +228,8 @@ mod tests {
     fn below_window_push_still_pops_first() {
         // A push earlier than everything already queued (even after
         // pops) must still win: the queue may not assume monotone time.
-        let mut q = ReadyQueue::for_run(3, 0, 1024);
+        // (2 takes the front slot from 1, which moves into the heap.)
+        let mut q = ReadyQueue::for_run(3, 0);
         q.push(0, 500_000);
         assert_eq!(q.pop(), Some((500_000, 0)));
         q.push(1, 600_000);
@@ -240,10 +240,11 @@ mod tests {
 
     #[test]
     fn an_entry_at_the_window_end_waits_for_its_window() {
-        // (2048, 0) waits in the overflow bucket while the window is
-        // [1024, 2048); a later push of (2048, 2) must wait with it, or
-        // it pops ahead of the lower rank.
-        let mut q = ReadyQueue::for_run(3, 0, 1024);
+        // A tie on time is broken by rank: (2048, 0) waits in the heap
+        // behind the (1500, 1) front. A later push of (2048, 2) ties the
+        // heap's minimum on time, so it must join the heap, not the
+        // empty front slot, or it pops ahead of the lower rank.
+        let mut q = ReadyQueue::for_run(3, 0);
         q.push(0, 2048);
         q.push(1, 1500);
         assert_eq!(q.pop(), Some((1500, 1)));
@@ -258,7 +259,7 @@ mod tests {
         // sizing bound: compaction must fire (debug assertion inside
         // `push` would trip otherwise) and the final state must be
         // exactly the live entries.
-        let mut q = ReadyQueue::for_run(2, 0, 1024);
+        let mut q = ReadyQueue::for_run(2, 0);
         q.push(1, 1_000_000);
         for i in 0..10_000u64 {
             q.push(0, 2_000_000 - i);
@@ -271,52 +272,61 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
 
-        /// The calendar queue against the linear-scan model — one
-        /// `Option<Time>` per rank, the last push wins, a pop takes the
-        /// minimum `(eff, rank)` — on *arbitrary* interleavings:
-        /// same-tick ties, re-pushes in both directions (lazy
-        /// invalidation), pushes below the advanced window, both window
-        /// widths, and a final drain. Pop sequences must be identical
-        /// element for element.
+        /// The queue against the linear-scan model — one `Option<Time>`
+        /// per rank, the last push wins, a pop takes the minimum
+        /// `(eff, rank)` — on *arbitrary* interleavings: same-tick ties,
+        /// re-pushes in both directions (lazy invalidation), and a final
+        /// drain, plus the front-slot sequences: a push below the
+        /// current minimum (while the front slot is full, when the
+        /// minimum sits there), a re-push of the minimum's rank lower and
+        /// one higher (the latter leaves a stale front), and the pops
+        /// that follow. Pop sequences must be identical element for
+        /// element.
         #[test]
         fn matches_linear_scan_model(
-            width in proptest::prop_oneof![
-                proptest::strategy::Just(1024u64),
-                proptest::strategy::Just(1u64 << 20),
-            ],
             ops in proptest::collection::vec(
-                (0u8..2, 0usize..6, 0u64..5000), 1..200)
+                (0u8..6, 0usize..6, 0u64..5000), 1..200)
         ) {
             let p = 6;
-            let mut cal = ReadyQueue::for_run(p, 2, width);
+            let mut queue = ReadyQueue::for_run(p, 2);
             let mut model: Vec<Option<Time>> = vec![None; p];
-            let pop_model = |model: &mut [Option<Time>]| {
-                let best = model
+            let model_min = |model: &[Option<Time>]| {
+                model
                     .iter()
                     .enumerate()
                     .filter_map(|(rank, eff)| eff.map(|e| (e, rank)))
-                    .min();
-                if let Some((_, rank)) = best {
-                    model[rank] = None;
-                }
-                best
+                    .min()
             };
-            for (is_pop, rank, time) in ops {
-                if is_pop == 1 {
-                    proptest::prop_assert_eq!(cal.pop(), pop_model(&mut model));
-                } else {
-                    // Cluster times to force same-tick collisions, on
-                    // window boundaries too (multiples of 1024).
-                    let t = time / 64 * 64;
-                    cal.push(rank, t);
-                    model[rank] = Some(t);
+            for (kind, rank, time) in ops {
+                // Cluster times to force same-tick collisions.
+                let t = time / 64 * 64;
+                let min = model_min(&model);
+                let push = match (kind, min) {
+                    (1 | 5, _) => {
+                        if let Some((_, rank)) = min {
+                            model[rank] = None;
+                        }
+                        proptest::prop_assert_eq!(queue.pop(), min);
+                        None
+                    }
+                    (2, Some((e, _))) => Some((rank, e.saturating_sub(time % 128))),
+                    (3, Some((e, r))) => Some((r, e.saturating_sub(time % 128))),
+                    (4, Some((e, r))) => Some((r, e + 1 + t)),
+                    _ => Some((rank, t)),
+                };
+                if let Some((rank, eff)) = push {
+                    queue.push(rank, eff);
+                    model[rank] = Some(eff);
                 }
             }
             // Drain both to the end.
             loop {
-                let (a, b) = (cal.pop(), pop_model(&mut model));
-                proptest::prop_assert_eq!(a, b);
-                if a.is_none() {
+                let min = model_min(&model);
+                if let Some((_, rank)) = min {
+                    model[rank] = None;
+                }
+                proptest::prop_assert_eq!(queue.pop(), min);
+                if min.is_none() {
                     break;
                 }
             }
