@@ -14,12 +14,12 @@
 use mpp_model::MeshShape;
 use mpp_runtime::{CommFuture, RankCtx};
 
-use crate::algorithms::{Repos, StpAlgorithm, StpCtx};
+use crate::algorithms::{MergeBase, Part, StpAlgorithm, StpCtx};
 use crate::msgset::MessageSet;
 use crate::quality::placement_quality;
 use crate::runner::AlgoKind;
 
-/// `Repos_<base>` with a quality gate.
+/// `Repos_<base>` (a depth-0 [`Part`]) with a quality gate.
 #[derive(Debug, Clone, Copy)]
 pub struct ReposAdaptive<A> {
     base: A,
@@ -29,7 +29,7 @@ pub struct ReposAdaptive<A> {
     pub threshold: f64,
 }
 
-impl<A: StpAlgorithm + Copy> ReposAdaptive<A> {
+impl<A: MergeBase> ReposAdaptive<A> {
     /// Wrap a base algorithm; `kind` identifies it for the quality
     /// metric. Default threshold 0.7 (see `quality` for the scale).
     pub fn new(base: A, kind: AlgoKind, name: &'static str) -> Self {
@@ -49,7 +49,7 @@ impl<A: StpAlgorithm + Copy> ReposAdaptive<A> {
     }
 }
 
-impl<A: StpAlgorithm + Copy> StpAlgorithm for ReposAdaptive<A> {
+impl<A: MergeBase> StpAlgorithm for ReposAdaptive<A> {
     fn name(&self) -> &'static str {
         self.name
     }
@@ -57,15 +57,11 @@ impl<A: StpAlgorithm + Copy> StpAlgorithm for ReposAdaptive<A> {
     fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             if self.would_reposition(ctx.shape, ctx.sources) {
-                Repos::new(self.base, self.name).run(comm, ctx).await
+                Part::new(self.base, 0, self.name).run(comm, ctx).await
             } else {
                 self.base.run(comm, ctx).await
             }
         })
-    }
-
-    fn ideal_sources(&self, shape: MeshShape, s: usize) -> Option<Vec<usize>> {
-        self.base.ideal_sources(shape, s)
     }
 }
 
@@ -88,7 +84,7 @@ mod tests {
     fn decision_differs_by_distribution() {
         let shape = MeshShape::new(16, 16);
         let alg = adaptive();
-        let ideal = BrXySource.ideal_sources(shape, 48).unwrap();
+        let ideal = BrXySource.ideal_sources(shape, 48);
         assert!(
             !alg.would_reposition(shape, &ideal),
             "ideal input must not be repositioned"

@@ -10,8 +10,9 @@
 //! * `Br_xy_dim`: rows first iff `r ≥ c`, ignoring source positions.
 
 use mpp_model::MeshShape;
-use mpp_runtime::{CommFuture, RankCtx, Tag};
+use mpp_runtime::{CommFuture, RankCtx};
 
+use crate::algorithms::part::{run_whole, MergeBase, XyPlan};
 use crate::algorithms::{br_lin_over, tags, StpAlgorithm, StpCtx};
 use crate::distribution::{col_counts, row_counts};
 use crate::msgset::MessageSet;
@@ -23,46 +24,6 @@ pub enum DimOrder {
     RowsFirst,
     /// `Br_Lin` within each column, then within each row.
     ColsFirst,
-}
-
-/// A (sub-)mesh an xy-broadcast runs on: a logical shape plus the global
-/// rank at each row-major position. The identity plan covers the whole
-/// machine; the partitioning algorithms build plans for machine halves.
-#[derive(Debug, Clone)]
-pub struct XyPlan {
-    /// Shape of this (sub-)mesh.
-    pub shape: MeshShape,
-    /// Global rank at each row-major position; `ranks.len() == shape.p()`.
-    pub ranks: Vec<usize>,
-}
-
-impl XyPlan {
-    /// The whole machine as one plan.
-    pub fn identity(shape: MeshShape) -> Self {
-        XyPlan {
-            shape,
-            ranks: (0..shape.p()).collect(),
-        }
-    }
-
-    /// Plan position of a global rank.
-    pub fn pos_of(&self, rank: usize) -> Option<usize> {
-        self.ranks.iter().position(|&r| r == rank)
-    }
-
-    /// Global ranks of one plan row, left to right.
-    pub fn row_order(&self, row: usize) -> Vec<usize> {
-        (0..self.shape.cols)
-            .map(|c| self.ranks[self.shape.rank(row, c)])
-            .collect()
-    }
-
-    /// Global ranks of one plan column, top to bottom.
-    pub fn col_order(&self, col: usize) -> Vec<usize> {
-        (0..self.shape.rows)
-            .map(|r| self.ranks[self.shape.rank(r, col)])
-            .collect()
-    }
 }
 
 /// Decide the `Br_xy_source` dimension order for a source placement.
@@ -95,62 +56,41 @@ pub fn shape_dim_order(shape: MeshShape) -> DimOrder {
     }
 }
 
-/// Run a two-phase xy broadcast on a plan. `sources_pos` are *plan
-/// positions* (row-major indices into `plan.ranks`) of the sources;
-/// `set` is this rank's current holdings (must agree with membership).
-///
-/// Exposed for the partitioning algorithms, which run it on machine
-/// halves.
-pub(crate) async fn run_xy_on_plan(
+/// Run a two-phase xy broadcast on a plan. `sources_pos` are the
+/// sorted *plan positions* of the sources; `set` is this rank's current
+/// holdings (must agree with membership).
+async fn run_xy_on_plan(
     comm: &mut RankCtx,
     plan: &XyPlan,
     sources_pos: &[usize],
     order: DimOrder,
     set: &mut MessageSet,
-    tag_phase1: Tag,
-    tag_phase2: Tag,
 ) {
-    let me = comm.rank();
-    let my_pos = plan.pos_of(me).expect("rank not in xy plan");
-    let (my_row, my_col) = plan.shape.coords(my_pos);
-    let is_source_pos = |pos: usize| sources_pos.binary_search(&pos).is_ok();
-
-    let rows_hit: Vec<bool> = {
-        let mut v = vec![false; plan.shape.rows];
-        for &sp in sources_pos {
-            v[plan.shape.coords(sp).0] = true;
-        }
-        v
-    };
-    let cols_hit: Vec<bool> = {
-        let mut v = vec![false; plan.shape.cols];
-        for &sp in sources_pos {
-            v[plan.shape.coords(sp).1] = true;
-        }
-        v
-    };
-
+    let shape = plan.shape;
+    let my_pos = plan.pos_of(comm.rank()).expect("rank not in xy plan");
+    let (my_row, my_col) = shape.coords(my_pos);
+    // Phase-1 flags: the sources on my row (by column) and on my column
+    // (by row). Phase-2 flags: a line holds messages iff it contained a
+    // source, because phase 1 spread them along it.
+    let (mut in_row, mut in_col) = (vec![false; shape.cols], vec![false; shape.rows]);
+    let (mut rows_hit, mut cols_hit) = (vec![false; shape.rows], vec![false; shape.cols]);
+    for &sp in sources_pos {
+        let (row, col) = shape.coords(sp);
+        in_row[col] |= row == my_row;
+        in_col[row] |= col == my_col;
+        rows_hit[row] = true;
+        cols_hit[col] = true;
+    }
+    let row = |c| plan.rank_at(shape.rank(my_row, c));
+    let col = |r| plan.rank_at(shape.rank(r, my_col));
     match order {
         DimOrder::RowsFirst => {
-            // Phase 1: Br_Lin within my row.
-            let row_order = plan.row_order(my_row);
-            let has: Vec<bool> = (0..plan.shape.cols)
-                .map(|c| is_source_pos(plan.shape.rank(my_row, c)))
-                .collect();
-            br_lin_over(comm, &row_order, &has, set, tag_phase1).await;
-            // Phase 2: Br_Lin within my column; a position holds messages
-            // iff its row contained any source.
-            let col_order = plan.col_order(my_col);
-            br_lin_over(comm, &col_order, &rows_hit, set, tag_phase2).await;
+            br_lin_over(comm, row, my_col, &in_row, set, tags::BR_LIN).await;
+            br_lin_over(comm, col, my_row, &rows_hit, set, tags::BR_XY_PHASE2).await;
         }
         DimOrder::ColsFirst => {
-            let col_order = plan.col_order(my_col);
-            let has: Vec<bool> = (0..plan.shape.rows)
-                .map(|r| is_source_pos(plan.shape.rank(r, my_col)))
-                .collect();
-            br_lin_over(comm, &col_order, &has, set, tag_phase1).await;
-            let row_order = plan.row_order(my_row);
-            br_lin_over(comm, &row_order, &cols_hit, set, tag_phase2).await;
+            br_lin_over(comm, col, my_row, &in_col, set, tags::BR_LIN).await;
+            br_lin_over(comm, row, my_col, &cols_hit, set, tags::BR_XY_PHASE2).await;
         }
     }
 }
@@ -165,31 +105,25 @@ impl StpAlgorithm for BrXySource {
     }
 
     fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
-        Box::pin(async move {
-            ctx.validate(comm);
-            let plan = XyPlan::identity(ctx.shape);
-            let order = source_dim_order(ctx.shape, ctx.sources);
-            let mut set = match ctx.payload {
-                Some(p) => MessageSet::single(comm.rank(), p),
-                None => MessageSet::new(),
-            };
-            run_xy_on_plan(
-                comm,
-                &plan,
-                ctx.sources,
-                order,
-                &mut set,
-                tags::BR_LIN,
-                tags::BR_XY_PHASE2,
-            )
-            .await;
-            set
-        })
+        run_whole(self, comm, ctx)
+    }
+}
+
+impl MergeBase for BrXySource {
+    fn ideal_sources(&self, shape: MeshShape, s: usize) -> Vec<usize> {
+        // Paper §5.2: a row distribution with ideally positioned rows.
+        crate::ideal::ideal_rows(shape, s)
     }
 
-    fn ideal_sources(&self, shape: MeshShape, s: usize) -> Option<Vec<usize>> {
-        // Paper §5.2: a row distribution with ideally positioned rows.
-        Some(crate::ideal::ideal_rows(shape, s))
+    fn run_on_plan<'a>(
+        &'a self,
+        comm: &'a mut RankCtx,
+        plan: &'a XyPlan,
+        sources_pos: &'a [usize],
+        set: &'a mut MessageSet,
+    ) -> CommFuture<'a, ()> {
+        let order = source_dim_order(plan.shape, sources_pos);
+        Box::pin(run_xy_on_plan(comm, plan, sources_pos, order, set))
     }
 }
 
@@ -203,30 +137,24 @@ impl StpAlgorithm for BrXyDim {
     }
 
     fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
-        Box::pin(async move {
-            ctx.validate(comm);
-            let plan = XyPlan::identity(ctx.shape);
-            let order = shape_dim_order(ctx.shape);
-            let mut set = match ctx.payload {
-                Some(p) => MessageSet::single(comm.rank(), p),
-                None => MessageSet::new(),
-            };
-            run_xy_on_plan(
-                comm,
-                &plan,
-                ctx.sources,
-                order,
-                &mut set,
-                tags::BR_LIN,
-                tags::BR_XY_PHASE2,
-            )
-            .await;
-            set
-        })
+        run_whole(self, comm, ctx)
+    }
+}
+
+impl MergeBase for BrXyDim {
+    fn ideal_sources(&self, shape: MeshShape, s: usize) -> Vec<usize> {
+        crate::ideal::ideal_rows(shape, s)
     }
 
-    fn ideal_sources(&self, shape: MeshShape, s: usize) -> Option<Vec<usize>> {
-        Some(crate::ideal::ideal_rows(shape, s))
+    fn run_on_plan<'a>(
+        &'a self,
+        comm: &'a mut RankCtx,
+        plan: &'a XyPlan,
+        sources_pos: &'a [usize],
+        set: &'a mut MessageSet,
+    ) -> CommFuture<'a, ()> {
+        let order = shape_dim_order(plan.shape);
+        Box::pin(run_xy_on_plan(comm, plan, sources_pos, order, set))
     }
 }
 

@@ -15,14 +15,10 @@
 //! placement, [`DissemAllGather::zero_copy`]) converges and even beats
 //! Alltoall — evidence that Cray's library simply did not use it.
 
-use mpp_model::MeshShape;
 use mpp_runtime::{CommFuture, RankCtx};
 
-use crate::algorithms::{StpAlgorithm, StpCtx};
+use crate::algorithms::{tags, StpAlgorithm, StpCtx};
 use crate::msgset::MessageSet;
-
-/// Tag base for the dissemination rounds.
-const TAG: u32 = 3_600;
 
 /// Dissemination all-gather (extension algorithm).
 #[derive(Debug, Clone, Copy)]
@@ -66,13 +62,9 @@ impl StpAlgorithm for DissemAllGather {
 
     fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
-            ctx.validate(comm);
             let p = comm.size();
             let me = comm.rank();
-            let mut set = match ctx.payload {
-                Some(pl) => MessageSet::single(me, pl),
-                None => MessageSet::new(),
-            };
+            let mut set = ctx.initial_set(me);
 
             // Whether each rank holds anything yet — a pure function of the
             // source set, so both partners agree on whether a message flows
@@ -80,15 +72,15 @@ impl StpAlgorithm for DissemAllGather {
             let mut has_any: Vec<bool> = (0..p).map(|r| ctx.is_source(r)).collect();
 
             let mut step = 1usize;
-            let mut round: u32 = 0;
+            let mut tag = tags::DISSEM;
             while step < p {
                 let to = (me + step) % p;
                 let from = (me + p - step) % p;
                 if has_any[me] {
-                    comm.send_payload(to, TAG + round, set.to_payload());
+                    comm.send_payload(to, tag, set.to_payload());
                 }
                 if has_any[from] {
-                    let msg = comm.recv(Some(from), Some(TAG + round)).await;
+                    let msg = comm.recv(Some(from), Some(tag)).await;
                     if self.charge_combining {
                         comm.charge_memcpy(msg.data.len());
                     }
@@ -102,20 +94,18 @@ impl StpAlgorithm for DissemAllGather {
                     .collect();
                 comm.next_iteration();
                 step <<= 1;
-                round += 1;
+                tag += 1;
             }
             set
         })
-    }
-
-    fn ideal_sources(&self, _shape: MeshShape, _s: usize) -> Option<Vec<usize>> {
-        None // cyclic symmetry: every placement behaves alike up to skew
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpp_model::MeshShape;
+
     use crate::algorithms::tests::{assert_delivers, simulate_on};
     use crate::msgset::payload_for;
 

@@ -30,7 +30,7 @@
 use mpp_runtime::{CommFuture, RankCtx, Tag};
 use mpp_sim::Payload;
 
-use crate::algorithms::{tags, StpAlgorithm, StpCtx};
+use crate::algorithms::{recv_merge, tags, StpAlgorithm, StpCtx};
 use crate::msgset::MessageSet;
 
 /// Tags per level inside a lane tag block: lane index is added to
@@ -260,11 +260,7 @@ pub(crate) async fn kport_merge(
             let tag = tag_base + (level * LANE_STRIDE + j) as Tag;
             let ops = &s.sched.ops[level - s.start_level][s.my_pos];
             for op in ops.iter().filter(|op| op.recv) {
-                let msg = comm.recv(Some(s.seg.order[op.peer]), Some(tag)).await;
-                comm.charge_memcpy(msg.data.len());
-                let other =
-                    MessageSet::from_payload(&msg.data).expect("malformed message set on the wire");
-                sets[j].merge(other);
+                recv_merge(comm, Some(s.seg.order[op.peer]), tag, &mut sets[j]).await;
             }
         }
         comm.next_iteration();
@@ -283,7 +279,6 @@ impl StpAlgorithm for KPortLin {
 
     fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
-            ctx.validate(comm);
             let p = ctx.shape.p();
             let me = comm.rank();
             let k = lane_count(comm.ports(), p);
@@ -312,12 +307,6 @@ impl StpAlgorithm for KPortLin {
             result
         })
     }
-
-    fn ideal_sources(&self, shape: mpp_model::MeshShape, s: usize) -> Option<Vec<usize>> {
-        // Lane 0 is a plain Br_Lin; the left diagonal stays a good
-        // anchor for all rotations of it.
-        Some(crate::ideal::ideal_left_diagonal(shape, s))
-    }
 }
 
 /// `KPort_Scatter`: gather at the first source, stripe the gathered
@@ -333,7 +322,6 @@ impl StpAlgorithm for KPortScatter {
 
     fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
-            ctx.validate(comm);
             let p = ctx.shape.p();
             let me = comm.rank();
             let s = ctx.s();
@@ -345,17 +333,10 @@ impl StpAlgorithm for KPortScatter {
             let leader = |j: usize| (root + j * p / k) % p;
 
             // Phase 1: direct gather at the root.
-            let mut full = match ctx.payload {
-                Some(pl) => MessageSet::single(me, pl),
-                None => MessageSet::new(),
-            };
+            let mut full = ctx.initial_set(me);
             if me == root {
                 for &src in ctx.sources.iter().filter(|&&r| r != root) {
-                    let msg = comm.recv(Some(src), Some(tags::KPORT_SCATTER)).await;
-                    comm.charge_memcpy(msg.data.len());
-                    let other = MessageSet::from_payload(&msg.data)
-                        .expect("malformed message set on the wire");
-                    full.merge(other);
+                    recv_merge(comm, Some(src), tags::KPORT_SCATTER, &mut full).await;
                 }
             } else if ctx.payload.is_some() {
                 comm.send_payload(root, tags::KPORT_SCATTER, full.to_payload());
@@ -391,10 +372,7 @@ impl StpAlgorithm for KPortScatter {
             } else {
                 for (j, set) in sets.iter_mut().enumerate() {
                     if active(j) && leader(j) == me {
-                        let msg = comm.recv(Some(root), Some(tags::KPORT_SCATTER + 1)).await;
-                        comm.charge_memcpy(msg.data.len());
-                        *set = MessageSet::from_payload(&msg.data)
-                            .expect("malformed message set on the wire");
+                        recv_merge(comm, Some(root), tags::KPORT_SCATTER + 1, set).await;
                     }
                 }
             }
@@ -441,14 +419,10 @@ impl StpAlgorithm for KPortAlltoall {
 
     fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
-            ctx.validate(comm);
             let p = ctx.shape.p();
             let me = comm.rank();
             let k = lane_count(comm.ports(), p);
-            let mut set = match ctx.payload {
-                Some(pl) => MessageSet::single(me, pl),
-                None => MessageSet::new(),
-            };
+            let mut set = ctx.initial_set(me);
             if ctx.payload.is_some() {
                 let snapshot = set.to_payload();
                 let dsts: Vec<usize> = (1..p).map(|d| (me + d) % p).collect();
@@ -468,11 +442,7 @@ impl StpAlgorithm for KPortAlltoall {
             }
             comm.next_iteration();
             for &src in ctx.sources.iter().filter(|&&r| r != me) {
-                let msg = comm.recv(Some(src), Some(tags::KPORT_A2A)).await;
-                comm.charge_memcpy(msg.data.len());
-                let other =
-                    MessageSet::from_payload(&msg.data).expect("malformed message set on the wire");
-                set.merge(other);
+                recv_merge(comm, Some(src), tags::KPORT_A2A, &mut set).await;
             }
             comm.next_iteration();
             set

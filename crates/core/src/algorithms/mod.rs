@@ -9,8 +9,8 @@
 //! | `Br_Lin`          | recursive pairing on a linear order    | [`br_lin`] |
 //! | `Br_xy_source`    | dimension order by source counts       | [`br_xy`] |
 //! | `Br_xy_dim`       | dimension order by mesh shape          | [`br_xy`] |
-//! | `Repos_*`         | reposition to an ideal distribution    | [`repos`] |
-//! | `Part_*`          | reposition + machine partitioning      | [`part`] |
+//! | `Repos_*`         | reposition to an ideal distribution    | [`part`], depth 0 |
+//! | `Part_*`          | reposition + machine partitioning      | [`part`], depth 1 |
 //! | `KPort_*`         | k-ported batched lanes (extension)     | [`kport`] |
 //!
 //! `MPI_AllGather` and `MPI_Alltoall` in the paper's T3D plots are the
@@ -26,7 +26,6 @@ pub mod kport;
 pub mod naive;
 pub mod part;
 pub mod pers_alltoall;
-pub mod repos;
 pub mod two_step;
 
 use mpp_model::MeshShape;
@@ -40,9 +39,8 @@ pub use br_xy::{BrXyDim, BrXySource, DimOrder};
 pub use dissem::DissemAllGather;
 pub use kport::{KPortAlltoall, KPortLin, KPortScatter};
 pub use naive::NaiveIndependent;
-pub use part::Part;
+pub use part::{MergeBase, Part};
 pub use pers_alltoall::PersAlltoAll;
-pub use repos::Repos;
 pub use two_step::TwoStep;
 
 /// Everything one rank needs to know before an s-to-p broadcast starts.
@@ -53,7 +51,9 @@ pub use two_step::TwoStep;
 pub struct StpCtx<'a> {
     /// The logical mesh.
     pub shape: MeshShape,
-    /// Sorted source ranks (`s = sources.len()`).
+    /// Sorted, distinct source ranks (`s = sources.len() ≥ 1`), each
+    /// below `shape.p()`. The runner checks this once per run, where it
+    /// builds the context; an algorithm relies on it without checking.
     pub sources: &'a [usize],
     /// This rank's message — `Some` iff this rank is a source.
     pub payload: Option<&'a [u8]>,
@@ -70,31 +70,11 @@ impl StpCtx<'_> {
         self.sources.binary_search(&rank).is_ok()
     }
 
-    /// Sanity-check the context for the calling rank.
-    pub fn validate(&self, comm: &RankCtx) {
-        assert_eq!(
-            self.shape.p(),
-            comm.size(),
-            "shape does not match communicator"
-        );
-        assert!(
-            !self.sources.is_empty(),
-            "s-to-p broadcasting needs at least one source"
-        );
-        assert!(
-            self.sources.windows(2).all(|w| w[0] < w[1]),
-            "sources must be sorted+unique"
-        );
-        assert!(
-            *self.sources.last().unwrap() < comm.size(),
-            "source out of range"
-        );
-        assert_eq!(
-            self.is_source(comm.rank()),
-            self.payload.is_some(),
-            "rank {}: payload presence must match source membership",
-            comm.rank()
-        );
+    /// What `rank` holds before the broadcast: its own message when it
+    /// is a source, nothing otherwise.
+    pub fn initial_set(&self, rank: usize) -> MessageSet {
+        self.payload
+            .map_or_else(MessageSet::new, |p| MessageSet::single(rank, p))
     }
 }
 
@@ -112,21 +92,11 @@ pub trait StpAlgorithm: Sync {
     /// programs are resumable state machines on the simulator's
     /// cooperative executor, and suspend at every `recv`/`barrier`.
     fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet>;
-
-    /// An ideal source distribution of `s` sources for this algorithm on
-    /// `shape`, as sorted row-major positions — the target the
-    /// repositioning algorithms permute towards. `None` for algorithms
-    /// whose performance does not depend on source positions enough for
-    /// repositioning to be defined (2-Step, PersAlltoAll).
-    fn ideal_sources(&self, shape: MeshShape, s: usize) -> Option<Vec<usize>> {
-        let _ = (shape, s);
-        None
-    }
 }
 
 /// Tag bases: each phase owns a disjoint tag range so that concurrent
 /// sub-broadcasts (rows, groups) can never cross-match. Levels are added
-/// to the base.
+/// to the base. Every algorithm takes its tags from this table.
 pub(crate) mod tags {
     use mpp_runtime::Tag;
     /// `Br_Lin` iterations (also used inside rows/columns/groups).
@@ -139,10 +109,8 @@ pub(crate) mod tags {
     pub const BCAST: Tag = 3_100;
     /// Personalized all-to-all.
     pub const PERS: Tag = 3_200;
-    /// Repositioning permutation.
+    /// The repositioning permutation (`Repos_*` and `Part_*`).
     pub const REPOS: Tag = 3_300;
-    /// Partitioning permutation.
-    pub const PART_REPOS: Tag = 3_400;
     /// Partitioning inter-group exchanges (`base + merge round`).
     pub const PART_EXCHANGE: Tag = 3_500;
     /// `KPort_Lin` lanes (`base + level·16 + lane`).
@@ -151,29 +119,48 @@ pub(crate) mod tags {
     pub const KPORT_SCATTER: Tag = 4_000;
     /// `KPort_Alltoall` direct exchange.
     pub const KPORT_A2A: Tag = 4_400;
+    /// Dissemination all-gather rounds (`base + round`).
+    pub const DISSEM: Tag = 4_500;
+    /// `NaiveIndependent` trees (`base + source index`): one tag per
+    /// source, so this open-ended range comes last.
+    pub const NAIVE: Tag = 5_000;
 }
 
-/// Run the `Br_Lin` merge pattern over an ordered list of ranks.
+/// Receive one message set from `from` (any sender when `None`) under
+/// `tag`, charge the combining copy for it, and merge it into `set`.
 ///
-/// `order[i]` is the rank at linear position `i`; `has[i]` says whether
-/// that position initially holds messages. The caller's current set is
-/// merged in place. Ranks not present in `order` must not call this.
+/// The charge is *virtual* time: the model copies the received bytes
+/// into the merged buffer, while the host-side merge only moves rope
+/// pointers.
+pub(crate) async fn recv_merge(
+    comm: &mut RankCtx,
+    from: Option<usize>,
+    tag: Tag,
+    set: &mut MessageSet,
+) {
+    let msg = comm.recv(from, Some(tag)).await;
+    comm.charge_memcpy(msg.data.len());
+    set.merge(MessageSet::from_payload(&msg.data).expect("malformed message set on the wire"));
+}
+
+/// Run the `Br_Lin` merge pattern over a linear order of ranks.
+///
+/// `order(i)` is the rank at linear position `i`, and the calling rank
+/// sits at `my_pos`; `has[i]` says whether position `i` initially holds
+/// messages. The caller's current set is merged in place. Ranks outside
+/// the order must not call this.
 ///
 /// One `next_iteration` is recorded per level so the Figure-2 metrics
 /// can be derived.
 pub(crate) async fn br_lin_over(
     comm: &mut RankCtx,
-    order: &[usize],
+    order: impl Fn(usize) -> usize,
+    my_pos: usize,
     has: &[bool],
     set: &mut MessageSet,
     tag_base: Tag,
 ) {
-    debug_assert_eq!(order.len(), has.len());
-    let me = comm.rank();
-    let my_pos = order
-        .iter()
-        .position(|&r| r == me)
-        .unwrap_or_else(|| panic!("rank {me} not in br_lin order"));
+    debug_assert_eq!(order(my_pos), comm.rank(), "my_pos is not my position");
     debug_assert_eq!(
         has[my_pos],
         !set.is_empty(),
@@ -187,7 +174,7 @@ pub(crate) async fn br_lin_over(
         // Simultaneous semantics: all sends ship the pre-level snapshot.
         // The snapshot is a rope (header copy only); every peer shares
         // it, and the level's last send takes it.
-        let mut peers = my_ops.iter().filter(|op| op.send).map(|op| order[op.peer]);
+        let mut peers = my_ops.iter().filter(|op| op.send).map(|op| order(op.peer));
         if let Some(mut peer) = peers.next() {
             let snapshot = set.to_payload();
             for next in peers {
@@ -197,14 +184,7 @@ pub(crate) async fn br_lin_over(
             comm.send_payload(peer, tag, snapshot);
         }
         for op in my_ops.iter().filter(|op| op.recv) {
-            let msg = comm.recv(Some(order[op.peer]), Some(tag)).await;
-            // Combining cost in *virtual* time: the model still charges
-            // for copying the received bytes into the merged buffer, even
-            // though the host-side merge only moves rope pointers.
-            comm.charge_memcpy(msg.data.len());
-            let other =
-                MessageSet::from_payload(&msg.data).expect("malformed message set on the wire");
-            set.merge(other);
+            recv_merge(comm, Some(order(op.peer)), tag, set).await;
         }
         comm.next_iteration();
     }
@@ -278,14 +258,14 @@ pub(crate) mod tests {
         for p in [4usize, 7, 10] {
             let sources = vec![1usize, p - 1];
             let sets = run_on(MeshShape::new(1, p), async |comm| {
-                let order: Vec<usize> = (0..comm.size()).collect();
-                let has: Vec<bool> = order.iter().map(|r| sources.contains(r)).collect();
+                let has: Vec<bool> = (0..comm.size()).map(|r| sources.contains(&r)).collect();
                 let mut set = if sources.contains(&comm.rank()) {
                     MessageSet::single(comm.rank(), &[comm.rank() as u8; 32])
                 } else {
                     MessageSet::new()
                 };
-                br_lin_over(comm, &order, &has, &mut set, tags::BR_LIN).await;
+                let me = comm.rank();
+                br_lin_over(comm, |i| i, me, &has, &mut set, tags::BR_LIN).await;
                 set
             });
             for set in sets {
@@ -293,19 +273,5 @@ pub(crate) mod tests {
                 assert_eq!(srcs, sources, "p={p}");
             }
         }
-    }
-
-    #[test]
-    fn ctx_validation_catches_mismatch() {
-        let ok = run_on(MeshShape::new(1, 2), async |comm| {
-            let ctx = StpCtx {
-                shape: MeshShape::new(1, 2),
-                sources: &[0],
-                payload: (comm.rank() == 0).then_some(&[1u8; 4][..]),
-            };
-            ctx.validate(comm);
-            true
-        });
-        assert!(ok.iter().all(|&b| b));
     }
 }

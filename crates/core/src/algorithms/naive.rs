@@ -16,14 +16,10 @@
 //! `O(log p)` for the merge algorithms. `repro naive` measures where the
 //! coordination-free approach actually loses on each machine.
 
-use mpp_model::MeshShape;
 use mpp_runtime::{CommFuture, Payload, RankCtx, Tag};
 
-use crate::algorithms::{StpAlgorithm, StpCtx};
+use crate::algorithms::{tags, StpAlgorithm, StpCtx};
 use crate::msgset::MessageSet;
-
-/// Tag base; each source's tree gets its own tag range.
-const TAG: Tag = 4_000;
 
 /// The uncoordinated independent-broadcasts baseline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -36,13 +32,9 @@ impl StpAlgorithm for NaiveIndependent {
 
     fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
-            ctx.validate(comm);
             let p = comm.size();
             let me = comm.rank();
-            let mut set = match ctx.payload {
-                Some(pl) => MessageSet::single(me, pl),
-                None => MessageSet::new(),
-            };
+            let mut set = ctx.initial_set(me);
 
             // For each source, everyone participates in that source's
             // broadcast tree: ranks are rotated so the source sits at
@@ -56,7 +48,7 @@ impl StpAlgorithm for NaiveIndependent {
             // a rank: it processes trees in source order, which matches a
             // single-threaded handler draining its queue).
             for (idx, &src) in ctx.sources.iter().enumerate() {
-                let tag = TAG + idx as Tag;
+                let tag = tags::NAIVE + idx as Tag;
                 let my_pos = (me + p - src) % p; // position in the rotated order
                 let rank_at = |pos: usize| (pos + src) % p;
 
@@ -95,15 +87,13 @@ impl StpAlgorithm for NaiveIndependent {
             set
         })
     }
-
-    fn ideal_sources(&self, _shape: MeshShape, _s: usize) -> Option<Vec<usize>> {
-        None
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpp_model::MeshShape;
+
     use crate::algorithms::tests::{assert_delivers, simulate_on};
     use crate::msgset::payload_for;
 

@@ -27,7 +27,6 @@ impl StpAlgorithm for PersAlltoAll {
 
     fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
-            ctx.validate(comm);
             let msgs =
                 personalized_from_sources(comm, &|r| ctx.is_source(r), ctx.payload, tags::PERS)
                     .await;

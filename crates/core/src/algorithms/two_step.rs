@@ -22,7 +22,7 @@
 use collectives::bcast_from_first;
 use mpp_runtime::{CommFuture, RankCtx};
 
-use crate::algorithms::{tags, StpAlgorithm, StpCtx};
+use crate::algorithms::{recv_merge, tags, StpAlgorithm, StpCtx};
 use crate::msgset::MessageSet;
 
 /// Algorithm `2-Step`.
@@ -56,10 +56,7 @@ impl TwoStep {
     /// other ranks return an empty set.
     async fn gather(&self, comm: &mut RankCtx, ctx: &StpCtx<'_>) -> MessageSet {
         let me = comm.rank();
-        let mut set = match ctx.payload {
-            Some(p) => MessageSet::single(me, p),
-            None => MessageSet::new(),
-        };
+        let mut set = ctx.initial_set(me);
         if !self.tree_gather {
             // Direct gather: sources fire at the root; the root absorbs.
             if me != ROOT {
@@ -69,11 +66,7 @@ impl TwoStep {
             } else {
                 let expect = ctx.sources.iter().filter(|&&s| s != ROOT).count();
                 for _ in 0..expect {
-                    let m = comm.recv(None, Some(tags::GATHER)).await;
-                    comm.charge_memcpy(m.data.len());
-                    let other =
-                        MessageSet::from_payload(&m.data).expect("malformed gather message");
-                    set.merge(other);
+                    recv_merge(comm, None, tags::GATHER, &mut set).await;
                 }
             }
             comm.next_iteration();
@@ -112,10 +105,7 @@ fn gather_seg<'a>(
             gather_seg(comm, set, lo, mid, subtree_has_source).await;
             if me == lo && subtree_has_source(mid, hi) {
                 let depth_tag = tags::GATHER + (hi - lo) as u32;
-                let m = comm.recv(Some(mid), Some(depth_tag)).await;
-                comm.charge_memcpy(m.data.len());
-                let other = MessageSet::from_payload(&m.data).expect("malformed tree gather");
-                set.merge(other);
+                recv_merge(comm, Some(mid), depth_tag, set).await;
             }
         } else {
             gather_seg(comm, set, mid, hi, subtree_has_source).await;
@@ -138,7 +128,6 @@ impl StpAlgorithm for TwoStep {
 
     fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
-            ctx.validate(comm);
             let me = comm.rank();
 
             // Step 1: gather the combined message at the root.

@@ -9,8 +9,9 @@
 //!
 //! * the seven broadcasting algorithms of the paper
 //!   ([`algorithms`]): `2-Step`, `PersAlltoAll`, `Br_Lin`,
-//!   `Br_xy_source`, `Br_xy_dim`, the repositioning wrappers `Repos_*`
-//!   and the partitioning wrappers `Part_*`;
+//!   `Br_xy_source`, `Br_xy_dim`, and one wrapper around the last three
+//!   whose depth selects repositioning (`Repos_*`, depth 0) or
+//!   partitioning (`Part_*`, depth 1);
 //! * the source-distribution families of §4 ([`distribution`]): row,
 //!   column, equal, right/left diagonal, band, cross, square block;
 //! * ideal-distribution generation for repositioning ([`ideal`]);
@@ -60,7 +61,7 @@ pub mod supervise;
 /// Convenient glob import for applications and the figure binaries.
 pub mod prelude {
     pub use crate::algorithms::{
-        BrLin, BrXyDim, BrXySource, Part, PersAlltoAll, Repos, StpAlgorithm, StpCtx, TwoStep,
+        BrLin, BrXyDim, BrXySource, Part, PersAlltoAll, StpAlgorithm, StpCtx, TwoStep,
     };
     pub use crate::distribution::SourceDist;
     pub use crate::metrics::Figure2Row;

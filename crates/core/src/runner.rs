@@ -9,7 +9,7 @@ use mpp_runtime::{
 
 use crate::algorithms::{
     BrLin, BrXyDim, BrXySource, DissemAllGather, KPortAlltoall, KPortLin, KPortScatter,
-    NaiveIndependent, Part, PersAlltoAll, Repos, ReposAdaptive, StpAlgorithm, StpCtx, TwoStep,
+    NaiveIndependent, Part, PersAlltoAll, ReposAdaptive, StpAlgorithm, StpCtx, TwoStep,
 };
 use crate::distribution::SourceDist;
 use crate::msgset::{payload_for, MessageSet};
@@ -165,9 +165,9 @@ impl AlgoKind {
             AlgoKind::BrLin => Box::new(BrLin),
             AlgoKind::BrXySource => Box::new(BrXySource),
             AlgoKind::BrXyDim => Box::new(BrXyDim),
-            AlgoKind::ReposLin => Box::new(Repos::new(BrLin, "Repos_Lin")),
-            AlgoKind::ReposXySource => Box::new(Repos::new(BrXySource, "Repos_xy_source")),
-            AlgoKind::ReposXyDim => Box::new(Repos::new(BrXyDim, "Repos_xy_dim")),
+            AlgoKind::ReposLin => Box::new(Part::new(BrLin, 0, "Repos_Lin")),
+            AlgoKind::ReposXySource => Box::new(Part::new(BrXySource, 0, "Repos_xy_source")),
+            AlgoKind::ReposXyDim => Box::new(Part::new(BrXyDim, 0, "Repos_xy_dim")),
             AlgoKind::PartLin => Box::new(Part::new(BrLin, 1, "Part_Lin")),
             AlgoKind::PartXySource => Box::new(Part::new(BrXySource, 1, "Part_xy_source")),
             AlgoKind::PartXyDim => Box::new(Part::new(BrXyDim, 1, "Part_xy_dim")),
@@ -373,6 +373,16 @@ fn sim_config(lib: LibraryKind, control: &RunControl) -> SimConfig {
 
 /// The verified, timed outcome of `alg` and the run's recording (empty
 /// unless `config.record`).
+///
+/// This is where every run's [`StpCtx`] is built, so the context's
+/// contract is checked here, once: the sources are a non-empty, sorted,
+/// duplicate-free list of ranks of the machine. The shape is the
+/// machine's own and each rank's payload comes from its source index,
+/// so those two parts hold by construction.
+///
+/// # Panics
+///
+/// On a source list that breaks the contract.
 fn try_run_alg_with(
     machine: &Machine,
     config: &SimConfig,
@@ -381,6 +391,18 @@ fn try_run_alg_with(
     alg: &dyn StpAlgorithm,
 ) -> Result<(Outcome, EventLog), SimError> {
     let shape = machine.shape;
+    assert!(
+        !sources.is_empty(),
+        "s-to-p broadcasting needs at least one source"
+    );
+    assert!(
+        sources.windows(2).all(|w| w[0] < w[1]),
+        "sources must be sorted+unique"
+    );
+    assert!(
+        sources[sources.len() - 1] < shape.p(),
+        "source out of range"
+    );
     // The delivery oracle: the s expected messages, generated once per
     // run. Sources send from it and the runner checks every rank's
     // result against it once the kernel returns.
@@ -755,6 +777,35 @@ mod tests {
             };
             let out = exp.run().expect("run failed");
             assert!(out.verified, "{} failed on T3D", kind.name());
+        }
+    }
+
+    #[test]
+    fn malformed_source_lists_are_rejected() {
+        let machine = Machine::paragon(2, 2);
+        let cases: [(&[usize], &str); 4] = [
+            (&[2, 1], "sorted+unique"),
+            (&[1, 1], "sorted+unique"),
+            (&[0, 4], "source out of range"),
+            (&[], "at least one source"),
+        ];
+        for (sources, why) in cases {
+            let err = catch_unwind(|| {
+                run_sources(
+                    &machine,
+                    LibraryKind::Nx,
+                    sources,
+                    &|src| payload_for(src, 8),
+                    AlgoKind::BrLin,
+                )
+            })
+            .expect_err("a malformed source list ran");
+            let msg = err
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| err.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("");
+            assert!(msg.contains(why), "{sources:?}: {msg:?}");
         }
     }
 

@@ -27,7 +27,6 @@ impl StpAlgorithm for RingPipeline {
         ctx: &'a StpCtx<'a>,
     ) -> stp_broadcast::runtime::CommFuture<'a, MessageSet> {
         Box::pin(async move {
-            ctx.validate(comm);
             let p = comm.size();
             let me = comm.rank();
             let next = (me + 1) % p;

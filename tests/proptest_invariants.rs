@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use stp_broadcast::model::Topology;
 use stp_broadcast::prelude::*;
-use stp_broadcast::stp::algorithms::repos::repositioning_moves;
+use stp_broadcast::stp::algorithms::part::repositioning_moves;
 use stp_broadcast::stp::ideal::{ideal_line_positions, ideal_rows};
 use stp_broadcast::stp::pattern::{br_lin_schedule, simulate_coverage};
 
@@ -60,23 +60,29 @@ proptest! {
     }
 
     /// The repositioning permutation is injective and a partial
-    /// permutation (no rank both keeps and receives).
+    /// permutation (no rank both keeps and receives), at depth 0
+    /// (`Repos_*`, onto the ideal rows) and when partitioned.
     #[test]
     fn repositioning_is_partial_permutation(rows in 2usize..10, cols in 2usize..10, s_frac in 0.05f64..1.0) {
         let shape = MeshShape::new(rows, cols);
         let p = shape.p();
         let s = ((p as f64 * s_frac) as usize).clamp(1, p);
         let sources = SourceDist::SquareBlock.place(shape, s);
-        let targets = ideal_rows(shape, s);
-        prop_assert_eq!(targets.len(), s);
-        prop_assert!(targets.windows(2).all(|w| w[0] < w[1]));
-        let moves = repositioning_moves(&sources, &targets);
-        let mut from: Vec<usize> = moves.iter().map(|&(f, _)| f).collect();
-        let mut to: Vec<usize> = moves.iter().map(|&(_, t)| t).collect();
-        from.sort_unstable(); from.dedup();
-        to.sort_unstable(); to.dedup();
-        prop_assert_eq!(from.len(), moves.len());
-        prop_assert_eq!(to.len(), moves.len());
+        for depth in 0..3 {
+            let targets = Part::new(BrXySource, depth, "Part_xy_source").targets(shape, s);
+            prop_assert_eq!(targets.len(), s);
+            if depth == 0 {
+                prop_assert!(targets.windows(2).all(|w| w[0] < w[1]));
+                prop_assert_eq!(&targets, &ideal_rows(shape, s));
+            }
+            let moves = repositioning_moves(&sources, &targets);
+            let mut from: Vec<usize> = moves.iter().map(|&(f, _)| f).collect();
+            let mut to: Vec<usize> = moves.iter().map(|&(_, t)| t).collect();
+            from.sort_unstable(); from.dedup();
+            to.sort_unstable(); to.dedup();
+            prop_assert_eq!(from.len(), moves.len());
+            prop_assert_eq!(to.len(), moves.len());
+        }
     }
 
     /// Ideal line positions: correct count, sorted, within range, and
