@@ -287,13 +287,6 @@ pub struct Analysis {
     pub cost: Option<CostReport>,
 }
 
-impl Analysis {
-    /// True when no findings were produced.
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-}
-
 /// Run every registered check on `sched` as recorded on `machine`.
 pub fn analyze(
     sched: &Schedule,
@@ -748,7 +741,11 @@ mod tests {
             sched.recvs.push(recv(seq, dst, 0, 5, 1));
         }
         let a = analyze(&view(&sched, p), &machine(), &[0], &payload, &opts());
-        assert!(a.is_clean(), "unexpected findings: {:?}", a.findings);
+        assert!(
+            a.findings.is_empty(),
+            "unexpected findings: {:?}",
+            a.findings
+        );
         assert_eq!(a.sends, 3);
         assert!(a.max_link_load >= 1);
         assert!(!a.opaque_payloads);
@@ -876,7 +873,11 @@ mod tests {
             &payload,
             &opts(),
         );
-        assert!(a.is_clean(), "unexpected findings: {:?}", a.findings);
+        assert!(
+            a.findings.is_empty(),
+            "unexpected findings: {:?}",
+            a.findings
+        );
     }
 
     #[test]
@@ -888,7 +889,7 @@ mod tests {
         }
         let m = Machine::paragon(1, 2);
         let silent = analyze(&view(&sched, p), &m, &[0], &payload, &opts());
-        assert!(silent.is_clean());
+        assert!(silent.findings.is_empty());
         assert_eq!(silent.max_link_load, 4);
         let strict = analyze(
             &view(&sched, p),

@@ -2,14 +2,14 @@
 //! machine's timing parameters, independently of the kernel.
 //!
 //! The engine re-implements the α–β postal model and the contention
-//! arithmetic (`Pipelined` wormhole windows, `Circuit` whole-route
-//! holds, `Shared` queueing servers, port-slot arbitration) from the
-//! recorded inputs alone: each send's issue clock, each transfer's
-//! network-ready instant, and the route it took. Recorded gaps between
-//! a rank's operations are treated as opaque local work. Everything
-//! else — port slots, link windows, injection/arrival instants, stalls,
-//! per-rank completion times, and the makespan — is **recomputed** and
-//! compared against the kernel's recorded ground truth. So is the
+//! arithmetic (staggered wormhole link windows and port-slot
+//! arbitration) from the recorded inputs alone: each send's issue
+//! clock, each transfer's network-ready instant, and the route it took.
+//! Recorded gaps between a rank's operations are treated as opaque
+//! local work. Everything else — port slots, link windows,
+//! injection/arrival instants, stalls, per-rank completion times, and
+//! the makespan — is **recomputed** and compared against the kernel's
+//! recorded ground truth. So is the
 //! executor's event order where it shows: every receive must have
 //! matched the message the mailbox rule selects from the recomputed
 //! arrivals (see `check_matches`).
@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use mpp_model::{ContentionModel, LibraryKind, Link, Machine, Time};
+use mpp_model::{LibraryKind, Link, Machine, Time};
 use mpp_runtime::Tag;
 
 use crate::schedule::{grouped, Schedule, NONE};
@@ -373,61 +373,31 @@ pub fn replay(sched: &Schedule, machine: &Machine, lib: LibraryKind, faulted: bo
             };
         }
 
-        // Independent re-implementation of the contention arithmetic —
-        // see `mpp_sim::network` for the kernel's version. Each hop's
+        // Independent re-implementation of the wormhole arithmetic — see
+        // `mpp_sim::network` for the kernel's version. Each hop's
         // recomputed window is held against the recorded one as it is
         // produced; the first mismatch is reported after the transfer's
         // own instants.
+        let mut start = port_free;
+        for (i, &l) in ids.iter().enumerate() {
+            let link = link_state[l as usize];
+            let cand = link.until.saturating_sub(i as Time * tau);
+            if cand > start {
+                start = cand;
+                bound = Bound::OnLink(l, link.by);
+            }
+        }
+        let done = start + params.hops_ns(hops) + wire_ns;
         let mut bad_hop: Option<(usize, Time, Time)> = None;
-        let mut reserve = |link: &mut Held, i: usize, from: Time, until: Time| {
+        for (i, &l) in ids.iter().enumerate() {
+            let from = start + i as Time * tau;
+            let until = from + wire_ns;
             let w = &windows[i];
             if bad_hop.is_none() && (from != w.from_ns || until != w.until_ns) {
                 bad_hop = Some((i, from, until));
             }
-            *link = Held { until, by: xi };
-        };
-        let (start, done) = match params.contention {
-            ContentionModel::Shared => {
-                let link_ns = params.link_ns(bytes);
-                let mut head = port_free;
-                for (i, &l) in ids.iter().enumerate() {
-                    let link = &mut link_state[l as usize];
-                    if link.until > head {
-                        head = link.until;
-                        bound = Bound::OnLink(l, link.by);
-                    }
-                    reserve(link, i, head, head + link_ns);
-                    head += tau;
-                }
-                let done = head + wire_ns;
-                let start = head - hops as Time * tau;
-                (start, done)
-            }
-            model => {
-                let pipelined = model == ContentionModel::Pipelined;
-                let mut start = port_free;
-                for (i, &l) in ids.iter().enumerate() {
-                    let link = link_state[l as usize];
-                    let slack = if pipelined { i as Time * tau } else { 0 };
-                    let cand = link.until.saturating_sub(slack);
-                    if cand > start {
-                        start = cand;
-                        bound = Bound::OnLink(l, link.by);
-                    }
-                }
-                let done = start + params.hops_ns(hops) + wire_ns;
-                for (i, &l) in ids.iter().enumerate() {
-                    let link = &mut link_state[l as usize];
-                    if pipelined {
-                        let from = start + i as Time * tau;
-                        reserve(link, i, from, from + wire_ns);
-                    } else {
-                        reserve(link, i, start, done);
-                    }
-                }
-                (start, done)
-            }
-        };
+            link_state[l as usize] = Held { until, by: xi };
+        }
         let free_ns = params.hops_ns(hops) + wire_ns;
         let stall = done.saturating_sub(x.ready_ns + free_ns);
 

@@ -18,9 +18,7 @@ use std::iter::once;
 use std::path::Path;
 use std::time::Instant;
 
-use mpp_model::{
-    ContentionModel, LibraryKind, Machine, MachineParams, MeshShape, Placement, Topology,
-};
+use mpp_model::{LibraryKind, Machine, MeshShape};
 use mpp_sim::{render_timeline, summarize};
 use stp_core::algorithms::{DissemAllGather, ReposAdaptive, StpAlgorithm};
 use stp_core::distribution::ascii_grid;
@@ -75,7 +73,6 @@ pub const FIGURES: &[(&str, Figure)] = &[
     ("hypercube", Panels(hypercube)),
     ("trace", Custom(trace)),
     ("naive", Panels(naive)),
-    ("contention", Custom(contention)),
     ("report", Custom(report)),
 ];
 
@@ -1001,57 +998,6 @@ fn naive() -> Vec<Panel> {
         )
         .table(),
     ]
-}
-
-/// Ablation: how much do the distribution effects depend on the link
-/// contention model?
-///
-/// Reruns the Figure-6 grid under the three contention models:
-/// `Circuit` (severe head-of-line blocking, pessimistic), `Shared`
-/// (links as bandwidth servers at the 200 MB/s hardware rate,
-/// optimistic), and the default `Pipelined`. Finding: the ideal-vs-poor
-/// distribution gap is *robust* to the model choice (1.19–1.25×),
-/// meaning our gap-compression relative to the paper's 2× (see
-/// EXPERIMENTS.md) is not a link-blocking artifact — the remaining gap
-/// on the real Paragon must have come from effects outside any linear
-/// link-reservation model (flit-level hot-spot trees, software-level
-/// interference).
-fn contention(runner: &SweepRunner, out: &mut dyn Write) {
-    let models = [
-        ContentionModel::Shared,
-        ContentionModel::Pipelined,
-        ContentionModel::Circuit,
-    ];
-    let machines = models.map(|model| {
-        Machine::new(
-            format!("Paragon 10x10 ({model:?})"),
-            Topology::Mesh2D { rows: 10, cols: 10 },
-            MachineParams {
-                contention: model,
-                ..MachineParams::paragon_nx()
-            },
-            Placement::Identity,
-            MeshShape::new(10, 10),
-        )
-    });
-    let panel = Panel {
-        columns: models.iter().map(|m| format!("{m:?}")).collect(),
-        ..grid(
-            "Figure-6 grid (10x10, L=2K, s=30, Br_xy_source) under contention models (ms)",
-            "dist",
-            &SourceDist::paper_set(),
-            &[0usize, 1, 2],
-            |dist, &m| ms(&machines[m], AlgoKind::BrXySource, dist.clone(), 30, 2048),
-        )
-    };
-    let values = sweep(runner, std::slice::from_ref(&panel)).remove(0);
-    write_panel(out, &panel, &values);
-    let gaps = (0..models.len()).map(|m| {
-        let column = values.iter().skip(m).step_by(models.len());
-        let (worst, best) = column.fold((0.0f64, f64::MAX), |(w, b), &v| (w.max(v), b.min(v)));
-        format!(",{:.2}x", worst / best)
-    });
-    outln!(out, "gap(worst/best){}", gaps.collect::<String>());
 }
 
 /// Render the regenerated figure data (`results/*.txt`, produced by

@@ -199,7 +199,7 @@ fn repro_names_are_the_figure_table() {
     // Every program the figure script used to call, then the renderer.
     let scripted = "fig01 fig02 fig03 fig04 fig05 fig06 fig07 fig08 fig09 fig10 fig11 fig12 \
                     fig13 partitioning nx-vs-mpi varlen adaptive dissem hypercube trace naive \
-                    contention report";
+                    report";
     assert_eq!(names, scripted.split_whitespace().collect::<Vec<_>>());
 
     let (code, stdout, stderr) = run(repro().arg("--list"));

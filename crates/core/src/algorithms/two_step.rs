@@ -20,7 +20,7 @@
 //!   makes the T3D distribution effects of Figures 11 and 12 visible.
 
 use collectives::bcast_from_first;
-use mpp_runtime::{CommFuture, RankCtx};
+use mpp_runtime::{CommFuture, RankCtx, Tag};
 
 use crate::algorithms::{recv_merge, tags, StpAlgorithm, StpCtx};
 use crate::msgset::MessageSet;
@@ -80,19 +80,34 @@ impl TwoStep {
         let p = comm.size();
         let subtree_has_source =
             |lo: usize, hi: usize| ctx.sources.iter().any(|&s| s >= lo && s < hi);
-        gather_seg(comm, &mut set, 0, p, &subtree_has_source).await;
+        gather_seg(comm, &mut set, 0, p, 0, &subtree_has_source).await;
         comm.next_iteration();
         set
     }
 }
 
-/// Recursive step of the tree gather on segment `[lo, hi)`. Returns a
-/// boxed future because async recursion needs an indirection.
+/// Where the tree gather splits segment `[lo, hi)`.
+fn split(lo: usize, hi: usize) -> usize {
+    lo + (hi - lo).div_ceil(2)
+}
+
+/// The tree gather's tag for a segment at recursion `depth` (the root
+/// segment is depth 0). Depth is at most ⌈log₂ p⌉, so the tags stay
+/// inside the gather's range; `tags::GATHER` itself is the direct
+/// gather's.
+fn seg_tag(depth: u32) -> Tag {
+    tags::GATHER + 1 + depth
+}
+
+/// Recursive step of the tree gather on segment `[lo, hi)` at recursion
+/// `depth`. Returns a boxed future because async recursion needs an
+/// indirection.
 fn gather_seg<'a>(
     comm: &'a mut RankCtx,
     set: &'a mut MessageSet,
     lo: usize,
     hi: usize,
+    depth: u32,
     subtree_has_source: &'a dyn Fn(usize, usize) -> bool,
 ) -> CommFuture<'a, ()> {
     Box::pin(async move {
@@ -100,18 +115,16 @@ fn gather_seg<'a>(
             return;
         }
         let me = comm.rank();
-        let mid = lo + (hi - lo).div_ceil(2);
+        let mid = split(lo, hi);
         if me < mid {
-            gather_seg(comm, set, lo, mid, subtree_has_source).await;
+            gather_seg(comm, set, lo, mid, depth + 1, subtree_has_source).await;
             if me == lo && subtree_has_source(mid, hi) {
-                let depth_tag = tags::GATHER + (hi - lo) as u32;
-                recv_merge(comm, Some(mid), depth_tag, set).await;
+                recv_merge(comm, Some(mid), seg_tag(depth), set).await;
             }
         } else {
-            gather_seg(comm, set, mid, hi, subtree_has_source).await;
+            gather_seg(comm, set, mid, hi, depth + 1, subtree_has_source).await;
             if me == mid && subtree_has_source(mid, hi) {
-                let depth_tag = tags::GATHER + (hi - lo) as u32;
-                comm.send_payload(lo, depth_tag, set.to_payload());
+                comm.send_payload(lo, seg_tag(depth), set.to_payload());
             }
         }
     })
@@ -186,6 +199,45 @@ mod tests {
             &(0..9).collect::<Vec<_>>(),
             8,
         );
+    }
+
+    /// The tree gather's tags stay inside its range, between the direct
+    /// gather's tag and the broadcast's, on every machine `stp serve`
+    /// accepts. The deepest segment is always the leftmost one (`split`
+    /// rounds the left half up).
+    #[test]
+    fn tree_gather_tags_stay_in_range() {
+        let in_range = |tag| tags::GATHER < tag && tag < tags::BCAST;
+        for p in 1..=crate::serve::MAX_P {
+            let (mut hi, mut depth) = (p, 0);
+            while hi > 1 {
+                assert!(in_range(seg_tag(depth)), "p={p}: depth {depth}");
+                hi = split(0, hi);
+                depth += 1;
+            }
+        }
+        // The same on a recorded 10×10 run: every gather send (the
+        // first iteration) carries an in-range tag.
+        let machine = mpp_model::Machine::paragon(10, 10);
+        let sources: Vec<usize> = (0..100).collect();
+        let run = crate::runner::record_sources(
+            &machine,
+            mpp_model::LibraryKind::Mpi,
+            &sources,
+            &|r| payload_for(r, 8),
+            &TwoStep::tree(),
+        );
+        let gather: Vec<_> = run.events.sends.iter().filter(|e| e.step == 0).collect();
+        assert_eq!(gather.len(), 99);
+        for send in gather {
+            assert!(
+                in_range(send.tag),
+                "{} -> {}: tag {}",
+                send.src,
+                send.dst,
+                send.tag
+            );
+        }
     }
 
     #[test]

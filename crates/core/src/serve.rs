@@ -206,7 +206,7 @@ fn get_bool(v: &JsonValue, key: &str) -> Result<Option<bool>, String> {
 
 /// Ceilings keeping one request's simulation bounded: the planner
 /// serves interactive traffic, not capacity runs.
-const MAX_P: usize = 4096;
+pub(crate) const MAX_P: usize = 4096;
 const MAX_LEN: usize = 1 << 20;
 
 /// Parse one request line against the given defaults. Every malformed

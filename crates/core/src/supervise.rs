@@ -82,12 +82,6 @@ impl SuperviseOpts {
         self
     }
 
-    /// Override the retry count.
-    pub fn with_retries(mut self, retries: usize) -> Self {
-        self.retries = retries;
-        self
-    }
-
     /// Override the per-run watchdog budget.
     pub fn with_budget(mut self, budget: SimBudget) -> Self {
         self.budget = budget;
@@ -117,14 +111,6 @@ impl<T> PointStatus<T> {
     /// True for [`PointStatus::Done`].
     pub fn is_done(&self) -> bool {
         matches!(self, PointStatus::Done(_))
-    }
-
-    /// The result, if the point completed.
-    pub fn as_done(&self) -> Option<&T> {
-        match self {
-            PointStatus::Done(v) => Some(v),
-            _ => None,
-        }
     }
 }
 
@@ -655,7 +641,10 @@ mod tests {
         let (done, failed, skipped) = tally(&statuses);
         assert_eq!((done, failed, skipped), (12, 0, 0));
         for (i, s) in statuses.iter().enumerate() {
-            assert_eq!(s.as_done(), Some(&(i * 3)));
+            assert!(
+                matches!(s, PointStatus::Done(v) if *v == i * 3),
+                "{i}: {s:?}"
+            );
         }
         let mut observed = observed.into_inner().unwrap();
         observed.sort();
@@ -788,7 +777,10 @@ mod tests {
                 Ok(i)
             },
             |_, &v| v,
-            &SuperviseOpts::default().with_retries(0),
+            &SuperviseOpts {
+                retries: 0,
+                ..SuperviseOpts::default()
+            },
         );
         let mut executed = executed.into_inner().unwrap();
         executed.sort();

@@ -113,13 +113,13 @@ fn t3d_golden_grid() {
 
 #[test]
 fn recommendation_is_placement_independent_on_t3d() {
-    // The scattered-partition T3D variant keeps the same cost params,
-    // so the recommendation must not depend on placement or seed.
+    // The placement seed rotates the partition but keeps the cost
+    // params, so the recommendation must not depend on it.
     for seed in [0, 7, 99] {
         assert_eq!(
-            recommend(&Machine::t3d_scattered(128, seed), 40, 4096),
+            recommend(&Machine::t3d(128, seed), 40, 4096),
             AlgoKind::MpiAlltoall,
-            "t3d_scattered seed={seed}"
+            "t3d seed={seed}"
         );
     }
 }

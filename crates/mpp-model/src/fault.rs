@@ -308,7 +308,7 @@ mod tests {
         assert!(plan.is_inert());
         assert!(!plan.should_drop(1, 0));
         assert_eq!(plan.injection_delay_ns(1, 0), 0);
-        let topo = Topology::Linear { n: 4 };
+        let topo = Topology::Mesh2D { rows: 1, cols: 4 };
         assert!(plan.dead_links_at(0, &topo).is_empty());
     }
 
@@ -366,7 +366,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let topo = Topology::Linear { n: 4 };
+        let topo = Topology::Mesh2D { rows: 1, cols: 4 };
         assert!(plan.dead_links_at(99, &topo).is_empty());
         assert!(plan.dead_links_at(100, &topo).contains(&Link::new(1, 2)));
         assert!(plan.dead_links_at(199, &topo).contains(&Link::new(1, 2)));
@@ -379,7 +379,7 @@ mod tests {
             node_crashes: vec![NodeCrash { node: 2, at_ns: 50 }],
             ..FaultPlan::default()
         };
-        let topo = Topology::Linear { n: 4 };
+        let topo = Topology::Mesh2D { rows: 1, cols: 4 };
         assert!(plan.dead_links_at(49, &topo).is_empty());
         let dead = plan.dead_links_at(50, &topo);
         assert_eq!(

@@ -1,7 +1,7 @@
 //! Machine models for message-passing MPPs.
 //!
 //! This crate describes the *hardware* side of the reproduction: network
-//! topologies (linear array, 2-D mesh, 3-D torus, hypercube), deterministic
+//! topologies (2-D mesh, 3-D torus, hypercube), deterministic
 //! dimension-ordered routing, per-machine cost parameters (software startup,
 //! per-byte bandwidth, per-hop latency, memory-copy cost), and the mapping
 //! from *virtual* processor ranks (what an application sees) to *physical*
@@ -13,8 +13,9 @@
 //!   dimension-ordered (XY) wormhole routing and identity placement
 //!   (applications execute on sub-meshes of a specified dimension).
 //! * [`Machine::t3d`] — the Cray T3D: a 3-D torus with higher link
-//!   bandwidth and a *random* virtual-to-physical mapping, reflecting that
-//!   production T3D users could not control placement.
+//!   bandwidth and a contiguous block of ranks at a seed-derived
+//!   rotation, reflecting that production T3D users could not control
+//!   placement.
 //!
 //! Everything here is pure data + arithmetic; the discrete-event engine
 //! that consumes these models lives in `mpp-sim`.
@@ -28,7 +29,7 @@ pub mod topology;
 
 pub use fault::{FaultPlan, LinkOutage, NodeCrash, RetryPolicy};
 pub use machine::Machine;
-pub use params::{ContentionModel, LibraryKind, MachineParams};
+pub use params::{LibraryKind, MachineParams};
 pub use placement::Placement;
 pub use shape::MeshShape;
 pub use topology::{Link, NodeId, Topology};

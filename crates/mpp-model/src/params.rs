@@ -17,27 +17,6 @@
 //! lower-latency MPI built over shmem. MPI on the Paragon is modelled as
 //! NX plus a small multiplicative overhead (the paper observed 2–5%).
 
-/// How link contention is resolved in the network model.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash, Default)]
-pub enum ContentionModel {
-    /// Pipelined wormhole: each link of a route is reserved for a
-    /// staggered window; overlapping routes serialize on shared links
-    /// only. The default — closest to the Paragon/T3D routers.
-    #[default]
-    Pipelined,
-    /// Circuit-style: the entire route is held until the transfer
-    /// drains. Overstates contention (models severe head-of-line
-    /// blocking); used by the contention ablation to bound how much the
-    /// paper's distribution gaps depend on blocking behaviour.
-    Circuit,
-    /// Bandwidth sharing: each link is a queueing server at the *link*
-    /// rate (`beta_link`), which on the Paragon is ~3× the software
-    /// injection rate — concurrent software-limited streams can share a
-    /// physical channel with little slowdown. Understates head-of-line
-    /// blocking; the optimistic bound of the ablation.
-    Shared,
-}
-
 /// Which communication library "flavour" an algorithm runs under.
 ///
 /// The paper compares Paragon NX against MPI implementations of the same
@@ -84,11 +63,6 @@ pub struct MachineParams {
     /// outgoing channels and can overlap transfers, modelled as parallel
     /// port slots.
     pub ports_per_node: usize,
-    /// How overlapping transfers contend for links.
-    pub contention: ContentionModel,
-    /// Raw link serialization cost, ns per byte ×1024 (the hardware
-    /// channel rate; only used by [`ContentionModel::Shared`]).
-    pub beta_link_ns_x1024: u64,
 }
 
 impl MachineParams {
@@ -105,9 +79,6 @@ impl MachineParams {
             gamma_ns_x1024: (6.25 * 1024.0) as u64,
             mpi_overhead_permille: 35,
             ports_per_node: 1,
-            contention: ContentionModel::Pipelined,
-            // 200 MB/s hardware channels (5 ns/B).
-            beta_link_ns_x1024: 5 * 1024,
         }
     }
 
@@ -128,9 +99,6 @@ impl MachineParams {
             gamma_ns_x1024: (22.0 * 1024.0) as u64,
             mpi_overhead_permille: 0, // MPI is the baseline library here
             ports_per_node: 6,
-            contention: ContentionModel::Pipelined,
-            // 300 MB/s channels — the software path runs at channel rate.
-            beta_link_ns_x1024: (3.33 * 1024.0) as u64,
         }
     }
 
@@ -184,12 +152,6 @@ impl MachineParams {
     #[inline]
     pub fn serialize_ns_lib(&self, bytes: usize, lib: LibraryKind) -> u64 {
         self.with_lib(self.serialize_ns(bytes), lib)
-    }
-
-    /// Raw link (hardware channel) serialization time for `bytes` (ns).
-    #[inline]
-    pub fn link_ns(&self, bytes: usize) -> u64 {
-        (bytes as u64 * self.beta_link_ns_x1024) >> 10
     }
 
     /// Memory-copy (combining) time for `bytes` bytes (ns).

@@ -4,10 +4,9 @@
 //! a physical node of its topology. On the Paragon an application owns a
 //! contiguous sub-mesh, so the mapping is the identity; on the T3D the
 //! paper stresses that "the mapping to physical processors cannot be
-//! controlled by the user" — the default model is a contiguous block at
-//! a seed-derived rotation ([`Placement::RotatedBlock`]; locality
-//! survives, position is unknown), with a fully random bijection
-//! ([`Placement::Random`]) kept for the placement ablation.
+//! controlled by the user" — the model is a contiguous block at a
+//! seed-derived rotation ([`Placement::RotatedBlock`]; locality
+//! survives, position is unknown).
 
 use crate::topology::NodeId;
 
@@ -16,14 +15,6 @@ use crate::topology::NodeId;
 pub enum Placement {
     /// Rank `i` runs on node `i`.
     Identity,
-    /// A random bijection derived deterministically from the seed
-    /// (Fisher–Yates over a SplitMix64 stream). A worst-case model of
-    /// uncontrollable placement: all locality destroyed. Used by the
-    /// placement ablation.
-    Random {
-        /// Shuffle seed.
-        seed: u64,
-    },
     /// A contiguous block at an unknown (seed-derived) rotation:
     /// rank `i` → node `(i + offset) mod n`. This models how production
     /// T3D partitions actually behaved — the user cannot *choose* the
@@ -40,47 +31,26 @@ impl Placement {
     pub fn mapping(&self, p: usize) -> Vec<NodeId> {
         match *self {
             Placement::Identity => (0..p).collect(),
-            Placement::Random { seed } => {
-                let mut map: Vec<NodeId> = (0..p).collect();
-                let mut state = SplitMix64::new(seed);
-                // Fisher–Yates shuffle.
-                for i in (1..p).rev() {
-                    let j = (state.next() % (i as u64 + 1)) as usize;
-                    map.swap(i, j);
-                }
-                map
-            }
             Placement::RotatedBlock { seed } => {
                 if p == 0 {
                     return Vec::new();
                 }
-                let offset = (SplitMix64::new(seed).next() % p as u64) as usize;
+                let offset = (splitmix64(seed) % p as u64) as usize;
                 (0..p).map(|i| (i + offset) % p).collect()
             }
         }
     }
 }
 
-/// Minimal deterministic PRNG (SplitMix64). Kept local so `mpp-model`
-/// stays dependency-free; workload-level randomness elsewhere uses `rand`.
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64 {
-            state: seed.wrapping_add(0x9E37_79B9_7F4A_7C15),
-        }
-    }
-
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+/// The first output of a SplitMix64 stream seeded with `seed`: the
+/// rotation is one well-mixed draw. Kept local so `mpp-model` stays
+/// dependency-free.
+fn splitmix64(seed: u64) -> u64 {
+    const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut z = seed.wrapping_add(GOLDEN).wrapping_add(GOLDEN);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -93,37 +63,9 @@ mod tests {
     }
 
     #[test]
-    fn random_is_a_bijection() {
-        let m = Placement::Random { seed: 42 }.mapping(128);
-        let mut seen = [false; 128];
-        for &node in &m {
-            assert!(!seen[node], "node {node} mapped twice");
-            seen[node] = true;
-        }
-        assert!(seen.iter().all(|&b| b));
-    }
-
-    #[test]
-    fn random_is_deterministic_per_seed() {
-        let a = Placement::Random { seed: 7 }.mapping(64);
-        let b = Placement::Random { seed: 7 }.mapping(64);
-        assert_eq!(a, b);
-        let c = Placement::Random { seed: 8 }.mapping(64);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn random_actually_permutes() {
-        let m = Placement::Random { seed: 1 }.mapping(64);
-        let moved = m.iter().enumerate().filter(|&(i, &n)| i != n).count();
-        assert!(moved > 32, "suspiciously few ranks moved: {moved}");
-    }
-
-    #[test]
     fn empty_and_single() {
-        assert!(Placement::Random { seed: 3 }.mapping(0).is_empty());
-        assert_eq!(Placement::Random { seed: 3 }.mapping(1), vec![0]);
         assert!(Placement::RotatedBlock { seed: 3 }.mapping(0).is_empty());
+        assert_eq!(Placement::RotatedBlock { seed: 3 }.mapping(1), vec![0]);
     }
 
     #[test]

@@ -35,8 +35,6 @@ impl Link {
 /// A physical interconnect topology.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Topology {
-    /// `n` nodes in a line; node `i` is adjacent to `i±1`.
-    Linear { n: usize },
     /// `rows × cols` 2-D mesh (no wraparound), row-major node ids,
     /// XY (column-then-row? no: X-first) dimension-ordered routing.
     ///
@@ -56,7 +54,6 @@ impl Topology {
     /// Number of physical nodes.
     pub fn num_nodes(&self) -> usize {
         match *self {
-            Topology::Linear { n } => n,
             Topology::Mesh2D { rows, cols } => rows * cols,
             Topology::Torus3D { dx, dy, dz } => dx * dy * dz,
             Topology::Hypercube { dim } => 1usize << dim,
@@ -68,7 +65,6 @@ impl Topology {
     /// Equal to `route(u, v).len()` but avoids materializing the path.
     pub fn distance(&self, u: NodeId, v: NodeId) -> usize {
         match *self {
-            Topology::Linear { .. } => u.abs_diff(v),
             Topology::Mesh2D { cols, .. } => {
                 let (ur, uc) = (u / cols, u % cols);
                 let (vr, vc) = (v / cols, v % cols);
@@ -119,7 +115,7 @@ impl Topology {
         path.clear();
         // Meshes and tori take each endpoint's coordinates once and walk
         // one dimension at a time, hop by hop without a division; the
-        // other shapes follow `next_hop`.
+        // hypercube follows `next_hop`.
         match *self {
             Topology::Mesh2D { rows, cols } => {
                 let mut cur = u;
@@ -136,7 +132,7 @@ impl Topology {
                 Self::walk_dim(path, &mut cur, a.1, b.1, dy, dx, true);
                 Self::walk_dim(path, &mut cur, a.2, b.2, dz, dx * dy, true);
             }
-            Topology::Linear { .. } | Topology::Hypercube { .. } => {
+            Topology::Hypercube { .. } => {
                 let mut cur = u;
                 while cur != v {
                     let next = self.next_hop(cur, v);
@@ -241,13 +237,6 @@ impl Topology {
     pub fn next_hop(&self, cur: NodeId, dst: NodeId) -> NodeId {
         debug_assert_ne!(cur, dst);
         match *self {
-            Topology::Linear { .. } => {
-                if dst > cur {
-                    cur + 1
-                } else {
-                    cur - 1
-                }
-            }
             Topology::Mesh2D { cols, .. } => {
                 let (cr, cc) = (cur / cols, cur % cols);
                 let (dr, dc) = (dst / cols, dst % cols);
@@ -288,14 +277,6 @@ impl Topology {
     pub fn neighbors(&self, u: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
         match *self {
-            Topology::Linear { n } => {
-                if u > 0 {
-                    out.push(u - 1);
-                }
-                if u + 1 < n {
-                    out.push(u + 1);
-                }
-            }
             Topology::Mesh2D { rows, cols } => {
                 let (r, c) = (u / cols, u % cols);
                 if c > 0 {
@@ -333,16 +314,6 @@ impl Topology {
             }
         }
         out
-    }
-
-    /// Network diameter: the longest dimension-ordered route.
-    pub fn diameter(&self) -> usize {
-        match *self {
-            Topology::Linear { n } => n.saturating_sub(1),
-            Topology::Mesh2D { rows, cols } => rows + cols - 2,
-            Topology::Torus3D { dx, dy, dz } => dx / 2 + dy / 2 + dz / 2,
-            Topology::Hypercube { dim } => dim as usize,
-        }
     }
 
     /// A 3-D torus with near-cubic dimensions for `p` nodes.
@@ -419,7 +390,7 @@ mod tests {
 
     #[test]
     fn linear_route_is_contiguous() {
-        let t = Topology::Linear { n: 8 };
+        let t = Topology::Mesh2D { rows: 1, cols: 8 };
         let r = t.route(1, 5);
         assert_eq!(r.len(), 4);
         assert_eq!(r[0], Link::new(1, 2));
@@ -428,7 +399,7 @@ mod tests {
 
     #[test]
     fn linear_route_backwards() {
-        let t = Topology::Linear { n: 8 };
+        let t = Topology::Mesh2D { rows: 1, cols: 8 };
         let r = t.route(5, 1);
         assert_eq!(r.len(), 4);
         assert_eq!(r[0], Link::new(5, 4));
@@ -593,28 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn diameter_matches_max_route() {
-        for t in [
-            Topology::Linear { n: 9 },
-            Topology::Mesh2D { rows: 4, cols: 6 },
-            Topology::Torus3D {
-                dx: 4,
-                dy: 3,
-                dz: 2,
-            },
-            Topology::Hypercube { dim: 4 },
-        ] {
-            let n = t.num_nodes();
-            let max = (0..n)
-                .flat_map(|u| (0..n).map(move |v| (u, v)))
-                .map(|(u, v)| t.distance(u, v))
-                .max()
-                .unwrap();
-            assert_eq!(t.diameter(), max, "{t:?}");
-        }
-    }
-
-    #[test]
     fn routes_are_deterministic() {
         let t = Topology::Torus3D {
             dx: 4,
@@ -643,7 +592,7 @@ mod tests {
 
     #[test]
     fn route_avoiding_reports_disconnection() {
-        let t = Topology::Linear { n: 3 };
+        let t = Topology::Mesh2D { rows: 1, cols: 3 };
         // A line has no detour around a dead middle link.
         let dead = HashSet::from([Link::new(1, 2)]);
         assert_eq!(t.route_avoiding(0, 2, &dead), None);
@@ -657,7 +606,7 @@ mod tests {
     fn route_avoiding_empty_set_is_dimension_ordered() {
         let dead = HashSet::new();
         for t in [
-            Topology::Linear { n: 6 },
+            Topology::Mesh2D { rows: 1, cols: 6 },
             Topology::Mesh2D { rows: 3, cols: 4 },
             Topology::Torus3D {
                 dx: 3,
@@ -681,10 +630,11 @@ mod route_avoiding_props {
     use super::*;
     use proptest::prelude::*;
 
-    /// The four topology families at proptest-sized scales.
+    /// The three topology families at proptest-sized scales, with long
+    /// one-row meshes (lines) drawn on their own.
     fn arb_topology() -> impl Strategy<Value = Topology> {
         prop_oneof![
-            (2usize..12).prop_map(|n| Topology::Linear { n }),
+            (2usize..12).prop_map(|cols| Topology::Mesh2D { rows: 1, cols }),
             (1usize..5, 1usize..5).prop_map(|(rows, cols)| Topology::Mesh2D { rows, cols }),
             (1usize..4, 1usize..4, 1usize..4).prop_map(|(dx, dy, dz)| Topology::Torus3D {
                 dx,

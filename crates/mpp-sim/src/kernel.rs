@@ -774,7 +774,6 @@ impl<'m> KernelCore<'m> {
                 machine,
                 src_rank,
                 dst,
-                bytes,
                 wire_ns,
                 ready,
                 &self.route_buf,
@@ -812,7 +811,7 @@ impl<'m> KernelCore<'m> {
                     }
                     return Some(
                         self.net
-                            .transfer_routed(machine, src_rank, dst, bytes, wire_ns, inject, route),
+                            .transfer_routed(machine, src_rank, dst, wire_ns, inject, route),
                     );
                 }
             }
@@ -1286,7 +1285,10 @@ mod tests {
     fn watchdog_event_budget_trips_on_livelock() {
         let m = Machine::paragon(1, 2);
         let config = SimConfig {
-            budget: SimBudget::unlimited().with_max_events(500),
+            budget: SimBudget {
+                max_events: Some(500),
+                ..SimBudget::default()
+            },
             ..SimConfig::default()
         };
         let err = try_simulate_with(&m, &config, ping_pong_forever).unwrap_err();
@@ -1303,7 +1305,10 @@ mod tests {
     fn watchdog_virtual_time_budget_trips_on_livelock() {
         let m = Machine::paragon(1, 2);
         let config = SimConfig {
-            budget: SimBudget::unlimited().with_max_virtual_ns(1_000_000),
+            budget: SimBudget {
+                max_virtual_ns: Some(1_000_000),
+                ..SimBudget::default()
+            },
             ..SimConfig::default()
         };
         let err = try_simulate_with(&m, &config, ping_pong_forever).unwrap_err();
@@ -1320,7 +1325,10 @@ mod tests {
     fn wall_clock_deadline_trips_on_livelock() {
         let m = Machine::paragon(1, 2);
         let config = SimConfig {
-            budget: SimBudget::unlimited().with_max_wall(std::time::Duration::ZERO),
+            budget: SimBudget {
+                max_wall: Some(std::time::Duration::ZERO),
+                ..SimBudget::default()
+            },
             ..SimConfig::default()
         };
         let err = try_simulate_with(&m, &config, ping_pong_forever).unwrap_err();
@@ -1362,9 +1370,11 @@ mod tests {
         };
         let plain = simulate(&m, prog);
         let config = SimConfig {
-            budget: SimBudget::unlimited()
-                .with_max_events(1_000_000)
-                .with_max_virtual_ns(Time::MAX),
+            budget: SimBudget {
+                max_events: Some(1_000_000),
+                max_virtual_ns: Some(Time::MAX),
+                max_wall: None,
+            },
             cancel: Some(CancelToken::new()),
             ..SimConfig::default()
         };

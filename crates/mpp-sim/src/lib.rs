@@ -40,12 +40,10 @@
 //! ```
 //!
 //! Each node has `ports_per_node` independent injection/ejection slots.
-//! How overlapping transfers contend for links is selected by
-//! [`ContentionModel`](mpp_model::ContentionModel): the default
-//! `Pipelined` wormhole model (staggered per-link windows), `Circuit`
-//! (whole route held until the tail drains), or `Shared` (links as
-//! bandwidth servers at the hardware channel rate). See DESIGN.md §6 and
-//! the `repro contention` ablation.
+//! Overlapping transfers contend for links as pipelined wormholes: the
+//! head reaches hop `i` at `start + i·τ` and each link is held for its
+//! own staggered `m·β` window, so routes serialize on shared links only.
+//! See DESIGN.md §6.
 //!
 //! # Entry point
 //!

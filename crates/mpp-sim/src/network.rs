@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use mpp_model::{ContentionModel, Link, Machine, Time};
+use mpp_model::{Link, Machine, Time};
 
 use crate::record::LinkWindow;
 
@@ -149,9 +149,10 @@ impl NetworkState {
     /// Reserve the route for one transfer and return its arrival time.
     ///
     /// `ready` is the instant the message is software-ready at the sender
-    /// (clock + α_send); `bytes` is the on-wire size; `wire_ns` the
-    /// serialization time for those bytes (already scaled for the
-    /// library flavour by the caller).
+    /// (clock + α_send); `bytes` is the message size (a self-send is
+    /// charged as a memcpy of it); `wire_ns` the serialization time for
+    /// those bytes (already scaled for the library flavour by the
+    /// caller).
     ///
     /// Wormhole pipelining: the message head reaches link `i` at
     /// `start + i·τ` and occupies it for `wire_ns`; each link is
@@ -178,7 +179,7 @@ impl NetworkState {
             machine.node_of(to_rank),
             &mut route,
         );
-        let done = self.transfer_routed(machine, from_rank, to_rank, bytes, wire_ns, ready, &route);
+        let done = self.transfer_routed(machine, from_rank, to_rank, wire_ns, ready, &route);
         self.route_buf = route;
         done
     }
@@ -191,13 +192,11 @@ impl NetworkState {
     /// not as link contention — the caller accounts detour overhead
     /// separately. `route` must be a valid `from → to` walk; callers
     /// handle `from_rank == to_rank` before routing.
-    #[allow(clippy::too_many_arguments)]
     pub fn transfer_routed(
         &mut self,
         machine: &Machine,
         from_rank: usize,
         to_rank: usize,
-        bytes: usize,
         wire_ns: Time,
         ready: Time,
         route: &[Link],
@@ -219,68 +218,25 @@ impl NetworkState {
             .max(self.out_port_busy[u][out_slot])
             .max(self.in_port_busy[v][in_slot].saturating_sub(route.len() as Time * tau));
 
-        let (start, done) = match params.contention {
-            ContentionModel::Shared => {
-                // Each link is a queueing server at the hardware channel
-                // rate: the head queues at congested links, the tail
-                // drains at the (slower) software rate behind it.
-                let link_ns = params.link_ns(bytes);
-                let mut head = port_free;
-                for link in route {
-                    head = head.max(self.link_busy.get(link));
-                    self.link_busy.set(link, head + link_ns);
-                    if witness_on {
-                        self.witness.windows.push(LinkWindow {
-                            link: *link,
-                            from_ns: head,
-                            until_ns: head + link_ns,
-                        });
-                    }
-                    head += tau;
-                }
-                let done = head + wire_ns;
-                // The tail drains behind the (possibly stalled) head, so
-                // the injection port stays occupied relative to where the
-                // head actually got to — not to the stall-free schedule.
-                // (`head` has advanced len·τ past the last queueing point.)
-                let start = head - route.len() as Time * tau;
-                (start, done)
+        // The head reaches link `i` at `start + i·τ`, so a link busy
+        // until `b` delays the start to `b − i·τ`; each link then drains
+        // for the full serialization time.
+        let mut start = port_free;
+        for (i, link) in route.iter().enumerate() {
+            start = start.max(self.link_busy.get(link).saturating_sub(i as Time * tau));
+        }
+        let done = start + params.hops_ns(route.len()) + wire_ns;
+        for (i, link) in route.iter().enumerate() {
+            let from_ns = start + i as Time * tau;
+            self.link_busy.set(link, from_ns + wire_ns);
+            if witness_on {
+                self.witness.windows.push(LinkWindow {
+                    link: *link,
+                    from_ns,
+                    until_ns: from_ns + wire_ns,
+                });
             }
-            model => {
-                // The worm occupies each link for the full transfer;
-                // Pipelined staggers the windows by the head latency,
-                // Circuit holds every link until the tail drains.
-                let pipelined = model == ContentionModel::Pipelined;
-                let mut start = port_free;
-                for (i, link) in route.iter().enumerate() {
-                    let busy = self.link_busy.get(link);
-                    let slack = if pipelined { i as Time * tau } else { 0 };
-                    start = start.max(busy.saturating_sub(slack));
-                }
-                let done = start + params.hops_ns(route.len()) + wire_ns;
-                for (i, link) in route.iter().enumerate() {
-                    let until = if pipelined {
-                        start + i as Time * tau + wire_ns
-                    } else {
-                        done
-                    };
-                    self.link_busy.set(link, until);
-                    if witness_on {
-                        let from_ns = if pipelined {
-                            start + i as Time * tau
-                        } else {
-                            start
-                        };
-                        self.witness.windows.push(LinkWindow {
-                            link: *link,
-                            from_ns,
-                            until_ns: until,
-                        });
-                    }
-                }
-                (start, done)
-            }
-        };
+        }
         // Any delay beyond the resource-free traversal of this route
         // counts as a stall (detour hops are the caller's cost, not ours).
         let unconstrained = ready + params.hops_ns(route.len()) + wire_ns;
@@ -386,92 +342,6 @@ mod tests {
         let t = net.transfer(&machine, 5, 5, 2048, machine.params.serialize_ns(2048), 100);
         assert_eq!(t, 100 + machine.params.memcpy_ns(2048));
         assert_eq!(net.contention_events, 0);
-    }
-
-    #[test]
-    fn circuit_model_holds_whole_route() {
-        use mpp_model::{MachineParams, MeshShape, Placement, Topology};
-        let mut params = MachineParams::paragon_nx();
-        params.contention = ContentionModel::Circuit;
-        let machine = Machine::new(
-            "circuit",
-            Topology::Mesh2D { rows: 1, cols: 8 },
-            params,
-            Placement::Identity,
-            MeshShape::new(1, 8),
-        );
-        let mut net_c = NetworkState::new(&machine);
-        let wire = machine.params.serialize_ns(8192);
-        // long transfer 0 -> 7 holds every link until done...
-        let t1 = net_c.transfer(&machine, 0, 7, 8192, wire, 0);
-        // ... so a later short transfer on the tail link waits for it.
-        let t2 = net_c.transfer(&machine, 6, 7, 64, machine.params.serialize_ns(64), 0);
-        assert!(t2 > t1, "circuit model must block the tail link until {t1}");
-
-        // Under the shared (bandwidth-server) model the tail link frees
-        // after only the hardware-rate window, so the short transfer
-        // overtakes the long one.
-        let mut sp = MachineParams::paragon_nx();
-        sp.contention = ContentionModel::Shared;
-        let sm = Machine::new(
-            "shared",
-            Topology::Mesh2D { rows: 1, cols: 8 },
-            sp,
-            Placement::Identity,
-            MeshShape::new(1, 8),
-        );
-        let mut net_s = NetworkState::new(&sm);
-        // Long transfer passes *through* node 6; a short transfer into
-        // node 6 shares only the (5,6) link, which under the shared
-        // model is held for the hardware-rate window, not the whole
-        // software-rate drain.
-        let q1 = net_s.transfer(&sm, 0, 7, 8192, sm.params.serialize_ns(8192), 0);
-        let q2 = net_s.transfer(&sm, 5, 6, 64, sm.params.serialize_ns(64), 0);
-        assert!(
-            q2 < q1 / 2,
-            "shared model should let the short transfer through: {q2} vs {q1}"
-        );
-    }
-
-    #[test]
-    fn shared_port_release_respects_stalled_head() {
-        use mpp_model::{MachineParams, MeshShape, Placement, Topology};
-        let mut params = MachineParams::paragon_nx();
-        params.contention = ContentionModel::Shared;
-        let machine = Machine::new(
-            "shared",
-            Topology::Mesh2D { rows: 1, cols: 8 },
-            params,
-            Placement::Identity,
-            MeshShape::new(1, 8),
-        );
-        let tau = machine.params.tau_hop_ns;
-        let mut net = NetworkState::new(&machine);
-        // Congest a middle link with a fat transfer ...
-        net.transfer(
-            &machine,
-            3,
-            4,
-            1 << 20,
-            machine.params.serialize_ns(1 << 20),
-            0,
-        );
-        // ... so a small 0 -> 7 message queues its head behind it.
-        let b = net.transfer(&machine, 0, 7, 64, machine.params.serialize_ns(64), 0);
-        assert!(
-            b > machine.params.link_ns(1 << 20),
-            "head should queue behind the fat transfer"
-        );
-        // Back-to-back second send from the same source: the injection
-        // port is only released once the stalled first message drained
-        // into the network, so the second send cannot overtake the
-        // congestion (the bug released the port at port_free + wire_ns,
-        // letting this complete almost immediately).
-        let c = net.transfer(&machine, 0, 1, 64, machine.params.serialize_ns(64), 0);
-        assert!(
-            c + 6 * tau >= b,
-            "second send finished at {c} despite first stalled until {b}"
-        );
     }
 
     #[test]

@@ -136,11 +136,9 @@ impl EventLog {
 }
 
 /// The busy window one transfer reserved on one directed link, in route
-/// order. `from_ns`/`until_ns` bracket the interval the link was held;
-/// their exact meaning follows the active
-/// [`ContentionModel`](mpp_model::ContentionModel) (staggered wormhole
-/// windows under `Pipelined`, the whole-route hold under `Circuit`, the
-/// hardware-rate drain under `Shared`).
+/// order. `from_ns`/`until_ns` bracket the interval the link was held:
+/// the wormhole head reaches hop `i` at `start + i·τ`, and the link
+/// drains for the transfer's serialization time after that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkWindow {
     /// The directed link.

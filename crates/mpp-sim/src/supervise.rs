@@ -71,24 +71,6 @@ impl SimBudget {
         SimBudget::default()
     }
 
-    /// Cap the number of kernel events.
-    pub fn with_max_events(mut self, n: u64) -> Self {
-        self.max_events = Some(n);
-        self
-    }
-
-    /// Cap the virtual time any event may reach (ns).
-    pub fn with_max_virtual_ns(mut self, ns: Time) -> Self {
-        self.max_virtual_ns = Some(ns);
-        self
-    }
-
-    /// Cap the wall-clock runtime.
-    pub fn with_max_wall(mut self, wall: Duration) -> Self {
-        self.max_wall = Some(wall);
-        self
-    }
-
     /// True when no ceiling is set (the watchdog costs nothing).
     pub fn is_unlimited(&self) -> bool {
         self.max_events.is_none() && self.max_virtual_ns.is_none() && self.max_wall.is_none()
@@ -177,15 +159,23 @@ mod tests {
     }
 
     #[test]
-    fn budget_builders_compose() {
-        let b = SimBudget::unlimited()
-            .with_max_events(10)
-            .with_max_virtual_ns(1_000)
-            .with_max_wall(Duration::from_millis(5));
-        assert_eq!(b.max_events, Some(10));
-        assert_eq!(b.max_virtual_ns, Some(1_000));
-        assert_eq!(b.max_wall, Some(Duration::from_millis(5)));
-        assert!(!b.is_unlimited());
+    fn any_ceiling_makes_a_budget_limited() {
         assert!(SimBudget::unlimited().is_unlimited());
+        for b in [
+            SimBudget {
+                max_events: Some(10),
+                ..SimBudget::default()
+            },
+            SimBudget {
+                max_virtual_ns: Some(1_000),
+                ..SimBudget::default()
+            },
+            SimBudget {
+                max_wall: Some(Duration::from_millis(5)),
+                ..SimBudget::default()
+            },
+        ] {
+            assert!(!b.is_unlimited(), "{b:?}");
+        }
     }
 }

@@ -10,9 +10,10 @@
 //! events were processed by `(effective time, rank)`.
 //!
 //! The grids: every algorithm on a small mesh, a prime-dimension shape,
-//! a mesh past the mailbox spill, five-port machines where `send_batch`
-//! groups fan across port slots, and transient drops and link outages on
-//! one- and five-port machines. (The `executors_agree_*` names date from
+//! a mesh past the mailbox spill, the T3D torus and the hypercube,
+//! five-port machines where `send_batch` groups fan across port slots,
+//! and transient drops and link outages on one- and five-port
+//! machines. (The `executors_agree_*` names date from
 //! when a second executor was the reference here.)
 
 use stp_analyzer::{replay, Schedule};
@@ -77,9 +78,10 @@ fn assert_exact(
     let run = record(machine, dist, s, kind, plan);
     let again = record(machine, dist, s, kind, plan);
     let tag = format!(
-        "{} / {} on {}x{} s={s}{}",
+        "{} / {} on {} ({}x{}) s={s}{}",
         kind.name(),
         dist.name(),
+        machine.name,
         machine.shape.rows,
         machine.shape.cols,
         if plan.is_some() { " (faulted)" } else { "" }
@@ -195,6 +197,25 @@ fn executors_agree_past_the_spill() {
         // The case must not quietly stop covering the deep form.
         let k = run.outcome.expect("completed run").counters;
         assert_eq!(k.mailbox_spills > 0, deep, "{}: {k:?}", kind.name());
+    }
+}
+
+/// The machines the Paragon grids never reach: the T3D's torus (wrap
+/// routes, six ports, a rotated rank placement) at two placement seeds,
+/// and the hypercube (e-cube routes, one port per dimension). Every
+/// algorithm replays conformant on each.
+#[test]
+fn executors_agree_on_torus_and_hypercube() {
+    for machine in [
+        Machine::t3d(64, 1),
+        Machine::t3d(64, 7),
+        Machine::hypercube(6),
+    ] {
+        sweep(
+            &machine,
+            &[SourceDist::Equal, SourceDist::Cross],
+            AlgoKind::all(),
+        );
     }
 }
 

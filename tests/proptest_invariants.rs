@@ -107,7 +107,7 @@ proptest! {
         for topo in [
             Topology::Mesh2D { rows, cols },
             Topology::Torus3D { dx, dy, dz },
-            Topology::Linear { n: rows * cols },
+            Topology::Mesh2D { rows: 1, cols: rows * cols },
         ] {
             let n = topo.num_nodes();
             let u = ((n as f64 * from_frac) as usize).min(n - 1);
