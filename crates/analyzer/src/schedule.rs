@@ -169,11 +169,13 @@ pub(crate) fn grouped(
 
 /// Payload contents interned to small ids: two payloads get the same id
 /// exactly when they are byte-equal. A cheap fingerprint of the whole
-/// content picks the table bucket; equality is always decided by
-/// comparing the bytes ([`Payload`]'s `==`, a `memcmp` per overlapping
-/// chunk run) — never by the fingerprint, the length or the address of
-/// the backing storage, since equal bytes routinely live in different
-/// arena chunks and forwarded ropes re-slice shared ones.
+/// content picks the table bucket; equality is always decided by the
+/// bytes ([`Payload`]'s `==`, a `memcmp` per overlapping chunk run) —
+/// never by the fingerprint, the length or the address of the backing
+/// storage as a key, since equal bytes routinely live in different
+/// arena chunks and forwarded ropes re-slice shared ones. A run whose
+/// two sides start at one address is trivially byte-equal, so `==`
+/// skips reading it; that decides nothing the bytes would not.
 pub struct PayloadIds<'a> {
     /// Id → the first payload seen with that content.
     firsts: Vec<&'a Payload>,

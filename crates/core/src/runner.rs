@@ -434,16 +434,22 @@ fn try_run_alg_with(
 }
 
 /// Verify after the run: every rank holds exactly the sources, each
-/// byte for byte. The sweep goes source by source — entry `i` of every
-/// rank against `expected[i]` — so the oracle message and the storage
-/// the ranks share for it stay in cache across all `p` compares.
+/// byte for byte. Source by source, the first rank's entry `i` is
+/// compared with the oracle `expected[i]` and every other rank's entry
+/// `i` with that first entry; byte equality is transitive, so a rank
+/// passes exactly when its bytes equal the oracle's. The oracle is read
+/// once per source, and where ranks share storage (every zero-copy
+/// algorithm) a rank-to-rank compare reads no bytes at all.
 fn all_delivered(sets: &[MessageSet], sources: &[usize], expected: &[Vec<u8>]) -> bool {
+    let Some((first, rest)) = sets.split_first() else {
+        return true;
+    };
     sets.iter()
         .all(|set| set.sources().eq(sources.iter().copied()))
-        && expected
-            .iter()
-            .enumerate()
-            .all(|(i, want)| sets.iter().all(|set| set.payload_at(i) == want.as_slice()))
+        && expected.iter().enumerate().all(|(i, want)| {
+            let held = first.payload_at(i);
+            held == want.as_slice() && rest.iter().all(|set| set.payload_at(i) == held)
+        })
 }
 
 // ---------------------------------------------------------------------------
@@ -735,6 +741,7 @@ impl SweepRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpp_sim::Payload;
 
     #[test]
     fn algo_names_roundtrip() {
@@ -901,6 +908,44 @@ mod tests {
         }
     }
 
+    /// `Br_Lin`, except that every rank from `from_rank` on holds one
+    /// corrupted payload for `src`: one storage cloned into each set.
+    struct CorruptedShared {
+        src: usize,
+        from_rank: usize,
+        corrupt: Payload,
+    }
+
+    impl StpAlgorithm for CorruptedShared {
+        fn name(&self) -> &'static str {
+            "fixture:corrupted-shared"
+        }
+
+        fn run<'a>(
+            &'a self,
+            comm: &'a mut mpp_runtime::RankCtx,
+            ctx: &'a StpCtx<'a>,
+        ) -> mpp_runtime::CommFuture<'a, MessageSet> {
+            Box::pin(async move {
+                let set = BrLin.run(comm, ctx).await;
+                if comm.rank() < self.from_rank {
+                    return set;
+                }
+                let mut out = MessageSet::new();
+                for (src, data) in set.into_entries() {
+                    let src = src as usize;
+                    let held = if src == self.src {
+                        self.corrupt.clone()
+                    } else {
+                        data
+                    };
+                    out.insert_payload(src, held);
+                }
+                out
+            })
+        }
+    }
+
     #[test]
     fn every_tampered_result_fails_verification() {
         let machine = Machine::paragon(4, 4);
@@ -956,6 +1001,126 @@ mod tests {
             (15, Tamper::Empty),
         ] {
             assert!(!verified(&Tampered { rank, how }), "rank {rank}: {how:?}");
+        }
+        // One corrupted storage in every rank's set, and the same with
+        // rank 0 keeping the honest copy: agreeing ranks prove nothing.
+        let mut bytes = payload_for(sources[2], len);
+        bytes[len / 2] ^= 1;
+        let corrupt = Payload::from_slice(&bytes);
+        for from_rank in [0, 1] {
+            let alg = CorruptedShared {
+                src: sources[2],
+                from_rank,
+                corrupt: corrupt.clone(),
+            };
+            assert!(!verified(&alg), "shared corruption from rank {from_rank}");
+        }
+    }
+
+    /// The delivery check as it was before ranks were compared with each
+    /// other: every rank's every entry against the oracle.
+    fn all_delivered_reference(
+        sets: &[MessageSet],
+        sources: &[usize],
+        expected: &[Vec<u8>],
+    ) -> bool {
+        sets.iter()
+            .all(|set| set.sources().eq(sources.iter().copied()))
+            && expected
+                .iter()
+                .enumerate()
+                .all(|(i, want)| sets.iter().all(|set| set.payload_at(i) == want.as_slice()))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Hand-built results — each rank's entry a clone of one shared
+        /// payload, a rope over that storage or its own copy — tampered
+        /// with on random ranks, rank 0 included: the rank-to-rank check
+        /// answers as the rank-to-oracle reference does.
+        #[test]
+        fn delivery_check_matches_the_reference(
+            p in 1usize..17,
+            s in 1usize..7,
+            len in 0usize..41,
+            tampers in 0usize..4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = proptest::test_runner::TestRng::seed_from_u64(seed);
+            let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+            let sources: Vec<usize> = (0..s).map(|i| 2 * i + 1).collect();
+            let expected: Vec<Vec<u8>> =
+                sources.iter().map(|&src| payload_for(src, len)).collect();
+            let shared: Vec<Payload> = expected.iter().map(|m| Payload::from_slice(m)).collect();
+            let mut held: Vec<Vec<(usize, Payload)>> = Vec::new();
+            for _ in 0..p {
+                let mut entries = Vec::new();
+                for (i, &src) in sources.iter().enumerate() {
+                    let payload = match pick(3) {
+                        0 => shared[i].clone(),
+                        1 => Payload::from_slice(&expected[i]),
+                        _ => {
+                            let cut = pick(len + 1);
+                            let mut rope = shared[i].slice(0, cut);
+                            rope.append(shared[i].slice(cut, len));
+                            rope
+                        }
+                    };
+                    entries.push((src, payload));
+                }
+                held.push(entries);
+            }
+            for _ in 0..tampers {
+                let rank = if pick(3) == 0 { 0 } else { pick(p) };
+                let src = sources[pick(s)];
+                let entries = &mut held[rank];
+                let at = entries.iter().position(|&(x, _)| x == src);
+                match (pick(5), at) {
+                    (0, Some(at)) if len > 0 => {
+                        let mut bytes = entries[at].1.to_vec();
+                        bytes[pick(len)] ^= 1 << pick(8);
+                        entries[at].1 = Payload::from_slice(&bytes);
+                    }
+                    (1, Some(at)) if len > 0 => {
+                        entries[at].1 = entries[at].1.slice(0, len - 1);
+                    }
+                    (2, Some(at)) => {
+                        entries.remove(at);
+                    }
+                    (3, _) => {
+                        let extra = 2 * pick(s + 1);
+                        if let Err(at) = entries.binary_search_by_key(&extra, |&(x, _)| x) {
+                            let stray = Payload::from_slice(&payload_for(extra, len));
+                            entries.insert(at, (extra, stray));
+                        }
+                    }
+                    (4, _) if len > 0 => {
+                        let mut bytes = payload_for(src, len);
+                        bytes[pick(len)] ^= 1;
+                        let corrupt = Payload::from_slice(&bytes);
+                        for entries in &mut held[pick(2)..] {
+                            if let Some(at) = entries.iter().position(|&(x, _)| x == src) {
+                                entries[at].1 = corrupt.clone();
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            let sets: Vec<MessageSet> = held
+                .into_iter()
+                .map(|entries| {
+                    let mut set = MessageSet::new();
+                    for (src, payload) in entries {
+                        set.insert_payload(src, payload);
+                    }
+                    set
+                })
+                .collect();
+            let got = all_delivered(&sets, &sources, &expected);
+            proptest::prop_assert_eq!(got, all_delivered_reference(&sets, &sources, &expected));
+            proptest::prop_assert!(got || tampers > 0, "an untampered result failed");
         }
     }
 

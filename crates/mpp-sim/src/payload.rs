@@ -541,7 +541,10 @@ impl std::fmt::Debug for Payload {
 /// Byte equality of two chunk sequences, whatever their segmentation:
 /// the overlapping run of the two current chunks is compared as one
 /// slice (a `memcmp`), then both sides advance by that run. Empty
-/// chunks are skipped; a side that runs out first is shorter.
+/// chunks are skipped; a side that runs out first is shorter. A run
+/// whose two sides start at the same address is one slice read twice,
+/// so it is equal without being read: equality is still decided by
+/// the bytes, and bytes at one address are equal to themselves.
 fn chunks_eq<'a>(
     mut a: impl Iterator<Item = &'a [u8]>,
     mut b: impl Iterator<Item = &'a [u8]>,
@@ -558,7 +561,7 @@ fn chunks_eq<'a>(
         if n == 0 {
             return x.is_empty() && y.is_empty();
         }
-        if x[..n] != y[..n] {
+        if x.as_ptr() != y.as_ptr() && x[..n] != y[..n] {
             return false;
         }
         (x, y) = (&x[n..], &y[n..]);
@@ -856,6 +859,40 @@ mod tests {
         assert_eq!(rope, vec![b'x', b'y', b'z', b'w']);
         assert_ne!(rope, b"xyzv");
         assert_ne!(rope, b"xyz");
+    }
+
+    #[test]
+    fn runs_at_one_address_are_equal_and_the_rest_are_read() {
+        let one = Payload::from_slice(b"abcdabgh");
+        // Two clones of one payload.
+        assert_eq!(one.clone(), one);
+        // Two segmentations of the same storage.
+        let mut halves = one.slice(0, 3);
+        halves.push_payload(&one.slice(3, 8));
+        let mut thirds = one.slice(0, 5);
+        thirds.push_payload(&one.slice(5, 6));
+        thirds.push_payload(&one.slice(6, 8));
+        assert_eq!(halves, thirds);
+        assert_eq!(halves, one);
+        // Two slices of one chunk at different offsets: read, so equal
+        // bytes are equal and different bytes are not.
+        assert_eq!(one.slice(0, 2), one.slice(4, 6));
+        assert_ne!(one.slice(0, 4), one.slice(4, 8));
+        // A prefix starts at the payload's own address but is shorter.
+        assert_ne!(one.slice(0, 7), one);
+        assert_ne!(one, one.slice(0, 7));
+        // A rope that shares its first run with the payload and then
+        // leaves it is read past that run.
+        let mut forked = one.slice(0, 4);
+        forked.push_payload(&Payload::from_slice(b"abgX"));
+        assert_ne!(forked, one);
+        // A byte-equal copy in other storage, then one byte flipped.
+        let copy = Payload::from_slice(b"abcdabgh");
+        assert_eq!(copy, one);
+        assert_eq!(one, copy);
+        let flipped = Payload::from_slice(b"abcdabgX");
+        assert_ne!(flipped, one);
+        assert_ne!(one, flipped);
     }
 
     #[test]

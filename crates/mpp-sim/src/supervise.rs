@@ -66,11 +66,6 @@ pub struct SimBudget {
 }
 
 impl SimBudget {
-    /// An unlimited budget.
-    pub fn unlimited() -> Self {
-        SimBudget::default()
-    }
-
     /// True when no ceiling is set (the watchdog costs nothing).
     pub fn is_unlimited(&self) -> bool {
         self.max_events.is_none() && self.max_virtual_ns.is_none() && self.max_wall.is_none()
@@ -160,7 +155,7 @@ mod tests {
 
     #[test]
     fn any_ceiling_makes_a_budget_limited() {
-        assert!(SimBudget::unlimited().is_unlimited());
+        assert!(SimBudget::default().is_unlimited());
         for b in [
             SimBudget {
                 max_events: Some(10),
