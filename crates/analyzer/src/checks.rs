@@ -1086,17 +1086,19 @@ mod tests {
     /// conformant and lints exactly as recorded.
     #[test]
     fn replay_indexes_scattered_seqs_on_a_large_machine() {
-        use stp_core::runner::{record_sources, AlgoKind};
+        use stp_core::runner::{try_record_sources, AlgoKind, RunControl};
         let machine = Machine::paragon(24, 24);
         let sources = [0, 100, 300, 575];
         let kind = AlgoKind::BrLin;
-        let mut run = record_sources(
+        let mut run = try_record_sources(
             &machine,
             kind.default_lib(),
             &sources,
             &payload,
             kind.build().as_ref(),
-        );
+            &RunControl::default(),
+        )
+        .expect("recording failed");
         let perf = AnalyzeOpts {
             perf: true,
             lib: kind.default_lib(),

@@ -928,7 +928,7 @@ fn critical_path(
 mod tests {
     use super::*;
     use stp_core::msgset::payload_for;
-    use stp_core::runner::{record_sources, AlgoKind};
+    use stp_core::runner::{try_record_sources, AlgoKind, RunControl};
 
     /// The cost engine must reproduce the kernel's schedule exactly on a
     /// real recorded run — the conformance keystone in miniature.
@@ -939,13 +939,15 @@ mod tests {
         let payload_of = |src: usize| payload_for(src, 64);
         for kind in [AlgoKind::BrLin, AlgoKind::TwoStep, AlgoKind::BrXySource] {
             let alg = kind.build();
-            let run = record_sources(
+            let run = try_record_sources(
                 &machine,
                 kind.default_lib(),
                 &sources,
                 &payload_of,
                 alg.as_ref(),
-            );
+                &RunControl::default(),
+            )
+            .expect("recording failed");
             let sched = Schedule::from_recorded(&run, machine.p());
             let report = replay(&sched, &machine, kind.default_lib(), false);
             assert!(
@@ -965,13 +967,15 @@ mod tests {
     fn assert_conformant(machine: &Machine, sources: &[usize], kind: AlgoKind) {
         let payload_of = |src: usize| payload_for(src, 256);
         let alg = kind.build();
-        let run = record_sources(
+        let run = try_record_sources(
             machine,
             kind.default_lib(),
             sources,
             &payload_of,
             alg.as_ref(),
-        );
+            &RunControl::default(),
+        )
+        .expect("recording failed");
         let sched = Schedule::from_recorded(&run, machine.p());
         let report = replay(&sched, machine, kind.default_lib(), false);
         let name = kind.name();
@@ -1019,13 +1023,15 @@ mod tests {
         let machine = Machine::paragon(4, 4);
         let kind = AlgoKind::TwoStep;
         let alg = kind.build();
-        let mut run = record_sources(
+        let mut run = try_record_sources(
             &machine,
             kind.default_lib(),
             &[0, 5, 10, 15],
             &|src| payload_for(src, 64),
             alg.as_ref(),
-        );
+            &RunControl::default(),
+        )
+        .expect("recording failed");
         let recvs = &run.events.recvs;
         let filters = |i: usize| (recvs[i].rank, recvs[i].src_filter, recvs[i].tag_filter);
         let (a, b) = (0..recvs.len())
@@ -1060,13 +1066,15 @@ mod tests {
         let sources = vec![0, 5, 10, 15];
         let payload_of = |src: usize| payload_for(src, 1024);
         let alg = AlgoKind::BrLin.build();
-        let run = record_sources(
+        let run = try_record_sources(
             &machine,
             mpp_model::LibraryKind::Nx,
             &sources,
             &payload_of,
             alg.as_ref(),
-        );
+            &RunControl::default(),
+        )
+        .expect("recording failed");
         let sched = Schedule::from_recorded(&run, machine.p());
         let report = replay(&sched, &machine, mpp_model::LibraryKind::Nx, false);
         assert!(report.conformant(), "{:?}", report.divergences);
@@ -1103,13 +1111,15 @@ mod tests {
             AlgoKind::BrLin,
         ] {
             let alg = kind.build();
-            let run = record_sources(
+            let run = try_record_sources(
                 &machine,
                 kind.default_lib(),
                 &sources,
                 &payload_of,
                 alg.as_ref(),
-            );
+                &RunControl::default(),
+            )
+            .expect("recording failed");
             let sched = Schedule::from_recorded(&run, machine.p());
             let report = replay(&sched, &machine, kind.default_lib(), false);
             assert!(report.conformant(), "{:?}", report.divergences);
@@ -1170,13 +1180,15 @@ mod tests {
         let sources = vec![0, 5, 10, 15];
         let payload_of = |src: usize| payload_for(src, 64);
         let alg = AlgoKind::BrLin.build();
-        let mut run = record_sources(
+        let mut run = try_record_sources(
             &machine,
             mpp_model::LibraryKind::Nx,
             &sources,
             &payload_of,
             alg.as_ref(),
-        );
+            &RunControl::default(),
+        )
+        .expect("recording failed");
         let x = run.events.xfers.last_mut().expect("transfers recorded");
         x.done_ns += 1;
         let sched = Schedule::from_recorded(&run, machine.p());

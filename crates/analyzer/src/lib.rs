@@ -1,7 +1,7 @@
 //! Static analysis of recorded communication schedules.
 //!
 //! The simulator's `ScheduleRecorder` mode (`SimConfig::record`,
-//! surfaced as [`stp_core::runner::record_sources`]) captures every
+//! surfaced as [`stp_core::runner::try_record_sources`]) captures every
 //! `(step, src, dst, tag, payload)` send and every receive match of a
 //! run as a symbolic schedule — including partial schedules of runs that
 //! deadlock. This crate turns that event log into a communication graph

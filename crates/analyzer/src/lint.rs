@@ -306,10 +306,7 @@ pub fn lint_matrix_supervised(
 pub fn lint_matrix(config: &LintConfig, runner: &SweepRunner) -> Vec<LintEntry> {
     let sweep = lint_matrix_supervised(config, runner, &SuperviseOpts::default(), None);
     if let Some(f) = sweep.failures.first() {
-        panic!(
-            "{} failed after {} attempt(s): {}",
-            f.id, f.attempts, f.error
-        );
+        panic!("{} failed: {}", f.id, f.error);
     }
     assert_eq!(sweep.skipped, Vec::<String>::new(), "points skipped");
     sweep.done
@@ -401,7 +398,6 @@ pub fn hush_expected_panics() {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use stp_core::runner::record_sources;
     use stp_core::supervise::MatrixAlg;
 
     /// Record every point of the quick matrix and every seeded-bug
@@ -414,13 +410,15 @@ pub(crate) mod tests {
         let payload_of = |src: usize| payload_for(src, 64);
         for pt in matrix_points(&matrix_shapes(true), false) {
             let alg = pt.alg.build();
-            let run = record_sources(
+            let run = try_record_sources(
                 &pt.machine,
                 pt.alg.lib(),
                 &pt.sources,
                 &payload_of,
                 alg.as_ref(),
-            );
+                &RunControl::default(),
+            )
+            .expect("recording failed");
             check(&pt.machine, &pt.sources, &run);
         }
         for fx in fixtures::all() {
@@ -428,7 +426,15 @@ pub(crate) mod tests {
             let sources = SourceDist::Equal.place(machine.shape, fx.s);
             let alg = (fx.build)();
             let lib = mpp_model::LibraryKind::Nx;
-            let run = record_sources(&machine, lib, &sources, &payload_of, alg.as_ref());
+            let run = try_record_sources(
+                &machine,
+                lib,
+                &sources,
+                &payload_of,
+                alg.as_ref(),
+                &RunControl::default(),
+            )
+            .expect("recording failed");
             check(&machine, &sources, &run);
         }
     }
@@ -561,7 +567,6 @@ pub(crate) mod tests {
         assert_eq!(sweep.failures.len(), 1, "{:?}", sweep.failures);
         let fail = &sweep.failures[0];
         assert_eq!(fail.id, "chaos:panic/E/4x4/s2");
-        assert_eq!(fail.attempts, 2, "failed point must be retried once");
         assert!(
             fail.error.contains("deliberate chaos panic"),
             "{}",

@@ -274,7 +274,7 @@ mod tests {
     use mpp_model::Machine;
     use stp_core::distribution::SourceDist;
     use stp_core::msgset::payload_for;
-    use stp_core::runner::{record_sources, AlgoKind};
+    use stp_core::runner::{try_record_sources, AlgoKind, RunControl};
 
     fn perf_opts() -> AnalyzeOpts {
         AnalyzeOpts {
@@ -293,13 +293,15 @@ mod tests {
         let payload_of = |src: usize| payload_for(src, 64);
         for kind in [AlgoKind::TwoStep, AlgoKind::BrXyDim, AlgoKind::PartLin] {
             let alg = kind.build();
-            let run = record_sources(
+            let run = try_record_sources(
                 &machine,
                 kind.default_lib(),
                 &sources,
                 &payload_of,
                 alg.as_ref(),
-            );
+                &RunControl::default(),
+            )
+            .expect("recording failed");
             let sched = Schedule::from_recorded(&run, machine.p());
             let a = analyze(
                 &sched,
@@ -329,13 +331,15 @@ mod tests {
         let sources = SourceDist::Equal.place(machine.shape, fx.s);
         let payload_of = |src: usize| payload_for(src, 64);
         let alg = (fx.build)();
-        let run = record_sources(
+        let run = try_record_sources(
             &machine,
             mpp_model::LibraryKind::Nx,
             &sources,
             &payload_of,
             alg.as_ref(),
-        );
+            &RunControl::default(),
+        )
+        .expect("recording failed");
         let sched = Schedule::from_recorded(&run, machine.p());
         let a = analyze(&sched, &machine, &sources, &payload_of, &perf_opts());
         assert!(
@@ -364,13 +368,15 @@ mod tests {
         let sources = SourceDist::Equal.place(machine.shape, fx.s);
         let payload_of = |src: usize| payload_for(src, 64);
         let alg = (fx.build)();
-        let run = record_sources(
+        let run = try_record_sources(
             &machine,
             mpp_model::LibraryKind::Nx,
             &sources,
             &payload_of,
             alg.as_ref(),
-        );
+            &RunControl::default(),
+        )
+        .expect("recording failed");
         let sched = Schedule::from_recorded(&run, machine.p());
         let a = analyze(&sched, &machine, &sources, &payload_of, &perf_opts());
         assert!(
@@ -404,13 +410,15 @@ mod tests {
         for s in [10usize, 12] {
             let sources = SourceDist::Equal.place(machine.shape, s);
             let alg = AlgoKind::KPortLin.build();
-            let run = record_sources(
+            let run = try_record_sources(
                 &machine,
                 AlgoKind::KPortLin.default_lib(),
                 &sources,
                 &payload_of,
                 alg.as_ref(),
-            );
+                &RunControl::default(),
+            )
+            .expect("recording failed");
             let sched = Schedule::from_recorded(&run, machine.p());
             let a = analyze(&sched, &machine, &sources, &payload_of, &perf_opts());
             assert!(

@@ -336,10 +336,7 @@ fn open_checkpoint(
 /// One stdout line per quarantined and per skipped point of a sweep.
 fn print_unfinished<T>(run: &stp_core::supervise::SupervisedRun<T>) {
     for f in &run.failures {
-        println!(
-            "FAILED {} after {} attempt(s): {}",
-            f.id, f.attempts, f.error
-        );
+        println!("FAILED {}: {}", f.id, f.error);
     }
     for id in &run.skipped {
         println!("SKIPPED {id} (cancelled before it ran)");

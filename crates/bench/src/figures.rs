@@ -24,7 +24,7 @@ use stp_core::algorithms::{DissemAllGather, ReposAdaptive, StpAlgorithm};
 use stp_core::distribution::ascii_grid;
 use stp_core::metrics::{figure2_row, format_table};
 use stp_core::prelude::*;
-use stp_core::runner::{record_sources, run_sources, try_run_alg_controlled};
+use stp_core::runner::{try_record_sources, try_run_alg_controlled, try_run_sources_controlled};
 
 use crate::plot::{parse_csv_blocks, Chart};
 
@@ -349,7 +349,7 @@ pub fn fig02_at(p: usize, runner: &SweepRunner, out: &mut dyn Write) {
         })
         .collect();
     let t0 = Instant::now();
-    let outcomes = runner.run_experiments(&grid);
+    let outcomes = runner.map(grid, |e| e.run().expect("run failed"));
     let wall = t0.elapsed();
 
     for (si, &s) in s_values.iter().enumerate() {
@@ -385,7 +385,7 @@ pub fn fig02_at(p: usize, runner: &SweepRunner, out: &mut dyn Write) {
     outln!(out, "  Br_Lin s!=2^l congestion O(1)  wait O(log p)  #send/rec O(log p)  av_msg O(sL/log p) av_act O(p log s/log p)");
     eprintln!(
         "[sweep] {} grid points on {} workers in {:.3}s",
-        grid.len(),
+        outcomes.len(),
         runner.workers(),
         wall.as_secs_f64()
     );
@@ -733,16 +733,15 @@ fn nx_vs_mpi(_runner: &SweepRunner, out: &mut dyn Write) {
         AlgoKind::BrXyDim,
         AlgoKind::ReposXySource,
     ];
+    let sources = SourceDist::Equal.place(machine.shape, 30);
     let rows = kinds.map(|kind| {
-        let exp = Experiment {
-            machine: &machine,
-            dist: SourceDist::Equal,
-            s: 30,
-            msg_len: 4096,
-            kind,
+        let run = |lib| {
+            let payload_of = |src| payload_for(src, 4096);
+            let control = RunControl::default();
+            try_run_sources_controlled(&machine, lib, &sources, &payload_of, kind, &control)
+                .expect("run failed")
         };
-        let nx = exp.run_with_lib(LibraryKind::Nx).expect("run failed");
-        let mpi = exp.run_with_lib(LibraryKind::Mpi).expect("run failed");
+        let (nx, mpi) = (run(LibraryKind::Nx), run(LibraryKind::Mpi));
         assert!(nx.verified && mpi.verified);
         let loss = (mpi.makespan_ns as f64 - nx.makespan_ns as f64) / nx.makespan_ns as f64 * 100.0;
         let (nx, mpi) = (nx.makespan_ms(), mpi.makespan_ms());
@@ -781,12 +780,13 @@ fn varlen(_runner: &SweepRunner, out: &mut dyn Write) {
     let rows = SourceDist::paper_set().into_iter().map(|dist| {
         let sources = dist.place(machine.shape, s);
         let run = |len_of: &(dyn Fn(usize) -> usize + Sync)| {
-            let outcome = run_sources(
+            let outcome = try_run_sources_controlled(
                 &machine,
                 LibraryKind::Nx,
                 &sources,
                 &|src| payload_for(src, len_of(src)),
                 AlgoKind::BrXySource,
+                &RunControl::default(),
             )
             .expect("run failed");
             assert!(outcome.verified);
@@ -940,13 +940,15 @@ fn trace(_runner: &SweepRunner, out: &mut dyn Write) {
     let sources = SourceDist::Equal.place(machine.shape, 8);
 
     for kind in [AlgoKind::TwoStep, AlgoKind::BrLin] {
-        let run = record_sources(
+        let run = try_record_sources(
             &machine,
             LibraryKind::Nx,
             &sources,
             &|src| payload_for(src, 1024),
             kind.build().as_ref(),
-        );
+            &RunControl::default(),
+        )
+        .expect("recording failed");
         let outcome = run.outcome.expect("trace runs complete");
         let summary = summarize(&run.events);
         outln!(

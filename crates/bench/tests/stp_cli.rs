@@ -384,9 +384,7 @@ fn a_sweep_without_resume_discards_the_snapshot_and_the_journal() {
 fn sweep_point_by_point(quick: bool, faults: Option<&str>) -> String {
     use stp_core::msgset::payload_for;
     use stp_core::runner::{try_run_alg_controlled, RunControl, SweepRunner};
-    use stp_core::supervise::{
-        matrix_points, matrix_shapes, PointFailure, SuperviseOpts, SupervisedRun,
-    };
+    use stp_core::supervise::{matrix_points, matrix_shapes, PointFailure, SupervisedRun};
 
     let control = RunControl {
         faults: faults.map(|spec| mpp_model::FaultPlan::parse(spec).expect("fault plan")),
@@ -425,7 +423,6 @@ fn sweep_point_by_point(quick: bool, faults: Option<&str>) -> String {
             )),
             Err(e) => run.failures.push(PointFailure {
                 id: pt.id(),
-                attempts: SuperviseOpts::default().retries + 1,
                 error: e.to_string(),
             }),
         }

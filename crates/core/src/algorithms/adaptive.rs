@@ -74,7 +74,7 @@ mod tests {
     use crate::algorithms::BrXySource;
     use crate::distribution::SourceDist;
     use crate::msgset::payload_for;
-    use crate::runner::run_sources;
+    use crate::runner::{try_run_sources_controlled, RunControl};
 
     fn adaptive() -> ReposAdaptive<BrXySource> {
         ReposAdaptive::new(BrXySource, AlgoKind::BrXySource, "ReposAdaptive_xy_source")
@@ -111,12 +111,13 @@ mod tests {
         let machine = Machine::paragon(16, 16);
         let run = |kind: AlgoKind, dist: SourceDist| {
             let sources = dist.place(machine.shape, 75);
-            run_sources(
+            try_run_sources_controlled(
                 &machine,
                 mpp_model::LibraryKind::Nx,
                 &sources,
                 &|src| payload_for(src, 6144),
                 kind,
+                &RunControl::default(),
             )
             .expect("run failed")
             .makespan_ns as f64

@@ -274,4 +274,99 @@ pub(crate) mod tests {
             }
         }
     }
+
+    /// Every send of every algorithm carries a tag inside a range its
+    /// module draws from: `[base, next base)` in the [`tags`] table,
+    /// with the open-ended `NAIVE` range read as ending at 6 000.
+    ///
+    /// Neighbouring ranges of one module are not told apart (`GATHER` and
+    /// `BCAST` read as one range [3000, 3200), say), except for 2-Step:
+    /// its gather is the first step of the log, so step-0 sends are held
+    /// to `GATHER`'s range alone and the rest to `BCAST`'s.
+    ///
+    /// Each kind is recorded on 4×4, 8×3, 16×16 and 32×32 at s = 2 and
+    /// s = p/4, except that 32×32 at s = 256 records `NaiveIndependent`
+    /// alone: its tags are `base + source index`, while every other
+    /// kind's offsets grow with the levels or rounds of p (reached at
+    /// s = 2), and the all-to-alls alone would take ~40 s in debug.
+    #[test]
+    fn every_send_tag_lies_in_its_algorithms_ranges() {
+        use crate::distribution::SourceDist;
+        use crate::runner::{try_record_sources, AlgoKind, RunControl, SweepRunner};
+        use tags::*;
+        const BASES: [Tag; 12] = [
+            BR_LIN,
+            BR_XY_PHASE2,
+            GATHER,
+            BCAST,
+            PERS,
+            REPOS,
+            PART_EXCHANGE,
+            KPORT,
+            KPORT_SCATTER,
+            KPORT_A2A,
+            DISSEM,
+            NAIVE,
+        ];
+        assert!(BASES.is_sorted());
+        let range = |base: Tag| {
+            let i = BASES.iter().position(|&b| b == base).expect("a base");
+            base..BASES.get(i + 1).copied().unwrap_or(6_000)
+        };
+        let bases = |kind: AlgoKind, step: u32| -> &[Tag] {
+            use AlgoKind::*;
+            match kind {
+                TwoStep | MpiAllGather if step == 0 => &[GATHER],
+                TwoStep | MpiAllGather => &[BCAST],
+                PersAlltoAll | MpiAlltoall => &[PERS],
+                BrLin => &[BR_LIN],
+                BrXySource | BrXyDim => &[BR_LIN, BR_XY_PHASE2],
+                ReposLin => &[REPOS, BR_LIN],
+                ReposXySource | ReposXyDim | ReposAdaptiveXySource => {
+                    &[REPOS, BR_LIN, BR_XY_PHASE2]
+                }
+                PartLin => &[REPOS, PART_EXCHANGE, BR_LIN],
+                PartXySource | PartXyDim => &[REPOS, PART_EXCHANGE, BR_LIN, BR_XY_PHASE2],
+                DissemAllGather | DissemZeroCopy => &[DISSEM],
+                NaiveIndependent => &[NAIVE],
+                KPortLin => &[KPORT],
+                KPortScatter => &[KPORT_SCATTER],
+                KPortAlltoall => &[KPORT_A2A],
+            }
+        };
+        let mut points = vec![(32, 32, 256, AlgoKind::NaiveIndependent)];
+        for (rows, cols) in [(4, 4), (8, 3), (16, 16), (32, 32)] {
+            let p = rows * cols;
+            for s in [2, (p / 4).max(2)] {
+                if s < 256 {
+                    points.extend(AlgoKind::all().iter().map(|&kind| (rows, cols, s, kind)));
+                }
+            }
+        }
+        SweepRunner::new().map(points, |(rows, cols, s, kind)| {
+            let machine = Machine::paragon(rows, cols);
+            let sources = SourceDist::Equal.place(machine.shape, s);
+            let run = try_record_sources(
+                &machine,
+                kind.default_lib(),
+                &sources,
+                &|src| payload_for(src, 8),
+                kind.build().as_ref(),
+                &RunControl::default(),
+            )
+            .expect("recording failed");
+            assert!(run.outcome.is_some_and(|o| o.verified));
+            for send in &run.events.sends {
+                assert!(
+                    bases(kind, send.step)
+                        .iter()
+                        .any(|&b| range(b).contains(&send.tag)),
+                    "{} on {rows}x{cols}, s = {s}: step {} tag {}",
+                    kind.name(),
+                    send.step,
+                    send.tag
+                );
+            }
+        });
+    }
 }

@@ -275,7 +275,7 @@ mod tests {
     use crate::algorithms::tests::assert_delivers;
     use crate::algorithms::{BrLin, BrXyDim, BrXySource};
     use crate::distribution::SourceDist;
-    use crate::runner::{run_sources, try_run_alg_controlled, AlgoKind, RunControl};
+    use crate::runner::{try_run_alg_controlled, try_run_sources_controlled, AlgoKind, RunControl};
     use mpp_model::{LibraryKind, Machine};
 
     use crate::msgset::payload_for;
@@ -504,12 +504,13 @@ mod tests {
             &RunControl::default(),
         )
         .expect("run failed");
-        let repos_run = run_sources(
+        let repos_run = try_run_sources_controlled(
             &machine,
             LibraryKind::Nx,
             &sources,
             &|src| payload_for(src, 64),
             AlgoKind::ReposXySource,
+            &RunControl::default(),
         )
         .expect("run failed");
         assert_eq!(part.makespan_ns, repos_run.makespan_ns);

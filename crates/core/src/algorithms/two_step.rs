@@ -220,13 +220,15 @@ mod tests {
         // first iteration) carries an in-range tag.
         let machine = mpp_model::Machine::paragon(10, 10);
         let sources: Vec<usize> = (0..100).collect();
-        let run = crate::runner::record_sources(
+        let run = crate::runner::try_record_sources(
             &machine,
             mpp_model::LibraryKind::Mpi,
             &sources,
             &|r| payload_for(r, 8),
             &TwoStep::tree(),
-        );
+            &crate::runner::RunControl::default(),
+        )
+        .expect("a fault-free 10×10 run records");
         let gather: Vec<_> = run.events.sends.iter().filter(|e| e.step == 0).collect();
         assert_eq!(gather.len(), 99);
         for send in gather {

@@ -230,30 +230,6 @@ pub fn br_lin_schedule_shared(has: &[bool]) -> Arc<BrLinSchedule> {
     SCHEDULES.get_or_compute(key.into_boxed_slice(), || br_lin_schedule(has))
 }
 
-/// Render the holder evolution of a schedule as text: one row per
-/// iteration, `#` = holds messages, `.` = empty. Used in docs and the
-/// `stp` CLI to explain why a placement is slow.
-///
-/// ```
-/// use stp_core::pattern::render_holdings;
-/// let mut has = vec![false; 8];
-/// has[0] = true;
-/// let text = render_holdings(&has);
-/// assert_eq!(text.lines().count(), 4); // initial + 3 iterations
-/// assert!(text.ends_with("########\n"));
-/// ```
-pub fn render_holdings(has: &[bool]) -> String {
-    let sched = br_lin_schedule(has);
-    let mut out = String::new();
-    for row in &sched.holds {
-        for &h in row {
-            out.push(if h { '#' } else { '.' });
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Simulate which *source positions'* messages each position holds after
 /// the whole schedule — used by tests to prove full coverage.
 pub fn simulate_coverage(has: &[bool]) -> Vec<std::collections::BTreeSet<usize>> {
@@ -437,18 +413,17 @@ mod tests {
     }
 
     #[test]
-    fn render_holdings_shows_growth() {
+    fn holdings_grow_to_every_position() {
         let mut has = vec![false; 8];
         has[0] = true;
-        let text = render_holdings(&has);
-        let rows: Vec<&str> = text.lines().collect();
-        assert_eq!(rows[0], "#.......");
-        assert_eq!(rows[3], "########");
-        // monotone growth
-        for w in rows.windows(2) {
-            let a = w[0].matches('#').count();
-            let b = w[1].matches('#').count();
-            assert!(b >= a);
+        let holds = br_lin_schedule(&has).holds;
+        let count = |row: &Vec<bool>| row.iter().filter(|&&h| h).count();
+        // The initial row and one per iteration, from one holder to all.
+        assert_eq!(holds.len(), 4);
+        assert_eq!(holds[0], has);
+        assert_eq!(count(&holds[3]), 8);
+        for w in holds.windows(2) {
+            assert!(count(&w[1]) >= count(&w[0]), "monotone growth");
         }
     }
 

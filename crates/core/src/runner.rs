@@ -1,5 +1,8 @@
-//! Experiment runner: one call from (machine, distribution, s, L,
-//! algorithm) to a verified, timed outcome.
+//! Experiment runner: one call per result from (machine, sources,
+//! payloads, algorithm, [`RunControl`]). [`try_run_alg_controlled`]
+//! gives a verified, timed [`Outcome`] (a deadlock is an `Err`),
+//! [`try_record_sources`] a [`RecordedRun`] (a deadlock is recorded);
+//! [`Experiment::run_controlled`] places the sources first.
 
 use mpp_model::{LibraryKind, Machine, Time};
 use mpp_runtime::{
@@ -229,17 +232,15 @@ impl Outcome {
     }
 }
 
-/// Supervision knobs a sweep driver threads down into one run: fault
-/// plan, watchdog budget, cooperative cancellation, and the executor.
-/// [`RunControl::default`] is an unsupervised, unbounded cooperative
-/// run — every field is a value the caller passes, none is read from
-/// the process environment.
+/// Supervision knobs threaded down into one run. The default is an
+/// unsupervised, unbounded cooperative run on a perfect network; no
+/// field is read from the process environment.
 #[derive(Debug, Clone, Default)]
 pub struct RunControl {
     /// Deterministic network fault plan (`None` = perfect network).
     pub faults: Option<FaultPlan>,
-    /// Watchdog ceilings (events / virtual time / wall clock) turning
-    /// livelocks into [`SimError::WatchdogTripped`].
+    /// Watchdog ceilings (events / virtual time) turning livelocks into
+    /// [`SimError::WatchdogTripped`].
     pub budget: SimBudget,
     /// Cooperative cancellation: the run exits with
     /// [`SimError::Cancelled`] at its next scheduling step.
@@ -248,39 +249,10 @@ pub struct RunControl {
     pub exec: Option<ExecMode>,
 }
 
-impl RunControl {
-    /// A control block carrying only a fault plan.
-    pub fn with_faults(faults: Option<&FaultPlan>) -> Self {
-        RunControl {
-            faults: faults.cloned(),
-            ..RunControl::default()
-        }
-    }
-}
-
 impl Experiment<'_> {
-    /// Run under the algorithm's default library flavour.
+    /// Run under the algorithm's default library flavour, unsupervised.
     pub fn run(&self) -> Result<Outcome, SimError> {
-        self.run_with_lib(self.kind.default_lib())
-    }
-
-    /// Run under an explicit library flavour.
-    pub fn run_with_lib(&self, lib: LibraryKind) -> Result<Outcome, SimError> {
-        let sources = self.dist.place(self.machine.shape, self.s);
-        let len = self.msg_len;
-        run_sources(
-            self.machine,
-            lib,
-            &sources,
-            &|src| payload_for(src, len),
-            self.kind,
-        )
-    }
-
-    /// Run under the algorithm's default library flavour with a fault
-    /// plan active in the network.
-    pub fn run_with_faults(&self, faults: &FaultPlan) -> Result<Outcome, SimError> {
-        self.run_controlled(&RunControl::with_faults(Some(faults)))
+        self.run_controlled(&RunControl::default())
     }
 
     /// Run under full supervision ([`RunControl`]): watchdog budget,
@@ -299,32 +271,7 @@ impl Experiment<'_> {
     }
 }
 
-/// Run an algorithm on explicit sources with explicit payloads.
-///
-/// Debug builds enable the kernel's strict schedule checks (unambiguous
-/// receive matching, empty mailboxes at finish) — the runtime half of
-/// the `stp-analyzer` checker — so schedule bugs surface as
-/// [`SimError::StrictViolation`] at the offending operation instead of
-/// a wrong makespan.
-pub fn run_sources(
-    machine: &Machine,
-    lib: LibraryKind,
-    sources: &[usize],
-    payload_of: &(dyn Fn(usize) -> Vec<u8> + Sync),
-    kind: AlgoKind,
-) -> Result<Outcome, SimError> {
-    try_run_sources_controlled(
-        machine,
-        lib,
-        sources,
-        payload_of,
-        kind,
-        &RunControl::default(),
-    )
-}
-
-/// [`run_sources`] under a full [`RunControl`] block — the supervised
-/// entry point sweep engines call.
+/// [`try_run_alg_controlled`] over the algorithm `kind` builds.
 pub fn try_run_sources_controlled(
     machine: &Machine,
     lib: LibraryKind,
@@ -337,8 +284,14 @@ pub fn try_run_sources_controlled(
     try_run_alg_controlled(machine, lib, sources, payload_of, alg.as_ref(), control)
 }
 
-/// [`try_run_sources_controlled`] over an arbitrary algorithm object —
-/// used by the chaos-injection fixtures, which have no [`AlgoKind`].
+/// Run `alg` on explicit sources with explicit payloads: the verified,
+/// timed outcome, or the reason the run stopped (a deadlock included).
+///
+/// Debug builds on a clean network enable the kernel's strict schedule
+/// checks (unambiguous receive matching, empty mailboxes at finish) —
+/// the runtime half of the `stp-analyzer` checker — so schedule bugs
+/// surface as [`SimError::StrictViolation`] at the offending operation
+/// instead of a wrong makespan.
 pub fn try_run_alg_controlled(
     machine: &Machine,
     lib: LibraryKind,
@@ -458,11 +411,11 @@ fn all_delivered(sets: &[MessageSet], sources: &[usize], expected: &[Vec<u8>]) -
 
 /// A run captured as a symbolic communication schedule.
 ///
-/// Produced by [`record_sources`] / [`try_record_sources`]; consumed by
-/// the `stp-analyzer` crate's static checks, which read the log in place.
-/// The log is complete even when the run deadlocks — the kernel returns
-/// the partial schedule (with one `blocked` record per stuck rank) on
-/// the deadlock error.
+/// Produced by [`try_record_sources`]; consumed by the `stp-analyzer`
+/// crate's static checks, which read the log in place. The log is
+/// complete even when the run deadlocks — the kernel returns the partial
+/// schedule (with one `blocked` record per stuck rank) on the deadlock
+/// error.
 #[derive(Debug)]
 pub struct RecordedRun {
     /// Communication events in deterministic kernel order.
@@ -476,44 +429,15 @@ pub struct RecordedRun {
 /// Record the communication schedule of `alg` on explicit sources.
 ///
 /// Works for any [`StpAlgorithm`], including deliberately broken ones
-/// (the analyzer's seeded-bug fixtures): a deadlocking schedule returns
-/// with [`RecordedRun::deadlocked`] set instead of panicking. Failures
-/// that are not deadlocks (e.g. assertion failures inside the algorithm)
-/// are propagated as panics; supervised callers use
-/// [`try_record_sources`].
-pub fn record_sources(
-    machine: &Machine,
-    lib: LibraryKind,
-    sources: &[usize],
-    payload_of: &(dyn Fn(usize) -> Vec<u8> + Sync),
-    alg: &dyn StpAlgorithm,
-) -> RecordedRun {
-    record_sources_faulty(machine, lib, sources, payload_of, alg, None)
-}
-
-/// [`record_sources`] with an optional fault plan: the recorded
-/// schedule then contains one [`DropEvent`](mpp_runtime::DropEvent) per lost
-/// transmission attempt, which the analyzer's delivery-completeness
-/// check consumes.
-pub fn record_sources_faulty(
-    machine: &Machine,
-    lib: LibraryKind,
-    sources: &[usize],
-    payload_of: &(dyn Fn(usize) -> Vec<u8> + Sync),
-    alg: &dyn StpAlgorithm,
-    faults: Option<&FaultPlan>,
-) -> RecordedRun {
-    let control = RunControl::with_faults(faults);
-    try_record_sources(machine, lib, sources, payload_of, alg, &control)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Supervised schedule recording: a deadlock is still a *recordable*
-/// outcome (`Ok` with [`RecordedRun::deadlocked`] set and the partial
-/// schedule flushed — that is exactly what the analyzer's deadlock check
-/// consumes); every other abnormal termination (rank panic, watchdog
-/// trip, cancellation, strict violation) comes back as `Err` with the
-/// kernel shut down cleanly.
+/// (the analyzer's seeded-bug fixtures): a deadlock is still a
+/// *recordable* outcome (`Ok` with [`RecordedRun::deadlocked`] set and
+/// the partial schedule flushed — that is exactly what the analyzer's
+/// deadlock check consumes). Every other abnormal termination (rank
+/// panic, watchdog trip, cancellation) comes back as `Err` with the
+/// kernel shut down cleanly. Under a fault plan the schedule holds one
+/// [`DropEvent`](mpp_runtime::DropEvent) per lost transmission attempt.
+/// Recording is never strict: the analyzer, not the kernel, judges the
+/// schedule.
 pub fn try_record_sources(
     machine: &Machine,
     lib: LibraryKind,
@@ -522,24 +446,8 @@ pub fn try_record_sources(
     alg: &dyn StpAlgorithm,
     control: &RunControl,
 ) -> Result<RecordedRun, SimError> {
-    try_plan_sources(machine, lib, sources, payload_of, alg, control, true)
-}
-
-/// [`try_record_sources`] with the recorder optional: `record: false`
-/// runs the same configuration without it (the serve daemon's unlinted
-/// plans). [`RecordedRun::events`] is then empty, and the outcome's
-/// [`KernelCounters`] still count every event a recording would hold.
-pub fn try_plan_sources(
-    machine: &Machine,
-    lib: LibraryKind,
-    sources: &[usize],
-    payload_of: &(dyn Fn(usize) -> Vec<u8> + Sync),
-    alg: &dyn StpAlgorithm,
-    control: &RunControl,
-    record: bool,
-) -> Result<RecordedRun, SimError> {
     let config = SimConfig {
-        record,
+        record: true,
         ..sim_config(lib, control)
     };
     match try_run_alg_with(machine, &config, sources, payload_of, alg) {
@@ -723,19 +631,6 @@ impl SweepRunner {
             })
             .collect()
     }
-
-    /// Run a list of fully-specified experiments.
-    ///
-    /// This is the convenience entry point for examples and figures:
-    /// any abnormal termination panics (after the other grid points
-    /// finish). Supervised sweeps — per-point failure reports, retries,
-    /// deadlines, checkpointing — go through
-    /// [`map_supervised`](SweepRunner::map_supervised).
-    pub fn run_experiments(&self, exps: &[Experiment]) -> Vec<Outcome> {
-        self.map(exps.to_vec(), |e| {
-            e.run().unwrap_or_else(|err| panic!("{err}"))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -798,12 +693,13 @@ mod tests {
         ];
         for (sources, why) in cases {
             let err = catch_unwind(|| {
-                run_sources(
+                try_run_sources_controlled(
                     &machine,
                     LibraryKind::Nx,
                     sources,
                     &|src| payload_for(src, 8),
                     AlgoKind::BrLin,
+                    &RunControl::default(),
                 )
             })
             .expect_err("a malformed source list ran");
@@ -836,12 +732,13 @@ mod tests {
     fn variable_length_messages_verify() {
         let machine = Machine::paragon(4, 4);
         let sources = SourceDist::DiagRight.place(machine.shape, 4);
-        let out = run_sources(
+        let out = try_run_sources_controlled(
             &machine,
             LibraryKind::Nx,
             &sources,
             &|src| payload_for(src, 64 + src * 32),
             AlgoKind::BrLin,
+            &RunControl::default(),
         )
         .expect("run failed");
         assert!(out.verified);
@@ -1129,7 +1026,7 @@ mod tests {
         let machine = Machine::paragon(4, 4);
         let sources = SourceDist::Equal.place(machine.shape, 5);
         let calls = AtomicUsize::new(0);
-        let out = run_sources(
+        let out = try_run_sources_controlled(
             &machine,
             LibraryKind::Nx,
             &sources,
@@ -1138,6 +1035,7 @@ mod tests {
                 payload_for(src, 64)
             },
             AlgoKind::BrXySource,
+            &RunControl::default(),
         )
         .expect("run failed");
         assert!(out.verified);
@@ -1159,10 +1057,12 @@ mod tests {
                 kind,
             })
             .collect();
-        let seq = SweepRunner::sequential().run_experiments(&exps);
-        let par = SweepRunner::sequential()
-            .with_workers(4)
-            .run_experiments(&exps);
+        let run = |workers| {
+            SweepRunner::sequential()
+                .with_workers(workers)
+                .map(exps.clone(), |e| e.run().expect("run failed"))
+        };
+        let (seq, par) = (run(1), run(4));
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
             assert!(a.verified && b.verified);
@@ -1223,14 +1123,17 @@ mod tests {
             msg_len: 256,
             kind: AlgoKind::BrXySource,
         };
-        let plan = FaultPlan::transient_drops(9, 1, 8, 6);
-        let out = exp.run_with_faults(&plan).expect("run failed");
+        let control = RunControl {
+            faults: Some(FaultPlan::transient_drops(9, 1, 8, 6)),
+            ..RunControl::default()
+        };
+        let out = exp.run_controlled(&control).expect("run failed");
         assert!(out.verified, "retry must restore full delivery");
         let retransmits: u64 = out.stats.iter().map(|s| s.retransmits).sum();
         assert!(retransmits > 0, "a 1/8 drop rate must hit some message");
         assert!(out.stats.iter().all(|s| s.dropped == 0));
         // The same plan is deterministic.
-        let again = exp.run_with_faults(&plan).expect("run failed");
+        let again = exp.run_controlled(&control).expect("run failed");
         assert_eq!(out.makespan_ns, again.makespan_ns);
         assert_eq!(out.finish_ns, again.finish_ns);
     }
@@ -1238,15 +1141,19 @@ mod tests {
     #[test]
     fn mpi_lib_is_slower_than_nx_on_paragon() {
         let machine = Machine::paragon(4, 4);
-        let exp = Experiment {
-            machine: &machine,
-            dist: SourceDist::Equal,
-            s: 6,
-            msg_len: 1024,
-            kind: AlgoKind::TwoStep,
+        let sources = SourceDist::Equal.place(machine.shape, 6);
+        let run = |lib| {
+            try_run_sources_controlled(
+                &machine,
+                lib,
+                &sources,
+                &|src| payload_for(src, 1024),
+                AlgoKind::TwoStep,
+                &RunControl::default(),
+            )
+            .expect("run failed")
         };
-        let nx = exp.run_with_lib(LibraryKind::Nx).expect("run failed");
-        let mpi = exp.run_with_lib(LibraryKind::Mpi).expect("run failed");
+        let (nx, mpi) = (run(LibraryKind::Nx), run(LibraryKind::Mpi));
         assert!(mpi.makespan_ns > nx.makespan_ns);
         let pct = (mpi.makespan_ns - nx.makespan_ns) as f64 / nx.makespan_ns as f64 * 100.0;
         assert!(

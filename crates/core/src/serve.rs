@@ -19,7 +19,7 @@
 //! * **Supervised planning** — every cold plan runs as a one-point
 //!   supervised sweep
 //!   ([`SweepRunner::map_supervised`](crate::runner::SweepRunner)):
-//!   `catch_unwind` containment, no retries (deterministic simulations
+//!   `catch_unwind` containment, one attempt (deterministic simulations
 //!   fail deterministically), and a per-request wall-clock deadline
 //!   armed on the request's own [`CancelToken`] — a poisoned or
 //!   runaway request is quarantined with an error response, never the
@@ -58,7 +58,9 @@ use crate::checkpoint::{json_escape, parse_json, CheckpointFile, JsonValue};
 use crate::distribution::SourceDist;
 use crate::msgset::payload_for;
 use crate::predict;
-use crate::runner::{try_plan_sources, AlgoKind, RecordedRun, RunControl, SweepRunner};
+use crate::runner::{
+    try_record_sources, try_run_alg_controlled, AlgoKind, RecordedRun, RunControl, SweepRunner,
+};
 use crate::select::{cost_regime, recommend, CostRegime};
 use crate::supervise::{chaos_algorithms, PointStatus, SuperviseOpts};
 
@@ -607,7 +609,6 @@ impl Planner {
         let key = spec.cache_id();
         let token = CancelToken::new();
         let opts = SuperviseOpts {
-            retries: 0,
             deadline: Some(spec.deadline),
             cancel: token.clone(),
             budget: self.budget.clone(),
@@ -628,7 +629,7 @@ impl Planner {
                 self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
                 error_response(&spec.id, &format!("plan failed: {plan_error}"), true)
             }
-            Some(PointStatus::Failed { error, .. }) => {
+            Some(PointStatus::Failed(error)) => {
                 self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
                 error_response(&spec.id, &format!("quarantined: {error}"), true)
             }
@@ -670,20 +671,38 @@ impl Planner {
         };
         // Only the analyzer reads the schedule log; a plain plan is the
         // same run without the recorder.
-        let run = try_plan_sources(
-            &spec.machine,
-            lib,
-            &sources,
-            &payload_of,
-            alg.as_ref(),
-            &control,
-            spec.lint,
-        )?;
-        if run.deadlocked {
+        let recorded = match spec.lint {
+            true => Some(try_record_sources(
+                &spec.machine,
+                lib,
+                &sources,
+                &payload_of,
+                alg.as_ref(),
+                &control,
+            )?),
+            false => None,
+        };
+        let unlinted;
+        let outcome = match &recorded {
+            Some(run) => run.outcome.as_ref(),
+            None => match try_run_alg_controlled(
+                &spec.machine,
+                lib,
+                &sources,
+                &payload_of,
+                alg.as_ref(),
+                &control,
+            ) {
+                Ok(outcome) => {
+                    unlinted = outcome;
+                    Some(&unlinted)
+                }
+                Err(SimError::Deadlock { .. }) => None,
+                Err(e) => return Err(e),
+            },
+        };
+        let Some(outcome) = outcome else {
             return Ok(Err("simulation deadlocked: every rank blocked".into()));
-        }
-        let Some(outcome) = &run.outcome else {
-            return Ok(Err("simulation produced no outcome".into()));
         };
 
         let mut body = String::with_capacity(512);
@@ -744,9 +763,9 @@ impl Planner {
             body.push_str(&src.to_string());
         }
         body.push_str(&format!("],\"lib\":\"{}\"}}", lib.name()));
-        if spec.lint {
+        if let Some(run) = &recorded {
             match &self.lint {
-                Some(lint) => match lint(spec, &run) {
+                Some(lint) => match lint(spec, run) {
                     Ok(report) => body.push_str(&format!(",\"lint\":{report}")),
                     Err(e) => return Ok(Err(format!("lint failed: {e}"))),
                 },

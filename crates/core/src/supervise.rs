@@ -1,4 +1,4 @@
-//! Supervised sweeps: panic-isolated grid points, retry + quarantine,
+//! Supervised sweeps: panic-isolated grid points, quarantine,
 //! wall-clock deadlines, and cooperative cancellation.
 //!
 //! [`SweepRunner::map`](crate::runner::SweepRunner::map) executes grid
@@ -7,8 +7,8 @@
 //! broken. Long sweeps over possibly-broken algorithms (the lint
 //! matrix, chaos-injection CI) instead go through
 //! [`SweepRunner::map_supervised`]: every grid point runs under
-//! `catch_unwind`, a failed point is retried once and then quarantined
-//! as [`PointStatus::Failed`] with the error text, and the sweep always
+//! `catch_unwind`, a failed point is quarantined as
+//! [`PointStatus::Failed`] with the error text, and the sweep always
 //! completes every healthy point. A shared [`CancelToken`] — optionally
 //! armed by a wall-clock deadline ([`SuperviseOpts::deadline`]) — aborts
 //! the remainder of the sweep cleanly: in-flight simulations exit at
@@ -28,7 +28,6 @@
 //! deliberately broken algorithms a supervised sweep must survive and
 //! report, not die from.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,6 +37,7 @@ use std::time::Duration;
 
 use mpp_model::{LibraryKind, Machine, MeshShape};
 use mpp_runtime::{CancelToken, CommFuture, RankCtx, SimBudget, SimError};
+use mpp_sim::error::panic_message;
 
 use crate::algorithms::{StpAlgorithm, StpCtx};
 use crate::checkpoint::{json_escape, CheckpointFile};
@@ -48,11 +48,6 @@ use crate::runner::{AlgoKind, SweepRunner};
 /// Supervision policy for one sweep.
 #[derive(Debug, Clone)]
 pub struct SuperviseOpts {
-    /// Re-runs granted to a failed point before it is quarantined.
-    /// Deterministic simulations fail deterministically, so this guards
-    /// against *host* flakiness (OOM kills, thread-spawn failures), not
-    /// algorithm bugs. Default 1.
-    pub retries: usize,
     /// Wall-clock budget for the whole sweep; on expiry the shared
     /// token is cancelled and the remaining points are skipped.
     pub deadline: Option<Duration>,
@@ -67,7 +62,6 @@ pub struct SuperviseOpts {
 impl Default for SuperviseOpts {
     fn default() -> Self {
         SuperviseOpts {
-            retries: 1,
             deadline: None,
             cancel: CancelToken::new(),
             budget: SimBudget::default(),
@@ -94,34 +88,13 @@ impl SuperviseOpts {
 pub enum PointStatus<T> {
     /// The point completed; its result.
     Done(T),
-    /// The point failed every attempt and was quarantined.
-    Failed {
-        /// Attempts consumed (1 + retries).
-        attempts: usize,
-        /// The final attempt's error or panic message.
-        error: String,
-    },
+    /// The point failed and was quarantined; its error or panic
+    /// message.
+    Failed(String),
     /// The point was not run (or was cancelled mid-run) because the
     /// sweep was cancelled or hit its deadline. A checkpoint/resume
     /// cycle re-runs skipped points.
     Skipped,
-}
-
-impl<T> PointStatus<T> {
-    /// True for [`PointStatus::Done`].
-    pub fn is_done(&self) -> bool {
-        matches!(self, PointStatus::Done(_))
-    }
-}
-
-/// `(done, failed, skipped)` counts over a finished supervised sweep.
-pub fn tally<T>(statuses: &[PointStatus<T>]) -> (usize, usize, usize) {
-    let done = statuses.iter().filter(|s| s.is_done()).count();
-    let failed = statuses
-        .iter()
-        .filter(|s| matches!(s, PointStatus::Failed { .. }))
-        .count();
-    (done, failed, statuses.len() - done - failed)
 }
 
 /// Arms a background timer that cancels `token` after `after`, unless
@@ -155,18 +128,11 @@ impl Drop for DeadlineGuard {
     }
 }
 
-fn panic_message(payload: Box<dyn Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
-/// Run one point under the supervision policy: panic containment,
-/// retry-once, cancellation awareness.
+/// Run one point under the supervision policy: panic containment and
+/// cancellation awareness. A failed point runs once: every failure
+/// caught here is deterministic (the executor starts no thread, and a
+/// Rust allocation failure aborts the process), so a re-run would only
+/// fail again.
 fn supervise_point<I, T>(
     item: &I,
     job: &(dyn Fn(&I) -> Result<T, SimError> + Sync),
@@ -175,28 +141,23 @@ fn supervise_point<I, T>(
     if opts.cancel.is_cancelled() {
         return PointStatus::Skipped;
     }
-    let attempts = opts.retries + 1;
-    let mut error = String::new();
-    for _ in 0..attempts {
-        match catch_unwind(AssertUnwindSafe(|| job(item))) {
-            Ok(Ok(v)) => return PointStatus::Done(v),
-            // The run was stopped by the sweep-level token, not by its
-            // own bug: the point is unfinished work, not a failure.
-            Ok(Err(SimError::Cancelled)) => return PointStatus::Skipped,
-            Ok(Err(e)) => error = e.to_string(),
-            Err(payload) => error = panic_message(payload),
-        }
-        if opts.cancel.is_cancelled() {
-            return PointStatus::Skipped;
-        }
+    let error = match catch_unwind(AssertUnwindSafe(|| job(item))) {
+        Ok(Ok(v)) => return PointStatus::Done(v),
+        // The run was stopped by the sweep-level token, not by its
+        // own bug: the point is unfinished work, not a failure.
+        Ok(Err(SimError::Cancelled)) => return PointStatus::Skipped,
+        Ok(Err(e)) => e.to_string(),
+        Err(payload) => panic_message(&*payload),
+    };
+    if opts.cancel.is_cancelled() {
+        return PointStatus::Skipped;
     }
-    PointStatus::Failed { attempts, error }
+    PointStatus::Failed(error)
 }
 
 impl SweepRunner {
     /// [`map`](SweepRunner::map) under a supervision policy: each grid
-    /// point runs under `catch_unwind`, failures are retried
-    /// (`opts.retries`) and then quarantined as
+    /// point runs under `catch_unwind`, a failure is quarantined as
     /// [`PointStatus::Failed`], and the shared token / deadline skips
     /// the remainder of the sweep on cancellation. Statuses come back
     /// in input order; `observe(index, &status)` fires as each point
@@ -236,9 +197,7 @@ impl SweepRunner {
 pub struct PointFailure {
     /// Stable point id (`algo/dist/RxC/sN` on the acceptance matrix).
     pub id: String,
-    /// Attempts consumed before quarantine.
-    pub attempts: usize,
-    /// The final attempt's error text.
+    /// The error or panic message.
     pub error: String,
 }
 
@@ -272,9 +231,8 @@ impl<T> SupervisedRun<T> {
             .iter()
             .map(|f| {
                 format!(
-                    "{{\"id\":\"{}\",\"attempts\":{},\"error\":\"{}\"}}",
+                    "{{\"id\":\"{}\",\"error\":\"{}\"}}",
                     json_escape(&f.id),
-                    f.attempts,
                     json_escape(&f.error)
                 )
             })
@@ -401,18 +359,14 @@ impl SweepRunner {
                     PointStatus::Done(records) => {
                         PointStatus::Done(records.next().expect("one record per member"))
                     }
-                    PointStatus::Failed { attempts, error } => PointStatus::Failed {
-                        attempts: *attempts,
-                        error: error.clone(),
-                    },
+                    PointStatus::Failed(error) => PointStatus::Failed(error.clone()),
                     PointStatus::Skipped => PointStatus::Skipped,
                 },
             };
             match status {
                 PointStatus::Done(value) => out.done.push(value),
-                PointStatus::Failed { attempts, error } => out.failures.push(PointFailure {
+                PointStatus::Failed(error) => out.failures.push(PointFailure {
                     id: id.clone(),
-                    attempts,
                     error,
                 }),
                 PointStatus::Skipped => out.skipped.push(id.clone()),
@@ -627,6 +581,20 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
+    /// `(done, failed, skipped)` counts over a finished supervised sweep.
+    fn tally<T>(statuses: &[PointStatus<T>]) -> (usize, usize, usize) {
+        let done = statuses.iter().filter(|s| is_done(s)).count();
+        let failed = statuses
+            .iter()
+            .filter(|s| matches!(s, PointStatus::Failed(_)))
+            .count();
+        (done, failed, statuses.len() - done - failed)
+    }
+
+    fn is_done<T>(status: &PointStatus<T>) -> bool {
+        matches!(status, PointStatus::Done(_))
+    }
+
     #[test]
     fn healthy_points_all_complete() {
         let observed = Mutex::new(Vec::new());
@@ -635,7 +603,7 @@ mod tests {
             |&i| Ok(i * 3),
             &SuperviseOpts::default(),
             |index, status: &PointStatus<usize>| {
-                observed.lock().unwrap().push((index, status.is_done()));
+                observed.lock().unwrap().push((index, is_done(status)));
             },
         );
         let (done, failed, skipped) = tally(&statuses);
@@ -656,7 +624,7 @@ mod tests {
     }
 
     #[test]
-    fn failed_points_are_retried_then_quarantined() {
+    fn failed_points_run_once_then_are_quarantined() {
         crate::runner::tests_hush_deliberate_panics();
         let attempts_on_3 = AtomicUsize::new(0);
         let statuses = SweepRunner::sequential().with_workers(3).map_supervised(
@@ -679,16 +647,15 @@ mod tests {
         );
         let (done, failed, skipped) = tally(&statuses);
         assert_eq!((done, failed, skipped), (6, 2, 0));
-        assert_eq!(attempts_on_3.load(Ordering::Relaxed), 2, "retried once");
+        assert_eq!(attempts_on_3.load(Ordering::Relaxed), 1, "run once");
         match &statuses[3] {
-            PointStatus::Failed { attempts, error } => {
-                assert_eq!(*attempts, 2);
+            PointStatus::Failed(error) => {
                 assert!(error.contains("point 3"), "got {error:?}");
             }
             other => panic!("point 3 should be Failed, got {other:?}"),
         }
         match &statuses[5] {
-            PointStatus::Failed { error, .. } => {
+            PointStatus::Failed(error) => {
                 assert!(error.contains("rank 0"), "got {error:?}")
             }
             other => panic!("point 5 should be Failed, got {other:?}"),
@@ -777,10 +744,7 @@ mod tests {
                 Ok(i)
             },
             |_, &v| v,
-            &SuperviseOpts {
-                retries: 0,
-                ..SuperviseOpts::default()
-            },
+            &SuperviseOpts::default(),
         );
         let mut executed = executed.into_inner().unwrap();
         executed.sort();
@@ -809,7 +773,7 @@ mod tests {
         let [failure] = &second.failures[..] else {
             panic!("exactly point 4 fails: {:?}", second.failures);
         };
-        assert_eq!((failure.id.as_str(), failure.attempts), ("p4", 1));
+        assert_eq!(failure.id, "p4");
         assert!(failure.error.contains("point 4"), "{}", failure.error);
         assert_eq!(cp.completed(), 7);
 
@@ -820,7 +784,7 @@ mod tests {
         assert_eq!(reference.summary_json(), second.summary_json());
         assert_eq!(
             second.summary_json(),
-            "\"points\":8,\"failures\":[{\"id\":\"p4\",\"attempts\":1,\
+            "\"points\":8,\"failures\":[{\"id\":\"p4\",\
              \"error\":\"deliberate test panic in point 4\"}],\"skipped\":[]"
         );
     }

@@ -135,8 +135,8 @@ fn run_point(pt: &Point, opts: &SuperviseOpts) -> Result<String, mpp_runtime::Si
 
 /// Resumable supervised sweep over `points`. Returns the report lines
 /// (records, then failures, then skips — each in grid order) plus how
-/// many times the job actually executed (a failed point is retried
-/// once, so it counts twice).
+/// many times the job actually executed (once per point that was not
+/// replayed, failed points included).
 fn sweep(points: Vec<Point>, checkpoint: Option<&CheckpointFile>) -> (Vec<String>, usize) {
     let opts = SuperviseOpts::default();
     let ids = points.iter().map(point_id).collect();
@@ -158,7 +158,7 @@ fn sweep(points: Vec<Point>, checkpoint: Option<&CheckpointFile>) -> (Vec<String
     let failed = run
         .failures
         .iter()
-        .map(|f| format!("{}:FAILED after {} attempts: {}", f.id, f.attempts, f.error));
+        .map(|f| format!("{}:FAILED: {}", f.id, f.error));
     let skipped = run.skipped.iter().map(|id| format!("{id}:SKIPPED"));
     let report = run.done.iter().cloned().chain(failed).chain(skipped);
     (report.collect(), executed.load(Ordering::Relaxed))
@@ -209,7 +209,7 @@ fn interrupted_sweep_resumes_without_replaying_completed_points() {
 
     // The uninterrupted reference run.
     let (reference, ran_all) = sweep(grid(), None);
-    assert_eq!(ran_all, 14 + 2, "every point once, failed points twice");
+    assert_eq!(ran_all, 14, "every point once, failed points too");
 
     // "Interrupted" run: only the first half of the grid reaches the
     // checkpoint before the (simulated) kill.
@@ -279,7 +279,7 @@ fn matrix_sweep(
     let failed = run
         .failures
         .iter()
-        .map(|f| format!("{}:FAILED after {} attempts: {}", f.id, f.attempts, f.error));
+        .map(|f| format!("{}:FAILED: {}", f.id, f.error));
     let skipped = run.skipped.iter().map(|id| format!("{id}:SKIPPED"));
     let report = run
         .done
@@ -310,18 +310,14 @@ fn every_member_of_a_failed_experiment_fails_under_its_own_id() {
         .collect();
     let (run, _, simulated) = matrix_sweep(points, None);
     assert_eq!((run.total, run.experiments), (2, 1));
-    assert_eq!(simulated, 2, "one representative, retried once");
+    assert_eq!(simulated, 1, "one representative, run once");
     assert!(run.done.is_empty() && run.skipped.is_empty());
     let ids: Vec<&str> = run.failures.iter().map(|f| f.id.as_str()).collect();
     assert_eq!(ids, ["chaos:panic/R/1x2/s2", "chaos:panic/C/1x2/s2"]);
     let [first, second] = &run.failures[..] else {
         unreachable!()
     };
-    assert_eq!(
-        (first.attempts, &first.error),
-        (second.attempts, &second.error)
-    );
-    assert_eq!(first.attempts, 2);
+    assert_eq!(first.error, second.error);
     assert!(first.error.contains(CHAOS_PANIC_MSG), "{}", first.error);
 }
 

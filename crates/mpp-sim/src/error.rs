@@ -1,8 +1,7 @@
 //! Structured simulation errors.
 //!
 //! Every way a simulation can end abnormally — deadlock, a panicking
-//! rank program, a tripped watchdog budget, a wall-clock deadline, or
-//! external cancellation — surfaces as a [`SimError`] from
+//! rank program, a tripped watchdog budget, or external cancellation — surfaces as a [`SimError`] from
 //! [`try_simulate_with`](crate::try_simulate_with). The panicking entry
 //! points ([`simulate`](crate::simulate) /
 //! [`simulate_with`](crate::simulate_with)) are thin shims that unwrap
@@ -48,12 +47,6 @@ pub enum SimError {
         /// Per-rank one-line state descriptions at trip time.
         states: Vec<String>,
     },
-    /// The run exceeded the wall-clock ceiling of its
-    /// [`SimBudget`](crate::SimBudget).
-    DeadlineExceeded {
-        /// The configured ceiling, in milliseconds.
-        wall_ms: u64,
-    },
     /// The run's [`CancelToken`](crate::CancelToken) was cancelled.
     Cancelled,
     /// A [`SimConfig::strict`](crate::SimConfig::strict) runtime check
@@ -88,9 +81,6 @@ impl fmt::Display for SimError {
                      at {virtual_ns}ns of virtual time (livelock?): {states:#?}"
                 )
             }
-            SimError::DeadlineExceeded { wall_ms } => {
-                write!(f, "simulation exceeded its {wall_ms}ms wall-clock deadline")
-            }
             SimError::Cancelled => write!(f, "simulation cancelled"),
             SimError::StrictViolation(msg) => write!(f, "{msg}"),
         }
@@ -107,7 +97,6 @@ impl SimError {
             SimError::Deadlock { .. } => "deadlock",
             SimError::RankPanic { .. } => "rank_panic",
             SimError::WatchdogTripped { .. } => "watchdog",
-            SimError::DeadlineExceeded { .. } => "deadline",
             SimError::Cancelled => "cancelled",
             SimError::StrictViolation(_) => "strict_violation",
         }
@@ -115,7 +104,7 @@ impl SimError {
 }
 
 /// Stringify a caught panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -286,7 +286,6 @@ fn trip_error(
             virtual_ns,
             states: describe_ranks(core, cells, phases),
         },
-        WatchdogTrip::Wall(wall_ms) => SimError::DeadlineExceeded { wall_ms },
         WatchdogTrip::Cancelled => SimError::Cancelled,
     }
 }
@@ -349,7 +348,7 @@ where
     let mut in_barrier = 0usize;
     let mut live = p;
     let mut finish_ns = vec![0; p];
-    let mut watchdog = Watchdog::for_run(&config.budget, &config.cancel);
+    let watchdog = Watchdog::for_run(&config.budget, &config.cancel);
 
     // The scheduling loop proper; every abnormal exit bubbles out as
     // `Err` for the teardown below (drop the slab with every unfinished
@@ -422,7 +421,7 @@ where
                 });
             };
 
-            if let Some(wd) = watchdog.as_mut() {
+            if let Some(wd) = &watchdog {
                 if let Err(trip) = wd.check(core.counters.events, eff) {
                     return Err(trip_error(trip, &mut core, &cells, &phases));
                 }

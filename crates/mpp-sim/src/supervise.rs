@@ -10,15 +10,16 @@
 //!   engine, a service handler, a signal handler) flips to make every
 //!   simulation holding the token exit with `SimError::Cancelled` at
 //!   its next scheduling step.
-//! * [`SimBudget`] — event-count, virtual-time, and wall-clock ceilings
-//!   that convert livelocks (e.g. infinite retry loops under hostile
-//!   fault plans) into `SimError::WatchdogTripped` /
-//!   `SimError::DeadlineExceeded` with a per-rank diagnostic dump
+//! * [`SimBudget`] — event-count and virtual-time ceilings that convert
+//!   livelocks (e.g. infinite retry loops under hostile fault plans)
+//!   into `SimError::WatchdogTripped` with a per-rank diagnostic dump
 //!   instead of an unbounded spin.
+//!
+//! A wall-clock deadline is the supervisor's: it cancels the run's
+//! token when time is up (`stp_core::supervise::SuperviseOpts`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use mpp_model::Time;
 
@@ -60,15 +61,12 @@ pub struct SimBudget {
     pub max_events: Option<u64>,
     /// Maximum virtual time (ns) any scheduled event may reach.
     pub max_virtual_ns: Option<Time>,
-    /// Maximum wall-clock runtime before the run exits with
-    /// [`SimError::DeadlineExceeded`](crate::SimError::DeadlineExceeded).
-    pub max_wall: Option<Duration>,
 }
 
 impl SimBudget {
     /// True when no ceiling is set (the watchdog costs nothing).
     pub fn is_unlimited(&self) -> bool {
-        self.max_events.is_none() && self.max_virtual_ns.is_none() && self.max_wall.is_none()
+        self.max_events.is_none() && self.max_virtual_ns.is_none()
     }
 }
 
@@ -78,8 +76,6 @@ pub(crate) enum WatchdogTrip {
     /// The event-count or virtual-time budget was exceeded;
     /// carries `(events_processed, virtual_ns)` at trip time.
     Budget(u64, Time),
-    /// The wall-clock ceiling (ms) was exceeded.
-    Wall(u64),
     /// The run's [`CancelToken`] was cancelled.
     Cancelled,
 }
@@ -90,9 +86,6 @@ pub(crate) enum WatchdogTrip {
 pub(crate) struct Watchdog {
     budget: SimBudget,
     cancel: Option<CancelToken>,
-    /// Lazily started on the first check so unlimited-wall runs never
-    /// touch the host clock (keeps the Miri job happy).
-    started: Option<std::time::Instant>,
 }
 
 impl Watchdog {
@@ -104,15 +97,14 @@ impl Watchdog {
         Some(Watchdog {
             budget: budget.clone(),
             cancel: cancel.clone(),
-            started: None,
         })
     }
 
     /// Check every ceiling against the run's progress. `events` is the
     /// kernel's processed-event count, `virtual_ns` the virtual time of
     /// the event about to be dispatched. Called once per scheduling
-    /// step; the wall-clock probe is amortized (every 4096 events).
-    pub fn check(&mut self, events: u64, virtual_ns: Time) -> Result<(), WatchdogTrip> {
+    /// step.
+    pub fn check(&self, events: u64, virtual_ns: Time) -> Result<(), WatchdogTrip> {
         if let Some(cancel) = &self.cancel {
             if cancel.is_cancelled() {
                 return Err(WatchdogTrip::Cancelled);
@@ -126,12 +118,6 @@ impl Watchdog {
         if let Some(max) = self.budget.max_virtual_ns {
             if virtual_ns > max {
                 return Err(WatchdogTrip::Budget(events, virtual_ns));
-            }
-        }
-        if let Some(max_wall) = self.budget.max_wall {
-            let started = self.started.get_or_insert_with(std::time::Instant::now);
-            if events.is_multiple_of(4096) && started.elapsed() > max_wall {
-                return Err(WatchdogTrip::Wall(max_wall.as_millis() as u64));
             }
         }
         Ok(())
@@ -163,10 +149,6 @@ mod tests {
             },
             SimBudget {
                 max_virtual_ns: Some(1_000),
-                ..SimBudget::default()
-            },
-            SimBudget {
-                max_wall: Some(Duration::from_millis(5)),
                 ..SimBudget::default()
             },
         ] {

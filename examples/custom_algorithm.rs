@@ -73,13 +73,17 @@ fn main() {
     //    that breaks it replays exactly.
     for seed in 0..4 {
         let plan = FaultPlan::parse(&format!("seed={seed},delay=1/2:150000")).unwrap();
+        let control = RunControl {
+            faults: Some(plan.clone()),
+            ..RunControl::default()
+        };
         let out = try_run_alg_controlled(
             &machine,
             LibraryKind::Nx,
             &sources,
             &|src| payload_for(src, len),
             &RingPipeline,
-            &RunControl::with_faults(Some(&plan)),
+            &control,
         )
         .expect("run failed");
         assert!(out.verified, "RingPipeline lost a message under {plan:?}");

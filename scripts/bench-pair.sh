@@ -12,6 +12,8 @@
 # Build the parent in its own clone with its own CARGO_TARGET_DIR. The
 # change is this checkout: its working tree when it has uncommitted
 # changes (the parent is then HEAD), else HEAD (the parent is HEAD~1).
+# Pass the same path twice for a self-pair: the line's parent is then
+# the change itself, and its spread is the box's.
 # Within a pair both sides get the same seed; which side runs first
 # alternates from pair to pair. Run nothing else on the machine meanwhile.
 set -euo pipefail
@@ -51,6 +53,12 @@ if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
 else
     commit=$(git rev-parse HEAD)
     parent_commit=$(git rev-parse HEAD~1)
+fi
+# A self-pair (one path given as both sides) measures the box's spread;
+# both sides are then the change. Two separate builds always keep their
+# own commits, even when their binaries happen to be byte-identical.
+if [ "$(realpath "$parent")" = "$(realpath "$change")" ]; then
+    parent_commit=$commit
 fi
 
 work="$(mktemp -d "${TMPDIR:-/tmp}/bench-pair.XXXXXX")"

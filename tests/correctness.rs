@@ -3,7 +3,7 @@
 //! payloads.
 
 use stp_broadcast::prelude::*;
-use stp_broadcast::stp::runner::run_sources;
+use stp_broadcast::stp::runner::{try_run_sources_controlled, RunControl};
 
 fn all_kinds() -> &'static [AlgoKind] {
     AlgoKind::all()
@@ -121,8 +121,15 @@ fn empty_payloads_still_broadcast() {
     let machine = Machine::paragon(4, 4);
     for &kind in all_kinds() {
         let sources = SourceDist::DiagRight.place(machine.shape, 4);
-        let out = run_sources(&machine, LibraryKind::Nx, &sources, &|_| Vec::new(), kind)
-            .expect("run failed");
+        let out = try_run_sources_controlled(
+            &machine,
+            LibraryKind::Nx,
+            &sources,
+            &|_| Vec::new(),
+            kind,
+            &RunControl::default(),
+        )
+        .expect("run failed");
         assert!(out.verified, "{} with zero-length messages", kind.name());
     }
 }
@@ -134,12 +141,13 @@ fn variable_length_payloads() {
     let machine = Machine::paragon(4, 5);
     for &kind in all_kinds() {
         let sources = SourceDist::Cross.place(machine.shape, 7);
-        let out = run_sources(
+        let out = try_run_sources_controlled(
             &machine,
             LibraryKind::Nx,
             &sources,
             &|src| payload_for(src, 32 + (src % 5) * 100),
             kind,
+            &RunControl::default(),
         )
         .expect("run failed");
         assert!(out.verified, "{} with variable lengths", kind.name());

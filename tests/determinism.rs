@@ -126,8 +126,9 @@ fn parallel_sweep_bit_identical_to_sequential() {
             })
         })
         .collect();
-    let seq = SweepRunner::sequential().run_experiments(&grid);
-    let par = SweepRunner::new().with_workers(4).run_experiments(&grid);
+    let run = |runner: SweepRunner| runner.map(grid.clone(), |e| e.run().expect("run failed"));
+    let seq = run(SweepRunner::sequential());
+    let par = run(SweepRunner::new().with_workers(4));
     assert_eq!(seq.len(), par.len());
     for (i, (a, b)) in seq.iter().zip(&par).enumerate() {
         assert!(a.verified && b.verified);
@@ -205,16 +206,17 @@ fn counters_match_the_log(
     alg: &dyn stp_broadcast::stp::algorithms::StpAlgorithm,
     faults: Option<&stp_broadcast::runtime::FaultPlan>,
 ) -> [u64; 6] {
-    use stp_broadcast::stp::runner::{try_plan_sources, RunControl};
-    let control = RunControl::with_faults(faults);
-    let payload_of = |src: usize| stp_broadcast::stp::msgset::payload_for(src, 64);
-    let run = |record| {
-        try_plan_sources(machine, lib, sources, &payload_of, alg, &control, record)
-            .expect("run failed")
+    use stp_broadcast::stp::runner::{try_record_sources, try_run_alg_controlled, RunControl};
+    let control = RunControl {
+        faults: faults.cloned(),
+        ..RunControl::default()
     };
-    let (recorded, plain) = (run(true), run(false));
-    assert!(plain.events.is_empty());
-    let (r, q) = (recorded.outcome.unwrap(), plain.outcome.unwrap());
+    let payload_of = |src: usize| stp_broadcast::stp::msgset::payload_for(src, 64);
+    let recorded = try_record_sources(machine, lib, sources, &payload_of, alg, &control)
+        .expect("recording failed");
+    let q = try_run_alg_controlled(machine, lib, sources, &payload_of, alg, &control)
+        .expect("run failed");
+    let r = recorded.outcome.unwrap();
     let counts = schedule_counts(&r.counters);
     assert_eq!(counts, log_lengths(&recorded.events), "{}", alg.name());
     assert_eq!(r.counters.schedule_events() as usize, recorded.events.len());
@@ -285,18 +287,20 @@ fn kernel_counters_equal_the_recorded_log() {
 #[test]
 fn a_deadlock_reports_the_counters_of_its_partial_log() {
     use stp_broadcast::runtime::SimError;
-    use stp_broadcast::stp::runner::{record_sources, try_run_alg_controlled, RunControl};
+    use stp_broadcast::stp::runner::{try_record_sources, try_run_alg_controlled, RunControl};
     use stp_broadcast::stp::supervise::ChaosDeadlock;
     let machine = Machine::paragon(4, 4);
     let sources = SourceDist::Equal.place(machine.shape, 4);
     let payload_of = |src: usize| stp_broadcast::stp::msgset::payload_for(src, 64);
-    let recorded = record_sources(
+    let recorded = try_record_sources(
         &machine,
         LibraryKind::Nx,
         &sources,
         &payload_of,
         &ChaosDeadlock,
-    );
+        &RunControl::default(),
+    )
+    .expect("recording failed");
     assert!(recorded.deadlocked);
     let plain = try_run_alg_controlled(
         &machine,

@@ -21,7 +21,7 @@ use stp_broadcast::model::{Machine, MachineParams, MeshShape, Placement, Topolog
 use stp_broadcast::runtime::{EventKind, EventLog, FaultPlan};
 use stp_broadcast::stp::distribution::SourceDist;
 use stp_broadcast::stp::msgset::payload_for;
-use stp_broadcast::stp::runner::{record_sources_faulty, AlgoKind, RecordedRun};
+use stp_broadcast::stp::runner::{try_record_sources, AlgoKind, RecordedRun, RunControl};
 
 /// Record one grid point, under `plan` when there is one.
 fn record(
@@ -33,14 +33,20 @@ fn record(
 ) -> RecordedRun {
     let sources = dist.place(machine.shape, s);
     let alg = kind.build();
-    record_sources_faulty(
+    let control = RunControl {
+        faults: plan.cloned(),
+        ..RunControl::default()
+    };
+    let payload_of = |src| payload_for(src, 64);
+    try_record_sources(
         machine,
         kind.default_lib(),
         &sources,
-        &|src| payload_for(src, 64),
+        &payload_of,
         alg.as_ref(),
-        plan,
+        &control,
     )
+    .expect("recording failed")
 }
 
 /// The executor's ordering invariant, read off a recording: sends,

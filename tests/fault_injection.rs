@@ -29,7 +29,10 @@ fn record(machine: &Machine, kind: AlgoKind, s: usize, faults: Option<&FaultPlan
         &sources,
         &|src| payload_for(src, 64),
         kind.build().as_ref(),
-        &RunControl::with_faults(faults),
+        &RunControl {
+            faults: faults.cloned(),
+            ..RunControl::default()
+        },
     )
     .unwrap_or_else(|e| panic!("{} under {faults:?}: {e}", kind.name()))
 }

@@ -9,7 +9,7 @@ use stp_broadcast::model::{Machine, MachineParams, MeshShape, Placement, Topolog
 use stp_broadcast::runtime::{FaultPlan, RetryPolicy};
 use stp_broadcast::stp::distribution::SourceDist;
 use stp_broadcast::stp::msgset::payload_for;
-use stp_broadcast::stp::runner::{record_sources_faulty, AlgoKind, Experiment};
+use stp_broadcast::stp::runner::{try_record_sources, AlgoKind, Experiment, RunControl};
 
 fn experiment(machine: &Machine, kind: AlgoKind, s: usize) -> Experiment<'_> {
     Experiment {
@@ -27,11 +27,14 @@ fn experiment(machine: &Machine, kind: AlgoKind, s: usize) -> Experiment<'_> {
 #[test]
 fn all_algorithms_deliver_under_transient_drops() {
     let machine = Machine::paragon(4, 4);
-    let plan = FaultPlan::transient_drops(21, 1, 8, 6);
+    let control = RunControl {
+        faults: Some(FaultPlan::transient_drops(21, 1, 8, 6)),
+        ..RunControl::default()
+    };
     let mut total_retransmits = 0u64;
     for &kind in AlgoKind::all() {
         let out = experiment(&machine, kind, 5)
-            .run_with_faults(&plan)
+            .run_controlled(&control)
             .expect("run failed");
         assert!(
             out.verified,
@@ -66,8 +69,11 @@ fn faulted_overhead_on_a_16x16_cross() {
         kind: AlgoKind::BrXySource,
     };
     let clean = exp.run().expect("run failed");
-    let plan = FaultPlan::parse("seed=11,drop=1/8,retry=6:2000").expect("valid spec");
-    let faulted = exp.run_with_faults(&plan).expect("run failed");
+    let control = RunControl {
+        faults: Some(FaultPlan::parse("seed=11,drop=1/8,retry=6:2000").expect("valid spec")),
+        ..RunControl::default()
+    };
+    let faulted = exp.run_controlled(&control).expect("run failed");
     assert!(clean.verified && faulted.verified);
     let lost: u64 = faulted.stats.iter().map(|st| st.dropped).sum();
     let retransmits: u64 = faulted.stats.iter().map(|st| st.retransmits).sum();
@@ -83,9 +89,12 @@ fn faulted_overhead_on_a_16x16_cross() {
 fn fault_plans_replay_from_their_seed() {
     let machine = Machine::paragon(4, 4);
     let exp = experiment(&machine, AlgoKind::BrXySource, 6);
-    let plan = FaultPlan::transient_drops(3, 1, 4, 8);
-    let a = exp.run_with_faults(&plan).expect("run failed");
-    let b = exp.run_with_faults(&plan).expect("run failed");
+    let control = RunControl {
+        faults: Some(FaultPlan::transient_drops(3, 1, 4, 8)),
+        ..RunControl::default()
+    };
+    let a = exp.run_controlled(&control).expect("run failed");
+    let b = exp.run_controlled(&control).expect("run failed");
     assert_eq!(a.makespan_ns, b.makespan_ns);
     assert_eq!(a.finish_ns, b.finish_ns);
     assert_eq!(a.stats, b.stats);
@@ -100,8 +109,11 @@ fn link_outage_reroutes_and_charges_detours() {
     let machine = Machine::paragon(4, 4);
     let exp = experiment(&machine, AlgoKind::TwoStep, 4);
     let clean = exp.run().expect("run failed");
-    let plan = FaultPlan::parse("link=5-6@0..").expect("valid spec");
-    let faulted = exp.run_with_faults(&plan).expect("run failed");
+    let control = RunControl {
+        faults: Some(FaultPlan::parse("link=5-6@0..").expect("valid spec")),
+        ..RunControl::default()
+    };
+    let faulted = exp.run_controlled(&control).expect("run failed");
     assert!(faulted.verified, "rerouting must preserve delivery");
     let rerouted: u64 = faulted.stats.iter().map(|st| st.rerouted_hops).sum();
     let detour_ns: u64 = faulted.stats.iter().map(|st| st.detour_ns).sum();
@@ -114,7 +126,7 @@ fn link_outage_reroutes_and_charges_detours() {
         faulted.finish_ns, clean.finish_ns,
         "detours must perturb some rank's finish time"
     );
-    let again = exp.run_with_faults(&plan).expect("run failed");
+    let again = exp.run_controlled(&control).expect("run failed");
     assert_eq!(faulted.finish_ns, again.finish_ns);
     assert_eq!(faulted.makespan_ns, again.makespan_ns);
 }
@@ -129,16 +141,20 @@ fn node_crash_is_diagnosed_as_lost_messages() {
     let machine = Machine::paragon(4, 4);
     let sources = SourceDist::Equal.place(machine.shape, 4);
     let payload_of = |src: usize| payload_for(src, 64);
-    let plan = FaultPlan::parse("crash=15@0").expect("valid spec");
+    let control = RunControl {
+        faults: Some(FaultPlan::parse("crash=15@0").expect("valid spec")),
+        ..RunControl::default()
+    };
     let alg = AlgoKind::BrLin.build();
-    let run = record_sources_faulty(
+    let run = try_record_sources(
         &machine,
         AlgoKind::BrLin.default_lib(),
         &sources,
         &payload_of,
         alg.as_ref(),
-        Some(&plan),
-    );
+        &control,
+    )
+    .expect("recording failed");
     assert!(run.deadlocked, "rank 15's feeders must starve");
     let sched = Schedule::from_recorded(&run, machine.p());
     assert!(
@@ -164,25 +180,29 @@ fn exhausted_budget_counts_losses() {
     let machine = Machine::paragon(2, 2);
     let sources = vec![0usize];
     let payload_of = |src: usize| payload_for(src, 64);
-    let plan = FaultPlan {
-        seed: 1,
-        drop_num: 1,
-        drop_den: 1,
-        retry: RetryPolicy {
-            max_attempts: 3,
-            backoff_ns: 100,
-        },
-        ..FaultPlan::default()
+    let control = RunControl {
+        faults: Some(FaultPlan {
+            seed: 1,
+            drop_num: 1,
+            drop_den: 1,
+            retry: RetryPolicy {
+                max_attempts: 3,
+                backoff_ns: 100,
+            },
+            ..FaultPlan::default()
+        }),
+        ..RunControl::default()
     };
     let alg = AlgoKind::BrLin.build();
-    let run = record_sources_faulty(
+    let run = try_record_sources(
         &machine,
         AlgoKind::BrLin.default_lib(),
         &sources,
         &payload_of,
         alg.as_ref(),
-        Some(&plan),
-    );
+        &control,
+    )
+    .expect("recording failed");
     assert!(run.deadlocked, "total loss must starve the receivers");
     let sched = Schedule::from_recorded(&run, machine.p());
     assert!(!sched.sends.is_empty());
@@ -215,27 +235,31 @@ fn batch_members_burn_individual_retry_budgets() {
     );
     let sources = vec![0usize];
     let payload_of = |src: usize| payload_for(src, 64);
-    let plan = FaultPlan {
-        seed: 1,
-        drop_num: 1,
-        drop_den: 1,
-        retry: RetryPolicy {
-            max_attempts: 3,
-            backoff_ns: 100,
-        },
-        ..FaultPlan::default()
+    let control = RunControl {
+        faults: Some(FaultPlan {
+            seed: 1,
+            drop_num: 1,
+            drop_den: 1,
+            retry: RetryPolicy {
+                max_attempts: 3,
+                backoff_ns: 100,
+            },
+            ..FaultPlan::default()
+        }),
+        ..RunControl::default()
     };
     // KPort_Alltoall ships the source's message to all three peers in
     // one batch — three members, one α_send.
     let alg = AlgoKind::KPortAlltoall.build();
-    let run = record_sources_faulty(
+    let run = try_record_sources(
         &machine,
         AlgoKind::KPortAlltoall.default_lib(),
         &sources,
         &payload_of,
         alg.as_ref(),
-        Some(&plan),
-    );
+        &control,
+    )
+    .expect("recording failed");
     assert!(run.deadlocked, "total loss must starve the receivers");
     let sched = Schedule::from_recorded(&run, machine.p());
     assert_eq!(sched.sends.len(), 3, "one batch, three members");
@@ -263,7 +287,10 @@ fn kport_algorithms_deliver_under_transient_drops() {
         Placement::Identity,
         MeshShape::new(4, 4),
     );
-    let plan = FaultPlan::transient_drops(21, 1, 8, 6);
+    let control = RunControl {
+        faults: Some(FaultPlan::transient_drops(21, 1, 8, 6)),
+        ..RunControl::default()
+    };
     let mut total_retransmits = 0u64;
     for kind in [
         AlgoKind::KPortLin,
@@ -271,7 +298,7 @@ fn kport_algorithms_deliver_under_transient_drops() {
         AlgoKind::KPortAlltoall,
     ] {
         let out = experiment(&machine, kind, 5)
-            .run_with_faults(&plan)
+            .run_controlled(&control)
             .expect("run failed");
         assert!(
             out.verified,

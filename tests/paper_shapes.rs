@@ -3,6 +3,7 @@
 //! a model change breaks one of these, the reproduction has drifted.
 
 use stp_broadcast::prelude::*;
+use stp_broadcast::stp::runner::try_run_sources_controlled;
 
 fn ms(machine: &Machine, kind: AlgoKind, dist: SourceDist, s: usize, len: usize) -> f64 {
     let exp = Experiment {
@@ -47,21 +48,21 @@ fn paragon_merge_algorithms_beat_library_solutions() {
 fn paragon_mpi_overhead_in_band() {
     let machine = Machine::paragon(10, 10);
     for kind in [AlgoKind::TwoStep, AlgoKind::BrLin, AlgoKind::BrXySource] {
-        let exp = Experiment {
-            machine: &machine,
-            dist: SourceDist::Equal,
-            s: 30,
-            msg_len: 4096,
-            kind,
+        let sources = SourceDist::Equal.place(machine.shape, 30);
+        let run = |lib| {
+            let payload_of = |src| payload_for(src, 4096);
+            try_run_sources_controlled(
+                &machine,
+                lib,
+                &sources,
+                &payload_of,
+                kind,
+                &RunControl::default(),
+            )
+            .expect("run failed")
+            .makespan_ns as f64
         };
-        let nx = exp
-            .run_with_lib(LibraryKind::Nx)
-            .expect("run failed")
-            .makespan_ns as f64;
-        let mpi = exp
-            .run_with_lib(LibraryKind::Mpi)
-            .expect("run failed")
-            .makespan_ns as f64;
+        let (nx, mpi) = (run(LibraryKind::Nx), run(LibraryKind::Mpi));
         let loss = (mpi - nx) / nx * 100.0;
         assert!(
             (1.0..6.0).contains(&loss),
