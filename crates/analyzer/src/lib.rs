@@ -50,11 +50,8 @@ pub use checks::{
 pub use cost::{replay, CostReport, CriticalPath, LinkTimeline, PortUse};
 pub use lint::{
     hush_expected_panics, lint_fixtures, lint_matrix, lint_matrix_supervised, lint_point,
-    lint_recorded, lint_sig, stage_totals, timed, FixtureVerdict, LintConfig, LintEntry,
-    SupervisedLint,
+    lint_recorded, stage_totals, timed, FixtureVerdict, LintConfig, LintEntry, SupervisedLint,
 };
-pub use report::{
-    entries_to_json, entry_from_json, entry_to_json, fixtures_to_json, supervised_report_json,
-};
+pub use report::{entries_to_json, entry_to_json, fixtures_to_json, supervised_report_json};
 pub use sarif::sarif_report;
 pub use schedule::{PayloadIds, Schedule};

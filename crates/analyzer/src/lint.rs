@@ -6,7 +6,6 @@ use std::time::{Duration, Instant};
 
 use mpp_model::{FaultPlan, Machine};
 use stp_core::algorithms::StpAlgorithm;
-use stp_core::checkpoint::CheckpointFile;
 use stp_core::distribution::SourceDist;
 use stp_core::msgset::payload_for;
 use stp_core::runner::{try_record_sources, AlgoKind, RecordedRun, RunControl, SweepRunner};
@@ -16,7 +15,6 @@ use stp_core::supervise::{
 
 use crate::checks::{analyze, AnalyzeOpts, Finding, Severity};
 use crate::fixtures;
-use crate::report::{entry_from_json, entry_to_json};
 use crate::schedule::Schedule;
 use crate::FindingKind;
 
@@ -225,50 +223,28 @@ pub fn lint_point(
     )
 }
 
-/// Configuration signature guarding checkpoint reuse: progress recorded
-/// under one grid/fault-plan must never resume a different one. Open
-/// the [`CheckpointFile`] handed to [`lint_matrix_supervised`] with this
-/// signature.
-pub fn lint_sig(config: &LintConfig) -> String {
-    format!(
-        "lint:v3:shapes={:?}:len={}:mll={:?}:faults={:?}:chaos={}:perf={}",
-        config.shapes,
-        config.msg_len,
-        config.max_link_load,
-        config.faults,
-        config.chaos,
-        config.perf
-    )
-}
-
 /// Everything a supervised lint sweep produced: the completed entries
-/// (`done`), the quarantined and skipped points, and the replay count.
+/// (`done`) and the quarantined and skipped points.
 pub type SupervisedLint = SupervisedRun<LintEntry>;
 
 /// Record and analyze every algorithm × distribution × shape × s grid
 /// point, concurrently on `runner`, under full supervision: each grid
 /// point runs isolated (a panicking or deadlocking algorithm is
 /// quarantined into [`SupervisedRun::failures`] / a `deadlock` finding,
-/// never a process abort), a shared token or wall-clock deadline skips
-/// the remainder cleanly, and — when `checkpoint` is given — completed
-/// points are persisted after each grid point and replayed verbatim on
-/// resume, so an interrupted sweep re-runs only unfinished work. Entries
+/// never a process abort), and a cancelled shared token skips the
+/// remainder cleanly. Each distinct experiment is recorded once. Entries
 /// come back in deterministic grid order.
 pub fn lint_matrix_supervised(
     config: &LintConfig,
     runner: &SweepRunner,
     opts: &SuperviseOpts,
-    checkpoint: Option<&CheckpointFile>,
 ) -> SupervisedLint {
     hush_expected_panics();
     let points = matrix_points(&config.shapes, config.chaos);
     let ids = points.iter().map(MatrixPoint::id).collect();
-    runner.run_resumable(
+    runner.run_grouped(
         points,
         ids,
-        checkpoint,
-        |entry| timed("report", || entry_to_json(entry)),
-        entry_from_json,
         MatrixPoint::experiment,
         |pt| {
             let alg = pt.alg.build();
@@ -301,10 +277,10 @@ pub fn lint_matrix_supervised(
 }
 
 /// The "all points must finish" view of [`lint_matrix_supervised`] the
-/// tests use: default supervision, no checkpoint, and a panic naming
+/// tests use: default supervision and a panic naming
 /// the first point that failed or was skipped.
 pub fn lint_matrix(config: &LintConfig, runner: &SweepRunner) -> Vec<LintEntry> {
-    let sweep = lint_matrix_supervised(config, runner, &SuperviseOpts::default(), None);
+    let sweep = lint_matrix_supervised(config, runner, &SuperviseOpts::default());
     if let Some(f) = sweep.failures.first() {
         panic!("{} failed: {}", f.id, f.error);
     }
@@ -398,6 +374,7 @@ pub fn hush_expected_panics() {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::report::entry_to_json;
     use stp_core::supervise::MatrixAlg;
 
     /// Record every point of the quick matrix and every seeded-bug
@@ -474,12 +451,8 @@ pub(crate) mod tests {
                 perf: true,
                 ..LintConfig::quick()
             };
-            let sweep = lint_matrix_supervised(
-                &config,
-                &SweepRunner::new(),
-                &SuperviseOpts::default(),
-                None,
-            );
+            let sweep =
+                lint_matrix_supervised(&config, &SweepRunner::new(), &SuperviseOpts::default());
             assert_eq!((sweep.total, sweep.experiments), (640, 280));
             assert!(sweep.failures.is_empty() && sweep.skipped.is_empty());
             let control = RunControl {
@@ -553,16 +526,10 @@ pub(crate) mod tests {
             chaos: true,
             ..LintConfig::default()
         };
-        let sweep = lint_matrix_supervised(
-            &config,
-            &SweepRunner::new(),
-            &SuperviseOpts::default(),
-            None,
-        );
+        let sweep = lint_matrix_supervised(&config, &SweepRunner::new(), &SuperviseOpts::default());
         let healthy = 8 * 2 * AlgoKind::all().len();
         assert_eq!(sweep.total, healthy + 2);
         assert_eq!(sweep.skipped, Vec::<String>::new());
-        assert_eq!(sweep.resumed, 0);
         // The panicking fixture is quarantined with its panic message...
         assert_eq!(sweep.failures.len(), 1, "{:?}", sweep.failures);
         let fail = &sweep.failures[0];

@@ -18,8 +18,8 @@ fn finding_json(f: &crate::Finding) -> String {
     )
 }
 
-/// Encode one lint entry as a JSON object — the unit a sweep checkpoint
-/// stores, so the encoding must stay stable across sessions.
+/// Encode one lint entry as a JSON object — one line of the lint report
+/// and the body of a serve `"lint":true` reply.
 pub fn entry_to_json(e: &LintEntry) -> String {
     let findings: Vec<String> = e.findings.iter().map(finding_json).collect();
     format!(
@@ -41,81 +41,6 @@ pub fn entry_to_json(e: &LintEntry) -> String {
     )
 }
 
-/// Decode one lint entry from [`entry_to_json`]'s encoding — how a
-/// resumed lint sweep splices checkpointed points back into its report.
-pub fn entry_from_json(text: &str) -> Result<LintEntry, String> {
-    use crate::FindingKind;
-    use stp_core::checkpoint::{parse_json, JsonValue};
-    let v = parse_json(text)?;
-    let str_field = |k: &str| -> Result<String, String> {
-        v.get(k)
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("entry missing string field {k:?}"))
-    };
-    let num_field = |k: &str| -> Result<u64, String> {
-        v.get(k)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("entry missing numeric field {k:?}"))
-    };
-    let bool_field = |k: &str| -> Result<bool, String> {
-        v.get(k)
-            .and_then(JsonValue::as_bool)
-            .ok_or_else(|| format!("entry missing boolean field {k:?}"))
-    };
-    let mut findings = Vec::new();
-    for f in v
-        .get("findings")
-        .and_then(JsonValue::as_array)
-        .ok_or("entry missing \"findings\"")?
-    {
-        let kind_name = f
-            .get("kind")
-            .and_then(JsonValue::as_str)
-            .ok_or("finding missing \"kind\"")?;
-        let kind = FindingKind::from_name(kind_name)
-            .ok_or_else(|| format!("unknown finding kind {kind_name:?}"))?;
-        let rank = match f.get("rank") {
-            Some(JsonValue::Null) | None => None,
-            Some(r) => Some(r.as_u64().ok_or("finding \"rank\" is not an integer")? as usize),
-        };
-        let detail = f
-            .get("detail")
-            .and_then(JsonValue::as_str)
-            .ok_or("finding missing \"detail\"")?
-            .to_string();
-        let at_ns = match f.get("at_ns") {
-            Some(JsonValue::Null) | None => None,
-            Some(t) => Some(t.as_u64().ok_or("finding \"at_ns\" is not an integer")?),
-        };
-        let seq = match f.get("seq") {
-            Some(JsonValue::Null) | None => None,
-            Some(q) => Some(q.as_u64().ok_or("finding \"seq\" is not an integer")?),
-        };
-        findings.push(crate::Finding {
-            kind,
-            rank,
-            detail,
-            at_ns,
-            seq,
-        });
-    }
-    Ok(LintEntry {
-        algo: str_field("algo")?,
-        dist: str_field("dist")?,
-        rows: num_field("rows")? as usize,
-        cols: num_field("cols")? as usize,
-        s: num_field("s")? as usize,
-        sends: num_field("sends")? as usize,
-        recvs: num_field("recvs")? as usize,
-        max_link_load: num_field("max_link_load")?,
-        deadlocked: bool_field("deadlocked")?,
-        opaque_payloads: bool_field("opaque_payloads")?,
-        dropped_attempts: num_field("dropped_attempts")? as usize,
-        findings,
-    })
-}
-
 /// Encode the lint matrix results as a JSON array.
 pub fn entries_to_json(entries: &[LintEntry]) -> String {
     let mut out = String::from("[\n");
@@ -130,8 +55,8 @@ pub fn entries_to_json(entries: &[LintEntry]) -> String {
 
 /// Encode a supervised lint sweep: the completed entries plus the
 /// quarantined failures and skipped points. Deliberately carries **no
-/// wall-clock** — an interrupted-and-resumed sweep must produce a
-/// byte-identical report to an uninterrupted one.
+/// wall-clock**, so a re-run reproduces the report byte for byte (CI
+/// pins its digest).
 pub fn supervised_report_json(sweep: &crate::lint::SupervisedLint) -> String {
     format!(
         "{{{},\"entries\":{}}}",

@@ -7,9 +7,8 @@
 //! stp --machine paragon --algo two_step --dist equal --s 30 --sweep-len 32,1024,16384
 //! stp lint [--quick] [--fixtures] [--json FILE] [--max-link-load N]
 //!          [--perf] [--baseline FILE] [--write-baseline FILE] [--sarif FILE]
-//!          [--chaos] [--checkpoint FILE] [--resume] [--deadline-ms N]
+//!          [--chaos]
 //! stp sweep [--quick] [--len BYTES] [--json FILE] [--chaos]
-//!           [--checkpoint FILE] [--resume] [--deadline-ms N]
 //! stp --list
 //! ```
 //!
@@ -36,11 +35,9 @@
 //! analysis) under the supervised runner. Both sweeps accept `--chaos`
 //! (inject a deliberately panicking and a deliberately deadlocking
 //! algorithm — every healthy point must still finish, the bad ones are
-//! quarantined into the failure report), `--deadline-ms` (wall-clock
-//! budget; unfinished points are skipped, not failed) and
-//! `--checkpoint`/`--resume` (persist finished points after each grid
-//! point; a resumed sweep replays them verbatim and re-runs nothing,
-//! producing a byte-identical report).
+//! quarantined into the failure report). Neither keeps a checkpoint or
+//! a wall-clock deadline: the whole matrix runs in seconds, so a killed
+//! sweep is simply run again.
 //!
 //! `--sweep-len` runs the same experiment at several message lengths;
 //! the points are independent simulations and execute concurrently on a
@@ -48,8 +45,8 @@
 //!
 //! The process environment is read exactly once, by [`Env::from_process`]
 //! at the top of `main`; every subcommand takes the parsed values
-//! (`STP_SWEEP_WORKERS`, `STP_WATCHDOG_EVENTS`, `STP_SWEEP_DEADLINE_MS`,
-//! `STP_SERVE_*`) as arguments, and a flag overrides its variable.
+//! (`STP_SWEEP_WORKERS`, `STP_WATCHDOG_EVENTS`, `STP_SERVE_*`) as
+//! arguments, and a flag overrides its variable.
 
 use mpp_model::{FaultPlan, LibraryKind, Machine};
 use mpp_sim::{render_timeline, summarize};
@@ -74,9 +71,7 @@ fn usage() -> ! {
     eprintln!("                [--write-baseline FILE]   (capture current findings as baseline)");
     eprintln!("                [--sarif FILE]            (write SARIF 2.1.0 report)");
     eprintln!("                [--faults SPEC] [--chaos]");
-    eprintln!("                [--checkpoint FILE] [--resume] [--deadline-ms N]");
     eprintln!("       stp sweep [--quick] [--len BYTES] [--json FILE] [--faults SPEC] [--chaos]");
-    eprintln!("                 [--checkpoint FILE] [--resume] [--deadline-ms N]");
     eprintln!("       stp serve [--addr HOST:PORT|unix:PATH] [--cache FILE] [--cache-cap N]");
     eprintln!("                 [--workers N] [--deadline-ms N]");
     eprintln!("                 (long-running planning daemon; newline-delimited JSON");
@@ -122,12 +117,11 @@ fn parse_faults_flag(args: &[String]) -> Option<FaultPlan> {
 }
 
 /// `stp lint`: the static schedule-analysis gate, always under the
-/// supervised runner — chaos containment, deadline skips and
-/// checkpoint/resume are flags on the one sweep, not a second path.
+/// supervised runner — chaos containment is a flag on the one sweep,
+/// not a second path.
 fn run_lint(args: &[String], env: &Env) -> ! {
     use stp_analyzer::{
-        fixtures_to_json, lint_fixtures, lint_matrix_supervised, lint_sig, supervised_report_json,
-        LintConfig,
+        fixtures_to_json, lint_fixtures, lint_matrix_supervised, supervised_report_json, LintConfig,
     };
 
     let json_path = get(args, "--json");
@@ -165,22 +159,19 @@ fn run_lint(args: &[String], env: &Env) -> ! {
     config.perf = has(args, "--perf");
     let baseline = get(args, "--baseline").map(|path| load_baseline(&path));
 
-    let opts = supervise_opts(args, env);
-    let checkpoint = open_checkpoint(args, "stp-lint.ckpt.json", &lint_sig(&config));
-    let sweep = lint_matrix_supervised(&config, &env.sweep_runner(), &opts, checkpoint.as_ref());
+    let opts = SuperviseOpts::default().with_budget(env.budget());
+    let sweep = lint_matrix_supervised(&config, &env.sweep_runner(), &opts);
 
     let (findings, baselined) = print_lint_findings(&sweep.done, baseline.as_ref());
     print_unfinished(&sweep);
     println!(
         "linted {}/{} schedules: {findings} finding(s), {baselined} baselined, \
-         {} with unattributable payloads, {} failed point(s), {} skipped, \
-         {} replayed from checkpoint",
+         {} with unattributable payloads, {} failed point(s), {} skipped",
         sweep.done.len(),
         sweep.total,
         sweep.done.iter().filter(|e| e.opaque_payloads).count(),
         sweep.failures.len(),
-        sweep.skipped.len(),
-        sweep.resumed
+        sweep.skipped.len()
     );
     if config.faults.is_some() {
         let drops: usize = sweep.done.iter().map(|e| e.dropped_attempts).sum();
@@ -204,8 +195,8 @@ fn run_lint(args: &[String], env: &Env) -> ! {
 }
 
 /// The run's two host-side stderr lines: how much was simulated (its
-/// points, and the distinct experiments the ones not replayed came down
-/// to), then the host-time profile of every [`stp_analyzer::timed`]
+/// points, and the distinct experiments they came down to), then the
+/// host-time profile of every [`stp_analyzer::timed`]
 /// stage — lint stages for `stp lint`, algorithms for `stp sweep`.
 fn print_stage_lines<T>(cmd: &str, run: &stp_core::supervise::SupervisedRun<T>) {
     eprintln!(
@@ -300,39 +291,6 @@ fn print_lint_findings(
     (findings, baselined)
 }
 
-/// Resolve the `--checkpoint`/`--resume` pair into an open checkpoint
-/// store (shared by `stp lint` and `stp sweep`). Without `--resume` any
-/// previous progress (snapshot and journal) is discarded so the sweep
-/// starts fresh.
-fn open_checkpoint(
-    args: &[String],
-    default_path: &str,
-    sig: &str,
-) -> Option<stp_core::checkpoint::CheckpointFile> {
-    use stp_core::checkpoint::CheckpointFile;
-    let path = get(args, "--checkpoint");
-    if path.is_none() && !has(args, "--resume") {
-        return None;
-    }
-    let path = path.unwrap_or_else(|| default_path.to_string());
-    let cp = if has(args, "--resume") {
-        CheckpointFile::open(&path, sig)
-    } else {
-        CheckpointFile::create(&path, sig)
-    };
-    let cp = cp.unwrap_or_else(|e| {
-        eprintln!("stp: cannot open checkpoint {path}: {e}");
-        std::process::exit(2);
-    });
-    if cp.completed() > 0 {
-        eprintln!(
-            "[resume] {} finished point(s) found in {path}; replaying them verbatim",
-            cp.completed()
-        );
-    }
-    Some(cp)
-}
-
 /// One stdout line per quarantined and per skipped point of a sweep.
 fn print_unfinished<T>(run: &stp_core::supervise::SupervisedRun<T>) {
     for f in &run.failures {
@@ -343,21 +301,10 @@ fn print_unfinished<T>(run: &stp_core::supervise::SupervisedRun<T>) {
     }
 }
 
-/// The sweep supervision options: the per-run watchdog budget from
-/// `STP_WATCHDOG_EVENTS`, and the whole-sweep deadline from
-/// `--deadline-ms`, else `STP_SWEEP_DEADLINE_MS`.
-fn supervise_opts(args: &[String], env: &Env) -> SuperviseOpts {
-    let opts = SuperviseOpts::default().with_budget(env.budget());
-    match flag_num(args, "--deadline-ms").or(env.sweep_deadline_ms) {
-        Some(ms) => opts.with_deadline_ms(ms),
-        None => opts,
-    }
-}
-
 /// `stp sweep`: the experiment grid (makespans, not schedule analysis)
 /// under the supervised runner. Each finished point yields one
 /// deterministic JSON record — virtual time only, no wall-clock — so a
-/// resumed sweep's report is byte-identical to an uninterrupted one.
+/// re-run reproduces the report byte for byte.
 fn run_sweep(args: &[String], env: &Env) -> ! {
     use stp_core::runner::try_run_alg_controlled;
     use stp_core::supervise::{matrix_points, matrix_shapes, MatrixPoint};
@@ -369,18 +316,12 @@ fn run_sweep(args: &[String], env: &Env) -> ! {
     let faults = parse_faults_flag(args);
     let chaos = has(args, "--chaos");
 
-    let sig = format!("sweep:v2:shapes={shapes:?}:len={msg_len}:faults={faults:?}:chaos={chaos}");
-    let opts = supervise_opts(args, env);
-    let checkpoint = open_checkpoint(args, "stp-sweep.ckpt.json", &sig);
-
+    let opts = SuperviseOpts::default().with_budget(env.budget());
     let points = matrix_points(&shapes, chaos);
     let ids = points.iter().map(MatrixPoint::id).collect();
-    let sweep = env.sweep_runner().run_resumable(
+    let sweep = env.sweep_runner().run_grouped(
         points,
         ids,
-        checkpoint.as_ref(),
-        String::clone,
-        |record| Ok(record.to_string()),
         MatrixPoint::experiment,
         |pt| {
             let control = RunControl {
@@ -400,8 +341,7 @@ fn run_sweep(args: &[String], env: &Env) -> ! {
                 )
             })
         },
-        // Virtual quantities only — this record must be identical
-        // whether the point ran now or replayed from a checkpoint.
+        // Virtual quantities only: the record is the same on every run.
         |pt, out| {
             format!(
                 "{{\"id\":\"{}\",\"makespan_ns\":{},\"verified\":{},\"contention_ns\":{}}}",
@@ -421,13 +361,11 @@ fn run_sweep(args: &[String], env: &Env) -> ! {
         .count();
     print_unfinished(&sweep);
     println!(
-        "swept {}/{} points: {unverified} unverified, \
-         {} failed, {} skipped, {} replayed from checkpoint",
+        "swept {}/{} points: {unverified} unverified, {} failed, {} skipped",
         sweep.done.len(),
         sweep.total,
         sweep.failures.len(),
-        sweep.skipped.len(),
-        sweep.resumed
+        sweep.skipped.len()
     );
     if let Some(path) = get(args, "--json") {
         let report = format!(
@@ -552,6 +490,20 @@ fn main() {
     if args.iter().any(|a| a.strip_prefix("--") == Some("exec")) {
         eprintln!("stp: the executor flag was removed; every simulation runs cooperatively");
         usage()
+    }
+    // The sweeps' checkpoint and deadline flags are gone too; ignoring
+    // `--deadline-ms 500` would run a sweep with no budget at all.
+    // (`stp serve --deadline-ms` is its per-request deadline and stays.)
+    if matches!(args.first().map(String::as_str), Some("lint" | "sweep")) {
+        let removed = ["--checkpoint", "--resume", "--deadline-ms"];
+        if let Some(flag) = args.iter().find(|a| removed.contains(&a.as_str())) {
+            eprintln!(
+                "stp: {flag} was removed from `stp {}`: the matrix runs in seconds, \
+                 so a sweep keeps no checkpoint and no deadline",
+                args[0]
+            );
+            usage()
+        }
     }
     match args.first().map(String::as_str) {
         Some("serve") => run_serve(&args[1..], &env),

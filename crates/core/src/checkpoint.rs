@@ -1,14 +1,11 @@
-//! Atomic sweep checkpoints: resumable progress for long sweeps.
+//! The journaled store behind serve's plan cache, plus the JSON layer.
 //!
-//! A checkpoint is one JSON file mapping stable grid-point ids to the
-//! exact record string each completed point produced, plus a *signature*
-//! of the sweep configuration. On resume, a driver reopens the file: if
-//! the signature matches, completed points are skipped and their stored
-//! records are spliced back into the final report **verbatim** — so an
-//! interrupted-and-resumed sweep emits a byte-identical report to an
-//! uninterrupted one. A signature mismatch (different grid, executor,
-//! fault plan…) silently starts fresh: stale progress must never leak
-//! into a differently-configured sweep.
+//! A store maps stable ids to the exact record string stored under each
+//! (a plan-cache entry id to the plan body its cold run rendered), plus
+//! a *signature* of the schema that wrote it. Open reloads the entries
+//! only when the stored signature matches; a mismatch (another schema
+//! version, a corrupt file) starts fresh, so stale entries never leak
+//! into a store of another shape.
 //!
 //! On disk a [`CheckpointFile`] is a *snapshot* at `path` (one
 //! [`Checkpoint`] document, saved through a temp file, fsync, atomic
@@ -27,8 +24,8 @@
 //!
 //! The build is offline (no serde), so the module carries its own
 //! minimal JSON reader ([`parse_json`]) and string escaper
-//! ([`json_escape`]); the analyzer reuses them to round-trip lint
-//! entries through checkpoints.
+//! ([`json_escape`]); the serve protocol and the analyzer's reports and
+//! baseline reuse them.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
@@ -47,7 +44,7 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (f64 is exact for the counters checkpoints carry).
+    /// Any number (f64 is exact for the counters the documents carry).
     Num(f64),
     /// A string, unescaped.
     Str(String),
@@ -345,8 +342,8 @@ impl Parser<'_> {
 // Checkpoint store
 // ---------------------------------------------------------------------------
 
-/// In-memory checkpoint state: a config signature plus the record
-/// string of every completed grid point, keyed by stable point id.
+/// In-memory store state: a schema signature plus the record string of
+/// every entry, keyed by stable id.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     sig: String,
@@ -354,7 +351,7 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// An empty checkpoint for a sweep with this config signature.
+    /// An empty store with this schema signature.
     pub fn new(sig: &str) -> Self {
         Checkpoint {
             sig: sig.to_string(),
@@ -362,27 +359,27 @@ impl Checkpoint {
         }
     }
 
-    /// The sweep-config signature this progress belongs to.
+    /// The schema signature the entries belong to.
     pub fn sig(&self) -> &str {
         &self.sig
     }
 
-    /// Completed points.
+    /// Stored entries.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when no point has completed.
+    /// True when nothing is stored.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// The stored record for a completed point.
+    /// The record stored under `id`.
     pub fn get(&self, id: &str) -> Option<&str> {
         self.entries.get(id).map(String::as_str)
     }
 
-    /// Store the record for a completed point.
+    /// Store `record` under `id`.
     pub fn insert(&mut self, id: &str, record: &str) {
         self.entries.insert(id.to_string(), record.to_string());
     }
@@ -393,7 +390,7 @@ impl Checkpoint {
         self.entries.remove(id)
     }
 
-    /// The stored point ids, in sorted order.
+    /// The stored ids, in sorted order.
     pub fn ids(&self) -> impl Iterator<Item = &str> {
         self.entries.keys().map(String::as_str)
     }
@@ -439,7 +436,7 @@ impl Checkpoint {
 
     /// Load from disk. `Ok(None)` when the file does not exist; a
     /// malformed file also comes back `None` (with a warning) — a
-    /// damaged checkpoint costs a re-run, never a crash.
+    /// damaged checkpoint costs its entries, never a crash.
     pub fn load(path: &Path) -> io::Result<Option<Checkpoint>> {
         let bytes = match std::fs::read(path) {
             Ok(bytes) => bytes,
@@ -461,8 +458,8 @@ impl Checkpoint {
 
     /// Write atomically: serialize to a sibling temp file, fsync, rename
     /// over the target, then fsync the directory so the rename is durable
-    /// too. Readers (and a resume after `SIGKILL`) only ever see a
-    /// complete checkpoint.
+    /// too. Readers (and an open after `SIGKILL`) only ever see a
+    /// complete snapshot.
     pub fn save(&self, path: &Path) -> io::Result<()> {
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
@@ -610,9 +607,8 @@ impl Journaled {
     }
 }
 
-/// Thread-safe journaled store: a supervised sweep's observer writes
-/// completed points through it, and the serve plan cache keeps its
-/// bodies in it. See the module docs for the on-disk format.
+/// Thread-safe journaled store: the serve plan cache keeps its bodies
+/// in it. See the module docs for the on-disk format.
 #[derive(Debug)]
 pub struct CheckpointFile {
     inner: Mutex<Journaled>,
@@ -621,11 +617,10 @@ pub struct CheckpointFile {
 }
 
 impl CheckpointFile {
-    /// Open (or create) the checkpoint at `path` for a sweep with this
-    /// config signature: the snapshot, then its journal replayed on top,
-    /// then compacted if the journal held anything. Existing progress is
-    /// resumed only when the stored signature matches; otherwise the
-    /// sweep starts fresh.
+    /// Open (or create) the store at `path` with this schema signature:
+    /// the snapshot, then its journal replayed on top, then compacted if
+    /// the journal held anything. Existing entries are kept only when
+    /// the stored signature matches; otherwise the store starts empty.
     pub fn open(path: impl Into<PathBuf>, sig: &str) -> io::Result<CheckpointFile> {
         let path = path.into();
         // A compaction's directory fsync is what makes the journal's own
@@ -649,14 +644,6 @@ impl CheckpointFile {
         if dirty {
             file.lock().compact()?;
         }
-        Ok(file)
-    }
-
-    /// Start an empty store at `path`, discarding any snapshot and
-    /// journal already there.
-    pub fn create(path: impl Into<PathBuf>, sig: &str) -> io::Result<CheckpointFile> {
-        let file = Self::new(Checkpoint::new(sig), Some(path.into()), Vec::new(), false)?;
-        file.lock().compact()?;
         Ok(file)
     }
 
@@ -706,25 +693,14 @@ impl CheckpointFile {
         &self.replayed
     }
 
-    /// Number of points already completed.
-    pub fn completed(&self) -> usize {
-        self.lock().store.len()
-    }
-
-    /// The stored record of a completed point, if any.
+    /// The record stored under `id`, if any.
     pub fn get(&self, id: &str) -> Option<String> {
         self.lock().store.get(id).map(str::to_string)
     }
 
-    /// Record completed `(id, record)` points — the members of one
-    /// settled experiment — in one journal write. Persistence is
-    /// best-effort: an I/O failure costs resumability, not the sweep —
-    /// it warns and keeps going.
-    pub fn record(&self, records: &[(&str, String)]) {
-        self.commit(records, &[]);
-    }
-
     /// Store `puts`, then drop `dels`, in one journal write.
+    /// Persistence is best-effort: an I/O failure warns and costs the
+    /// entries' durability, never the caller.
     pub fn commit<R: AsRef<str>>(&self, puts: &[(&str, R)], dels: &[String]) {
         self.lock().apply(puts, dels);
     }
@@ -776,13 +752,21 @@ mod tests {
             .collect()
     }
 
+    /// A new store at a fresh `path`, compacted at once: an empty
+    /// snapshot and an empty journal.
+    fn fresh(path: &Path) -> CheckpointFile {
+        let file = CheckpointFile::open(path, "sig").expect("open");
+        file.flush();
+        file
+    }
+
     /// A store at `path` holding `p1`, `p2`, `p3`, each written by its
     /// own journal append and never compacted (the handle is dropped
     /// without a flush, as a kill would leave it).
     fn three_appends(path: &Path) {
-        let file = CheckpointFile::create(path, "sig").expect("create");
+        let file = fresh(path);
         for (id, record) in [("p1", "one"), ("p2", "two é"), ("p3", "three")] {
-            file.record(&[(id, record.into())]);
+            file.commit(&[(id, record)], &[]);
         }
         assert_eq!(
             std::fs::read(path).unwrap(),
@@ -879,22 +863,20 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_file_resumes_only_on_matching_sig() {
+    fn checkpoint_file_reloads_only_on_matching_sig() {
         let path = tmp_path("sig");
         {
             let file = CheckpointFile::open(&path, "sig-a").expect("open");
-            file.record(&[("p1", "one".into())]);
-            file.record(&[("p2", "two".into())]);
-            assert_eq!(file.completed(), 2);
+            file.commit(&[("p1", "one"), ("p2", "two")], &[]);
         }
-        // Same sig: progress resumes.
-        let resumed = CheckpointFile::open(&path, "sig-a").expect("open");
-        assert_eq!(resumed.completed(), 2);
-        assert_eq!(resumed.get("p1").as_deref(), Some("one"));
-        drop(resumed);
+        // Same sig: the entries are kept.
+        let reopened = CheckpointFile::open(&path, "sig-a").expect("open");
+        assert_eq!(contents(&reopened), pairs(&[("p1", "one"), ("p2", "two")]));
+        assert_eq!(reopened.get("p1").as_deref(), Some("one"));
+        drop(reopened);
         // Different sig: starts fresh.
-        let fresh = CheckpointFile::open(&path, "sig-b").expect("open");
-        assert_eq!(fresh.completed(), 0);
+        let other = CheckpointFile::open(&path, "sig-b").expect("open");
+        assert!(contents(&other).is_empty());
         remove_store(&path);
     }
 
@@ -959,7 +941,7 @@ mod tests {
         three_appends(&path);
         let file = CheckpointFile::open(&path, "sig").expect("open");
         file.commit(&[("p2", "two again")], &["p1".to_string()]);
-        file.record(&[("p1", "one again".into())]);
+        file.commit(&[("p1", "one again")], &[]);
         let journal = std::fs::read(journal_path(&path)).unwrap();
         let before = contents(&file);
         file.flush();
@@ -995,24 +977,13 @@ mod tests {
         three_appends(&path);
         std::fs::remove_file(&path).unwrap();
         let file = CheckpointFile::open(&path, "sig").expect("open");
-        assert_eq!(file.completed(), 0);
+        assert!(contents(&file).is_empty());
         // The first write compacts over the stale journal.
-        file.record(&[("p9", "nine".into())]);
+        file.commit(&[("p9", "nine")], &[]);
         assert_eq!(std::fs::read(journal_path(&path)).unwrap(), b"");
         drop(file);
         let file = CheckpointFile::open(&path, "sig").expect("reopen");
         assert_eq!(contents(&file), pairs(&[("p9", "nine")]));
-        remove_store(&path);
-    }
-
-    #[test]
-    fn create_discards_the_snapshot_and_the_journal() {
-        let path = tmp_path("create");
-        three_appends(&path);
-        let file = CheckpointFile::create(&path, "sig").expect("create");
-        assert_eq!(file.completed(), 0);
-        drop(file);
-        assert_eq!(CheckpointFile::open(&path, "sig").unwrap().completed(), 0);
         remove_store(&path);
     }
 
@@ -1035,14 +1006,14 @@ mod tests {
             let path = tmp_path("damaged");
             let mut written = std::collections::BTreeSet::new();
             {
-                let file = CheckpointFile::create(&path, "sig").expect("create");
+                let file = fresh(&path);
                 for (n, &(id, op)) in ops.iter().enumerate() {
                     let id = format!("p{id}");
                     if op == 0 {
                         file.commit::<&str>(&[], &[id]);
                     } else {
                         let record = format!("{{\"n\":{n},\"s\":\"é\\\\\\\"\"}}");
-                        file.record(&[(&id, record.clone())]);
+                        file.commit(&[(id.as_str(), record.as_str())], &[]);
                         written.insert((id, record));
                     }
                     if n == flush_at {

@@ -1,6 +1,6 @@
 //! The one place the process environment is read.
 //!
-//! Every run parameter reaches a simulation as an argument. The eight
+//! Every run parameter reaches a simulation as an argument. The seven
 //! `STP_*` variables are the exception a deployment needs, and this
 //! module is the only code in the workspace's libraries that looks at
 //! them: a binary calls [`Env::from_process`] once, in `main`, and hands
@@ -23,8 +23,6 @@ pub struct Env {
     pub sweep_workers: Option<usize>,
     /// `STP_WATCHDOG_EVENTS` — kernel event budget per simulation.
     pub watchdog_events: Option<u64>,
-    /// `STP_SWEEP_DEADLINE_MS` — wall-clock budget of a supervised sweep.
-    pub sweep_deadline_ms: Option<u64>,
     /// `STP_SERVE_ADDR` — daemon listen address.
     pub serve_addr: Option<String>,
     /// `STP_SERVE_CACHE` — persistent plan-cache file.
@@ -69,7 +67,6 @@ impl Env {
             let expected = match name {
                 "STP_SWEEP_WORKERS" => int(&mut env.sweep_workers, value),
                 "STP_WATCHDOG_EVENTS" => int(&mut env.watchdog_events, value),
-                "STP_SWEEP_DEADLINE_MS" => int(&mut env.sweep_deadline_ms, value),
                 "STP_SERVE_ADDR" => text(&mut env.serve_addr, value),
                 "STP_SERVE_CACHE" => text(&mut env.serve_cache, value),
                 "STP_SERVE_CACHE_CAP" => int(&mut env.serve_cache_cap, value),
@@ -127,10 +124,9 @@ impl Env {
 mod tests {
     use super::*;
 
-    const NAMES: [&str; 8] = [
+    const NAMES: [&str; 7] = [
         "STP_SWEEP_WORKERS",
         "STP_WATCHDOG_EVENTS",
-        "STP_SWEEP_DEADLINE_MS",
         "STP_SERVE_ADDR",
         "STP_SERVE_CACHE",
         "STP_SERVE_CACHE_CAP",
@@ -147,7 +143,6 @@ mod tests {
         let (env, warnings) = Env::parse([
             ("STP_SWEEP_WORKERS", " 8\n"),
             ("STP_WATCHDOG_EVENTS", "18446744073709551615"),
-            ("STP_SWEEP_DEADLINE_MS", "0"),
             ("STP_SERVE_ADDR", " unix:/tmp/stp.sock "),
             ("STP_SERVE_CACHE", "/var/cache/stp.json"),
             ("STP_SERVE_CACHE_CAP", "64"),
@@ -162,7 +157,6 @@ mod tests {
             Env {
                 sweep_workers: Some(8),
                 watchdog_events: Some(u64::MAX),
-                sweep_deadline_ms: Some(0),
                 serve_addr: Some("unix:/tmp/stp.sock".into()),
                 serve_cache: Some("/var/cache/stp.json".into()),
                 serve_cache_cap: Some(64),

@@ -617,7 +617,6 @@ impl Planner {
             vec![()],
             |_| self.run_point(spec, &token),
             &opts,
-            |_, _| {},
         );
         match statuses.into_iter().next() {
             Some(PointStatus::Done(Ok(body))) => {

@@ -10,16 +10,15 @@
 //! `catch_unwind`, a failed point is quarantined as
 //! [`PointStatus::Failed`] with the error text, and the sweep always
 //! completes every healthy point. A shared [`CancelToken`] — optionally
-//! armed by a wall-clock deadline ([`SuperviseOpts::deadline`]) — aborts
-//! the remainder of the sweep cleanly: in-flight simulations exit at
-//! their next scheduling step, unstarted points come back
-//! [`PointStatus::Skipped`] so a checkpoint/resume cycle re-runs them.
+//! armed by a wall-clock deadline ([`SuperviseOpts::deadline`], serve's
+//! per-request budget) — aborts the remainder cleanly: in-flight
+//! simulations exit at their next scheduling step, and unstarted points
+//! come back [`PointStatus::Skipped`].
 //!
-//! [`SweepRunner::run_resumable`] puts a checkpoint in front of that:
-//! each distinct experiment among the points is simulated once and
-//! every point's record rendered from it, finished points are persisted
-//! as they settle and replayed verbatim on resume, and the statuses come
-//! back triaged into a [`SupervisedRun`]. It is the one resume loop behind `stp sweep` and
+//! [`SweepRunner::run_grouped`] runs each distinct experiment among the
+//! points once under that supervision, renders every point's record
+//! from its experiment's outcome, and triages the statuses into a
+//! [`SupervisedRun`]. It is the one loop behind `stp sweep` and
 //! `stp lint`, which both run the acceptance matrix defined here
 //! ([`matrix_shapes`], [`matrix_points`]).
 //!
@@ -40,7 +39,7 @@ use mpp_runtime::{CancelToken, CommFuture, RankCtx, SimBudget, SimError};
 use mpp_sim::error::panic_message;
 
 use crate::algorithms::{StpAlgorithm, StpCtx};
-use crate::checkpoint::{json_escape, CheckpointFile};
+use crate::checkpoint::json_escape;
 use crate::distribution::SourceDist;
 use crate::msgset::MessageSet;
 use crate::runner::{AlgoKind, SweepRunner};
@@ -48,8 +47,8 @@ use crate::runner::{AlgoKind, SweepRunner};
 /// Supervision policy for one sweep.
 #[derive(Debug, Clone)]
 pub struct SuperviseOpts {
-    /// Wall-clock budget for the whole sweep; on expiry the shared
-    /// token is cancelled and the remaining points are skipped.
+    /// Wall-clock budget (serve's per-request deadline); on expiry the
+    /// shared token is cancelled and the remaining points are skipped.
     pub deadline: Option<Duration>,
     /// The shared cancellation token. Cancel it from a signal handler
     /// or another thread to stop the sweep at the next point boundary.
@@ -70,12 +69,6 @@ impl Default for SuperviseOpts {
 }
 
 impl SuperviseOpts {
-    /// Override the whole-sweep deadline.
-    pub fn with_deadline_ms(mut self, ms: u64) -> Self {
-        self.deadline = Some(Duration::from_millis(ms));
-        self
-    }
-
     /// Override the per-run watchdog budget.
     pub fn with_budget(mut self, budget: SimBudget) -> Self {
         self.budget = budget;
@@ -92,8 +85,7 @@ pub enum PointStatus<T> {
     /// message.
     Failed(String),
     /// The point was not run (or was cancelled mid-run) because the
-    /// sweep was cancelled or hit its deadline. A checkpoint/resume
-    /// cycle re-runs skipped points.
+    /// shared token was cancelled or the deadline passed.
     Skipped,
 }
 
@@ -160,36 +152,27 @@ impl SweepRunner {
     /// point runs under `catch_unwind`, a failure is quarantined as
     /// [`PointStatus::Failed`], and the shared token / deadline skips
     /// the remainder of the sweep on cancellation. Statuses come back
-    /// in input order; `observe(index, &status)` fires as each point
-    /// settles (checkpoint writers hook in here — it may be called
-    /// concurrently from several workers).
-    pub fn map_supervised<I, T, F, O>(
+    /// in input order.
+    pub fn map_supervised<I, T, F>(
         &self,
         items: Vec<I>,
         job: F,
         opts: &SuperviseOpts,
-        observe: O,
     ) -> Vec<PointStatus<T>>
     where
         I: Send + Sync,
         T: Send,
         F: Fn(&I) -> Result<T, SimError> + Sync,
-        O: Fn(usize, &PointStatus<T>) + Sync,
     {
         let _deadline = opts
             .deadline
             .map(|after| DeadlineGuard::arm(after, opts.cancel.clone()));
-        let indexed: Vec<(usize, I)> = items.into_iter().enumerate().collect();
-        self.map(indexed, |(index, item)| {
-            let status = supervise_point(&item, &job, opts);
-            observe(index, &status);
-            status
-        })
+        self.map(items, |item| supervise_point(&item, &job, opts))
     }
 }
 
 // ---------------------------------------------------------------------------
-// Resumable supervised runs
+// Grouped supervised runs
 // ---------------------------------------------------------------------------
 
 /// A grid point quarantined by a supervised run.
@@ -201,20 +184,17 @@ pub struct PointFailure {
     pub error: String,
 }
 
-/// Everything a resumable supervised run produced.
+/// Everything a grouped supervised run produced.
 #[derive(Debug)]
 pub struct SupervisedRun<T> {
-    /// Results of the completed points (replayed + freshly run), in grid
-    /// order.
+    /// Results of the completed points, in grid order.
     pub done: Vec<T>,
     /// Quarantined points, in grid order.
     pub failures: Vec<PointFailure>,
     /// Ids of the points skipped by cancellation or the deadline.
     pub skipped: Vec<String>,
-    /// Points replayed from the checkpoint instead of re-run.
-    pub resumed: usize,
-    /// Distinct experiments among the points that were not replayed:
-    /// how many simulations the run dispatched.
+    /// Distinct experiments among the points: how many simulations the
+    /// run dispatched.
     pub experiments: usize,
     /// Total grid points.
     pub total: usize,
@@ -223,8 +203,8 @@ pub struct SupervisedRun<T> {
 impl<T> SupervisedRun<T> {
     /// The members every JSON report of a run opens with:
     /// `"points":N,"failures":[..],"skipped":[..]`. Deliberately no
-    /// wall-clock and no `resumed` count — an interrupted-and-resumed
-    /// run must report byte-identically to an uninterrupted one.
+    /// wall-clock: a report depends on the grid and the simulations
+    /// alone, so a re-run reproduces it byte for byte.
     pub fn summary_json(&self) -> String {
         let failures: Vec<String> = self
             .failures
@@ -252,29 +232,18 @@ impl<T> SupervisedRun<T> {
 }
 
 impl SweepRunner {
-    /// [`map_supervised`](SweepRunner::map_supervised) behind a
-    /// checkpoint, simulating each distinct experiment once. A point
-    /// whose id (`ids[i]` names `points[i]`) has a record in `checkpoint`
-    /// that `decode`s is replayed and never re-run; a record that does
-    /// not decode costs a warning and a re-run.
-    ///
-    /// The other points are grouped by `key` — two points with equal
-    /// keys must be the same experiment under different labels. Each
-    /// group's first point in grid order is `simulate`d under `opts`, and
-    /// every member's record is `render`ed from that one outcome; a
-    /// failed or skipped experiment fails or skips every member alike. A
-    /// group that completes is `encode`d into the checkpoint in one
-    /// journal append as it settles, so a killed run resumes with only
-    /// unfinished work; the store is compacted once the sweep is over.
-    /// The outcome is in grid order whatever the completion order was.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_resumable<I, K, E, T>(
+    /// [`map_supervised`](SweepRunner::map_supervised) over the distinct
+    /// experiments among `points` (`ids[i]` names `points[i]`). Points
+    /// are grouped by `key` — two points with equal keys must be the
+    /// same experiment under different labels. Each group's first point
+    /// in grid order is `simulate`d under `opts`, and every member's
+    /// record is `render`ed from that one outcome; a failed or skipped
+    /// experiment fails or skips every member alike. The outcome is in
+    /// grid order whatever the completion order was.
+    pub fn run_grouped<I, K, E, T>(
         &self,
         points: Vec<I>,
         ids: Vec<String>,
-        checkpoint: Option<&CheckpointFile>,
-        encode: impl Fn(&T) -> String + Sync,
-        decode: impl Fn(&str) -> Result<T, String>,
         key: impl Fn(&I) -> K,
         simulate: impl Fn(&I) -> Result<E, SimError> + Sync,
         render: impl Fn(&I, &E) -> T + Sync,
@@ -286,34 +255,25 @@ impl SweepRunner {
         T: Send,
     {
         assert_eq!(points.len(), ids.len(), "one id per grid point");
-        // Each point is replayed (`Ok(record)`) or runs as a member of
-        // experiment group `Err(g)`; `groups[g]` lists its members.
-        let mut slots: Vec<Result<T, usize>> = Vec::with_capacity(points.len());
+        // Point `i` belongs to experiment `group_of[i]`; `groups[g]`
+        // lists its members in grid order.
         let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut group_of: HashMap<K, usize> = HashMap::new();
-        for (index, (point, id)) in points.iter().zip(&ids).enumerate() {
-            let record =
-                checkpoint
-                    .and_then(|cp| cp.get(id))
-                    .and_then(|text| match decode(&text) {
-                        Ok(value) => Some(value),
-                        Err(e) => {
-                            eprintln!("warning: re-running {id}: bad checkpoint entry ({e})");
-                            None
-                        }
-                    });
-            slots.push(record.ok_or_else(|| {
-                let g = *group_of.entry(key(point)).or_insert_with(|| {
+        let mut index: HashMap<K, usize> = HashMap::new();
+        let group_of: Vec<usize> = points
+            .iter()
+            .enumerate()
+            .map(|(i, point)| {
+                let g = *index.entry(key(point)).or_insert_with(|| {
                     groups.push(Vec::new());
                     groups.len() - 1
                 });
-                groups[g].push(index);
+                groups[g].push(i);
                 g
-            }));
-        }
+            })
+            .collect();
 
         let points = &points;
-        let mut fresh = self.map_supervised(
+        let mut outcomes = self.map_supervised(
             groups.iter().map(Vec::as_slice).collect(),
             |members: &&[usize]| {
                 let outcome = simulate(&points[members[0]])?;
@@ -324,52 +284,27 @@ impl SweepRunner {
                 Ok(records.into_iter())
             },
             opts,
-            |g, status| {
-                if let (Some(cp), PointStatus::Done(records)) = (checkpoint, status) {
-                    let encoded: Vec<(&str, String)> = groups[g]
-                        .iter()
-                        .zip(records.as_slice())
-                        .map(|(&m, record)| (ids[m].as_str(), encode(record)))
-                        .collect();
-                    cp.record(&encoded);
-                }
-            },
         );
-        if let Some(cp) = checkpoint {
-            cp.flush();
-        }
 
         let mut out = SupervisedRun {
             done: Vec::new(),
             failures: Vec::new(),
             skipped: Vec::new(),
-            resumed: 0,
             experiments: groups.len(),
             total: ids.len(),
         };
-        for (slot, id) in slots.into_iter().zip(&ids) {
-            let status = match slot {
-                Ok(value) => {
-                    out.resumed += 1;
-                    PointStatus::Done(value)
-                }
-                // Members take their records in grid order and inherit a
-                // failure or a skip as it is.
-                Err(g) => match &mut fresh[g] {
-                    PointStatus::Done(records) => {
-                        PointStatus::Done(records.next().expect("one record per member"))
-                    }
-                    PointStatus::Failed(error) => PointStatus::Failed(error.clone()),
-                    PointStatus::Skipped => PointStatus::Skipped,
-                },
-            };
-            match status {
-                PointStatus::Done(value) => out.done.push(value),
+        // Members take their records in grid order and inherit a
+        // failure or a skip as it is.
+        for (g, id) in group_of.into_iter().zip(ids) {
+            match &mut outcomes[g] {
+                PointStatus::Done(records) => out
+                    .done
+                    .push(records.next().expect("one record per member")),
                 PointStatus::Failed(error) => out.failures.push(PointFailure {
-                    id: id.clone(),
-                    error,
+                    id,
+                    error: error.clone(),
                 }),
-                PointStatus::Skipped => out.skipped.push(id.clone()),
+                PointStatus::Skipped => out.skipped.push(id),
             }
         }
         out
@@ -496,8 +431,8 @@ pub struct MatrixPoint {
 }
 
 impl MatrixPoint {
-    /// Stable point id `algo/dist/RxC/sN` — the checkpoint key and the
-    /// name failure reports use.
+    /// Stable point id `algo/dist/RxC/sN` — the name reports and
+    /// failure lines use.
     pub fn id(&self) -> String {
         format!(
             "{}/{}/{}x{}/s{}",
@@ -579,11 +514,13 @@ pub fn matrix_points(shapes: &[(usize, usize)], chaos: bool) -> Vec<MatrixPoint>
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
 
     /// `(done, failed, skipped)` counts over a finished supervised sweep.
     fn tally<T>(statuses: &[PointStatus<T>]) -> (usize, usize, usize) {
-        let done = statuses.iter().filter(|s| is_done(s)).count();
+        let done = statuses
+            .iter()
+            .filter(|s| matches!(s, PointStatus::Done(_)))
+            .count();
         let failed = statuses
             .iter()
             .filter(|s| matches!(s, PointStatus::Failed(_)))
@@ -591,20 +528,12 @@ mod tests {
         (done, failed, statuses.len() - done - failed)
     }
 
-    fn is_done<T>(status: &PointStatus<T>) -> bool {
-        matches!(status, PointStatus::Done(_))
-    }
-
     #[test]
     fn healthy_points_all_complete() {
-        let observed = Mutex::new(Vec::new());
         let statuses = SweepRunner::sequential().with_workers(4).map_supervised(
             (0..12usize).collect(),
             |&i| Ok(i * 3),
             &SuperviseOpts::default(),
-            |index, status: &PointStatus<usize>| {
-                observed.lock().unwrap().push((index, is_done(status)));
-            },
         );
         let (done, failed, skipped) = tally(&statuses);
         assert_eq!((done, failed, skipped), (12, 0, 0));
@@ -614,13 +543,6 @@ mod tests {
                 "{i}: {s:?}"
             );
         }
-        let mut observed = observed.into_inner().unwrap();
-        observed.sort();
-        assert_eq!(
-            observed,
-            (0..12).map(|i| (i, true)).collect::<Vec<_>>(),
-            "observer fires exactly once per point"
-        );
     }
 
     #[test]
@@ -643,7 +565,6 @@ mod tests {
                 Ok(i)
             },
             &SuperviseOpts::default(),
-            |_, _| {},
         );
         let (done, failed, skipped) = tally(&statuses);
         assert_eq!((done, failed, skipped), (6, 2, 0));
@@ -674,7 +595,6 @@ mod tests {
                 Ok(i)
             },
             &opts,
-            |_, _| {},
         );
         assert_eq!(ran.load(Ordering::Relaxed), 0);
         assert_eq!(tally(&statuses), (0, 0, 6));
@@ -686,148 +606,29 @@ mod tests {
             vec![0usize],
             |_| Err::<usize, _>(SimError::Cancelled),
             &SuperviseOpts::default(),
-            |_, _| {},
         );
         assert!(matches!(statuses[0], PointStatus::Skipped));
     }
 
-    /// A fresh checkpoint file under the temp dir, removed on drop.
-    struct TempCheckpoint(std::path::PathBuf);
-
-    impl TempCheckpoint {
-        fn new(tag: &str) -> Self {
-            let path = std::env::temp_dir()
-                .join(format!("stp-resumable-{tag}-{}.ckpt", std::process::id()));
-            let file = TempCheckpoint(path);
-            file.remove();
-            file
-        }
-
-        fn open(&self) -> CheckpointFile {
-            CheckpointFile::open(&self.0, "resumable-test").expect("open checkpoint")
-        }
-
-        fn remove(&self) {
-            let _ = std::fs::remove_file(&self.0);
-            let _ = std::fs::remove_file(crate::checkpoint::journal_path(&self.0));
-        }
-    }
-
-    impl Drop for TempCheckpoint {
-        fn drop(&mut self) {
-            self.remove();
-        }
-    }
-
-    /// `run_resumable` over points `0..n` with ids `p0..`, records
-    /// `"v<i>"` decoding to `i`; point 4 always fails. Returns the run
-    /// and the points the job executed, in ascending order.
-    fn resumable(n: usize, cp: Option<&CheckpointFile>) -> (SupervisedRun<usize>, Vec<usize>) {
-        crate::runner::tests_hush_deliberate_panics();
-        let executed = Mutex::new(Vec::new());
-        let run = SweepRunner::sequential().with_workers(3).run_resumable(
-            (0..n).collect(),
-            (0..n).map(|i| format!("p{i}")).collect(),
-            cp,
-            |v| format!("v{v}"),
-            |text| {
-                text.strip_prefix('v')
-                    .and_then(|digits| digits.parse().ok())
-                    .ok_or_else(|| format!("not a record: {text:?}"))
-            },
-            |&i| i,
-            |&i| {
-                executed.lock().unwrap().push(i);
-                if i == 4 {
-                    panic!("deliberate test panic in point {i}");
-                }
-                Ok(i)
-            },
-            |_, &v| v,
-            &SuperviseOpts::default(),
-        );
-        let mut executed = executed.into_inner().unwrap();
-        executed.sort();
-        (run, executed)
-    }
-
-    #[test]
-    fn a_resumed_run_replays_records_and_runs_only_the_rest_in_grid_order() {
-        let file = TempCheckpoint::new("resume");
-        // The interrupted run: the first five points, one of them bad.
-        let cp = file.open();
-        let (first, ran) = resumable(5, Some(&cp));
-        assert_eq!(ran, vec![0, 1, 2, 3, 4]);
-        assert_eq!((first.resumed, first.total), (0, 5));
-        assert_eq!(cp.completed(), 4, "a failed point leaves no record");
-        drop(cp);
-
-        // The resume, over the whole grid: four replays, the failed
-        // point and the new ones run, and everything is in grid order.
-        let cp = file.open();
-        let (second, ran) = resumable(8, Some(&cp));
-        assert_eq!(ran, vec![4, 5, 6, 7]);
-        assert_eq!(second.done, vec![0, 1, 2, 3, 5, 6, 7]);
-        assert_eq!((second.resumed, second.total), (4, 8));
-        assert_eq!(second.skipped, Vec::<String>::new());
-        let [failure] = &second.failures[..] else {
-            panic!("exactly point 4 fails: {:?}", second.failures);
-        };
-        assert_eq!(failure.id, "p4");
-        assert!(failure.error.contains("point 4"), "{}", failure.error);
-        assert_eq!(cp.completed(), 7);
-
-        // An uninterrupted run reports the same, byte for byte.
-        let (reference, ran) = resumable(8, None);
-        assert_eq!(ran.len(), 8);
-        assert_eq!(reference.done, second.done);
-        assert_eq!(reference.summary_json(), second.summary_json());
-        assert_eq!(
-            second.summary_json(),
-            "\"points\":8,\"failures\":[{\"id\":\"p4\",\
-             \"error\":\"deliberate test panic in point 4\"}],\"skipped\":[]"
-        );
-    }
-
-    #[test]
-    fn a_record_that_does_not_decode_is_run_again_and_rewritten() {
-        let file = TempCheckpoint::new("bad-record");
-        let cp = file.open();
-        cp.record(&[("p0", "v0".into())]);
-        cp.record(&[("p1", "garbage".into())]);
-        cp.record(&[("p2", "v2".into())]);
-        let (run, ran) = resumable(3, Some(&cp));
-        assert_eq!(ran, vec![1], "only the undecodable point runs");
-        assert_eq!(run.done, vec![0, 1, 2]);
-        assert_eq!(run.resumed, 2);
-        assert_eq!(cp.get("p1").as_deref(), Some("v1"));
-    }
-
     #[test]
     fn a_cancelled_resumable_run_names_what_it_skipped() {
-        let file = TempCheckpoint::new("skipped");
-        let cp = file.open();
-        cp.record(&[("p1", "v1".into())]);
         let opts = SuperviseOpts::default();
         opts.cancel.cancel();
-        let run = SweepRunner::sequential().run_resumable(
+        let run = SweepRunner::sequential().run_grouped(
             vec![0usize, 1, 2],
             vec!["p0".into(), "p1".into(), "p2".into()],
-            Some(&cp),
-            |v: &usize| format!("v{v}"),
-            |_| Ok(1),
             |&i| i,
             |&i| Ok(i),
             |_, &v| v,
             &opts,
         );
-        // The record still replays; the unstarted points are skipped.
-        assert_eq!(run.done, vec![1]);
-        assert_eq!(run.skipped, vec!["p0", "p2"]);
-        assert_eq!((run.resumed, run.total), (1, 3));
+        // Nothing runs: every point is skipped under its own id.
+        assert_eq!(run.done, Vec::<usize>::new());
+        assert_eq!(run.skipped, vec!["p0", "p1", "p2"]);
+        assert_eq!((run.experiments, run.total), (3, 3));
         assert_eq!(
             run.summary_json(),
-            "\"points\":3,\"failures\":[],\"skipped\":[\"p0\",\"p2\"]"
+            "\"points\":3,\"failures\":[],\"skipped\":[\"p0\",\"p1\",\"p2\"]"
         );
     }
 
@@ -852,7 +653,7 @@ mod tests {
         );
         assert!(ids[..1280].iter().all(|id| !id.starts_with("chaos:")));
         let unique: std::collections::BTreeSet<&String> = ids.iter().collect();
-        assert_eq!(unique.len(), ids.len(), "point ids are checkpoint keys");
+        assert_eq!(unique.len(), ids.len(), "point ids are unique");
         // The quick matrix is a subset of the full one, in the same order.
         let mut rest = ids.iter();
         for point in &quick {

@@ -17,7 +17,6 @@ use stp_core::supervise::SuperviseOpts;
 fn exported_variables_do_not_reach_the_default_constructors() {
     std::env::set_var("STP_WATCHDOG_EVENTS", "1");
     std::env::set_var("STP_SWEEP_WORKERS", "1");
-    std::env::set_var("STP_SWEEP_DEADLINE_MS", "1");
     std::env::set_var("STP_SERVE_WORKERS", "1");
 
     let config = SimConfig::default();
@@ -54,6 +53,5 @@ fn exported_variables_do_not_reach_the_default_constructors() {
     let env = Env::from_process();
     assert_eq!(env.budget().max_events, Some(1));
     assert_eq!(env.sweep_runner().workers(), 1);
-    assert_eq!(env.sweep_deadline_ms, Some(1));
     assert_eq!(env.serve_workers, Some(1));
 }

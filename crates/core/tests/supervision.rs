@@ -1,22 +1,19 @@
 //! End-to-end tests of the supervised execution plane: a sweep with
 //! deliberately broken algorithms (one panicking, one deadlocking) must
-//! finish every healthy point and quarantine the bad ones, and an
-//! interrupted sweep must resume from its checkpoint replaying zero
-//! completed points with a byte-identical report.
+//! finish every healthy point and quarantine the bad ones, and a failed
+//! experiment fails every point that shares it under the point's own id.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
 use mpp_model::{LibraryKind, Machine};
-use stp_core::checkpoint::{journal_path, CheckpointFile};
 use stp_core::distribution::SourceDist;
 use stp_core::msgset::payload_for;
 use stp_core::runner::{
     try_run_alg_controlled, try_run_sources_controlled, AlgoKind, RunControl, SweepRunner,
 };
 use stp_core::supervise::{
-    chaos_algorithms, matrix_points, MatrixAlg, MatrixPoint, SuperviseOpts, SupervisedRun,
-    CHAOS_PANIC_MSG,
+    chaos_algorithms, MatrixAlg, MatrixPoint, SuperviseOpts, SupervisedRun, CHAOS_PANIC_MSG,
 };
 
 /// Silence the two expected panic flavours (this is an integration test
@@ -37,12 +34,6 @@ fn hush() {
             }
         }));
     });
-}
-
-/// Delete a checkpoint store: its snapshot and its journal.
-fn remove_store(path: &std::path::Path) {
-    let _ = std::fs::remove_file(path);
-    let _ = std::fs::remove_file(journal_path(path));
 }
 
 /// One grid point: a real algorithm or a chaos fixture, by name.
@@ -88,7 +79,7 @@ fn point_id(pt: &Point) -> String {
 }
 
 /// Run one grid point to its deterministic record string (virtual
-/// quantities only, so records are comparable across runs and resumes).
+/// quantities only, so records are comparable across runs).
 fn run_point(pt: &Point, opts: &SuperviseOpts) -> Result<String, mpp_runtime::SimError> {
     let machine = Machine::paragon(4, 4);
     let sources = pt.dist.place(machine.shape, pt.s);
@@ -133,20 +124,17 @@ fn run_point(pt: &Point, opts: &SuperviseOpts) -> Result<String, mpp_runtime::Si
     ))
 }
 
-/// Resumable supervised sweep over `points`. Returns the report lines
+/// Grouped supervised sweep over `points`. Returns the report lines
 /// (records, then failures, then skips — each in grid order) plus how
-/// many times the job actually executed (once per point that was not
-/// replayed, failed points included).
-fn sweep(points: Vec<Point>, checkpoint: Option<&CheckpointFile>) -> (Vec<String>, usize) {
+/// many times the job actually executed (once per point, failed points
+/// included).
+fn sweep(points: Vec<Point>) -> (Vec<String>, usize) {
     let opts = SuperviseOpts::default();
     let ids = points.iter().map(point_id).collect();
     let executed = AtomicUsize::new(0);
-    let run = SweepRunner::new().run_resumable(
+    let run = SweepRunner::new().run_grouped(
         points,
         ids,
-        checkpoint,
-        String::clone,
-        |record| Ok(record.to_string()),
         point_id,
         |pt| {
             executed.fetch_add(1, Ordering::Relaxed);
@@ -167,8 +155,9 @@ fn sweep(points: Vec<Point>, checkpoint: Option<&CheckpointFile>) -> (Vec<String
 #[test]
 fn chaos_sweep_finishes_healthy_points() {
     hush();
-    let (report, _) = sweep(grid(), None);
+    let (report, ran) = sweep(grid());
     assert_eq!(report.len(), 14, "wrong point count");
+    assert_eq!(ran, 14, "every point once, failed points too");
     let failed: Vec<&String> = report.iter().filter(|l| l.contains(":FAILED")).collect();
     assert_eq!(
         failed.len(),
@@ -200,59 +189,16 @@ fn chaos_sweep_finishes_healthy_points() {
     assert!(!report.iter().any(|l| l.contains(":SKIPPED")));
 }
 
-#[test]
-fn interrupted_sweep_resumes_without_replaying_completed_points() {
-    hush();
-    let path = std::env::temp_dir().join(format!("stp-supervision-{}.ckpt", std::process::id()));
-    remove_store(&path);
-    let sig = "supervision-test";
-
-    // The uninterrupted reference run.
-    let (reference, ran_all) = sweep(grid(), None);
-    assert_eq!(ran_all, 14, "every point once, failed points too");
-
-    // "Interrupted" run: only the first half of the grid reaches the
-    // checkpoint before the (simulated) kill.
-    let cp = CheckpointFile::open(&path, sig).expect("open checkpoint");
-    let half: Vec<Point> = grid().into_iter().take(7).collect();
-    let _ = sweep(half, Some(&cp));
-    let completed_half = cp.completed();
-    assert!(completed_half >= 5, "most of the half-grid must complete");
-    drop(cp);
-
-    // Resume over the full grid: completed points replay verbatim, only
-    // the remainder (and the failed chaos points) re-run.
-    let cp = CheckpointFile::open(&path, sig).expect("re-open checkpoint");
-    assert_eq!(cp.completed(), completed_half, "checkpoint must persist");
-    let (resumed, ran_resume) = sweep(grid(), Some(&cp));
-    assert_eq!(
-        ran_resume,
-        ran_all - completed_half,
-        "resume must replay zero completed points"
-    );
-    assert_eq!(
-        resumed, reference,
-        "resumed report must be byte-identical to the uninterrupted run"
-    );
-    remove_store(&path);
-}
-
-/// A resumable sweep of acceptance-matrix points, grouped by experiment
-/// the way `stp sweep` groups them. Returns the run, its report (as the
-/// report lines of [`sweep`]) and how many simulations ran.
-fn matrix_sweep(
-    points: Vec<MatrixPoint>,
-    checkpoint: Option<&CheckpointFile>,
-) -> (SupervisedRun<String>, Vec<String>, usize) {
+/// A supervised sweep of acceptance-matrix points, grouped by experiment
+/// the way `stp sweep` groups them. Returns the run and how many
+/// simulations ran.
+fn matrix_sweep(points: Vec<MatrixPoint>) -> (SupervisedRun<String>, usize) {
     let opts = SuperviseOpts::default();
     let ids = points.iter().map(MatrixPoint::id).collect();
     let simulated = AtomicUsize::new(0);
-    let run = SweepRunner::new().run_resumable(
+    let run = SweepRunner::new().run_grouped(
         points,
         ids,
-        checkpoint,
-        String::clone,
-        |record| Ok(record.to_string()),
         MatrixPoint::experiment,
         |pt| {
             simulated.fetch_add(1, Ordering::Relaxed);
@@ -276,19 +222,7 @@ fn matrix_sweep(
         },
         &opts,
     );
-    let failed = run
-        .failures
-        .iter()
-        .map(|f| format!("{}:FAILED: {}", f.id, f.error));
-    let skipped = run.skipped.iter().map(|id| format!("{id}:SKIPPED"));
-    let report = run
-        .done
-        .iter()
-        .cloned()
-        .chain(failed)
-        .chain(skipped)
-        .collect();
-    (run, report, simulated.load(Ordering::Relaxed))
+    (run, simulated.load(Ordering::Relaxed))
 }
 
 #[test]
@@ -308,7 +242,7 @@ fn every_member_of_a_failed_experiment_fails_under_its_own_id() {
             }
         })
         .collect();
-    let (run, _, simulated) = matrix_sweep(points, None);
+    let (run, simulated) = matrix_sweep(points);
     assert_eq!((run.total, run.experiments), (2, 1));
     assert_eq!(simulated, 1, "one representative, run once");
     assert!(run.done.is_empty() && run.skipped.is_empty());
@@ -319,40 +253,14 @@ fn every_member_of_a_failed_experiment_fails_under_its_own_id() {
     };
     assert_eq!(first.error, second.error);
     assert!(first.error.contains(CHAOS_PANIC_MSG), "{}", first.error);
-}
-
-#[test]
-fn a_checkpoint_holding_part_of_an_experiment_resumes_byte_identically() {
-    hush();
-    // On 1x2 the matrix is all-sources only: eight labels of each of
-    // the algorithms' experiments.
-    let (reference, report, simulated) = matrix_sweep(matrix_points(&[(1, 2)], false), None);
-    let algorithms = AlgoKind::all().len();
+    // The report's failure records: each member's id, the one error.
+    let record = |id: &str| format!("{{\"id\":\"{id}\",\"error\":\"{}\"}}", first.error);
     assert_eq!(
-        (reference.total, reference.experiments),
-        (8 * algorithms, algorithms)
+        run.summary_json(),
+        format!(
+            "\"points\":2,\"failures\":[{},{}],\"skipped\":[]",
+            record(ids[0]),
+            record(ids[1])
+        )
     );
-    assert_eq!(simulated, algorithms);
-
-    let path = std::env::temp_dir().join(format!("stp-partial-group-{}.ckpt", std::process::id()));
-    remove_store(&path);
-    // The interrupted run reaches the first label and half the second:
-    // every experiment has members on both sides of the cut.
-    let cut = algorithms + algorithms / 2;
-    let cp = CheckpointFile::open(&path, "partial-group").expect("open checkpoint");
-    let mut points = matrix_points(&[(1, 2)], false);
-    points.truncate(cut);
-    let _ = matrix_sweep(points, Some(&cp));
-    assert_eq!(cp.completed(), cut);
-    drop(cp);
-
-    let cp = CheckpointFile::open(&path, "partial-group").expect("re-open checkpoint");
-    let (resumed, resumed_report, simulated) =
-        matrix_sweep(matrix_points(&[(1, 2)], false), Some(&cp));
-    assert_eq!((resumed.resumed, resumed.experiments), (cut, algorithms));
-    assert_eq!(simulated, algorithms);
-    assert_eq!(resumed_report, report);
-    assert_eq!(resumed.summary_json(), reference.summary_json());
-    assert_eq!(cp.completed(), 8 * algorithms);
-    remove_store(&path);
 }

@@ -91,7 +91,7 @@ impl std::error::Error for SimError {}
 
 impl SimError {
     /// Short machine-readable kind tag (stable across releases; used by
-    /// sweep failure reports and checkpoints).
+    /// failure reports).
     pub fn kind(&self) -> &'static str {
         match self {
             SimError::Deadlock { .. } => "deadlock",
