@@ -45,8 +45,10 @@
 //!
 //! The process environment is read exactly once, by [`Env::from_process`]
 //! at the top of `main`; every subcommand takes the parsed values
-//! (`STP_SWEEP_WORKERS`, `STP_WATCHDOG_EVENTS`, `STP_SERVE_*`) as
-//! arguments, and a flag overrides its variable.
+//! (`STP_SWEEP_WORKERS`, `STP_WATCHDOG_EVENTS`) as arguments, and
+//! `stp serve` is configured by its flags alone. Each mode lists the
+//! flags it accepts, and any other argument is a usage error (exit 2),
+//! never a run that ignores it.
 
 use mpp_model::{FaultPlan, LibraryKind, Machine};
 use mpp_sim::{render_timeline, summarize};
@@ -78,6 +80,80 @@ fn usage() -> ! {
     eprintln!("                  requests, content-addressed plan cache — see README)");
     eprintln!("       stp --list       (show algorithm and distribution names)");
     std::process::exit(2);
+}
+
+/// The flags one mode accepts: those that take a value, then switches.
+struct Flags {
+    values: &'static [&'static str],
+    switches: &'static [&'static str],
+}
+
+const POINT_FLAGS: Flags = Flags {
+    values: &[
+        "--machine",
+        "--rows",
+        "--cols",
+        "--p",
+        "--algo",
+        "--dist",
+        "--s",
+        "--len",
+        "--lib",
+        "--seed",
+        "--ports",
+        "--sweep-len",
+        "--faults",
+    ],
+    switches: &["--list", "--metrics", "--trace", "--predict"],
+};
+
+const LINT_FLAGS: Flags = Flags {
+    values: &[
+        "--json",
+        "--max-link-load",
+        "--baseline",
+        "--write-baseline",
+        "--sarif",
+        "--faults",
+    ],
+    switches: &["--quick", "--fixtures", "--perf", "--chaos"],
+};
+
+const SWEEP_FLAGS: Flags = Flags {
+    values: &["--len", "--json", "--faults"],
+    switches: &["--quick", "--chaos"],
+};
+
+const SERVE_FLAGS: Flags = Flags {
+    values: &[
+        "--addr",
+        "--cache",
+        "--cache-cap",
+        "--workers",
+        "--deadline-ms",
+    ],
+    switches: &[],
+};
+
+/// Exit 2, naming it, on an argument `flags` does not list or a value
+/// flag with nothing after it: a typo must not run with the default.
+fn check_flags(args: &[String], flags: &Flags) {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if flags.values.contains(&arg.as_str()) {
+            if rest.next().is_none() {
+                eprintln!("stp: {arg} wants a value");
+                usage()
+            }
+        } else if !flags.switches.contains(&arg.as_str()) {
+            let what = match arg.starts_with('-') {
+                true => "unknown flag",
+                false => "unexpected argument",
+            };
+            eprintln!("stp: {what} '{arg}'");
+            usage()
+        }
+    }
 }
 
 /// The value following `flag`, if the flag is present.
@@ -124,6 +200,7 @@ fn run_lint(args: &[String], env: &Env) -> ! {
         fixtures_to_json, lint_fixtures, lint_matrix_supervised, supervised_report_json, LintConfig,
     };
 
+    check_flags(args, &LINT_FLAGS);
     let json_path = get(args, "--json");
     stp_analyzer::hush_expected_panics();
 
@@ -309,6 +386,7 @@ fn run_sweep(args: &[String], env: &Env) -> ! {
     use stp_core::runner::try_run_alg_controlled;
     use stp_core::supervise::{matrix_points, matrix_shapes, MatrixPoint};
 
+    check_flags(args, &SWEEP_FLAGS);
     stp_analyzer::hush_expected_panics();
 
     let shapes = matrix_shapes(has(args, "--quick"));
@@ -415,33 +493,26 @@ fn serve_lint_hook() -> Box<stp_core::serve::LintFn> {
 fn run_serve(args: &[String], env: &Env) -> ! {
     use stp_core::serve::{arm_signal_shutdown, ServeConfig, Server};
 
+    check_flags(args, &SERVE_FLAGS);
     // Chaos requests are a supported part of the serving mix — their
     // deliberate panics must not spam the daemon's stderr.
     stp_analyzer::hush_expected_panics();
 
-    // Flag, else variable, else default; one clamp for all three. The
-    // executor stays at its cooperative default: nothing here sets it.
+    // Flag, else default. The executor stays at its cooperative
+    // default: nothing here sets it.
     let defaults = ServeConfig::default();
     let config = ServeConfig {
-        addr: get(args, "--addr")
-            .or_else(|| env.serve_addr.clone())
-            .unwrap_or(defaults.addr),
-        cache_path: get(args, "--cache")
-            .map(Into::into)
-            .or_else(|| env.serve_cache.clone()),
+        addr: get(args, "--addr").unwrap_or(defaults.addr),
+        cache_path: get(args, "--cache").map(Into::into),
         cache_cap: flag_num(args, "--cache-cap")
-            .or(env.serve_cache_cap)
             .unwrap_or(defaults.cache_cap)
             .max(1),
         workers: flag_num(args, "--workers")
-            .or(env.serve_workers)
             .unwrap_or(defaults.workers)
             .clamp(1, 64),
-        deadline: flag_num(args, "--deadline-ms")
-            .or(env.serve_deadline_ms)
-            .map_or(defaults.deadline, |ms: u64| {
-                std::time::Duration::from_millis(ms.max(1))
-            }),
+        deadline: flag_num(args, "--deadline-ms").map_or(defaults.deadline, |ms: u64| {
+            std::time::Duration::from_millis(ms.max(1))
+        }),
         exec: defaults.exec,
         budget: env.budget(),
     };
@@ -483,33 +554,11 @@ fn main() {
     let env = Env::from_process();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let args = args.as_slice();
-    // The executor flag is gone. The parser below ignores flags it does
-    // not know, and silently ignoring this one would run — and time — an
-    // executor the user did not ask for. (Matched in two halves so the
-    // CI grep for retired knobs needs no exception for this file.)
-    if args.iter().any(|a| a.strip_prefix("--") == Some("exec")) {
-        eprintln!("stp: the executor flag was removed; every simulation runs cooperatively");
-        usage()
-    }
-    // The sweeps' checkpoint and deadline flags are gone too; ignoring
-    // `--deadline-ms 500` would run a sweep with no budget at all.
-    // (`stp serve --deadline-ms` is its per-request deadline and stays.)
-    if matches!(args.first().map(String::as_str), Some("lint" | "sweep")) {
-        let removed = ["--checkpoint", "--resume", "--deadline-ms"];
-        if let Some(flag) = args.iter().find(|a| removed.contains(&a.as_str())) {
-            eprintln!(
-                "stp: {flag} was removed from `stp {}`: the matrix runs in seconds, \
-                 so a sweep keeps no checkpoint and no deadline",
-                args[0]
-            );
-            usage()
-        }
-    }
     match args.first().map(String::as_str) {
         Some("serve") => run_serve(&args[1..], &env),
         Some("lint") => run_lint(&args[1..], &env),
         Some("sweep") => run_sweep(&args[1..], &env),
-        _ => {}
+        _ => check_flags(args, &POINT_FLAGS),
     }
     if args.iter().any(|a| a == "--list") {
         println!("algorithms:");

@@ -1,11 +1,11 @@
 //! The `stp` and `repro` binaries' argument and environment handling,
-//! driven as child processes: a typo in a numeric flag, a retired flag
-//! or an unknown figure name is a usage error (exit 2), never a run at
-//! some default; the `STP_*` variables still reach the subcommands that
-//! document them; the grouped sweep reports what running every point on
-//! its own would; and the text timelines of `repro trace` and
-//! `stp --trace`, read from the recorded event log, match the committed
-//! figure and a pinned summary line.
+//! driven as child processes: a typo in a numeric flag, an unknown or
+//! retired flag or an unknown figure name is a usage error (exit 2),
+//! never a run at some default; the `STP_*` variables still reach the
+//! subcommands that document them; the grouped sweep reports what
+//! running every point on its own would; and the text timelines of
+//! `repro trace` and `stp --trace`, read from the recorded event log,
+//! match the committed figure and a pinned summary line.
 
 use std::process::Command;
 
@@ -133,7 +133,7 @@ fn retired_flags_are_rejected_not_ignored() {
     ] {
         for value in ["threaded", "coop"] {
             let args = [&prefix[..], &[flag.as_str(), value]].concat();
-            assert_rejected(&args, "executor flag was removed");
+            assert_rejected(&args, &format!("unknown flag '{flag}'"));
         }
     }
     // The sweeps keep no checkpoint and no deadline; their old flags are
@@ -146,10 +146,27 @@ fn retired_flags_are_rejected_not_ignored() {
             &["--deadline-ms", "500"],
         ] {
             let args = [&[cmd, "--quick"][..], removed].concat();
-            let reason = format!("{} was removed from `stp {cmd}`", removed[0]);
-            assert_rejected(&args, &reason);
+            assert_rejected(&args, &format!("unknown flag '{}'", removed[0]));
         }
     }
+    // So is a typo: every mode lists its flags, and the rest exit 2.
+    let typo_run = point(&["--s", "4", "--metric"]);
+    for (args, typo) in [
+        (
+            &["sweep", "--quick", "--len", "64", "--jsn", "x.json"][..],
+            "--jsn",
+        ),
+        (&["lint", "--quick", "--prf"], "--prf"),
+        (
+            &["serve", "--addr", "127.0.0.1:0", "--cach", "f.json"],
+            "--cach",
+        ),
+        (&typo_run, "--metric"),
+    ] {
+        assert_rejected(args, &format!("unknown flag '{typo}'"));
+    }
+    assert_rejected(&["sweep", "quick"], "unexpected argument 'quick'");
+    assert_rejected(&["sweep", "--quick", "--json"], "--json wants a value");
 }
 
 #[test]
@@ -193,6 +210,7 @@ fn a_retired_variable_is_one_warning_not_an_error() {
     for (name, value) in [
         (["STP_", "EXEC"].concat(), "threaded"),
         (["STP_SWEEP_", "DEADLINE_MS"].concat(), "500"),
+        (["STP_SERVE_", "CACHE"].concat(), "plans.json"),
     ] {
         let (code, stdout, stderr) = run(stp().env(&name, value).arg("--list"));
         assert_eq!(code, Some(0), "{stderr}");

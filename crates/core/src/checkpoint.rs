@@ -1,37 +1,19 @@
-//! The journaled store behind serve's plan cache, plus the JSON layer.
-//!
-//! A store maps stable ids to the exact record string stored under each
-//! (a plan-cache entry id to the plan body its cold run rendered), plus
-//! a *signature* of the schema that wrote it. Open reloads the entries
-//! only when the stored signature matches; a mismatch (another schema
-//! version, a corrupt file) starts fresh, so stale entries never leak
-//! into a store of another shape.
-//!
-//! On disk a [`CheckpointFile`] is a *snapshot* at `path` (one
-//! [`Checkpoint`] document, saved through a temp file, fsync, atomic
-//! rename and a directory fsync) plus a *journal* at `<path>.journal`: a `{"sig":…}` line, then
-//! one `{"put":["<id>","<record>"]}` or `{"del":"<id>"}` line per change,
-//! `fdatasync`ed before the update returns. Open replays the journal
-//! over the snapshot, dropping a torn last line and stopping with a
-//! warning at a record that does not parse. A *compaction* (save the
-//! snapshot, then empty the journal) runs on a store's first write, on
-//! open when the journal holds anything, on
-//! [`flush`](CheckpointFile::flush), and whenever the journal holds more
-//! records than the store has entries. So an update costs one small
-//! append whatever the store's size, and a journal with no snapshot
-//! beside it belongs to a deleted store and is ignored. DESIGN.md §10
-//! tabulates what a `SIGKILL` at each step leaves behind.
+//! The JSON layer, and [`Checkpoint`]: the snapshot document of
+//! [`PlanCache`](crate::serve::PlanCache), which owns the journal, the
+//! LRU order and the compaction rule. A checkpoint maps entry ids to the
+//! exact record stored under each, plus the *signature* of the schema
+//! that wrote it; it saves atomically and loads a malformed file as
+//! absent.
 //!
 //! The build is offline (no serde), so the module carries its own
 //! minimal JSON reader ([`parse_json`]) and string escaper
 //! ([`json_escape`]); the serve protocol and the analyzer's reports and
 //! baseline reuse them.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
 
 // ---------------------------------------------------------------------------
 // Minimal JSON
@@ -365,13 +347,8 @@ impl Checkpoint {
     }
 
     /// Stored entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True when nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// The record stored under `id`.
@@ -385,13 +362,13 @@ impl Checkpoint {
     }
 
     /// Drop a stored record (the serve plan cache evicts past its
-    /// bound). Returns the removed record, if any.
-    pub fn remove(&mut self, id: &str) -> Option<String> {
-        self.entries.remove(id)
+    /// bound).
+    pub(crate) fn remove(&mut self, id: &str) {
+        self.entries.remove(id);
     }
 
     /// The stored ids, in sorted order.
-    pub fn ids(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn ids(&self) -> impl Iterator<Item = &str> {
         self.entries.keys().map(String::as_str)
     }
 
@@ -413,7 +390,7 @@ impl Checkpoint {
     }
 
     /// Parse a serialized checkpoint.
-    pub fn from_json(text: &str) -> Result<Checkpoint, String> {
+    fn from_json(text: &str) -> Result<Checkpoint, String> {
         let value = parse_json(text)?;
         let sig = value
             .get("sig")
@@ -475,247 +452,6 @@ impl Checkpoint {
     }
 }
 
-/// The journal beside the snapshot at `path`: `<path>.journal`.
-pub fn journal_path(path: &Path) -> PathBuf {
-    let mut journal = path.as_os_str().to_owned();
-    journal.push(".journal");
-    PathBuf::from(journal)
-}
-
-/// Replay the journal at `journal` onto `store`, pushing every put's id
-/// onto `touched` in journal order. A torn last line is dropped, a
-/// record that does not parse stops replay with a warning, and a journal
-/// under another signature is ignored. True when the journal held any
-/// bytes at all, so that only a compaction may append to it again.
-fn replay(journal: &Path, store: &mut Checkpoint, touched: &mut Vec<String>) -> io::Result<bool> {
-    let bytes = match std::fs::read(journal) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(false),
-        Err(e) => return Err(e),
-    };
-    let parse = |line: &[u8]| parse_json(std::str::from_utf8(line).ok()?).ok();
-    let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
-    // What follows the last newline: empty, or an append cut short.
-    lines.pop();
-    let Some((head, records)) = lines.split_first() else {
-        return Ok(!bytes.is_empty());
-    };
-    if parse(head).as_ref().and_then(|v| v.get("sig")?.as_str()) != Some(store.sig()) {
-        eprintln!(
-            "note: ignoring {}: not this store's journal",
-            journal.display()
-        );
-        return Ok(true);
-    }
-    for (n, line) in records.iter().enumerate() {
-        match parse(line).as_ref().and_then(journal_op) {
-            Some((id, Some(record))) => {
-                store.insert(id, record);
-                touched.push(id.to_string());
-            }
-            Some((id, None)) => {
-                store.remove(id);
-            }
-            None => {
-                eprintln!(
-                    "warning: {} record {} is corrupt; replay stops there",
-                    journal.display(),
-                    n + 1
-                );
-                break;
-            }
-        }
-    }
-    Ok(true)
-}
-
-/// One journal record: `(id, Some(record))` for a put, `(id, None)` for
-/// a delete.
-fn journal_op(line: &JsonValue) -> Option<(&str, Option<&str>)> {
-    if let Some(id) = line.get("del") {
-        return Some((id.as_str()?, None));
-    }
-    match line.get("put")?.as_array()? {
-        [id, record] => Some((id.as_str()?, Some(record.as_str()?))),
-        _ => None,
-    }
-}
-
-/// A [`Checkpoint`] and where it persists: the snapshot path and its
-/// journal, open for appending (`None` keeps the store in memory).
-#[derive(Debug)]
-struct Journaled {
-    store: Checkpoint,
-    disk: Option<(PathBuf, File)>,
-    /// Records appended since the last compaction.
-    records: usize,
-    /// Both files exist and a save has made their names durable, so an
-    /// append continues the snapshot.
-    anchored: bool,
-}
-
-impl Journaled {
-    /// Apply `puts`, then `dels`, and journal them in one `fdatasync`ed
-    /// write — or compact instead when there is no snapshot yet or the
-    /// journal would outgrow the store. Best-effort: an I/O failure warns
-    /// and costs persistence, never the caller.
-    fn apply<R: AsRef<str>>(&mut self, puts: &[(&str, R)], dels: &[String]) {
-        for (id, record) in puts {
-            self.store.insert(id, record.as_ref());
-        }
-        for id in dels {
-            self.store.remove(id);
-        }
-        let mut lines = match self.records {
-            0 => format!("{{\"sig\":\"{}\"}}\n", json_escape(&self.store.sig)),
-            _ => String::new(),
-        };
-        self.records += puts.len() + dels.len();
-        if (!self.anchored || self.records > self.store.len()) && self.compact().is_ok() {
-            return;
-        }
-        let Some((path, journal)) = &mut self.disk else {
-            return;
-        };
-        for (id, record) in puts {
-            let (id, record) = (json_escape(id), json_escape(record.as_ref()));
-            lines.push_str(&format!("{{\"put\":[\"{id}\",\"{record}\"]}}\n"));
-        }
-        for id in dels {
-            lines.push_str(&format!("{{\"del\":\"{}\"}}\n", json_escape(id)));
-        }
-        if let Err(e) = journal
-            .write_all(lines.as_bytes())
-            .and_then(|()| journal.sync_data())
-        {
-            eprintln!("warning: could not journal {}: {e}", path.display());
-        }
-    }
-
-    /// Save the snapshot, then empty the journal.
-    fn compact(&mut self) -> io::Result<()> {
-        if let Some((path, journal)) = &self.disk {
-            let saved = self.store.save(path).and_then(|()| journal.set_len(0));
-            if let Err(e) = &saved {
-                eprintln!("warning: could not save checkpoint {}: {e}", path.display());
-            }
-            saved?;
-        }
-        self.records = 0;
-        self.anchored = true;
-        Ok(())
-    }
-}
-
-/// Thread-safe journaled store: the serve plan cache keeps its bodies
-/// in it. See the module docs for the on-disk format.
-#[derive(Debug)]
-pub struct CheckpointFile {
-    inner: Mutex<Journaled>,
-    /// The ids present after open, oldest write first.
-    replayed: Vec<String>,
-}
-
-impl CheckpointFile {
-    /// Open (or create) the store at `path` with this schema signature:
-    /// the snapshot, then its journal replayed on top, then compacted if
-    /// the journal held anything. Existing entries are kept only when
-    /// the stored signature matches; otherwise the store starts empty.
-    pub fn open(path: impl Into<PathBuf>, sig: &str) -> io::Result<CheckpointFile> {
-        let path = path.into();
-        // A compaction's directory fsync is what makes the journal's own
-        // name durable, so appends wait for one after either file is new.
-        let anchored = path.exists() && journal_path(&path).exists();
-        let mut store = match Checkpoint::load(&path)? {
-            Some(cp) if cp.sig() == sig => cp,
-            Some(cp) => {
-                eprintln!(
-                    "note: checkpoint {} has signature {:?}, not {sig:?}; starting fresh",
-                    path.display(),
-                    cp.sig()
-                );
-                Checkpoint::new(sig)
-            }
-            None => Checkpoint::new(sig),
-        };
-        let mut touched: Vec<String> = store.ids().map(str::to_string).collect();
-        let dirty = anchored && replay(&journal_path(&path), &mut store, &mut touched)?;
-        let file = Self::new(store, Some(path), touched, anchored)?;
-        if dirty {
-            file.lock().compact()?;
-        }
-        Ok(file)
-    }
-
-    /// A store that lives in memory only.
-    pub fn memory(sig: &str) -> CheckpointFile {
-        Self::new(Checkpoint::new(sig), None, Vec::new(), true).expect("no file to open")
-    }
-
-    fn new(
-        store: Checkpoint,
-        path: Option<PathBuf>,
-        touched: Vec<String>,
-        anchored: bool,
-    ) -> io::Result<Self> {
-        let disk = match path {
-            Some(path) => {
-                let mut journal = std::fs::OpenOptions::new();
-                let journal = journal
-                    .create(true)
-                    .append(true)
-                    .open(journal_path(&path))?;
-                Some((path, journal))
-            }
-            None => None,
-        };
-        // A later write of an id supersedes its earlier place.
-        let last: HashMap<&str, usize> = touched
-            .iter()
-            .enumerate()
-            .map(|(i, id)| (id.as_str(), i))
-            .collect();
-        let mut replayed: Vec<String> = store.ids().map(str::to_string).collect();
-        replayed.sort_by_key(|id| last[id.as_str()]);
-        let inner = Mutex::new(Journaled {
-            store,
-            disk,
-            records: 0,
-            anchored,
-        });
-        Ok(CheckpointFile { inner, replayed })
-    }
-
-    /// The ids the store held when it was opened, least recently
-    /// written first: the snapshot's in id order, then the journal's in
-    /// the order it last wrote them.
-    pub fn replayed(&self) -> &[String] {
-        &self.replayed
-    }
-
-    /// The record stored under `id`, if any.
-    pub fn get(&self, id: &str) -> Option<String> {
-        self.lock().store.get(id).map(str::to_string)
-    }
-
-    /// Store `puts`, then drop `dels`, in one journal write.
-    /// Persistence is best-effort: an I/O failure warns and costs the
-    /// entries' durability, never the caller.
-    pub fn commit<R: AsRef<str>>(&self, puts: &[(&str, R)], dels: &[String]) {
-        self.lock().apply(puts, dels);
-    }
-
-    /// Compact now: the snapshot holds everything and the journal is
-    /// empty (best effort, like every write).
-    pub fn flush(&self) {
-        let _ = self.lock().compact();
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Journaled> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -726,52 +462,8 @@ mod tests {
             "stp-checkpoint-test-{}-{tag}.json",
             std::process::id()
         ));
-        remove_store(&p);
+        let _ = std::fs::remove_file(&p);
         p
-    }
-
-    fn remove_store(path: &Path) {
-        let _ = std::fs::remove_file(path);
-        let _ = std::fs::remove_file(journal_path(path));
-    }
-
-    /// `(id, record)` of every stored entry, in id order.
-    fn contents(file: &CheckpointFile) -> Vec<(String, String)> {
-        let inner = file.lock();
-        let store = &inner.store;
-        store
-            .ids()
-            .map(|id| (id.to_string(), store.get(id).unwrap().to_string()))
-            .collect()
-    }
-
-    fn pairs(entries: &[(&str, &str)]) -> Vec<(String, String)> {
-        entries
-            .iter()
-            .map(|&(id, record)| (id.into(), record.into()))
-            .collect()
-    }
-
-    /// A new store at a fresh `path`, compacted at once: an empty
-    /// snapshot and an empty journal.
-    fn fresh(path: &Path) -> CheckpointFile {
-        let file = CheckpointFile::open(path, "sig").expect("open");
-        file.flush();
-        file
-    }
-
-    /// A store at `path` holding `p1`, `p2`, `p3`, each written by its
-    /// own journal append and never compacted (the handle is dropped
-    /// without a flush, as a kill would leave it).
-    fn three_appends(path: &Path) {
-        let file = fresh(path);
-        for (id, record) in [("p1", "one"), ("p2", "two é"), ("p3", "three")] {
-            file.commit(&[(id, record)], &[]);
-        }
-        assert_eq!(
-            std::fs::read(path).unwrap(),
-            Checkpoint::new("sig").to_json().as_bytes()
-        );
     }
 
     #[test]
@@ -860,185 +552,5 @@ mod tests {
         std::fs::write(&path, "not json at all").unwrap();
         assert_eq!(Checkpoint::load(&path).expect("load"), None);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_file_reloads_only_on_matching_sig() {
-        let path = tmp_path("sig");
-        {
-            let file = CheckpointFile::open(&path, "sig-a").expect("open");
-            file.commit(&[("p1", "one"), ("p2", "two")], &[]);
-        }
-        // Same sig: the entries are kept.
-        let reopened = CheckpointFile::open(&path, "sig-a").expect("open");
-        assert_eq!(contents(&reopened), pairs(&[("p1", "one"), ("p2", "two")]));
-        assert_eq!(reopened.get("p1").as_deref(), Some("one"));
-        drop(reopened);
-        // Different sig: starts fresh.
-        let other = CheckpointFile::open(&path, "sig-b").expect("open");
-        assert!(contents(&other).is_empty());
-        remove_store(&path);
-    }
-
-    #[test]
-    fn appends_replay_on_open_and_compaction_leaves_one_snapshot() {
-        let path = tmp_path("compact");
-        three_appends(&path);
-        let file = CheckpointFile::open(&path, "sig").expect("open");
-        let want = pairs(&[("p1", "one"), ("p2", "two é"), ("p3", "three")]);
-        assert_eq!(contents(&file), want);
-        // Open compacted: the snapshot holds everything, the journal
-        // nothing, and the next append starts it with its signature.
-        let snapshot = Checkpoint::load(&path).unwrap().unwrap();
-        assert_eq!(snapshot.len(), 3);
-        assert_eq!(std::fs::read(journal_path(&path)).unwrap(), b"");
-        file.commit(&[("p4", "four")], &["p1".to_string()]);
-        assert_eq!(
-            std::fs::read_to_string(journal_path(&path)).unwrap(),
-            "{\"sig\":\"sig\"}\n{\"put\":[\"p4\",\"four\"]}\n{\"del\":\"p1\"}\n"
-        );
-        // Two records over three entries: still journaled. Two more
-        // make four over three, and the store compacts instead.
-        file.commit(&[("p5", "five")], &["p2".to_string()]);
-        assert_eq!(std::fs::read(journal_path(&path)).unwrap(), b"");
-        assert_eq!(Checkpoint::load(&path).unwrap().unwrap().len(), 3);
-        remove_store(&path);
-    }
-
-    #[test]
-    fn a_torn_last_journal_line_is_dropped_and_the_prefix_kept() {
-        let path = tmp_path("torn");
-        three_appends(&path);
-        let journal = std::fs::read(journal_path(&path)).unwrap();
-        std::fs::write(journal_path(&path), &journal[..journal.len() - 5]).unwrap();
-        let file = CheckpointFile::open(&path, "sig").expect("open");
-        assert_eq!(contents(&file), pairs(&[("p1", "one"), ("p2", "two é")]));
-        remove_store(&path);
-    }
-
-    #[test]
-    fn a_corrupt_record_stops_replay_there_and_the_store_reseals() {
-        let path = tmp_path("corrupt-record");
-        three_appends(&path);
-        let journal = std::fs::read_to_string(journal_path(&path)).unwrap();
-        let damaged = journal.replace("\"p2\"", "\"p2");
-        std::fs::write(journal_path(&path), damaged).unwrap();
-        let file = CheckpointFile::open(&path, "sig").expect("open");
-        assert_eq!(contents(&file), pairs(&[("p1", "one")]));
-        drop(file);
-        // Resealed: the damage is gone, not replayed again.
-        assert_eq!(std::fs::read(journal_path(&path)).unwrap(), b"");
-        let file = CheckpointFile::open(&path, "sig").expect("reopen");
-        assert_eq!(contents(&file), pairs(&[("p1", "one")]));
-        remove_store(&path);
-    }
-
-    /// A kill between compaction's rename and its truncate leaves the
-    /// old journal beside the snapshot that already holds it.
-    #[test]
-    fn an_old_journal_beside_a_newer_snapshot_reopens_to_the_same_state() {
-        let path = tmp_path("idempotent");
-        three_appends(&path);
-        let file = CheckpointFile::open(&path, "sig").expect("open");
-        file.commit(&[("p2", "two again")], &["p1".to_string()]);
-        file.commit(&[("p1", "one again")], &[]);
-        let journal = std::fs::read(journal_path(&path)).unwrap();
-        let before = contents(&file);
-        file.flush();
-        drop(file);
-        std::fs::write(journal_path(&path), journal).unwrap();
-        let file = CheckpointFile::open(&path, "sig").expect("reopen");
-        assert_eq!(contents(&file), before);
-        assert_eq!(
-            before,
-            pairs(&[("p1", "one again"), ("p2", "two again"), ("p3", "three")])
-        );
-        // Oldest write first: p3 from the snapshot, then p2 and p1 as
-        // the journal last wrote them.
-        assert_eq!(file.replayed(), ["p3", "p2", "p1"]);
-        remove_store(&path);
-    }
-
-    #[test]
-    fn a_journal_under_another_signature_is_ignored() {
-        let path = tmp_path("foreign");
-        three_appends(&path);
-        let mut snapshot = Checkpoint::new("other");
-        snapshot.insert("p0", "zero");
-        snapshot.save(&path).unwrap();
-        let file = CheckpointFile::open(&path, "other").expect("open");
-        assert_eq!(contents(&file), pairs(&[("p0", "zero")]));
-        remove_store(&path);
-    }
-
-    #[test]
-    fn deleting_the_snapshot_deletes_the_store() {
-        let path = tmp_path("deleted");
-        three_appends(&path);
-        std::fs::remove_file(&path).unwrap();
-        let file = CheckpointFile::open(&path, "sig").expect("open");
-        assert!(contents(&file).is_empty());
-        // The first write compacts over the stale journal.
-        file.commit(&[("p9", "nine")], &[]);
-        assert_eq!(std::fs::read(journal_path(&path)).unwrap(), b"");
-        drop(file);
-        let file = CheckpointFile::open(&path, "sig").expect("reopen");
-        assert_eq!(contents(&file), pairs(&[("p9", "nine")]));
-        remove_store(&path);
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
-
-        /// Write a history of puts and deletes (compacted part way), then
-        /// cut one file short or flip one of its bytes. A flip that sets
-        /// or clears the top bit leaves invalid UTF-8 wherever it lands,
-        /// so it is always detectable; a flip within ASCII inside a string
-        /// would be a different, valid document, which no format without
-        /// checksums can tell apart. Opening must not fail, and what it
-        /// loads must be entries that were written, byte for byte.
-        #[test]
-        fn a_damaged_store_opens_to_a_subset_of_what_was_written(
-            ops in proptest::collection::vec((0u8..6, 0u8..4), 1..40),
-            flush_at in 0usize..40,
-            damage in (0u8..2, 0u8..2, 0usize..4096, 0x80u8..=0xFF),
-        ) {
-            let path = tmp_path("damaged");
-            let mut written = std::collections::BTreeSet::new();
-            {
-                let file = fresh(&path);
-                for (n, &(id, op)) in ops.iter().enumerate() {
-                    let id = format!("p{id}");
-                    if op == 0 {
-                        file.commit::<&str>(&[], &[id]);
-                    } else {
-                        let record = format!("{{\"n\":{n},\"s\":\"é\\\\\\\"\"}}");
-                        file.commit(&[(id.as_str(), record.as_str())], &[]);
-                        written.insert((id, record));
-                    }
-                    if n == flush_at {
-                        file.flush();
-                    }
-                }
-            }
-            let (journal, truncate, at, mask) = damage;
-            let target = if journal == 1 { journal_path(&path) } else { path.clone() };
-            let mut bytes = std::fs::read(&target).unwrap();
-            if !bytes.is_empty() {
-                let at = at % bytes.len();
-                if truncate == 1 {
-                    bytes.truncate(at);
-                } else {
-                    bytes[at] ^= mask;
-                }
-                std::fs::write(&target, &bytes).unwrap();
-            }
-            let file = CheckpointFile::open(&path, "sig").expect("open");
-            for entry in contents(&file) {
-                proptest::prop_assert!(written.contains(&entry), "{entry:?} was never written");
-            }
-            drop(file);
-            remove_store(&path);
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! The one place the process environment is read.
 //!
-//! Every run parameter reaches a simulation as an argument. The seven
+//! Every run parameter reaches a simulation as an argument. The two
 //! `STP_*` variables are the exception a deployment needs, and this
 //! module is the only code in the workspace's libraries that looks at
 //! them: a binary calls [`Env::from_process`] once, in `main`, and hands
@@ -8,8 +8,6 @@
 //! costs one warning and falls back to the default, never a panic — and
 //! returns its warnings instead of printing them, so each is reported
 //! exactly once by whoever called it.
-
-use std::path::PathBuf;
 
 use mpp_runtime::SimBudget;
 
@@ -23,28 +21,12 @@ pub struct Env {
     pub sweep_workers: Option<usize>,
     /// `STP_WATCHDOG_EVENTS` — kernel event budget per simulation.
     pub watchdog_events: Option<u64>,
-    /// `STP_SERVE_ADDR` — daemon listen address.
-    pub serve_addr: Option<String>,
-    /// `STP_SERVE_CACHE` — persistent plan-cache file.
-    pub serve_cache: Option<PathBuf>,
-    /// `STP_SERVE_CACHE_CAP` — LRU bound on cached plans.
-    pub serve_cache_cap: Option<usize>,
-    /// `STP_SERVE_WORKERS` — cold-planning worker pool size.
-    pub serve_workers: Option<usize>,
-    /// `STP_SERVE_DEADLINE_MS` — default per-request planning deadline.
-    pub serve_deadline_ms: Option<u64>,
 }
 
 /// Store an integer variable; on failure, what was expected instead.
 fn int<T: std::str::FromStr>(slot: &mut Option<T>, value: &str) -> Option<&'static str> {
     *slot = value.parse().ok();
     slot.is_none().then_some("a non-negative integer")
-}
-
-/// Store a text variable (an address, a path).
-fn text<T: From<String>>(slot: &mut Option<T>, value: &str) -> Option<&'static str> {
-    *slot = (!value.is_empty()).then(|| value.to_string().into());
-    slot.is_none().then_some("a non-empty value")
 }
 
 impl Env {
@@ -67,11 +49,6 @@ impl Env {
             let expected = match name {
                 "STP_SWEEP_WORKERS" => int(&mut env.sweep_workers, value),
                 "STP_WATCHDOG_EVENTS" => int(&mut env.watchdog_events, value),
-                "STP_SERVE_ADDR" => text(&mut env.serve_addr, value),
-                "STP_SERVE_CACHE" => text(&mut env.serve_cache, value),
-                "STP_SERVE_CACHE_CAP" => int(&mut env.serve_cache_cap, value),
-                "STP_SERVE_WORKERS" => int(&mut env.serve_workers, value),
-                "STP_SERVE_DEADLINE_MS" => int(&mut env.serve_deadline_ms, value),
                 _ => {
                     warnings.push(format!(
                         "{name} is ignored: not a variable this program reads"
@@ -124,30 +101,13 @@ impl Env {
 mod tests {
     use super::*;
 
-    const NAMES: [&str; 7] = [
-        "STP_SWEEP_WORKERS",
-        "STP_WATCHDOG_EVENTS",
-        "STP_SERVE_ADDR",
-        "STP_SERVE_CACHE",
-        "STP_SERVE_CACHE_CAP",
-        "STP_SERVE_WORKERS",
-        "STP_SERVE_DEADLINE_MS",
-    ];
-
-    fn is_text(name: &str) -> bool {
-        matches!(name, "STP_SERVE_ADDR" | "STP_SERVE_CACHE")
-    }
+    const NAMES: [&str; 2] = ["STP_SWEEP_WORKERS", "STP_WATCHDOG_EVENTS"];
 
     #[test]
     fn well_formed_values_parse_with_no_warnings() {
         let (env, warnings) = Env::parse([
             ("STP_SWEEP_WORKERS", " 8\n"),
             ("STP_WATCHDOG_EVENTS", "18446744073709551615"),
-            ("STP_SERVE_ADDR", " unix:/tmp/stp.sock "),
-            ("STP_SERVE_CACHE", "/var/cache/stp.json"),
-            ("STP_SERVE_CACHE_CAP", "64"),
-            ("STP_SERVE_WORKERS", "3"),
-            ("STP_SERVE_DEADLINE_MS", "250"),
             ("PATH", "/usr/bin"),
             ("STPX", "not ours"),
         ]);
@@ -157,11 +117,6 @@ mod tests {
             Env {
                 sweep_workers: Some(8),
                 watchdog_events: Some(u64::MAX),
-                serve_addr: Some("unix:/tmp/stp.sock".into()),
-                serve_cache: Some("/var/cache/stp.json".into()),
-                serve_cache_cap: Some(64),
-                serve_workers: Some(3),
-                serve_deadline_ms: Some(250),
             }
         );
         assert_eq!(env.sweep_runner().workers(), 8);
@@ -181,9 +136,6 @@ mod tests {
         let hostile = ["", " \t", "-4", "4.5", "eight", "18446744073709551616"];
         for name in NAMES {
             for raw in hostile {
-                if is_text(name) && !raw.trim().is_empty() {
-                    continue; // any non-empty text is an address / a path
-                }
                 let (env, warnings) = Env::parse([(name, raw)]);
                 assert_eq!(env, Env::default(), "{name}={raw:?}");
                 assert_eq!(warnings.len(), 1, "{name}={raw:?}: {warnings:?}");
@@ -193,23 +145,29 @@ mod tests {
         }
         // A bad variable costs itself only.
         let (env, warnings) =
-            Env::parse([("STP_SWEEP_WORKERS", "many"), ("STP_SERVE_WORKERS", "2")]);
-        assert_eq!((env.sweep_workers, env.serve_workers), (None, Some(2)));
+            Env::parse([("STP_SWEEP_WORKERS", "many"), ("STP_WATCHDOG_EVENTS", "2")]);
+        assert_eq!((env.sweep_workers, env.watchdog_events), (None, Some(2)));
         assert_eq!(warnings.len(), 1);
     }
 
     #[test]
     fn unknown_and_retired_names_are_ignored_with_one_warning_each() {
-        // The two retired names are spelled in halves so the repository
-        // guard against mentioning them stays a plain grep.
+        // The retired names are spelled in halves so the repository
+        // guard against mentioning them stays a plain grep. The daemon's
+        // variables went because each only repeated a `stp serve` flag.
         let names = [
             ["STP_", "EXEC"].concat(),
             ["STP_SWEEP_", "RANK_BUDGET"].concat(),
             "STP_SWEEP_WORKER".to_string(),
+            ["STP_SERVE_", "ADDR"].concat(),
+            ["STP_SERVE_", "CACHE"].concat(),
+            ["STP_SERVE_", "CACHE_CAP"].concat(),
+            ["STP_SERVE_", "WORKERS"].concat(),
+            ["STP_SERVE_", "DEADLINE_MS"].concat(),
         ];
         let (env, warnings) = Env::parse(names.iter().map(|name| (name, "4")));
         assert_eq!(env, Env::default());
-        assert_eq!(warnings.len(), 3, "{warnings:?}");
+        assert_eq!(warnings.len(), names.len(), "{warnings:?}");
         for (warning, name) in warnings.iter().zip(&names) {
             assert!(
                 warning.contains(name.as_str()) && warning.contains("ignored"),

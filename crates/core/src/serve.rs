@@ -26,9 +26,9 @@
 //!   daemon.
 //! * **Content-addressed cache** — results are memoized under a
 //!   canonical `(algo, dist, shape, exec, faults, ports, s, L, lint)`
-//!   key (FNV-1a content hash as the entry id) in a bounded LRU
-//!   [`PlanCache`] over a sig-guarded
-//!   [`CheckpointFile`]: an insert and the evictions it causes are one
+//!   key (FNV-1a content hash as the entry id) in [`PlanCache`], a
+//!   bounded LRU that is its own store: a snapshot plus a journal,
+//!   behind one lock. An insert and the evictions it causes are one
 //!   `fdatasync`ed journal append before the reply is written, whatever
 //!   the store's size; a corrupt or differently-versioned store starts
 //!   fresh, and a `SIGKILL` at any instant reopens to every insert that
@@ -43,10 +43,11 @@
 //!   before exiting.
 
 use std::collections::HashMap;
+use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
@@ -54,7 +55,7 @@ use std::time::Duration;
 use mpp_model::{FaultPlan, Machine};
 use mpp_runtime::{CancelToken, ExecMode, SimBudget, SimError};
 
-use crate::checkpoint::{json_escape, parse_json, CheckpointFile, JsonValue};
+use crate::checkpoint::{json_escape, parse_json, Checkpoint, JsonValue};
 use crate::distribution::SourceDist;
 use crate::msgset::payload_for;
 use crate::predict;
@@ -353,15 +354,139 @@ pub fn parse_request(
 // Bounded persistent plan cache
 // ---------------------------------------------------------------------------
 
-struct Lru {
-    /// LRU stamps per entry id (monotone clock; least stamp evicts).
-    /// Its keys are exactly the store's ids.
+/// The journal beside the snapshot at `path`: `<path>.journal`.
+pub fn journal_path(path: &Path) -> PathBuf {
+    let mut journal = path.as_os_str().to_owned();
+    journal.push(".journal");
+    PathBuf::from(journal)
+}
+
+/// A bounded, persistent, content-addressed plan cache.
+///
+/// Entries map the FNV-1a content address of a [`PlanSpec`] to the
+/// exact plan-body JSON the cold run produced, so a hit replays the
+/// plan **byte-identically**; an insert past `cap` evicts the least
+/// recently used. On disk the cache is a snapshot at `path` (one
+/// [`Checkpoint`] under [`CACHE_SIG`]) plus a journal at
+/// [`journal_path`], where an insert and its evictions are one
+/// `fdatasync`ed append. Open replays the journal over the snapshot and
+/// stamps the entries in the order they were last written; a
+/// *compaction* (save the snapshot, empty the journal) keeps the journal
+/// no longer than the cache. DESIGN.md §10 gives the format and what a
+/// `SIGKILL` at each step leaves behind.
+pub struct PlanCache {
+    cap: usize,
+    state: Mutex<CacheState>,
+}
+
+/// Everything behind the cache's one lock.
+struct CacheState {
+    /// Every body by entry id: the snapshot document.
+    store: Checkpoint,
+    /// LRU stamp per entry id (monotone clock; least stamp evicts).
     stamps: HashMap<String, u64>,
     clock: u64,
     evictions: u64,
+    /// The snapshot path and its journal, open for appending.
+    disk: Option<(PathBuf, File)>,
+    /// Journal records appended since the last compaction.
+    records: usize,
+    /// Both files exist and a save has made their names durable, so an
+    /// append continues the snapshot.
+    anchored: bool,
 }
 
-impl Lru {
+impl CacheState {
+    /// A cache in memory holding `store`, stamped in id order.
+    fn new(store: Checkpoint, anchored: bool) -> CacheState {
+        let stamps: HashMap<String, u64> = store.ids().map(str::to_string).zip(1..).collect();
+        CacheState {
+            clock: stamps.len() as u64,
+            store,
+            stamps,
+            evictions: 0,
+            disk: None,
+            records: 0,
+            anchored,
+        }
+    }
+
+    /// The snapshot at `path` with its journal replayed on top, then
+    /// compacted if the journal held anything.
+    fn open(path: PathBuf) -> io::Result<CacheState> {
+        let journal = journal_path(&path);
+        // A compaction's directory fsync is what makes the journal's own
+        // name durable, so appends wait for one after either file is new.
+        let anchored = path.exists() && journal.exists();
+        let store = match Checkpoint::load(&path)? {
+            Some(cp) if cp.sig() == CACHE_SIG => cp,
+            Some(cp) => {
+                eprintln!(
+                    "note: checkpoint {} has signature {:?}, not {CACHE_SIG:?}; starting fresh",
+                    path.display(),
+                    cp.sig()
+                );
+                Checkpoint::new(CACHE_SIG)
+            }
+            None => Checkpoint::new(CACHE_SIG),
+        };
+        let mut state = CacheState::new(store, anchored);
+        let dirty = anchored && state.replay(&journal)?;
+        let file = File::options().create(true).append(true).open(&journal)?;
+        state.disk = Some((path, file));
+        if dirty {
+            state.compact()?;
+        }
+        Ok(state)
+    }
+
+    /// Replay the journal at `journal`: a torn last line is dropped, a
+    /// corrupt record stops replay with a warning, a foreign journal is
+    /// ignored. True when it held any bytes, so that only a compaction
+    /// may append to it again.
+    fn replay(&mut self, journal: &Path) -> io::Result<bool> {
+        let bytes = match std::fs::read(journal) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(false),
+            Err(e) => return Err(e),
+        };
+        let parse = |line: &[u8]| parse_json(std::str::from_utf8(line).ok()?).ok();
+        let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+        // What follows the last newline: empty, or an append cut short.
+        lines.pop();
+        let Some((head, records)) = lines.split_first() else {
+            return Ok(!bytes.is_empty());
+        };
+        if parse(head).as_ref().and_then(|v| v.get("sig")?.as_str()) != Some(CACHE_SIG) {
+            eprintln!(
+                "note: ignoring {}: not this store's journal",
+                journal.display()
+            );
+            return Ok(true);
+        }
+        for (n, line) in records.iter().enumerate() {
+            match parse(line).as_ref().and_then(journal_op) {
+                Some((id, Some(body))) => self.put(id, body),
+                Some((id, None)) => self.remove(id),
+                None => {
+                    eprintln!(
+                        "warning: {} record {} is corrupt; replay stops there",
+                        journal.display(),
+                        n + 1
+                    );
+                    break;
+                }
+            }
+        }
+        Ok(true)
+    }
+
+    /// Store `body` under `id` as the most recently used entry.
+    fn put(&mut self, id: &str, body: &str) {
+        self.store.insert(id, body);
+        self.touch(id);
+    }
+
     fn touch(&mut self, id: &str) {
         self.clock += 1;
         if let Some(stamp) = self.stamps.get_mut(id) {
@@ -371,100 +496,134 @@ impl Lru {
         }
     }
 
-    /// The least recently used ids past `cap`, removed from the stamps;
-    /// equal stamps fall to the smaller id.
+    fn remove(&mut self, id: &str) {
+        self.store.remove(id);
+        self.stamps.remove(id);
+    }
+
+    /// Remove the least recently used entries past `cap`; their ids.
     fn evict_to(&mut self, cap: usize) -> Vec<String> {
         let mut victims = Vec::new();
         while self.stamps.len() > cap {
             let victim = self
                 .stamps
                 .iter()
-                .min_by_key(|&(id, stamp)| (*stamp, id))
+                .min_by_key(|&(_, stamp)| *stamp)
                 .map(|(id, _)| id.clone())
-                .expect("a store past its cap has an entry");
-            self.stamps.remove(&victim);
+                .expect("a cache past its cap has an entry");
+            self.remove(&victim);
             victims.push(victim);
         }
         self.evictions += victims.len() as u64;
         victims
     }
-}
 
-/// A bounded, persistent, content-addressed plan cache.
-///
-/// Entries map the FNV-1a content address of a [`PlanSpec`] to the
-/// exact plan-body JSON the cold run produced, so a hit replays the
-/// plan **byte-identically**. The cache is an LRU over a
-/// [`CheckpointFile`]: sig-guarded (a schema bump or corrupt file starts
-/// fresh with a warning, never a crash), with each insert and the
-/// evictions it causes journaled in one `fdatasync`ed append, and the
-/// snapshot compacted by the store itself and on
-/// [`flush`](PlanCache::flush).
-pub struct PlanCache {
-    file: CheckpointFile,
-    cap: usize,
-    lru: Mutex<Lru>,
-}
-
-impl PlanCache {
-    /// Open the cache. `path: None` keeps it in-memory only. A bound of
-    /// `cap` entries is enforced on insert (least-recently-used entry
-    /// evicted first; the entries of a reopened store count as used in
-    /// the order they were last written).
-    pub fn open(path: Option<PathBuf>, cap: usize) -> PlanCache {
-        let file = match path.map(|path| CheckpointFile::open(path, CACHE_SIG)) {
-            Some(Ok(file)) => file,
-            Some(Err(e)) => {
-                eprintln!("warning: could not open plan cache: {e}; keeping it in memory");
-                CheckpointFile::memory(CACHE_SIG)
-            }
-            None => CheckpointFile::memory(CACHE_SIG),
+    /// Journal `put`, then `dels`, in one `fdatasync`ed append — or
+    /// compact instead when there is no snapshot yet or the journal would
+    /// outgrow the cache. Best-effort: an I/O failure warns and costs
+    /// persistence, never the caller.
+    fn journal(&mut self, put: Option<(&str, &str)>, dels: &[String]) {
+        let mut lines = match self.records {
+            0 => format!("{{\"sig\":\"{CACHE_SIG}\"}}\n"),
+            _ => String::new(),
         };
-        let mut lru = Lru {
-            stamps: HashMap::new(),
-            clock: 0,
-            evictions: 0,
+        self.records += usize::from(put.is_some()) + dels.len();
+        if (!self.anchored || self.records > self.store.len()) && self.compact().is_ok() {
+            return;
+        }
+        let Some((path, journal)) = &mut self.disk else {
+            return;
         };
-        for id in file.replayed() {
-            lru.touch(id);
+        if let Some((id, body)) = put {
+            let (id, body) = (json_escape(id), json_escape(body));
+            lines.push_str(&format!("{{\"put\":[\"{id}\",\"{body}\"]}}\n"));
         }
-        // An oversized store (cap lowered between runs) shrinks now.
-        let cap = cap.max(1);
-        let victims = lru.evict_to(cap);
-        if !victims.is_empty() {
-            file.commit::<&str>(&[], &victims);
+        for id in dels {
+            lines.push_str(&format!("{{\"del\":\"{}\"}}\n", json_escape(id)));
         }
-        PlanCache {
-            file,
-            cap,
-            lru: Mutex::new(lru),
+        if let Err(e) = journal
+            .write_all(lines.as_bytes())
+            .and_then(|()| journal.sync_data())
+        {
+            eprintln!("warning: could not journal {}: {e}", path.display());
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Lru> {
-        self.lru.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Save the snapshot, then empty the journal.
+    fn compact(&mut self) -> io::Result<()> {
+        if let Some((path, journal)) = &self.disk {
+            let saved = self.store.save(path).and_then(|()| journal.set_len(0));
+            if let Err(e) = &saved {
+                eprintln!("warning: could not save checkpoint {}: {e}", path.display());
+            }
+            saved?;
+        }
+        self.records = 0;
+        self.anchored = true;
+        Ok(())
+    }
+}
+
+/// One journal record: `(id, Some(body))` for a put, `(id, None)` for a
+/// delete.
+fn journal_op(line: &JsonValue) -> Option<(&str, Option<&str>)> {
+    if let Some(id) = line.get("del") {
+        return Some((id.as_str()?, None));
+    }
+    match line.get("put")?.as_array()? {
+        [id, body] => Some((id.as_str()?, Some(body.as_str()?))),
+        _ => None,
+    }
+}
+
+impl PlanCache {
+    /// Open the cache. `path: None` keeps it in memory only, and so does
+    /// a store that cannot be opened (with a warning). A bound of `cap`
+    /// entries is enforced on insert, and at once on a reopened store
+    /// past it.
+    pub fn open(path: Option<PathBuf>, cap: usize) -> PlanCache {
+        let opened = path.map(CacheState::open).transpose();
+        let mut state = opened
+            .unwrap_or_else(|e| {
+                eprintln!("warning: could not open plan cache: {e}; keeping it in memory");
+                None
+            })
+            .unwrap_or_else(|| CacheState::new(Checkpoint::new(CACHE_SIG), true));
+        let cap = cap.max(1);
+        let victims = state.evict_to(cap);
+        if !victims.is_empty() {
+            state.journal(None, &victims);
+        }
+        PlanCache {
+            cap,
+            state: Mutex::new(state),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, CacheState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Look up a plan body, refreshing its LRU stamp.
     pub fn get(&self, id: &str) -> Option<String> {
-        let mut lru = self.lock();
-        let body = self.file.get(id)?;
-        lru.touch(id);
+        let mut state = self.lock();
+        let body = state.store.get(id)?.to_string();
+        state.touch(id);
         Some(body)
     }
 
     /// Insert a plan body and journal it with the evictions past the cap
     /// (best effort — an I/O failure costs persistence, not the request).
     pub fn insert(&self, id: &str, body: &str) {
-        let mut lru = self.lock();
-        lru.touch(id);
-        let victims = lru.evict_to(self.cap);
-        self.file.commit(&[(id, body)], &victims);
+        let mut state = self.lock();
+        state.put(id, body);
+        let victims = state.evict_to(self.cap);
+        state.journal(Some((id, body)), &victims);
     }
 
     /// Compact the store (shutdown path): one snapshot, empty journal.
     pub fn flush(&self) {
-        self.file.flush();
+        let _ = self.lock().compact();
     }
 
     /// Current entry count.
@@ -503,7 +662,8 @@ struct PlanStats {
     errors: AtomicU64,
 }
 
-/// Serve-daemon configuration (see the README's environment table).
+/// Serve-daemon configuration: one field per `stp serve` flag, plus the
+/// executor and the watchdog budget.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Listen address: `host:port` for TCP, an absolute path (or
@@ -1253,7 +1413,7 @@ mod tests {
 
     fn remove_store(path: &std::path::Path) {
         let _ = std::fs::remove_file(path);
-        let _ = std::fs::remove_file(crate::checkpoint::journal_path(path));
+        let _ = std::fs::remove_file(journal_path(path));
     }
 
     #[test]
@@ -1339,6 +1499,290 @@ mod tests {
             assert_eq!(cache.get("k2").as_deref(), Some("x"));
         }
         remove_store(&path);
+    }
+
+    // The store under the cache: its byte format, and what open makes of
+    // every file a kill or damage can leave (DESIGN.md §10's table).
+
+    fn open(path: &Path, cap: usize) -> PlanCache {
+        PlanCache::open(Some(path.to_path_buf()), cap)
+    }
+
+    /// `(id, body)` of every cached entry, in id order.
+    fn contents(cache: &PlanCache) -> Vec<(String, String)> {
+        let state = cache.lock();
+        let store = &state.store;
+        store
+            .ids()
+            .map(|id| (id.to_string(), store.get(id).unwrap().to_string()))
+            .collect()
+    }
+
+    fn pairs(entries: &[(&str, &str)]) -> Vec<(String, String)> {
+        entries
+            .iter()
+            .map(|&(id, body)| (id.into(), body.into()))
+            .collect()
+    }
+
+    /// The cached ids, least recently used first.
+    fn lru_order(cache: &PlanCache) -> Vec<String> {
+        let state = cache.lock();
+        let mut ids: Vec<(u64, &String)> = state.stamps.iter().map(|(id, &t)| (t, id)).collect();
+        ids.sort();
+        ids.into_iter().map(|(_, id)| id.clone()).collect()
+    }
+
+    fn read(path: &Path) -> String {
+        std::fs::read_to_string(path).unwrap()
+    }
+
+    /// A cache at `path` holding `p1`, `p2`, `p3`, each written by its
+    /// own journal append after an empty snapshot, and never compacted
+    /// (the handle is dropped without a flush, as a kill would leave it).
+    fn three_appends(path: &Path) {
+        let cache = open(path, 16);
+        cache.flush();
+        for (id, body) in [("p1", "one"), ("p2", "two é"), ("p3", "three")] {
+            cache.insert(id, body);
+        }
+        assert_eq!(read(path), Checkpoint::new(CACHE_SIG).to_json());
+    }
+
+    /// A snapshot and a journal in the store's byte format, spelled out
+    /// rather than written by the code under test: the journal adds `p4`,
+    /// rewrites `p1` and deletes `p2`.
+    const SNAPSHOT: &str = "{\"sig\":\"serve-cache:v1\",\"entries\":{\n  \
+        \"p1\":\"{\\\"n\\\":1}\",\n  \"p2\":\"two é\",\n  \"p3\":\"three\"\n}}";
+    const JOURNAL: &str = "{\"sig\":\"serve-cache:v1\"}\n\
+        {\"put\":[\"p4\",\"four\"]}\n\
+        {\"put\":[\"p1\",\"{\\\"n\\\":1,\\\"again\\\":true}\"]}\n\
+        {\"del\":\"p2\"}\n";
+
+    fn write_literal_store(path: &Path) {
+        std::fs::write(path, SNAPSHOT).unwrap();
+        std::fs::write(journal_path(path), JOURNAL).unwrap();
+    }
+
+    #[test]
+    fn a_store_in_the_pinned_format_reopens_evicts_and_flushes_byte_for_byte() {
+        let path = cache_path("pinned");
+        write_literal_store(&path);
+        let cache = open(&path, 16);
+        let again = "{\"n\":1,\"again\":true}";
+        let want = pairs(&[("p1", again), ("p3", "three"), ("p4", "four")]);
+        assert_eq!(contents(&cache), want);
+        // Snapshot entries in id order, then the journal's last writes.
+        assert_eq!(lru_order(&cache), ["p3", "p4", "p1"]);
+        // Open compacted the replayed journal into the snapshot.
+        let compacted = "{\"sig\":\"serve-cache:v1\",\"entries\":{\n  \
+            \"p1\":\"{\\\"n\\\":1,\\\"again\\\":true}\",\n  \
+            \"p3\":\"three\",\n  \"p4\":\"four\"\n}}";
+        assert_eq!(read(&path), compacted);
+        assert_eq!(read(&journal_path(&path)), "");
+        drop(cache);
+
+        // A lowered cap evicts the least recently used, and journals it.
+        write_literal_store(&path);
+        let cache = open(&path, 2);
+        assert_eq!(cache.evictions(), 1);
+        assert_eq!(lru_order(&cache), ["p4", "p1"]);
+        assert_eq!(
+            read(&journal_path(&path)),
+            "{\"sig\":\"serve-cache:v1\"}\n{\"del\":\"p3\"}\n"
+        );
+        cache.flush();
+        assert_eq!(
+            read(&path),
+            "{\"sig\":\"serve-cache:v1\",\"entries\":{\n  \
+             \"p1\":\"{\\\"n\\\":1,\\\"again\\\":true}\",\n  \"p4\":\"four\"\n}}"
+        );
+        assert_eq!(read(&journal_path(&path)), "");
+        remove_store(&path);
+    }
+
+    #[test]
+    fn a_fresh_cache_writes_the_pinned_snapshot_then_journal_lines() {
+        let path = cache_path("pinned-fresh");
+        let cache = open(&path, 16);
+        // The first write compacts: there is no snapshot to append to.
+        cache.insert("p1", "{\"n\":1}");
+        assert_eq!(
+            read(&path),
+            "{\"sig\":\"serve-cache:v1\",\"entries\":{\n  \"p1\":\"{\\\"n\\\":1}\"\n}}"
+        );
+        assert_eq!(read(&journal_path(&path)), "");
+        cache.insert("p2", "two \"é\"");
+        assert_eq!(
+            read(&journal_path(&path)),
+            "{\"sig\":\"serve-cache:v1\"}\n{\"put\":[\"p2\",\"two \\\"é\\\"\"]}\n"
+        );
+        remove_store(&path);
+    }
+
+    #[test]
+    fn a_snapshot_under_another_signature_starts_fresh() {
+        let path = cache_path("sig");
+        std::fs::write(&path, SNAPSHOT.replace("serve-cache:v1", "serve-cache:v0")).unwrap();
+        assert!(open(&path, 16).is_empty());
+        // The same bytes under this signature are kept.
+        std::fs::write(&path, SNAPSHOT).unwrap();
+        assert_eq!(open(&path, 16).len(), 3);
+        remove_store(&path);
+    }
+
+    #[test]
+    fn appends_replay_on_open_and_compaction_keeps_the_journal_below_the_store() {
+        let path = cache_path("compact");
+        three_appends(&path);
+        let cache = open(&path, 3);
+        let want = pairs(&[("p1", "one"), ("p2", "two é"), ("p3", "three")]);
+        assert_eq!(contents(&cache), want);
+        // Open compacted: the snapshot holds everything, the journal
+        // nothing, and the next append starts it with its signature.
+        assert_eq!(Checkpoint::load(&path).unwrap().unwrap().len(), 3);
+        assert_eq!(read(&journal_path(&path)), "");
+        cache.insert("p4", "four");
+        assert_eq!(
+            read(&journal_path(&path)),
+            "{\"sig\":\"serve-cache:v1\"}\n{\"put\":[\"p4\",\"four\"]}\n{\"del\":\"p1\"}\n"
+        );
+        // Two records over three entries: still journaled. Two more
+        // make four over three, and the cache compacts instead.
+        cache.insert("p5", "five");
+        assert_eq!(read(&journal_path(&path)), "");
+        let snapshot = Checkpoint::load(&path).unwrap().unwrap();
+        assert_eq!(snapshot.ids().collect::<Vec<_>>(), ["p3", "p4", "p5"]);
+        remove_store(&path);
+    }
+
+    #[test]
+    fn a_torn_last_journal_line_is_dropped_and_the_prefix_kept() {
+        let path = cache_path("torn");
+        three_appends(&path);
+        let journal = std::fs::read(journal_path(&path)).unwrap();
+        std::fs::write(journal_path(&path), &journal[..journal.len() - 5]).unwrap();
+        let cache = open(&path, 16);
+        assert_eq!(contents(&cache), pairs(&[("p1", "one"), ("p2", "two é")]));
+        remove_store(&path);
+    }
+
+    #[test]
+    fn a_corrupt_record_stops_replay_there_and_the_store_reseals() {
+        let path = cache_path("corrupt-record");
+        three_appends(&path);
+        let damaged = read(&journal_path(&path)).replace("\"p2\"", "\"p2");
+        std::fs::write(journal_path(&path), damaged).unwrap();
+        let cache = open(&path, 16);
+        assert_eq!(contents(&cache), pairs(&[("p1", "one")]));
+        drop(cache);
+        // Resealed: the damage is gone, not replayed again.
+        assert_eq!(read(&journal_path(&path)), "");
+        assert_eq!(contents(&open(&path, 16)), pairs(&[("p1", "one")]));
+        remove_store(&path);
+    }
+
+    /// A kill between compaction's rename and its truncate leaves the
+    /// old journal beside the snapshot that already holds it.
+    #[test]
+    fn an_old_journal_beside_a_newer_snapshot_reopens_to_the_same_state() {
+        let path = cache_path("idempotent");
+        three_appends(&path);
+        let cache = open(&path, 3);
+        cache.insert("p4", "four"); // evicts p1
+        cache.insert("p2", "two again");
+        let journal = std::fs::read(journal_path(&path)).unwrap();
+        let (before, order) = (contents(&cache), lru_order(&cache));
+        cache.flush();
+        drop(cache);
+        std::fs::write(journal_path(&path), journal).unwrap();
+        let cache = open(&path, 3);
+        assert_eq!(contents(&cache), before);
+        let want = pairs(&[("p2", "two again"), ("p3", "three"), ("p4", "four")]);
+        assert_eq!(before, want);
+        // Oldest write first: p3 from the snapshot, then p4 and p2 as
+        // the journal last wrote them.
+        assert_eq!(lru_order(&cache), order);
+        assert_eq!(order, ["p3", "p4", "p2"]);
+        remove_store(&path);
+    }
+
+    #[test]
+    fn a_journal_under_another_signature_is_ignored() {
+        let path = cache_path("foreign");
+        write_literal_store(&path);
+        let foreign = JOURNAL.replace("serve-cache:v1", "serve-cache:v0");
+        std::fs::write(journal_path(&path), foreign).unwrap();
+        let cache = open(&path, 16);
+        let snapshot = pairs(&[("p1", "{\"n\":1}"), ("p2", "two é"), ("p3", "three")]);
+        assert_eq!(contents(&cache), snapshot);
+        remove_store(&path);
+    }
+
+    #[test]
+    fn deleting_the_snapshot_deletes_the_store() {
+        let path = cache_path("deleted");
+        three_appends(&path);
+        std::fs::remove_file(&path).unwrap();
+        let cache = open(&path, 16);
+        assert!(cache.is_empty());
+        // The first write compacts over the stale journal.
+        cache.insert("p9", "nine");
+        assert_eq!(read(&journal_path(&path)), "");
+        drop(cache);
+        assert_eq!(contents(&open(&path, 16)), pairs(&[("p9", "nine")]));
+        remove_store(&path);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Write a history of inserts under a small cap, so evictions
+        /// journal deletes (compacted part way), then cut one file short
+        /// or flip one of its bytes. A flip that sets or clears the top
+        /// bit leaves invalid UTF-8 wherever it lands, so it is always
+        /// detectable; a flip within ASCII inside a string would be a
+        /// different, valid document, which no format without checksums
+        /// can tell apart. Opening must not fail, and what it loads must
+        /// be entries that were written, byte for byte.
+        #[test]
+        fn a_damaged_store_opens_to_a_subset_of_what_was_written(
+            ids in proptest::collection::vec(0u8..6, 1..40),
+            cap in 1usize..4,
+            flush_at in 0usize..40,
+            damage in (0u8..2, 0u8..2, 0usize..4096, 0x80u8..=0xFF),
+        ) {
+            let path = cache_path("damaged");
+            let mut written = std::collections::BTreeSet::new();
+            {
+                let cache = open(&path, cap);
+                cache.flush();
+                for (n, id) in ids.iter().enumerate() {
+                    let (id, body) = (format!("p{id}"), format!("{{\"n\":{n},\"s\":\"é\\\\\\\"\"}}"));
+                    cache.insert(&id, &body);
+                    written.insert((id, body));
+                    if n == flush_at {
+                        cache.flush();
+                    }
+                }
+            }
+            let (journal, truncate, at, mask) = damage;
+            let target = if journal == 1 { journal_path(&path) } else { path.clone() };
+            let mut bytes = std::fs::read(&target).unwrap();
+            if !bytes.is_empty() {
+                let at = at % bytes.len();
+                if truncate == 1 {
+                    bytes.truncate(at);
+                } else {
+                    bytes[at] ^= mask;
+                }
+                std::fs::write(&target, &bytes).unwrap();
+            }
+            for entry in contents(&open(&path, 16)) {
+                proptest::prop_assert!(written.contains(&entry), "{entry:?} was never written");
+            }
+            remove_store(&path);
+        }
     }
 
     #[test]

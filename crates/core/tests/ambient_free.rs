@@ -17,7 +17,6 @@ use stp_core::supervise::SuperviseOpts;
 fn exported_variables_do_not_reach_the_default_constructors() {
     std::env::set_var("STP_WATCHDOG_EVENTS", "1");
     std::env::set_var("STP_SWEEP_WORKERS", "1");
-    std::env::set_var("STP_SERVE_WORKERS", "1");
 
     let config = SimConfig::default();
     assert!(config.budget.is_unlimited());
@@ -32,6 +31,7 @@ fn exported_variables_do_not_reach_the_default_constructors() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     assert_eq!(SweepRunner::new().workers(), cores);
     assert_eq!(SweepRunner::sequential().workers(), 1);
+    // The daemon's pool is its own: the sweep variable does not size it.
     let serve = ServeConfig::default();
     assert_eq!(serve.workers, cores.max(2));
     assert!(serve.budget.is_unlimited());
@@ -53,5 +53,4 @@ fn exported_variables_do_not_reach_the_default_constructors() {
     let env = Env::from_process();
     assert_eq!(env.budget().max_events, Some(1));
     assert_eq!(env.sweep_runner().workers(), 1);
-    assert_eq!(env.serve_workers, Some(1));
 }
