@@ -1,17 +1,21 @@
 //! The lint sweep: record + analyze every algorithm over the full
 //! distribution × mesh matrix, plus the seeded-bug fixture gate.
+//!
+//! The sweep is `SweepRunner::run_grouped` over the acceptance matrix:
+//! each experiment is recorded once with its panics contained, under a
+//! plain watchdog [`SimBudget`]. Nothing cancels it — the whole matrix
+//! takes seconds — so every point either finishes or is quarantined.
 
 use std::sync::{Mutex, Once, PoisonError};
 use std::time::{Duration, Instant};
 
 use mpp_model::{FaultPlan, Machine};
+use mpp_runtime::SimBudget;
 use stp_core::algorithms::StpAlgorithm;
 use stp_core::distribution::SourceDist;
 use stp_core::msgset::payload_for;
 use stp_core::runner::{try_record_sources, AlgoKind, RecordedRun, RunControl, SweepRunner};
-use stp_core::supervise::{
-    matrix_points, matrix_shapes, MatrixPoint, SuperviseOpts, SupervisedRun,
-};
+use stp_core::supervise::{matrix_points, matrix_shapes, MatrixPoint, SupervisedRun};
 
 use crate::checks::{analyze, AnalyzeOpts, Finding, Severity};
 use crate::fixtures;
@@ -224,20 +228,20 @@ pub fn lint_point(
 }
 
 /// Everything a supervised lint sweep produced: the completed entries
-/// (`done`) and the quarantined and skipped points.
+/// (`done`) and the quarantined points.
 pub type SupervisedLint = SupervisedRun<LintEntry>;
 
 /// Record and analyze every algorithm × distribution × shape × s grid
 /// point, concurrently on `runner`, under full supervision: each grid
 /// point runs isolated (a panicking or deadlocking algorithm is
 /// quarantined into [`SupervisedRun::failures`] / a `deadlock` finding,
-/// never a process abort), and a cancelled shared token skips the
-/// remainder cleanly. Each distinct experiment is recorded once. Entries
-/// come back in deterministic grid order.
+/// never a process abort), and `budget` is every recording's watchdog.
+/// Each distinct experiment is recorded once. Entries come back in
+/// deterministic grid order.
 pub fn lint_matrix_supervised(
     config: &LintConfig,
     runner: &SweepRunner,
-    opts: &SuperviseOpts,
+    budget: &SimBudget,
 ) -> SupervisedLint {
     hush_expected_panics();
     let points = matrix_points(&config.shapes, config.chaos);
@@ -250,8 +254,7 @@ pub fn lint_matrix_supervised(
             let alg = pt.alg.build();
             let control = RunControl {
                 faults: config.faults.clone(),
-                budget: opts.budget.clone(),
-                cancel: Some(opts.cancel.clone()),
+                budget: budget.clone(),
                 ..RunControl::default()
             };
             lint_alg_point(
@@ -272,19 +275,17 @@ pub fn lint_matrix_supervised(
             dist: pt.dist.name().to_string(),
             ..entry.clone()
         },
-        opts,
     )
 }
 
 /// The "all points must finish" view of [`lint_matrix_supervised`] the
-/// tests use: default supervision and a panic naming
-/// the first point that failed or was skipped.
+/// tests use: no watchdog, and a panic naming the first point that
+/// failed.
 pub fn lint_matrix(config: &LintConfig, runner: &SweepRunner) -> Vec<LintEntry> {
-    let sweep = lint_matrix_supervised(config, runner, &SuperviseOpts::default());
+    let sweep = lint_matrix_supervised(config, runner, &SimBudget::default());
     if let Some(f) = sweep.failures.first() {
         panic!("{} failed: {}", f.id, f.error);
     }
-    assert_eq!(sweep.skipped, Vec::<String>::new(), "points skipped");
     sweep.done
 }
 
@@ -451,10 +452,9 @@ pub(crate) mod tests {
                 perf: true,
                 ..LintConfig::quick()
             };
-            let sweep =
-                lint_matrix_supervised(&config, &SweepRunner::new(), &SuperviseOpts::default());
+            let sweep = lint_matrix_supervised(&config, &SweepRunner::new(), &SimBudget::default());
             assert_eq!((sweep.total, sweep.experiments), (640, 280));
-            assert!(sweep.failures.is_empty() && sweep.skipped.is_empty());
+            assert!(sweep.failures.is_empty());
             let control = RunControl {
                 faults,
                 ..RunControl::default()
@@ -526,10 +526,9 @@ pub(crate) mod tests {
             chaos: true,
             ..LintConfig::default()
         };
-        let sweep = lint_matrix_supervised(&config, &SweepRunner::new(), &SuperviseOpts::default());
+        let sweep = lint_matrix_supervised(&config, &SweepRunner::new(), &SimBudget::default());
         let healthy = 8 * 2 * AlgoKind::all().len();
         assert_eq!(sweep.total, healthy + 2);
-        assert_eq!(sweep.skipped, Vec::<String>::new());
         // The panicking fixture is quarantined with its panic message...
         assert_eq!(sweep.failures.len(), 1, "{:?}", sweep.failures);
         let fail = &sweep.failures[0];

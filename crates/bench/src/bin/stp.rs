@@ -48,7 +48,10 @@
 //! (`STP_SWEEP_WORKERS`, `STP_WATCHDOG_EVENTS`) as arguments, and
 //! `stp serve` is configured by its flags alone. Each mode lists the
 //! flags it accepts, and any other argument is a usage error (exit 2),
-//! never a run that ignores it.
+//! never a run that ignores it; so is a flag given twice, and a switch
+//! given with one it would ignore (`--list` with anything, two of
+//! `--trace`/`--sweep-len`/`--metrics`, `lint --fixtures` with anything
+//! but `--json`).
 
 use mpp_model::{FaultPlan, LibraryKind, Machine};
 use mpp_sim::{render_timeline, summarize};
@@ -135,9 +138,12 @@ const SERVE_FLAGS: Flags = Flags {
     switches: &[],
 };
 
-/// Exit 2, naming it, on an argument `flags` does not list or a value
-/// flag with nothing after it: a typo must not run with the default.
-fn check_flags(args: &[String], flags: &Flags) {
+/// Exit 2, naming it, on an argument `flags` does not list, a value
+/// flag with nothing after it or a flag given twice: a typo must not run
+/// with the default, nor a repeat with one of its values. Returns the
+/// flags given, in order.
+fn check_flags<'a>(args: &'a [String], flags: &Flags) -> Vec<&'a str> {
+    let mut given: Vec<&str> = Vec::new();
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
         if flags.values.contains(&arg.as_str()) {
@@ -153,6 +159,33 @@ fn check_flags(args: &[String], flags: &Flags) {
             eprintln!("stp: {what} '{arg}'");
             usage()
         }
+        if given.contains(&arg.as_str()) {
+            eprintln!("stp: {arg} given twice");
+            usage()
+        }
+        given.push(arg);
+    }
+    given
+}
+
+/// Exit 2, naming both, when `flag` is given with a flag outside `with`:
+/// the other would be ignored.
+fn check_alone(given: &[&str], flag: &str, with: &[&str]) {
+    if given.contains(&flag) {
+        if let Some(other) = given.iter().find(|g| **g != flag && !with.contains(g)) {
+            eprintln!("stp: {flag} and {other} cannot be combined");
+            usage()
+        }
+    }
+}
+
+/// Exit 2, naming both, when two flags of `group` are given: each mode
+/// it selects returns before the others run.
+fn check_exclusive(given: &[&str], group: &[&str]) {
+    let mut hits = given.iter().filter(|g| group.contains(g));
+    if let (Some(a), Some(b)) = (hits.next(), hits.next()) {
+        eprintln!("stp: {a} and {b} cannot be combined");
+        usage()
     }
 }
 
@@ -200,7 +233,8 @@ fn run_lint(args: &[String], env: &Env) -> ! {
         fixtures_to_json, lint_fixtures, lint_matrix_supervised, supervised_report_json, LintConfig,
     };
 
-    check_flags(args, &LINT_FLAGS);
+    let given = check_flags(args, &LINT_FLAGS);
+    check_alone(&given, "--fixtures", &["--json"]);
     let json_path = get(args, "--json");
     stp_analyzer::hush_expected_panics();
 
@@ -236,19 +270,20 @@ fn run_lint(args: &[String], env: &Env) -> ! {
     config.perf = has(args, "--perf");
     let baseline = get(args, "--baseline").map(|path| load_baseline(&path));
 
-    let opts = SuperviseOpts::default().with_budget(env.budget());
-    let sweep = lint_matrix_supervised(&config, &env.sweep_runner(), &opts);
+    let sweep = lint_matrix_supervised(&config, &env.sweep_runner(), &env.budget());
 
     let (findings, baselined) = print_lint_findings(&sweep.done, baseline.as_ref());
-    print_unfinished(&sweep);
+    print_failures(&sweep);
+    // `0 skipped` is fixed text, like the report's `"skipped":[]`:
+    // nothing skips a point, but `results/lint-report.sha256` covers the
+    // report and `scripts/chaos-smoke.sh` reads it.
     println!(
         "linted {}/{} schedules: {findings} finding(s), {baselined} baselined, \
-         {} with unattributable payloads, {} failed point(s), {} skipped",
+         {} with unattributable payloads, {} failed point(s), 0 skipped",
         sweep.done.len(),
         sweep.total,
         sweep.done.iter().filter(|e| e.opaque_payloads).count(),
         sweep.failures.len(),
-        sweep.skipped.len()
     );
     if config.faults.is_some() {
         let drops: usize = sweep.done.iter().map(|e| e.dropped_attempts).sum();
@@ -267,7 +302,7 @@ fn run_lint(args: &[String], env: &Env) -> ! {
         findings,
     );
     print_stage_lines("lint", &sweep);
-    let bad = bad_findings || !sweep.failures.is_empty() || !sweep.skipped.is_empty();
+    let bad = bad_findings || !sweep.failures.is_empty();
     std::process::exit(if bad { 1 } else { 0 });
 }
 
@@ -368,13 +403,10 @@ fn print_lint_findings(
     (findings, baselined)
 }
 
-/// One stdout line per quarantined and per skipped point of a sweep.
-fn print_unfinished<T>(run: &stp_core::supervise::SupervisedRun<T>) {
+/// One stdout line per quarantined point of a sweep.
+fn print_failures<T>(run: &stp_core::supervise::SupervisedRun<T>) {
     for f in &run.failures {
         println!("FAILED {}: {}", f.id, f.error);
-    }
-    for id in &run.skipped {
-        println!("SKIPPED {id} (cancelled before it ran)");
     }
 }
 
@@ -394,7 +426,7 @@ fn run_sweep(args: &[String], env: &Env) -> ! {
     let faults = parse_faults_flag(args);
     let chaos = has(args, "--chaos");
 
-    let opts = SuperviseOpts::default().with_budget(env.budget());
+    let budget = env.budget();
     let points = matrix_points(&shapes, chaos);
     let ids = points.iter().map(MatrixPoint::id).collect();
     let sweep = env.sweep_runner().run_grouped(
@@ -404,8 +436,7 @@ fn run_sweep(args: &[String], env: &Env) -> ! {
         |pt| {
             let control = RunControl {
                 faults: faults.clone(),
-                budget: opts.budget.clone(),
-                cancel: Some(opts.cancel.clone()),
+                budget: budget.clone(),
                 ..RunControl::default()
             };
             stp_analyzer::timed(pt.alg.name(), || {
@@ -429,7 +460,6 @@ fn run_sweep(args: &[String], env: &Env) -> ! {
                 out.contention_ns
             )
         },
-        &opts,
     );
 
     let unverified = sweep
@@ -437,13 +467,16 @@ fn run_sweep(args: &[String], env: &Env) -> ! {
         .iter()
         .filter(|r| r.contains("\"verified\":false"))
         .count();
-    print_unfinished(&sweep);
+    print_failures(&sweep);
+    // `0 skipped` is fixed text, like the report's `"skipped":[]`:
+    // nothing skips a point, but `results/sweep-report.sha256` covers
+    // the report and the benchmark harness checks this line for
+    // `0 unverified, 0 failed, 0 skipped`.
     println!(
-        "swept {}/{} points: {unverified} unverified, {} failed, {} skipped",
+        "swept {}/{} points: {unverified} unverified, {} failed, 0 skipped",
         sweep.done.len(),
         sweep.total,
         sweep.failures.len(),
-        sweep.skipped.len()
     );
     if let Some(path) = get(args, "--json") {
         let report = format!(
@@ -455,7 +488,7 @@ fn run_sweep(args: &[String], env: &Env) -> ! {
         eprintln!("[sweep] report written to {path}");
     }
     print_stage_lines("sweep", &sweep);
-    let bad = unverified > 0 || !sweep.failures.is_empty() || !sweep.skipped.is_empty();
+    let bad = unverified > 0 || !sweep.failures.is_empty();
     std::process::exit(if bad { 1 } else { 0 });
 }
 
@@ -491,7 +524,7 @@ fn serve_lint_hook() -> Box<stp_core::serve::LintFn> {
 
 /// `stp serve`: the long-running broadcast-planning daemon.
 fn run_serve(args: &[String], env: &Env) -> ! {
-    use stp_core::serve::{arm_signal_shutdown, ServeConfig, Server};
+    use stp_core::serve::{ServeConfig, Server};
 
     check_flags(args, &SERVE_FLAGS);
     // Chaos requests are a supported part of the serving mix — their
@@ -521,14 +554,14 @@ fn run_serve(args: &[String], env: &Env) -> ! {
         eprintln!("stp serve: cannot bind {}: {e}", config.addr);
         std::process::exit(1);
     });
-    arm_signal_shutdown(&server.shutdown_flag());
+    server.arm_signal_shutdown();
     // One parseable readiness line on stdout — the benchmark harness
     // waits for it (and reads back the real port when --addr used :0).
     println!("stp serve: listening on {}", server.local_addr());
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     eprintln!(
-        "stp serve: {} worker(s), cache cap {}, cache file {}, default deadline {}ms",
+        "stp serve: {} cold plan(s) at once, cache cap {}, cache file {}, default deadline {}ms",
         config.workers,
         config.cache_cap,
         config
@@ -558,9 +591,12 @@ fn main() {
         Some("serve") => run_serve(&args[1..], &env),
         Some("lint") => run_lint(&args[1..], &env),
         Some("sweep") => run_sweep(&args[1..], &env),
-        _ => check_flags(args, &POINT_FLAGS),
+        _ => {}
     }
-    if args.iter().any(|a| a == "--list") {
+    let given = check_flags(args, &POINT_FLAGS);
+    check_alone(&given, "--list", &[]);
+    check_exclusive(&given, &["--trace", "--sweep-len", "--metrics"]);
+    if has(args, "--list") {
         println!("algorithms:");
         for k in AlgoKind::all() {
             println!("  {}", k.name());

@@ -67,8 +67,13 @@ fn a_malformed_number_is_a_usage_error_in_a_one_off_run() {
         ("--s", "4.5"),
         ("--ports", "five"),
     ] {
-        // The flag under test goes first: the first occurrence wins.
-        let args = [&[flag, value], &point(&["--s", "4"])[..]].concat();
+        // The flag under test replaces the run's own value: a flag
+        // given twice is an error of its own.
+        let mut args = point(&["--s", "4"]);
+        match args.iter().position(|a| *a == flag) {
+            Some(i) => args[i + 1] = value,
+            None => args.extend([flag, value]),
+        }
         assert_usage_error(&args, flag, value);
     }
     let t3d = "--machine t3d --p lots --algo br_lin --dist equal --s 4";
@@ -167,6 +172,40 @@ fn retired_flags_are_rejected_not_ignored() {
     }
     assert_rejected(&["sweep", "quick"], "unexpected argument 'quick'");
     assert_rejected(&["sweep", "--quick", "--json"], "--json wants a value");
+    // A repeat would run with one of its values and say nothing.
+    let twice = point(&["--s", "4", "--len", "64", "--len", "4096"]);
+    assert_rejected(&twice, "--len given twice");
+}
+
+#[test]
+fn switches_that_cannot_combine_are_rejected() {
+    // `--list` prints names and returns; a run's flags would be ignored.
+    assert_rejected(&["--list", "--machine", "paragon"], "--list and --machine");
+    assert_rejected(&["--s", "4", "--list"], "--list and --s");
+    // `--trace` and `--sweep-len` each return before `--metrics` prints.
+    for (a, b) in [
+        ("--metrics", "--trace"),
+        ("--trace", "--sweep-len"),
+        ("--sweep-len", "--metrics"),
+    ] {
+        let mut args = point(&["--s", "4"]);
+        for flag in [a, b] {
+            args.push(flag);
+            if flag == "--sweep-len" {
+                args.push("64,128");
+            }
+        }
+        assert_rejected(&args, &format!("{a} and {b} cannot be combined"));
+    }
+    // `lint --fixtures` runs the five fixtures and takes only `--json`.
+    assert_rejected(
+        &["lint", "--quick", "--fixtures", "--perf"],
+        "--fixtures and --quick cannot be combined",
+    );
+    assert_rejected(
+        &["lint", "--fixtures", "--perf"],
+        "--fixtures and --perf cannot be combined",
+    );
 }
 
 #[test]
@@ -311,7 +350,6 @@ fn sweep_point_by_point(quick: bool, faults: Option<&str>) -> String {
     let mut run = SupervisedRun {
         done: Vec::new(),
         failures: Vec::new(),
-        skipped: Vec::new(),
         experiments: points.len(),
         total: points.len(),
     };
@@ -408,4 +446,83 @@ fn metrics_print_the_kernel_counters() {
         assert_eq!(code, Some(0), "{stderr}");
         assert!(stdout.contains(counters), "{stdout}");
     }
+}
+
+/// `SIGTERM` to `stp serve --cache F` while a client holds an idle
+/// connection open: the daemon drains, exits 0 within 2 s, and leaves
+/// every plan in the snapshot `F` and its journal empty.
+#[test]
+fn serve_exits_cleanly_on_sigterm_with_an_idle_client() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    use stp_core::checkpoint::Checkpoint;
+    use stp_core::serve::{journal_path, PlanCache, CACHE_SIG};
+
+    let dir = std::env::temp_dir().join(format!("stp-cli-sigterm-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let cache = dir.join("cache.json");
+    let mut child = stp()
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--workers",
+            "1",
+            "--cache",
+        ])
+        .arg(&cache)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn stp serve");
+    let mut ready = String::new();
+    BufReader::new(child.stdout.take().expect("stdout"))
+        .read_line(&mut ready)
+        .expect("readiness line");
+    let addr = ready
+        .trim()
+        .strip_prefix("stp serve: listening on ")
+        .unwrap_or_else(|| panic!("readiness line {ready:?}"));
+
+    let client = TcpStream::connect(addr).expect("connect");
+    let mut replies = BufReader::new(client.try_clone().expect("clone"));
+    for len in [64, 128] {
+        let line = format!(
+            "{{\"machine\":\"paragon\",\"rows\":4,\"cols\":4,\"dist\":\"equal\",\
+             \"s\":4,\"L\":{len},\"algo\":\"Br_Lin\"}}\n"
+        );
+        (&client).write_all(line.as_bytes()).expect("send");
+        let mut reply = String::new();
+        replies.read_line(&mut reply).expect("reply");
+        assert!(reply.contains("\"cached\":false"), "{reply}");
+    }
+
+    // The client stays connected and says nothing more.
+    let kill = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(kill.success());
+    let t0 = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            break status;
+        }
+        if t0.elapsed() > Duration::from_secs(2) {
+            let _ = child.kill();
+            panic!("stp serve still running 2 s after SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(status.code(), Some(0));
+    assert_eq!(std::fs::read(journal_path(&cache)).expect("journal"), b"");
+    let snapshot = Checkpoint::load(&cache)
+        .expect("read cache")
+        .expect("cache parses");
+    assert_eq!(snapshot.sig(), CACHE_SIG);
+    assert_eq!(PlanCache::open(Some(cache.clone()), 16).len(), 2);
+    drop(client);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -104,12 +104,19 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// The deepest nesting of arrays and objects [`parse_json`] accepts.
+/// The documents the repo writes nest at most 9 deep (a SARIF log); the
+/// limit keeps a hostile line of brackets from exhausting the stack of
+/// the thread that parses it.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document. Errors carry the byte offset.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -126,6 +133,8 @@ struct Parser<'a> {
     /// it advances over ASCII or over whole runs of `text`.
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -163,8 +172,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let value = match open {
+                    b'{' => self.object(),
+                    _ => self.array(),
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.eat_lit("true", JsonValue::Bool(true)),
             Some(b'f') => self.eat_lit("false", JsonValue::Bool(false)),
@@ -531,6 +551,16 @@ mod tests {
         assert!(parse_json("{\"a\":1} trailing").is_err());
         assert!(parse_json("\"unterminated").is_err());
         assert!(parse_json("{\"a\" 1}").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_json(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        assert!(parse_json(&"[".repeat(100_000)).is_err());
+        assert!(parse_json(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

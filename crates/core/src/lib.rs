@@ -70,5 +70,4 @@ pub mod prelude {
     pub use crate::quality::placement_quality;
     pub use crate::runner::{AlgoKind, Experiment, Outcome, RunControl, SweepRunner};
     pub use crate::select::recommend;
-    pub use crate::supervise::{PointStatus, SuperviseOpts};
 }

@@ -553,7 +553,7 @@ impl SweepRunner {
     /// runs to completion, and the earliest panic (in input order) is
     /// then resumed. Callers that need per-point failure *reporting*
     /// instead of a deferred panic use
-    /// [`map_supervised`](SweepRunner::map_supervised).
+    /// [`run_grouped`](SweepRunner::run_grouped).
     pub fn map<I, T, F>(&self, items: Vec<I>, job: F) -> Vec<T>
     where
         I: Send,

@@ -11,19 +11,18 @@
 //!
 //! Architecture (see DESIGN.md §12):
 //!
-//! * **Request lifecycle** — a connection thread parses each line and
-//!   resolves it to a [`PlanSpec`] (including running [`recommend`] for
-//!   `"algo":"auto"`, so auto and explicit requests share cache
-//!   entries). Cache hits are answered directly on the connection
-//!   thread; misses are handed to a bounded worker pool.
-//! * **Supervised planning** — every cold plan runs as a one-point
-//!   supervised sweep
-//!   ([`SweepRunner::map_supervised`](crate::runner::SweepRunner)):
+//! * **Request lifecycle** — one thread per connection reads each line
+//!   (at most [`MAX_LINE`] bytes) and resolves it to a [`PlanSpec`]
+//!   (including running [`recommend`] for `"algo":"auto"`, so auto and
+//!   explicit requests share cache entries). A cache hit is answered at
+//!   once; a miss is planned on the same thread once it holds one of
+//!   `--workers` permits, so at most that many cold plans run at once.
+//! * **Supervised planning** — every cold plan runs [`contained`]:
 //!   `catch_unwind` containment, one attempt (deterministic simulations
 //!   fail deterministically), and a per-request wall-clock deadline
-//!   armed on the request's own [`CancelToken`] — a poisoned or
-//!   runaway request is quarantined with an error response, never the
-//!   daemon.
+//!   armed on the request's own [`CancelToken`] — a poisoned request is
+//!   quarantined with an error response, a runaway one answered
+//!   `"deadline exceeded"`, and neither costs the daemon.
 //! * **Content-addressed cache** — results are memoized under a
 //!   canonical `(algo, dist, shape, exec, faults, ports, s, L, lint)`
 //!   key (FNV-1a content hash as the entry id) in [`PlanCache`], a
@@ -38,18 +37,24 @@
 //!   analyzer needs. The reply's `"schedule"` counts come from the
 //!   kernel's own counters either way, so they are the same bytes.
 //! * **Shutdown** — `SIGTERM`/`SIGINT` (or a `{"cmd":"shutdown"}`
-//!   request) set a shared flag; the accept loop drains connections,
-//!   joins the worker pool, and compacts the cache into one snapshot
-//!   before exiting.
+//!   request) set a shared flag and `shutdown(2)` the listening socket,
+//!   which wakes the blocked `accept`. The accept loop then shuts the
+//!   read side of every live connection (a request in progress still
+//!   gets its reply), joins them, and compacts the cache into one
+//!   snapshot before exiting. Nothing on the accept or read path sleeps
+//!   or polls.
 
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use mpp_model::{FaultPlan, Machine};
@@ -60,10 +65,10 @@ use crate::distribution::SourceDist;
 use crate::msgset::payload_for;
 use crate::predict;
 use crate::runner::{
-    try_record_sources, try_run_alg_controlled, AlgoKind, RecordedRun, RunControl, SweepRunner,
+    try_record_sources, try_run_alg_controlled, AlgoKind, RecordedRun, RunControl,
 };
 use crate::select::{cost_regime, recommend, CostRegime};
-use crate::supervise::{chaos_algorithms, PointStatus, SuperviseOpts};
+use crate::supervise::{chaos_algorithms, contained};
 
 /// Cache store signature — bump when the plan body schema changes so a
 /// stale persisted cache starts fresh instead of replaying old bodies.
@@ -673,7 +678,7 @@ pub struct ServeConfig {
     pub cache_path: Option<PathBuf>,
     /// Cache entry bound.
     pub cache_cap: usize,
-    /// Cold-planning worker threads.
+    /// Cold plans that run at once.
     pub workers: usize,
     /// Default per-request deadline.
     pub deadline: Duration,
@@ -701,8 +706,8 @@ impl Default for ServeConfig {
 }
 
 /// The planning engine behind the daemon: parse → cache → supervised
-/// cold run. Shared (`Arc`) between connection threads and the worker
-/// pool; also usable directly (without a socket) from tests.
+/// cold run. Shared (`Arc`) between connection threads; also usable
+/// directly (without a socket) from tests.
 pub struct Planner {
     cache: PlanCache,
     exec: ExecMode,
@@ -737,9 +742,9 @@ impl Planner {
 
     /// Serve a plan request end to end (cache hit or supervised cold
     /// run on the calling thread). Returns the full response line.
-    /// The daemon splits this into [`lookup`](Planner::lookup) (on the
-    /// connection thread) + [`execute`](Planner::execute) (on a pool
-    /// worker); tests and single-threaded callers use this directly.
+    /// The daemon splits this into [`lookup`](Planner::lookup) and, on
+    /// a miss, [`execute`](Planner::execute) under a cold-plan permit;
+    /// tests and single-threaded callers use this directly.
     pub fn plan(&self, spec: &PlanSpec) -> String {
         match self.lookup(spec) {
             Some(response) => response,
@@ -763,38 +768,33 @@ impl Planner {
         }
     }
 
-    /// Cold path: run the plan as a one-point supervised sweep, cache
-    /// the body on success, and render the response line.
+    /// Cold path: run the plan [`contained`] under the request's
+    /// deadline, cache the body on success, and render the response
+    /// line. A run that fails once the deadline has fired was cut by
+    /// it, not by a bug: it is `"deadline exceeded"`, not quarantined.
     pub fn execute(&self, spec: &PlanSpec) -> String {
         let key = spec.cache_id();
         let token = CancelToken::new();
-        let opts = SuperviseOpts {
-            deadline: Some(spec.deadline),
-            cancel: token.clone(),
-            budget: self.budget.clone(),
-        };
-        let statuses = SweepRunner::sequential().map_supervised(
-            vec![()],
-            |_| self.run_point(spec, &token),
-            &opts,
-        );
-        match statuses.into_iter().next() {
-            Some(PointStatus::Done(Ok(body))) => {
+        let deadline = DeadlineGuard::arm(spec.deadline, token.clone());
+        let result = contained(|| self.run_point(spec, &token));
+        drop(deadline);
+        match result {
+            Ok(Ok(body)) => {
                 self.stats.planned.fetch_add(1, Ordering::Relaxed);
                 self.cache.insert(&key, &body);
                 ok_response(&spec.id, false, &key, &body)
             }
-            Some(PointStatus::Done(Err(plan_error))) => {
+            Ok(Err(plan_error)) => {
                 self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
                 error_response(&spec.id, &format!("plan failed: {plan_error}"), true)
             }
-            Some(PointStatus::Failed(error)) => {
-                self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
-                error_response(&spec.id, &format!("quarantined: {error}"), true)
-            }
-            Some(PointStatus::Skipped) | None => {
+            Err(_) if token.is_cancelled() => {
                 self.stats.errors.fetch_add(1, Ordering::Relaxed);
                 error_response(&spec.id, "deadline exceeded", false)
+            }
+            Err(error) => {
+                self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
+                error_response(&spec.id, &format!("quarantined: {error}"), true)
             }
         }
     }
@@ -983,6 +983,37 @@ fn error_response(id: &str, error: &str, quarantined: bool) -> String {
     )
 }
 
+/// Arms a background timer that cancels `token` after `after`, unless
+/// dropped first (the plan finished under its deadline).
+struct DeadlineGuard {
+    stop_tx: mpsc::Sender<()>,
+    timer: Option<JoinHandle<()>>,
+}
+
+impl DeadlineGuard {
+    fn arm(after: Duration, token: CancelToken) -> Self {
+        let (stop_tx, stop_rx) = mpsc::channel();
+        let timer = std::thread::spawn(move || {
+            if stop_rx.recv_timeout(after) == Err(RecvTimeoutError::Timeout) {
+                token.cancel();
+            }
+        });
+        DeadlineGuard {
+            stop_tx,
+            timer: Some(timer),
+        }
+    }
+}
+
+impl Drop for DeadlineGuard {
+    fn drop(&mut self) {
+        let _ = self.stop_tx.send(());
+        if let Some(timer) = self.timer.take() {
+            let _ = timer.join();
+        }
+    }
+}
+
 /// Peak resident set size (`VmHWM`) in KiB from `/proc/self/status` —
 /// the bounded-memory number `{"cmd":"stats"}` reports.
 pub fn peak_rss_kb() -> Option<u64> {
@@ -995,41 +1026,87 @@ pub fn peak_rss_kb() -> Option<u64> {
 }
 
 // ---------------------------------------------------------------------------
-// Signal-driven shutdown
-// ---------------------------------------------------------------------------
-
-static SIGNAL_FLAG: std::sync::OnceLock<Arc<AtomicBool>> = std::sync::OnceLock::new();
-
-extern "C" fn on_shutdown_signal(_sig: i32) {
-    // Async-signal-safe: one atomic store, no locks, no allocation.
-    if let Some(flag) = SIGNAL_FLAG.get() {
-        flag.store(true, Ordering::SeqCst);
-    }
-}
-
-/// Route `SIGTERM`/`SIGINT` to `flag` so the accept loop shuts down
-/// cleanly (drained pool, flushed cache). Uses the libc `signal` entry
-/// point directly — the build is offline and carries no libc crate.
-pub fn arm_signal_shutdown(flag: &Arc<AtomicBool>) {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    let _ = SIGNAL_FLAG.set(flag.clone());
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGINT, on_shutdown_signal as *const () as usize);
-        signal(SIGTERM, on_shutdown_signal as *const () as usize);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Server
 // ---------------------------------------------------------------------------
+
+/// The longest request line read, in bytes: a longer one gets one error
+/// reply and closes its connection.
+pub const MAX_LINE: usize = 64 << 10;
 
 enum Listener {
     Tcp(TcpListener),
     Unix(UnixListener, PathBuf),
+}
+
+/// The listening socket and the flag that stops the daemon, shared by
+/// the accept loop, every connection and the signal handler.
+struct Gate {
+    listener: Listener,
+    closing: AtomicBool,
+}
+
+impl Gate {
+    /// Set the flag, then `shutdown(2)` the listening socket: a blocked
+    /// `accept` returns at once, and every later one fails. One atomic
+    /// store and one system call, so a signal handler may call it.
+    fn close(&self) {
+        extern "C" {
+            fn shutdown(fd: i32, how: i32) -> i32;
+        }
+        const SHUT_RDWR: i32 = 2;
+        self.closing.store(true, Ordering::SeqCst);
+        let fd = match &self.listener {
+            Listener::Tcp(l) => l.as_raw_fd(),
+            Listener::Unix(l, _) => l.as_raw_fd(),
+        };
+        unsafe { shutdown(fd, SHUT_RDWR) };
+    }
+
+    fn is_closing(&self) -> bool {
+        self.closing.load(Ordering::SeqCst)
+    }
+
+    fn accept(&self) -> io::Result<Stream> {
+        match &self.listener {
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+            Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
+        }
+    }
+}
+
+/// The gate `SIGTERM`/`SIGINT` close. It keeps the listening socket open
+/// for as long as the handler may run.
+static SIGNAL_GATE: OnceLock<Arc<Gate>> = OnceLock::new();
+
+extern "C" fn on_shutdown_signal(_sig: i32) {
+    if let Some(gate) = SIGNAL_GATE.get() {
+        gate.close();
+    }
+}
+
+/// Counting semaphore over the cold plans: at most `--workers` run at
+/// once, each on the connection that asked for it.
+struct Permits {
+    free: Mutex<usize>,
+    freed: Condvar,
+}
+
+impl Permits {
+    fn run<T>(&self, job: impl FnOnce() -> T) -> T {
+        let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
+        while *free == 0 {
+            free = self
+                .freed
+                .wait(free)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        *free -= 1;
+        drop(free);
+        let out = job();
+        *self.free.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        self.freed.notify_one();
+        out
+    }
 }
 
 enum Stream {
@@ -1045,11 +1122,14 @@ impl Stream {
         })
     }
 
-    fn set_read_timeout(&self, timeout: Duration) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_read_timeout(Some(timeout)),
-            Stream::Unix(s) => s.set_read_timeout(Some(timeout)),
-        }
+    /// `shutdown(2)` the connection, whoever else holds its descriptor:
+    /// `Read` makes a blocked read return end of file, `Both` also ends
+    /// it for the client.
+    fn shutdown(&self, how: Shutdown) {
+        let _ = match self {
+            Stream::Tcp(s) => s.shutdown(how),
+            Stream::Unix(s) => s.shutdown(how),
+        };
     }
 
     /// Responses are a single small write each; Nagle + delayed ACK
@@ -1086,16 +1166,13 @@ impl Write for Stream {
     }
 }
 
-type Job = (Box<PlanSpec>, mpsc::Sender<String>);
-
-/// The serve daemon: accept loop + connection threads + worker pool
-/// around a shared [`Planner`].
+/// The serve daemon: accept loop + one thread per connection around a
+/// shared [`Planner`].
 pub struct Server {
-    listener: Listener,
+    gate: Arc<Gate>,
     addr: String,
     planner: Arc<Planner>,
-    shutdown: Arc<AtomicBool>,
-    workers: usize,
+    permits: Arc<Permits>,
 }
 
 impl Server {
@@ -1122,11 +1199,16 @@ impl Server {
             (Listener::Tcp(listener), addr)
         };
         Ok(Server {
-            listener,
+            gate: Arc::new(Gate {
+                listener,
+                closing: AtomicBool::new(false),
+            }),
             addr,
             planner: Arc::new(Planner::new(config, lint)),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            workers: config.workers.max(1),
+            permits: Arc::new(Permits {
+                free: Mutex::new(config.workers.max(1)),
+                freed: Condvar::new(),
+            }),
         })
     }
 
@@ -1135,142 +1217,116 @@ impl Server {
         &self.addr
     }
 
-    /// The shared shutdown flag (hand it to
-    /// [`arm_signal_shutdown`] or flip it from a test).
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        self.shutdown.clone()
+    /// Route `SIGTERM`/`SIGINT` to this server's shutdown (drained
+    /// connections, flushed cache). Uses the libc `signal` entry point
+    /// directly — the build is offline and carries no libc crate.
+    pub fn arm_signal_shutdown(&self) {
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+        }
+        let _ = SIGNAL_GATE.set(self.gate.clone());
+        const SIGINT: i32 = 2;
+        const SIGTERM: i32 = 15;
+        unsafe {
+            signal(SIGINT, on_shutdown_signal as *const () as usize);
+            signal(SIGTERM, on_shutdown_signal as *const () as usize);
+        }
     }
 
-    /// The shared planner (tests inspect cache/stat counters).
-    pub fn planner(&self) -> Arc<Planner> {
-        self.planner.clone()
-    }
-
-    /// Serve until the shutdown flag is set, then drain: close the
-    /// accept loop, join connections and workers, flush the cache.
-    /// Returns the final stats JSON.
+    /// Serve until a signal or a `{"cmd":"shutdown"}` request closes the
+    /// gate, then drain: end every connection's reads, join them, flush
+    /// the cache. Returns the final stats JSON.
     pub fn run(self) -> io::Result<String> {
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let mut worker_handles = Vec::with_capacity(self.workers);
-        for _ in 0..self.workers {
-            let planner = self.planner.clone();
-            let job_rx = job_rx.clone();
-            worker_handles.push(std::thread::spawn(move || loop {
-                let job = {
-                    let rx = job_rx.lock().unwrap_or_else(PoisonError::into_inner);
-                    rx.recv()
-                };
-                let Ok((spec, reply)) = job else { break };
-                let response = planner.execute(&spec);
-                let _ = reply.send(response);
-            }));
-        }
-
-        match &self.listener {
-            Listener::Tcp(l) => l.set_nonblocking(true)?,
-            Listener::Unix(l, _) => l.set_nonblocking(true)?,
-        }
-        let mut conn_handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.shutdown.load(Ordering::SeqCst) {
-            let accepted = match &self.listener {
-                Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
-                Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
-            };
+        let mut conns: Vec<(Stream, JoinHandle<()>)> = Vec::new();
+        loop {
+            let accepted = self.gate.accept();
+            if self.gate.is_closing() {
+                break;
+            }
             match accepted {
                 Ok(stream) => {
-                    let planner = self.planner.clone();
-                    let job_tx = job_tx.clone();
-                    let shutdown = self.shutdown.clone();
-                    conn_handles.push(std::thread::spawn(move || {
-                        handle_connection(stream, planner, job_tx, shutdown);
-                    }));
-                    // Joined-and-done threads are reaped opportunistically
+                    let Ok(drain) = stream.try_clone() else {
+                        continue;
+                    };
+                    let (planner, permits) = (self.planner.clone(), self.permits.clone());
+                    let gate = self.gate.clone();
+                    let handle = std::thread::spawn(move || {
+                        handle_connection(stream, &planner, &permits, &gate);
+                    });
+                    // Finished connections are reaped as new ones arrive,
                     // so a long-lived daemon does not accumulate handles.
-                    conn_handles.retain(|h| !h.is_finished());
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
+                    conns.retain(|(_, h)| !h.is_finished());
+                    conns.push((drain, handle));
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => {
+                    // Out of descriptors and the like: back off, then
+                    // try again.
                     eprintln!("serve: accept failed: {e}");
                     std::thread::sleep(Duration::from_millis(50));
                 }
             }
         }
 
-        // Drain: connections observe the flag via their read timeout,
-        // the pool closes when the last sender drops.
-        for handle in conn_handles {
-            let _ = handle.join();
-        }
-        drop(job_tx);
-        for handle in worker_handles {
+        for (drain, handle) in conns {
+            drain.shutdown(Shutdown::Read);
             let _ = handle.join();
         }
         self.planner.cache.flush();
-        if let Listener::Unix(_, path) = &self.listener {
+        if let Listener::Unix(_, path) = &self.gate.listener {
             let _ = std::fs::remove_file(path);
         }
         Ok(self.planner.stats_json())
     }
 }
 
-fn handle_connection(
-    stream: Stream,
-    planner: Arc<Planner>,
-    job_tx: mpsc::Sender<Job>,
-    shutdown: Arc<AtomicBool>,
-) {
+fn handle_connection(stream: Stream, planner: &Planner, permits: &Permits, gate: &Gate) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    if stream.set_read_timeout(Duration::from_millis(200)).is_err() {
-        return;
-    }
     stream.set_nodelay();
     let mut writer = stream;
     let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        // `line` is cleared after each processed request, not here: a
-        // read timeout can leave a partial line behind, and the next
-        // read must append to it, not drop it.
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // client closed
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                continue;
-            }
-            Err(_) => break,
-        }
-        if line.trim().is_empty() {
-            line.clear();
-            continue;
-        }
-        let (mut response, quit) = process_line(&line, &planner, &job_tx);
+    let mut line = Vec::new();
+    // The gate is checked between requests: once it closes, a client
+    // that keeps sending cannot hold the drain up.
+    while !gate.is_closing() {
         line.clear();
+        match (&mut reader)
+            .take(MAX_LINE as u64 + 1)
+            .read_until(b'\n', &mut line)
+        {
+            Ok(0) | Err(_) => break, // client closed, or reads shut
+            Ok(_) => {}
+        }
+        let too_long = line.len() > MAX_LINE && line.last() != Some(&b'\n');
+        let (mut response, quit) = match std::str::from_utf8(&line) {
+            _ if too_long => {
+                planner.note_error();
+                let error = format!("request line exceeds {MAX_LINE} bytes");
+                (error_response("", &error, false), true)
+            }
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => process_line(text, planner, permits, gate),
+            Err(_) => break,
+        };
         response.push('\n');
         if writer
             .write_all(response.as_bytes())
             .and_then(|()| writer.flush())
             .is_err()
+            || quit
         {
             break;
         }
-        if quit {
-            shutdown.store(true, Ordering::SeqCst);
-            break;
-        }
     }
+    // The accept loop holds a clone until it reaps this thread; the
+    // client must see the end now.
+    writer.shutdown(Shutdown::Both);
 }
 
-fn process_line(line: &str, planner: &Arc<Planner>, job_tx: &mpsc::Sender<Job>) -> (String, bool) {
+/// The reply to one request line, and whether the connection ends.
+fn process_line(line: &str, planner: &Planner, permits: &Permits, gate: &Gate) -> (String, bool) {
     match planner.parse(line) {
         Err(e) => {
             planner.note_error();
@@ -1289,23 +1345,16 @@ fn process_line(line: &str, planner: &Arc<Planner>, job_tx: &mpsc::Sender<Job>) 
         }
         Ok(Request::Shutdown) => {
             planner.note_request();
+            // The accept loop wakes and drains; this connection still
+            // writes the reply before it is joined.
+            gate.close();
             ("{\"status\":\"ok\",\"shutdown\":true}".to_string(), true)
         }
         Ok(Request::Plan(spec)) => {
-            if let Some(response) = planner.lookup(&spec) {
-                return (response, false);
-            }
-            let (reply_tx, reply_rx) = mpsc::channel();
-            if job_tx.send((spec, reply_tx)).is_err() {
-                return (error_response("", "daemon is shutting down", false), false);
-            }
-            match reply_rx.recv() {
-                Ok(response) => (response, false),
-                Err(_) => (
-                    error_response("", "worker pool dropped the request", false),
-                    false,
-                ),
-            }
+            let response = planner
+                .lookup(&spec)
+                .unwrap_or_else(|| permits.run(|| planner.execute(&spec)));
+            (response, false)
         }
     }
 }
@@ -1873,5 +1922,25 @@ mod tests {
         assert!(response.contains("\"status\":\"error\""), "{response}");
         assert!(response.contains("deadlock"), "{response}");
         assert_eq!(planner.cache().len(), 0);
+    }
+
+    #[test]
+    fn deadline_guard_fires_and_disarms() {
+        // Fires: a zero deadline cancels the token almost immediately.
+        let token = CancelToken::new();
+        let guard = DeadlineGuard::arm(Duration::ZERO, token.clone());
+        let t0 = std::time::Instant::now();
+        while !token.is_cancelled() {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "deadline never fired"
+            );
+            std::thread::yield_now();
+        }
+        drop(guard);
+        // Disarms: dropping the guard before expiry never cancels.
+        let token = CancelToken::new();
+        drop(DeadlineGuard::arm(Duration::from_secs(3600), token.clone()));
+        assert!(!token.is_cancelled());
     }
 }

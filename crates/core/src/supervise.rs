@@ -1,26 +1,22 @@
-//! Supervised sweeps: panic-isolated grid points, quarantine,
-//! wall-clock deadlines, and cooperative cancellation.
+//! Supervised sweeps: panic-isolated grid points and quarantine.
 //!
 //! [`SweepRunner::map`](crate::runner::SweepRunner::map) executes grid
 //! points in parallel but still *propagates* failures — the right
 //! behaviour for figures, where a broken point means the figure is
-//! broken. Long sweeps over possibly-broken algorithms (the lint
-//! matrix, chaos-injection CI) instead go through
-//! [`SweepRunner::map_supervised`]: every grid point runs under
-//! `catch_unwind`, a failed point is quarantined as
-//! [`PointStatus::Failed`] with the error text, and the sweep always
-//! completes every healthy point. A shared [`CancelToken`] — optionally
-//! armed by a wall-clock deadline ([`SuperviseOpts::deadline`], serve's
-//! per-request budget) — aborts the remainder cleanly: in-flight
-//! simulations exit at their next scheduling step, and unstarted points
-//! come back [`PointStatus::Skipped`].
+//! broken. Sweeps over possibly-broken algorithms (the lint matrix,
+//! chaos-injection CI) and serve's cold plans instead run each point
+//! through [`contained`]: `catch_unwind` around the run, so a panic or a
+//! [`SimError`] comes back as an error message and never ends the
+//! process.
 //!
 //! [`SweepRunner::run_grouped`] runs each distinct experiment among the
-//! points once under that supervision, renders every point's record
-//! from its experiment's outcome, and triages the statuses into a
-//! [`SupervisedRun`]. It is the one loop behind `stp sweep` and
+//! points once, contained, renders every point's record from its
+//! experiment's outcome, and sorts the points into done and quarantined
+//! in a [`SupervisedRun`]. It is the one loop behind `stp sweep` and
 //! `stp lint`, which both run the acceptance matrix defined here
-//! ([`matrix_shapes`], [`matrix_points`]).
+//! ([`matrix_shapes`], [`matrix_points`]). Nothing cancels a sweep: the
+//! whole matrix runs in seconds, and the watchdog budget in each point's
+//! `RunControl` bounds a livelock.
 //!
 //! The module also hosts the chaos-injection fixtures ([`ChaosPanic`],
 //! [`ChaosDeadlock`]) that CI uses to prove the supervision plane works:
@@ -30,12 +26,9 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use mpp_model::{LibraryKind, Machine, MeshShape};
-use mpp_runtime::{CancelToken, CommFuture, RankCtx, SimBudget, SimError};
+use mpp_runtime::{CommFuture, RankCtx, SimError};
 use mpp_sim::error::panic_message;
 
 use crate::algorithms::{StpAlgorithm, StpCtx};
@@ -44,130 +37,16 @@ use crate::distribution::SourceDist;
 use crate::msgset::MessageSet;
 use crate::runner::{AlgoKind, SweepRunner};
 
-/// Supervision policy for one sweep.
-#[derive(Debug, Clone)]
-pub struct SuperviseOpts {
-    /// Wall-clock budget (serve's per-request deadline); on expiry the
-    /// shared token is cancelled and the remaining points are skipped.
-    pub deadline: Option<Duration>,
-    /// The shared cancellation token. Cancel it from a signal handler
-    /// or another thread to stop the sweep at the next point boundary.
-    pub cancel: CancelToken,
-    /// Per-run watchdog budget threaded into every grid point's
-    /// simulation (livelock containment).
-    pub budget: SimBudget,
-}
-
-impl Default for SuperviseOpts {
-    fn default() -> Self {
-        SuperviseOpts {
-            deadline: None,
-            cancel: CancelToken::new(),
-            budget: SimBudget::default(),
-        }
-    }
-}
-
-impl SuperviseOpts {
-    /// Override the per-run watchdog budget.
-    pub fn with_budget(mut self, budget: SimBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-}
-
-/// How one supervised grid point ended.
-#[derive(Debug)]
-pub enum PointStatus<T> {
-    /// The point completed; its result.
-    Done(T),
-    /// The point failed and was quarantined; its error or panic
-    /// message.
-    Failed(String),
-    /// The point was not run (or was cancelled mid-run) because the
-    /// shared token was cancelled or the deadline passed.
-    Skipped,
-}
-
-/// Arms a background timer that cancels `token` after `after`, unless
-/// dropped first (sweep finished under budget).
-struct DeadlineGuard {
-    stop_tx: mpsc::Sender<()>,
-    timer: Option<JoinHandle<()>>,
-}
-
-impl DeadlineGuard {
-    fn arm(after: Duration, token: CancelToken) -> Self {
-        let (stop_tx, stop_rx) = mpsc::channel();
-        let timer = std::thread::spawn(move || {
-            if stop_rx.recv_timeout(after) == Err(RecvTimeoutError::Timeout) {
-                token.cancel();
-            }
-        });
-        DeadlineGuard {
-            stop_tx,
-            timer: Some(timer),
-        }
-    }
-}
-
-impl Drop for DeadlineGuard {
-    fn drop(&mut self) {
-        let _ = self.stop_tx.send(());
-        if let Some(timer) = self.timer.take() {
-            let _ = timer.join();
-        }
-    }
-}
-
-/// Run one point under the supervision policy: panic containment and
-/// cancellation awareness. A failed point runs once: every failure
-/// caught here is deterministic (the executor starts no thread, and a
-/// Rust allocation failure aborts the process), so a re-run would only
-/// fail again.
-fn supervise_point<I, T>(
-    item: &I,
-    job: &(dyn Fn(&I) -> Result<T, SimError> + Sync),
-    opts: &SuperviseOpts,
-) -> PointStatus<T> {
-    if opts.cancel.is_cancelled() {
-        return PointStatus::Skipped;
-    }
-    let error = match catch_unwind(AssertUnwindSafe(|| job(item))) {
-        Ok(Ok(v)) => return PointStatus::Done(v),
-        // The run was stopped by the sweep-level token, not by its
-        // own bug: the point is unfinished work, not a failure.
-        Ok(Err(SimError::Cancelled)) => return PointStatus::Skipped,
-        Ok(Err(e)) => e.to_string(),
-        Err(payload) => panic_message(&*payload),
-    };
-    if opts.cancel.is_cancelled() {
-        return PointStatus::Skipped;
-    }
-    PointStatus::Failed(error)
-}
-
-impl SweepRunner {
-    /// [`map`](SweepRunner::map) under a supervision policy: each grid
-    /// point runs under `catch_unwind`, a failure is quarantined as
-    /// [`PointStatus::Failed`], and the shared token / deadline skips
-    /// the remainder of the sweep on cancellation. Statuses come back
-    /// in input order.
-    pub fn map_supervised<I, T, F>(
-        &self,
-        items: Vec<I>,
-        job: F,
-        opts: &SuperviseOpts,
-    ) -> Vec<PointStatus<T>>
-    where
-        I: Send + Sync,
-        T: Send,
-        F: Fn(&I) -> Result<T, SimError> + Sync,
-    {
-        let _deadline = opts
-            .deadline
-            .map(|after| DeadlineGuard::arm(after, opts.cancel.clone()));
-        self.map(items, |item| supervise_point(&item, &job, opts))
+/// Run `job` once with its panics contained: a panic comes back as its
+/// message and a [`SimError`] as its text. A failed point runs once:
+/// every failure caught here is deterministic (the executor starts no
+/// thread, and a Rust allocation failure aborts the process), so a
+/// re-run would only fail again.
+pub fn contained<T>(job: impl FnOnce() -> Result<T, SimError>) -> Result<T, String> {
+    match catch_unwind(AssertUnwindSafe(job)) {
+        Ok(Ok(v)) => Ok(v),
+        Ok(Err(e)) => Err(e.to_string()),
+        Err(payload) => Err(panic_message(&*payload)),
     }
 }
 
@@ -191,8 +70,6 @@ pub struct SupervisedRun<T> {
     pub done: Vec<T>,
     /// Quarantined points, in grid order.
     pub failures: Vec<PointFailure>,
-    /// Ids of the points skipped by cancellation or the deadline.
-    pub skipped: Vec<String>,
     /// Distinct experiments among the points: how many simulations the
     /// run dispatched.
     pub experiments: usize,
@@ -202,9 +79,13 @@ pub struct SupervisedRun<T> {
 
 impl<T> SupervisedRun<T> {
     /// The members every JSON report of a run opens with:
-    /// `"points":N,"failures":[..],"skipped":[..]`. Deliberately no
+    /// `"points":N,"failures":[..],"skipped":[]`. Deliberately no
     /// wall-clock: a report depends on the grid and the simulations
-    /// alone, so a re-run reproduces it byte for byte.
+    /// alone, so a re-run reproduces it byte for byte. Nothing skips a
+    /// point, but `"skipped":[]` stays as fixed text: the committed
+    /// `results/sweep-report.sha256` and `results/lint-report.sha256`
+    /// digests cover these bytes, and `scripts/chaos-smoke.sh` reads
+    /// them.
     pub fn summary_json(&self) -> String {
         let failures: Vec<String> = self
             .failures
@@ -217,29 +98,23 @@ impl<T> SupervisedRun<T> {
                 )
             })
             .collect();
-        let skipped: Vec<String> = self
-            .skipped
-            .iter()
-            .map(|id| format!("\"{}\"", json_escape(id)))
-            .collect();
         format!(
-            "\"points\":{},\"failures\":[{}],\"skipped\":[{}]",
+            "\"points\":{},\"failures\":[{}],\"skipped\":[]",
             self.total,
-            failures.join(","),
-            skipped.join(",")
+            failures.join(",")
         )
     }
 }
 
 impl SweepRunner {
-    /// [`map_supervised`](SweepRunner::map_supervised) over the distinct
-    /// experiments among `points` (`ids[i]` names `points[i]`). Points
-    /// are grouped by `key` — two points with equal keys must be the
-    /// same experiment under different labels. Each group's first point
-    /// in grid order is `simulate`d under `opts`, and every member's
-    /// record is `render`ed from that one outcome; a failed or skipped
-    /// experiment fails or skips every member alike. The outcome is in
-    /// grid order whatever the completion order was.
+    /// Run the distinct experiments among `points` (`ids[i]` names
+    /// `points[i]`) through [`map`](SweepRunner::map), each
+    /// [`contained`]. Points are grouped by `key` — two points with
+    /// equal keys must be the same experiment under different labels.
+    /// Each group's first point in grid order is `simulate`d, and every
+    /// member's record is `render`ed from that one outcome; a failed
+    /// experiment fails every member alike, under the member's own id.
+    /// The outcome is in grid order whatever the completion order was.
     pub fn run_grouped<I, K, E, T>(
         &self,
         points: Vec<I>,
@@ -247,7 +122,6 @@ impl SweepRunner {
         key: impl Fn(&I) -> K,
         simulate: impl Fn(&I) -> Result<E, SimError> + Sync,
         render: impl Fn(&I, &E) -> T + Sync,
-        opts: &SuperviseOpts,
     ) -> SupervisedRun<T>
     where
         I: Send + Sync,
@@ -273,38 +147,37 @@ impl SweepRunner {
             .collect();
 
         let points = &points;
-        let mut outcomes = self.map_supervised(
+        let mut outcomes = self.map(
             groups.iter().map(Vec::as_slice).collect(),
-            |members: &&[usize]| {
-                let outcome = simulate(&points[members[0]])?;
-                let records: Vec<T> = members
-                    .iter()
-                    .map(|&m| render(&points[m], &outcome))
-                    .collect();
-                Ok(records.into_iter())
+            |members: &[usize]| {
+                contained(|| {
+                    let outcome = simulate(&points[members[0]])?;
+                    let records: Vec<T> = members
+                        .iter()
+                        .map(|&m| render(&points[m], &outcome))
+                        .collect();
+                    Ok(records.into_iter())
+                })
             },
-            opts,
         );
 
         let mut out = SupervisedRun {
             done: Vec::new(),
             failures: Vec::new(),
-            skipped: Vec::new(),
             experiments: groups.len(),
             total: ids.len(),
         };
         // Members take their records in grid order and inherit a
-        // failure or a skip as it is.
+        // failure as it is.
         for (g, id) in group_of.into_iter().zip(ids) {
             match &mut outcomes[g] {
-                PointStatus::Done(records) => out
+                Ok(records) => out
                     .done
                     .push(records.next().expect("one record per member")),
-                PointStatus::Failed(error) => out.failures.push(PointFailure {
+                Err(error) => out.failures.push(PointFailure {
                     id,
                     error: error.clone(),
                 }),
-                PointStatus::Skipped => out.skipped.push(id),
             }
         }
         out
@@ -320,8 +193,8 @@ impl SweepRunner {
 pub const CHAOS_PANIC_MSG: &str = "deliberate chaos panic";
 
 /// A deliberately panicking algorithm: the highest rank panics before
-/// communicating. A supervised sweep must quarantine this point as
-/// [`PointStatus::Failed`] (kind `rank_panic`) and keep going.
+/// communicating. A supervised sweep must quarantine this point (kind
+/// `rank_panic`) and keep going.
 pub struct ChaosPanic;
 
 impl StpAlgorithm for ChaosPanic {
@@ -515,120 +388,63 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// `(done, failed, skipped)` counts over a finished supervised sweep.
-    fn tally<T>(statuses: &[PointStatus<T>]) -> (usize, usize, usize) {
-        let done = statuses
-            .iter()
-            .filter(|s| matches!(s, PointStatus::Done(_)))
-            .count();
-        let failed = statuses
-            .iter()
-            .filter(|s| matches!(s, PointStatus::Failed(_)))
-            .count();
-        (done, failed, statuses.len() - done - failed)
+    /// `run_grouped` over `n` points, each its own experiment, named
+    /// `p0`, `p1`, ….
+    fn run_each<T: Clone + Send>(
+        n: usize,
+        simulate: impl Fn(&usize) -> Result<T, SimError> + Sync,
+    ) -> SupervisedRun<T> {
+        SweepRunner::sequential().with_workers(3).run_grouped(
+            (0..n).collect(),
+            (0..n).map(|i| format!("p{i}")).collect(),
+            |&i| i,
+            simulate,
+            |_, v| v.clone(),
+        )
     }
 
     #[test]
     fn healthy_points_all_complete() {
-        let statuses = SweepRunner::sequential().with_workers(4).map_supervised(
-            (0..12usize).collect(),
-            |&i| Ok(i * 3),
-            &SuperviseOpts::default(),
+        let run = run_each(12, |&i| Ok(i * 3));
+        assert_eq!(run.done, (0..12).map(|i| i * 3).collect::<Vec<_>>());
+        assert!(run.failures.is_empty());
+        assert_eq!((run.experiments, run.total), (12, 12));
+        assert_eq!(
+            run.summary_json(),
+            "\"points\":12,\"failures\":[],\"skipped\":[]"
         );
-        let (done, failed, skipped) = tally(&statuses);
-        assert_eq!((done, failed, skipped), (12, 0, 0));
-        for (i, s) in statuses.iter().enumerate() {
-            assert!(
-                matches!(s, PointStatus::Done(v) if *v == i * 3),
-                "{i}: {s:?}"
-            );
-        }
     }
 
     #[test]
     fn failed_points_run_once_then_are_quarantined() {
         crate::runner::tests_hush_deliberate_panics();
         let attempts_on_3 = AtomicUsize::new(0);
-        let statuses = SweepRunner::sequential().with_workers(3).map_supervised(
-            (0..8usize).collect(),
-            |&i| {
-                if i == 3 {
-                    attempts_on_3.fetch_add(1, Ordering::Relaxed);
-                    panic!("deliberate test panic in point {i}");
-                }
-                if i == 5 {
-                    return Err(SimError::RankPanic {
-                        rank: 0,
-                        message: "synthetic".into(),
-                    });
-                }
-                Ok(i)
-            },
-            &SuperviseOpts::default(),
-        );
-        let (done, failed, skipped) = tally(&statuses);
-        assert_eq!((done, failed, skipped), (6, 2, 0));
+        let run = run_each(8, |&i| {
+            if i == 3 {
+                attempts_on_3.fetch_add(1, Ordering::Relaxed);
+                panic!("deliberate test panic in point {i}");
+            }
+            if i == 5 {
+                return Err(SimError::RankPanic {
+                    rank: 0,
+                    message: "synthetic".into(),
+                });
+            }
+            Ok(i)
+        });
+        assert_eq!(run.done, [0, 1, 2, 4, 6, 7]);
         assert_eq!(attempts_on_3.load(Ordering::Relaxed), 1, "run once");
-        match &statuses[3] {
-            PointStatus::Failed(error) => {
-                assert!(error.contains("point 3"), "got {error:?}");
-            }
-            other => panic!("point 3 should be Failed, got {other:?}"),
-        }
-        match &statuses[5] {
-            PointStatus::Failed(error) => {
-                assert!(error.contains("rank 0"), "got {error:?}")
-            }
-            other => panic!("point 5 should be Failed, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn cancelled_sweep_skips_everything() {
-        let opts = SuperviseOpts::default();
-        opts.cancel.cancel();
-        let ran = AtomicUsize::new(0);
-        let statuses = SweepRunner::sequential().with_workers(4).map_supervised(
-            (0..6usize).collect(),
-            |&i| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                Ok(i)
-            },
-            &opts,
+        let ids: Vec<&str> = run.failures.iter().map(|f| f.id.as_str()).collect();
+        assert_eq!(ids, ["p3", "p5"]);
+        assert!(
+            run.failures[0].error.contains("point 3"),
+            "{:?}",
+            run.failures
         );
-        assert_eq!(ran.load(Ordering::Relaxed), 0);
-        assert_eq!(tally(&statuses), (0, 0, 6));
-    }
-
-    #[test]
-    fn a_cancelled_run_is_skipped_not_failed() {
-        let statuses = SweepRunner::sequential().map_supervised(
-            vec![0usize],
-            |_| Err::<usize, _>(SimError::Cancelled),
-            &SuperviseOpts::default(),
-        );
-        assert!(matches!(statuses[0], PointStatus::Skipped));
-    }
-
-    #[test]
-    fn a_cancelled_resumable_run_names_what_it_skipped() {
-        let opts = SuperviseOpts::default();
-        opts.cancel.cancel();
-        let run = SweepRunner::sequential().run_grouped(
-            vec![0usize, 1, 2],
-            vec!["p0".into(), "p1".into(), "p2".into()],
-            |&i| i,
-            |&i| Ok(i),
-            |_, &v| v,
-            &opts,
-        );
-        // Nothing runs: every point is skipped under its own id.
-        assert_eq!(run.done, Vec::<usize>::new());
-        assert_eq!(run.skipped, vec!["p0", "p1", "p2"]);
-        assert_eq!((run.experiments, run.total), (3, 3));
-        assert_eq!(
-            run.summary_json(),
-            "\"points\":3,\"failures\":[],\"skipped\":[\"p0\",\"p1\",\"p2\"]"
+        assert!(
+            run.failures[1].error.contains("rank 0"),
+            "{:?}",
+            run.failures
         );
     }
 
@@ -709,26 +525,6 @@ mod tests {
                 "Dr=B@8x3"
             ]
         );
-    }
-
-    #[test]
-    fn deadline_guard_fires_and_disarms() {
-        // Fires: a zero deadline cancels the token almost immediately.
-        let token = CancelToken::new();
-        let guard = DeadlineGuard::arm(Duration::ZERO, token.clone());
-        let t0 = std::time::Instant::now();
-        while !token.is_cancelled() {
-            assert!(
-                t0.elapsed() < Duration::from_secs(10),
-                "deadline never fired"
-            );
-            std::thread::yield_now();
-        }
-        drop(guard);
-        // Disarms: dropping the guard before expiry never cancels.
-        let token = CancelToken::new();
-        drop(DeadlineGuard::arm(Duration::from_secs(3600), token.clone()));
-        assert!(!token.is_cancelled());
     }
 
     #[test]

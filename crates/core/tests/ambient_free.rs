@@ -11,7 +11,6 @@ use mpp_runtime::{ExecMode, SimConfig};
 use stp_core::env::Env;
 use stp_core::runner::{RunControl, SweepRunner};
 use stp_core::serve::{Planner, Request, ServeConfig};
-use stp_core::supervise::SuperviseOpts;
 
 #[test]
 fn exported_variables_do_not_reach_the_default_constructors() {
@@ -24,14 +23,12 @@ fn exported_variables_do_not_reach_the_default_constructors() {
     let control = RunControl::default();
     assert!(control.budget.is_unlimited());
     assert_eq!(control.exec, None);
-    let opts = SuperviseOpts::default();
-    assert!(opts.budget.is_unlimited());
-    assert_eq!(opts.deadline, None);
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     assert_eq!(SweepRunner::new().workers(), cores);
     assert_eq!(SweepRunner::sequential().workers(), 1);
-    // The daemon's pool is its own: the sweep variable does not size it.
+    // The daemon's cold-plan bound is its own: the sweep variable does
+    // not size it.
     let serve = ServeConfig::default();
     assert_eq!(serve.workers, cores.max(2));
     assert!(serve.budget.is_unlimited());

@@ -337,7 +337,10 @@ fn per_request_deadline_cuts_runaway_plans() {
         "{\"id\":\"slow\",\"machine\":\"paragon\",\"rows\":16,\"cols\":16,\
          \"dist\":\"equal\",\"s\":64,\"L\":16384,\"algo\":\"Br_Lin\",\"deadline_ms\":1}",
     );
-    assert!(response.contains("\"status\":\"error\""), "{response}");
+    assert_eq!(
+        response,
+        "{\"id\":\"slow\",\"status\":\"error\",\"quarantined\":false,\"error\":\"deadline exceeded\"}"
+    );
     // The daemon still serves fresh work afterwards.
     let ok = client.request(
         "{\"machine\":\"paragon\",\"rows\":4,\"cols\":4,\"dist\":\"equal\",\
@@ -402,4 +405,97 @@ fn corrupt_cache_store_starts_fresh_and_reseals() {
     assert_eq!(std::fs::read(journal_path(&cache_path)).unwrap(), b"");
     assert_eq!(PlanCache::open(Some(cache_path.clone()), 16).len(), 1);
     remove_store(&cache_path);
+}
+
+/// Wait up to `limit` for the daemon thread to return its final stats.
+fn join_within(handle: std::thread::JoinHandle<String>, limit: Duration) -> String {
+    let t0 = std::time::Instant::now();
+    while !handle.is_finished() {
+        assert!(t0.elapsed() < limit, "daemon still running after {limit:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    handle.join().expect("daemon thread")
+}
+
+#[test]
+fn a_shutdown_request_returns_while_another_connection_sits_idle() {
+    let (addr, handle) = start_daemon(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut idle = Client::connect(&addr);
+    assert!(idle.request("{\"cmd\":\"ping\"}").contains("\"pong\":true"));
+    let mut client = Client::connect(&addr);
+    let shut = client.request("{\"cmd\":\"shutdown\"}");
+    assert_eq!(shut, "{\"status\":\"ok\",\"shutdown\":true}");
+    let stats = join_within(handle, Duration::from_secs(1));
+    assert!(stats.contains("\"requests\":2,"), "{stats}");
+    // The idle connection was closed by the drain.
+    let mut rest = String::new();
+    assert_eq!(idle.reader.read_line(&mut rest).ok(), Some(0), "{rest}");
+}
+
+const PING: &str = "{\"cmd\":\"ping\"}";
+const PONG: &str = "{\"status\":\"ok\",\"pong\":true}";
+
+#[test]
+fn a_line_of_ten_thousand_brackets_is_one_error_reply() {
+    let (addr, handle) = start_daemon(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    // Nesting deep enough to overflow a recursive parser's stack: a
+    // clean parse error, and the connection serves on.
+    let mut client = Client::connect(&addr);
+    let deep = client.request(&"[".repeat(10_000));
+    assert_eq!(
+        deep,
+        "{\"id\":\"\",\"status\":\"error\",\"quarantined\":false,\
+         \"error\":\"bad JSON: nesting deeper than 128 at byte 128\"}"
+    );
+    assert_eq!(client.request(PING), PONG);
+    client.request("{\"cmd\":\"shutdown\"}");
+    handle.join().expect("daemon thread");
+}
+
+#[test]
+fn a_line_past_64_kib_is_one_error_reply_then_closed() {
+    let (addr, handle) = start_daemon(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    // The daemon stops reading at the bound, so the write may fail part
+    // way: it runs on its own thread, and its error is ignored.
+    let mut client = Client::connect(&addr);
+    let huge = vec![b'x'; 1 << 20];
+    let reply = std::thread::scope(|scope| {
+        let mut writer = client.writer.try_clone().unwrap();
+        scope.spawn(move || {
+            let _ = writer
+                .write_all(&huge)
+                .and_then(|()| writer.write_all(b"\n"));
+        });
+        let mut reply = String::new();
+        client.reader.read_line(&mut reply).expect("read reply");
+        reply
+    });
+    assert_eq!(
+        reply.trim_end(),
+        "{\"id\":\"\",\"status\":\"error\",\"quarantined\":false,\
+         \"error\":\"request line exceeds 65536 bytes\"}"
+    );
+    let mut rest = String::new();
+    let after_reply = client.reader.read_line(&mut rest);
+    assert!(matches!(after_reply, Ok(0) | Err(_)), "{rest}");
+
+    // The daemon lives on; the long line was its one error.
+    let mut after = Client::connect(&addr);
+    assert_eq!(after.request(PING), PONG);
+    let stats = after.request("{\"cmd\":\"stats\"}");
+    assert!(stats.contains("\"errors\":1,"), "{stats}");
+    after.request("{\"cmd\":\"shutdown\"}");
+    handle.join().expect("daemon thread");
 }

@@ -13,7 +13,7 @@ use stp_core::runner::{
     try_run_alg_controlled, try_run_sources_controlled, AlgoKind, RunControl, SweepRunner,
 };
 use stp_core::supervise::{
-    chaos_algorithms, MatrixAlg, MatrixPoint, SuperviseOpts, SupervisedRun, CHAOS_PANIC_MSG,
+    chaos_algorithms, MatrixAlg, MatrixPoint, SupervisedRun, CHAOS_PANIC_MSG,
 };
 
 /// Silence the two expected panic flavours (this is an integration test
@@ -80,16 +80,11 @@ fn point_id(pt: &Point) -> String {
 
 /// Run one grid point to its deterministic record string (virtual
 /// quantities only, so records are comparable across runs).
-fn run_point(pt: &Point, opts: &SuperviseOpts) -> Result<String, mpp_runtime::SimError> {
+fn run_point(pt: &Point) -> Result<String, mpp_runtime::SimError> {
     let machine = Machine::paragon(4, 4);
     let sources = pt.dist.place(machine.shape, pt.s);
     let payload_of = |src: usize| payload_for(src, 256);
-    let control = RunControl {
-        faults: None,
-        budget: opts.budget.clone(),
-        cancel: Some(opts.cancel.clone()),
-        exec: None,
-    };
+    let control = RunControl::default();
     let out = match pt.kind {
         Some(kind) => try_run_sources_controlled(
             &machine,
@@ -125,11 +120,9 @@ fn run_point(pt: &Point, opts: &SuperviseOpts) -> Result<String, mpp_runtime::Si
 }
 
 /// Grouped supervised sweep over `points`. Returns the report lines
-/// (records, then failures, then skips — each in grid order) plus how
-/// many times the job actually executed (once per point, failed points
-/// included).
+/// (records, then failures — each in grid order) plus how many times the
+/// job actually executed (once per point, failed points included).
 fn sweep(points: Vec<Point>) -> (Vec<String>, usize) {
-    let opts = SuperviseOpts::default();
     let ids = points.iter().map(point_id).collect();
     let executed = AtomicUsize::new(0);
     let run = SweepRunner::new().run_grouped(
@@ -138,17 +131,15 @@ fn sweep(points: Vec<Point>) -> (Vec<String>, usize) {
         point_id,
         |pt| {
             executed.fetch_add(1, Ordering::Relaxed);
-            run_point(pt, &opts)
+            run_point(pt)
         },
         |_, record| record.clone(),
-        &opts,
     );
     let failed = run
         .failures
         .iter()
         .map(|f| format!("{}:FAILED: {}", f.id, f.error));
-    let skipped = run.skipped.iter().map(|id| format!("{id}:SKIPPED"));
-    let report = run.done.iter().cloned().chain(failed).chain(skipped);
+    let report = run.done.iter().cloned().chain(failed);
     (report.collect(), executed.load(Ordering::Relaxed))
 }
 
@@ -186,14 +177,12 @@ fn chaos_sweep_finishes_healthy_points() {
         .filter(|l| l.contains("verified=true"))
         .count();
     assert_eq!(done, 12, "healthy points lost: {report:?}");
-    assert!(!report.iter().any(|l| l.contains(":SKIPPED")));
 }
 
 /// A supervised sweep of acceptance-matrix points, grouped by experiment
 /// the way `stp sweep` groups them. Returns the run and how many
 /// simulations ran.
 fn matrix_sweep(points: Vec<MatrixPoint>) -> (SupervisedRun<String>, usize) {
-    let opts = SuperviseOpts::default();
     let ids = points.iter().map(MatrixPoint::id).collect();
     let simulated = AtomicUsize::new(0);
     let run = SweepRunner::new().run_grouped(
@@ -220,7 +209,6 @@ fn matrix_sweep(points: Vec<MatrixPoint>) -> (SupervisedRun<String>, usize) {
                 out.verified
             )
         },
-        &opts,
     );
     (run, simulated.load(Ordering::Relaxed))
 }
@@ -245,7 +233,7 @@ fn every_member_of_a_failed_experiment_fails_under_its_own_id() {
     let (run, simulated) = matrix_sweep(points);
     assert_eq!((run.total, run.experiments), (2, 1));
     assert_eq!(simulated, 1, "one representative, run once");
-    assert!(run.done.is_empty() && run.skipped.is_empty());
+    assert!(run.done.is_empty());
     let ids: Vec<&str> = run.failures.iter().map(|f| f.id.as_str()).collect();
     assert_eq!(ids, ["chaos:panic/R/1x2/s2", "chaos:panic/C/1x2/s2"]);
     let [first, second] = &run.failures[..] else {

@@ -16,7 +16,7 @@
 //!   instead of an unbounded spin.
 //!
 //! A wall-clock deadline is the supervisor's: it cancels the run's
-//! token when time is up (`stp_core::supervise::SuperviseOpts`).
+//! token when time is up (`stp serve`'s per-request deadline).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
