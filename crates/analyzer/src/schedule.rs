@@ -244,7 +244,8 @@ impl<'a> PayloadIds<'a> {
         loop {
             let id = self.table[at];
             if id == NONE
-                || (self.prints[id as usize] == print && self.firsts[id as usize] == payload)
+                || (self.prints[id as usize] == print
+                    && same_content(self.firsts[id as usize], payload))
             {
                 return at;
             }
@@ -253,41 +254,86 @@ impl<'a> PayloadIds<'a> {
     }
 }
 
+/// Whether two payloads hold the same bytes. Two message-set handles
+/// are compared entry by entry: the wire encoding is a function of the
+/// entries and parses back to them, so equal entries (sources and
+/// payload bytes) are exactly equal wire bytes. Two clones of one
+/// handle are one immutable value read twice, equal without being read,
+/// just as `==` skips a run whose two sides start at one address.
+/// Anything else is compared as bytes, which builds a handle's encoding
+/// if it meets one.
+fn same_content(a: &Payload, b: &Payload) -> bool {
+    match (a.value::<MessageSet>(), b.value::<MessageSet>()) {
+        (Some(x), Some(y)) => std::ptr::eq(x, y) || x == y,
+        _ => a == b,
+    }
+}
+
 /// A multiply-rotate hash of the whole content, independent of how the
 /// rope is segmented (bytes straddling a chunk boundary are carried
-/// into the next word).
+/// into the next word). A message-set handle hashes its wire bytes as
+/// [`MessageSet::wire_chunks`] visits them, without building them, so
+/// it gets the print its encoding would get.
 fn fingerprint(payload: &Payload) -> u64 {
+    let mut print = Fingerprint::new(payload.len());
+    match payload.value::<MessageSet>() {
+        Some(set) => set.wire_chunks(|chunk| print.feed(chunk)),
+        None => payload.chunks().for_each(|chunk| print.feed(chunk)),
+    }
+    print.finish()
+}
+
+struct Fingerprint {
+    h: u64,
+    carry: [u8; 8],
+    filled: usize,
+}
+
+impl Fingerprint {
     const K: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mix = |h: u64, word: u64| (h ^ word).wrapping_mul(K).rotate_left(29);
-    let mut h = mix(K, payload.len() as u64);
-    let (mut carry, mut filled) = ([0u8; 8], 0usize);
-    for mut chunk in payload.chunks() {
-        if filled > 0 {
-            let take = chunk.len().min(8 - filled);
-            carry[filled..filled + take].copy_from_slice(&chunk[..take]);
-            filled += take;
+
+    fn mix(h: u64, word: u64) -> u64 {
+        (h ^ word).wrapping_mul(Self::K).rotate_left(29)
+    }
+
+    fn new(len: usize) -> Fingerprint {
+        Fingerprint {
+            h: Self::mix(Self::K, len as u64),
+            carry: [0; 8],
+            filled: 0,
+        }
+    }
+
+    fn feed(&mut self, mut chunk: &[u8]) {
+        if self.filled > 0 {
+            let take = chunk.len().min(8 - self.filled);
+            self.carry[self.filled..self.filled + take].copy_from_slice(&chunk[..take]);
+            self.filled += take;
             chunk = &chunk[take..];
-            if filled < 8 {
-                continue;
+            if self.filled < 8 {
+                return;
             }
-            h = mix(h, u64::from_le_bytes(carry));
+            self.h = Self::mix(self.h, u64::from_le_bytes(self.carry));
         }
         let mut words = chunk.chunks_exact(8);
         for word in &mut words {
-            h = mix(
-                h,
+            self.h = Self::mix(
+                self.h,
                 u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
             );
         }
         let rest = words.remainder();
-        carry[..rest.len()].copy_from_slice(rest);
-        filled = rest.len();
+        self.carry[..rest.len()].copy_from_slice(rest);
+        self.filled = rest.len();
     }
-    if filled > 0 {
-        carry[filled..].fill(0);
-        h = mix(h, u64::from_le_bytes(carry));
+
+    fn finish(mut self) -> u64 {
+        if self.filled > 0 {
+            self.carry[self.filled..].fill(0);
+            self.h = Self::mix(self.h, u64::from_le_bytes(self.carry));
+        }
+        self.h ^ (self.h >> 32)
     }
-    h ^ (h >> 32)
 }
 
 impl PayloadIds<'_> {
@@ -324,12 +370,12 @@ impl PayloadIds<'_> {
             set(id as usize);
             return true;
         }
-        let Some(entries) = MessageSet::from_payload(payload) else {
+        let Some(entries) = MessageSet::view(payload) else {
             return false;
         };
-        for (key, entry) in entries.into_entries() {
-            let by_content = source(&entry).map(|id| id as usize);
-            let by_key = || sources.iter().position(|&s| s == key as usize);
+        for (key, entry) in entries.iter() {
+            let by_content = source(entry).map(|id| id as usize);
+            let by_key = || sources.iter().position(|&s| s == key);
             match by_content.or_else(|| entry.is_empty().then(by_key).flatten()) {
                 Some(bit) => set(bit),
                 None => return false,

@@ -84,9 +84,7 @@ impl StpAlgorithm for DissemAllGather {
                     if self.charge_combining {
                         comm.charge_memcpy(msg.data.len());
                     }
-                    let other =
-                        MessageSet::from_payload(&msg.data).expect("malformed dissemination");
-                    set.merge(other);
+                    set.merge(&*MessageSet::view(&msg.data).expect("malformed dissemination"));
                 }
                 // Every rank receives from `step` below it, simultaneously.
                 has_any = (0..p)

@@ -235,7 +235,7 @@ pub(crate) async fn kport_merge(
     }
     for level in 0..levels {
         // Simultaneous semantics per lane: sends ship the pre-level
-        // snapshot (a rope — header copy only).
+        // snapshot, one shared handle per lane.
         let mut batch: Vec<(usize, Tag, Payload)> = Vec::new();
         for (j, lane) in segs.iter().enumerate() {
             let Some(s) = at_level(lane, level) else {

@@ -130,8 +130,8 @@ pub(crate) mod tags {
 /// `tag`, charge the combining copy for it, and merge it into `set`.
 ///
 /// The charge is *virtual* time: the model copies the received bytes
-/// into the merged buffer, while the host-side merge only moves rope
-/// pointers.
+/// into the merged buffer, while the host-side merge reads the sender's
+/// shared snapshot and clones the ropes of the sources it lacks.
 pub(crate) async fn recv_merge(
     comm: &mut RankCtx,
     from: Option<usize>,
@@ -140,7 +140,7 @@ pub(crate) async fn recv_merge(
 ) {
     let msg = comm.recv(from, Some(tag)).await;
     comm.charge_memcpy(msg.data.len());
-    set.merge(MessageSet::from_payload(&msg.data).expect("malformed message set on the wire"));
+    set.merge(&*MessageSet::view(&msg.data).expect("malformed message set on the wire"));
 }
 
 /// Run the `Br_Lin` merge pattern over a linear order of ranks.
@@ -172,7 +172,7 @@ pub(crate) async fn br_lin_over(
         let my_ops = &level_ops[my_pos];
         let tag = tag_base + level as Tag;
         // Simultaneous semantics: all sends ship the pre-level snapshot.
-        // The snapshot is a rope (header copy only); every peer shares
+        // The snapshot is one shared handle; every peer gets a clone of
         // it, and the level's last send takes it.
         let mut peers = my_ops.iter().filter(|op| op.send).map(|op| order(op.peer));
         if let Some(mut peer) = peers.next() {

@@ -60,8 +60,8 @@ impl TwoStep {
         if !self.tree_gather {
             // Direct gather: sources fire at the root; the root absorbs.
             if me != ROOT {
-                if let Some(p) = ctx.payload {
-                    comm.send_payload(ROOT, tags::GATHER, MessageSet::single(me, p).to_payload());
+                if ctx.payload.is_some() {
+                    comm.send_payload(ROOT, tags::GATHER, set.to_payload());
                 }
             } else {
                 let expect = ctx.sources.iter().filter(|&&s| s != ROOT).count();

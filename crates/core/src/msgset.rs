@@ -7,29 +7,28 @@
 //! compact wire format, so the simulator charges realistic sizes
 //! (payloads + per-entry headers) for combined messages.
 //!
-//! Payloads are stored as shared-ownership [`Payload`] ropes, so
-//! combining `k` sets ([`MessageSet::merge`]) and re-encoding the union
-//! for the next hop ([`MessageSet::to_payload`]) move pointers, not
-//! bytes: the only memcpy in an encode is the fresh `4 + 8·n`-byte
-//! header. (The *virtual-time* cost of combining is still charged
-//! explicitly by the algorithms through `charge_memcpy`, exactly as
-//! before — the rope only removes the *host-side* copy tax.)
+//! Inside the simulator a set travels by handle, not as bytes:
+//! [`MessageSet::to_payload`] snapshots the set once into a shared
+//! [`Payload`] value charged exactly its wire length, every destination
+//! gets an `Arc` clone of it, and the receiver reads the set back
+//! through [`MessageSet::view`] without parsing. Entry payloads are
+//! shared ropes, so a snapshot and a merge move pointers, never payload
+//! bytes. (The *virtual-time* cost of combining is still charged
+//! explicitly by the algorithms through `charge_memcpy` — the handle
+//! only removes the host-side encode and parse.)
 //!
-//! Wire format (little-endian):
+//! The codec stays for bytes built by hand — fixtures, tests and the
+//! parser's own checks: [`MessageSet::to_bytes`] writes the format and
+//! [`MessageSet::from_bytes`] / [`MessageSet::from_payload`] parse it
+//! totally. Wire format (little-endian):
 //!
 //! ```text
 //! u32 count | count × (u32 src, u32 len) | payloads back-to-back
 //! ```
 
-use std::cell::RefCell;
+use std::borrow::{Borrow, Cow};
 
-use mpp_sim::Payload;
-
-thread_local! {
-    /// Where [`MessageSet::to_payload`] writes a header before copying
-    /// it into payload storage; it keeps its capacity between encodes.
-    static HEADER: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
+use mpp_sim::{Payload, WireValue};
 
 /// A set of broadcast messages keyed by source rank (sorted, unique).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -98,14 +97,16 @@ impl MessageSet {
         self.header_len() + self.payload_bytes()
     }
 
-    /// Merge another set into this one. Sources already present keep
-    /// their existing payload (in s-to-p broadcasting duplicate arrivals
-    /// always carry identical payloads). Returns the number of *new*
-    /// payload bytes absorbed. Moves ropes — no byte copies — and works
-    /// in place: the held entries above the lowest new source each move
+    /// Merge another set, owned or borrowed, into this one. Sources
+    /// already present keep their existing payload (in s-to-p
+    /// broadcasting duplicate arrivals always carry identical payloads).
+    /// Returns the number of *new* payload bytes absorbed. Clones the
+    /// ropes of the new sources only — no byte copies — and works in
+    /// place: the held entries above the lowest new source each move
     /// once, the rest stay, and the vector grows only when its spare
     /// capacity does not cover the new sources.
-    pub fn merge(&mut self, other: MessageSet) -> usize {
+    pub fn merge(&mut self, other: impl Borrow<MessageSet>) -> usize {
+        let other = other.borrow();
         let held = &mut self.entries;
         let Some(&(lowest, _)) = other.entries.first() else {
             return 0;
@@ -128,7 +129,7 @@ impl MessageSet {
         held.resize_with(i + fresh, Default::default);
         let mut gap = held.len();
         let mut absorbed = 0;
-        for (src, data) in other.entries.into_iter().rev() {
+        for &(src, ref data) in other.entries.iter().rev() {
             if gap == i {
                 break; // every new source is placed; the rest are duplicates
             }
@@ -140,7 +141,7 @@ impl MessageSet {
             if i == 0 || held[i - 1].0 != src {
                 gap -= 1;
                 absorbed += data.len();
-                held[gap] = (src, data);
+                held[gap] = (src, data.clone());
             }
         }
         absorbed
@@ -171,50 +172,45 @@ impl MessageSet {
     }
 
     /// Serialize to the wire format as an owned, contiguous buffer
-    /// (copies every payload byte). Kept for wire-format tests and
-    /// external interop; the algorithms use [`to_payload`](Self::to_payload).
+    /// (copies every payload byte): the codec for bytes built by hand.
+    /// The algorithms send [`to_payload`](Self::to_payload) handles.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_bytes());
-        out.resize(self.header_len(), 0);
-        self.write_header(&mut out);
-        for (_, data) in &self.entries {
-            for chunk in data.chunks() {
-                out.extend_from_slice(chunk);
-            }
-        }
+        self.wire_chunks(|chunk| out.extend_from_slice(chunk));
         out
     }
 
-    /// Serialize to the wire format as a zero-copy rope: one copy of
-    /// the `4 + 8·n` byte header (written in a per-thread scratch
-    /// buffer, not a fresh `Vec`) plus O(total segments) pointer
-    /// pushes. Combining `k` messages and re-sending therefore costs
-    /// O(k), not O(total payload bytes).
-    pub fn to_payload(&self) -> Payload {
-        let mut out = HEADER.with_borrow_mut(|header| {
-            header.clear();
-            header.resize(self.header_len(), 0);
-            self.write_header(header);
-            Payload::from_slice(header)
-        });
-        for (_, data) in &self.entries {
-            out.push_payload(data);
+    /// Visit the wire encoding in order as chunks, without building it:
+    /// the header (count, then each entry's `(src, len)` field) in
+    /// pieces of at most 256 bytes, then the payloads' own chunks.
+    pub fn wire_chunks(&self, mut visit: impl FnMut(&[u8])) {
+        let mut header = [0u8; 256];
+        header[..4].copy_from_slice(&(self.entries.len() as u32).to_le_bytes());
+        let mut at = 4;
+        for (src, data) in &self.entries {
+            if at + 8 > header.len() {
+                visit(&header[..at]);
+                at = 0;
+            }
+            header[at..at + 4].copy_from_slice(&src.to_le_bytes());
+            header[at + 4..at + 8].copy_from_slice(&(data.len() as u32).to_le_bytes());
+            at += 8;
         }
-        out
+        visit(&header[..at]);
+        for (_, data) in &self.entries {
+            data.chunks().for_each(&mut visit);
+        }
+    }
+
+    /// A snapshot of the set as a payload of its wire length, never
+    /// encoded (see [`Payload::from_value`]): one clone of the entry
+    /// list, shared by every destination it is sent to.
+    pub fn to_payload(&self) -> Payload {
+        Payload::from_value(self.clone())
     }
 
     fn header_len(&self) -> usize {
         4 + self.entries.len() * 8
-    }
-
-    /// Write the header into `out`, exactly `header_len()` bytes.
-    fn write_header(&self, out: &mut [u8]) {
-        let (count, fields) = out.split_at_mut(4);
-        count.copy_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for ((src, data), field) in self.entries.iter().zip(fields.chunks_exact_mut(8)) {
-            field[..4].copy_from_slice(&src.to_le_bytes());
-            field[4..].copy_from_slice(&(data.len() as u32).to_le_bytes());
-        }
     }
 
     /// Parse the wire format from a contiguous buffer. Returns `None`
@@ -224,13 +220,27 @@ impl MessageSet {
         Self::from_payload(&Payload::from_slice(bytes))
     }
 
-    /// Parse the wire format from a rope without copying any payload
-    /// bytes: the `8·n` entry fields are read in place from the rope's
-    /// first chunk when it holds the whole header (every rope
-    /// [`to_payload`](Self::to_payload) builds does), or else copied
-    /// out once; each entry payload is a zero-copy slice of `wire`.
-    /// Returns `None` on malformed input.
+    /// The set a payload carries: an owned copy of
+    /// [`view`](Self::view)'s (entry ropes are shared, not copied).
     pub fn from_payload(wire: &Payload) -> Option<Self> {
+        Self::view(wire).map(Cow::into_owned)
+    }
+
+    /// The set a payload carries, borrowed from a
+    /// [`to_payload`](Self::to_payload) handle, or else parsed from its
+    /// bytes. Returns `None` on malformed bytes.
+    pub fn view(wire: &Payload) -> Option<Cow<'_, Self>> {
+        match wire.value::<MessageSet>() {
+            Some(set) => Some(Cow::Borrowed(set)),
+            None => Self::parse(wire).map(Cow::Owned),
+        }
+    }
+
+    /// Parse the wire format from a rope without copying any payload
+    /// bytes: the `8·n` entry fields are copied out once; each entry
+    /// payload is a zero-copy slice of `wire`. Returns `None` on
+    /// malformed input.
+    fn parse(wire: &Payload) -> Option<Self> {
         let mut r = wire.reader();
         let count = r.read_u32_le()? as usize;
         // `count` is the sender's claim: hold it against the bytes that
@@ -240,15 +250,9 @@ impl MessageSet {
             return None;
         }
         let header_len = 4 + count * 8;
-        let mut copy = Vec::new();
-        let fields = match wire.chunks().next() {
-            Some(first) if first.len() >= header_len => &first[4..header_len],
-            _ => {
-                copy.resize(count * 8, 0);
-                r.read_exact(&mut copy); // the bytes are there: checked above
-                &copy[..]
-            }
-        };
+        // The bytes are there: checked above.
+        let mut fields = vec![0; count * 8];
+        r.read_exact(&mut fields);
         // A second cursor, past the header, slices the payloads.
         let mut body = wire.reader();
         body.skip(header_len);
@@ -270,9 +274,26 @@ impl MessageSet {
         Some(MessageSet { entries })
     }
 
+    /// The `(source, payload)` entries, ascending by source.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &Payload)> {
+        self.entries.iter().map(|(src, data)| (*src as usize, data))
+    }
+
     /// Consume into the sorted `(src, payload)` list.
     pub fn into_entries(self) -> Vec<(u32, Payload)> {
         self.entries
+    }
+}
+
+/// A set travels as itself; its bytes are built only if something reads
+/// them.
+impl WireValue for MessageSet {
+    fn wire_len(&self) -> usize {
+        self.wire_bytes()
+    }
+
+    fn encode(&self) -> Payload {
+        Payload::from_vec(self.to_bytes())
     }
 }
 
@@ -302,16 +323,16 @@ mod tests {
     }
 
     #[test]
-    fn rope_roundtrip_matches_flat() {
+    fn handle_is_read_back_without_parsing() {
         let mut s = MessageSet::new();
         s.insert(3, b"ccc");
         s.insert(1, b"a");
         s.insert(7, b"");
-        let rope = s.to_payload();
-        assert_eq!(rope.len(), s.wire_bytes());
-        assert_eq!(rope.to_vec(), s.to_bytes());
-        let back = MessageSet::from_payload(&rope).unwrap();
-        assert_eq!(back, s);
+        let handle = s.to_payload();
+        assert_eq!(handle.len(), s.wire_bytes());
+        assert!(matches!(MessageSet::view(&handle), Some(Cow::Borrowed(set)) if *set == s));
+        let bytes = Payload::from_slice(&s.to_bytes());
+        assert!(matches!(MessageSet::view(&bytes), Some(Cow::Owned(set)) if set == s));
     }
 
     #[test]
@@ -338,6 +359,33 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// The handle against the codec, on sets of 0–40 entries of 0–64
+        /// bytes each (zero-length entries included): the same length,
+        /// the same bytes, equal to those bytes from either side, and
+        /// read back to the set both as a handle and as parsed bytes.
+        #[test]
+        fn handle_matches_the_codec(
+            entries in proptest::collection::btree_map(
+                0u32..4096,
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..65),
+                0..41,
+            ),
+        ) {
+            let mut set = MessageSet::new();
+            for (&src, data) in &entries {
+                set.insert(src as usize, data);
+            }
+            let handle = set.to_payload();
+            let bytes = set.to_bytes();
+            proptest::prop_assert_eq!(handle.len(), bytes.len());
+            proptest::prop_assert_eq!(handle.to_vec(), bytes.clone());
+            let flat = Payload::from_slice(&bytes);
+            proptest::prop_assert_eq!(&handle, &flat);
+            proptest::prop_assert_eq!(&flat, &handle);
+            proptest::prop_assert_eq!(MessageSet::from_payload(&handle), Some(set.clone()));
+            proptest::prop_assert_eq!(MessageSet::from_payload(&flat), Some(set));
+        }
 
         /// `merge` against a map: `held` of the 256 entries on one side,
         /// the rest incoming — 1 into 255 through 255 into 1 — with

@@ -79,7 +79,7 @@ pub use kernel::{
 };
 pub use mpp_model::{FaultPlan, LinkOutage, NodeCrash, RetryPolicy};
 pub use network::NetworkState;
-pub use payload::{copy_metrics, CopyMetrics, Payload, PayloadReader};
+pub use payload::{copy_metrics, CopyMetrics, Payload, PayloadReader, WireValue};
 pub use record::{
     BlockedEvent, DropEvent, EventKind, EventLog, FinishEvent, LinkWindow, RecvEvent, SendEvent,
     XferEvent,

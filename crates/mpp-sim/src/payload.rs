@@ -19,6 +19,18 @@
 //! the zero-copy regression tests read to prove the fast path stays
 //! fast.
 //!
+//! # Shared values
+//!
+//! A payload can also be a [`WireValue`] shared by `Arc`
+//! ([`Payload::from_value`]): a structured message (a combined message
+//! set) that travels as itself and is charged its exact wire length.
+//! Sending it to `k` destinations is `k` reference-count increments —
+//! no encode, no rope node per destination — and the receiver takes the
+//! value back with [`Payload::value`]. Every byte accessor stays total:
+//! the first one that reads a value's bytes builds its encoding and
+//! keeps it, so a value and its bytes are interchangeable to any reader.
+//! The simulated message path never reads them.
+//!
 //! # Backing-store arenas
 //!
 //! Payload construction ([`Payload::from_slice`] / [`Payload::from_vec`])
@@ -36,11 +48,12 @@
 //! pool that [`Payload`]'s `Drop` refills, so rope nodes are recycled
 //! rather than reallocated.
 
+use std::any::Any;
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 static BYTES_COPIED: AtomicU64 = AtomicU64::new(0);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -285,12 +298,44 @@ impl Segment {
     }
 }
 
+/// A value that travels as a [`Payload`] without being encoded: it
+/// knows the length of its wire encoding and can produce that encoding
+/// on demand. See [`Payload::from_value`].
+pub trait WireValue: Any + Send + Sync {
+    /// Bytes of the encoding.
+    fn wire_len(&self) -> usize;
+    /// The encoding, exactly [`wire_len`](Self::wire_len) bytes.
+    fn encode(&self) -> Payload;
+}
+
+/// A shared value and its encoding, built the first time a byte
+/// accessor asks for it.
+struct Shared<T: ?Sized> {
+    wire: OnceLock<Payload>,
+    value: T,
+}
+
+impl Shared<dyn WireValue> {
+    fn encoded(&self) -> &Payload {
+        self.wire.get_or_init(|| {
+            let wire = self.value.encode();
+            assert!(
+                !matches!(wire.segs, Segs::Value(_)) && wire.len == self.value.wire_len(),
+                "a value's encoding is bytes of its wire length"
+            );
+            wire
+        })
+    }
+}
+
 /// Segment storage: single segments are inline (no heap node), ropes
-/// spill to a pooled `Vec`.
+/// spill to a pooled `Vec`, and a shared value is one `Arc` whose
+/// segments are those of its encoding.
 enum Segs {
     Zero,
     One(Segment),
     Many(Vec<Segment>),
+    Value(Arc<Shared<dyn WireValue>>),
 }
 
 impl Segs {
@@ -300,12 +345,19 @@ impl Segs {
             Segs::Zero => &[],
             Segs::One(seg) => std::slice::from_ref(seg),
             Segs::Many(v) => v,
+            Segs::Value(shared) => shared.encoded().segs.as_slice(),
         }
     }
 
     fn push(&mut self, seg: Segment) {
         match self {
             Segs::Zero => *self = Segs::One(seg),
+            Segs::Value(_) => {
+                let mut v = pooled_vec(4);
+                v.extend(self.as_slice().iter().cloned());
+                v.push(seg);
+                *self = Segs::Many(v);
+            }
             Segs::One(_) => {
                 let Segs::One(first) = std::mem::replace(self, Segs::Zero) else {
                     unreachable!()
@@ -330,6 +382,7 @@ impl Clone for Segs {
                 out.extend(v.iter().cloned());
                 Segs::Many(out)
             }
+            Segs::Value(shared) => Segs::Value(Arc::clone(shared)),
         }
     }
 }
@@ -403,6 +456,34 @@ impl Payload {
         }
     }
 
+    /// Share `value` as a payload of its wire length without encoding
+    /// it: one allocation here, and a clone is one `Arc` increment.
+    /// Every byte accessor ([`chunks`](Self::chunks),
+    /// [`to_vec`](Self::to_vec), `==`, [`reader`](Self::reader),
+    /// [`slice`](Self::slice), [`contiguous`](Self::contiguous),
+    /// appending it) sees the encoding, which
+    /// is built on first use and kept.
+    pub fn from_value<T: WireValue>(value: T) -> Self {
+        let len = value.wire_len();
+        let shared: Arc<Shared<dyn WireValue>> = Arc::new(Shared {
+            wire: OnceLock::new(),
+            value,
+        });
+        Payload {
+            segs: Segs::Value(shared),
+            len,
+        }
+    }
+
+    /// The value a [`from_value`](Self::from_value) payload shares,
+    /// when it is a `T`; `None` for bytes.
+    pub fn value<T: WireValue>(&self) -> Option<&T> {
+        match &self.segs {
+            Segs::Value(shared) => (&shared.value as &dyn Any).downcast_ref(),
+            _ => None,
+        }
+    }
+
     /// Total byte length.
     #[inline]
     pub fn len(&self) -> usize {
@@ -445,6 +526,15 @@ impl Payload {
                     recycle_vec(v);
                 }
             }
+            Segs::Value(shared) => {
+                if matches!(self.segs, Segs::Zero) {
+                    self.segs = Segs::Value(shared);
+                } else {
+                    for seg in shared.encoded().segs.as_slice() {
+                        self.segs.push(seg.clone());
+                    }
+                }
+            }
         }
     }
 
@@ -485,14 +575,6 @@ impl Payload {
         self.segs.as_slice().iter().map(|s| s.bytes())
     }
 
-    /// Iterate all bytes in order (no materialization).
-    pub fn iter_bytes(&self) -> impl Iterator<Item = u8> + '_ {
-        self.segs
-            .as_slice()
-            .iter()
-            .flat_map(|s| s.bytes().iter().copied())
-    }
-
     /// Materialize into an owned `Vec` (copies all bytes).
     pub fn to_vec(&self) -> Vec<u8> {
         if self.len > 0 {
@@ -529,12 +611,15 @@ impl Payload {
 
 impl std::fmt::Debug for Payload {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Payload({} bytes, {} segs)",
-            self.len,
-            self.segment_count()
-        )
+        match &self.segs {
+            Segs::Value(_) => write!(f, "Payload({} bytes, shared value)", self.len),
+            segs => write!(
+                f,
+                "Payload({} bytes, {} segs)",
+                self.len,
+                segs.as_slice().len()
+            ),
+        }
     }
 }
 
@@ -971,5 +1056,78 @@ mod tests {
         let mut c = Payload::from_slice(b"cc");
         c.push_payload(&b);
         assert_eq!(c, b"ccaabb");
+    }
+
+    /// `len` bytes counting up from `first`, encoded only when read.
+    struct Counting {
+        first: u8,
+        len: usize,
+    }
+
+    impl WireValue for Counting {
+        fn wire_len(&self) -> usize {
+            self.len
+        }
+
+        fn encode(&self) -> Payload {
+            let bytes: Vec<u8> = (0..self.len)
+                .map(|i| self.first.wrapping_add(i as u8))
+                .collect();
+            Payload::from_vec(bytes)
+        }
+    }
+
+    #[test]
+    fn a_shared_value_is_not_encoded_until_read() {
+        let before = copy_metrics();
+        let p = Payload::from_value(Counting { first: 10, len: 6 });
+        let copies: Vec<Payload> = (0..8).map(|_| p.clone()).collect();
+        assert_eq!(p.len(), 6);
+        assert_eq!(format!("{p:?}"), "Payload(6 bytes, shared value)");
+        assert_eq!(p.value::<Counting>().map(|c| c.first), Some(10));
+        let delta = copy_metrics().since(&before);
+        assert_eq!((delta.bytes_copied, delta.allocs), (0, 0));
+        assert!(Payload::from_slice(b"x").value::<Counting>().is_none());
+        // Read: the encoding is built once, for every clone.
+        assert_eq!(copies[3], [10u8, 11, 12, 13, 14, 15]);
+        let before = copy_metrics();
+        assert_eq!(p.to_vec(), [10, 11, 12, 13, 14, 15]);
+        assert_eq!(
+            copy_metrics().since(&before).bytes_copied,
+            6,
+            "the to_vec alone"
+        );
+    }
+
+    #[test]
+    fn every_byte_accessor_sees_a_values_encoding() {
+        let p = Payload::from_value(Counting { first: 0, len: 8 });
+        let flat = Payload::from_slice(&[0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(p, flat);
+        assert_eq!(flat, p);
+        assert_eq!(
+            p.chunks().flatten().copied().collect::<Vec<_>>(),
+            flat.to_vec()
+        );
+        assert_eq!(p.slice(2, 5), b"\x02\x03\x04");
+        assert_eq!(&*p.contiguous(), &flat.to_vec()[..]);
+        let mut r = p.reader();
+        assert_eq!(r.read_u32_le(), Some(u32::from_le_bytes([0, 1, 2, 3])));
+        assert_eq!(r.take_payload(4).unwrap(), b"\x04\x05\x06\x07");
+        // Appending a value, and appending to one.
+        let mut tail = Payload::from_slice(b"ab");
+        tail.push_payload(&p);
+        tail.append(p.clone());
+        assert_eq!(tail.len(), 18);
+        assert_eq!(tail.slice(2, 10), flat);
+        let mut head = p.clone();
+        head.push_payload(&Payload::from_slice(b"z"));
+        assert_eq!(head.to_vec(), b"\x00\x01\x02\x03\x04\x05\x06\x07z");
+        let mut empty = Payload::new();
+        empty.append(p.clone());
+        assert!(
+            empty.value::<Counting>().is_some(),
+            "appended to nothing, it stays shared"
+        );
     }
 }

@@ -254,7 +254,7 @@ proptest! {
         let b = resegment(&other, &cuts_b);
         prop_assert_eq!(a.to_vec(), data.clone());
         let want = data == other;
-        prop_assert_eq!(want, a.len() == b.len() && a.iter_bytes().eq(b.iter_bytes()));
+        prop_assert_eq!(want, a.to_vec() == b.to_vec());
         prop_assert_eq!(a == b, want);
         prop_assert_eq!(b == a, want);
         prop_assert_eq!(a == other.as_slice(), want);

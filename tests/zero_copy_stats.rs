@@ -120,3 +120,44 @@ fn rope_path_copies_small_fraction_of_traffic() {
         moved
     );
 }
+
+/// A message set travels by handle: no send encodes it and no receive
+/// parses it, so a run copies exactly the bytes its algorithm copies on
+/// purpose — each source's message once, out of the delivery oracle
+/// into the arena (s·L) — and not one header byte. A send that built
+/// the wire format would copy at least its 4-byte count.
+#[test]
+fn product_sends_copy_only_the_source_messages() {
+    let _g = lock();
+    let one_port = Machine::paragon(4, 4);
+    let mut five_ports = Machine::paragon(4, 4);
+    five_ports.params = five_ports.params.clone().with_ports(5);
+    let (s, len) = (4, 64);
+    for (machine, kind) in [
+        (&one_port, AlgoKind::BrLin),
+        (&one_port, AlgoKind::BrXySource),
+        (&five_ports, AlgoKind::KPortLin),
+        (&one_port, AlgoKind::DissemAllGather),
+        (&one_port, AlgoKind::TwoStep),
+        (&one_port, AlgoKind::PartLin),
+    ] {
+        let exp = Experiment {
+            machine,
+            dist: SourceDist::Equal,
+            s,
+            msg_len: len,
+            kind,
+        };
+        exp.run().expect("warm-up run failed");
+        let before = sim::copy_metrics();
+        let out = exp.run().expect("run failed");
+        let copied = sim::copy_metrics().since(&before).bytes_copied;
+        assert!(out.verified, "{} failed verification", kind.name());
+        assert_eq!(
+            copied,
+            (s * len) as u64,
+            "{} copied {copied} bytes, not s·L",
+            kind.name()
+        );
+    }
+}
