@@ -257,14 +257,15 @@ impl<'a> PayloadIds<'a> {
 /// Whether two payloads hold the same bytes. Two message-set handles
 /// are compared entry by entry: the wire encoding is a function of the
 /// entries and parses back to them, so equal entries (sources and
-/// payload bytes) are exactly equal wire bytes. Two clones of one
-/// handle are one immutable value read twice, equal without being read,
-/// just as `==` skips a run whose two sides start at one address.
-/// Anything else is compared as bytes, which builds a handle's encoding
-/// if it meets one.
+/// payload bytes) are exactly equal wire bytes. Two handles whose sets
+/// share one entry list (clones of one snapshot, or snapshots of one
+/// unchanged or adopted set) hold one immutable list read twice: the
+/// sets' `==` finds them equal without reading an entry, just as `==`
+/// skips a run whose two sides start at one address. Anything else is
+/// compared as bytes, which builds a handle's encoding if it meets one.
 fn same_content(a: &Payload, b: &Payload) -> bool {
     match (a.value::<MessageSet>(), b.value::<MessageSet>()) {
-        (Some(x), Some(y)) => std::ptr::eq(x, y) || x == y,
+        (Some(x), Some(y)) => x == y,
         _ => a == b,
     }
 }
@@ -507,5 +508,42 @@ pub(crate) mod tests {
         rope.append(Payload::from_slice(&a[13..]));
         assert_eq!(ids.find(&rope), Some(0));
         assert_eq!(ids.find(&Payload::from_slice(&a[1..])), None);
+    }
+
+    /// Message-set handles intern by their entries: snapshots whose sets
+    /// share one list (two snapshots of one unchanged set, and one of a
+    /// set that adopted it) get one id, and so do equal sets built
+    /// separately, through the entry-by-entry compare; a set one entry
+    /// short gets its own id, and the wire bytes find the handles' id.
+    #[test]
+    fn message_set_handles_intern_by_entries() {
+        let build = |n: usize| {
+            (0..n).fold(MessageSet::new(), |mut set, src| {
+                set.insert(src, &payload_for(src, 40));
+                set
+            })
+        };
+        let set = build(5);
+        let mut adopted = MessageSet::new();
+        adopted.merge(&set);
+        let twin = build(5);
+        let handles = [
+            set.to_payload(),
+            set.to_payload(),
+            adopted.to_payload(),
+            twin.to_payload(),
+            build(4).to_payload(),
+        ];
+        let sends: Vec<SendEvent> = handles
+            .into_iter()
+            .enumerate()
+            .map(|(seq, data)| SendEvent {
+                data,
+                ..send(seq as u64, 0, 1, 0, b"")
+            })
+            .collect();
+        let ids = PayloadIds::new(&[], &sends);
+        assert_eq!(ids.of_send, [0, 0, 0, 0, 1]);
+        assert_eq!(ids.find(&Payload::from_slice(&set.to_bytes())), Some(0));
     }
 }

@@ -99,27 +99,29 @@ pub fn exchange_partner(p: usize, round: usize, rank: usize) -> (usize, usize) {
     }
 }
 
-/// Personalized all-to-all specialized to s-to-p broadcasting: ranks for
-/// which `is_source` holds send their payload to every other rank over
+/// Personalized all-to-all specialized to s-to-p broadcasting: the ranks
+/// in `sources` (ascending) send their payload to every other rank over
 /// `p-1` permutation rounds; everyone returns the received messages
-/// (their own payload included for sources), sorted by source.
+/// (their own payload included for sources), sorted by source, in a
+/// list allocated once for `sources.len()`.
 ///
 /// Non-sources "send null messages" in the paper's phrasing; here a null
 /// message is simply skipped, which is what a real implementation does.
 pub async fn personalized_from_sources(
     comm: &mut RankCtx,
-    is_source: &dyn Fn(usize) -> bool,
+    sources: &[usize],
     my_payload: Option<&[u8]>,
     tag: Tag,
 ) -> Vec<Envelope> {
     let p = comm.size();
     let me = comm.rank();
+    let is_source = |rank| sources.binary_search(&rank).is_ok();
     assert_eq!(is_source(me), my_payload.is_some());
 
     // Convert the payload to a shared rope once; every round's send then
     // shares the same buffer instead of re-copying it.
     let rope = my_payload.map(Payload::from_slice);
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(sources.len());
     if let Some(pay) = &rope {
         // The source's own payload, as an envelope that arrived now.
         out.push(Envelope {
@@ -221,9 +223,10 @@ mod tests {
         for p in [4usize, 6, 8] {
             let out = run_on(p, async |comm| {
                 let sources = [0usize, 2, 3];
-                let is_src = |r: usize| sources.contains(&r);
-                let mine = is_src(comm.rank()).then(|| vec![comm.rank() as u8; 16]);
-                personalized_from_sources(comm, &is_src, mine.as_deref(), 50).await
+                let mine = sources
+                    .contains(&comm.rank())
+                    .then(|| vec![comm.rank() as u8; 16]);
+                personalized_from_sources(comm, &sources, mine.as_deref(), 50).await
             });
             for msgs in out {
                 assert_eq!(

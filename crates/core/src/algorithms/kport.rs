@@ -422,9 +422,9 @@ impl StpAlgorithm for KPortAlltoall {
             let p = ctx.shape.p();
             let me = comm.rank();
             let k = lane_count(comm.ports(), p);
-            let mut set = ctx.initial_set(me);
-            if ctx.payload.is_some() {
-                let snapshot = set.to_payload();
+            let own = ctx.initial_set(me);
+            if !own.is_empty() {
+                let snapshot = own.to_payload();
                 let dsts: Vec<usize> = (1..p).map(|d| (me + d) % p).collect();
                 for chunk in dsts.chunks(k) {
                     // A one-member batch is a plain send: one α_send and
@@ -441,11 +441,21 @@ impl StpAlgorithm for KPortAlltoall {
                 }
             }
             comm.next_iteration();
-            for &src in ctx.sources.iter().filter(|&&r| r != me) {
-                recv_merge(comm, Some(src), tags::KPORT_A2A, &mut set).await;
+            // One source per receive, in source order: a plain list of
+            // s, made a set once at the end.
+            let mut entries = Vec::with_capacity(ctx.s());
+            for &src in ctx.sources {
+                if src == me {
+                    entries.extend(own.iter().map(|(src, data)| (src, data.clone())));
+                    continue;
+                }
+                let msg = comm.recv(Some(src), Some(tags::KPORT_A2A)).await;
+                comm.charge_memcpy(msg.data.len());
+                let set = MessageSet::view(&msg.data).expect("malformed message set on the wire");
+                entries.extend(set.iter().map(|(src, data)| (src, data.clone())));
             }
             comm.next_iteration();
-            set
+            entries.into_iter().collect()
         })
     }
 }

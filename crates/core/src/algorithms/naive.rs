@@ -34,7 +34,9 @@ impl StpAlgorithm for NaiveIndependent {
         Box::pin(async move {
             let p = comm.size();
             let me = comm.rank();
-            let mut set = ctx.initial_set(me);
+            // One entry per source tree, in source order: a plain list
+            // of s, made a set once at the end.
+            let mut entries = Vec::with_capacity(ctx.s());
 
             // For each source, everyone participates in that source's
             // broadcast tree: ranks are rotated so the source sits at
@@ -78,13 +80,13 @@ impl StpAlgorithm for NaiveIndependent {
                         lo = mid;
                     }
                 }
-                set.insert_payload(
+                entries.push((
                     src,
                     payload.expect("broadcast tree did not reach this rank"),
-                );
+                ));
             }
             comm.next_iteration();
-            set
+            entries.into_iter().collect()
         })
     }
 }

@@ -27,14 +27,13 @@ impl StpAlgorithm for PersAlltoAll {
 
     fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
-            let msgs =
-                personalized_from_sources(comm, &|r| ctx.is_source(r), ctx.payload, tags::PERS)
-                    .await;
-            let mut set = MessageSet::new();
-            for m in msgs {
-                set.insert_payload(m.src, m.data);
-            }
-            set
+            // The exchange returns the messages sorted by source: one
+            // list of exactly s entries.
+            personalized_from_sources(comm, ctx.sources, ctx.payload, tags::PERS)
+                .await
+                .into_iter()
+                .map(|m| (m.src, m.data))
+                .collect()
         })
     }
 }

@@ -56,7 +56,17 @@ impl TwoStep {
     /// other ranks return an empty set.
     async fn gather(&self, comm: &mut RankCtx, ctx: &StpCtx<'_>) -> MessageSet {
         let me = comm.rank();
-        let mut set = ctx.initial_set(me);
+        let mut set = if !self.tree_gather && me == ROOT {
+            // The root collects the sources one message at a time: room
+            // for all of them, allocated once.
+            let mut room = MessageSet::with_capacity(ctx.s());
+            if let Some(own) = ctx.payload {
+                room.insert(me, own);
+            }
+            room
+        } else {
+            ctx.initial_set(me)
+        };
         if !self.tree_gather {
             // Direct gather: sources fire at the root; the root absorbs.
             if me != ROOT {

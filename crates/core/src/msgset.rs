@@ -7,18 +7,24 @@
 //! compact wire format, so the simulator charges realistic sizes
 //! (payloads + per-entry headers) for combined messages.
 //!
-//! Inside the simulator a set travels by handle, not as bytes:
-//! [`MessageSet::to_payload`] snapshots the set once into a shared
-//! [`Payload`] value charged exactly its wire length, every destination
-//! gets an `Arc` clone of it, and the receiver reads the set back
-//! through [`MessageSet::view`] without parsing. Entry payloads are
-//! shared ropes, so a snapshot and a merge move pointers, never payload
-//! bytes. (The *virtual-time* cost of combining is still charged
-//! explicitly by the algorithms through `charge_memcpy` — the handle
-//! only removes the host-side encode and parse.)
+//! A set's entries are one immutable list behind an `Arc`, shared
+//! copy-on-write: a clone is one reference count. Inside the simulator a
+//! set travels by handle, not as bytes: [`MessageSet::to_payload`]
+//! snapshots the set into a shared [`Payload`] value charged exactly its
+//! wire length, every destination gets an `Arc` clone of it, and the
+//! receiver reads the set back through [`MessageSet::view`] without
+//! parsing. [`MessageSet::merge`] then adopts the sender's list when it
+//! holds nothing (and has no room reserved), touches nothing when
+//! nothing is new, builds the union once at its final size when a
+//! snapshot still shares the held list, and merges in place when the
+//! list is its own. Entry payloads are shared ropes, so a snapshot and a
+//! merge move pointers, never payload bytes. (The *virtual-time* cost of
+//! combining is still charged explicitly by the algorithms through
+//! `charge_memcpy` — the handle only removes the host-side encode and
+//! parse.)
 //!
-//! The codec stays for bytes built by hand — fixtures, tests and the
-//! parser's own checks: [`MessageSet::to_bytes`] writes the format and
+//! The codec stays for bytes built by hand — fixtures and tests:
+//! [`MessageSet::to_bytes`] writes the format and
 //! [`MessageSet::from_bytes`] / [`MessageSet::from_payload`] parse it
 //! totally. Wire format (little-endian):
 //!
@@ -27,34 +33,44 @@
 //! ```
 
 use std::borrow::{Borrow, Cow};
+use std::sync::Arc;
 
 use mpp_sim::{Payload, WireValue};
 
 /// A set of broadcast messages keyed by source rank (sorted, unique).
+///
+/// The entry list is shared copy-on-write, so `clone` is one reference
+/// count. `==` compares the lists, and `Arc`'s `==` finds two sets that
+/// share one list equal without reading it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MessageSet {
-    entries: Vec<(u32, Payload)>,
+    entries: Arc<Vec<(u32, Payload)>>,
 }
 
 impl MessageSet {
     /// The empty set.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// The empty set with room for `sources` entries, for a rank that
+    /// collects many sources one message at a time: merges and inserts
+    /// fill the room in place instead of adopting or regrowing a list.
+    pub fn with_capacity(sources: usize) -> Self {
         MessageSet {
-            entries: Vec::new(),
+            entries: Arc::new(Vec::with_capacity(sources)),
         }
     }
 
     /// A set holding a single source's payload (copies the slice once).
     pub fn single(src: usize, payload: &[u8]) -> Self {
-        MessageSet {
-            entries: vec![(src as u32, Payload::from_slice(payload))],
-        }
+        Self::single_payload(src, Payload::from_slice(payload))
     }
 
     /// A set holding a single source's already-shared payload (no copy).
     pub fn single_payload(src: usize, payload: Payload) -> Self {
         MessageSet {
-            entries: vec![(src as u32, payload)],
+            entries: Arc::new(vec![(src as u32, payload)]),
         }
     }
 
@@ -100,22 +116,38 @@ impl MessageSet {
     /// Merge another set, owned or borrowed, into this one. Sources
     /// already present keep their existing payload (in s-to-p
     /// broadcasting duplicate arrivals always carry identical payloads).
-    /// Returns the number of *new* payload bytes absorbed. Clones the
-    /// ropes of the new sources only — no byte copies — and works in
-    /// place: the held entries above the lowest new source each move
-    /// once, the rest stay, and the vector grows only when its spare
-    /// capacity does not cover the new sources.
+    /// Returns the number of *new* payload bytes absorbed. Never copies
+    /// a payload byte, and copies entries only where the list must
+    /// change:
+    ///
+    /// * a set that holds nothing and has no room reserved for the
+    ///   other's entries adopts the other's list (one reference count);
+    /// * a merge that adds no source touches nothing;
+    /// * a held list that a snapshot or another set still shares is
+    ///   left to them: the union is built once, at its final size;
+    /// * a list held alone is merged in place: the held entries above
+    ///   the lowest new source each move once, the rest stay, and the
+    ///   vector grows only when its spare capacity does not cover the
+    ///   new sources.
     pub fn merge(&mut self, other: impl Borrow<MessageSet>) -> usize {
         let other = other.borrow();
-        let held = &mut self.entries;
-        let Some(&(lowest, _)) = other.entries.first() else {
+        let incoming = &other.entries;
+        let Some(&(lowest, _)) = incoming.first() else {
             return 0;
         };
+        if self.entries.capacity() < incoming.len() && self.is_empty() {
+            self.entries = Arc::clone(incoming);
+            return other.payload_bytes();
+        }
+        if Arc::ptr_eq(&self.entries, incoming) {
+            return 0;
+        }
         // Count the sources that are new: one walk over the two sorted
         // runs, begun where the incoming one begins.
+        let held = &self.entries;
         let mut at = held.partition_point(|&(s, _)| s < lowest);
         let mut fresh = 0;
-        for &(src, _) in &other.entries {
+        for &(src, _) in incoming.iter() {
             while at < held.len() && held[at].0 < src {
                 at += 1;
             }
@@ -123,13 +155,21 @@ impl MessageSet {
                 fresh += 1;
             }
         }
+        if fresh == 0 {
+            return 0;
+        }
+        let Some(held) = Arc::get_mut(&mut self.entries) else {
+            let (union, absorbed) = union(&self.entries, incoming, fresh);
+            self.entries = Arc::new(union);
+            return absorbed;
+        };
         // Open `fresh` slots at the end and merge from the back: `i`
         // ends the held entries still to place, `gap` the free slots.
         let mut i = held.len();
         held.resize_with(i + fresh, Default::default);
         let mut gap = held.len();
         let mut absorbed = 0;
-        for &(src, ref data) in other.entries.iter().rev() {
+        for &(src, ref data) in incoming.iter().rev() {
             if gap == i {
                 break; // every new source is placed; the rest are duplicates
             }
@@ -167,8 +207,14 @@ impl MessageSet {
             .entries
             .binary_search_by_key(&(src as u32), |&(s, _)| s)
         {
-            self.entries.insert(pos, (src as u32, payload));
+            Arc::make_mut(&mut self.entries).insert(pos, (src as u32, payload));
         }
+    }
+
+    /// Whether the two sets share one entry list, so hold equal entries
+    /// without reading them.
+    pub(crate) fn shares_entries(&self, other: &MessageSet) -> bool {
+        Arc::ptr_eq(&self.entries, &other.entries)
     }
 
     /// Serialize to the wire format as an owned, contiguous buffer
@@ -187,7 +233,7 @@ impl MessageSet {
         let mut header = [0u8; 256];
         header[..4].copy_from_slice(&(self.entries.len() as u32).to_le_bytes());
         let mut at = 4;
-        for (src, data) in &self.entries {
+        for (src, data) in self.entries.iter() {
             if at + 8 > header.len() {
                 visit(&header[..at]);
                 at = 0;
@@ -197,14 +243,15 @@ impl MessageSet {
             at += 8;
         }
         visit(&header[..at]);
-        for (_, data) in &self.entries {
+        for (_, data) in self.entries.iter() {
             data.chunks().for_each(&mut visit);
         }
     }
 
     /// A snapshot of the set as a payload of its wire length, never
-    /// encoded (see [`Payload::from_value`]): one clone of the entry
-    /// list, shared by every destination it is sent to.
+    /// encoded (see [`Payload::from_value`]): one reference to the entry
+    /// list, shared by every destination it is sent to. A later merge
+    /// into this set leaves the snapshot's list as it was.
     pub fn to_payload(&self) -> Payload {
         Payload::from_value(self.clone())
     }
@@ -271,7 +318,9 @@ impl MessageSet {
         if body.remaining() != 0 {
             return None;
         }
-        Some(MessageSet { entries })
+        Some(MessageSet {
+            entries: Arc::new(entries),
+        })
     }
 
     /// The `(source, payload)` entries, ascending by source.
@@ -279,9 +328,62 @@ impl MessageSet {
         self.entries.iter().map(|(src, data)| (*src as usize, data))
     }
 
-    /// Consume into the sorted `(src, payload)` list.
+    /// Consume into the sorted `(src, payload)` list (a copy of the
+    /// list when another set still shares it).
     pub fn into_entries(self) -> Vec<(u32, Payload)> {
-        self.entries
+        Arc::unwrap_or_clone(self.entries)
+    }
+}
+
+/// The sorted union of two sorted entry lists, `fresh` of whose sources
+/// are `incoming`'s alone, built at its final size; a source both hold
+/// keeps `held`'s payload. Also returns the new sources' payload bytes.
+fn union(
+    held: &[(u32, Payload)],
+    incoming: &[(u32, Payload)],
+    fresh: usize,
+) -> (Vec<(u32, Payload)>, usize) {
+    let mut out = Vec::with_capacity(held.len() + fresh);
+    let mut absorbed = 0;
+    let mut theirs = incoming.iter().peekable();
+    for mine in held {
+        while let Some(new) = theirs.next_if(|&&(src, _)| src < mine.0) {
+            absorbed += new.1.len();
+            out.push(new.clone());
+        }
+        theirs.next_if(|&&(src, _)| src == mine.0);
+        out.push(mine.clone());
+    }
+    for new in theirs {
+        absorbed += new.1.len();
+        out.push(new.clone());
+    }
+    (out, absorbed)
+}
+
+/// A set from `(source, payload)` pairs in any order; the first pair of
+/// a repeated source wins, as in [`MessageSet::merge`]. Pairs that
+/// arrive sorted by source — an exchange's receives, or a rank that
+/// collects one source per receive — are collected into one list and
+/// checked, with no insert per entry.
+impl FromIterator<(usize, Payload)> for MessageSet {
+    fn from_iter<I: IntoIterator<Item = (usize, Payload)>>(pairs: I) -> Self {
+        let mut entries: Vec<(u32, Payload)> = pairs
+            .into_iter()
+            .map(|(src, data)| (src as u32, data))
+            .collect();
+        // A stable sort takes a scratch buffer the size of the list.
+        if !entries.is_sorted_by_key(|&(src, _)| src) {
+            entries.sort_by_key(|&(src, _)| src);
+        }
+        entries.dedup_by_key(|&mut (src, _)| src);
+        // Collecting from a `Vec` of larger items (an exchange's
+        // envelopes) reuses their allocation: give back what the entries
+        // do not fill.
+        entries.shrink_to_fit();
+        MessageSet {
+            entries: Arc::new(entries),
+        }
     }
 }
 
@@ -390,7 +492,10 @@ mod tests {
         /// `merge` against a map: `held` of the 256 entries on one side,
         /// the rest incoming — 1 into 255 through 255 into 1 — with
         /// sources shared between the sides and payloads that tell the
-        /// sides apart.
+        /// sides apart. The held side is merged twice: once in place, as
+        /// the only holder of its list, and once with a snapshot still
+        /// sharing that list, which must read back unchanged afterwards
+        /// while the set gets the same union.
         #[test]
         fn merge_matches_a_map_union(
             held in 1usize..256,
@@ -417,7 +522,14 @@ mod tests {
                 set
             };
             let mut set = to_set(&model);
+            let mut shared = to_set(&model);
+            let snapshot = shared.to_payload();
+            let frozen = shared.to_bytes();
             let absorbed = set.merge(to_set(&incoming));
+            proptest::prop_assert_eq!(shared.merge(to_set(&incoming)), absorbed);
+            proptest::prop_assert_eq!(&shared, &set);
+            proptest::prop_assert_eq!(snapshot.to_vec(), frozen.clone());
+            proptest::prop_assert_eq!(MessageSet::from_payload(&snapshot), MessageSet::from_bytes(&frozen));
             let mut fresh_bytes = 0;
             for (src, data) in incoming {
                 if let std::collections::btree_map::Entry::Vacant(slot) = model.entry(src) {
@@ -437,28 +549,100 @@ mod tests {
         }
     }
 
+    /// The set of `srcs`, each with an empty payload.
+    fn of_sources(srcs: impl IntoIterator<Item = usize>) -> MessageSet {
+        srcs.into_iter().map(|src| (src, Payload::new())).collect()
+    }
+
+    #[test]
+    fn a_snapshot_allocates_only_the_handle() {
+        use crate::counting_alloc::allocs;
+        let set = of_sources(0..32);
+        let before = allocs();
+        let snapshot = set.to_payload();
+        let copy = set.clone();
+        assert_eq!(allocs() - before, 1, "the handle; the list is shared");
+        assert!(copy.shares_entries(&set));
+        assert!(MessageSet::view(&snapshot).is_some_and(|got| got.shares_entries(&set)));
+    }
+
+    #[test]
+    fn adopting_allocates_nothing() {
+        use crate::counting_alloc::allocs;
+        let sent = of_sources(0..32);
+        let mut set = MessageSet::new();
+        let before = allocs();
+        assert_eq!(set.merge(&sent), 0, "empty payloads");
+        assert_eq!(allocs() - before, 0);
+        assert!(set.shares_entries(&sent));
+        // A set with room reserved fills it instead of adopting.
+        let mut room = MessageSet::with_capacity(32);
+        let before = allocs();
+        room.merge(&sent);
+        assert_eq!(allocs() - before, 0);
+        assert!(!room.shares_entries(&sent));
+        assert_eq!(room, sent);
+    }
+
+    #[test]
+    fn merging_a_subset_allocates_nothing() {
+        use crate::counting_alloc::allocs;
+        let mut set = of_sources(0..32);
+        let subset = of_sources((0..32).step_by(3));
+        let before = allocs();
+        set.merge(&subset);
+        set.merge(set.clone());
+        let snapshot = set.to_payload();
+        set.merge(&subset);
+        assert_eq!(allocs() - before, 1, "the snapshot's handle");
+        assert!(MessageSet::view(&snapshot).is_some_and(|got| got.shares_entries(&set)));
+    }
+
+    #[test]
+    fn a_union_into_a_shared_list_allocates_one_list() {
+        use crate::counting_alloc::allocs;
+        let mut set = of_sources((0..64).step_by(2));
+        let snapshot = set.to_payload();
+        let incoming = of_sources([1, 31, 99]);
+        let before = allocs();
+        set.merge(incoming);
+        assert_eq!(allocs() - before, 2, "the union's buffer and its `Arc`");
+        assert_eq!(set.len(), 35);
+        assert!(set.sources().is_sorted());
+        assert_eq!(MessageSet::view(&snapshot).map(|got| got.len()), Some(32));
+    }
+
     #[test]
     fn merge_into_spare_capacity_allocates_nothing() {
         use crate::counting_alloc::allocs;
-        let mut set = MessageSet::new();
+        let mut set = MessageSet::with_capacity(35);
         for src in (0..64).step_by(2) {
             set.insert_payload(src, Payload::new());
         }
-        set.entries.reserve(3);
-        let [low, mid, high] =
-            [1, 31, 99].map(|src| MessageSet::single_payload(src, Payload::new()));
+        let [low, mid, high] = [1, 31, 99].map(|src| of_sources([src]));
         let before = allocs();
         set.merge(low);
         set.merge(mid);
         set.merge(high);
         assert_eq!(allocs() - before, 0);
         assert_eq!(set.len(), 35);
-        // And the counter counts: a full vector has to grow.
-        set.entries.shrink_to_fit();
-        let one_more = MessageSet::single_payload(100, Payload::new());
+        // And the counter counts: a full list held alone has to grow.
+        let one_more = of_sources([100]);
         let before = allocs();
         set.merge(one_more);
         assert!(allocs() > before);
+    }
+
+    #[test]
+    fn collecting_sorts_and_keeps_the_first_pair_of_a_source() {
+        let pairs = [(9, &b"nine"[..]), (2, b"two"), (9, b"late"), (5, b"five")];
+        let set: MessageSet = pairs
+            .iter()
+            .map(|&(src, data)| (src, Payload::from_slice(data)))
+            .collect();
+        assert!(set.sources().eq([2, 5, 9]));
+        assert_eq!(set.get(9).unwrap(), b"nine");
+        assert_eq!(set.wire_bytes(), 4 + 3 * 8 + 11);
     }
 
     #[test]

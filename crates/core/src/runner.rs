@@ -392,16 +392,20 @@ fn try_run_alg_with(
 /// `i` with that first entry; byte equality is transitive, so a rank
 /// passes exactly when its bytes equal the oracle's. The oracle is read
 /// once per source, and where ranks share storage (every zero-copy
-/// algorithm) a rank-to-rank compare reads no bytes at all.
+/// algorithm) a rank-to-rank compare reads no bytes at all. A rank
+/// whose entry list is the first rank's own (it ended on a set it
+/// adopted unchanged) holds the first rank's entries and is not read.
 fn all_delivered(sets: &[MessageSet], sources: &[usize], expected: &[Vec<u8>]) -> bool {
     let Some((first, rest)) = sets.split_first() else {
         return true;
     };
-    sets.iter()
+    let others = || rest.iter().filter(|set| !set.shares_entries(first));
+    std::iter::once(first)
+        .chain(others())
         .all(|set| set.sources().eq(sources.iter().copied()))
         && expected.iter().enumerate().all(|(i, want)| {
             let held = first.payload_at(i);
-            held == want.as_slice() && rest.iter().all(|set| set.payload_at(i) == held)
+            held == want.as_slice() && others().all(|set| set.payload_at(i) == held)
         })
 }
 
@@ -934,8 +938,10 @@ mod tests {
 
         /// Hand-built results — each rank's entry a clone of one shared
         /// payload, a rope over that storage or its own copy — tampered
-        /// with on random ranks, rank 0 included: the rank-to-rank check
-        /// answers as the rank-to-oracle reference does.
+        /// with on random ranks, rank 0 included, and then rank 0's
+        /// list, tampered or not, shared by random ranks (as ranks
+        /// share the set they adopted): the rank-to-rank check answers
+        /// as the rank-to-oracle reference does.
         #[test]
         fn delivery_check_matches_the_reference(
             p in 1usize..17,
@@ -1005,7 +1011,7 @@ mod tests {
                     _ => {}
                 }
             }
-            let sets: Vec<MessageSet> = held
+            let mut sets: Vec<MessageSet> = held
                 .into_iter()
                 .map(|entries| {
                     let mut set = MessageSet::new();
@@ -1015,9 +1021,50 @@ mod tests {
                     set
                 })
                 .collect();
+            for rank in 1..p {
+                if pick(3) == 0 {
+                    sets[rank] = sets[0].clone();
+                }
+            }
             let got = all_delivered(&sets, &sources, &expected);
             proptest::prop_assert_eq!(got, all_delivered_reference(&sets, &sources, &expected));
             proptest::prop_assert!(got || tampers > 0, "an untampered result failed");
+        }
+    }
+
+    /// Ranks that share rank 0's list are checked through rank 0, and a
+    /// tampered shared list fails every rank that holds it: whether
+    /// rank 0 holds it too or only the ranks after it share it.
+    #[test]
+    fn a_tampered_shared_list_fails_every_rank_that_shares_it() {
+        let sources = [1, 4, 6];
+        let expected: Vec<Vec<u8>> = sources.iter().map(|&src| payload_for(src, 24)).collect();
+        let build = |tamper: bool| -> MessageSet {
+            let mut set = MessageSet::new();
+            for (&src, want) in sources.iter().zip(&expected) {
+                let mut bytes = want.clone();
+                bytes[23] ^= u8::from(tamper && src == 4);
+                set.insert(src, &bytes);
+            }
+            set
+        };
+        let (honest, tampered) = (build(false), build(true));
+        assert!(all_delivered(&vec![honest.clone(); 5], &sources, &expected));
+        for shared_from in [0, 1] {
+            let mut sets = vec![honest.clone(); shared_from];
+            sets.resize(5, tampered.clone());
+            assert!(sets[shared_from..]
+                .iter()
+                .all(|set| set.shares_entries(&tampered)));
+            assert!(
+                !all_delivered(&sets, &sources, &expected),
+                "shared from rank {shared_from}"
+            );
+            for set in &sets[shared_from..] {
+                let alone = std::slice::from_ref(set);
+                assert!(!all_delivered(alone, &sources, &expected));
+                assert!(!all_delivered_reference(alone, &sources, &expected));
+            }
         }
     }
 

@@ -13,11 +13,10 @@
 //! * [`Payload::slice`] re-slices existing segments.
 //!
 //! Bytes are only copied at the boundary where contiguous storage is
-//! genuinely required ([`Payload::from_slice`], [`Payload::to_vec`],
-//! [`Payload::contiguous`] on a fragmented rope). Every such copy is
-//! counted in process-global [`copy_metrics`], which the benchmarks and
-//! the zero-copy regression tests read to prove the fast path stays
-//! fast.
+//! genuinely required ([`Payload::from_slice`], [`Payload::to_vec`]).
+//! Every such copy is counted in process-global [`copy_metrics`], which
+//! the benchmarks and the zero-copy regression tests read to prove the
+//! fast path stays fast.
 //!
 //! # Shared values
 //!
@@ -49,6 +48,7 @@
 //! rather than reallocated.
 
 use std::any::Any;
+#[cfg(test)]
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::ptr::NonNull;
@@ -460,8 +460,7 @@ impl Payload {
     /// it: one allocation here, and a clone is one `Arc` increment.
     /// Every byte accessor ([`chunks`](Self::chunks),
     /// [`to_vec`](Self::to_vec), `==`, [`reader`](Self::reader),
-    /// [`slice`](Self::slice), [`contiguous`](Self::contiguous),
-    /// appending it) sees the encoding, which
+    /// [`slice`](Self::slice), appending it) sees the encoding, which
     /// is built on first use and kept.
     pub fn from_value<T: WireValue>(value: T) -> Self {
         let len = value.wire_len();
@@ -496,8 +495,8 @@ impl Payload {
     }
 
     /// Number of rope segments (1 means contiguous).
-    #[inline]
-    pub fn segment_count(&self) -> usize {
+    #[cfg(test)]
+    fn segment_count(&self) -> usize {
         self.segs.as_slice().len()
     }
 
@@ -590,7 +589,8 @@ impl Payload {
 
     /// A contiguous view: borrows when the rope is a single segment,
     /// otherwise materializes a copy.
-    pub fn contiguous(&self) -> Cow<'_, [u8]> {
+    #[cfg(test)]
+    fn contiguous(&self) -> Cow<'_, [u8]> {
         match self.segs.as_slice() {
             [] => Cow::Borrowed(&[]),
             [one] => Cow::Borrowed(one.bytes()),

@@ -11,7 +11,8 @@
 #
 # Build the parent in its own clone with its own CARGO_TARGET_DIR. The
 # change is this checkout: its working tree when it has uncommitted
-# changes (the parent is then HEAD), else HEAD (the parent is HEAD~1).
+# changes other than to BENCH_history.jsonl (the parent is then HEAD),
+# else HEAD (the parent is HEAD~1).
 # Pass the same path twice for a self-pair: the line's parent is then
 # the change itself, and its spread is the box's.
 # Within a pair both sides get the same seed; which side runs first
@@ -47,7 +48,9 @@ bench="$target/release/stp-benchmark"
 [ -x "$bench" ] || { echo "bench-pair: $bench missing; bash benchmark/run.sh --smoke builds it" >&2; exit 2; }
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 
-if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
+# The record this appends to is not the change: a sequence's second
+# line must carry the first one's labels.
+if [ -n "$(git status --porcelain --untracked-files=no -- . ':(exclude)BENCH_history.jsonl')" ]; then
     commit="working tree over $(git rev-parse HEAD)"
     parent_commit=$(git rev-parse HEAD)
 else

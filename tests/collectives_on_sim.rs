@@ -50,7 +50,8 @@ fn personalized_exchange_balances_iterations() {
     let machine = Machine::paragon(4, 4);
     let out = simulate(&machine, |mut comm| async move {
         let mine = vec![comm.rank() as u8; 256];
-        let msgs = coll::personalized_from_sources(&mut comm, &|_| true, Some(&mine), 5).await;
+        let everyone: Vec<usize> = (0..comm.size()).collect();
+        let msgs = coll::personalized_from_sources(&mut comm, &everyone, Some(&mine), 5).await;
         msgs.len()
     });
     assert!(out.results.iter().all(|&n| n == 16));
