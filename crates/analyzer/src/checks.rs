@@ -12,10 +12,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use mpp_model::{LibraryKind, Link, Machine, Time};
+use stp_core::msgset::Slot;
 
-use crate::cost::{CostReport, LinkIndex};
+use crate::cost::CostReport;
 use crate::lint::timed;
-use crate::schedule::{has_bit, set_bit, source_payloads, PayloadIds, Schedule};
+use crate::schedule::{has_bit, set_bit, source_slots, ContentIds, Schedule, SourceBits, NONE};
 
 /// How bad a finding is. Errors are always fatal to a lint run; warnings
 /// and notes can be suppressed by a committed baseline.
@@ -212,8 +213,9 @@ pub struct CheckCtx<'a> {
     pub machine: &'a Machine,
     /// The source ranks of the s-to-p instance.
     pub sources: &'a [usize],
-    /// Reference payload per source (for attribution).
-    pub payload_of: &'a dyn Fn(usize) -> Vec<u8>,
+    /// The message of each source, in the order of `sources`: the
+    /// oracle the leak check attributes payloads against.
+    pub slots: &'a [Slot],
     /// Analysis options.
     pub opts: &'a AnalyzeOpts,
     /// The cost engine's replay, when timing data was recorded (absent
@@ -221,9 +223,8 @@ pub struct CheckCtx<'a> {
     pub cost: Option<&'a CostReport>,
     /// Per-link message counts over the machine's routes.
     pub link_counts: &'a BTreeMap<Link, u64>,
-    /// Content ids of the source reference payloads and of every send's
-    /// payload.
-    pub payloads: &'a PayloadIds<'a>,
+    /// Every send's payload grouped by the slots it carries.
+    pub contents: &'a ContentIds,
 }
 
 /// Mutable results shared by all checks of one run.
@@ -289,12 +290,9 @@ pub fn analyze(
     payload_of: &dyn Fn(usize) -> Vec<u8>,
     opts: &AnalyzeOpts,
 ) -> Analysis {
-    let references = source_payloads(sources, payload_of);
-    let ((link_counts, max_link_load), payloads) = timed("index", || {
-        (
-            link_loads(sched, machine),
-            PayloadIds::new(&references, &sched.sends),
-        )
+    let slots = source_slots(sources, payload_of);
+    let ((link_counts, max_link_load), contents) = timed("index", || {
+        (link_loads(sched, machine), ContentIds::new(&sched.sends))
     });
     // The cost engine needs recorded timing to replay: skip it on
     // deadlocked runs (partial clocks) and hand-built schedules (no
@@ -310,11 +308,11 @@ pub fn analyze(
         sched,
         machine,
         sources,
-        payload_of,
+        slots: &slots,
         opts,
         cost: cost.as_ref(),
         link_counts: &link_counts,
-        payloads: &payloads,
+        contents: &contents,
     };
     let mut out = CheckOutput::default();
     for check in registry() {
@@ -559,14 +557,11 @@ impl Check for PayloadLeakCheck {
         if sched.deadlocked {
             return;
         }
-        let (sources, payloads) = (ctx.sources, ctx.payloads);
-        if !payloads.sources_distinct() {
-            out.opaque_payloads = true;
-            return;
-        }
+        let (sources, contents) = (ctx.sources, ctx.contents);
         if sources.is_empty() {
             return;
         }
+        let bits = SourceBits::new(ctx.slots);
         // Source sets are `words` u64s, bit `i` for `sources[i]`: `known`
         // per rank, `carried` per distinct payload content (attributed
         // once, when a receive first consumes it).
@@ -577,16 +572,21 @@ impl Check for PayloadLeakCheck {
                 set_bit(&mut known[src * words..][..words], bit);
             }
         }
-        let mut carried = vec![0u64; payloads.distinct() * words];
-        let mut attributed = vec![false; payloads.distinct()];
+        let mut carried = vec![0u64; contents.distinct() * words];
+        let mut attributed = vec![false; contents.distinct()];
         for recv in &sched.recvs {
             let Some(i) = sched.send_of(recv.seq) else {
                 continue;
             };
-            let id = payloads.of_send[i] as usize;
+            let id = contents.of_send[i];
+            if id == NONE {
+                out.opaque_payloads = true;
+                return;
+            }
+            let id = id as usize;
             let set = &mut carried[id * words..][..words];
             if !std::mem::replace(&mut attributed[id], true)
-                && !payloads.attribute(sources, &sched.sends[i].data, set)
+                && !bits.attribute(&sched.sends[i].data, set)
             {
                 out.opaque_payloads = true;
                 return;
@@ -666,25 +666,11 @@ impl Check for LinkOverloadCheck {
 
 /// Per-link message counts over the machine's dimension-ordered routes.
 fn link_loads(sched: &Schedule, machine: &Machine) -> (BTreeMap<Link, u64>, u64) {
-    let mut index = LinkIndex::new(machine.topology.num_nodes());
-    let mut counts: Vec<u64> = Vec::new();
-    let mut route = Vec::new();
-    for send in &sched.sends {
-        machine.topology.route_into(
-            machine.node_of(send.src),
-            machine.node_of(send.dst),
-            &mut route,
-        );
-        for &link in &route {
-            let id = index.id(link) as usize;
-            if id == counts.len() {
-                counts.push(0);
-            }
-            counts[id] += 1;
-        }
-    }
-    let max = counts.iter().copied().max().unwrap_or(0);
-    (index.links.into_iter().zip(counts).collect(), max)
+    let ends =
+        |send: &mpp_runtime::SendEvent| (machine.node_of(send.src), machine.node_of(send.dst));
+    let counts = machine.topology.route_loads(sched.sends.iter().map(ends));
+    let max = counts.values().copied().max().unwrap_or(0);
+    (counts, max)
 }
 
 #[cfg(test)]
@@ -721,6 +707,11 @@ mod tests {
         stp_core::msgset::payload_for(src, 16)
     }
 
+    /// Source `src`'s message, as the runner hands it to a source.
+    fn message(src: usize) -> mpp_runtime::Payload {
+        stp_core::msgset::source_message(src, 16)
+    }
+
     fn opts() -> AnalyzeOpts {
         AnalyzeOpts::default()
     }
@@ -731,7 +722,7 @@ mod tests {
         let (p, mut sched) = (4, EventLog::default());
         for (i, dst) in [1, 2, 3].into_iter().enumerate() {
             let seq = i as u64 + 1;
-            sched.sends.push(send(seq, 0, dst, 5, &payload(0)));
+            sched.sends.push(send(seq, 0, dst, 5, message(0)));
             sched.recvs.push(recv(seq, dst, 0, 5, 1));
         }
         let a = analyze(&view(&sched, p), &machine(), &[0], &payload, &opts());
@@ -779,8 +770,8 @@ mod tests {
     #[test]
     fn unmatched_send_is_reported() {
         let (p, mut sched) = (4, EventLog::default());
-        sched.sends.push(send(1, 0, 1, 5, &payload(0)));
-        sched.sends.push(send(2, 0, 2, 5, &payload(0)));
+        sched.sends.push(send(1, 0, 1, 5, message(0)));
+        sched.sends.push(send(2, 0, 2, 5, message(0)));
         sched.recvs.push(recv(1, 1, 0, 5, 1));
         // seq 2 never received; ranks 2 and 3 also leak source 0.
         let a = analyze(&view(&sched, p), &machine(), &[0], &payload, &opts());
@@ -792,8 +783,8 @@ mod tests {
     #[test]
     fn ambiguity_dedupes_per_site() {
         let (p, mut sched) = (2, EventLog::default());
-        sched.sends.push(send(1, 0, 1, 5, &payload(0)));
-        sched.sends.push(send(2, 0, 1, 5, &payload(0)));
+        sched.sends.push(send(1, 0, 1, 5, message(0)));
+        sched.sends.push(send(2, 0, 1, 5, message(0)));
         sched.recvs.push(recv(1, 1, 0, 5, 2));
         sched.recvs.push(recv(2, 1, 0, 5, 1));
         let a = analyze(
@@ -824,7 +815,7 @@ mod tests {
     #[test]
     fn lost_message_is_attributed_to_the_fault_plan() {
         let (p, mut sched) = (2, EventLog::default());
-        sched.sends.push(send(1, 0, 1, 5, &payload(0)));
+        sched.sends.push(send(1, 0, 1, 5, message(0)));
         sched.drops.push(drop(1, 0, false));
         sched.drops.push(drop(1, 1, true));
         let a = analyze(
@@ -857,7 +848,7 @@ mod tests {
     fn recovered_drops_are_not_findings() {
         // Attempt 0 dropped, retry delivered: full delivery, clean run.
         let (p, mut sched) = (2, EventLog::default());
-        sched.sends.push(send(1, 0, 1, 5, &payload(0)));
+        sched.sends.push(send(1, 0, 1, 5, message(0)));
         sched.drops.push(drop(1, 0, false));
         sched.recvs.push(recv(1, 1, 0, 5, 1));
         let a = analyze(
@@ -878,7 +869,7 @@ mod tests {
     fn link_overload_requires_opt_in() {
         let (p, mut sched) = (2, EventLog::default());
         for seq in 1..=4u64 {
-            sched.sends.push(send(seq, 0, 1, seq as u32, &payload(0)));
+            sched.sends.push(send(seq, 0, 1, seq as u32, message(0)));
             sched.recvs.push(recv(seq, 1, 0, seq as u32, 1));
         }
         let m = Machine::paragon(1, 2);
@@ -906,8 +897,8 @@ mod tests {
         let (p, mut sched) = (4, EventLog::default());
         // Two unmatched sends pushed in reverse-destination order plus
         // leaks: the report must still sort by (kind, rank, at, seq).
-        sched.sends.push(send(2, 0, 3, 5, &payload(0)));
-        sched.sends.push(send(1, 0, 2, 5, &payload(0)));
+        sched.sends.push(send(2, 0, 3, 5, message(0)));
+        sched.sends.push(send(1, 0, 2, 5, message(0)));
         let a = analyze(&view(&sched, p), &machine(), &[0], &payload, &opts());
         let sorted: Vec<_> = a
             .findings
@@ -924,17 +915,16 @@ mod tests {
     /// The payload-leak check alone, as `analyze` would run it.
     fn leak_check(sched: &Schedule, sources: &[usize], len: usize) -> CheckOutput {
         let payload_of = move |src: usize| stp_core::msgset::payload_for(src, len);
-        let references = source_payloads(sources, &payload_of);
         let mut out = CheckOutput::default();
         let ctx = CheckCtx {
             sched,
             machine: &machine(),
             sources,
-            payload_of: &payload_of,
+            slots: &source_slots(sources, &payload_of),
             opts: &opts(),
             cost: None,
             link_counts: &BTreeMap::new(),
-            payloads: &PayloadIds::new(&references, &sched.sends),
+            contents: &ContentIds::new(&sched.sends),
         };
         PayloadLeakCheck.run(&ctx, &mut out);
         out
@@ -952,16 +942,16 @@ mod tests {
         assert_eq!(details(&dense), details(&naive), "{what}");
     }
 
-    /// Interned ids and bit-set source sets against their `HashMap` /
+    /// Content ids and bit-set source sets against their `BTreeMap` /
     /// `BTreeSet` versions, on every quick-matrix point and every
-    /// fixture: ids equal exactly when the bytes are, and the same leak
-    /// findings word for word.
+    /// fixture: ids equal exactly when the slots carried are, and the
+    /// same leak findings word for word.
     #[test]
     fn interning_and_leak_sets_agree_with_the_naive_versions_on_recorded_runs() {
         let mut runs = 0;
         crate::lint::tests::for_each_quick_recording(|machine, sources, run| {
             let sched = Schedule::from_recorded(run, machine.p());
-            let ids = PayloadIds::new(&[], &sched.sends);
+            let ids = ContentIds::new(&sched.sends);
             assert_eq!(ids.of_send, crate::naive::payload_ids(&sched));
             assert_same_leaks(&sched, sources, 64, "recorded run");
             runs += 1;
@@ -974,56 +964,63 @@ mod tests {
     /// it, and then whatever was leaking goes unreported.
     #[test]
     fn leak_sets_agree_with_the_naive_version_around_opaque_payloads() {
-        let set = |entries: &[(usize, &[u8])]| {
-            let mut set = stp_core::msgset::MessageSet::new();
-            for (key, bytes) in entries {
-                set.insert(*key, bytes);
-            }
-            set.to_bytes()
+        let set = |slots: &[(usize, usize)]| -> mpp_runtime::Payload {
+            let slots = slots.iter().map(|&(src, len)| Slot::new(src, len));
+            slots.collect::<stp_core::msgset::MessageSet>().to_payload()
         };
-        let (a, b) = (payload(0), payload(2));
-        let both = set(&[(0, &a), (2, &b)]);
-        let rekeyed = set(&[(5, &b)]);
-        let unknown = set(&[(0, &a), (2, b"somebody else's bytes")]);
+        let (a, b) = (message(0), message(2));
+        let both = set(&[(0, 16), (2, 16)]);
+        let just_b = set(&[(2, 16)]);
+        let misread = set(&[(0, 16), (2, 15)]);
+        let stranger = set(&[(0, 16), (3, 16)]);
+        let garbage = mpp_runtime::Payload::from_slice(b"garbage");
         /// `(src, dst, payload, received)`.
-        type Msg<'a> = (usize, usize, &'a [u8], bool);
-        let cases: [(&str, &[Msg]); 4] = [
+        type Msg<'a> = (usize, usize, &'a mpp_runtime::Payload, bool);
+        let cases: [(&str, &[Msg]); 5] = [
             (
                 "complete",
                 &[
                     (0, 1, &both, true),
                     (0, 2, &a, true),
-                    (2, 0, &rekeyed, true),
+                    (2, 0, &just_b, true),
                     (0, 3, &both, true),
                 ],
             ),
             ("leaking", &[(0, 1, &a, true), (2, 3, &b, true)]),
             (
                 "opaque but never received",
-                &[(0, 1, &a, true), (0, 2, &unknown, false)],
+                &[(0, 1, &a, true), (0, 2, &misread, false)],
             ),
             (
                 "opaque after a leak",
-                &[(0, 1, &a, true), (0, 3, b"garbage", true)],
+                &[(0, 1, &a, true), (0, 3, &garbage, true)],
+            ),
+            (
+                "a slot of no source",
+                &[(0, 1, &both, true), (0, 2, &stranger, true)],
             ),
         ];
         for (what, msgs) in cases {
             let mut log = EventLog::default();
             for (i, &(src, dst, data, received)) in msgs.iter().enumerate() {
-                log.sends.push(send(i as u64 + 1, src, dst, 5, data));
+                log.sends
+                    .push(send(i as u64 + 1, src, dst, 5, data.clone()));
                 if received {
                     log.recvs.push(recv(i as u64 + 1, dst, src, 5, 1));
                 }
             }
             assert_same_leaks(&view(&log, 4), &[0, 2], 16, what);
         }
-        // Zero-length messages: one empty source is still attributable
-        // (through its key), two are ambiguous.
+        // Zero-length messages are told apart by their slots: one empty
+        // source, and two.
         let mut log = EventLog::default();
-        log.sends.push(send(1, 0, 1, 5, &set(&[(0, &[])])));
+        log.sends.push(send(1, 0, 1, 5, set(&[(0, 0)])));
         log.recvs.push(recv(1, 1, 0, 5, 1));
         assert_same_leaks(&view(&log, 2), &[0], 0, "one empty source");
         assert_same_leaks(&view(&log, 2), &[0, 1], 0, "two empty sources");
+        let two = leak_check(&view(&log, 2), &[0, 1], 0);
+        assert!(!two.opaque_payloads);
+        assert_eq!(two.findings.len(), 1, "rank 0 never hears of source 1");
     }
 
     /// Dense tables are sized from the recording, not trusted from it:
@@ -1036,7 +1033,7 @@ mod tests {
             // 0 -> 1 received, 0 -> 2 never received, 0 -> 3 destroyed
             // by the fault plan, 0 -> 1 again with an ambiguous match.
             for (seq, dst) in seqs.into_iter().zip([1, 2, 3, 1]) {
-                log.sends.push(send(seq, 0, dst, 5, &payload(0)));
+                log.sends.push(send(seq, 0, dst, 5, message(0)));
             }
             log.recvs.push(recv(seqs[0], 1, 0, 5, 2));
             log.recvs.push(recv(seqs[3], 1, 0, 5, 1));

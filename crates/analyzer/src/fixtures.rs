@@ -15,7 +15,7 @@
 use mpp_model::Machine;
 use mpp_runtime::{CommFuture, RankCtx};
 use stp_core::algorithms::{StpAlgorithm, StpCtx};
-use stp_core::msgset::MessageSet;
+use stp_core::msgset::{MessageSet, Slot};
 
 use crate::FindingKind;
 
@@ -160,7 +160,7 @@ impl StpAlgorithm for DuplicateTag {
             let me = comm.rank();
             let hub = ctx.sources[0];
             if me == hub {
-                let data = ctx.payload.expect("hub is a source");
+                let data = ctx.payload.expect("hub is a source").to_vec();
                 let mid = data.len() / 2;
                 for dst in 0..comm.size() {
                     if dst != hub {
@@ -169,7 +169,7 @@ impl StpAlgorithm for DuplicateTag {
                         comm.send(dst, FIX_CHUNKS, &data[mid..]);
                     }
                 }
-                MessageSet::single(hub, data)
+                ctx.initial_set()
             } else {
                 let a = comm.recv(Some(hub), Some(FIX_CHUNKS)).await;
                 let b = comm.recv(Some(hub), Some(FIX_CHUNKS)).await;
@@ -204,13 +204,13 @@ impl StpAlgorithm for SerialStar {
                 // broadcast tree would finish in ⌈log₂ p⌉ rounds.
                 for dst in 0..comm.size() {
                     if dst != hub {
-                        comm.send(dst, FIX_STAR, data);
+                        comm.send_payload(dst, FIX_STAR, data.clone());
                     }
                 }
-                MessageSet::single(hub, data)
+                ctx.initial_set()
             } else {
                 let env = comm.recv(Some(hub), Some(FIX_STAR)).await;
-                MessageSet::single(hub, &env.data.to_vec())
+                Slot::of(&env.data).expect("a source message").into()
             }
         })
     }
@@ -218,7 +218,7 @@ impl StpAlgorithm for SerialStar {
 
 /// Gather-then-broadcast that silently drops the highest source while
 /// combining at the hub: the schedule completes, every send is matched,
-/// but the dropped source's bytes never reach the other ranks.
+/// but the dropped source's message never reaches the other ranks.
 struct DroppedCombine;
 
 impl StpAlgorithm for DroppedCombine {
@@ -231,35 +231,34 @@ impl StpAlgorithm for DroppedCombine {
             let me = comm.rank();
             let hub = ctx.sources[0];
             if me == hub {
-                let mut set = MessageSet::single(hub, ctx.payload.expect("hub is a source"));
+                let mut set = ctx.initial_set();
                 for &src in ctx.sources.iter().filter(|&&s| s != hub) {
                     let env = comm.recv(Some(src), Some(FIX_GATHER)).await;
-                    set.merge(MessageSet::from_bytes(&env.data.to_vec()).expect("wire set"));
+                    set.merge(MessageSet::from_payload(&env.data).expect("wire set"));
                 }
                 // BUG: the last source is dropped from the combined set.
-                let mut kept = MessageSet::new();
-                let dropped = *ctx.sources.last().unwrap();
-                for (src, payload) in set.clone().into_entries() {
-                    if src as usize != dropped {
-                        kept.insert_payload(src as usize, payload);
-                    }
-                }
-                let wire = kept.to_bytes();
+                let dropped = *ctx.sources.last().unwrap() as u32;
+                let kept: MessageSet = set
+                    .slots()
+                    .iter()
+                    .filter(|slot| slot.src != dropped)
+                    .copied()
+                    .collect();
+                let wire = kept.to_payload();
                 for dst in 0..comm.size() {
                     if dst != hub {
-                        comm.send(dst, FIX_BCAST, &wire);
+                        comm.send_payload(dst, FIX_BCAST, wire.clone());
                     }
                 }
                 set
             } else {
-                if let Some(payload) = ctx.payload {
-                    comm.send(hub, FIX_GATHER, &MessageSet::single(me, payload).to_bytes());
+                let own = ctx.initial_set();
+                if !own.is_empty() {
+                    comm.send_payload(hub, FIX_GATHER, own.to_payload());
                 }
                 let env = comm.recv(Some(hub), Some(FIX_BCAST)).await;
-                let mut set = MessageSet::from_bytes(&env.data.to_vec()).expect("wire set");
-                if let Some(payload) = ctx.payload {
-                    set.insert(me, payload);
-                }
+                let mut set = MessageSet::from_payload(&env.data).expect("wire set");
+                set.merge(own);
                 set
             }
         })

@@ -17,8 +17,9 @@
 //!    mailbox: delivery order alone decided which message was consumed,
 //!    so the schedule is racy under any reordering of equal-time events.
 //! 4. **Payload leaks** — s-to-p completeness: attributing every
-//!    delivered byte back to its originating source (directly or through
-//!    [`MessageSet`](stp_core::msgset::MessageSet) combining), every
+//!    delivered message to its source by the slots its handle carries
+//!    (a bare source message, or a
+//!    [`MessageSet`](stp_core::msgset::MessageSet) of them), every
 //!    rank must end up holding all `s` source messages.
 //!
 //! Per-link message counts over the machine's dimension-ordered routes
@@ -54,4 +55,4 @@ pub use lint::{
 };
 pub use report::{entries_to_json, entry_to_json, fixtures_to_json, supervised_report_json};
 pub use sarif::sarif_report;
-pub use schedule::{PayloadIds, Schedule};
+pub use schedule::{ContentIds, Schedule};

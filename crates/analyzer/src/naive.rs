@@ -1,47 +1,52 @@
 //! The straightforward versions of the mechanisms the analyzer computes
 //! with dense tables, kept as references for the differential tests:
-//! payloads keyed by their bytes in a `HashMap`, source sets as
+//! contents keyed by their slot lists in a `BTreeMap`, source sets as
 //! `BTreeSet`s, one attribution per receive.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
-use stp_core::msgset::MessageSet;
+use mpp_runtime::Payload;
+use stp_core::msgset::{MessageSet, Slot};
 
 use crate::checks::{CheckOutput, Finding, FindingKind};
-use crate::schedule::Schedule;
+use crate::schedule::{Schedule, NONE};
 
-/// Content ids in first-seen order, keyed by the flattened bytes.
+/// What a payload carries, owned: whether it is a bare source message,
+/// and its slots; `None` when it carries no slot.
+fn carried(payload: &Payload) -> Option<(bool, Vec<Slot>)> {
+    if let Some(&slot) = payload.value::<Slot>() {
+        return Some((true, vec![slot]));
+    }
+    let set = payload.value::<MessageSet>()?;
+    Some((false, set.slots().to_vec()))
+}
+
+/// Content ids in first-seen order, keyed by what the payload carries
+/// (`NONE` when it carries no slot).
 pub(crate) fn payload_ids(sched: &Schedule) -> Vec<u32> {
-    let mut ids: HashMap<Vec<u8>, u32> = HashMap::new();
+    let mut ids: BTreeMap<(bool, Vec<Slot>), u32> = BTreeMap::new();
     sched
         .sends
         .iter()
-        .map(|send| {
-            let next = ids.len() as u32;
-            *ids.entry(send.data.to_vec()).or_insert(next)
+        .map(|send| match carried(&send.data) {
+            Some(key) => {
+                let next = ids.len() as u32;
+                *ids.entry(key).or_insert(next)
+            }
+            None => NONE,
         })
         .collect()
 }
 
 /// The sources a payload carries, `None` when it cannot be attributed.
-fn attribute(
-    by_bytes: &HashMap<Vec<u8>, usize>,
-    sources: &BTreeSet<usize>,
-    data: &[u8],
-) -> Option<BTreeSet<usize>> {
-    if let Some(&src) = by_bytes.get(data) {
-        return Some(BTreeSet::from([src]));
-    }
+fn attribute(oracle: &BTreeSet<Slot>, payload: &Payload) -> Option<BTreeSet<usize>> {
+    let (_, slots) = carried(payload)?;
     let mut out = BTreeSet::new();
-    for (key, payload) in MessageSet::from_bytes(data)?.into_entries() {
-        let bytes = payload.to_vec();
-        if let Some(&src) = by_bytes.get(&bytes) {
-            out.insert(src);
-        } else if bytes.is_empty() && sources.contains(&(key as usize)) {
-            out.insert(key as usize);
-        } else {
+    for slot in slots {
+        if !oracle.contains(&slot) {
             return None;
         }
+        out.insert(slot.src as usize);
     }
     Some(out)
 }
@@ -56,14 +61,11 @@ pub(crate) fn payload_leak(
     if sched.deadlocked {
         return out;
     }
-    let mut by_bytes = HashMap::new();
-    for &s in sources {
-        if by_bytes.insert(payload_of(s), s).is_some() {
-            out.opaque_payloads = true;
-            return out;
-        }
-    }
-    let send_by_seq: HashMap<u64, usize> = sched
+    let oracle: BTreeSet<Slot> = sources
+        .iter()
+        .map(|&s| Slot::new(s, payload_of(s).len()))
+        .collect();
+    let send_by_seq: BTreeMap<u64, usize> = sched
         .sends
         .iter()
         .enumerate()
@@ -77,7 +79,7 @@ pub(crate) fn payload_leak(
         let Some(&i) = send_by_seq.get(&recv.seq) else {
             continue;
         };
-        match attribute(&by_bytes, &all, &sched.sends[i].data.to_vec()) {
+        match attribute(&oracle, &sched.sends[i].data) {
             Some(set) => knowledge[recv.rank].extend(set),
             None => {
                 out.opaque_payloads = true;

@@ -174,13 +174,13 @@ impl Check for RedundantTransmission {
         let sched = ctx.sched;
         // Transfers grouped by the content they carry (a counting sort
         // on the content id), so one stamp per link tells whether the
-        // current content already crossed it.
+        // current content already crossed it. A payload that carries no
+        // slot has no content to compare and is left out.
         let content_of = |x: &mpp_runtime::XferEvent| {
-            sched
-                .send_of(x.seq)
-                .map(|i| ctx.payloads.of_send[i] as usize)
+            let id = ctx.contents.of_send[sched.send_of(x.seq)?];
+            (id != crate::schedule::NONE).then_some(id as usize)
         };
-        let (_, by_content) = grouped(sched.xfers.iter().map(content_of), ctx.payloads.distinct());
+        let (_, by_content) = grouped(sched.xfers.iter().map(content_of), ctx.contents.distinct());
         // Per link: the last content that crossed it (one past the id of
         // the transfer's content) and how often that content did.
         let mut crossed = vec![(0usize, 0usize); cost.link_table.len()];
@@ -243,7 +243,7 @@ impl Check for AboveLowerBound {
             return;
         }
         let params = &ctx.machine.params;
-        let total_bytes: usize = ctx.sources.iter().map(|&s| (ctx.payload_of)(s).len()).sum();
+        let total_bytes: usize = ctx.slots.iter().map(|slot| slot.len as usize).sum();
         let log2p = (usize::BITS - (p - 1).leading_zeros()) as Time;
         let k = params.ports_per_node as Time;
         let lower = log2p * (params.alpha_send(ctx.opts.lib) + params.alpha_recv(ctx.opts.lib))

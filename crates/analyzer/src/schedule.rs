@@ -1,10 +1,14 @@
 //! A recorded run, read in place as a structured communication
 //! schedule, plus the two indices every check shares: sequence numbers
-//! compacted to array slots and payload contents interned to small ids.
+//! compacted to array slots and payload contents — the source slots a
+//! handle carries — grouped under small ids.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use mpp_model::Time;
 use mpp_runtime::{EventLog, Payload, SendEvent};
-use stp_core::msgset::MessageSet;
+use stp_core::msgset::{MessageSet, Slot};
 use stp_core::runner::RecordedRun;
 
 /// "No entry" in the `u32` index tables.
@@ -167,259 +171,195 @@ pub(crate) fn grouped(
     (start, order)
 }
 
-/// Payload contents interned to small ids: two payloads get the same id
-/// exactly when they are byte-equal. A cheap fingerprint of the whole
-/// content picks the table bucket; equality is always decided by the
-/// bytes ([`Payload`]'s `==`, a `memcmp` per overlapping chunk run) —
-/// never by the fingerprint, the length or the address of the backing
-/// storage as a key, since equal bytes routinely live in different
-/// arena chunks and forwarded ropes re-slice shared ones. A run whose
-/// two sides start at one address is trivially byte-equal, so `==`
-/// skips reading it; that decides nothing the bytes would not.
-pub struct PayloadIds<'a> {
-    /// Id → the first payload seen with that content.
-    firsts: Vec<&'a Payload>,
-    prints: Vec<u64>,
-    /// Open-addressing table of ids, a power of two in size.
-    table: Vec<u32>,
-    /// Id of each send's payload, by send index.
-    pub of_send: Vec<u32>,
-    /// Ids below this belong to the reference source payloads.
-    sources: usize,
-    /// Two reference payloads were byte-equal: content cannot name a
-    /// source.
-    ambiguous: bool,
+/// What a send's payload carries, read from its handle: a bare source
+/// message's slot, or a message set's slot list. Anything else — bytes
+/// built by hand — carries no slot and is opaque.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Carried<'a> {
+    /// A [`source_message`](stp_core::msgset::source_message) handle.
+    Bare(&'a Slot),
+    /// A [`MessageSet::to_payload`] handle.
+    Set(&'a MessageSet),
 }
 
-impl<'a> PayloadIds<'a> {
-    /// Intern the reference payload of every source (ids `0..`, in
-    /// order) and then every send's payload.
-    pub fn new(sources: &'a [Payload], sends: &'a [SendEvent]) -> PayloadIds<'a> {
-        let capacity = ((sources.len() + sends.len()) * 2).next_power_of_two();
-        let mut ids = PayloadIds {
-            firsts: Vec::new(),
-            prints: Vec::new(),
-            table: vec![NONE; capacity.max(16)],
-            of_send: Vec::with_capacity(sends.len()),
-            sources: sources.len(),
-            ambiguous: false,
-        };
-        for (i, payload) in sources.iter().enumerate() {
-            ids.ambiguous |= ids.intern(payload) as usize != i;
+impl<'a> Carried<'a> {
+    /// What `payload` carries; `None` when it carries no slot.
+    pub(crate) fn of(payload: &'a Payload) -> Option<Carried<'a>> {
+        match payload.value::<Slot>() {
+            Some(slot) => Some(Carried::Bare(slot)),
+            None => payload.value::<MessageSet>().map(Carried::Set),
         }
+    }
+
+    /// The slots carried, ascending by source.
+    pub(crate) fn slots(self) -> &'a [Slot] {
+        match self {
+            Carried::Bare(slot) => std::slice::from_ref(slot),
+            Carried::Set(set) => set.slots(),
+        }
+    }
+}
+
+/// Send payloads grouped by what they carry: two sends get the same id
+/// exactly when both are bare messages of one slot or both are sets of
+/// one slot list. A send of a handle met before takes its id by the
+/// handle's address; sets that share a list are found by the list's
+/// address next; the integers decide the rest. A send whose payload
+/// carries no slot gets `u32::MAX`.
+pub struct ContentIds {
+    /// Id of each send's content, by send index (`u32::MAX` when
+    /// opaque).
+    pub of_send: Vec<u32>,
+    distinct: usize,
+}
+
+impl ContentIds {
+    /// Group the payloads of `sends`; ids count up in first-seen order.
+    pub fn new(sends: &[SendEvent]) -> ContentIds {
+        let mut by_handle: FastMap<usize, u32> = FastMap::default();
+        let mut by_list: FastMap<usize, u32> = FastMap::default();
+        let mut by_slots: FastMap<(bool, &[Slot]), u32> = FastMap::default();
+        let mut of_send = Vec::with_capacity(sends.len());
         for send in sends {
-            let id = ids.intern(&send.data);
-            ids.of_send.push(id);
+            let Some(carried) = Carried::of(&send.data) else {
+                of_send.push(NONE);
+                continue;
+            };
+            let handle = match carried {
+                Carried::Bare(slot) => slot as *const Slot as usize,
+                Carried::Set(set) => set as *const MessageSet as usize,
+            };
+            let next = by_slots.len() as u32;
+            let id = *by_handle.entry(handle).or_insert_with(|| match carried {
+                Carried::Bare(_) => *by_slots.entry((true, carried.slots())).or_insert(next),
+                Carried::Set(set) => *by_list
+                    .entry(set.list_id())
+                    .or_insert_with(|| *by_slots.entry((false, set.slots())).or_insert(next)),
+            });
+            of_send.push(id);
         }
-        ids
+        ContentIds {
+            of_send,
+            distinct: by_slots.len(),
+        }
     }
 
     /// Number of distinct contents.
     pub fn distinct(&self) -> usize {
-        self.firsts.len()
-    }
-
-    /// The id of `payload`'s content, if some interned payload has it.
-    pub fn find(&self, payload: &Payload) -> Option<u32> {
-        let id = self.table[self.probe(payload, fingerprint(payload))];
-        (id != NONE).then_some(id)
-    }
-
-    fn intern(&mut self, payload: &'a Payload) -> u32 {
-        let print = fingerprint(payload);
-        let at = self.probe(payload, print);
-        if self.table[at] == NONE {
-            self.table[at] = self.firsts.len() as u32;
-            self.firsts.push(payload);
-            self.prints.push(print);
-        }
-        self.table[at]
-    }
-
-    /// The table position holding `payload`'s id, or the empty one where
-    /// it belongs (the table is at most half full, so one exists).
-    fn probe(&self, payload: &Payload, print: u64) -> usize {
-        let mask = self.table.len() - 1;
-        let mut at = print as usize & mask;
-        loop {
-            let id = self.table[at];
-            if id == NONE
-                || (self.prints[id as usize] == print
-                    && same_content(self.firsts[id as usize], payload))
-            {
-                return at;
-            }
-            at = (at + 1) & mask;
-        }
+        self.distinct
     }
 }
 
-/// Whether two payloads hold the same bytes. Two message-set handles
-/// are compared entry by entry: the wire encoding is a function of the
-/// entries and parses back to them, so equal entries (sources and
-/// payload bytes) are exactly equal wire bytes. Two handles whose sets
-/// share one entry list (clones of one snapshot, or snapshots of one
-/// unchanged or adopted set) hold one immutable list read twice: the
-/// sets' `==` finds them equal without reading an entry, just as `==`
-/// skips a run whose two sides start at one address. Anything else is
-/// compared as bytes, which builds a handle's encoding if it meets one.
-fn same_content(a: &Payload, b: &Payload) -> bool {
-    match (a.value::<MessageSet>(), b.value::<MessageSet>()) {
-        (Some(x), Some(y)) => x == y,
-        _ => a == b,
+/// A hash map keyed by addresses and small integers: a multiply-fold
+/// hash instead of SipHash, whose flood resistance keys made by this
+/// process do not need.
+type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
+
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 29)
     }
 }
 
-/// A multiply-rotate hash of the whole content, independent of how the
-/// rope is segmented (bytes straddling a chunk boundary are carried
-/// into the next word). A message-set handle hashes its wire bytes as
-/// [`MessageSet::wire_chunks`] visits them, without building them, so
-/// it gets the print its encoding would get.
-fn fingerprint(payload: &Payload) -> u64 {
-    let mut print = Fingerprint::new(payload.len());
-    match payload.value::<MessageSet>() {
-        Some(set) => set.wire_chunks(|chunk| print.feed(chunk)),
-        None => payload.chunks().for_each(|chunk| print.feed(chunk)),
-    }
-    print.finish()
+/// The sources of one s-to-p instance, for attributing what a payload
+/// carries to them: bit `i` stands for `sources[i]`, whose message is
+/// `slots[i]`.
+pub(crate) struct SourceBits<'a> {
+    slots: &'a [Slot],
+    /// Bit of each source rank, by rank ([`NONE`] for a non-source).
+    bit_of: Vec<u32>,
 }
 
-struct Fingerprint {
-    h: u64,
-    carry: [u8; 8],
-    filled: usize,
-}
-
-impl Fingerprint {
-    const K: u64 = 0x9e37_79b9_7f4a_7c15;
-
-    fn mix(h: u64, word: u64) -> u64 {
-        (h ^ word).wrapping_mul(Self::K).rotate_left(29)
+impl<'a> SourceBits<'a> {
+    /// `slots` is the oracle: one slot per source, in the order of the
+    /// source list.
+    pub(crate) fn new(slots: &'a [Slot]) -> SourceBits<'a> {
+        let ranks = slots.iter().map(|slot| slot.src as usize + 1).max();
+        let mut bit_of = vec![NONE; ranks.unwrap_or(0)];
+        for (bit, slot) in slots.iter().enumerate() {
+            bit_of[slot.src as usize] = bit as u32;
+        }
+        SourceBits { slots, bit_of }
     }
 
-    fn new(len: usize) -> Fingerprint {
-        Fingerprint {
-            h: Self::mix(Self::K, len as u64),
-            carry: [0; 8],
-            filled: 0,
-        }
-    }
-
-    fn feed(&mut self, mut chunk: &[u8]) {
-        if self.filled > 0 {
-            let take = chunk.len().min(8 - self.filled);
-            self.carry[self.filled..self.filled + take].copy_from_slice(&chunk[..take]);
-            self.filled += take;
-            chunk = &chunk[take..];
-            if self.filled < 8 {
-                return;
-            }
-            self.h = Self::mix(self.h, u64::from_le_bytes(self.carry));
-        }
-        let mut words = chunk.chunks_exact(8);
-        for word in &mut words {
-            self.h = Self::mix(
-                self.h,
-                u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
-            );
-        }
-        let rest = words.remainder();
-        self.carry[..rest.len()].copy_from_slice(rest);
-        self.filled = rest.len();
-    }
-
-    fn finish(mut self) -> u64 {
-        if self.filled > 0 {
-            self.carry[self.filled..].fill(0);
-            self.h = Self::mix(self.h, u64::from_le_bytes(self.carry));
-        }
-        self.h ^ (self.h >> 32)
-    }
-}
-
-impl PayloadIds<'_> {
-    /// Whether content can name a source at all: two sources with
-    /// identical bytes (e.g. zero-length payloads) would make it a guess.
-    pub fn sources_distinct(&self) -> bool {
-        !self.ambiguous
-    }
-
-    /// Trace `payload` back to the sources whose messages it carries,
-    /// setting bit `i` of `out` for `sources[i]` (the list whose
-    /// reference payloads were interned). `false` means it could not be
-    /// attributed — not a source message and not a parseable
-    /// [`MessageSet`] of them — and leak checking is skipped rather than
-    /// guessed at.
-    ///
-    /// Attribution is by *content* first: the exact bytes of a source's
-    /// message identify it regardless of how `MessageSet` keys were
-    /// relabelled in transit — the repositioning algorithms deliberately
-    /// re-key messages to their *target* ranks while the bytes still
-    /// belong to the original source. Wire-encoded sets are recursed
-    /// into per entry; an empty entry (a zero-length source message)
-    /// falls back to its key when that is a real source.
-    pub fn attribute(&self, sources: &[usize], payload: &Payload, out: &mut [u64]) -> bool {
-        let source = |content: &Payload| {
-            self.find(content)
-                .filter(|&id| (id as usize) < self.sources)
-        };
-        let mut set = |bit: usize| set_bit(out, bit);
-        if self.ambiguous {
-            return false;
-        }
-        if let Some(id) = source(payload) {
-            set(id as usize);
-            return true;
-        }
-        let Some(entries) = MessageSet::view(payload) else {
+    /// Set the bit of every source whose message `payload` carries.
+    /// `false` means it could not be attributed — it carries no slot,
+    /// or a slot that is not a source's message (another rank, another
+    /// length) — and leak checking is skipped rather than guessed at.
+    pub(crate) fn attribute(&self, payload: &Payload, out: &mut [u64]) -> bool {
+        let Some(carried) = Carried::of(payload) else {
             return false;
         };
-        for (key, entry) in entries.iter() {
-            let by_content = source(entry).map(|id| id as usize);
-            let by_key = || sources.iter().position(|&s| s == key);
-            match by_content.or_else(|| entry.is_empty().then(by_key).flatten()) {
-                Some(bit) => set(bit),
-                None => return false,
+        for slot in carried.slots() {
+            match self.bit_of.get(slot.src as usize) {
+                Some(&bit) if bit != NONE && self.slots[bit as usize] == *slot => {
+                    set_bit(out, bit as usize)
+                }
+                _ => return false,
             }
         }
         true
     }
 }
 
-/// The reference payloads of `sources`, wrapped without touching the
-/// payload arena or its copy counters.
-pub(crate) fn source_payloads(
-    sources: &[usize],
-    payload_of: &dyn Fn(usize) -> Vec<u8>,
-) -> Vec<Payload> {
-    let wrap = |&s: &usize| Payload::from_arc(payload_of(s).into());
-    sources.iter().map(wrap).collect()
+/// The oracle's slots of `sources`: each source's message, generated
+/// once for its length.
+pub(crate) fn source_slots(sources: &[usize], payload_of: &dyn Fn(usize) -> Vec<u8>) -> Vec<Slot> {
+    let slot = |&s: &usize| Slot::new(s, payload_of(s).len());
+    sources.iter().map(slot).collect()
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use stp_core::msgset::payload_for;
+    use stp_core::msgset::{payload_for, source_message};
 
     /// A send with only the fields the indices look at.
-    pub(crate) fn send(seq: u64, src: usize, dst: usize, tag: u32, data: &[u8]) -> SendEvent {
+    pub(crate) fn send(
+        seq: u64,
+        src: usize,
+        dst: usize,
+        tag: u32,
+        data: impl Into<Payload>,
+    ) -> SendEvent {
         SendEvent {
             step: 0,
             seq,
             src,
             dst,
             tag,
-            data: Payload::from_slice(data),
+            data: data.into(),
             issue_ns: 0,
         }
     }
 
-    /// The sources a payload attributes to, `None` when opaque.
-    fn attribute(sources: &[usize], len: usize, data: &[u8]) -> Option<Vec<usize>> {
-        let refs = source_payloads(sources, &|src| payload_for(src, len));
-        let ids = PayloadIds::new(&refs, &[]);
+    /// The sources `payload` attributes to among `sources`, each with a
+    /// `len`-byte message; `None` when opaque.
+    fn attribute(sources: &[usize], len: usize, payload: &Payload) -> Option<Vec<usize>> {
+        let slots = source_slots(sources, &|src| payload_for(src, len));
         let mut bits = vec![0u64; sources.len().div_ceil(64)];
-        let known = ids.attribute(sources, &Payload::from_slice(data), &mut bits);
+        let known = SourceBits::new(&slots).attribute(payload, &mut bits);
         let mut ranks: Vec<usize> = (0..sources.len())
             .filter(|&bit| has_bit(&bits, bit))
             .map(|bit| sources[bit])
@@ -429,37 +369,34 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn attributes_raw_source_bytes() {
-        assert_eq!(attribute(&[2, 5], 64, &payload_for(5, 64)), Some(vec![5]));
-        assert_eq!(attribute(&[2, 5], 64, b"garbage"), None);
+    fn attributes_a_bare_message_by_its_slot_and_bytes_not_at_all() {
+        assert_eq!(
+            attribute(&[2, 5], 64, &source_message(5, 64)),
+            Some(vec![5])
+        );
+        // Another length, a rank that is no source, the bytes themselves.
+        assert_eq!(attribute(&[2, 5], 64, &source_message(5, 63)), None);
+        assert_eq!(attribute(&[2, 5], 64, &source_message(4, 64)), None);
+        let bytes = Payload::from_slice(&payload_for(5, 64));
+        assert_eq!(attribute(&[2, 5], 64, &bytes), None);
     }
 
     #[test]
-    fn attributes_message_set_entries_by_content() {
-        // Entries re-keyed to arbitrary ranks (what Repos/Part do) must
-        // still attribute to the original sources by content.
-        let mut set = MessageSet::new();
-        set.insert(7, &payload_for(1, 32));
-        set.insert(9, &payload_for(3, 32));
-        assert_eq!(attribute(&[3, 1], 32, &set.to_bytes()), Some(vec![1, 3]));
-    }
-
-    #[test]
-    fn unknown_entry_bytes_are_opaque() {
-        let mut set = MessageSet::new();
-        set.insert(1, b"not the real payload");
-        assert_eq!(attribute(&[1], 32, &set.to_bytes()), None);
-    }
-
-    #[test]
-    fn identical_source_payloads_disable_attribution() {
-        assert_eq!(attribute(&[0, 1], 0, &[]), None);
-        // One empty source message is still unambiguous, and its
-        // header-only entry attributes through the source key.
-        assert_eq!(attribute(&[4], 0, &[]), Some(vec![4]));
-        let mut set = MessageSet::new();
-        set.insert(4, &[]);
-        assert_eq!(attribute(&[4], 0, &set.to_bytes()), Some(vec![4]));
+    fn attributes_message_set_slots() {
+        let set = |slots: &[(usize, usize)]| -> Payload {
+            let set: MessageSet = slots.iter().map(|&(s, len)| Slot::new(s, len)).collect();
+            set.to_payload()
+        };
+        assert_eq!(
+            attribute(&[3, 1], 32, &set(&[(1, 32), (3, 32)])),
+            Some(vec![1, 3])
+        );
+        assert_eq!(attribute(&[3, 1], 32, &set(&[])), Some(vec![]));
+        assert_eq!(attribute(&[3, 1], 32, &set(&[(1, 32), (3, 31)])), None);
+        assert_eq!(attribute(&[3, 1], 32, &set(&[(1, 32), (7, 32)])), None);
+        // Zero-length messages are told apart by their sources.
+        assert_eq!(attribute(&[0, 1], 0, &set(&[(1, 0)])), Some(vec![1]));
+        assert_eq!(attribute(&[0, 1], 0, &source_message(0, 0)), Some(vec![0]));
     }
 
     #[test]
@@ -488,51 +425,28 @@ pub(crate) mod tests {
         assert_eq!(view(&[]).0, 0);
     }
 
-    /// Equal ids must mean equal bytes — decided by the bytes: a
-    /// fingerprint of the ends alone would merge these two.
-    #[test]
-    fn interning_compares_the_whole_content() {
-        let a = vec![7u8; 200];
-        let mut b = a.clone();
-        b[100] ^= 1;
-        let sends = [
-            send(1, 0, 1, 0, &a),
-            send(2, 0, 1, 0, &b),
-            send(3, 0, 1, 0, &a),
-        ];
-        let ids = PayloadIds::new(&[], &sends);
-        assert_eq!(ids.of_send, [0, 1, 0]);
-        assert_eq!(ids.distinct(), 2);
-        // The same bytes, segmented differently, are the same content.
-        let mut rope = Payload::from_slice(&a[..13]);
-        rope.append(Payload::from_slice(&a[13..]));
-        assert_eq!(ids.find(&rope), Some(0));
-        assert_eq!(ids.find(&Payload::from_slice(&a[1..])), None);
-    }
-
-    /// Message-set handles intern by their entries: snapshots whose sets
+    /// Handles group by the slots they carry: snapshots whose sets
     /// share one list (two snapshots of one unchanged set, and one of a
-    /// set that adopted it) get one id, and so do equal sets built
-    /// separately, through the entry-by-entry compare; a set one entry
-    /// short gets its own id, and the wire bytes find the handles' id.
+    /// set that adopted it) get one id, and so does an equal set built
+    /// separately, through its integers; a set one slot short gets its
+    /// own id, a bare message is not the one-slot set of its slot, and
+    /// bytes carry no slot.
     #[test]
-    fn message_set_handles_intern_by_entries() {
-        let build = |n: usize| {
-            (0..n).fold(MessageSet::new(), |mut set, src| {
-                set.insert(src, &payload_for(src, 40));
-                set
-            })
-        };
+    fn handles_group_by_the_slots_they_carry() {
+        let build = |n: usize| -> MessageSet { (0..n).map(|src| Slot::new(src, 40)).collect() };
         let set = build(5);
         let mut adopted = MessageSet::new();
         adopted.merge(&set);
-        let twin = build(5);
         let handles = [
             set.to_payload(),
             set.to_payload(),
             adopted.to_payload(),
-            twin.to_payload(),
+            build(5).to_payload(),
             build(4).to_payload(),
+            source_message(0, 40),
+            build(1).to_payload(),
+            source_message(0, 40),
+            Payload::from_slice(&set.to_bytes()),
         ];
         let sends: Vec<SendEvent> = handles
             .into_iter()
@@ -542,8 +456,8 @@ pub(crate) mod tests {
                 ..send(seq as u64, 0, 1, 0, b"")
             })
             .collect();
-        let ids = PayloadIds::new(&[], &sends);
-        assert_eq!(ids.of_send, [0, 0, 0, 0, 1]);
-        assert_eq!(ids.find(&Payload::from_slice(&set.to_bytes())), Some(0));
+        let ids = ContentIds::new(&sends);
+        assert_eq!(ids.of_send, [0, 0, 0, 0, 1, 2, 3, 2, NONE]);
+        assert_eq!(ids.distinct(), 4);
     }
 }

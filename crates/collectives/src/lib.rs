@@ -103,14 +103,15 @@ pub fn exchange_partner(p: usize, round: usize, rank: usize) -> (usize, usize) {
 /// in `sources` (ascending) send their payload to every other rank over
 /// `p-1` permutation rounds; everyone returns the received messages
 /// (their own payload included for sources), sorted by source, in a
-/// list allocated once for `sources.len()`.
+/// list allocated once for `sources.len()`. The payload is a shared
+/// handle: every round sends a clone of it, so no byte is copied.
 ///
 /// Non-sources "send null messages" in the paper's phrasing; here a null
 /// message is simply skipped, which is what a real implementation does.
 pub async fn personalized_from_sources(
     comm: &mut RankCtx,
     sources: &[usize],
-    my_payload: Option<&[u8]>,
+    my_payload: Option<&Payload>,
     tag: Tag,
 ) -> Vec<Envelope> {
     let p = comm.size();
@@ -118,11 +119,8 @@ pub async fn personalized_from_sources(
     let is_source = |rank| sources.binary_search(&rank).is_ok();
     assert_eq!(is_source(me), my_payload.is_some());
 
-    // Convert the payload to a shared rope once; every round's send then
-    // shares the same buffer instead of re-copying it.
-    let rope = my_payload.map(Payload::from_slice);
     let mut out = Vec::with_capacity(sources.len());
-    if let Some(pay) = &rope {
+    if let Some(pay) = my_payload {
         // The source's own payload, as an envelope that arrived now.
         out.push(Envelope {
             src: me,
@@ -134,7 +132,7 @@ pub async fn personalized_from_sources(
     }
     for round in 1..p {
         let (to, from) = exchange_partner(p, round, me);
-        if let Some(pay) = &rope {
+        if let Some(pay) = my_payload {
             comm.send_payload(to, tag, pay.clone());
         }
         if is_source(from) {
@@ -225,8 +223,8 @@ mod tests {
                 let sources = [0usize, 2, 3];
                 let mine = sources
                     .contains(&comm.rank())
-                    .then(|| vec![comm.rank() as u8; 16]);
-                personalized_from_sources(comm, &sources, mine.as_deref(), 50).await
+                    .then(|| Payload::from_slice(&[comm.rank() as u8; 16]));
+                personalized_from_sources(comm, &sources, mine.as_ref(), 50).await
             });
             for msgs in out {
                 assert_eq!(

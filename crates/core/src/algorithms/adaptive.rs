@@ -73,7 +73,7 @@ mod tests {
     use crate::algorithms::tests::{assert_delivers, simulate_on};
     use crate::algorithms::BrXySource;
     use crate::distribution::SourceDist;
-    use crate::msgset::payload_for;
+    use crate::msgset::{payload_for, source_message};
     use crate::runner::{try_run_sources_controlled, RunControl};
 
     fn adaptive() -> ReposAdaptive<BrXySource> {
@@ -132,11 +132,11 @@ mod tests {
                 let payload = sources
                     .binary_search(&comm.rank())
                     .is_ok()
-                    .then(|| payload_for(comm.rank(), 6144));
+                    .then(|| source_message(comm.rank(), 6144));
                 let ctx = StpCtx {
                     shape,
                     sources: &sources,
-                    payload: payload.as_deref(),
+                    payload: payload.as_ref(),
                 };
                 alg.run(comm, &ctx).await.len()
             });

@@ -64,7 +64,7 @@ impl StpAlgorithm for DissemAllGather {
         Box::pin(async move {
             let p = comm.size();
             let me = comm.rank();
-            let mut set = ctx.initial_set(me);
+            let mut set = ctx.initial_set();
 
             // Whether each rank holds anything yet — a pure function of the
             // source set, so both partners agree on whether a message flows
@@ -105,7 +105,7 @@ mod tests {
     use mpp_model::MeshShape;
 
     use crate::algorithms::tests::{assert_delivers, simulate_on};
-    use crate::msgset::payload_for;
+    use crate::msgset::source_message;
 
     #[test]
     fn power_of_two() {
@@ -145,11 +145,11 @@ mod tests {
         let copied = simulate_on(shape, async |comm| {
             let payload = sources
                 .contains(&comm.rank())
-                .then(|| payload_for(comm.rank(), 64));
+                .then(|| source_message(comm.rank(), 64));
             let ctx = StpCtx {
                 shape,
                 sources: &sources,
-                payload: payload.as_deref(),
+                payload: payload.as_ref(),
             };
             let _ = DissemAllGather::zero_copy().run(comm, &ctx).await;
         })

@@ -294,9 +294,12 @@ impl StpAlgorithm for KPortLin {
                 .collect();
             let my_lane = ctx.sources.binary_search(&me).ok().map(|i| i % k);
             let mut sets: Vec<MessageSet> = (0..k)
-                .map(|j| match ctx.payload {
-                    Some(pl) if my_lane == Some(j) => MessageSet::single(me, pl),
-                    _ => MessageSet::new(),
+                .map(|j| {
+                    if my_lane == Some(j) {
+                        ctx.initial_set()
+                    } else {
+                        MessageSet::new()
+                    }
                 })
                 .collect();
             kport_merge(comm, &lanes, &mut sets, tags::KPORT).await;
@@ -333,7 +336,7 @@ impl StpAlgorithm for KPortScatter {
             let leader = |j: usize| (root + j * p / k) % p;
 
             // Phase 1: direct gather at the root.
-            let mut full = ctx.initial_set(me);
+            let mut full = ctx.initial_set();
             if me == root {
                 for &src in ctx.sources.iter().filter(|&&r| r != root) {
                     recv_merge(comm, Some(src), tags::KPORT_SCATTER, &mut full).await;
@@ -353,13 +356,11 @@ impl StpAlgorithm for KPortScatter {
                     if !active(j) {
                         continue;
                     }
-                    let mut part = MessageSet::new();
-                    for (i, &src) in ctx.sources.iter().enumerate() {
-                        if i % k == j {
-                            let data = full.get(src).expect("gathered set is complete");
-                            part.insert_payload(src, data.clone());
-                        }
-                    }
+                    // The gathered set holds every source, in source
+                    // order: lane j takes every k-th slot from the j-th.
+                    debug_assert!(full.sources().eq(ctx.sources.iter().copied()));
+                    let part: MessageSet =
+                        full.slots().iter().skip(j).step_by(k).copied().collect();
                     if leader(j) != root {
                         batch.push((leader(j), tags::KPORT_SCATTER + 1, part.to_payload()));
                     }
@@ -422,7 +423,7 @@ impl StpAlgorithm for KPortAlltoall {
             let p = ctx.shape.p();
             let me = comm.rank();
             let k = lane_count(comm.ports(), p);
-            let own = ctx.initial_set(me);
+            let own = ctx.initial_set();
             if !own.is_empty() {
                 let snapshot = own.to_payload();
                 let dsts: Vec<usize> = (1..p).map(|d| (me + d) % p).collect();
@@ -442,20 +443,20 @@ impl StpAlgorithm for KPortAlltoall {
             }
             comm.next_iteration();
             // One source per receive, in source order: a plain list of
-            // s, made a set once at the end.
-            let mut entries = Vec::with_capacity(ctx.s());
+            // s slots, made a set once at the end.
+            let mut slots = Vec::with_capacity(ctx.s());
             for &src in ctx.sources {
                 if src == me {
-                    entries.extend(own.iter().map(|(src, data)| (src, data.clone())));
+                    slots.extend_from_slice(own.slots());
                     continue;
                 }
                 let msg = comm.recv(Some(src), Some(tags::KPORT_A2A)).await;
                 comm.charge_memcpy(msg.data.len());
                 let set = MessageSet::view(&msg.data).expect("malformed message set on the wire");
-                entries.extend(set.iter().map(|(src, data)| (src, data.clone())));
+                slots.extend_from_slice(set.slots());
             }
             comm.next_iteration();
-            entries.into_iter().collect()
+            slots.into_iter().collect()
         })
     }
 }

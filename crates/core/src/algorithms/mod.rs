@@ -29,9 +29,9 @@ pub mod pers_alltoall;
 pub mod two_step;
 
 use mpp_model::MeshShape;
-use mpp_runtime::{CommFuture, RankCtx, Tag};
+use mpp_runtime::{CommFuture, Payload, RankCtx, Tag};
 
-use crate::msgset::MessageSet;
+use crate::msgset::{MessageSet, Slot};
 
 pub use adaptive::ReposAdaptive;
 pub use br_lin::BrLin;
@@ -55,8 +55,12 @@ pub struct StpCtx<'a> {
     /// below `shape.p()`. The runner checks this once per run, where it
     /// builds the context; an algorithm relies on it without checking.
     pub sources: &'a [usize],
-    /// This rank's message — `Some` iff this rank is a source.
-    pub payload: Option<&'a [u8]>,
+    /// This rank's message — `Some` iff this rank is a source — as the
+    /// shared handle [`source_message`](crate::msgset::source_message)
+    /// builds: it carries the message's [`Slot`] and is charged exactly
+    /// its length, so sending it is a reference count and a receiver
+    /// reads the slot from it with [`Slot::of`].
+    pub payload: Option<&'a Payload>,
 }
 
 impl StpCtx<'_> {
@@ -70,11 +74,11 @@ impl StpCtx<'_> {
         self.sources.binary_search(&rank).is_ok()
     }
 
-    /// What `rank` holds before the broadcast: its own message when it
+    /// What a rank holds before the broadcast: its own message when it
     /// is a source, nothing otherwise.
-    pub fn initial_set(&self, rank: usize) -> MessageSet {
+    pub fn initial_set(&self) -> MessageSet {
         self.payload
-            .map_or_else(MessageSet::new, |p| MessageSet::single(rank, p))
+            .map_or_else(MessageSet::new, |message| slot_of(message).into())
     }
 }
 
@@ -126,12 +130,20 @@ pub(crate) mod tags {
     pub const NAIVE: Tag = 5_000;
 }
 
+/// The slot a bare source message carries.
+///
+/// # Panics
+/// On a payload that is not a [`source_message`](crate::msgset::source_message).
+pub(crate) fn slot_of(message: &Payload) -> Slot {
+    Slot::of(message).expect("a source message carries its slot")
+}
+
 /// Receive one message set from `from` (any sender when `None`) under
 /// `tag`, charge the combining copy for it, and merge it into `set`.
 ///
 /// The charge is *virtual* time: the model copies the received bytes
 /// into the merged buffer, while the host-side merge reads the sender's
-/// shared snapshot and clones the ropes of the sources it lacks.
+/// shared snapshot and copies the slots of the sources it lacks.
 pub(crate) async fn recv_merge(
     comm: &mut RankCtx,
     from: Option<usize>,
@@ -196,7 +208,7 @@ pub(crate) mod tests {
     use mpp_model::Machine;
     use mpp_runtime::{simulate, SimOutcome};
 
-    use crate::msgset::payload_for;
+    use crate::msgset::{payload_for, source_message};
 
     /// Run `program` on every rank of a `shape` Paragon.
     pub(crate) fn simulate_on<R>(
@@ -217,8 +229,8 @@ pub(crate) mod tests {
     }
 
     /// Run `alg` on a `shape` Paragon whose `sources` hold
-    /// `payload_for(src, len)`, and assert that every rank ends with
-    /// exactly those payloads, byte for byte.
+    /// `len`-byte messages, and assert that every rank ends with
+    /// exactly their slots.
     pub(crate) fn assert_delivers(
         alg: &dyn StpAlgorithm,
         shape: MeshShape,
@@ -228,28 +240,18 @@ pub(crate) mod tests {
         let sets = run_on(shape, async |comm| {
             let payload = sources
                 .contains(&comm.rank())
-                .then(|| payload_for(comm.rank(), len));
+                .then(|| source_message(comm.rank(), len));
             let ctx = StpCtx {
                 shape,
                 sources,
-                payload: payload.as_deref(),
+                payload: payload.as_ref(),
             };
             alg.run(comm, &ctx).await
         });
         let name = alg.name();
+        let want: Vec<Slot> = sources.iter().map(|&s| Slot::new(s, len)).collect();
         for (rank, set) in sets.iter().enumerate() {
-            assert_eq!(
-                set.sources().collect::<Vec<_>>(),
-                sources,
-                "{name} rank {rank}"
-            );
-            for &s in sources {
-                assert_eq!(
-                    set.get(s).unwrap(),
-                    payload_for(s, len),
-                    "{name} rank {rank} src {s}"
-                );
-            }
+            assert_eq!(set.slots(), want, "{name} rank {rank}");
         }
     }
 

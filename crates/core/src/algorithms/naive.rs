@@ -18,7 +18,7 @@
 
 use mpp_runtime::{CommFuture, Payload, RankCtx, Tag};
 
-use crate::algorithms::{tags, StpAlgorithm, StpCtx};
+use crate::algorithms::{slot_of, tags, StpAlgorithm, StpCtx};
 use crate::msgset::MessageSet;
 
 /// The uncoordinated independent-broadcasts baseline.
@@ -34,9 +34,9 @@ impl StpAlgorithm for NaiveIndependent {
         Box::pin(async move {
             let p = comm.size();
             let me = comm.rank();
-            // One entry per source tree, in source order: a plain list
+            // One slot per source tree, in source order: a plain list
             // of s, made a set once at the end.
-            let mut entries = Vec::with_capacity(ctx.s());
+            let mut slots = Vec::with_capacity(ctx.s());
 
             // For each source, everyone participates in that source's
             // broadcast tree: ranks are rotated so the source sits at
@@ -55,9 +55,7 @@ impl StpAlgorithm for NaiveIndependent {
                 let rank_at = |pos: usize| (pos + src) % p;
 
                 let mut payload: Option<Payload> = if me == src {
-                    Some(Payload::from_slice(
-                        ctx.payload.expect("source must hold a payload"),
-                    ))
+                    Some(ctx.payload.expect("source must hold a payload").clone())
                 } else {
                     None
                 };
@@ -66,7 +64,7 @@ impl StpAlgorithm for NaiveIndependent {
                 while hi - lo > 1 {
                     let mid = lo + (hi - lo).div_ceil(2);
                     if my_pos == lo {
-                        // Forward the shared rope — no byte copies per hop.
+                        // Forward the shared handle — a reference count per hop.
                         let buf = payload.clone().expect("tree holder must have data");
                         comm.send_payload(rank_at(mid), tag, buf);
                         hi = mid;
@@ -80,13 +78,11 @@ impl StpAlgorithm for NaiveIndependent {
                         lo = mid;
                     }
                 }
-                entries.push((
-                    src,
-                    payload.expect("broadcast tree did not reach this rank"),
-                ));
+                let message = payload.expect("broadcast tree did not reach this rank");
+                slots.push(slot_of(&message));
             }
             comm.next_iteration();
-            entries.into_iter().collect()
+            slots.into_iter().collect()
         })
     }
 }
@@ -97,7 +93,7 @@ mod tests {
     use mpp_model::MeshShape;
 
     use crate::algorithms::tests::{assert_delivers, simulate_on};
-    use crate::msgset::payload_for;
+    use crate::msgset::source_message;
 
     #[test]
     fn basic() {
@@ -134,11 +130,11 @@ mod tests {
             let ops = simulate_on(shape, async |comm| {
                 let payload = sources
                     .contains(&comm.rank())
-                    .then(|| payload_for(comm.rank(), 16));
+                    .then(|| source_message(comm.rank(), 16));
                 let ctx = StpCtx {
                     shape,
                     sources: &sources,
-                    payload: payload.as_deref(),
+                    payload: payload.as_ref(),
                 };
                 let _ = NaiveIndependent.run(comm, &ctx).await;
             })

@@ -22,7 +22,7 @@
 use mpp_model::MeshShape;
 use mpp_runtime::{CommFuture, RankCtx, Tag};
 
-use crate::algorithms::{recv_merge, tags, StpAlgorithm, StpCtx};
+use crate::algorithms::{recv_merge, slot_of, tags, StpAlgorithm, StpCtx};
 use crate::msgset::MessageSet;
 
 /// A rectangle of the mesh that a merge base broadcasts in: `shape`
@@ -120,7 +120,7 @@ pub(crate) fn run_whole<'a, A: MergeBase>(
     ctx: &'a StpCtx<'a>,
 ) -> CommFuture<'a, MessageSet> {
     Box::pin(async move {
-        let mut set = ctx.initial_set(comm.rank());
+        let mut set = ctx.initial_set();
         let plan = XyPlan::identity(ctx.shape);
         base.run_on_plan(comm, &plan, ctx.sources, &mut set).await;
         set
@@ -220,19 +220,19 @@ impl<A: MergeBase> StpAlgorithm for Part<A> {
 
             // Phase 0: the partial permutation. Sends go out first (they
             // are asynchronous), then the receive — a rank can be both a
-            // vacating source and a new target. A moved message keeps its
-            // source's key, so nothing is relabelled afterwards, and it
-            // stays the rope it arrived as.
+            // vacating source and a new target. A moved message travels
+            // bare and keeps its source's slot, so nothing is relabelled
+            // afterwards.
             let leaving = moves.iter().find(|&&(from, _)| from == me);
-            if let (Some(payload), Some(&(_, to))) = (ctx.payload, leaving) {
-                comm.send(to, tags::REPOS, payload);
+            if let (Some(message), Some(&(_, to))) = (ctx.payload, leaving) {
+                comm.send_payload(to, tags::REPOS, message.clone());
             }
             let mut set = match moves.iter().find(|&&(_, to)| to == me) {
                 Some(&(from, _)) => {
                     let moved = comm.recv(Some(from), Some(tags::REPOS)).await.data;
-                    MessageSet::single_payload(from, moved)
+                    slot_of(&moved).into()
                 }
-                None if leaving.is_none() => ctx.initial_set(me),
+                None if leaving.is_none() => ctx.initial_set(),
                 None => MessageSet::new(),
             };
             comm.next_iteration();

@@ -13,7 +13,7 @@
 use collectives::personalized_from_sources;
 use mpp_runtime::{CommFuture, RankCtx};
 
-use crate::algorithms::{tags, StpAlgorithm, StpCtx};
+use crate::algorithms::{slot_of, tags, StpAlgorithm, StpCtx};
 use crate::msgset::MessageSet;
 
 /// Algorithm `PersAlltoAll`.
@@ -28,11 +28,11 @@ impl StpAlgorithm for PersAlltoAll {
     fn run<'a>(&'a self, comm: &'a mut RankCtx, ctx: &'a StpCtx<'a>) -> CommFuture<'a, MessageSet> {
         Box::pin(async move {
             // The exchange returns the messages sorted by source: one
-            // list of exactly s entries.
+            // list of exactly s slots, each read from its message.
             personalized_from_sources(comm, ctx.sources, ctx.payload, tags::PERS)
                 .await
-                .into_iter()
-                .map(|m| (m.src, m.data))
+                .iter()
+                .map(|m| slot_of(&m.data))
                 .collect()
         })
     }
@@ -44,7 +44,7 @@ mod tests {
     use mpp_model::MeshShape;
 
     use crate::algorithms::tests::{assert_delivers, simulate_on};
-    use crate::msgset::payload_for;
+    use crate::msgset::source_message;
 
     #[test]
     fn power_of_two_machine_uses_xor_schedule() {
@@ -73,11 +73,11 @@ mod tests {
         let copied = simulate_on(shape, async |comm| {
             let payload = sources
                 .contains(&comm.rank())
-                .then(|| payload_for(comm.rank(), 64));
+                .then(|| source_message(comm.rank(), 64));
             let ctx = StpCtx {
                 shape,
                 sources: &sources,
-                payload: payload.as_deref(),
+                payload: payload.as_ref(),
             };
             let _ = PersAlltoAll.run(comm, &ctx).await;
         })

@@ -22,7 +22,7 @@
 use collectives::bcast_from_first;
 use mpp_runtime::{CommFuture, RankCtx, Tag};
 
-use crate::algorithms::{recv_merge, tags, StpAlgorithm, StpCtx};
+use crate::algorithms::{recv_merge, slot_of, tags, StpAlgorithm, StpCtx};
 use crate::msgset::MessageSet;
 
 /// Algorithm `2-Step`.
@@ -61,11 +61,11 @@ impl TwoStep {
             // for all of them, allocated once.
             let mut room = MessageSet::with_capacity(ctx.s());
             if let Some(own) = ctx.payload {
-                room.insert(me, own);
+                room.insert_slot(slot_of(own));
             }
             room
         } else {
-            ctx.initial_set(me)
+            ctx.initial_set()
         };
         if !self.tree_gather {
             // Direct gather: sources fire at the root; the root absorbs.
@@ -171,7 +171,7 @@ mod tests {
     use mpp_model::MeshShape;
 
     use crate::algorithms::tests::{assert_delivers, simulate_on};
-    use crate::msgset::payload_for;
+    use crate::msgset::{payload_for, source_message};
 
     #[test]
     fn direct_basic() {
@@ -261,11 +261,11 @@ mod tests {
         let sends = simulate_on(shape, async |comm| {
             let payload = sources
                 .contains(&comm.rank())
-                .then(|| payload_for(comm.rank(), 8));
+                .then(|| source_message(comm.rank(), 8));
             let ctx = StpCtx {
                 shape,
                 sources: &sources,
-                payload: payload.as_deref(),
+                payload: payload.as_ref(),
             };
             let _ = TwoStep::tree().run(comm, &ctx).await;
         })

@@ -65,7 +65,7 @@ pub mod prelude {
     };
     pub use crate::distribution::SourceDist;
     pub use crate::metrics::Figure2Row;
-    pub use crate::msgset::{payload_for, MessageSet};
+    pub use crate::msgset::{payload_for, source_message, MessageSet, Slot};
     pub use crate::predict::{estimate_ms, estimate_ns};
     pub use crate::quality::placement_quality;
     pub use crate::runner::{AlgoKind, Experiment, Outcome, RunControl, SweepRunner};

@@ -3,30 +3,42 @@
 //! The merge-based algorithms of the paper combine messages whenever
 //! messages from different sources meet at a processor: "subsequent steps
 //! proceed with fewer messages having larger size". A [`MessageSet`] is
-//! that combined object — a set of `(source rank, payload)` pairs with a
-//! compact wire format, so the simulator charges realistic sizes
-//! (payloads + per-entry headers) for combined messages.
+//! that combined object — which source messages a rank holds, as a
+//! sorted list of [`Slot`]s `(source rank, message length)` — charged
+//! the length of its wire format (payloads + per-entry headers), so
+//! the simulator sees realistic sizes for combined messages.
 //!
-//! A set's entries are one immutable list behind an `Arc`, shared
-//! copy-on-write: a clone is one reference count. Inside the simulator a
-//! set travels by handle, not as bytes: [`MessageSet::to_payload`]
-//! snapshots the set into a shared [`Payload`] value charged exactly its
-//! wire length, every destination gets an `Arc` clone of it, and the
-//! receiver reads the set back through [`MessageSet::view`] without
-//! parsing. [`MessageSet::merge`] then adopts the sender's list when it
-//! holds nothing (and has no room reserved), touches nothing when
-//! nothing is new, builds the union once at its final size when a
-//! snapshot still shares the held list, and merges in place when the
-//! list is its own. Entry payloads are shared ropes, so a snapshot and a
-//! merge move pointers, never payload bytes. (The *virtual-time* cost of
-//! combining is still charged explicitly by the algorithms through
-//! `charge_memcpy` — the handle only removes the host-side encode and
-//! parse.)
+//! A set holds no message bytes because they carry nothing: every
+//! source message is [`payload_for`]`(src, len)`, a pure function of the
+//! slot, and the fault model drops, delays, cuts and crashes but never
+//! corrupts. Delivery is therefore membership: a rank holds the right
+//! messages exactly when its slot list is the sources' list.
 //!
-//! The codec stays for bytes built by hand — fixtures and tests:
-//! [`MessageSet::to_bytes`] writes the format and
-//! [`MessageSet::from_bytes`] / [`MessageSet::from_payload`] parse it
-//! totally. Wire format (little-endian):
+//! The list is one immutable vector behind an `Arc`, shared
+//! copy-on-write: a clone is one reference count, and unions,
+//! snapshots and drops touch plain integers. Inside the simulator a set
+//! travels by handle: [`MessageSet::to_payload`] snapshots it into a
+//! shared [`Payload`] value charged exactly its wire length, every
+//! destination gets an `Arc` clone of it, and the receiver reads the set
+//! back through [`MessageSet::view`] without parsing.
+//! [`MessageSet::merge`] then adopts the sender's list when it holds
+//! nothing (and has no room reserved), touches nothing when nothing is
+//! new, builds the union once at its final size when a snapshot still
+//! shares the held list, and merges in place when the list is its own.
+//! (The *virtual-time* cost of combining is still charged explicitly by
+//! the algorithms through `charge_memcpy`.)
+//!
+//! A source's own message, sent before anything is combined with it,
+//! travels bare: [`source_message`] shares its [`Slot`] as a payload of
+//! exactly its length, and the receiver reads the slot back with
+//! [`Slot::of`] — from the message it got, never from the envelope's
+//! sender, so a forwarded message keeps its source.
+//!
+//! Bytes exist only where something reads them: a handle's byte
+//! accessors build its encoding on first use, [`MessageSet::to_bytes`]
+//! writes it, and [`MessageSet::from_bytes`] /
+//! [`MessageSet::from_payload`] parse it totally (the bytes behind the
+//! header are counted, not read). Wire format (little-endian):
 //!
 //! ```text
 //! u32 count | count × (u32 src, u32 len) | payloads back-to-back
@@ -37,14 +49,60 @@ use std::sync::Arc;
 
 use mpp_sim::{Payload, WireValue};
 
+/// One source message as a set holds it: the source rank and the
+/// message's length. The bytes are [`payload_for`]`(src, len)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub struct Slot {
+    /// The source rank.
+    pub src: u32,
+    /// The message length, bytes.
+    pub len: u32,
+}
+
+impl Slot {
+    /// The slot of source `src`'s `len`-byte message.
+    pub fn new(src: usize, len: usize) -> Slot {
+        let narrow = |n: usize| u32::try_from(n).expect("slot field exceeds the wire's u32");
+        Slot {
+            src: narrow(src),
+            len: narrow(len),
+        }
+    }
+
+    /// The slot a [`source_message`] handle carries; `None` for any
+    /// other payload. Reads the handle in place: no allocation.
+    pub fn of(message: &Payload) -> Option<Slot> {
+        message.value::<Slot>().copied()
+    }
+}
+
+/// A bare source message travels as its slot, charged the message's
+/// length; its bytes are built only if something reads them.
+impl WireValue for Slot {
+    fn wire_len(&self) -> usize {
+        self.len as usize
+    }
+
+    fn encode(&self) -> Payload {
+        Payload::from_vec(payload_for(self.src as usize, self.len as usize))
+    }
+}
+
+/// Source `src`'s `len`-byte message as a shared handle: one
+/// allocation here, a reference count per send, and [`Slot::of`] reads
+/// the slot back.
+pub fn source_message(src: usize, len: usize) -> Payload {
+    Payload::from_value(Slot::new(src, len))
+}
+
 /// A set of broadcast messages keyed by source rank (sorted, unique).
 ///
-/// The entry list is shared copy-on-write, so `clone` is one reference
+/// The slot list is shared copy-on-write, so `clone` is one reference
 /// count. `==` compares the lists, and `Arc`'s `==` finds two sets that
 /// share one list equal without reading it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MessageSet {
-    entries: Arc<Vec<(u32, Payload)>>,
+    slots: Arc<Vec<Slot>>,
 }
 
 impl MessageSet {
@@ -53,222 +111,181 @@ impl MessageSet {
         Self::with_capacity(0)
     }
 
-    /// The empty set with room for `sources` entries, for a rank that
-    /// collects many sources one message at a time: merges and inserts
-    /// fill the room in place instead of adopting or regrowing a list.
+    /// The empty set with room for `sources` slots, for a rank that
+    /// collects many sources one message at a time: merges fill the
+    /// room in place instead of adopting or regrowing a list.
     pub fn with_capacity(sources: usize) -> Self {
         MessageSet {
-            entries: Arc::new(Vec::with_capacity(sources)),
+            slots: Arc::new(Vec::with_capacity(sources)),
         }
     }
 
-    /// A set holding a single source's payload (copies the slice once).
+    /// A set holding source `src`'s message of `payload.len()` bytes
+    /// (the bytes themselves are not kept).
     pub fn single(src: usize, payload: &[u8]) -> Self {
-        Self::single_payload(src, Payload::from_slice(payload))
-    }
-
-    /// A set holding a single source's already-shared payload (no copy).
-    pub fn single_payload(src: usize, payload: Payload) -> Self {
-        MessageSet {
-            entries: Arc::new(vec![(src as u32, payload)]),
-        }
+        Slot::new(src, payload.len()).into()
     }
 
     /// Number of distinct sources held.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// True when no messages are held.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// Source ranks held, ascending.
     pub fn sources(&self) -> impl Iterator<Item = usize> + '_ {
-        self.entries.iter().map(|&(s, _)| s as usize)
+        self.slots.iter().map(|slot| slot.src as usize)
     }
 
-    /// Payload of a given source, if held.
-    pub fn get(&self, src: usize) -> Option<&Payload> {
-        self.entries
-            .binary_search_by_key(&(src as u32), |&(s, _)| s)
-            .ok()
-            .map(|i| &self.entries[i].1)
-    }
-
-    /// Payload of the `i`-th source held, in ascending source order
-    /// (panics when `i ≥ len()`).
-    pub(crate) fn payload_at(&self, i: usize) -> &Payload {
-        &self.entries[i].1
+    /// The slots held, ascending by source.
+    pub fn slots(&self) -> &[Slot] {
+        &self.slots
     }
 
     /// Total payload bytes (excluding headers).
     pub fn payload_bytes(&self) -> usize {
-        self.entries.iter().map(|(_, d)| d.len()).sum()
+        self.slots.iter().map(|slot| slot.len as usize).sum()
     }
 
     /// Bytes of the wire encoding.
     pub fn wire_bytes(&self) -> usize {
-        self.header_len() + self.payload_bytes()
+        4 + self.slots.len() * 8 + self.payload_bytes()
     }
 
     /// Merge another set, owned or borrowed, into this one. Sources
-    /// already present keep their existing payload (in s-to-p
-    /// broadcasting duplicate arrivals always carry identical payloads).
-    /// Returns the number of *new* payload bytes absorbed. Never copies
-    /// a payload byte, and copies entries only where the list must
+    /// already present keep their slot (in s-to-p broadcasting
+    /// duplicate arrivals are one message). Returns the number of *new*
+    /// payload bytes absorbed. Copies slots only where the list must
     /// change:
     ///
     /// * a set that holds nothing and has no room reserved for the
-    ///   other's entries adopts the other's list (one reference count);
+    ///   other's slots adopts the other's list (one reference count);
     /// * a merge that adds no source touches nothing;
     /// * a held list that a snapshot or another set still shares is
     ///   left to them: the union is built once, at its final size;
-    /// * a list held alone is merged in place: the held entries above
-    ///   the lowest new source each move once, the rest stay, and the
+    /// * a list held alone is merged in place: the held slots above the
+    ///   lowest new source each move once, the rest stay, and the
     ///   vector grows only when its spare capacity does not cover the
     ///   new sources.
     pub fn merge(&mut self, other: impl Borrow<MessageSet>) -> usize {
         let other = other.borrow();
-        let incoming = &other.entries;
-        let Some(&(lowest, _)) = incoming.first() else {
+        let incoming = &other.slots;
+        let Some(lowest) = incoming.first().map(|slot| slot.src) else {
             return 0;
         };
-        if self.entries.capacity() < incoming.len() && self.is_empty() {
-            self.entries = Arc::clone(incoming);
+        if self.slots.capacity() < incoming.len() && self.is_empty() {
+            self.slots = Arc::clone(incoming);
             return other.payload_bytes();
         }
-        if Arc::ptr_eq(&self.entries, incoming) {
+        if Arc::ptr_eq(&self.slots, incoming) {
             return 0;
         }
         // Count the sources that are new: one walk over the two sorted
         // runs, begun where the incoming one begins.
-        let held = &self.entries;
-        let mut at = held.partition_point(|&(s, _)| s < lowest);
+        let held = &self.slots;
+        let mut at = held.partition_point(|slot| slot.src < lowest);
         let mut fresh = 0;
-        for &(src, _) in incoming.iter() {
-            while at < held.len() && held[at].0 < src {
+        for new in incoming.iter() {
+            while at < held.len() && held[at].src < new.src {
                 at += 1;
             }
-            if held.get(at).is_none_or(|&(s, _)| s != src) {
+            if held.get(at).is_none_or(|slot| slot.src != new.src) {
                 fresh += 1;
             }
         }
         if fresh == 0 {
             return 0;
         }
-        let Some(held) = Arc::get_mut(&mut self.entries) else {
-            let (union, absorbed) = union(&self.entries, incoming, fresh);
-            self.entries = Arc::new(union);
+        let Some(held) = Arc::get_mut(&mut self.slots) else {
+            let (union, absorbed) = union(&self.slots, incoming, fresh);
+            self.slots = Arc::new(union);
             return absorbed;
         };
-        // Open `fresh` slots at the end and merge from the back: `i`
-        // ends the held entries still to place, `gap` the free slots.
+        // Open `fresh` places at the end and merge from the back: `i`
+        // ends the held slots still to place, `gap` the free places.
         let mut i = held.len();
-        held.resize_with(i + fresh, Default::default);
+        held.resize(i + fresh, Slot::default());
         let mut gap = held.len();
         let mut absorbed = 0;
-        for &(src, ref data) in incoming.iter().rev() {
+        for &new in incoming.iter().rev() {
             if gap == i {
                 break; // every new source is placed; the rest are duplicates
             }
-            while i > 0 && held[i - 1].0 > src {
+            while i > 0 && held[i - 1].src > new.src {
                 i -= 1;
                 gap -= 1;
-                held.swap(i, gap);
+                held[gap] = held[i];
             }
-            if i == 0 || held[i - 1].0 != src {
+            if i == 0 || held[i - 1].src != new.src {
                 gap -= 1;
-                absorbed += data.len();
-                held[gap] = (src, data.clone());
+                absorbed += new.len as usize;
+                held[gap] = new;
             }
         }
         absorbed
     }
 
-    /// Insert one source's payload (no-op if present). Keeps ordering.
-    /// Copies the slice once; see [`insert_payload`](Self::insert_payload)
-    /// for the zero-copy variant.
+    /// Insert source `src`'s message of `payload.len()` bytes (no-op if
+    /// the source is present; the bytes are not kept). Keeps ordering.
     pub fn insert(&mut self, src: usize, payload: &[u8]) {
-        if self
-            .entries
-            .binary_search_by_key(&(src as u32), |&(s, _)| s)
-            .is_err()
-        {
-            self.insert_payload(src, Payload::from_slice(payload));
+        self.insert_slot(Slot::new(src, payload.len()));
+    }
+
+    /// Insert one slot (no-op if its source is present). Keeps
+    /// ordering, and fills spare room in place.
+    pub fn insert_slot(&mut self, slot: Slot) {
+        if let Err(pos) = self.slots.binary_search_by_key(&slot.src, |held| held.src) {
+            Arc::make_mut(&mut self.slots).insert(pos, slot);
         }
     }
 
-    /// Insert one source's already-shared payload (no-op if present,
-    /// no byte copies). Keeps ordering.
-    pub fn insert_payload(&mut self, src: usize, payload: Payload) {
-        if let Err(pos) = self
-            .entries
-            .binary_search_by_key(&(src as u32), |&(s, _)| s)
-        {
-            Arc::make_mut(&mut self.entries).insert(pos, (src as u32, payload));
-        }
-    }
-
-    /// Whether the two sets share one entry list, so hold equal entries
+    /// Whether the two sets share one slot list, so hold equal slots
     /// without reading them.
-    pub(crate) fn shares_entries(&self, other: &MessageSet) -> bool {
-        Arc::ptr_eq(&self.entries, &other.entries)
+    pub(crate) fn shares_slots(&self, other: &MessageSet) -> bool {
+        Arc::ptr_eq(&self.slots, &other.slots)
     }
 
-    /// Serialize to the wire format as an owned, contiguous buffer
-    /// (copies every payload byte): the codec for bytes built by hand.
-    /// The algorithms send [`to_payload`](Self::to_payload) handles.
+    /// An identity of the shared slot list: two sets give the same
+    /// value exactly when they share one list (while it is alive).
+    pub fn list_id(&self) -> usize {
+        Arc::as_ptr(&self.slots) as usize
+    }
+
+    /// Serialize to the wire format as an owned, contiguous buffer:
+    /// the header, then each source's [`payload_for`] bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_bytes());
-        self.wire_chunks(|chunk| out.extend_from_slice(chunk));
+        out.extend_from_slice(&(self.slots.len() as u32).to_le_bytes());
+        for slot in self.slots.iter() {
+            out.extend_from_slice(&slot.src.to_le_bytes());
+            out.extend_from_slice(&slot.len.to_le_bytes());
+        }
+        for slot in self.slots.iter() {
+            out.extend(payload_for(slot.src as usize, slot.len as usize));
+        }
         out
     }
 
-    /// Visit the wire encoding in order as chunks, without building it:
-    /// the header (count, then each entry's `(src, len)` field) in
-    /// pieces of at most 256 bytes, then the payloads' own chunks.
-    pub fn wire_chunks(&self, mut visit: impl FnMut(&[u8])) {
-        let mut header = [0u8; 256];
-        header[..4].copy_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        let mut at = 4;
-        for (src, data) in self.entries.iter() {
-            if at + 8 > header.len() {
-                visit(&header[..at]);
-                at = 0;
-            }
-            header[at..at + 4].copy_from_slice(&src.to_le_bytes());
-            header[at + 4..at + 8].copy_from_slice(&(data.len() as u32).to_le_bytes());
-            at += 8;
-        }
-        visit(&header[..at]);
-        for (_, data) in self.entries.iter() {
-            data.chunks().for_each(&mut visit);
-        }
-    }
-
     /// A snapshot of the set as a payload of its wire length, never
-    /// encoded (see [`Payload::from_value`]): one reference to the entry
+    /// encoded (see [`Payload::from_value`]): one reference to the slot
     /// list, shared by every destination it is sent to. A later merge
     /// into this set leaves the snapshot's list as it was.
     pub fn to_payload(&self) -> Payload {
         Payload::from_value(self.clone())
     }
 
-    fn header_len(&self) -> usize {
-        4 + self.entries.len() * 8
-    }
-
     /// Parse the wire format from a contiguous buffer. Returns `None`
-    /// on malformed input. The input is copied once into shared storage;
-    /// entry payloads then reference it without further copies.
+    /// on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        Self::from_payload(&Payload::from_slice(bytes))
+        Self::parse(&Payload::from_slice(bytes))
     }
 
-    /// The set a payload carries: an owned copy of
-    /// [`view`](Self::view)'s (entry ropes are shared, not copied).
+    /// The set a payload carries: a clone of [`view`](Self::view)'s
+    /// (one reference count for a handle).
     pub fn from_payload(wire: &Payload) -> Option<Self> {
         Self::view(wire).map(Cow::into_owned)
     }
@@ -283,10 +300,9 @@ impl MessageSet {
         }
     }
 
-    /// Parse the wire format from a rope without copying any payload
-    /// bytes: the `8·n` entry fields are copied out once; each entry
-    /// payload is a zero-copy slice of `wire`. Returns `None` on
-    /// malformed input.
+    /// Parse the wire format: the `8·n` header fields are copied out
+    /// once and the payload bytes behind them are counted against the
+    /// lengths, not read. Returns `None` on malformed input.
     fn parse(wire: &Payload) -> Option<Self> {
         let mut r = wire.reader();
         let count = r.read_u32_le()? as usize;
@@ -296,93 +312,75 @@ impl MessageSet {
         if count > r.remaining() / 8 {
             return None;
         }
-        let header_len = 4 + count * 8;
         // The bytes are there: checked above.
         let mut fields = vec![0; count * 8];
         r.read_exact(&mut fields);
-        // A second cursor, past the header, slices the payloads.
-        let mut body = wire.reader();
-        body.skip(header_len);
-        let mut entries = Vec::with_capacity(count);
-        let mut last_src: Option<u32> = None;
+        let mut slots: Vec<Slot> = Vec::with_capacity(count);
         for field in fields.chunks_exact(8) {
-            let src = u32::from_le_bytes(field[..4].try_into().unwrap());
-            let len = u32::from_le_bytes(field[4..].try_into().unwrap()) as usize;
+            let word =
+                |at: usize| u32::from_le_bytes(field[at..at + 4].try_into().expect("8-byte field"));
+            let slot = Slot {
+                src: word(0),
+                len: word(4),
+            };
             // Enforce the invariant: sorted, unique.
-            if last_src.is_some_and(|prev| prev >= src) {
+            if slots.last().is_some_and(|prev| prev.src >= slot.src) {
                 return None;
             }
-            last_src = Some(src);
-            entries.push((src, body.take_payload(len)?));
+            slots.push(slot);
         }
-        if body.remaining() != 0 {
-            return None;
-        }
-        Some(MessageSet {
-            entries: Arc::new(entries),
+        let body: u64 = slots.iter().map(|slot| u64::from(slot.len)).sum();
+        (body == r.remaining() as u64).then(|| MessageSet {
+            slots: Arc::new(slots),
         })
-    }
-
-    /// The `(source, payload)` entries, ascending by source.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &Payload)> {
-        self.entries.iter().map(|(src, data)| (*src as usize, data))
-    }
-
-    /// Consume into the sorted `(src, payload)` list (a copy of the
-    /// list when another set still shares it).
-    pub fn into_entries(self) -> Vec<(u32, Payload)> {
-        Arc::unwrap_or_clone(self.entries)
     }
 }
 
-/// The sorted union of two sorted entry lists, `fresh` of whose sources
+impl From<Slot> for MessageSet {
+    fn from(slot: Slot) -> Self {
+        MessageSet {
+            slots: Arc::new(vec![slot]),
+        }
+    }
+}
+
+/// The sorted union of two sorted slot lists, `fresh` of whose sources
 /// are `incoming`'s alone, built at its final size; a source both hold
-/// keeps `held`'s payload. Also returns the new sources' payload bytes.
-fn union(
-    held: &[(u32, Payload)],
-    incoming: &[(u32, Payload)],
-    fresh: usize,
-) -> (Vec<(u32, Payload)>, usize) {
+/// keeps `held`'s slot. Also returns the new sources' payload bytes.
+fn union(held: &[Slot], incoming: &[Slot], fresh: usize) -> (Vec<Slot>, usize) {
     let mut out = Vec::with_capacity(held.len() + fresh);
     let mut absorbed = 0;
     let mut theirs = incoming.iter().peekable();
-    for mine in held {
-        while let Some(new) = theirs.next_if(|&&(src, _)| src < mine.0) {
-            absorbed += new.1.len();
-            out.push(new.clone());
+    for &mine in held {
+        while let Some(&new) = theirs.next_if(|new| new.src < mine.src) {
+            absorbed += new.len as usize;
+            out.push(new);
         }
-        theirs.next_if(|&&(src, _)| src == mine.0);
-        out.push(mine.clone());
+        theirs.next_if(|new| new.src == mine.src);
+        out.push(mine);
     }
-    for new in theirs {
-        absorbed += new.1.len();
-        out.push(new.clone());
+    for &new in theirs {
+        absorbed += new.len as usize;
+        out.push(new);
     }
     (out, absorbed)
 }
 
-/// A set from `(source, payload)` pairs in any order; the first pair of
-/// a repeated source wins, as in [`MessageSet::merge`]. Pairs that
-/// arrive sorted by source — an exchange's receives, or a rank that
-/// collects one source per receive — are collected into one list and
-/// checked, with no insert per entry.
-impl FromIterator<(usize, Payload)> for MessageSet {
-    fn from_iter<I: IntoIterator<Item = (usize, Payload)>>(pairs: I) -> Self {
-        let mut entries: Vec<(u32, Payload)> = pairs
-            .into_iter()
-            .map(|(src, data)| (src as u32, data))
-            .collect();
+/// A set from slots in any order; the first slot of a repeated source
+/// wins, as in [`MessageSet::merge`]. Slots that arrive sorted by
+/// source — an exchange's receives, or a rank that collects one source
+/// per receive — are collected into one list and checked, with no
+/// insert per slot.
+impl FromIterator<Slot> for MessageSet {
+    fn from_iter<I: IntoIterator<Item = Slot>>(slots: I) -> Self {
+        let mut slots: Vec<Slot> = slots.into_iter().collect();
         // A stable sort takes a scratch buffer the size of the list.
-        if !entries.is_sorted_by_key(|&(src, _)| src) {
-            entries.sort_by_key(|&(src, _)| src);
+        if !slots.is_sorted_by_key(|slot| slot.src) {
+            slots.sort_by_key(|slot| slot.src);
         }
-        entries.dedup_by_key(|&mut (src, _)| src);
-        // Collecting from a `Vec` of larger items (an exchange's
-        // envelopes) reuses their allocation: give back what the entries
-        // do not fill.
-        entries.shrink_to_fit();
+        slots.dedup_by_key(|slot| slot.src);
         MessageSet {
-            entries: Arc::new(entries),
+            slots: Arc::new(slots),
         }
     }
 }
@@ -412,6 +410,14 @@ pub fn payload_for(src: usize, len: usize) -> Vec<u8> {
 mod tests {
     use super::*;
 
+    /// The set of `(src, len)` slots.
+    fn of_slots(slots: &[(usize, usize)]) -> MessageSet {
+        slots
+            .iter()
+            .map(|&(src, len)| Slot::new(src, len))
+            .collect()
+    }
+
     #[test]
     fn roundtrip_wire_format() {
         let mut s = MessageSet::new();
@@ -422,19 +428,35 @@ mod tests {
         assert_eq!(bytes.len(), s.wire_bytes());
         let back = MessageSet::from_bytes(&bytes).unwrap();
         assert_eq!(back, s);
+        // The payloads behind the header are the sources' messages.
+        assert_eq!(
+            &bytes[28..],
+            [payload_for(1, 1), payload_for(3, 3)].concat()
+        );
     }
 
     #[test]
     fn handle_is_read_back_without_parsing() {
-        let mut s = MessageSet::new();
-        s.insert(3, b"ccc");
-        s.insert(1, b"a");
-        s.insert(7, b"");
+        let s = of_slots(&[(3, 3), (1, 1), (7, 0)]);
         let handle = s.to_payload();
         assert_eq!(handle.len(), s.wire_bytes());
         assert!(matches!(MessageSet::view(&handle), Some(Cow::Borrowed(set)) if *set == s));
         let bytes = Payload::from_slice(&s.to_bytes());
         assert!(matches!(MessageSet::view(&bytes), Some(Cow::Owned(set)) if set == s));
+    }
+
+    #[test]
+    fn a_source_message_is_its_slot_charged_its_length() {
+        let message = source_message(9, 40);
+        assert_eq!(message.len(), 40);
+        assert_eq!(Slot::of(&message), Some(Slot::new(9, 40)));
+        assert_eq!(Slot::of(&Payload::from_slice(&payload_for(9, 40))), None);
+        assert_eq!(
+            Slot::of(&MessageSet::from(Slot::new(9, 40)).to_payload()),
+            None
+        );
+        // Its bytes, when read, are the message.
+        assert_eq!(message, payload_for(9, 40));
     }
 
     #[test]
@@ -447,37 +469,27 @@ mod tests {
     #[test]
     fn merge_unions_and_counts_new_bytes() {
         let mut a = MessageSet::single(1, b"one");
-        let b = {
-            let mut b = MessageSet::single(2, b"two");
-            b.insert(1, b"one");
-            b
-        };
+        let b = of_slots(&[(2, 3), (1, 3)]);
         let absorbed = a.merge(b);
-        assert_eq!(absorbed, 3); // only "two" is new
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.get(1).unwrap(), b"one");
-        assert_eq!(a.get(2).unwrap(), b"two");
+        assert_eq!(absorbed, 3); // only source 2 is new
+        assert_eq!(a.slots(), [Slot::new(1, 3), Slot::new(2, 3)]);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
 
-        /// The handle against the codec, on sets of 0–40 entries of 0–64
-        /// bytes each (zero-length entries included): the same length,
+        /// The handle against the codec, on sets of 0–40 slots of 0–64
+        /// bytes each (zero-length slots included): the same length,
         /// the same bytes, equal to those bytes from either side, and
         /// read back to the set both as a handle and as parsed bytes.
         #[test]
         fn handle_matches_the_codec(
-            entries in proptest::collection::btree_map(
-                0u32..4096,
-                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..65),
-                0..41,
-            ),
+            entries in proptest::collection::btree_map(0u32..4096, 0usize..65, 0..41),
         ) {
-            let mut set = MessageSet::new();
-            for (&src, data) in &entries {
-                set.insert(src as usize, data);
-            }
+            let set: MessageSet = entries
+                .iter()
+                .map(|(&src, &len)| Slot::new(src as usize, len))
+                .collect();
             let handle = set.to_payload();
             let bytes = set.to_bytes();
             proptest::prop_assert_eq!(handle.len(), bytes.len());
@@ -489,69 +501,62 @@ mod tests {
             proptest::prop_assert_eq!(MessageSet::from_payload(&flat), Some(set));
         }
 
-        /// `merge` against a map: `held` of the 256 entries on one side,
-        /// the rest incoming — 1 into 255 through 255 into 1 — with
-        /// sources shared between the sides and payloads that tell the
-        /// sides apart. The held side is merged twice: once in place, as
-        /// the only holder of its list, and once with a snapshot still
-        /// sharing that list, which must read back unchanged afterwards
-        /// while the set gets the same union.
+        /// `merge` on slot lists against a `BTreeMap` union: `held` of
+        /// the 256 slots on one side, the rest incoming — 1 into 255
+        /// through 255 into 1 — with sources shared between the sides
+        /// and lengths that tell the sides apart. The held side is
+        /// merged twice: once in place, as the only holder of its list,
+        /// and once with a snapshot still sharing that list, which must
+        /// read back unchanged afterwards while the set gets the same
+        /// union.
         #[test]
         fn merge_matches_a_map_union(
             held in 1usize..256,
             pool in proptest::collection::vec(0u32..512, 640),
         ) {
             use std::collections::BTreeMap;
-            let side = |keys: &mut dyn Iterator<Item = &u32>, n: usize, byte: u8| {
+            let side = |keys: &mut dyn Iterator<Item = &u32>, n: usize, base: u32| {
                 let mut map = BTreeMap::new();
                 for &k in keys {
                     if map.len() < n {
-                        map.insert(k, vec![byte; 1 + k as usize % 5]);
+                        map.insert(k, base + k % 5);
                     }
                 }
                 map
             };
-            let mut model = side(&mut pool.iter(), held, 0xA0);
-            let incoming = side(&mut pool.iter().rev(), 256 - held, 0x0B);
+            let mut model = side(&mut pool.iter(), held, 100);
+            let incoming = side(&mut pool.iter().rev(), 256 - held, 200);
             proptest::prop_assert_eq!((model.len(), incoming.len()), (held, 256 - held));
-            let to_set = |map: &BTreeMap<u32, Vec<u8>>| {
-                let mut set = MessageSet::new();
-                for (&src, data) in map {
-                    set.insert(src as usize, data);
-                }
-                set
+            let to_set = |map: &BTreeMap<u32, u32>| -> MessageSet {
+                map.iter().map(|(&src, &len)| Slot { src, len }).collect()
             };
             let mut set = to_set(&model);
             let mut shared = to_set(&model);
             let snapshot = shared.to_payload();
-            let frozen = shared.to_bytes();
+            let frozen = shared.slots().to_vec();
             let absorbed = set.merge(to_set(&incoming));
             proptest::prop_assert_eq!(shared.merge(to_set(&incoming)), absorbed);
             proptest::prop_assert_eq!(&shared, &set);
-            proptest::prop_assert_eq!(snapshot.to_vec(), frozen.clone());
-            proptest::prop_assert_eq!(MessageSet::from_payload(&snapshot), MessageSet::from_bytes(&frozen));
+            let live = MessageSet::view(&snapshot).expect("a snapshot is a set");
+            proptest::prop_assert_eq!(live.slots(), &frozen[..]);
             let mut fresh_bytes = 0;
-            for (src, data) in incoming {
+            for (src, len) in incoming {
                 if let std::collections::btree_map::Entry::Vacant(slot) = model.entry(src) {
-                    fresh_bytes += data.len();
-                    slot.insert(data);
+                    fresh_bytes += len as usize;
+                    slot.insert(len);
                 }
             }
             proptest::prop_assert_eq!(absorbed, fresh_bytes);
-            // Sorted and unique, source for source the model's; a shared
-            // source still carries the held side's payload.
-            proptest::prop_assert!(set.sources().eq(model.keys().map(|&k| k as usize)));
-            for (src, data) in &model {
-                proptest::prop_assert!(set.get(*src as usize).is_some_and(|got| got == data));
-            }
-            let back = MessageSet::from_payload(&set.to_payload());
-            proptest::prop_assert_eq!(back.as_ref(), Some(&set));
+            // Sorted and unique, slot for slot the model's; a shared
+            // source keeps the held side's length.
+            let want: Vec<Slot> = model.iter().map(|(&src, &len)| Slot { src, len }).collect();
+            proptest::prop_assert_eq!(set.slots(), &want[..]);
         }
     }
 
-    /// The set of `srcs`, each with an empty payload.
+    /// The set of `srcs`, each with an empty message.
     fn of_sources(srcs: impl IntoIterator<Item = usize>) -> MessageSet {
-        srcs.into_iter().map(|src| (src, Payload::new())).collect()
+        srcs.into_iter().map(|src| Slot::new(src, 0)).collect()
     }
 
     #[test]
@@ -562,8 +567,18 @@ mod tests {
         let snapshot = set.to_payload();
         let copy = set.clone();
         assert_eq!(allocs() - before, 1, "the handle; the list is shared");
-        assert!(copy.shares_entries(&set));
-        assert!(MessageSet::view(&snapshot).is_some_and(|got| got.shares_entries(&set)));
+        assert!(copy.shares_slots(&set));
+        assert!(MessageSet::view(&snapshot).is_some_and(|got| got.shares_slots(&set)));
+    }
+
+    #[test]
+    fn reading_a_source_message_allocates_nothing() {
+        use crate::counting_alloc::allocs;
+        let message = source_message(5, 64);
+        let before = allocs();
+        let copies: [Payload; 4] = std::array::from_fn(|_| message.clone());
+        assert!(copies.iter().all(|m| Slot::of(m) == Some(Slot::new(5, 64))));
+        assert_eq!(allocs() - before, 0);
     }
 
     #[test]
@@ -572,15 +587,15 @@ mod tests {
         let sent = of_sources(0..32);
         let mut set = MessageSet::new();
         let before = allocs();
-        assert_eq!(set.merge(&sent), 0, "empty payloads");
+        assert_eq!(set.merge(&sent), 0, "empty messages");
         assert_eq!(allocs() - before, 0);
-        assert!(set.shares_entries(&sent));
+        assert!(set.shares_slots(&sent));
         // A set with room reserved fills it instead of adopting.
         let mut room = MessageSet::with_capacity(32);
         let before = allocs();
         room.merge(&sent);
         assert_eq!(allocs() - before, 0);
-        assert!(!room.shares_entries(&sent));
+        assert!(!room.shares_slots(&sent));
         assert_eq!(room, sent);
     }
 
@@ -595,7 +610,7 @@ mod tests {
         let snapshot = set.to_payload();
         set.merge(&subset);
         assert_eq!(allocs() - before, 1, "the snapshot's handle");
-        assert!(MessageSet::view(&snapshot).is_some_and(|got| got.shares_entries(&set)));
+        assert!(MessageSet::view(&snapshot).is_some_and(|got| got.shares_slots(&set)));
     }
 
     #[test]
@@ -617,7 +632,7 @@ mod tests {
         use crate::counting_alloc::allocs;
         let mut set = MessageSet::with_capacity(35);
         for src in (0..64).step_by(2) {
-            set.insert_payload(src, Payload::new());
+            set.insert(src, &[]);
         }
         let [low, mid, high] = [1, 31, 99].map(|src| of_sources([src]));
         let before = allocs();
@@ -634,14 +649,12 @@ mod tests {
     }
 
     #[test]
-    fn collecting_sorts_and_keeps_the_first_pair_of_a_source() {
-        let pairs = [(9, &b"nine"[..]), (2, b"two"), (9, b"late"), (5, b"five")];
-        let set: MessageSet = pairs
-            .iter()
-            .map(|&(src, data)| (src, Payload::from_slice(data)))
-            .collect();
-        assert!(set.sources().eq([2, 5, 9]));
-        assert_eq!(set.get(9).unwrap(), b"nine");
+    fn collecting_sorts_and_keeps_the_first_slot_of_a_source() {
+        let set = of_slots(&[(9, 4), (2, 3), (9, 7), (5, 4)]);
+        assert_eq!(
+            set.slots(),
+            [Slot::new(2, 3), Slot::new(5, 4), Slot::new(9, 4)]
+        );
         assert_eq!(set.wire_bytes(), 4 + 3 * 8 + 11);
     }
 
@@ -707,16 +720,12 @@ mod tests {
     /// payload.
     #[test]
     fn parse_ignores_segmentation() {
-        let mut sets = vec![MessageSet::new(), MessageSet::single(7, b"data")];
-        let mut three = MessageSet::new();
-        for (src, data) in [(3, &b"ccc"[..]), (1, b"a"), (7, b"")] {
-            three.insert(src, data);
-        }
-        sets.push(three);
-        sets.push((0..16).fold(MessageSet::new(), |mut set, src| {
-            set.insert(src, &payload_for(src, 40));
-            set
-        }));
+        let sets = vec![
+            MessageSet::new(),
+            MessageSet::single(7, b"data"),
+            of_slots(&[(3, 3), (1, 1), (7, 0)]),
+            of_slots(&(0..16).map(|src| (src, 40)).collect::<Vec<_>>()),
+        ];
         let mut wires: Vec<Vec<u8>> = sets.iter().map(MessageSet::to_bytes).collect();
         wires.push(vec![]);
         wires.push(vec![1, 0, 0, 0]);

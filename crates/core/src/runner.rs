@@ -7,7 +7,7 @@
 use mpp_model::{LibraryKind, Machine, Time};
 use mpp_runtime::{
     try_simulate_with, CancelToken, CommStats, EventLog, ExecMode, FaultPlan, KernelCounters,
-    SimBudget, SimConfig, SimError,
+    Payload, SimBudget, SimConfig, SimError,
 };
 
 use crate::algorithms::{
@@ -15,7 +15,7 @@ use crate::algorithms::{
     NaiveIndependent, Part, PersAlltoAll, ReposAdaptive, StpAlgorithm, StpCtx, TwoStep,
 };
 use crate::distribution::SourceDist;
-use crate::msgset::{payload_for, MessageSet};
+use crate::msgset::{payload_for, MessageSet, Slot};
 
 /// Every algorithm variant the experiments exercise.
 ///
@@ -213,7 +213,8 @@ pub struct Outcome {
     pub finish_ns: Vec<Time>,
     /// Per-rank communication statistics.
     pub stats: Vec<CommStats>,
-    /// Whether every rank ended with exactly the `s` expected payloads.
+    /// Whether every rank ended with exactly the `s` expected messages:
+    /// each source once, at its message's length.
     pub verified: bool,
     /// Network contention stalls.
     pub contention_events: u64,
@@ -286,6 +287,9 @@ pub fn try_run_sources_controlled(
 
 /// Run `alg` on explicit sources with explicit payloads: the verified,
 /// timed outcome, or the reason the run stopped (a deadlock included).
+/// `payload_of` is called once per source, for the message's length:
+/// a message is its source's [`payload_for`] bytes at that length (see
+/// [`crate::msgset`]), so any other content is not carried.
 ///
 /// Debug builds on a clean network enable the kernel's strict schedule
 /// checks (unambiguous receive matching, empty mailboxes at finish) —
@@ -330,8 +334,8 @@ fn sim_config(lib: LibraryKind, control: &RunControl) -> SimConfig {
 /// This is where every run's [`StpCtx`] is built, so the context's
 /// contract is checked here, once: the sources are a non-empty, sorted,
 /// duplicate-free list of ranks of the machine. The shape is the
-/// machine's own and each rank's payload comes from its source index,
-/// so those two parts hold by construction.
+/// machine's own and each rank's message handle comes from its source
+/// index, so those two parts hold by construction.
 ///
 /// # Panics
 ///
@@ -356,20 +360,25 @@ fn try_run_alg_with(
         sources[sources.len() - 1] < shape.p(),
         "source out of range"
     );
-    // The delivery oracle: the s expected messages, generated once per
-    // run. Sources send from it and the runner checks every rank's
-    // result against it once the kernel returns.
-    let expected: Vec<Vec<u8>> = sources.iter().map(|&s| payload_of(s)).collect();
-    let expected = &expected;
+    // The delivery oracle: the s expected slots, each message generated
+    // once per run for its length. Sources send their slot's handle and
+    // the runner checks every rank's result against the slots once the
+    // kernel returns.
+    let expected: Vec<Slot> = sources
+        .iter()
+        .map(|&s| Slot::new(s, payload_of(s).len()))
+        .collect();
+    let messages: Vec<Payload> = expected
+        .iter()
+        .map(|&slot| Payload::from_value(slot))
+        .collect();
+    let messages = &messages;
     let out = try_simulate_with(machine, config, |mut comm| async move {
         let me = comm.rank();
         let ctx = StpCtx {
             shape,
             sources,
-            payload: sources
-                .binary_search(&me)
-                .ok()
-                .map(|i| expected[i].as_slice()),
+            payload: sources.binary_search(&me).ok().map(|i| &messages[i]),
         };
         alg.run(&mut comm, &ctx).await
     })?;
@@ -377,7 +386,7 @@ fn try_run_alg_with(
         makespan_ns: out.makespan_ns,
         finish_ns: out.finish_ns,
         stats: out.stats,
-        verified: all_delivered(&out.results, sources, expected),
+        verified: all_delivered(&out.results, &expected),
         contention_events: out.contention_events,
         contention_ns: out.contention_ns,
         sources: sources.to_vec(),
@@ -386,27 +395,20 @@ fn try_run_alg_with(
     Ok((outcome, out.log))
 }
 
-/// Verify after the run: every rank holds exactly the sources, each
-/// byte for byte. Source by source, the first rank's entry `i` is
-/// compared with the oracle `expected[i]` and every other rank's entry
-/// `i` with that first entry; byte equality is transitive, so a rank
-/// passes exactly when its bytes equal the oracle's. The oracle is read
-/// once per source, and where ranks share storage (every zero-copy
-/// algorithm) a rank-to-rank compare reads no bytes at all. A rank
-/// whose entry list is the first rank's own (it ended on a set it
-/// adopted unchanged) holds the first rank's entries and is not read.
-fn all_delivered(sets: &[MessageSet], sources: &[usize], expected: &[Vec<u8>]) -> bool {
+/// Verify after the run: every rank holds exactly the sources' slots.
+/// Delivery is membership — a slot names its message's bytes (see
+/// [`crate::msgset`]) — so each rank's list is compared with the
+/// oracle's, integer by integer. A rank whose list is the first rank's
+/// own (it ended on a set it adopted unchanged) holds what the first
+/// rank holds and is not read.
+fn all_delivered(sets: &[MessageSet], expected: &[Slot]) -> bool {
     let Some((first, rest)) = sets.split_first() else {
         return true;
     };
-    let others = || rest.iter().filter(|set| !set.shares_entries(first));
-    std::iter::once(first)
-        .chain(others())
-        .all(|set| set.sources().eq(sources.iter().copied()))
-        && expected.iter().enumerate().all(|(i, want)| {
-            let held = first.payload_at(i);
-            held == want.as_slice() && others().all(|set| set.payload_at(i) == held)
-        })
+    first.slots() == expected
+        && rest
+            .iter()
+            .all(|set| set.shares_slots(first) || set.slots() == expected)
 }
 
 // ---------------------------------------------------------------------------
@@ -640,7 +642,6 @@ impl SweepRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpp_sim::Payload;
 
     #[test]
     fn algo_names_roundtrip() {
@@ -751,14 +752,14 @@ mod tests {
     /// One way to spoil a rank's delivered set.
     #[derive(Clone, Copy, Debug)]
     enum Tamper {
-        /// Flip one byte of one source's payload.
-        FlipByte { src: usize, byte: usize },
         /// Drop one source.
         Remove(usize),
         /// Add a source that sent nothing.
         Extra(usize),
-        /// Cut one source's payload short by a byte.
+        /// Cut one source's message short by a byte.
         Truncate(usize),
+        /// Hold one source's message a byte longer.
+        Lengthen(usize),
         /// Hand back nothing at all.
         Empty,
     }
@@ -782,44 +783,44 @@ mod tests {
         ) -> mpp_runtime::CommFuture<'a, MessageSet> {
             Box::pin(async move {
                 let set = BrLin.run(comm, ctx).await;
+                if comm.rank() != self.rank {
+                    return set;
+                }
+                let mut slots = set.slots().to_vec();
+                let at = |slots: &[Slot], src: usize| {
+                    let at = slots.iter().position(|slot| slot.src as usize == src);
+                    at.expect("a held source")
+                };
                 match self.how {
-                    _ if comm.rank() != self.rank => return set,
-                    Tamper::Empty => return MessageSet::new(),
-                    _ => {}
-                }
-                let mut tampered = MessageSet::new();
-                for (src, data) in set.into_entries() {
-                    let src = src as usize;
-                    let mut bytes = data.to_vec();
-                    match self.how {
-                        Tamper::FlipByte { src: s, byte } if s == src => bytes[byte] ^= 1,
-                        Tamper::Remove(s) if s == src => continue,
-                        Tamper::Truncate(s) if s == src => {
-                            bytes.pop();
-                        }
-                        _ => {}
+                    Tamper::Empty => slots.clear(),
+                    Tamper::Remove(src) => drop(slots.remove(at(&slots, src))),
+                    Tamper::Extra(src) => slots.push(Slot::new(src, 3)),
+                    Tamper::Truncate(src) => {
+                        let i = at(&slots, src);
+                        slots[i].len -= 1;
                     }
-                    tampered.insert(src, &bytes);
+                    Tamper::Lengthen(src) => {
+                        let i = at(&slots, src);
+                        slots[i].len += 1;
+                    }
                 }
-                if let Tamper::Extra(s) = self.how {
-                    tampered.insert(s, &[7; 3]);
-                }
-                tampered
+                slots.into_iter().collect()
             })
         }
     }
 
-    /// `Br_Lin`, except that every rank from `from_rank` on holds one
-    /// corrupted payload for `src`: one storage cloned into each set.
-    struct CorruptedShared {
+    /// `Br_Lin`, except that every rank from `from_rank` on holds
+    /// source `src`'s message at the wrong length `len`: one mistake,
+    /// agreed on by many ranks.
+    struct MisreadFrom {
         src: usize,
         from_rank: usize,
-        corrupt: Payload,
+        len: u32,
     }
 
-    impl StpAlgorithm for CorruptedShared {
+    impl StpAlgorithm for MisreadFrom {
         fn name(&self) -> &'static str {
-            "fixture:corrupted-shared"
+            "fixture:misread-from"
         }
 
         fn run<'a>(
@@ -832,17 +833,17 @@ mod tests {
                 if comm.rank() < self.from_rank {
                     return set;
                 }
-                let mut out = MessageSet::new();
-                for (src, data) in set.into_entries() {
-                    let src = src as usize;
-                    let held = if src == self.src {
-                        self.corrupt.clone()
+                let misread = |slot: &Slot| {
+                    if slot.src as usize == self.src {
+                        Slot {
+                            len: self.len,
+                            ..*slot
+                        }
                     } else {
-                        data
-                    };
-                    out.insert_payload(src, held);
-                }
-                out
+                        *slot
+                    }
+                };
+                set.slots().iter().map(misread).collect()
             })
         }
     }
@@ -868,80 +869,111 @@ mod tests {
         let idle = (0..16)
             .find(|r| !sources.contains(r))
             .expect("a rank that sends nothing");
-        // First source, last source; first byte, last byte; first rank,
-        // last rank; a source rank and an idle one — none may slip past.
+        // First source, last source; first rank, last rank; a source
+        // rank and an idle one — none may slip past.
         for (rank, how) in [
-            (
-                0,
-                Tamper::FlipByte {
-                    src: sources[0],
-                    byte: 0,
-                },
-            ),
-            (
-                15,
-                Tamper::FlipByte {
-                    src: sources[4],
-                    byte: len - 1,
-                },
-            ),
-            (
-                9,
-                Tamper::FlipByte {
-                    src: sources[2],
-                    byte: 150,
-                },
-            ),
             (3, Tamper::Remove(sources[0])),
             (15, Tamper::Remove(sources[4])),
             (6, Tamper::Extra(idle)),
             (sources[1], Tamper::Extra(15)),
             (12, Tamper::Truncate(sources[3])),
             (0, Tamper::Truncate(sources[4])),
+            (0, Tamper::Lengthen(sources[0])),
+            (9, Tamper::Lengthen(sources[2])),
             (0, Tamper::Empty),
             (15, Tamper::Empty),
         ] {
             assert!(!verified(&Tampered { rank, how }), "rank {rank}: {how:?}");
         }
-        // One corrupted storage in every rank's set, and the same with
-        // rank 0 keeping the honest copy: agreeing ranks prove nothing.
-        let mut bytes = payload_for(sources[2], len);
-        bytes[len / 2] ^= 1;
-        let corrupt = Payload::from_slice(&bytes);
+        // One wrong length in every rank's set, and the same with rank
+        // 0 keeping the right one: agreeing ranks prove nothing.
         for from_rank in [0, 1] {
-            let alg = CorruptedShared {
+            let alg = MisreadFrom {
                 src: sources[2],
                 from_rank,
-                corrupt: corrupt.clone(),
+                len: len as u32 - 1,
             };
-            assert!(!verified(&alg), "shared corruption from rank {from_rank}");
+            assert!(!verified(&alg), "shared misread from rank {from_rank}");
         }
     }
 
+    /// One source, rank 0, sends its message to rank 1, which is no
+    /// source and forwards it to everyone else. A receiver that files
+    /// the message under the envelope's sender files it under the relay
+    /// and must fail verification; one that reads the slot from the
+    /// message delivers.
+    struct Relayed {
+        keyed_by_sender: bool,
+    }
+
+    impl StpAlgorithm for Relayed {
+        fn name(&self) -> &'static str {
+            "fixture:relayed"
+        }
+
+        fn run<'a>(
+            &'a self,
+            comm: &'a mut mpp_runtime::RankCtx,
+            ctx: &'a StpCtx<'a>,
+        ) -> mpp_runtime::CommFuture<'a, MessageSet> {
+            Box::pin(async move {
+                const TAG: mpp_runtime::Tag = 77;
+                let (me, p) = (comm.rank(), comm.size());
+                if let Some(message) = ctx.payload {
+                    comm.send_payload(1, TAG, message.clone());
+                    return ctx.initial_set();
+                }
+                let env = comm.recv(None, Some(TAG)).await;
+                if me == 1 {
+                    for dst in 2..p {
+                        comm.send_payload(dst, TAG, env.data.clone());
+                    }
+                }
+                let slot = if self.keyed_by_sender {
+                    Slot::new(env.src, env.data.len())
+                } else {
+                    Slot::of(&env.data).expect("a source message")
+                };
+                slot.into()
+            })
+        }
+    }
+
+    #[test]
+    fn a_relayed_message_filed_under_the_relay_fails_verification() {
+        let machine = Machine::paragon(2, 2);
+        let verified = |keyed_by_sender| {
+            try_run_alg_controlled(
+                &machine,
+                LibraryKind::Nx,
+                &[0],
+                &|src| payload_for(src, 40),
+                &Relayed { keyed_by_sender },
+                &RunControl::default(),
+            )
+            .expect("run failed")
+            .verified
+        };
+        assert!(verified(false), "the slot read from the message");
+        assert!(!verified(true), "the slot made from the envelope");
+    }
+
     /// The delivery check as it was before ranks were compared with each
-    /// other: every rank's every entry against the oracle.
-    fn all_delivered_reference(
-        sets: &[MessageSet],
-        sources: &[usize],
-        expected: &[Vec<u8>],
-    ) -> bool {
-        sets.iter()
-            .all(|set| set.sources().eq(sources.iter().copied()))
-            && expected
-                .iter()
-                .enumerate()
-                .all(|(i, want)| sets.iter().all(|set| set.payload_at(i) == want.as_slice()))
+    /// other: every rank's list against the oracle.
+    fn all_delivered_reference(sets: &[MessageSet], expected: &[Slot]) -> bool {
+        sets.iter().all(|set| set.slots() == expected)
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
 
-        /// Hand-built results — each rank's entry a clone of one shared
-        /// payload, a rope over that storage or its own copy — tampered
-        /// with on random ranks, rank 0 included, and then rank 0's
-        /// list, tampered or not, shared by random ranks (as ranks
-        /// share the set they adopted): the rank-to-rank check answers
-        /// as the rank-to-oracle reference does.
+        /// Hand-built results tampered with on random ranks, rank 0
+        /// included — a source dropped or added, a length cut or grown,
+        /// or one wrong length agreed on by every rank from rank 0 or 1
+        /// on — and then rank 0's list, tampered or not, shared by
+        /// random ranks (as ranks share the set they adopted): the
+        /// rank-to-rank check answers as the rank-to-oracle reference
+        /// does.
         #[test]
         fn delivery_check_matches_the_reference(
             p in 1usize..17,
@@ -952,82 +984,45 @@ mod tests {
         ) {
             let mut rng = proptest::test_runner::TestRng::seed_from_u64(seed);
             let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
-            let sources: Vec<usize> = (0..s).map(|i| 2 * i + 1).collect();
-            let expected: Vec<Vec<u8>> =
-                sources.iter().map(|&src| payload_for(src, len)).collect();
-            let shared: Vec<Payload> = expected.iter().map(|m| Payload::from_slice(m)).collect();
-            let mut held: Vec<Vec<(usize, Payload)>> = Vec::new();
-            for _ in 0..p {
-                let mut entries = Vec::new();
-                for (i, &src) in sources.iter().enumerate() {
-                    let payload = match pick(3) {
-                        0 => shared[i].clone(),
-                        1 => Payload::from_slice(&expected[i]),
-                        _ => {
-                            let cut = pick(len + 1);
-                            let mut rope = shared[i].slice(0, cut);
-                            rope.append(shared[i].slice(cut, len));
-                            rope
-                        }
-                    };
-                    entries.push((src, payload));
-                }
-                held.push(entries);
-            }
+            let expected: Vec<Slot> = (0..s).map(|i| Slot::new(2 * i + 1, len)).collect();
+            let mut held: Vec<Vec<Slot>> = vec![expected.clone(); p];
             for _ in 0..tampers {
                 let rank = if pick(3) == 0 { 0 } else { pick(p) };
-                let src = sources[pick(s)];
-                let entries = &mut held[rank];
-                let at = entries.iter().position(|&(x, _)| x == src);
+                let src = expected[pick(s)].src;
+                let slots = &mut held[rank];
+                let at = slots.iter().position(|slot| slot.src == src);
                 match (pick(5), at) {
-                    (0, Some(at)) if len > 0 => {
-                        let mut bytes = entries[at].1.to_vec();
-                        bytes[pick(len)] ^= 1 << pick(8);
-                        entries[at].1 = Payload::from_slice(&bytes);
-                    }
-                    (1, Some(at)) if len > 0 => {
-                        entries[at].1 = entries[at].1.slice(0, len - 1);
-                    }
+                    (0, Some(at)) => slots[at].len += 1,
+                    (1, Some(at)) if len > 0 => slots[at].len -= 1,
                     (2, Some(at)) => {
-                        entries.remove(at);
+                        slots.remove(at);
                     }
                     (3, _) => {
                         let extra = 2 * pick(s + 1);
-                        if let Err(at) = entries.binary_search_by_key(&extra, |&(x, _)| x) {
-                            let stray = Payload::from_slice(&payload_for(extra, len));
-                            entries.insert(at, (extra, stray));
+                        if let Err(at) = slots.binary_search_by_key(&(extra as u32), |slot| slot.src) {
+                            slots.insert(at, Slot::new(extra, len));
                         }
                     }
-                    (4, _) if len > 0 => {
-                        let mut bytes = payload_for(src, len);
-                        bytes[pick(len)] ^= 1;
-                        let corrupt = Payload::from_slice(&bytes);
-                        for entries in &mut held[pick(2)..] {
-                            if let Some(at) = entries.iter().position(|&(x, _)| x == src) {
-                                entries[at].1 = corrupt.clone();
+                    (4, _) => {
+                        let misread = Slot::new(src as usize, len + 1 + pick(3));
+                        for slots in &mut held[pick(2)..] {
+                            if let Some(at) = slots.iter().position(|slot| slot.src == src) {
+                                slots[at] = misread;
                             }
                         }
                     }
                     _ => {}
                 }
             }
-            let mut sets: Vec<MessageSet> = held
-                .into_iter()
-                .map(|entries| {
-                    let mut set = MessageSet::new();
-                    for (src, payload) in entries {
-                        set.insert_payload(src, payload);
-                    }
-                    set
-                })
-                .collect();
+            let mut sets: Vec<MessageSet> =
+                held.into_iter().map(|slots| slots.into_iter().collect()).collect();
             for rank in 1..p {
                 if pick(3) == 0 {
                     sets[rank] = sets[0].clone();
                 }
             }
-            let got = all_delivered(&sets, &sources, &expected);
-            proptest::prop_assert_eq!(got, all_delivered_reference(&sets, &sources, &expected));
+            let got = all_delivered(&sets, &expected);
+            proptest::prop_assert_eq!(got, all_delivered_reference(&sets, &expected));
             proptest::prop_assert!(got || tampers > 0, "an untampered result failed");
         }
     }
@@ -1037,33 +1032,30 @@ mod tests {
     /// rank 0 holds it too or only the ranks after it share it.
     #[test]
     fn a_tampered_shared_list_fails_every_rank_that_shares_it() {
-        let sources = [1, 4, 6];
-        let expected: Vec<Vec<u8>> = sources.iter().map(|&src| payload_for(src, 24)).collect();
+        let expected: Vec<Slot> = [1, 4, 6].map(|src| Slot::new(src, 24)).to_vec();
         let build = |tamper: bool| -> MessageSet {
-            let mut set = MessageSet::new();
-            for (&src, want) in sources.iter().zip(&expected) {
-                let mut bytes = want.clone();
-                bytes[23] ^= u8::from(tamper && src == 4);
-                set.insert(src, &bytes);
-            }
-            set
+            let misread = |slot: &Slot| Slot {
+                len: slot.len - u32::from(tamper && slot.src == 4),
+                ..*slot
+            };
+            expected.iter().map(misread).collect()
         };
         let (honest, tampered) = (build(false), build(true));
-        assert!(all_delivered(&vec![honest.clone(); 5], &sources, &expected));
+        assert!(all_delivered(&vec![honest.clone(); 5], &expected));
         for shared_from in [0, 1] {
             let mut sets = vec![honest.clone(); shared_from];
             sets.resize(5, tampered.clone());
             assert!(sets[shared_from..]
                 .iter()
-                .all(|set| set.shares_entries(&tampered)));
+                .all(|set| set.shares_slots(&tampered)));
             assert!(
-                !all_delivered(&sets, &sources, &expected),
+                !all_delivered(&sets, &expected),
                 "shared from rank {shared_from}"
             );
             for set in &sets[shared_from..] {
                 let alone = std::slice::from_ref(set);
-                assert!(!all_delivered(alone, &sources, &expected));
-                assert!(!all_delivered_reference(alone, &sources, &expected));
+                assert!(!all_delivered(alone, &expected));
+                assert!(!all_delivered_reference(alone, &expected));
             }
         }
     }

@@ -6,7 +6,7 @@
 //! XYZ on tori, ascending-bit on hypercubes): deterministic and minimal,
 //! matching the wormhole routers of the Paragon and T3D.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 
 /// Identifier of a physical network node, `0..num_nodes()`.
 pub type NodeId = usize;
@@ -158,12 +158,7 @@ impl Topology {
         stride: usize,
         wrap: bool,
     ) {
-        let (up, steps) = if wrap {
-            let fwd = if t >= c { t - c } else { t + d - c };
-            (fwd <= d - fwd, fwd.min(d - fwd))
-        } else {
-            (t > c, c.abs_diff(t))
-        };
+        let (up, steps) = Self::dim_walk(c, t, d, wrap);
         for _ in 0..steps {
             let next = if up && c + 1 == d {
                 c = 0;
@@ -181,6 +176,107 @@ impl Topology {
             path.push(Link::new(*cur, next));
             *cur = next;
         }
+    }
+
+    /// Which way and how far the route moves along one dimension of
+    /// extent `d`, from coordinate `c` to `t`: up (increasing
+    /// coordinate) or down, and the number of hops. On a ring (`wrap`)
+    /// the shorter direction is taken, ties going up.
+    fn dim_walk(c: usize, t: usize, d: usize, wrap: bool) -> (bool, usize) {
+        if wrap {
+            let fwd = if t >= c { t - c } else { t + d - c };
+            (fwd <= d - fwd, fwd.min(d - fwd))
+        } else {
+            (t > c, c.abs_diff(t))
+        }
+    }
+
+    /// How many of the routes `route(u, v)`, one per pair, cross each
+    /// link: the links crossed at least once, with their counts.
+    ///
+    /// Meshes and tori do not walk the routes: a route's stretch along
+    /// one dimension is a run of consecutive links of one line, so it
+    /// marks +1 at its first link and −1 past its last, and one running
+    /// sum per line and direction turns the marks into counts — work in
+    /// the number of pairs and nodes, not of hops. The hypercube counts
+    /// hop by hop.
+    pub fn route_loads(
+        &self,
+        pairs: impl IntoIterator<Item = (NodeId, NodeId)>,
+    ) -> BTreeMap<Link, u64> {
+        let n = self.num_nodes();
+        let mut loads = BTreeMap::new();
+        // `(extent, stride)` of each dimension, in routing order; a
+        // mesh's third dimension has extent 1, so no route moves in it.
+        let (dims, wrap) = match *self {
+            Topology::Mesh2D { rows, cols } => ([(cols, 1), (rows, cols), (1, n)], false),
+            Topology::Torus3D { dx, dy, dz } => ([(dx, 1), (dy, dx), (dz, dx * dy)], true),
+            Topology::Hypercube { .. } => {
+                let mut path = Vec::new();
+                for (u, v) in pairs {
+                    self.route_into(u, v, &mut path);
+                    for &link in &path {
+                        *loads.entry(link).or_insert(0) += 1;
+                    }
+                }
+                return loads;
+            }
+        };
+        // marks[(dim · 2 + down) · n + node]: the change in count at the
+        // link that leaves `node` along `dim`, up or down.
+        let mut marks = vec![0i64; dims.len() * 2 * n];
+        for (u, v) in pairs {
+            assert!(
+                u < n && v < n,
+                "route endpoints out of range: {u},{v} (n={n})"
+            );
+            let (mut cur, mut rest_u, mut rest_v) = (u, u, v);
+            for (k, &(d, stride)) in dims.iter().enumerate() {
+                let (c, t) = (rest_u % d, rest_v % d);
+                (rest_u, rest_v) = (rest_u / d, rest_v / d);
+                let (up, steps) = Self::dim_walk(c, t, d, wrap);
+                if steps == 0 {
+                    continue;
+                }
+                let base = cur - c * stride;
+                let line = &mut marks[(k * 2 + usize::from(!up)) * n..][..n];
+                // The links leave coordinates `first ..` for `steps`,
+                // around the ring when they pass its end.
+                let first = if up { c } else { (c + d + 1 - steps) % d };
+                let mut mark = |pos: usize, delta: i64| line[base + pos * stride] += delta;
+                mark(first, 1);
+                if first + steps < d {
+                    mark(first + steps, -1);
+                } else if first + steps > d {
+                    mark(0, 1);
+                    mark(first + steps - d, -1);
+                }
+                cur = base + t * stride;
+            }
+        }
+        for (k, &(d, stride)) in dims.iter().enumerate().filter(|(_, &(d, _))| d > 1) {
+            for down in [false, true] {
+                let line = &marks[(k * 2 + usize::from(down)) * n..][..n];
+                for base in (0..n).filter(|&node| (node / stride) % d == 0) {
+                    let mut count = 0;
+                    for pos in 0..d {
+                        let from = base + pos * stride;
+                        count += line[from];
+                        if count == 0 {
+                            continue;
+                        }
+                        let to = match (down, pos) {
+                            (false, p) if p + 1 == d => base,
+                            (false, _) => from + stride,
+                            (true, 0) => base + (d - 1) * stride,
+                            (true, _) => from - stride,
+                        };
+                        *loads.entry(Link::new(from, to)).or_insert(0) += count as u64;
+                    }
+                }
+            }
+        }
+        loads
     }
 
     /// Fault-aware routing: the dimension-ordered route when it avoids
@@ -692,6 +788,25 @@ mod route_avoiding_props {
                 // BFS detours are at most every node once.
                 prop_assert!(path.len() < t.num_nodes());
             }
+        }
+
+        /// `route_loads` counts what walking every route hop by hop
+        /// counts, on every family (rings of one and two nodes, where a
+        /// step up and a step down can be one link, included).
+        #[test]
+        fn route_loads_count_the_routes(
+            (t, pairs) in arb_topology().prop_flat_map(|t| {
+                let n = t.num_nodes();
+                (Just(t), proptest::collection::vec((0..n, 0..n), 0..40))
+            }),
+        ) {
+            let mut want = std::collections::BTreeMap::new();
+            for &(u, v) in &pairs {
+                for link in t.route(u, v) {
+                    *want.entry(link).or_insert(0u64) += 1;
+                }
+            }
+            prop_assert_eq!(t.route_loads(pairs.iter().copied()), want);
         }
 
         /// With no faults the route is exactly the dimension-ordered one.

@@ -1,11 +1,26 @@
-//! Shared-ownership message payloads (the zero-copy message path).
+//! Shared-ownership message payloads.
 //!
-//! A [`Payload`] is a *rope*: an ordered list of segments, each a
-//! `(backing, start, len)` view into immutable shared storage. The
-//! operations the broadcast algorithms are built from — forwarding a
-//! received message, combining `k` message sets into one, slicing a
-//! combined set back apart — become O(segments) pointer pushes instead
-//! of O(total bytes) memcpy:
+//! A [`Payload`] is the bytes of one simulated message: the kernel,
+//! network, fault plan and recorder read only its [`len`](Payload::len).
+//! It is one of two things.
+//!
+//! # Shared values
+//!
+//! A [`WireValue`] shared by `Arc` ([`Payload::from_value`]): a
+//! structured message — a source message or a combined message set —
+//! that travels as itself and is charged its exact wire length. Sending
+//! it to `k` destinations is `k` reference-count increments — no encode,
+//! no rope node per destination — and the receiver takes the value back
+//! with [`Payload::value`]. Every byte accessor stays total: the first
+//! one that reads a value's bytes builds its encoding and keeps it, so a
+//! value and its bytes are interchangeable to any reader. The simulated
+//! message path never reads them; it sends nothing else.
+//!
+//! # Ropes
+//!
+//! Bytes: an ordered list of segments, each a `(chunk, start, len)`
+//! view into immutable arena storage, for bytes built by hand (tests,
+//! the lint fixtures) and the encodings the byte accessors build.
 //!
 //! * [`Payload::clone`] clones shared pointers, never bytes.
 //! * [`Payload::append`] / [`Payload::push_payload`] splice segment
@@ -16,19 +31,7 @@
 //! genuinely required ([`Payload::from_slice`], [`Payload::to_vec`]).
 //! Every such copy is counted in process-global [`copy_metrics`], which
 //! the benchmarks and the zero-copy regression tests read to prove the
-//! fast path stays fast.
-//!
-//! # Shared values
-//!
-//! A payload can also be a [`WireValue`] shared by `Arc`
-//! ([`Payload::from_value`]): a structured message (a combined message
-//! set) that travels as itself and is charged its exact wire length.
-//! Sending it to `k` destinations is `k` reference-count increments —
-//! no encode, no rope node per destination — and the receiver takes the
-//! value back with [`Payload::value`]. Every byte accessor stays total:
-//! the first one that reads a value's bytes builds its encoding and
-//! keeps it, so a value and its bytes are interchangeable to any reader.
-//! The simulated message path never reads them.
+//! simulated message path copies nothing.
 //!
 //! # Backing-store arenas
 //!
@@ -191,7 +194,7 @@ impl Arena {
                 std::ptr::copy_nonoverlapping(data.as_ptr(), chunk.ptr.as_ptr(), len);
             }
             return Segment {
-                data: Backing::Arena(chunk),
+                chunk,
                 start: 0,
                 len,
             };
@@ -205,7 +208,7 @@ impl Arena {
             std::ptr::copy_nonoverlapping(data.as_ptr(), chunk.ptr.as_ptr().add(start), len);
         }
         Segment {
-            data: Backing::Arena(Arc::clone(chunk)),
+            chunk: Arc::clone(chunk),
             start,
             len,
         }
@@ -272,17 +275,10 @@ fn recycle_vec(mut v: Vec<Segment>) {
 // Segments and the rope
 // ---------------------------------------------------------------------
 
-#[derive(Clone)]
-enum Backing {
-    /// Caller-provided shared storage ([`Payload::from_arc`]).
-    Shared(Arc<[u8]>),
-    /// A range of an arena chunk.
-    Arena(Arc<Chunk>),
-}
-
+/// A range of an arena chunk.
 #[derive(Clone)]
 struct Segment {
-    data: Backing,
+    chunk: Arc<Chunk>,
     start: usize,
     len: usize,
 }
@@ -290,11 +286,8 @@ struct Segment {
 impl Segment {
     #[inline]
     fn bytes(&self) -> &[u8] {
-        match &self.data {
-            Backing::Shared(arc) => &arc[self.start..self.start + self.len],
-            // SAFETY: segments only ever view frozen arena ranges.
-            Backing::Arena(chunk) => unsafe { chunk.frozen(self.start, self.len) },
-        }
+        // SAFETY: segments only ever view frozen arena ranges.
+        unsafe { self.chunk.frozen(self.start, self.len) }
     }
 }
 
@@ -440,22 +433,6 @@ impl Payload {
         }
     }
 
-    /// Wrap existing shared storage without copying.
-    pub fn from_arc(data: Arc<[u8]>) -> Self {
-        let len = data.len();
-        if len == 0 {
-            return Payload::new();
-        }
-        Payload {
-            segs: Segs::One(Segment {
-                data: Backing::Shared(data),
-                start: 0,
-                len,
-            }),
-            len,
-        }
-    }
-
     /// Share `value` as a payload of its wire length without encoding
     /// it: one allocation here, and a clone is one `Arc` increment.
     /// Every byte accessor ([`chunks`](Self::chunks),
@@ -555,7 +532,7 @@ impl Payload {
                 let from = start.max(pos) - pos;
                 let to = end.min(seg_end) - pos;
                 out.segs.push(Segment {
-                    data: seg.data.clone(),
+                    chunk: seg.chunk.clone(),
                     start: seg.start + from,
                     len: to - from,
                 });
@@ -729,12 +706,6 @@ impl<const N: usize> From<&[u8; N]> for Payload {
     }
 }
 
-impl From<Arc<[u8]>> for Payload {
-    fn from(a: Arc<[u8]>) -> Self {
-        Payload::from_arc(a)
-    }
-}
-
 /// Cursor over a [`Payload`]; header reads copy only the bytes asked
 /// for, sub-payload reads are zero-copy slices.
 ///
@@ -790,27 +761,6 @@ impl PayloadReader<'_> {
         self.read_exact(&mut b).then(|| u32::from_le_bytes(b))
     }
 
-    /// Step over the next `n` bytes. Returns false (consuming nothing)
-    /// if fewer remain.
-    pub fn skip(&mut self, n: usize) -> bool {
-        if self.remaining() < n {
-            return false;
-        }
-        let segs = self.payload.segs.as_slice();
-        let mut need = n;
-        while need > 0 {
-            let take = need.min(segs[self.seg].len - self.seg_off);
-            need -= take;
-            self.seg_off += take;
-            if self.seg_off == segs[self.seg].len {
-                self.seg += 1;
-                self.seg_off = 0;
-            }
-        }
-        self.pos += n;
-        true
-    }
-
     /// Take the next `n` bytes as a zero-copy sub-payload, or None if
     /// fewer remain.
     pub fn take_payload(&mut self, n: usize) -> Option<Payload> {
@@ -828,7 +778,7 @@ impl PayloadReader<'_> {
             let s = &segs[seg];
             let take = need.min(s.len - seg_off);
             out.segs.push(Segment {
-                data: s.data.clone(),
+                chunk: s.chunk.clone(),
                 start: s.start + seg_off,
                 len: take,
             });
@@ -920,21 +870,6 @@ mod tests {
     }
 
     #[test]
-    fn skip_spans_segments() {
-        let mut p = Payload::from_slice(b"ab");
-        p.push_payload(&Payload::from_slice(b"cde"));
-        p.push_payload(&Payload::from_slice(b"fg"));
-        let mut r = p.reader();
-        assert!(r.skip(3));
-        assert_eq!(r.take_payload(2).unwrap(), b"de");
-        assert!(!r.skip(3), "only two bytes remain");
-        assert_eq!(r.remaining(), 2);
-        assert!(r.skip(2));
-        assert_eq!(r.remaining(), 0);
-        assert!(r.skip(0));
-    }
-
-    #[test]
     fn equality_ignores_segmentation() {
         let flat = Payload::from_slice(b"xyzw");
         let mut rope = Payload::from_slice(b"xy");
@@ -996,17 +931,6 @@ mod tests {
         let before = copy_metrics();
         assert!(matches!(p.contiguous(), Cow::Borrowed(b"one-seg")));
         assert_eq!(copy_metrics().since(&before).bytes_copied, 0);
-    }
-
-    #[test]
-    fn from_arc_is_zero_copy_and_alloc_free() {
-        let storage: Arc<[u8]> = Arc::from(&b"shared"[..]);
-        let before = copy_metrics();
-        let p = Payload::from_arc(Arc::clone(&storage));
-        let delta = copy_metrics().since(&before);
-        assert_eq!(delta.bytes_copied, 0);
-        assert_eq!(delta.allocs, 0);
-        assert_eq!(p, b"shared");
     }
 
     #[test]

@@ -32,10 +32,7 @@ impl StpAlgorithm for RingPipeline {
             let next = (me + 1) % p;
             let prev = (me + p - 1) % p;
 
-            let mut set = match ctx.payload {
-                Some(pl) => MessageSet::single(me, pl),
-                None => MessageSet::new(),
-            };
+            let mut set = ctx.initial_set();
             if p == 1 {
                 return set;
             }
@@ -100,11 +97,11 @@ fn main() {
             let payload = sources
                 .binary_search(&comm.rank())
                 .is_ok()
-                .then(|| payload_for(comm.rank(), len));
+                .then(|| source_message(comm.rank(), len));
             let ctx = StpCtx {
                 shape,
                 sources,
-                payload: payload.as_deref(),
+                payload: payload.as_ref(),
             };
             RingPipeline.run(&mut comm, &ctx).await.len()
         });

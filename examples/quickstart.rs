@@ -42,11 +42,11 @@ fn main() {
         let payload = sources
             .binary_search(&comm.rank())
             .is_ok()
-            .then(|| payload_for(comm.rank(), msg_len));
+            .then(|| source_message(comm.rank(), msg_len));
         let ctx = StpCtx {
             shape,
             sources,
-            payload: payload.as_deref(),
+            payload: payload.as_ref(),
         };
         BrLin.run(&mut comm, &ctx).await.len()
     });

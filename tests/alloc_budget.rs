@@ -52,11 +52,11 @@ fn run_counting(machine: &Machine, kind: AlgoKind, s: usize) -> (u64, u64) {
         let payload = sources
             .binary_search(&comm.rank())
             .is_ok()
-            .then(|| payload_for(comm.rank(), 4096));
+            .then(|| source_message(comm.rank(), 4096));
         let ctx = StpCtx {
             shape,
             sources,
-            payload: payload.as_deref(),
+            payload: payload.as_ref(),
         };
         alg.run(&mut comm, &ctx).await.len() == sources.len()
     });

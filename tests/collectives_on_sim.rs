@@ -49,7 +49,7 @@ fn gather_hot_spot_shows_in_contention() {
 fn personalized_exchange_balances_iterations() {
     let machine = Machine::paragon(4, 4);
     let out = simulate(&machine, |mut comm| async move {
-        let mine = vec![comm.rank() as u8; 256];
+        let mine = stp_broadcast::sim::Payload::from_slice(&[comm.rank() as u8; 256]);
         let everyone: Vec<usize> = (0..comm.size()).collect();
         let msgs = coll::personalized_from_sources(&mut comm, &everyone, Some(&mine), 5).await;
         msgs.len()

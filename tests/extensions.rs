@@ -25,11 +25,11 @@ fn dissem_zero_copy_beats_alltoall_on_t3d() {
         let payload = sources
             .binary_search(&comm.rank())
             .is_ok()
-            .then(|| payload_for(comm.rank(), 4096));
+            .then(|| source_message(comm.rank(), 4096));
         let ctx = StpCtx {
             shape,
             sources,
-            payload: payload.as_deref(),
+            payload: payload.as_ref(),
         };
         alg.run(&mut comm, &ctx).await.len()
     });

@@ -124,7 +124,7 @@ proptest! {
         }
     }
 
-    /// MessageSet wire format round-trips arbitrary contents.
+    /// MessageSet wire format round-trips arbitrary sources and lengths.
     #[test]
     fn msgset_roundtrip(entries in proptest::collection::btree_map(0u32..500, proptest::collection::vec(any::<u8>(), 0..64), 0..12)) {
         let mut set = MessageSet::new();
@@ -141,9 +141,9 @@ proptest! {
         let _ = MessageSet::from_bytes(&bytes);
     }
 
-    /// The rope wire path is byte-identical to the flat one: same
+    /// A set's handle is byte-identical to its flat encoding: same
     /// length (virtual send costs depend on it) and same bytes, and it
-    /// round-trips through the zero-copy parser.
+    /// reads back to the set.
     #[test]
     fn msgset_rope_wire_matches_flat(entries in proptest::collection::btree_map(0u32..500, proptest::collection::vec(any::<u8>(), 0..64), 0..12)) {
         let mut set = MessageSet::new();
@@ -159,10 +159,9 @@ proptest! {
         prop_assert_eq!(back, set);
     }
 
-    /// Merging message sets built from rope entries behaves like a map
-    /// union, regardless of how the entries were split between the two
-    /// sides, and the merged set serialises identically to one built
-    /// flat from the union.
+    /// Merging message sets behaves like a map union, regardless of how
+    /// the entries were split between the two sides, and the merged
+    /// set's handle reads as the bytes of one built flat from the union.
     #[test]
     fn msgset_rope_merge_is_union(
         entries in proptest::collection::btree_map(0u32..100, proptest::collection::vec(any::<u8>(), 0..48), 0..16),
@@ -171,11 +170,10 @@ proptest! {
         let mut left = MessageSet::new();
         let mut right = MessageSet::new();
         for (i, (src, data)) in entries.iter().enumerate() {
-            let rope = mpp_sim::Payload::from_slice(data);
             if split_mask >> (i % 16) & 1 == 0 {
-                left.insert_payload(*src as usize, rope);
+                left.insert(*src as usize, data);
             } else {
-                right.insert_payload(*src as usize, rope);
+                right.insert(*src as usize, data);
             }
         }
         left.merge(right);

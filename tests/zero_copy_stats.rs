@@ -121,11 +121,11 @@ fn rope_path_copies_small_fraction_of_traffic() {
     );
 }
 
-/// A message set travels by handle: no send encodes it and no receive
-/// parses it, so a run copies exactly the bytes its algorithm copies on
-/// purpose — each source's message once, out of the delivery oracle
-/// into the arena (s·L) — and not one header byte. A send that built
-/// the wire format would copy at least its 4-byte count.
+/// A message set travels by handle and a source message as its slot:
+/// no send encodes either, no receive parses one, and no source message
+/// is copied into payload storage, so a run copies no byte at all. A
+/// send that built the wire format would copy at least its 4-byte
+/// count, and a source message put in the arena its L bytes.
 #[test]
 fn product_sends_copy_only_the_source_messages() {
     let _g = lock();
@@ -153,11 +153,6 @@ fn product_sends_copy_only_the_source_messages() {
         let out = exp.run().expect("run failed");
         let copied = sim::copy_metrics().since(&before).bytes_copied;
         assert!(out.verified, "{} failed verification", kind.name());
-        assert_eq!(
-            copied,
-            (s * len) as u64,
-            "{} copied {copied} bytes, not s·L",
-            kind.name()
-        );
+        assert_eq!(copied, 0, "{} copied {copied} bytes", kind.name());
     }
 }
